@@ -18,6 +18,9 @@
 // -memprofile write standard pprof profiles. All are observation-only: the
 // simulated statistics are identical with and without them.
 //
+// The process runs on one P unless the GOMAXPROCS environment variable is
+// set: one simulation is one baton, so a second P only adds wake-ups.
+//
 // Exit codes: 0 on success, 1 on run failure, 2 on invalid flags.
 package main
 
@@ -43,6 +46,7 @@ import (
 )
 
 func main() {
+	perf.SingleCellProcs()
 	os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr))
 }
 

@@ -37,6 +37,7 @@ import (
 	"ecvslrc/internal/apps"
 	"ecvslrc/internal/core"
 	"ecvslrc/internal/fabric"
+	"ecvslrc/internal/perf"
 	"ecvslrc/internal/platform"
 	_ "ecvslrc/internal/platform/models" // register the platform models as presets
 	"ecvslrc/internal/run"
@@ -44,6 +45,7 @@ import (
 )
 
 func main() {
+	perf.SingleCellProcs()
 	os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr))
 }
 

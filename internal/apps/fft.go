@@ -241,18 +241,32 @@ func fftFlops(n int) int {
 	return 5 * n * lg
 }
 
+// fftLocks numbers the per-(writer, reader) block locks of one run. Up to 64
+// processors the ids are the paper-scale ones (stride 64, B's range starting
+// at 5001), which every golden and lock-manager assignment is pinned to; a
+// larger machine widens the stride to np and moves B's range past A's, so no
+// two (q, p) pairs share an id.
+type fftLocks struct{ stride, baseB int }
+
+func newFFTLocks(np int) fftLocks {
+	if np <= 64 {
+		return fftLocks{stride: 64, baseB: 5001}
+	}
+	return fftLocks{stride: np, baseB: 1 + np*np}
+}
+
 // lockA covers the block of A owned by writer q that reader p needs for its
 // transpose: rows A[i in q's planes][j in p's planes][*] — multiple
 // non-contiguous ranges bound to one lock. At paper scale each block spans
 // eight pages.
-func (f *FFT) lockA(q, p int) core.LockID {
-	return core.LockID(1 + q*64 + p)
+func (l fftLocks) lockA(q, p int) core.LockID {
+	return core.LockID(1 + q*l.stride + p)
 }
 
 // lockB covers the block of B owned by writer q (its j-planes) that reader p
 // needs for the feed-back transpose: B[j in q's planes][i in p's planes][*].
-func (f *FFT) lockB(q, p int) core.LockID {
-	return core.LockID(5001 + q*64 + p)
+func (l fftLocks) lockB(q, p int) core.LockID {
+	return core.LockID(l.baseB + q*l.stride + p)
 }
 
 // Program implements run.App: the interface-adapter entry of fftProgram —
@@ -275,6 +289,7 @@ func fftProgram[D core.Accessor](f *FFT, d D) {
 	np := d.NProcs()
 	me := d.Proc()
 	a := f
+	locks := newFFTLocks(np)
 	iLo, iHi := band(a.n1, np, me) // my planes of A
 	jLo, jHi := band(a.n2, np, me) // my planes of B
 
@@ -292,7 +307,7 @@ func fftProgram[D core.Accessor](f *FFT, d D) {
 					}
 				}
 				if len(rsA) > 0 {
-					d.Bind(f.lockA(q, p), rsA...)
+					d.Bind(locks.lockA(q, p), rsA...)
 				}
 				var rsB []mem.Range
 				for j := qjLo; j < qjHi; j++ {
@@ -301,7 +316,7 @@ func fftProgram[D core.Accessor](f *FFT, d D) {
 					}
 				}
 				if len(rsB) > 0 {
-					d.Bind(f.lockB(q, p), rsB...)
+					d.Bind(locks.lockB(q, p), rsB...)
 				}
 			}
 		}
@@ -350,7 +365,7 @@ func fftProgram[D core.Accessor](f *FFT, d D) {
 		// EC, I hold my A-block locks exclusively while writing (they stay
 		// owned locally, so reacquisition is free).
 		if ec && iHi > iLo {
-			acquireOwn(f.lockA, a.n2)
+			acquireOwn(locks.lockA, a.n2)
 		}
 		for i := iLo; i < iHi; i++ {
 			for j := 0; j < a.n2; j++ {
@@ -375,7 +390,7 @@ func fftProgram[D core.Accessor](f *FFT, d D) {
 			}
 		}
 		if ec && iHi > iLo {
-			releaseOwn(f.lockA, a.n2)
+			releaseOwn(locks.lockA, a.n2)
 		}
 		d.Barrier(0)
 
@@ -385,12 +400,12 @@ func fftProgram[D core.Accessor](f *FFT, d D) {
 		// paper scale) block via the update protocol; under LRC it is one
 		// page fault per page.
 		if ec && jHi > jLo {
-			acquireOwn(f.lockB, a.n1)
+			acquireOwn(locks.lockB, a.n1)
 		}
 		for q := 0; q < np; q++ {
 			qLo, qHi := band(a.n1, np, q)
 			if ec && q != me && qHi > qLo && jHi > jLo {
-				d.AcquireRead(f.lockA(q, me))
+				d.AcquireRead(locks.lockA(q, me))
 			}
 			for i := qLo; i < qHi; i++ {
 				for j := jLo; j < jHi; j++ {
@@ -401,7 +416,7 @@ func fftProgram[D core.Accessor](f *FFT, d D) {
 			}
 			d.Compute(sim.Time((qHi-qLo)*(jHi-jLo)*a.n3) * 100 * sim.Nanosecond)
 			if ec && q != me && qHi > qLo && jHi > jLo {
-				d.Release(f.lockA(q, me))
+				d.Release(locks.lockA(q, me))
 			}
 		}
 
@@ -419,7 +434,7 @@ func fftProgram[D core.Accessor](f *FFT, d D) {
 			}
 		}
 		if ec && jHi > jLo {
-			releaseOwn(f.lockB, a.n1)
+			releaseOwn(locks.lockB, a.n1)
 		}
 		d.Barrier(1)
 
@@ -428,12 +443,12 @@ func fftProgram[D core.Accessor](f *FFT, d D) {
 		if it < a.iters-1 {
 			scale := complex(1/float64(a.elems()), 0)
 			if ec && iHi > iLo {
-				acquireOwn(f.lockA, a.n2)
+				acquireOwn(locks.lockA, a.n2)
 			}
 			for q := 0; q < np; q++ {
 				pLo, pHi := band(a.n2, np, q)
 				if ec && q != me && pHi > pLo && iHi > iLo {
-					d.AcquireRead(f.lockB(q, me))
+					d.AcquireRead(locks.lockB(q, me))
 				}
 				for i := iLo; i < iHi; i++ {
 					for j := pLo; j < pHi; j++ {
@@ -443,12 +458,12 @@ func fftProgram[D core.Accessor](f *FFT, d D) {
 					}
 				}
 				if ec && q != me && pHi > pLo && iHi > iLo {
-					d.Release(f.lockB(q, me))
+					d.Release(locks.lockB(q, me))
 				}
 			}
 			d.Compute(sim.Time((iHi-iLo)*a.n2*a.n3) * 100 * sim.Nanosecond)
 			if ec && iHi > iLo {
-				releaseOwn(f.lockA, a.n2)
+				releaseOwn(locks.lockA, a.n2)
 			}
 			d.Barrier(2)
 		}
@@ -463,7 +478,7 @@ func fftProgram[D core.Accessor](f *FFT, d D) {
 				if ec && q != me {
 					piLo, piHi := band(a.n1, np, p)
 					if qjHi > qjLo && piHi > piLo {
-						d.AcquireRead(f.lockB(q, p))
+						d.AcquireRead(locks.lockB(q, p))
 					}
 				}
 			}
@@ -478,7 +493,7 @@ func fftProgram[D core.Accessor](f *FFT, d D) {
 				if ec && q != me {
 					piLo, piHi := band(a.n1, np, p)
 					if qjHi > qjLo && piHi > piLo {
-						d.Release(f.lockB(q, p))
+						d.Release(locks.lockB(q, p))
 					}
 				}
 			}

@@ -65,6 +65,35 @@ func TestFFTAllImpls(t *testing.T) {
 	testAllImpls(t, "3D-FFT", 4)
 }
 
+// TestFFTLockIDs pins the block-lock numbering: up to 64 processors the ids
+// are the paper-scale formula (goldens and lock-manager assignment depend on
+// them), and past 64 no two (writer, reader) pairs of either array share an
+// id — the fixed 64-wide stride made 128-proc EC cells bind one lock twice.
+func TestFFTLockIDs(t *testing.T) {
+	for _, np := range []int{4, 8, 64, 65, 128, 256} {
+		locks := newFFTLocks(np)
+		seen := make(map[core.LockID]bool, 2*np*np)
+		for q := 0; q < np; q++ {
+			for p := 0; p < np; p++ {
+				a, b := locks.lockA(q, p), locks.lockB(q, p)
+				if np <= 64 && (a != core.LockID(1+q*64+p) || b != core.LockID(5001+q*64+p)) {
+					t.Fatalf("np=%d: lock ids of (%d,%d) drifted from the paper-scale formula: %d, %d", np, q, p, a, b)
+				}
+				if seen[a] || seen[b] || a == b {
+					t.Fatalf("np=%d: (%d,%d) reuses a lock id (%d or %d)", np, q, p, a, b)
+				}
+				seen[a], seen[b] = true, true
+			}
+		}
+	}
+}
+
+// TestFFTAllImplsAbove64Procs runs every implementation past the 64-proc
+// band limit, where most processors own no planes and the lock stride widens.
+func TestFFTAllImplsAbove64Procs(t *testing.T) {
+	testAllImpls(t, "3D-FFT", 128)
+}
+
 func TestFFTSequential(t *testing.T) {
 	app, _ := New("3D-FFT", Test)
 	if _, err := run.RunSeq(app); err != nil {

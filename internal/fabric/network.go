@@ -284,13 +284,14 @@ func (n *Network) Call(p *sim.Proc, to, kind, size int, payload Payload) Msg {
 	return n.Await(w, "rpc-reply")
 }
 
-// CallAsync transmits a request and returns the reply Waiter without
-// blocking, so a processor can issue several requests in parallel (as
-// TreadMarks does for diff fetches) and then collect all replies via Await.
-func (n *Network) CallAsync(p *sim.Proc, to, kind, size int, payload Payload) *sim.Waiter {
-	w := sim.NewWaiter(p)
+// CallAsync transmits a request without blocking, so a processor can issue
+// several requests in parallel (as TreadMarks does for diff fetches) and then
+// collect each reply through Await on the request's waiter. The caller
+// provides the waiter — one per outstanding request, owned by p and idle —
+// so a processor that fetches over and over keeps its waiters instead of
+// allocating one per call.
+func (n *Network) CallAsync(p *sim.Proc, w *sim.Waiter, to, kind, size int, payload Payload) {
 	n.post(p, Msg{From: p.ID(), To: to, Kind: kind, Size: size, Payload: payload, waiter: w})
-	return w
 }
 
 // Await blocks until the reply for a Call/CallAsync waiter arrives and

@@ -147,8 +147,9 @@ func TestParallelCallsOverlap(t *testing.T) {
 	var elapsed sim.Time
 	p0 := s.Spawn("client", func(p *sim.Proc) {
 		start := p.Now()
-		w1 := n.CallAsync(p, 1, 1, 0, Payload{})
-		w2 := n.CallAsync(p, 2, 1, 0, Payload{})
+		w1, w2 := sim.NewWaiter(p), sim.NewWaiter(p)
+		n.CallAsync(p, w1, 1, 1, 0, Payload{})
+		n.CallAsync(p, w2, 2, 1, 0, Payload{})
 		n.Await(w1, "r1")
 		n.Await(w2, "r2")
 		elapsed = p.Now() - start

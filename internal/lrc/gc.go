@@ -20,9 +20,9 @@
 //   - Interval records at node y serve two purposes: forwarding to peers
 //     (collectNotices sends only records past the requester's vector, and
 //     every vector is at least minVec[q] = min over nodes of vec[q]), and
-//     happens-before ordering of y's OWN access misses (intervalBefore
-//     consults record (q,j) only for j inside one of y's pending fetch
-//     windows (applied, noticed]). So records of writer q at node y are
+//     happens-before ordering of y's OWN access misses (the merge in
+//     accessMiss consults record (q,j) only for j inside one of y's pending
+//     fetch windows (applied, noticed]). So records of writer q at node y are
 //     dead up to recFloor_y[q] = min(minVec[q], min applied over y's own
 //     pending windows for q); for y == q additionally capped by
 //     lastBarrierSent, since q's next barrier arrival re-sends its own
@@ -115,7 +115,7 @@ func (n *Node) NoticeHistoryBytes() int64 {
 	var b int64
 	for _, recs := range n.records {
 		for _, r := range recs {
-			b += int64(r.wireSize())
+			b += int64(r.wire)
 		}
 	}
 	for _, ds := range n.diffStore {

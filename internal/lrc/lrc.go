@@ -8,7 +8,10 @@
 package lrc
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"ecvslrc/internal/core"
@@ -40,12 +43,19 @@ type interval struct {
 	idx   int32
 	vec   []int32
 	pages []int
+	// wire is the cost of shipping this interval's write notices: interval
+	// identity, its vector, and one notice per page. A record is immutable,
+	// so newInterval computes it once for every later grant and departure.
+	wire int
 }
 
-// wireSize is the cost of shipping this interval's write notices: interval
-// identity, its vector, and one notice per page.
-func (iv *interval) wireSize() int {
-	return 8 + 4*len(iv.vec) + 4*len(iv.pages)
+func newInterval(proc int, idx int32, vec []int32, pages []int) *interval {
+	return &interval{proc: proc, idx: idx, vec: vec, pages: pages, wire: 8 + 4*len(vec) + 4*len(pages)}
+}
+
+// cmpInterval orders records by (proc, idx), the order absorb applies them in.
+func cmpInterval(a, b *interval) int {
+	return cmp.Or(cmp.Compare(a.proc, b.proc), cmp.Compare(a.idx, b.idx))
 }
 
 // writerWindow is one remote writer's notice state on a page: noticed is the
@@ -74,23 +84,21 @@ type pageMeta struct {
 
 func newPageMeta() *pageMeta { return &pageMeta{closedIval: -1} }
 
+func cmpWindowProc(w writerWindow, proc int32) int { return cmp.Compare(w.proc, proc) }
+
 // window returns the writer window for proc, inserting a zero window in
 // sorted position if the page has none yet.
 func (pm *pageMeta) window(proc int32) *writerWindow {
-	i := sort.Search(len(pm.writers), func(i int) bool { return pm.writers[i].proc >= proc })
-	if i < len(pm.writers) && pm.writers[i].proc == proc {
-		return &pm.writers[i]
+	i, ok := slices.BinarySearchFunc(pm.writers, proc, cmpWindowProc)
+	if !ok {
+		pm.writers = slices.Insert(pm.writers, i, writerWindow{proc: proc})
 	}
-	pm.writers = append(pm.writers, writerWindow{})
-	copy(pm.writers[i+1:], pm.writers[i:])
-	pm.writers[i] = writerWindow{proc: proc}
 	return &pm.writers[i]
 }
 
 // find returns the window for proc, or nil if the page has none.
 func (pm *pageMeta) find(proc int32) *writerWindow {
-	i := sort.Search(len(pm.writers), func(i int) bool { return pm.writers[i].proc >= proc })
-	if i < len(pm.writers) && pm.writers[i].proc == proc {
+	if i, ok := slices.BinarySearchFunc(pm.writers, proc, cmpWindowProc); ok {
 		return &pm.writers[i]
 	}
 	return nil
@@ -101,20 +109,45 @@ type ivalDiff struct {
 	Diff *wcollect.Diff
 }
 
+func cmpDiffInterval(d ivalDiff, ival int32) int { return cmp.Compare(d.Ival, ival) }
+
 // Fetch-request slot conventions (PayloadPageReq): A is the page, B the
 // highest interval of the responder already applied locally, and C bounds
 // the reply to intervals the requester holds write notices for —
 // modifications from the responder's later intervals have not been
 // "released" to the requester yet and must not travel early.
 
-// pageReply is the typed Body of a kindFetchReply message.
+// pageReply is the typed Body of a kindFetchReply message. Bodies are
+// recycled: the requester hands each one back to the node that served it
+// (release) once it has copied the contents out.
 type pageReply struct {
-	Diffs   []ivalDiff           // Diffs collection
+	owner *Node
+	// Diffs (Diffs collection) aliases the window of the server's diffStore
+	// the request named. The store is only ever appended to while a reply
+	// is outstanding; the collector compacts it at barrier quiescence, when
+	// no processor is inside an access miss.
+	Diffs   []ivalDiff
 	Stamped wcollect.StampedData // Timestamps collection
 }
 
 // BodyKind implements fabric.Body.
 func (*pageReply) BodyKind() fabric.PayloadKind { return fabric.PayloadPageReply }
+
+// newReply takes a reply body from this node's free list, or grows it.
+func (n *Node) newReply() *pageReply {
+	if k := len(n.freeReplies); k > 0 {
+		r := n.freeReplies[k-1]
+		n.freeReplies = n.freeReplies[:k-1]
+		return r
+	}
+	return &pageReply{owner: n}
+}
+
+// release returns a consumed reply body to its server's free list.
+func (r *pageReply) release() {
+	r.Diffs, r.Stamped = nil, wcollect.StampedData{}
+	r.owner.freeReplies = append(r.owner.freeReplies, r)
+}
 
 // noticeBody is the write-notice set riding with lock grants, barrier
 // arrivals and barrier departures: the interval records the receiver's
@@ -132,11 +165,18 @@ type noticeBody struct {
 // BodyKind implements fabric.Body.
 func (*noticeBody) BodyKind() fabric.PayloadKind { return fabric.PayloadNoticeSet }
 
-// pendingWriter is one processor with unfetched write notices for a page.
+// pendingWriter is one processor with unfetched write notices for a page
+// and, once its reply is in, that writer's cursor in the happens-before
+// merge of the fetched units (see nextUnit).
 type pendingWriter struct {
 	proc  int
 	since int32
 	upTo  int32
+
+	head, end int     // units[head:end]: this writer's unapplied units, ascending by interval
+	ival      int32   // interval of units[head]; MaxInt32 once head == end, so no vector covers it
+	vec       []int32 // closed-interval vector of units[head]; nil if exhausted or the record is unknown
+	cleared   int     // writers[:cleared] are known to hold no predecessor of units[head]
 }
 
 // applyUnit is one writer interval's modifications, the happens-before
@@ -178,7 +218,14 @@ type Node struct {
 	arrivalRecs     map[int][]*interval // manager: buffered records, absorbed at departure
 	arrivalMins     map[int][]int32     // tree fan-in: subtree min vector per child arrival
 
-	missWriters []pendingWriter // accessMiss scratch, reused across misses
+	// accessMiss scratch, reused across misses (a node has one miss
+	// outstanding at a time): the pending writers with their merge cursors,
+	// the fetched units, and one reply rendezvous per parallel fetch.
+	missWriters  []pendingWriter
+	missUnits    []applyUnit
+	fetchWaiters []*sim.Waiter
+
+	freeReplies []*pageReply // fetch-reply bodies this node served, returned for reuse
 
 	gc        *GC           // shared notice-history collector, nil when GC is off
 	recFloor  []int32       // per-writer record kill floor at this node (GC only)
@@ -371,8 +418,7 @@ func (n *Node) closeInterval() sim.Time {
 	}
 	vec := make([]int32, len(n.vec))
 	copy(vec, n.vec)
-	rec := &interval{proc: self, idx: n.cur, vec: vec, pages: pages}
-	n.records[self] = append(n.records[self], rec)
+	n.records[self] = append(n.records[self], newInterval(self, n.cur, vec, pages))
 	n.vec[self] = n.cur
 	n.cur++
 	return work
@@ -426,16 +472,15 @@ func (n *Node) absorb(records []*interval, senderVec []int32) sim.Time {
 	var work sim.Time
 	self := n.P.ID()
 	// Apply in (proc, idx) order so per-processor record lists stay sorted.
-	sorted := make([]*interval, len(records))
-	copy(sorted, records)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].proc != sorted[j].proc {
-			return sorted[i].proc < sorted[j].proc
-		}
-		return sorted[i].idx < sorted[j].idx
-	})
-	for _, rec := range sorted {
-		if rec.proc == self || n.hasRecord(rec.proc, rec.idx) {
+	// collectNotices emits that order already; only a tree fan-in union
+	// (children folded around the parent's own records, a few per barrier)
+	// arrives out of order.
+	if !slices.IsSortedFunc(records, cmpInterval) {
+		records = slices.Clone(records) // the slice belongs to the sender
+		slices.SortFunc(records, cmpInterval)
+	}
+	for _, rec := range records {
+		if rec.proc == self || n.record(rec.proc, rec.idx) != nil {
 			continue
 		}
 		if n.recFloor != nil && rec.idx <= n.recFloor[rec.proc] {
@@ -470,16 +515,34 @@ func (n *Node) absorb(records []*interval, senderVec []int32) sim.Time {
 	return work
 }
 
-func (n *Node) hasRecord(proc int, idx int32) bool {
-	recs := n.records[proc]
-	i := sort.Search(len(recs), func(i int) bool { return recs[i].idx >= idx })
-	return i < len(recs) && recs[i].idx == idx
+// recordPos returns the position in recs — one processor's records,
+// ascending by index — of the first record whose index is at least idx.
+// closeInterval bumps cur only when it appends a record, so a processor's
+// indices are contiguous and the position is one subtraction; the search
+// runs only if a list ever turns out not to be.
+func recordPos(recs []*interval, idx int32) int {
+	if len(recs) == 0 {
+		return 0
+	}
+	switch i := int(idx - recs[0].idx); {
+	case i <= 0:
+		return 0
+	case i < len(recs):
+		if recs[i].idx == idx {
+			return i
+		}
+	case recs[len(recs)-1].idx < idx:
+		return len(recs)
+	}
+	i, _ := slices.BinarySearchFunc(recs, idx, func(r *interval, idx int32) int { return cmp.Compare(r.idx, idx) })
+	return i
 }
 
+// record returns processor proc's interval record idx, or nil if this node
+// does not hold it.
 func (n *Node) record(proc int, idx int32) *interval {
 	recs := n.records[proc]
-	i := sort.Search(len(recs), func(i int) bool { return recs[i].idx >= idx })
-	if i < len(recs) && recs[i].idx == idx {
+	if i := recordPos(recs, idx); i < len(recs) && recs[i].idx == idx {
 		return recs[i]
 	}
 	return nil
@@ -487,18 +550,32 @@ func (n *Node) record(proc int, idx int32) *interval {
 
 // recordsAfter returns the records of q with index beyond bound.
 func (n *Node) recordsAfter(q int, bound int32) []*interval {
-	recs := n.records[q]
-	i := sort.Search(len(recs), func(i int) bool { return recs[i].idx > bound })
-	return recs[i:]
+	return n.records[q][recordPos(n.records[q], bound+1):]
 }
 
 // collectNotices gathers every record this node knows that the peer's
-// vector does not cover.
+// vector does not cover, in (proc, idx) order. A node's own vector covers
+// every record it holds (absorb merges the sender's vector with each batch),
+// so processors the peer is level with are skipped on the vectors alone.
+// The result is sized in a first pass: grown by append, grant-time garbage
+// was a fifth of a large cell's allocations.
 func (n *Node) collectNotices(peerVec []int32) (out []*interval, size int) {
-	for q := 0; q < n.Base.NProcs; q++ {
-		for _, rec := range n.recordsAfter(q, peerVec[q]) {
-			out = append(out, rec)
-			size += rec.wireSize()
+	total := 0
+	for q, bound := range peerVec {
+		if bound < n.vec[q] {
+			total += len(n.recordsAfter(q, bound))
+		}
+	}
+	if total == 0 {
+		return nil, 0
+	}
+	out = make([]*interval, 0, total)
+	for q, bound := range peerVec {
+		if bound < n.vec[q] {
+			for _, rec := range n.recordsAfter(q, bound) {
+				out = append(out, rec)
+				size += rec.wire
+			}
 		}
 	}
 	return out, size
@@ -563,108 +640,50 @@ func (n *Node) accessMiss(pg int, write bool) {
 	}
 
 	// Parallel requests, as TreadMarks issues its diff requests.
-	waiters := make([]*sim.Waiter, len(writers))
+	for len(n.fetchWaiters) < len(writers) {
+		n.fetchWaiters = append(n.fetchWaiters, sim.NewWaiter(n.P))
+	}
 	for i, w := range writers {
 		req := fabric.Payload{Kind: fabric.PayloadPageReq, A: int32(pg), B: w.since, C: w.upTo}
-		waiters[i] = n.Net.CallAsync(n.P, w.proc, kindFetchReq, 12, req)
+		n.Net.CallAsync(n.P, n.fetchWaiters[i], w.proc, kindFetchReq, 12, req)
 	}
-	var units []applyUnit
-	for i, w := range waiters {
-		reply := n.Net.Await(w, "lrc-fetch")
+	// Each reply becomes one run of units, ascending by interval; the writers
+	// themselves are in ascending processor order.
+	units := n.missUnits[:0]
+	for i := range writers {
+		w := &writers[i]
+		reply := n.Net.Await(n.fetchWaiters[i], "lrc-fetch")
 		fr := reply.Payload.Body.(*pageReply)
+		w.head = len(units)
 		switch n.impl.Collect {
 		case core.Diffs:
-			for _, idf := range fr.Diffs {
-				units = append(units, applyUnit{proc: writers[i].proc, ival: idf.Ival, dr: idf.Diff.Runs})
+			for _, idf := range fr.Diffs { // the server's store is in interval order
+				units = append(units, applyUnit{proc: w.proc, ival: idf.Ival, dr: idf.Diff.Runs})
 			}
 		case core.Timestamps:
-			// Split the stamped runs per interval for ordered application.
-			// Data[k] carries the bytes of Runs[k], so the split needs no
-			// by-address lookup; units appear in first-seen interval order
-			// and runs stay in address order within each unit.
-			for k, sr := range fr.Stamped.Runs {
-				p, iv := sr.Stamp.ProcInterval()
-				if p != writers[i].proc {
-					panic("lrc: responder sent foreign stamps")
-				}
-				u := (*applyUnit)(nil)
-				for j := range units {
-					if units[j].proc == p && units[j].ival == int32(iv) {
-						u = &units[j]
-						break
-					}
-				}
-				if u == nil {
-					units = append(units, applyUnit{proc: p, ival: int32(iv)})
-					u = &units[len(units)-1]
-				}
-				u.sr = append(u.sr, sr)
-				u.dr = append(u.dr, fr.Stamped.Data[k])
-			}
+			units = splitStamped(units, w.proc, &fr.Stamped)
 		}
+		w.end = len(units)
+		fr.release()
 	}
+	n.missUnits = units[:0]
 
 	// Apply in happens-before order: unit a must precede b when b's
 	// interval vector covers a's interval. Happens-before plus an arbitrary
 	// tie-break is NOT a strict weak order (incomparability is not
-	// transitive), so a comparison sort would be unsound; use an explicit
-	// topological selection instead. Concurrent units touch disjoint words
-	// (they arise only from multi-writer false sharing), so their relative
-	// order matters only for determinism.
-	//
-	// Each unit's closed-interval vector is resolved once up front: the
-	// happens-before test is then a single array index. The selection runs
-	// Kahn's algorithm over precomputed in-degrees, always extracting the
-	// (proc, ival)-minimum source — the same order the naive re-scan
-	// produced, but in O(k^2) integer compares instead of O(k^3) binary
-	// searches over the full record history, which dominated wall clock on
-	// pages with many concurrent writers at 256-1024 processors.
-	vecs := make([][]int32, len(units))
-	for i, u := range units {
-		if rec := n.record(u.proc, u.ival); rec != nil {
-			vecs[i] = rec.vec
-		}
-	}
-	before := func(a, b int) bool { // did units[a] happen before units[b]?
-		if units[a].proc == units[b].proc {
-			return units[a].ival < units[b].ival
-		}
-		return vecs[b] != nil && vecs[b][units[a].proc] >= units[a].ival
-	}
-	indeg := make([]int, len(units))
-	for b := range units {
-		for a := range units {
-			if a != b && before(a, b) {
-				indeg[b]++
-			}
-		}
-	}
-	ordered := make([]applyUnit, 0, len(units))
-	done := make([]bool, len(units))
-	for len(ordered) < len(units) {
-		pick := -1
-		for i := range units {
-			if done[i] || indeg[i] != 0 {
-				continue
-			}
-			if pick < 0 || units[i].proc < units[pick].proc ||
-				(units[i].proc == units[pick].proc && units[i].ival < units[pick].ival) {
-				pick = i
-			}
-		}
-		if pick < 0 {
-			panic("lrc: cycle in interval happens-before order")
-		}
-		done[pick] = true
-		ordered = append(ordered, units[pick])
-		for b := range units {
-			if !done[b] && before(pick, b) {
-				indeg[b]--
-			}
-		}
+	// transitive), so a comparison sort would be unsound; nextUnit runs an
+	// explicit topological selection instead. Concurrent units touch
+	// disjoint words (they arise only from multi-writer false sharing), so
+	// their relative order matters only for determinism.
+	for i := range writers {
+		n.loadHead(&writers[i], units)
 	}
 	words := 0
-	for _, u := range ordered {
+	for range units {
+		u := n.nextUnit(writers, units)
+		if u == nil {
+			panic("lrc: cycle in interval happens-before order")
+		}
 		w := wcollect.ApplyRuns(n.Im, u.dr)
 		if n.stamps != nil {
 			n.stamps.ApplyStamps(u.sr)
@@ -682,6 +701,9 @@ func (n *Node) accessMiss(pg int, write bool) {
 			win.applied = w.upTo
 		}
 	}
+	// The scratch must not pin diffs and records the collector prunes later.
+	clear(units)
+	clear(writers)
 	// Re-validate. Under twinning the page stays write-protected so the
 	// next write twins it; a write miss twins immediately.
 	n.Tr.Work(n.P.Now(), n.P.ID(), trace.WorkTrapDiff, trace.ObjPage, pg, n.CM.MProtect)
@@ -697,14 +719,88 @@ func (n *Node) accessMiss(pg int, write bool) {
 	}
 }
 
-// intervalBefore reports whether (p,i) happened before (q,j): q had seen p's
-// interval i closed by the time it closed its own interval j.
-func (n *Node) intervalBefore(p int, i int32, q int, j int32) bool {
-	if p == q {
-		return i < j
+// loadHead resolves the closed-interval vector of w's head unit, after the
+// head changed. A missing record leaves vec nil: the unit then has no
+// cross-writer predecessors.
+func (n *Node) loadHead(w *pendingWriter, units []applyUnit) {
+	w.ival, w.vec, w.cleared = math.MaxInt32, nil, 0
+	if w.head < w.end {
+		w.ival = units[w.head].ival
+		if rec := n.record(w.proc, w.ival); rec != nil {
+			w.vec = rec.vec
+		}
 	}
-	rec := n.record(q, j)
-	return rec != nil && rec.vec[p] >= i
+}
+
+// nextUnit removes and returns the next unit of an access miss in
+// happens-before order, or nil if every remaining head waits on another (a
+// cycle). It is Kahn's algorithm extracting the (proc, ival)-minimum source,
+// run as a merge over the per-writer runs: within a writer only the head can
+// be a source (earlier intervals of one processor precede later ones), and
+// since another writer x's units are consumed in ascending interval order,
+// x still holds a predecessor of head b exactly when x's own head interval
+// is covered by b's vector. Scanning writers in ascending processor order
+// and taking the first source head therefore yields the minimum source. A
+// test that passed stays passed as heads only advance, so each head resumes
+// at w.cleared: O(units x writers) integer compares per miss in all.
+func (n *Node) nextUnit(writers []pendingWriter, units []applyUnit) *applyUnit {
+	for i := range writers {
+		w := &writers[i]
+		if w.head == w.end {
+			continue
+		}
+		if vec := w.vec; vec != nil {
+			c := w.cleared
+			for ; c < len(writers); c++ {
+				if x := &writers[c]; x.ival <= vec[x.proc] && c != i {
+					break // x's head happened before w's
+				}
+			}
+			w.cleared = c
+			if c < len(writers) {
+				continue
+			}
+		}
+		u := &units[w.head]
+		w.head++
+		n.loadHead(w, units)
+		return u
+	}
+	return nil
+}
+
+// stampedByInterval sorts a timestamp reply's parallel run arrays by stamp,
+// in lock step. All stamps of one reply name the same processor, so stamp
+// order is interval order.
+type stampedByInterval wcollect.StampedData
+
+func (s *stampedByInterval) Len() int           { return len(s.Runs) }
+func (s *stampedByInterval) Less(i, j int) bool { return s.Runs[i].Stamp < s.Runs[j].Stamp }
+func (s *stampedByInterval) Swap(i, j int) {
+	s.Runs[i], s.Runs[j] = s.Runs[j], s.Runs[i]
+	s.Data[i], s.Data[j] = s.Data[j], s.Data[i]
+}
+
+// splitStamped appends one unit per interval of writer proc's timestamp
+// reply, ascending by interval. The reply arrives in address order with
+// Data[k] carrying the bytes of Runs[k]; a stable sort by interval (the
+// requester owns the reply's arrays) makes each interval's runs contiguous
+// and keeps them in address order, so a unit is a pair of subslices.
+func splitStamped(units []applyUnit, proc int, sd *wcollect.StampedData) []applyUnit {
+	sort.Stable((*stampedByInterval)(sd))
+	for k := 0; k < len(sd.Runs); {
+		p, iv := sd.Runs[k].Stamp.ProcInterval()
+		if p != proc {
+			panic("lrc: responder sent foreign stamps")
+		}
+		end := k + 1
+		for end < len(sd.Runs) && sd.Runs[end].Stamp == sd.Runs[k].Stamp {
+			end++
+		}
+		units = append(units, applyUnit{proc: p, ival: int32(iv), sr: sd.Runs[k:end], dr: sd.Data[k:end]})
+		k = end
+	}
+	return units
 }
 
 // handleFetch serves a data request for one page. With diffs, the diff is
@@ -722,19 +818,20 @@ func (n *Node) handleFetch(hc *fabric.HandlerCtx, m fabric.Msg) {
 	n.Tr.Work(hc.Now(), n.P.ID(), trace.WorkTrapDiff, trace.ObjPage, pg, fwork)
 	hc.Work(fwork)
 
-	reply := &pageReply{}
+	reply := n.newReply()
 	size := 0
 	switch n.impl.Collect {
 	case core.Diffs:
-		for _, idf := range n.diffStore[pg] {
-			if idf.Ival > since && idf.Ival <= upTo {
-				reply.Diffs = append(reply.Diffs, idf)
-				size += idf.Diff.WireSize()
-			}
+		ds := n.diffStore[pg] // in interval order: the window is one subslice
+		lo, _ := slices.BinarySearchFunc(ds, since+1, cmpDiffInterval)
+		cnt, _ := slices.BinarySearchFunc(ds[lo:], upTo+1, cmpDiffInterval)
+		reply.Diffs = ds[lo : lo+cnt]
+		for _, idf := range reply.Diffs {
+			size += idf.Diff.WireSize()
 		}
 		if Trace {
 			fmt.Printf("    [lrc] p%d serves fetch(pg%d since %d) from p%d: %d diffs of %d stored\n",
-				n.P.ID(), pg, since, m.From, len(reply.Diffs), len(n.diffStore[pg]))
+				n.P.ID(), pg, since, m.From, len(reply.Diffs), len(ds))
 			for _, idf := range reply.Diffs {
 				fmt.Printf("      ival %d: %d runs\n", idf.Ival, len(idf.Diff.Runs))
 			}
@@ -810,7 +907,7 @@ func (h *barrierHooks) MakeArrival(b core.BarrierID) (fabric.Payload, int, sim.T
 	recs := n.recordsAfter(self, n.lastBarrierSent)
 	size := 4 * len(n.vec)
 	for _, r := range recs {
-		size += r.wireSize()
+		size += r.wire
 	}
 	n.lastBarrierSent = n.cur - 1
 	v := make([]int32, len(n.vec))
@@ -877,7 +974,7 @@ func (h *barrierHooks) MergeSubtreeArrival(b core.BarrierID, own fabric.Payload)
 	}
 	size := 8 * len(maxVec) // max and min vectors
 	for _, r := range records {
-		size += r.wireSize()
+		size += r.wire
 	}
 	return fabric.Payload{Vec: maxVec, Body: &noticeBody{records: records, minVec: minVec}}, size, 0
 }

@@ -127,9 +127,9 @@ func TestRewriteForcesHarvestOfClosedInterval(t *testing.T) {
 }
 
 func TestIntervalWireSize(t *testing.T) {
-	iv := &interval{proc: 1, idx: 3, vec: make([]int32, 8), pages: []int{1, 2, 3}}
-	if got := iv.wireSize(); got != 8+32+12 {
-		t.Errorf("wireSize = %d", got)
+	iv := newInterval(1, 3, make([]int32, 8), []int{1, 2, 3})
+	if iv.wire != 8+32+12 {
+		t.Errorf("wire = %d", iv.wire)
 	}
 }
 
@@ -167,7 +167,7 @@ func TestCollectNoticesHonoursPeerVector(t *testing.T) {
 		if len(recs) != 1 || recs[0].idx != 2 {
 			t.Errorf("records = %+v", recs)
 		}
-		if size != recs[0].wireSize() {
+		if size != recs[0].wire {
 			t.Errorf("size = %d", size)
 		}
 		recs, _ = n.collectNotices([]int32{2})

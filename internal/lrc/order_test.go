@@ -1,0 +1,373 @@
+package lrc
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"runtime/debug"
+	"slices"
+	"testing"
+
+	"ecvslrc/internal/fabric"
+	"ecvslrc/internal/mem"
+	"ecvslrc/internal/sim"
+	"ecvslrc/internal/wcollect"
+)
+
+// intervalBefore reports whether (p,i) happened before (q,j): q had seen p's
+// interval i closed by the time it closed its own interval j. It is the
+// pairwise definition nextUnit's merge is checked against.
+func (n *Node) intervalBefore(p int, i int32, q int, j int32) bool {
+	if p == q {
+		return i < j
+	}
+	rec := n.record(q, j)
+	return rec != nil && rec.vec[p] >= i
+}
+
+// kahnOrder is the retired accessMiss ordering, kept as nextUnit's oracle:
+// Kahn's algorithm over all-pairs in-degrees, always extracting the
+// (proc, ival)-minimum source. O(k^2) happens-before tests per miss.
+func (n *Node) kahnOrder(units []applyUnit) []applyUnit {
+	before := func(a, b int) bool {
+		return n.intervalBefore(units[a].proc, units[a].ival, units[b].proc, units[b].ival)
+	}
+	indeg := make([]int, len(units))
+	for b := range units {
+		for a := range units {
+			if a != b && before(a, b) {
+				indeg[b]++
+			}
+		}
+	}
+	ordered := make([]applyUnit, 0, len(units))
+	done := make([]bool, len(units))
+	for len(ordered) < len(units) {
+		pick := -1
+		for i := range units {
+			if done[i] || indeg[i] != 0 {
+				continue
+			}
+			if pick < 0 || units[i].proc < units[pick].proc ||
+				(units[i].proc == units[pick].proc && units[i].ival < units[pick].ival) {
+				pick = i
+			}
+		}
+		if pick < 0 {
+			panic("lrc: cycle in interval happens-before order")
+		}
+		done[pick] = true
+		ordered = append(ordered, units[pick])
+		for b := range units {
+			if !done[b] && before(pick, b) {
+				indeg[b]--
+			}
+		}
+	}
+	return ordered
+}
+
+// firstSeenUnits is the retired split of a timestamp reply, splitStamped's
+// oracle: one unit per interval in first-seen (address) order, each run
+// appended to its unit.
+func firstSeenUnits(units []applyUnit, proc int, sd wcollect.StampedData) []applyUnit {
+	seg := len(units)
+	for k, sr := range sd.Runs {
+		_, iv := sr.Stamp.ProcInterval()
+		u := (*applyUnit)(nil)
+		for j := seg; j < len(units); j++ {
+			if units[j].ival == int32(iv) {
+				u = &units[j]
+				break
+			}
+		}
+		if u == nil {
+			units = append(units, applyUnit{proc: proc, ival: int32(iv)})
+			u = &units[len(units)-1]
+		}
+		u.sr = append(u.sr, sr)
+		u.dr = append(u.dr, sd.Data[k])
+	}
+	return units
+}
+
+// mergeOrder drives loadHead/nextUnit over the fetched units the way
+// accessMiss does and returns the application order.
+func (n *Node) mergeOrder(t *testing.T, writers []pendingWriter, units []applyUnit) []applyUnit {
+	t.Helper()
+	for i := range writers {
+		n.loadHead(&writers[i], units)
+	}
+	ordered := make([]applyUnit, 0, len(units))
+	for range units {
+		u := n.nextUnit(writers, units)
+		if u == nil {
+			t.Fatalf("nextUnit found no source with %d of %d units applied", len(ordered), len(units))
+		}
+		ordered = append(ordered, *u)
+	}
+	return ordered
+}
+
+// randomHistory plays a random execution of nprocs processors: each step one
+// processor optionally learns another's vector (an acquire) and closes an
+// interval, exactly as closeInterval and absorb maintain vectors. Real vector
+// clocks keep the happens-before relation acyclic.
+func randomHistory(rng *rand.Rand, nprocs, steps int) [][]*interval {
+	records := make([][]*interval, nprocs)
+	vecs := make([][]int32, nprocs)
+	for p := range vecs {
+		vecs[p] = make([]int32, nprocs)
+	}
+	for s := 0; s < steps; s++ {
+		p := rng.Intn(nprocs)
+		if q := rng.Intn(nprocs); q != p && rng.Intn(3) > 0 {
+			for i, v := range vecs[q] {
+				vecs[p][i] = max(vecs[p][i], v)
+			}
+		}
+		idx := vecs[p][p] + 1
+		records[p] = append(records[p], newInterval(p, idx, slices.Clone(vecs[p]), nil))
+		vecs[p][p] = idx
+	}
+	return records
+}
+
+// TestMergeMatchesKahnOracle is the seeded property test of the ordering:
+// over random histories, writer sets, fetch windows, unknown records (nil
+// vectors, which also leave index gaps for recordPos to search) and — for
+// the timestamp collection — address-ordered replies, the merge must emit
+// exactly the order of the retired min-source Kahn selection.
+func TestMergeMatchesKahnOracle(t *testing.T) {
+	for seed := int64(1); seed <= 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nprocs := 2 + rng.Intn(9)
+		full := randomHistory(rng, nprocs, 5+rng.Intn(60))
+		n := &Node{records: make([][]*interval, nprocs)}
+		for p, recs := range full {
+			for _, r := range recs {
+				if rng.Intn(6) > 0 { // the requester never saw one record in six
+					n.records[p] = append(n.records[p], r)
+				}
+			}
+		}
+		stamped := seed%2 == 0
+
+		var writers []pendingWriter
+		var units, oracleUnits []applyUnit
+		for p, recs := range full {
+			if len(recs) == 0 || rng.Intn(3) == 0 {
+				continue
+			}
+			var ivals []int32 // ascending: the intervals of p that touched the page
+			for _, r := range recs {
+				if rng.Intn(2) == 0 {
+					ivals = append(ivals, r.idx)
+				}
+			}
+			if len(ivals) == 0 {
+				continue
+			}
+			w := pendingWriter{proc: p, head: len(units)}
+			if stamped {
+				var sd wcollect.StampedData
+				perm := rng.Perm(len(ivals)) // every interval at least once, scrambled over the page
+				for k := 0; k < len(ivals) || rng.Intn(3) > 0; k++ {
+					iv := ivals[rng.Intn(len(ivals))]
+					if k < len(ivals) {
+						iv = ivals[perm[k]]
+					}
+					base := mem.Addr(8 * k)
+					sd.Runs = append(sd.Runs, wcollect.StampRun{Base: base, Len: 4, Stamp: wcollect.LRCStamp(p, int(iv))})
+					sd.Data = append(sd.Data, wcollect.DataRun{Base: base, Data: []byte{byte(k)}})
+				}
+				oracleUnits = firstSeenUnits(oracleUnits, p, sd)
+				units = splitStamped(units, p, &wcollect.StampedData{Runs: slices.Clone(sd.Runs), Data: slices.Clone(sd.Data)})
+			} else {
+				for _, iv := range ivals {
+					units = append(units, applyUnit{proc: p, ival: iv})
+				}
+			}
+			w.end = len(units)
+			writers = append(writers, w)
+		}
+		if !stamped {
+			oracleUnits = slices.Clone(units)
+		}
+
+		got := n.mergeOrder(t, writers, slices.Clone(units))
+		want := n.kahnOrder(oracleUnits)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d (%d procs, %d writers, %d units, stamped=%v): merge order diverges from the Kahn oracle\n got  %s\n want %s",
+				seed, nprocs, len(writers), len(units), stamped, unitNames(got), unitNames(want))
+		}
+	}
+}
+
+func unitNames(us []applyUnit) string {
+	s := ""
+	for _, u := range us {
+		s += fmt.Sprintf(" (%d,%d)", u.proc, u.ival)
+	}
+	return s
+}
+
+// TestNextUnitReportsCycle: inconsistent vectors (each head covered by the
+// other's) leave no source; nextUnit must say so instead of picking one.
+func TestNextUnitReportsCycle(t *testing.T) {
+	n := &Node{records: [][]*interval{
+		{newInterval(0, 1, []int32{0, 1}, nil)},
+		{newInterval(1, 1, []int32{1, 0}, nil)},
+	}}
+	units := []applyUnit{{proc: 0, ival: 1}, {proc: 1, ival: 1}}
+	writers := []pendingWriter{{proc: 0, head: 0, end: 1}, {proc: 1, head: 1, end: 2}}
+	for i := range writers {
+		n.loadHead(&writers[i], units)
+	}
+	if u := n.nextUnit(writers, units); u != nil {
+		t.Errorf("nextUnit picked (%d,%d) out of a happens-before cycle", u.proc, u.ival)
+	}
+}
+
+// TestRecordLookupOnPrunedHistory: record lists are index-contiguous, so a
+// lookup is one subtraction from the first retained index — which the
+// collector moves. Pruned and future indices must miss, retained ones must
+// resolve at their shifted position, and a list with a gap must still
+// resolve through the search fallback.
+func TestRecordLookupOnPrunedHistory(t *testing.T) {
+	var recs []*interval
+	for idx := int32(1); idx <= 8; idx++ {
+		recs = append(recs, newInterval(1, idx, nil, nil))
+	}
+	n := &Node{records: [][]*interval{nil, recs[3:]}} // the collector pruned 1..3 (floor 3)
+	for idx := int32(0); idx <= 10; idx++ {
+		got := n.record(1, idx)
+		if retained := idx >= 4 && idx <= 8; retained != (got != nil) || (got != nil && got.idx != idx) {
+			t.Errorf("pruned history: record(1,%d) = %v", idx, got)
+		}
+	}
+	for bound, want := range map[int32]int{0: 5, 3: 5, 4: 4, 7: 1, 8: 0, 12: 0} {
+		after := n.recordsAfter(1, bound)
+		if len(after) != want || (want > 0 && after[0].idx != max(bound, 3)+1) {
+			t.Errorf("pruned history: recordsAfter(1,%d) has %d records, want %d", bound, len(after), want)
+		}
+	}
+	if n.record(0, 1) != nil || len(n.recordsAfter(0, 0)) != 0 {
+		t.Error("empty history must miss")
+	}
+
+	gapped := []*interval{recs[3], recs[5], recs[6], recs[7]} // 4, 6, 7, 8
+	n.records[1] = gapped
+	for idx := int32(3); idx <= 9; idx++ {
+		got := n.record(1, idx)
+		if present := idx == 4 || (idx >= 6 && idx <= 8); present != (got != nil) || (got != nil && got.idx != idx) {
+			t.Errorf("gapped history: record(1,%d) = %v", idx, got)
+		}
+	}
+	if after := n.recordsAfter(1, 4); len(after) != 3 || after[0].idx != 6 {
+		t.Errorf("gapped history: recordsAfter(1,4) = %d records", len(after))
+	}
+}
+
+// TestAbsorbSortsFanInUnion: a tree fan-in union arrives with the children's
+// records folded around the parent's own, out of (proc, idx) order; absorb
+// must still append per-processor lists in index order, without reordering
+// the sender's slice.
+func TestAbsorbSortsFanInUnion(t *testing.T) {
+	newTestNode(t, diffImpl(), func(n *Node) {
+		n.vec = make([]int32, 4)
+		n.records = make([][]*interval, 4)
+		rec := func(proc int, idx int32) *interval { return newInterval(proc, idx, make([]int32, 4), []int{proc % 4}) }
+		union := []*interval{rec(2, 1), rec(2, 2), rec(3, 1), rec(1, 1), rec(1, 2), rec(1, 3)}
+		sent := slices.Clone(union)
+		n.absorb(union, []int32{0, 3, 2, 1})
+		for proc, want := range [][]int32{nil, {1, 2, 3}, {1, 2}, {1}} {
+			var got []int32
+			for _, r := range n.records[proc] {
+				got = append(got, r.idx)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("records[%d] = %v, want %v", proc, got, want)
+			}
+		}
+		if !slices.Equal(union, sent) {
+			t.Error("absorb reordered the sender's record slice")
+		}
+		if !slices.Equal(n.vec, []int32{0, 3, 2, 1}) {
+			t.Errorf("vec = %v", n.vec)
+		}
+		if w := n.meta[1].find(1); w == nil || w.noticed != 3 {
+			t.Errorf("page 1 window for writer 1 = %+v, want noticed 3", w)
+		}
+		// An in-order batch (what collectNotices emits) is applied as it stands.
+		n.absorb([]*interval{rec(1, 4), rec(3, 2)}, nil)
+		if len(n.records[1]) != 4 || len(n.records[3]) != 2 {
+			t.Errorf("in-order batch: records %d/%d", len(n.records[1]), len(n.records[3]))
+		}
+	})
+}
+
+// TestAccessMissSteadyStateAllocs is the strict allocation guard of the miss
+// path, in the style of fabric's TestDeliverSteadyStateAllocs: once the
+// per-node scratch, the fetch waiters and the servers' reply free lists are
+// warm, a diff-mode access miss on a page with four concurrent writers,
+// served from already-harvested diffs, performs zero heap allocations end to
+// end — requests, handlers, replies, ordering and application.
+func TestAccessMissSteadyStateAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const writers, warm, rounds = 4, 3, 8
+	const nprocs = writers + 2
+	harvester, measured := writers, writers+1
+	s := sim.New()
+	net := fabric.New(s, fabric.DefaultCostModel(), nprocs)
+	al := mem.NewAllocator()
+	base := al.Alloc("page", mem.PageSize, 4)
+	nodes := make([]*Node, nprocs)
+	var delta uint64
+	var misses int64
+	for i := range nodes {
+		i := i
+		p := s.Spawn("p", func(p *sim.Proc) {
+			nd := nodes[i]
+			for k := 0; k < warm+rounds; k++ {
+				if i < writers {
+					nd.WriteI32(base+mem.Addr(i*mem.WordSize), int32(k+1))
+				}
+				nd.Barrier(0)
+				switch i {
+				case harvester:
+					// The first reader makes every writer create its diff.
+					nd.ReadI32(base)
+				case measured:
+					// By now the writers and the harvester wait at the next
+					// barrier: nothing else runs during the measured miss.
+					p.Sleep(100 * sim.Millisecond)
+					var m0, m1 runtime.MemStats
+					runtime.ReadMemStats(&m0)
+					before := nd.Extra.AccessMisses
+					got := nd.ReadI32(base + mem.Addr((writers-1)*mem.WordSize))
+					runtime.ReadMemStats(&m1)
+					if got != int32(k+1) {
+						t.Errorf("round %d: read %d, want %d", k, got, k+1)
+					}
+					if k >= warm {
+						delta += m1.Mallocs - m0.Mallocs
+						misses += nd.Extra.AccessMisses - before
+					}
+				}
+				nd.Barrier(1)
+			}
+		})
+		nodes[i] = New(p, net, al, nprocs, diffImpl())
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if misses != rounds {
+		t.Fatalf("measured %d access misses, want %d", misses, rounds)
+	}
+	if delta != 0 {
+		t.Errorf("%d warm %d-writer access misses allocated %d objects, want 0", rounds, writers, delta)
+	}
+}

@@ -54,3 +54,13 @@ func StartProfiles(cpuPath, memPath string) (stop func() error, err error) {
 		return errors.Join(errs...)
 	}, nil
 }
+
+// SingleCellProcs pins a process that runs exactly one simulation to one P,
+// unless the GOMAXPROCS environment variable says otherwise. A cell is one
+// baton handed between goroutines, never two running at once: extra Ps add
+// no parallelism, only idle Ms spinning and futex wake-ups on every handoff.
+func SingleCellProcs() {
+	if os.Getenv("GOMAXPROCS") == "" {
+		runtime.GOMAXPROCS(1)
+	}
+}

@@ -26,7 +26,7 @@ type axis struct {
 	def     string // default value, elided from variant names
 	values  []string
 	apply   func(cm fabric.CostModel, val float64) fabric.CostModel
-	numeric bool                          // values are scale factors like "x2" (or bare "2")
+	numeric bool                         // values are scale factors like "x2" (or bare "2")
 	canon   func(string) (string, error) // custom validation/canonicalization (topo specs)
 }
 

@@ -35,9 +35,16 @@ type DataRun struct {
 // unbounded (diffs are retained for later requesters), so the arena is owned
 // by the result and never recycled.
 func ExtractRuns(im *mem.Image, changed []mem.Range) []DataRun {
-	runs := make([]DataRun, len(changed))
+	runs, _ := extractRuns(im, changed)
+	return runs
+}
+
+// extractRuns is ExtractRuns that also returns the runs' wire size: one run
+// header per run plus the data.
+func extractRuns(im *mem.Image, changed []mem.Range) (runs []DataRun, wire int) {
+	runs = make([]DataRun, len(changed))
 	if len(changed) == 0 {
-		return runs
+		return runs, 0
 	}
 	total := 0
 	for _, r := range changed {
@@ -51,7 +58,7 @@ func ExtractRuns(im *mem.Image, changed []mem.Range) []DataRun {
 		runs[i] = DataRun{Base: r.Base, Data: b}
 		off += r.Len
 	}
-	return runs
+	return runs, RunHeaderBytes*len(runs) + total
 }
 
 // ApplyRuns writes each run's bytes into im and returns the number of words
@@ -69,11 +76,13 @@ func ApplyRuns(im *mem.Image, runs []DataRun) int {
 // (LRC) during one execution interval.
 type Diff struct {
 	Runs []DataRun
+	wire int // WireSize, fixed at creation: a diff is served many times
 }
 
 // BuildDiff captures the contents of the changed ranges from im.
 func BuildDiff(im *mem.Image, changed []mem.Range) *Diff {
-	return &Diff{Runs: ExtractRuns(im, changed)}
+	runs, wire := extractRuns(im, changed)
+	return &Diff{Runs: runs, wire: DiffHeaderBytes + wire}
 }
 
 // Apply copies the diff's runs into im, returning words applied.
@@ -90,13 +99,7 @@ func (d *Diff) Words() int {
 
 // WireSize returns the transmission size in bytes: a diff header plus one
 // run header per run plus the data.
-func (d *Diff) WireSize() int {
-	n := DiffHeaderBytes
-	for _, r := range d.Runs {
-		n += RunHeaderBytes + len(r.Data)
-	}
-	return n
-}
+func (d *Diff) WireSize() int { return d.wire }
 
 // Empty reports whether the diff carries no changes.
 func (d *Diff) Empty() bool { return len(d.Runs) == 0 }

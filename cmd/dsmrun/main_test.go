@@ -25,6 +25,10 @@ func TestCLIExitCodes(t *testing.T) {
 		{"bad preset knob", []string{"-preset", "paper+net=x0"}, 2, "positive xK factor"},
 		{"malformed preset knob", []string{"-preset", "paper+net"}, 2, "not a knob setting"},
 		{"negative timeout", []string{"-timeout", "-1"}, 2, "negative -timeout"},
+		{"trace past the buffered tracer", []string{"-scale", "test", "-procs", "256", "-trace", t.TempDir()}, 2,
+			"traced runs support 1..255 processors, got 256"},
+		{"profile past the buffered tracer", []string{"-scale", "test", "-procs", "256", "-profile"}, 2,
+			"traced runs support 1..255 processors, got 256"},
 		{"unknown app fails run", []string{"-app", "NoSuch", "-scale", "test", "-procs", "2"}, 1, "unknown app"},
 		{"good run", []string{"-app", "SOR", "-impl", "EC-time", "-scale", "test", "-procs", "2"}, 0, ""},
 		{"good run on a platform model", []string{"-app", "SOR", "-impl", "EC-time", "-scale", "test",

@@ -23,10 +23,12 @@
 // sweep.csv, sweep.jsonl, sweep.md and report.md are written to the
 // directory.
 //
-// -breakdown traces every cell and attaches the virtual-time profiler's
+// -breakdown profiles every cell and attaches the virtual-time profiler's
 // stall decomposition (compute, trap-diff, page-fetch, lock/barrier/link
 // wait, fault recovery) to each record, adding the stall columns to
-// sweep.csv. All other record fields are identical with it on or off.
+// sweep.csv. The profile is built while the cell runs and no event history is
+// kept, so it works at every -procs value the machine does. All other record
+// fields are identical with it on or off.
 //
 // -progress streams per-cell completion heartbeats (wall time, running
 // cells/sec, ETA) to stderr; -perf-out writes a schema-versioned
@@ -83,7 +85,7 @@ func cli(args []string, stdout, stderr io.Writer) int {
 	fanin := fs.Int("fanin", 0, "barrier fan-in for every cell: radix-r arrival tree (0 = scale default, 1 = force flat, r >= 2 = tree)")
 	out := fs.String("out", "", "artifact directory (csv, jsonl, markdown, report); empty prints markdown to stdout")
 	timeout := fs.Float64("timeout", 0, "per-cell virtual-time watchdog in simulated seconds: stalled cells fail with a diagnostic instead of hanging the sweep (0 disables)")
-	breakdown := fs.Bool("breakdown", false, "trace every cell and attach the virtual-time stall breakdown (compute, trap-diff, page-fetch, lock/barrier/link wait, recovery) to each record")
+	breakdown := fs.Bool("breakdown", false, "profile every cell as it runs and attach the virtual-time stall breakdown (compute, trap-diff, page-fetch, lock/barrier/link wait, recovery) to each record; any -procs")
 	progress := fs.Bool("progress", false, "stream per-cell completion heartbeats (wall time, running cells/sec, ETA) to stderr")
 	perfOut := fs.String("perf-out", "", "write a BENCH_*.json host-performance trajectory to this file (per-cell alloc deltas are exact only with -parallel 1)")
 	rev := fs.String("rev", "", "revision stamp for -perf-out (default: the build's vcs.revision, else \"unknown\")")

@@ -42,6 +42,8 @@ func TestCLIExitCodes(t *testing.T) {
 			"-variants", "fault=drop1e-2", "-timeout", "3600"}, 0, ""},
 		{"platform sweep", []string{"-scale", "test", "-procs", "2", "-apps", "IS", "-impls", "LRC-time",
 			"-variants", "platform=grace"}, 0, ""},
+		{"breakdown past the buffered tracer", []string{"-scale", "test", "-procs", "256", "-apps", "IS",
+			"-impls", "LRC-time", "-breakdown"}, 0, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

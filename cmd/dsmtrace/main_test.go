@@ -22,6 +22,8 @@ func TestCLIExitCodes(t *testing.T) {
 		{"bad scale", []string{"-scale", "huge"}, 2, `unknown scale "huge"`},
 		{"bad impl", []string{"-impl", "EC-magic"}, 2, `unknown implementation "EC-magic"`},
 		{"bad procs", []string{"-procs", "0"}, 2, "traced runs support"},
+		{"procs past the buffered tracer", []string{"-scale", "test", "-procs", "256"}, 2,
+			"traced runs support 1..255 processors, got 256"},
 		{"bad preset", []string{"-preset", "quantum"}, 2, "unknown cost preset"},
 		{"bad preset knob", []string{"-preset", "paper+diff=hw"}, 2, `knob "diff" takes "free"`},
 		{"bad report", []string{"-report", "pages,nonsense", "-out", t.TempDir()}, 2,

@@ -39,11 +39,14 @@ type Config struct {
 	// fabric.Network.EnableContention). Off reproduces the calibrated
 	// free-overlap model bit-exactly.
 	Contention bool
-	// Trace attaches a fresh event tracer to every cell (internal/trace).
+	// Trace attaches a fresh profiling tracer to every cell
+	// (trace.NewProfiling): the virtual-time profile is built while the cell
+	// runs and no event history is kept, so any processor count is traceable.
 	// Tracing is observation-only — the tables are byte-identical with it on.
-	// RunCell hands the cell's tracer back on Row.Trace for post-hoc analysis
-	// (the sweep engine's stall breakdown); the table entry points still
-	// discard the per-cell traces.
+	// RunCell hands the cell's tracer back on Row.Trace for
+	// trace.BuildProfile (the sweep engine's stall breakdown); the table
+	// entry points discard it. Reports that need the history attach a
+	// trace.New tracer through run.Options instead.
 	Trace bool
 	// Faults injects the given seeded fault plan into every cell's fabric
 	// (see fabric.FaultPlan). nil reproduces the fault-free run bit-exactly.
@@ -185,9 +188,9 @@ type Row struct {
 	Impl core.Impl
 	run.Result
 	Err error
-	// Trace is the cell's event tracer when Config.Trace was set (nil
-	// otherwise), so callers can run post-hoc analysis — the sweep engine's
-	// stall breakdown builds its per-record profile from it.
+	// Trace is the cell's profiling tracer when Config.Trace was set (nil
+	// otherwise) — the sweep engine's stall breakdown takes its per-record
+	// profile from it.
 	Trace *trace.Tracer
 }
 
@@ -275,7 +278,7 @@ func cellOptions(cfg Config, app string) (run.Options, error) {
 		}
 	}
 	if cfg.Trace {
-		opts.Trace = trace.New(cfg.NProcs)
+		opts.Trace = trace.NewProfiling(cfg.NProcs)
 	}
 	return opts, nil
 }

@@ -13,6 +13,27 @@ import (
 	"ecvslrc/internal/trace"
 )
 
+// runBuffered runs one cell the way RunCell does, but with a buffered
+// trace.New tracer attached: Config.Trace means the profiling tracer, and the
+// segments, critical path and reports these tests check need the history.
+func runBuffered(t *testing.T, cfg Config, app string, impl core.Impl) (run.Result, *trace.Tracer) {
+	t.Helper()
+	a, err := apps.New(app, cfg.Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := cellOptions(cfg, app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Trace = trace.New(cfg.NProcs)
+	res, err := run.RunWith(a, impl, cfg.NProcs, cfg.Cost, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, opts.Trace
+}
+
 // TestProfileConservationGrid runs every (application x implementation) cell
 // at bench scale with tracing on and checks the virtual-time profiler's
 // foundation on each: every simulated nanosecond of every processor is
@@ -20,31 +41,25 @@ import (
 // processor's end time), and the critical path tiles [0, end) with the same
 // exactness.
 func TestProfileConservationGrid(t *testing.T) {
-	cfg := Config{Scale: apps.Bench, NProcs: 8, Cost: fabric.DefaultCostModel(), Trace: true}
+	cfg := Config{Scale: apps.Bench, NProcs: 8, Cost: fabric.DefaultCostModel()}
 	for _, app := range apps.Names() {
 		for _, impl := range core.Implementations() {
 			app, impl := app, impl
 			t.Run(fmt.Sprintf("%s/%v", app, impl), func(t *testing.T) {
 				t.Parallel()
-				row := RunCell(cfg, app, impl)
-				if row.Err != nil {
-					t.Fatal(row.Err)
-				}
-				if row.Trace == nil {
-					t.Fatal("traced cell returned no tracer")
-				}
+				res, tr := runBuffered(t, cfg, app, impl)
 				meta := trace.Meta{App: app, Impl: impl.String(), Scale: cfg.Scale.String(), NProcs: cfg.NProcs}
-				prof := trace.BuildProfile(row.Trace, meta)
+				prof := trace.BuildProfile(tr, meta)
 				if err := prof.CheckConservation(); err != nil {
 					t.Error(err)
 				}
 				// The trace covers the whole simulated run, including the
 				// initialization outside the StatsBegin..StatsEnd window, so the
 				// profiled span can only exceed the reported run time.
-				if prof.Span <= 0 || prof.Span < row.Result.Stats.Time {
-					t.Errorf("span = %v, want >= the run time %v", prof.Span, row.Result.Stats.Time)
+				if prof.Span <= 0 || prof.Span < res.Stats.Time {
+					t.Errorf("span = %v, want >= the run time %v", prof.Span, res.Stats.Time)
 				}
-				cp := trace.ExtractCriticalPath(row.Trace, prof)
+				cp := trace.ExtractCriticalPath(tr, prof)
 				if cp.Truncated {
 					t.Error("critical path truncated")
 				}
@@ -78,18 +93,16 @@ func TestProfileConservationGrid(t *testing.T) {
 // TestProfileRealRunDeterminism renders the full profiler report set from two
 // independent traced runs of the same cell: the bytes must match exactly.
 func TestProfileRealRunDeterminism(t *testing.T) {
-	cfg := Config{Scale: apps.Bench, NProcs: 8, Cost: fabric.DefaultCostModel(), Trace: true}
+	cfg := Config{Scale: apps.Bench, NProcs: 8, Cost: fabric.DefaultCostModel()}
+	impl := core.Impl{Model: core.LRC, Trap: core.Twinning, Collect: core.Diffs}
 	render := func() []byte {
-		row := RunCell(cfg, "SOR", core.Impl{Model: core.LRC, Trap: core.Twinning, Collect: core.Diffs})
-		if row.Err != nil {
-			t.Fatal(row.Err)
-		}
+		_, tr := runBuffered(t, cfg, "SOR", impl)
 		a, err := apps.New("SOR", cfg.Scale)
 		if err != nil {
 			t.Fatal(err)
 		}
-		meta := run.TraceMeta(a, row.Impl, cfg.NProcs, cfg.Scale.String())
-		art := trace.Analyzed(row.Trace, meta)
+		meta := run.TraceMeta(a, impl, cfg.NProcs, cfg.Scale.String())
+		art := trace.Analyzed(tr, meta)
 		var buf bytes.Buffer
 		for _, w := range []func() error{
 			func() error { return trace.WriteProfileMarkdown(&buf, art.Profile, art.CritPath) },

@@ -38,7 +38,10 @@ func TestBenchReportMatchesSeedGolden(t *testing.T) {
 // TestBenchReportWithTracingMatchesSeedGolden re-runs the full bench-scale
 // report with a fresh tracer attached to every cell and requires the output
 // to stay byte-identical to the seed golden: tracing is observation-only at
-// every hook point, so turning it on moves no simulated statistic.
+// every hook point, so turning it on moves no simulated statistic. Config.Trace
+// attaches the profiling tracer; the buffered kind is held to the same results
+// by sweep's TestStreamingProfileMatchesBuffered and run's
+// TestTracingObservationOnly.
 func TestBenchReportWithTracingMatchesSeedGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench-scale full sweep")

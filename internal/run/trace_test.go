@@ -16,20 +16,22 @@ import (
 // TestTracingObservationOnly pins the trace subsystem's core contract: a
 // traced run's statistics — aggregate and per-processor — are bit-identical
 // to an untraced run of the same cell, for every implementation of both
-// models. Tracing observes; it must never perturb the simulation.
+// models and both tracer kinds. Tracing observes; it must never perturb the
+// simulation.
 func TestTracingObservationOnly(t *testing.T) {
 	const nprocs = 4
 	for _, impl := range core.Implementations() {
 		for _, appName := range []string{"SOR", "Water", "IS"} {
 			plain := mustRun(t, appName, impl, nprocs, nil)
-			tr := trace.New(nprocs)
-			traced := mustRun(t, appName, impl, nprocs, tr)
-			if !reflect.DeepEqual(plain, traced) {
-				t.Errorf("%s on %v: traced run diverged:\n  plain:  %+v\n  traced: %+v",
-					appName, impl, plain, traced)
-			}
-			if tr.Len() == 0 {
-				t.Errorf("%s on %v: traced run recorded no events", appName, impl)
+			for _, tr := range []*trace.Tracer{trace.New(nprocs), trace.NewProfiling(nprocs)} {
+				traced := mustRun(t, appName, impl, nprocs, tr)
+				if !reflect.DeepEqual(plain, traced) {
+					t.Errorf("%s on %v: traced run diverged:\n  plain:  %+v\n  traced: %+v",
+						appName, impl, plain, traced)
+				}
+				if trace.BuildProfile(tr, trace.Meta{}).Span <= 0 {
+					t.Errorf("%s on %v: traced run observed no events", appName, impl)
+				}
 			}
 		}
 	}

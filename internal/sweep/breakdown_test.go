@@ -2,12 +2,14 @@ package sweep
 
 import (
 	"bytes"
-	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"ecvslrc/internal/apps"
+	"ecvslrc/internal/core"
+	"ecvslrc/internal/harness"
+	"ecvslrc/internal/run"
 	"ecvslrc/internal/sim"
 	"ecvslrc/internal/trace"
 )
@@ -87,18 +89,116 @@ func TestBreakdownDeterministicUnderParallel(t *testing.T) {
 	}
 }
 
-// TestBreakdownRejectsUntraceableProcs: the tracer addresses processors in
-// one byte, so a breakdown sweep past trace.MaxProcs must fail fast as a
-// grid-validation error, before any cell runs.
-func TestBreakdownRejectsUntraceableProcs(t *testing.T) {
-	_, err := Run(Grid{
+// TestBreakdownBeyondBufferedTracerProcs: the breakdown is built online by a
+// profiling tracer, which stores no one-byte processor id, so a grid past
+// trace.MaxProcs is accepted and runs, and every cell's classes sum to the
+// total processor time — checked against an independent profile of the same
+// cell, whose per-processor conservation holds to the nanosecond.
+func TestBreakdownBeyondBufferedTracerProcs(t *testing.T) {
+	const np = trace.MaxProcs + 1
+	impl, err := core.ParseImpl("LRC-diff")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := Run(Grid{
 		Scale:     apps.Test,
 		Apps:      []string{"SOR"},
-		NProcs:    []int{trace.MaxProcs + 1},
+		Impls:     []core.Impl{impl},
+		NProcs:    []int{np},
 		Breakdown: true,
 	})
-	if !errors.Is(err, ErrGrid) {
-		t.Errorf("err = %v, want ErrGrid wrap", err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Stall == nil {
+		t.Fatalf("records = %+v, want one with a stall breakdown", recs)
+	}
+	row := harness.RunCell(harness.Config{Scale: apps.Test, NProcs: np, Cost: Baseline().Cost, Trace: true}, "SOR", impl)
+	if row.Err != nil {
+		t.Fatal(row.Err)
+	}
+	prof := trace.BuildProfile(row.Trace, trace.Meta{NProcs: np})
+	if err := prof.CheckConservation(); err != nil {
+		t.Error(err)
+	}
+	var ends sim.Time
+	for _, pp := range prof.Procs {
+		ends += pp.End
+	}
+	if len(prof.Procs) != np || ends <= 0 {
+		t.Fatalf("%d processors ending at a total of %v, want %d with time on them", len(prof.Procs), ends, np)
+	}
+	st := recs[0].Stall
+	if sum := st.Compute + st.TrapDiff + st.PageFetch + st.LockWait + st.BarrierWait + st.LinkWait + st.Recovery; sum != ends {
+		t.Errorf("stall classes sum to %v, the %d processors' end times to %v", sum, np, ends)
+	}
+}
+
+// TestStreamingProfileMatchesBuffered is the equivalence fence of the online
+// profile build: for every application and implementation at bench scale,
+// under the calibrated model, a contended RDMA fabric and the same fabric
+// dropping frames, the profile a profiling tracer folds while the cell runs
+// equals the one BuildProfile computes from a buffered trace of that cell —
+// totals, span, every processor's classes and end — conservation holds in
+// both, and neither tracer moves a simulated statistic.
+func TestStreamingProfileMatchesBuffered(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bench-scale grid, twice")
+	}
+	const np = 8
+	variants, err := ParseVariantSpec("platform=rdma_100g contention=on fault=off,drop1e-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range append([]Variant{Baseline()}, variants...) {
+		for _, app := range apps.Names() {
+			for _, impl := range core.Implementations() {
+				v, app, impl := v, app, impl
+				t.Run(v.Name+"/"+app+"/"+impl.String(), func(t *testing.T) {
+					t.Parallel()
+					row := harness.RunCell(harness.Config{
+						Scale: apps.Bench, NProcs: np, Cost: v.Cost, Contention: v.Contention,
+						Faults: v.Faults, Topology: v.Topology, Trace: true,
+					}, app, impl)
+					if row.Err != nil {
+						t.Fatal(row.Err)
+					}
+					a, err := apps.New(app, apps.Bench)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tr := trace.New(np)
+					res, err := run.RunWith(a, impl, np, v.Cost, run.Options{
+						Contention: v.Contention, Faults: v.Faults, Topology: v.Topology, Trace: tr,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(res, row.Result) {
+						t.Errorf("results differ between tracer kinds:\nprofiling: %+v\nbuffered:  %+v", row.Result, res)
+					}
+					meta := trace.Meta{App: app, Impl: impl.String(), Scale: apps.Bench.String(), NProcs: np}
+					live, full := trace.BuildProfile(row.Trace, meta), trace.BuildProfile(tr, meta)
+					for _, p := range []*trace.Profile{live, full} {
+						if err := p.CheckConservation(); err != nil {
+							t.Error(err)
+						}
+					}
+					if live.Total != full.Total || live.Span != full.Span || live.Span <= 0 {
+						t.Errorf("profiling total %v span %v, buffered total %v span %v", live.Total, live.Span, full.Total, full.Span)
+					}
+					for i := range full.Procs {
+						l, f := live.Procs[i], full.Procs[i]
+						if l.Proc != f.Proc || l.End != f.End || l.Class != f.Class {
+							t.Errorf("proc %d: profiling end %v classes %v, buffered end %v classes %v", i, l.End, l.Class, f.End, f.Class)
+						}
+						if l.Segments != nil || len(f.Segments) == 0 {
+							t.Errorf("proc %d: %d segments from the profiling tracer, %d from the buffered one", i, len(l.Segments), len(f.Segments))
+						}
+					}
+				})
+			}
+		}
 	}
 }
 

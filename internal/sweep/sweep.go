@@ -74,13 +74,14 @@ type Grid struct {
 	// harness.Config.Timeout): a cell whose virtual clock would pass it fails
 	// with a sim.Stalled diagnostic instead of hanging the sweep. 0 disables.
 	Timeout sim.Time
-	// Breakdown traces every cell and attaches the virtual-time profiler's
+	// Breakdown profiles every cell and attaches the virtual-time profiler's
 	// per-class stall decomposition to each record (Record.Stall), adding the
-	// breakdown columns to the CSV. Opt-in: tracing every cell costs memory
-	// proportional to the event count, and the extra columns would churn
-	// downstream consumers of the flat CSV. Observation-only — all other
-	// record fields are byte-identical with it on or off. Requires every
-	// NProcs entry to fit the tracer (trace.MaxProcs).
+	// breakdown columns to the CSV. The profile is built while the cell runs
+	// (trace.NewProfiling), so it costs no event history and works at every
+	// processor count. Opt-in: every cell still pays the emit hooks, and the
+	// extra columns would churn downstream consumers of the flat CSV.
+	// Observation-only — all other record fields are byte-identical with it
+	// on or off.
 	Breakdown bool
 	// Perf, when non-nil, attributes host-side performance (wall time,
 	// allocation deltas, peak heap) to every cell of the grid, labeled with
@@ -117,10 +118,6 @@ func (g Grid) normalized() (Grid, error) {
 	for _, np := range g.NProcs {
 		if np < 1 {
 			return g, fmt.Errorf("sweep: %w: nprocs %d < 1", ErrGrid, np)
-		}
-		if g.Breakdown && np > trace.MaxProcs {
-			return g, fmt.Errorf("sweep: %w: stall breakdown traces every cell, which supports 1..%d processors, got %d",
-				ErrGrid, trace.MaxProcs, np)
 		}
 	}
 	for _, i := range g.Impls {

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+
+	"ecvslrc/internal/sim"
 )
 
 // BenchmarkTraceAppend drives the enabled-tracer emit path: appending one
@@ -57,5 +59,47 @@ func TestEmitSteadyStateAllocs(t *testing.T) {
 	runtime.ReadMemStats(&m1)
 	if delta := m1.Mallocs - m0.Mallocs; delta != 0 {
 		t.Errorf("7000 emits into reserved buffers allocated %d objects, want 0", delta)
+	}
+}
+
+// TestProfilingEmitSteadyStateAllocs is the same guard for a profiling
+// tracer driven the way the scheduler drives it: once the first interval has
+// sized each processor's queue and work list, emitting and folding perform
+// zero heap allocations, however many records go by — and none are kept.
+func TestProfilingEmitSteadyStateAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	tr := NewProfiling(4)
+	interval := func(i int) {
+		p := i & 3
+		at := sim.Time(i) * 100
+		tr.ProcResumed(at, p)
+		tr.Fault(at, p, i&7, true)
+		tr.Work(at, p, WorkTrapDiff, ObjPage, i&7, 25)
+		tr.Work(at, p, WorkTrapDiff, ObjPage, (i+1)&7, 30)
+		tr.Miss(at, p, i&7, 1, true)
+		tr.Send(at, p, (p+1)&3, 10, 64)
+		tr.ProcBlocked(at, p, "lrc-fetch")
+		tr.EventDispatched(at+50, 0, -1)
+		tr.LinkWait(at+50, p, 20)
+		tr.Deliver(at+90, (p+1)&3, p, 11, 4096)
+		tr.Recovery(at+90, p, 15)
+	}
+	for i := 0; i < 8; i++ {
+		interval(i)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 8; i < 2*foldEvery; i++ {
+		interval(i)
+	}
+	runtime.ReadMemStats(&m1)
+	if delta := m1.Mallocs - m0.Mallocs; delta != 0 {
+		t.Errorf("%d profiled intervals allocated %d objects, want 0", 2*foldEvery-8, delta)
+	}
+	if n := tr.Len(); n > 4*16 {
+		t.Errorf("profiling tracer holds %d records, want only the open intervals' few", n)
+	}
+	if err := BuildProfile(tr, Meta{NProcs: 4}).CheckConservation(); err != nil {
+		t.Error(err)
 	}
 }

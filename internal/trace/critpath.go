@@ -91,6 +91,7 @@ type arriveEdge struct {
 // ExtractCriticalPath walks the dependency graph backward from the profile's
 // longest processor. The result is a pure function of the trace and profile.
 func ExtractCriticalPath(t *Tracer, prof *Profile) *CritPath {
+	prof.requireFull("ExtractCriticalPath")
 	cp := &CritPath{Meta: prof.Meta, EndProc: -1}
 	if t == nil || len(prof.Procs) == 0 {
 		return cp

@@ -15,6 +15,7 @@ import (
 // stall-class breakdown with its conservation line, the hottest folded
 // stacks, and the critical path's class and object decomposition.
 func WriteProfileMarkdown(w io.Writer, prof *Profile, cp *CritPath) error {
+	prof.requireFull("WriteProfileMarkdown")
 	bw := &errWriter{w: w}
 	m := prof.Meta
 	bw.printf("# Virtual-time profile — %s on %s, %d procs (%s scale)\n\n",
@@ -113,6 +114,7 @@ func pct(part, total sim.Time) string {
 // tools consume: one "proc;class;object value" line per aggregated frame,
 // value in simulated nanoseconds.
 func WriteFoldedStacks(w io.Writer, prof *Profile) error {
+	prof.requireFull("WriteFoldedStacks")
 	bw := &errWriter{w: w}
 	for _, e := range prof.Stacks {
 		bw.printf("p%d;%s;%s %d\n", e.Proc, e.Class, ObjName(e.ObjKind, e.ObjID, prof.Meta), int64(e.Time))

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ecvslrc/internal/sim"
@@ -125,7 +126,7 @@ type ProcProfile struct {
 	End   sim.Time
 	Class [NumStallClasses]sim.Time
 	// Segments is the classified interval list in time order (consumed by
-	// the critical-path extractor).
+	// the critical-path extractor); nil in a profiling tracer's profile.
 	Segments []Segment
 }
 
@@ -151,6 +152,18 @@ type Profile struct {
 	// Stacks is the folded-stack aggregation, sorted by (proc, class,
 	// object) for deterministic output.
 	Stacks []StackEntry
+	// totalsOnly marks the profile of a profiling tracer: class totals, End
+	// and Span only, Segments and Stacks nil.
+	totalsOnly bool
+}
+
+// requireFull panics when p came from a profiling tracer and who needs the
+// segments or stacks it never had: only a caller bug asks, and rendering the
+// empty lists would hide it.
+func (p *Profile) requireFull(who string) {
+	if p.totalsOnly {
+		panic("trace: " + who + " needs a full profile, got the totals-only profile of a profiling tracer (NewProfiling); trace with trace.New instead")
+	}
 }
 
 // CheckConservation verifies the invariant the whole profiler is built on:
@@ -193,8 +206,20 @@ type pendingWork struct {
 	d       sim.Time
 }
 
-// procScan is the per-processor accounting state machine.
+// procScan is the per-processor accounting state machine. It is a push-style
+// fold: feed consumes the processor's records strictly forward, in emission
+// order, with no look-ahead, and finish closes whatever is still open. Two
+// drivers run it — scanProc loops it over a buffered trace, a profiling
+// tracer (NewProfiling) feeds it while the run is still emitting — and since
+// a processor's emission order is exactly the order of its buffer, both see
+// the same input and produce the same totals.
+//
+// Every classified interval leaves through emitSeg, which is the sink: the
+// class totals always, plus the segment list and the folded-stack aggregation
+// when stacks is non-nil (the full sink of a buffered BuildProfile).
 type procScan struct {
+	proc int
+
 	blockAt     sim.Time
 	blockReason uint16
 	blocked     bool
@@ -211,28 +236,56 @@ type procScan struct {
 	work     []pendingWork
 	linkPool sim.Time
 	recPool  sim.Time
+
+	// parts is the decomposition of the interval being closed: scratch owned
+	// by the scan, rebuilt from [:0] for every interval.
+	parts []SegPart
+
+	// Output. class is the totals sink; segs and stacks receive the full
+	// decomposition when stacks is non-nil.
+	class  [NumStallClasses]sim.Time
+	segs   []Segment
+	stacks map[[3]int32]*StackEntry
+}
+
+// newProcScan returns the initial state for proc, sinking totals only when
+// stacks is nil.
+func newProcScan(proc int, stacks map[[3]int32]*StackEntry) procScan {
+	return procScan{proc: proc, openLock: -1, lastFetchPage: -1, stacks: stacks}
 }
 
 // BuildProfile runs the per-processor time-accounting state machine over the
 // trace. The result is a pure function of the trace and meta; no map
 // iteration order leaks into it.
+//
+// On a profiling tracer (NewProfiling) the state machines have already
+// consumed every record, so BuildProfile only finalises a copy of each — the
+// tracer stays live and a later call sees the records emitted in between —
+// and the profile carries totals only: Procs[i].{Proc,End,Class}, Total and
+// Span, with Segments and Stacks nil.
 func BuildProfile(t *Tracer, meta Meta) *Profile {
 	p := &Profile{Meta: meta}
 	if t == nil {
 		return p
 	}
-	p.Procs = make([]ProcProfile, len(t.bufs))
+	p.Procs = make([]ProcProfile, t.NProcs())
+	if t.live != nil {
+		p.totalsOnly = true
+		for proc := range t.bufs {
+			t.fold(proc)
+			st := t.live.scans[proc]
+			// finish drains pending work in place; the scratch parts may stay
+			// shared, every use rebuilds them from [:0].
+			st.work = slices.Clone(st.work)
+			st.finish()
+			p.add(&st)
+		}
+		return p
+	}
 	stacks := make(map[[3]int32]*StackEntry)
-	for proc := range t.bufs {
-		pp := &p.Procs[proc]
-		pp.Proc = proc
-		scanProc(proc, t.bufs[proc], pp, stacks)
-		for c, d := range pp.Class {
-			p.Total[c] += d
-		}
-		if pp.End > p.Span {
-			p.Span = pp.End
-		}
+	for proc, recs := range t.bufs {
+		st := scanProc(proc, recs, stacks)
+		p.add(&st)
 	}
 	for _, e := range stacks {
 		p.Stacks = append(p.Stacks, *e)
@@ -253,104 +306,125 @@ func BuildProfile(t *Tracer, meta Meta) *Profile {
 	return p
 }
 
-// scanProc classifies one processor's record stream. The per-processor buffer
-// is in emission order: EvBlock/EvWake pairs tile the lifetime, and work,
-// recovery and link-wait records appear between the pair they belong to (or
-// before it, for process-context work flushed ahead of a blocking call).
-func scanProc(proc int, recs []Rec, pp *ProcProfile, stacks map[[3]int32]*StackEntry) {
-	st := procScan{openLock: -1, lastFetchPage: -1}
-	for _, r := range recs {
-		if r.At > st.end {
-			st.end = r.At
-		}
-		switch r.Kind {
-		case EvBlock:
-			if st.blocked {
-				// A second block without a wake cannot happen under the
-				// handoff discipline; close the stale interval defensively.
-				st.closeInterval(pp, stacks, proc, r.At)
-			} else {
-				st.closeRunGap(pp, stacks, proc, r.At)
-			}
-			st.blocked = true
-			st.blockAt = r.At
-			st.blockReason = r.Aux
-		case EvWake:
-			if st.blocked {
-				st.closeInterval(pp, stacks, proc, r.At)
-			} else {
-				st.closeRunGap(pp, stacks, proc, r.At)
-			}
-			st.blocked = false
-			st.cursor = r.At
-		case EvWork:
-			st.work = append(st.work, pendingWork{objKind: r.B, objID: r.A, d: sim.Time(r.C)})
-		case EvRecovery:
-			st.recPool += sim.Time(r.C)
-		case EvLinkWait:
-			st.linkPool += sim.Time(r.C)
-		case EvLockReq:
-			st.openLock = r.A
-		case EvLockAcq:
-			st.openLock = -1
-		case EvBarArrive:
-			st.inBarrier = true
-			st.barID = r.A
-		case EvBarDepart:
-			st.inBarrier = false
-		case EvMiss:
-			st.lastFetchPage = r.A
-		}
+// add installs one finished scan as its processor's profile.
+func (p *Profile) add(st *procScan) {
+	p.Procs[st.proc] = ProcProfile{Proc: st.proc, End: st.end, Class: st.class, Segments: st.segs}
+	for c, d := range st.class {
+		p.Total[c] += d
 	}
-	pp.End = st.end
-	if st.blocked && st.end > st.blockAt {
-		// Trailing open interval (records landed after the final block):
-		// close it at the processor's end so the tiling stays exact.
-		st.closeInterval(pp, stacks, proc, st.end)
-	} else if st.end > st.cursor {
-		// Defensive: a gap the blocked tiling did not cover is compute.
-		addSeg(pp, stacks, proc, Segment{T0: st.cursor, T1: st.end, Class: ClassCompute, ObjKind: ObjNone, ObjID: -1})
+	if st.end > p.Span {
+		p.Span = st.end
 	}
 }
 
-// closeRunGap covers any time between the last wake and this block. By the
-// handoff discipline the gap is always zero (time cannot pass while the
-// process runs); accounting it as compute keeps conservation exact even if a
-// future scheduler change breaks the discipline.
-func (st *procScan) closeRunGap(pp *ProcProfile, stacks map[[3]int32]*StackEntry, proc int, at sim.Time) {
-	if !st.blocked && at > st.cursor {
-		addSeg(pp, stacks, proc, Segment{T0: st.cursor, T1: at, Class: ClassCompute, ObjKind: ObjNone, ObjID: -1})
+// scanProc classifies one processor's buffered record stream. The
+// per-processor buffer is in emission order: EvBlock/EvWake pairs tile the
+// lifetime, and work, recovery and link-wait records appear between the pair
+// they belong to (or before it, for process-context work flushed ahead of a
+// blocking call).
+func scanProc(proc int, recs []Rec, stacks map[[3]int32]*StackEntry) procScan {
+	st := newProcScan(proc, stacks)
+	for i := range recs {
+		st.feed(&recs[i])
+	}
+	st.finish()
+	return st
+}
+
+// feed advances the state machine by one record of its processor.
+func (st *procScan) feed(r *Rec) {
+	if r.At > st.end {
+		st.end = r.At
+	}
+	switch r.Kind {
+	case EvBlock:
+		if st.blocked {
+			// A second block without a wake cannot happen under the
+			// handoff discipline; close the stale interval defensively.
+			st.closeInterval(r.At)
+		} else {
+			st.closeGap(r.At)
+		}
+		st.blocked = true
+		st.blockAt = r.At
+		st.blockReason = r.Aux
+	case EvWake:
+		if st.blocked {
+			st.closeInterval(r.At)
+		} else {
+			st.closeGap(r.At)
+		}
+		st.blocked = false
+		st.cursor = r.At
+	case EvWork:
+		st.work = append(st.work, pendingWork{objKind: r.B, objID: r.A, d: sim.Time(r.C)})
+	case EvRecovery:
+		st.recPool += sim.Time(r.C)
+	case EvLinkWait:
+		st.linkPool += sim.Time(r.C)
+	case EvLockReq:
+		st.openLock = r.A
+	case EvLockAcq:
+		st.openLock = -1
+	case EvBarArrive:
+		st.inBarrier = true
+		st.barID = r.A
+	case EvBarDepart:
+		st.inBarrier = false
+	case EvMiss:
+		st.lastFetchPage = r.A
+	}
+}
+
+// finish closes the processor's lifetime at its last record.
+func (st *procScan) finish() {
+	if st.blocked && st.end > st.blockAt {
+		// Trailing open interval (records landed after the final block):
+		// close it at the processor's end so the tiling stays exact.
+		st.closeInterval(st.end)
+	} else {
+		// Defensive: a gap the blocked tiling did not cover is compute.
+		st.closeGap(st.end)
+	}
+}
+
+// closeGap covers any time between the last wake and at that no blocked
+// interval tiled. By the handoff discipline the gap is always zero (time
+// cannot pass while the process runs); accounting it as compute keeps
+// conservation exact even if a future scheduler change breaks the discipline.
+func (st *procScan) closeGap(at sim.Time) {
+	if at > st.cursor {
+		st.parts = append(st.parts[:0], SegPart{Class: ClassCompute, ObjKind: ObjNone, ObjID: -1, D: at - st.cursor})
+		st.emitSeg(st.cursor, at, ClassCompute, ObjNone, -1)
 		st.cursor = at
 	}
+}
+
+// take moves up to want of the interval's remainder into a part of the given
+// class, returning the amount moved.
+func (st *procScan) take(remain *sim.Time, class StallClass, objKind, objID int32, want sim.Time) sim.Time {
+	if want <= 0 || *remain <= 0 {
+		return 0
+	}
+	d := min(want, *remain)
+	*remain -= d
+	st.parts = append(st.parts, SegPart{Class: class, ObjKind: objKind, ObjID: objID, D: d})
+	return d
 }
 
 // closeInterval classifies the blocked interval [st.blockAt, at): deduct
 // link-contention wait, then fault recovery, then drain pending work records,
 // then attribute the remainder to the block reason's base class.
-func (st *procScan) closeInterval(pp *ProcProfile, stacks map[[3]int32]*StackEntry, proc int, at sim.Time) {
-	seg := Segment{T0: st.blockAt, T1: at}
-	seg.Class, seg.ObjKind, seg.ObjID = st.baseClass()
+func (st *procScan) closeInterval(at sim.Time) {
+	class, objKind, objID := st.baseClass()
 	remain := at - st.blockAt
-	var parts []SegPart
-	take := func(class StallClass, objKind, objID int32, want sim.Time) sim.Time {
-		if want <= 0 || remain <= 0 {
-			return 0
-		}
-		d := want
-		if d > remain {
-			d = remain
-		}
-		remain -= d
-		parts = append(parts, SegPart{Class: class, ObjKind: objKind, ObjID: objID, D: d})
-		return d
-	}
-	st.linkPool -= take(ClassLinkWait, ObjNone, -1, st.linkPool)
-	st.recPool -= take(ClassRecovery, ObjNone, -1, st.recPool)
+	st.parts = st.parts[:0]
+	st.linkPool -= st.take(&remain, ClassLinkWait, ObjNone, -1, st.linkPool)
+	st.recPool -= st.take(&remain, ClassRecovery, ObjNone, -1, st.recPool)
 	drained := 0
 	for i := range st.work {
 		w := &st.work[i]
-		got := take(ClassTrapDiff, w.objKind, w.objID, w.d)
-		w.d -= got
+		w.d -= st.take(&remain, ClassTrapDiff, w.objKind, w.objID, w.d)
 		if w.d > 0 {
 			break
 		}
@@ -359,15 +433,8 @@ func (st *procScan) closeInterval(pp *ProcProfile, stacks map[[3]int32]*StackEnt
 	if drained > 0 {
 		st.work = st.work[:copy(st.work, st.work[drained:])]
 	}
-	if remain > 0 {
-		parts = append(parts, SegPart{Class: seg.Class, ObjKind: seg.ObjKind, ObjID: seg.ObjID, D: remain})
-	}
-	if len(parts) == 1 {
-		seg.Class, seg.ObjKind, seg.ObjID = parts[0].Class, parts[0].ObjKind, parts[0].ObjID
-	} else {
-		seg.Parts = parts
-	}
-	addSeg(pp, stacks, proc, seg)
+	st.take(&remain, class, objKind, objID, remain)
+	st.emitSeg(st.blockAt, at, class, objKind, objID)
 	st.cursor = at
 }
 
@@ -397,20 +464,33 @@ func (st *procScan) baseClass() (StallClass, int32, int32) {
 	return ClassCompute, ObjNone, -1
 }
 
-// addSeg appends a classified segment to the processor profile and folds its
-// parts into the class totals and the stack aggregation.
-func addSeg(pp *ProcProfile, stacks map[[3]int32]*StackEntry, proc int, seg Segment) {
-	if seg.T1 <= seg.T0 {
+// emitSeg is the sink every classified interval [t0, t1) leaves through,
+// decomposed in st.parts with base class (class, objKind, objID). The class
+// totals are always folded; with the full sink the interval also becomes a
+// Segment and lands in the stack aggregation.
+func (st *procScan) emitSeg(t0, t1 sim.Time, class StallClass, objKind, objID int32) {
+	if t1 <= t0 {
 		return
 	}
-	pp.Segments = append(pp.Segments, seg)
-	for _, part := range seg.parts() {
-		pp.Class[part.Class] += part.D
-		key := [3]int32{int32(proc)<<8 | int32(part.Class), part.ObjKind, part.ObjID}
-		e := stacks[key]
+	for _, part := range st.parts {
+		st.class[part.Class] += part.D
+	}
+	if st.stacks == nil {
+		return
+	}
+	seg := Segment{T0: t0, T1: t1, Class: class, ObjKind: objKind, ObjID: objID}
+	if len(st.parts) == 1 {
+		seg.Class, seg.ObjKind, seg.ObjID = st.parts[0].Class, st.parts[0].ObjKind, st.parts[0].ObjID
+	} else {
+		seg.Parts = slices.Clone(st.parts)
+	}
+	st.segs = append(st.segs, seg)
+	for _, part := range st.parts {
+		key := [3]int32{int32(st.proc)<<8 | int32(part.Class), part.ObjKind, part.ObjID}
+		e := st.stacks[key]
 		if e == nil {
-			e = &StackEntry{Proc: proc, Class: part.Class, ObjKind: part.ObjKind, ObjID: part.ObjID}
-			stacks[key] = e
+			e = &StackEntry{Proc: st.proc, Class: part.Class, ObjKind: part.ObjKind, ObjID: part.ObjID}
+			st.stacks[key] = e
 		}
 		e.Time += part.D
 	}

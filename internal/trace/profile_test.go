@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -294,5 +295,76 @@ func TestProfileEmptyTrace(t *testing.T) {
 		if tc.tr == nil && !strings.Contains(buf.String(), "empty trace") {
 			t.Errorf("%s: what-if = %q, want empty-trace note", tc.name, buf.String())
 		}
+	}
+}
+
+// profilingHistory replays the synthetic history through a profiling tracer.
+func profilingHistory() *Tracer {
+	live := NewProfiling(3)
+	for proc, recs := range profileHistory().bufs {
+		for _, r := range recs {
+			live.emit(proc, r)
+		}
+	}
+	return live
+}
+
+// TestProfilingTracerSynthetic pins what a profiling tracer answers on the
+// synthetic history: the buffered profile's totals, nothing else, and no
+// records kept once they are folded.
+func TestProfilingTracerSynthetic(t *testing.T) {
+	live := profilingHistory()
+	got := BuildProfile(live, profileMeta())
+	sameTotals(t, "profiling vs buffered", got, BuildProfile(profileHistory(), profileMeta()))
+	if err := got.CheckConservation(); err != nil {
+		t.Error(err)
+	}
+	if got.Stacks != nil {
+		t.Errorf("totals-only profile has %d stacks", len(got.Stacks))
+	}
+	for _, pp := range got.Procs {
+		if pp.Segments != nil {
+			t.Errorf("totals-only profile has %d segments on p%d", len(pp.Segments), pp.Proc)
+		}
+	}
+	if live.Len() != 0 {
+		t.Errorf("profiling tracer still holds %d records after BuildProfile", live.Len())
+	}
+}
+
+// TestProfilingTracerMisuseFailsLoudly: a profiling tracer has no records and
+// its profile no segments, so everything that needs either must panic naming
+// the cause instead of rendering an eventless run.
+func TestProfilingTracerMisuseFailsLoudly(t *testing.T) {
+	live := profilingHistory()
+	totals := BuildProfile(live, profileMeta())
+	buffered := profileHistory()
+	full := BuildProfile(buffered, profileMeta())
+	for _, tc := range []struct {
+		name string
+		call func()
+	}{
+		{"Merged", func() { live.Merged() }},
+		{"Analyze", func() { Analyze(live, profileMeta()) }},
+		{"Analyzed", func() { Analyzed(live, profileMeta()) }},
+		{"WriteBinary", func() { live.WriteBinary(io.Discard) }},
+		{"WriteChromeTrace", func() { WriteChromeTrace(io.Discard, live, profileMeta()) }},
+		{"ExtractCriticalPath on a profiling tracer", func() { ExtractCriticalPath(live, full) }},
+		{"ExtractCriticalPath on a totals-only profile", func() { ExtractCriticalPath(buffered, totals) }},
+		{"WriteProfileMarkdown", func() { WriteProfileMarkdown(io.Discard, totals, ExtractCriticalPath(buffered, full)) }},
+		{"WriteFoldedStacks", func() { WriteFoldedStacks(io.Discard, totals) }},
+		{"EmitReports", func() {
+			EmitReports(t.TempDir(), []Report{ReportProfile}, Artifacts{Analysis: Analyze(buffered, profileMeta())}, live)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "profiling tracer") {
+					t.Errorf("recovered %q, want a panic naming the profiling tracer", msg)
+				}
+			}()
+			tc.call()
+		})
 	}
 }

@@ -2,6 +2,7 @@ package ecvslrc
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -42,5 +43,11 @@ func TestTraceAPIErrors(t *testing.T) {
 	}
 	if _, err := Trace("no-such-app", "LRC-diff", 4, Test); err == nil {
 		t.Error("bad application accepted")
+	}
+	// Trace keeps the records its reports need, so the buffered tracer's
+	// one-byte processor id still bounds it (dsmsweep -breakdown does not).
+	_, err := Trace("SOR", "LRC-diff", 256, Test)
+	if err == nil || !strings.Contains(err.Error(), "traced runs support 1..255 processors, got 256") {
+		t.Errorf("Trace at 256 procs: err = %v, want the 1..255 rejection", err)
 	}
 }

@@ -11,35 +11,22 @@
 //	dsmbench -all -micro -scale bench -parallel 1 -perf-out BENCH_head.json
 //	dsmbench -micro -cpuprofile cpu.pprof
 //
-// -preset regenerates the tables under a different cost spec ("name" or
-// "name+knob", the same platform.Resolve grammar as dsmrun and dsmsweep);
-// the default "paper" keeps the output byte-identical to the calibrated
-// platform.
-//
-// -perf-out writes a schema-versioned BENCH_*.json host-performance
-// trajectory (per-cell wall/alloc stats, aggregate cells/sec; see
-// internal/perf and cmd/dsmperf). Metrics are observation-only: the table
-// output stays byte-identical, and the trajectory note goes to stderr.
+// -preset regenerates the tables under a different cost spec; the default
+// "paper" keeps the output byte-identical to the calibrated platform. That
+// flag, -scale, -procs, -apps, -parallel, -perf-out/-rev and the pprof pair
+// are the shared ones documented in internal/cmdline.
 //
 // Exit codes: 0 on success, 1 on run failure, 2 on invalid flags.
 package main
 
 import (
-	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"strings"
 
-	"ecvslrc/internal/apps"
+	"ecvslrc/internal/cmdline"
 	"ecvslrc/internal/core"
-	"ecvslrc/internal/fabric"
 	"ecvslrc/internal/harness"
-	"ecvslrc/internal/perf"
-	"ecvslrc/internal/platform"
-	_ "ecvslrc/internal/platform/models" // register the platform models as presets
 )
 
 func main() {
@@ -49,88 +36,28 @@ func main() {
 // cli is main with injectable arguments and streams, so the exit-code
 // contract is table-testable. Returns the process exit code.
 func cli(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("dsmbench", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	table := fs.Int("table", 0, "table to regenerate (2, 3, 4 or 5)")
-	all := fs.Bool("all", false, "regenerate every table")
-	micro := fs.Bool("micro", false, "run the Section 7.1 factor kernels")
-	counters := fs.Bool("counters", false, "print the Section 7.2 message/data counters")
-	scale := fs.String("scale", "paper", "problem scale: test, bench or paper")
-	procs := fs.Int("procs", 8, "number of simulated processors")
-	appsFlag := fs.String("apps", "", "comma-separated application subset, e.g. \"SOR,QS\" (default: all)")
-	preset := fs.String("preset", "paper", "cost spec: a preset ("+strings.Join(fabric.PresetNames(), ", ")+"), optionally +knobs, e.g. \"rdma_100g+net=x2\"")
-	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "max table cells simulated concurrently (output is identical for any value)")
-	perfOut := fs.String("perf-out", "", "write a BENCH_*.json host-performance trajectory to this file (per-cell alloc deltas are exact only with -parallel 1)")
-	rev := fs.String("rev", "", "revision stamp for -perf-out (default: the build's vcs.revision, else \"unknown\")")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		return 2
+	c := cmdline.New("dsmbench", stdout, stderr)
+	c.BindScale("paper")
+	c.BindProcs()
+	c.BindPreset("paper", "cost spec")
+	c.BindGrid()
+	c.BindProfiles()
+	table := c.FS.Int("table", 0, "table to regenerate (2, 3, 4 or 5)")
+	all := c.FS.Bool("all", false, "regenerate every table")
+	micro := c.FS.Bool("micro", false, "run the Section 7.1 factor kernels")
+	counters := c.FS.Bool("counters", false, "print the Section 7.2 message/data counters")
+	if code, done := c.Parse(args); done {
+		return code
 	}
-
-	cfg := harness.Default()
-	cfg.NProcs = *procs
-	cfg.Parallel = *parallel
-	sc, err := apps.ParseScale(*scale)
-	if err != nil {
-		fmt.Fprintf(stderr, "dsmbench: %v\n", err)
-		return 2
-	}
-	cfg.Scale = sc
-	cost, err := platform.Resolve(*preset)
-	if err != nil {
-		fmt.Fprintf(stderr, "dsmbench: %v\n", err)
-		return 2
-	}
-	cfg.Cost = cost
-	names := apps.Names()
-	if *appsFlag != "" {
-		known := make(map[string]bool, len(names))
-		for _, n := range names {
-			known[n] = true
-		}
-		names = nil
-		for _, n := range strings.Split(*appsFlag, ",") {
-			n = strings.TrimSpace(n)
-			if n == "" {
-				continue
-			}
-			if !known[n] {
-				fmt.Fprintf(stderr, "dsmbench: unknown app %q (known: %s)\n", n, strings.Join(apps.Names(), ", "))
-				return 2
-			}
-			names = append(names, n)
-		}
-		if len(names) == 0 {
-			fmt.Fprintf(stderr, "dsmbench: -apps lists no applications\n")
-			return 2
-		}
-	}
-	if *perfOut != "" {
-		cfg.Perf = perf.New()
-		cfg.Perf.SetAllocsExact(*parallel == 1)
-	}
-
-	stopProf, err := perf.StartProfiles(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintf(stderr, "dsmbench: %v\n", err)
-		return 2
-	}
-	code := func() int {
-		fail := func(err error) int {
-			fmt.Fprintf(stderr, "dsmbench: %v\n", err)
-			return 1
-		}
+	cfg, names := c.Config, c.Apps
+	return c.Run(func() int {
 		if *all {
 			// The complete report (Tables 2-5, counters, micro) comes from one
 			// harness entry point so the byte-identity regression test pins
 			// exactly what this command prints.
 			out, err := harness.BenchReport(cfg, names)
 			if err != nil {
-				return fail(err)
+				return c.Fail(err)
 			}
 			fmt.Fprint(stdout, out)
 			return 0
@@ -144,36 +71,29 @@ func cli(args []string, stdout, stderr io.Writer) int {
 		var t3 []harness.Table3Result
 		if *table == 3 || *counters {
 			did = true
-			rows, err := harness.Table3(cfg, names)
-			if err != nil {
-				return fail(err)
+			var err error
+			if t3, err = harness.Table3(cfg, names); err != nil {
+				return c.Fail(err)
 			}
-			t3 = rows
 			if *table == 3 {
-				fmt.Fprint(stdout, harness.FormatTable3(rows))
+				fmt.Fprint(stdout, harness.FormatTable3(t3))
 				fmt.Fprintln(stdout)
 			}
 		}
-		if *table == 4 {
+		if *table == 4 || *table == 5 {
 			did = true
-			rows, err := harness.TableModel(cfg, core.EC, names)
-			if err != nil {
-				return fail(err)
+			model := core.EC
+			if *table == 5 {
+				model = core.LRC
 			}
-			fmt.Fprint(stdout, harness.FormatTableModel(core.EC, rows, names))
-			fmt.Fprintln(stdout)
-		}
-		if *table == 5 {
-			did = true
-			rows, err := harness.TableModel(cfg, core.LRC, names)
+			rows, err := harness.TableModel(cfg, model, names)
 			if err != nil {
-				return fail(err)
+				return c.Fail(err)
 			}
-			fmt.Fprint(stdout, harness.FormatTableModel(core.LRC, rows, names))
+			fmt.Fprint(stdout, harness.FormatTableModel(model, rows, names))
 			fmt.Fprintln(stdout)
 		}
 		if *counters {
-			did = true
 			fmt.Fprint(stdout, harness.FormatCounters(t3))
 			fmt.Fprintln(stdout)
 		}
@@ -181,47 +101,14 @@ func cli(args []string, stdout, stderr io.Writer) int {
 			did = true
 			rows, err := harness.Micro(cfg)
 			if err != nil {
-				return fail(err)
+				return c.Fail(err)
 			}
 			fmt.Fprint(stdout, harness.FormatMicro(rows))
 		}
 		if !did {
-			fs.Usage()
+			c.FS.Usage()
 			return 2
 		}
 		return 0
-	}()
-	if code == 0 && *perfOut != "" {
-		meta := perf.HostMeta(*rev)
-		meta.Scale, meta.Parallel = *scale, *parallel
-		meta.Cmd = "dsmbench " + strings.Join(args, " ")
-		traj := cfg.Perf.Snapshot(meta)
-		if err := writeTrajectory(*perfOut, traj); err != nil {
-			fmt.Fprintf(stderr, "dsmbench: %v\n", err)
-			code = 1
-		} else {
-			// Stderr, so stdout stays byte-identical to the golden report.
-			fmt.Fprintf(stderr, "dsmbench: perf trajectory (%d cells, %d runs, %.1f cells/s) -> %s\n",
-				len(traj.Cells), traj.CellRuns, traj.CellsPerSec, *perfOut)
-		}
-	}
-	if err := stopProf(); err != nil {
-		fmt.Fprintf(stderr, "dsmbench: %v\n", err)
-		if code == 0 {
-			code = 1
-		}
-	}
-	return code
-}
-
-func writeTrajectory(path string, t *perf.Trajectory) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := perf.WriteTrajectory(f, t); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	})
 }

@@ -135,3 +135,17 @@ func TestCLIProgressAndPerfOut(t *testing.T) {
 		}
 	}
 }
+
+// TestCLIGridErrorsAreUsageErrors: a grid the shared validator rejects is a
+// bad flag value (exit 2), not a run failure, whichever flag carried it.
+func TestCLIGridErrorsAreUsageErrors(t *testing.T) {
+	for want, args := range map[string][]string{
+		"negative barrier fan-in -1": {"-scale", "test", "-fanin", "-1"},
+		"nprocs 0 < 1":               {"-scale", "test", "-procs", "0"},
+	} {
+		var stdout, stderr strings.Builder
+		if code := cli(args, &stdout, &stderr); code != 2 || !strings.Contains(stderr.String(), want) {
+			t.Errorf("%v: exit %d, stderr %q; want 2 and %q", args, code, stderr.String(), want)
+		}
+	}
+}

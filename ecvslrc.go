@@ -13,7 +13,6 @@
 package ecvslrc
 
 import (
-	"fmt"
 	"io"
 
 	"ecvslrc/internal/apps"
@@ -76,49 +75,31 @@ func Apps() []string { return apps.Names() }
 
 // Impls lists the implementation names of Table 1: EC-ci, EC-time, EC-diff,
 // LRC-ci, LRC-time, LRC-diff.
-func Impls() []string {
-	var out []string
-	for _, i := range core.Implementations() {
-		out = append(out, i.String())
-	}
-	return out
-}
+func Impls() []string { return core.ImplNames() }
 
 // Run executes one application under one implementation on nprocs simulated
 // processors and returns the aggregated statistics. The run verifies its
 // own result against the application's sequential reference.
 func Run(app, impl string, nprocs int, scale Scale) (Stats, error) {
-	i, err := core.ParseImpl(impl)
-	if err != nil {
-		return Stats{}, err
-	}
-	a, err := apps.New(app, scale)
-	if err != nil {
-		return Stats{}, err
-	}
-	res, err := run.Run(a, i, nprocs, fabric.DefaultCostModel())
-	if err != nil {
-		return Stats{}, err
-	}
-	return res.Stats, nil
+	return RunCost(app, impl, nprocs, scale, fabric.DefaultCostModel(), false)
 }
 
 // RunCost is Run under an explicit cost model, optionally with shared-link
-// contention — the single-cell form of a sensitivity sweep.
+// contention — the single-cell form of a sensitivity sweep. It runs the cell
+// the way every front end does (harness.RunCell), so its statistics equal
+// dsmrun's and dsmsweep's for the same cell.
 func RunCost(app, impl string, nprocs int, scale Scale, cost CostModel, contention bool) (Stats, error) {
 	i, err := core.ParseImpl(impl)
 	if err != nil {
 		return Stats{}, err
 	}
-	a, err := apps.New(app, scale)
-	if err != nil {
-		return Stats{}, err
-	}
-	res, err := run.RunWith(a, i, nprocs, cost, run.Options{Contention: contention})
-	if err != nil {
-		return Stats{}, err
-	}
-	return res.Stats, nil
+	row := harness.RunCell(cellConfig(scale, nprocs, cost, contention), app, i)
+	return row.Stats, row.Err
+}
+
+// cellConfig describes the root API's cells.
+func cellConfig(scale Scale, nprocs int, cost CostModel, contention bool) harness.Config {
+	return harness.Config{Scale: scale, NProcs: nprocs, Cost: cost, Machine: run.Machine{Contention: contention}}
 }
 
 // Sweep runs the full implementation matrix of the named applications (all
@@ -174,44 +155,23 @@ func TraceCost(app, impl string, nprocs int, scale Scale, cost CostModel, conten
 	if err != nil {
 		return nil, err
 	}
-	if nprocs < 1 || nprocs > trace.MaxProcs {
-		return nil, fmt.Errorf("ecvslrc: traced runs support 1..%d processors, got %d", trace.MaxProcs, nprocs)
+	row, meta := harness.RunTraced(cellConfig(scale, nprocs, cost, contention), app, i, false)
+	if row.Err != nil {
+		return nil, row.Err
 	}
-	a, err := apps.New(app, scale)
-	if err != nil {
-		return nil, err
-	}
-	tr := trace.New(nprocs)
-	res, err := run.RunWith(a, i, nprocs, cost, run.Options{Contention: contention, Trace: tr})
-	if err != nil {
-		return nil, err
-	}
-	a2, err := apps.New(app, scale) // fresh instance: Layout may bind state
-	if err != nil {
-		return nil, err
-	}
-	meta := run.TraceMeta(a2, i, nprocs, scale.String())
-	return &TraceRun{Stats: res.Stats, Tracer: tr, Analysis: trace.Analyze(tr, meta)}, nil
+	return &TraceRun{Stats: row.Stats, Tracer: row.Trace, Analysis: trace.Analyze(row.Trace, meta)}, nil
 }
 
 // RunSeq executes the sequential reference of an application and returns
 // its simulated time — the paper's "1 proc." column.
 func RunSeq(app string, scale Scale) (sim.Time, error) {
-	a, err := apps.New(app, scale)
-	if err != nil {
-		return 0, err
-	}
-	return run.RunSeq(a)
+	return harness.RunSeq(harness.Config{Scale: scale}, app)
 }
 
 // Table3 regenerates the paper's headline table (best EC vs best LRC per
 // application) as formatted text.
 func Table3(scale Scale, nprocs int, appNames ...string) (string, error) {
-	cfg := harness.Config{Scale: scale, NProcs: nprocs, Cost: fabric.DefaultCostModel()}
-	if len(appNames) == 0 {
-		appNames = apps.Names()
-	}
-	rows, err := harness.Table3(cfg, appNames)
+	rows, err := harness.Table3(cellConfig(scale, nprocs, fabric.DefaultCostModel(), false), suite(appNames))
 	if err != nil {
 		return "", err
 	}
@@ -220,17 +180,22 @@ func Table3(scale Scale, nprocs int, appNames ...string) (string, error) {
 
 // Table45 regenerates Table 4 (model "EC") or Table 5 (model "LRC").
 func Table45(model string, scale Scale, nprocs int, appNames ...string) (string, error) {
-	cfg := harness.Config{Scale: scale, NProcs: nprocs, Cost: fabric.DefaultCostModel()}
-	if len(appNames) == 0 {
-		appNames = apps.Names()
-	}
 	m := core.EC
 	if model == "LRC" {
 		m = core.LRC
 	}
-	rows, err := harness.TableModel(cfg, m, appNames)
+	appNames = suite(appNames)
+	rows, err := harness.TableModel(cellConfig(scale, nprocs, fabric.DefaultCostModel(), false), m, appNames)
 	if err != nil {
 		return "", err
 	}
 	return harness.FormatTableModel(m, rows, appNames), nil
+}
+
+// suite defaults an empty application list to the whole suite.
+func suite(appNames []string) []string {
+	if len(appNames) == 0 {
+		return apps.Names()
+	}
+	return appNames
 }

@@ -38,7 +38,7 @@ func runFaulted(t *testing.T, appName string, impl core.Impl, nprocs int, plan *
 		t.Fatal(err)
 	}
 	res, err := run.RunWith(a, impl, nprocs, fabric.DefaultCostModel(), run.Options{
-		Faults:    plan,
+		Machine:   run.Machine{Faults: plan},
 		KeepImage: true,
 		// A generous virtual-time watchdog: a recovery bug fails the test
 		// with a sim.Stalled diagnostic instead of hanging it.
@@ -167,7 +167,7 @@ func TestFaultTraceAttribution(t *testing.T) {
 	}
 	tr := trace.New(nprocs)
 	res, err := run.RunWith(a, impl, nprocs, fabric.DefaultCostModel(), run.Options{
-		Faults: plan, Trace: tr, Timeout: 3600 * sim.Second,
+		Machine: run.Machine{Faults: plan}, Trace: tr, Timeout: 3600 * sim.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

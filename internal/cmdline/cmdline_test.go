@@ -1,0 +1,153 @@
+package cmdline
+
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"ecvslrc/internal/harness"
+	"ecvslrc/internal/perf"
+)
+
+// parse drives a command that binds every shared flag group through the
+// three steps each main takes: Parse, its own checks (here only the buffered
+// tracer's processor bound, when traced), Run.
+func parse(traced bool, args ...string) (c *Cmd, code int, stderr string) {
+	var out, errw strings.Builder
+	c = New("dsmtest", &out, &errw)
+	c.BindCell("test")
+	c.BindGrid()
+	c.BindProfiles()
+	code, done := c.Parse(args)
+	if !done {
+		if err := harness.CheckBufferedTrace(c.Config.NProcs); traced && err != nil {
+			code = c.Usage(err)
+		} else {
+			code = c.Run(func() int { return 0 })
+		}
+	}
+	return c, code, errw.String()
+}
+
+// TestBadSharedFlagValues is the one table for every bad value of every
+// shared flag: exit 2 and a message naming the valid set (or the rule
+// broken). The per-command TestCLIExitCodes tables stay as the compatibility
+// check of each command's message substrings.
+func TestBadSharedFlagValues(t *testing.T) {
+	cases := []struct {
+		name   string
+		traced bool
+		args   []string
+		want   string
+	}{
+		{"unknown scale", false, []string{"-scale", "huge"}, `unknown scale "huge" (valid: test, bench, paper, large)`},
+		{"unknown impl", false, []string{"-impl", "EC-magic"}, `unknown implementation "EC-magic" (valid: EC-ci, EC-time, EC-diff, LRC-ci, LRC-time, LRC-diff)`},
+		{"unknown app in -apps", false, []string{"-apps", "SOR,NoSuch"}, `unknown app "NoSuch" (known: SOR, SOR+, QS, Water, Barnes-Hut, IS, 3D-FFT)`},
+		{"empty -apps", false, []string{"-apps", ", ,"}, "-apps lists no applications"},
+		{"unknown preset", false, []string{"-preset", "quantum"}, `unknown cost preset "quantum" (valid: paper, net-x2`},
+		{"unknown knob", false, []string{"-preset", "paper+warp=x2"}, `unknown knob "warp" (knobs: net=xK, cpu=xK, detect=hw, diff=free)`},
+		{"malformed knob", false, []string{"-preset", "paper+net"}, "not a knob setting (knobs: net=xK"},
+		{"non-positive knob factor", false, []string{"-preset", "paper+cpu=x0"}, "needs a positive xK factor"},
+		{"wrong knob value", false, []string{"-preset", "paper+detect=sw"}, `knob "detect" takes "hw"`},
+		{"unknown fault preset", false, []string{"-faults", "lossy"}, `unknown fault preset "lossy" (known: off, drop1e-3, drop1e-2, chaos)`},
+		{"fault seed without a plan", false, []string{"-fault-seed", "7"}, "-fault-seed needs a fault plan (-faults)"},
+		{"unknown topology", false, []string{"-topo", "mesh:radix=4"}, `neither "flat" nor "clos:radix=K[:taper=T][:stages=N]"`},
+		{"unknown topology key", false, []string{"-topo", "clos:radix=4:width=2"}, "unknown key \"width\" (known: radix, taper, stages)"},
+		{"degenerate topology", false, []string{"-topo", "clos:radix=1"}, "radix 1 < 2"},
+		{"topology with faults", false, []string{"-topo", "clos:radix=4", "-faults", "drop1e-3"}, "mutually exclusive"},
+		{"negative timeout", false, []string{"-timeout", "-1"}, "negative -timeout"},
+		{"negative fan-in", false, []string{"-fanin", "-1"}, "negative barrier fan-in -1"},
+		{"zero procs", false, []string{"-procs", "0"}, "nprocs 0 < 1"},
+		{"zero procs, traced", true, []string{"-procs", "0"}, "traced runs support 1..255 processors, got 0"},
+		{"procs past the buffered tracer", true, []string{"-procs", "256"}, "traced runs support 1..255 processors, got 256"},
+		{"unwritable cpu profile", false, []string{"-cpuprofile", "/no/such/dir/cpu.pprof"}, "no such file or directory"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, code, stderr := parse(tc.traced, tc.args...)
+			if code != 2 {
+				t.Errorf("exit code = %d, want 2 (stderr: %s)", code, stderr)
+			}
+			if !strings.HasPrefix(stderr, "dsmtest: ") || !strings.Contains(stderr, tc.want) {
+				t.Errorf("stderr %q does not contain %q", stderr, tc.want)
+			}
+		})
+	}
+}
+
+// TestResolvedValues checks the good path: every bound flag lands in the one
+// cell description, and an untraced 256-processor cell is fine.
+func TestResolvedValues(t *testing.T) {
+	c, code, stderr := parse(false, "-app", "IS", "-impl", "EC-time", "-procs", "256", "-scale", "large",
+		"-preset", "rdma_100g+net=x2", "-contention", "-faults", "drop1e-2", "-fault-seed", "9",
+		"-fanin", "4", "-gc", "-timeout", "1.5", "-apps", "SOR, IS", "-parallel", "3")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	cfg := c.Config
+	if c.App != "IS" || c.Impl.String() != "EC-time" || cfg.NProcs != 256 || cfg.Scale.String() != "large" ||
+		!cfg.Contention || cfg.Faults == nil || cfg.Faults.Name != "drop1e-2" || cfg.Faults.Seed != 9 ||
+		cfg.Topology != nil || cfg.BarrierFanIn != 4 || !cfg.NoticeGC || cfg.Timeout.Seconds() != 1.5 ||
+		cfg.Parallel != 3 || strings.Join(c.Apps, ",") != "SOR,IS" || c.Preset != "rdma_100g+net=x2" {
+		t.Errorf("resolved %+v app=%q impl=%v apps=%v preset=%q", cfg, c.App, c.Impl, c.Apps, c.Preset)
+	}
+	if cfg.Cost == (harness.Config{}).Cost {
+		t.Error("-preset did not resolve a cost model")
+	}
+	if _, code, _ := parse(false, "-h"); code != 0 {
+		t.Errorf("-h exits %d, want 0", code)
+	}
+	if _, code, _ := parse(false, "-nonsense"); code != 2 {
+		t.Errorf("unknown flag exits %d, want 2", code)
+	}
+}
+
+// TestTrajectoryEpilogue pins the shared -perf-out epilogue: the trajectory
+// is written whenever the run produced cells — whatever the exit code, so a
+// partially failed run keeps its measurements — and not for a run that
+// produced none.
+func TestTrajectoryEpilogue(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		cells   bool
+		written bool
+	}{{"failed run with cells", true, true}, {"run without cells", false, false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "BENCH_test.json")
+			var out, errw strings.Builder
+			c := New("dsmtest", &out, &errw)
+			c.BindCell("test")
+			c.BindGrid()
+			if code, done := c.Parse([]string{"-procs", "2", "-parallel", "1", "-perf-out", path, "-rev", "cafe"}); done {
+				t.Fatalf("parse exited %d: %s", code, errw.String())
+			}
+			code := c.Run(func() int {
+				if tc.cells {
+					if row := harness.RunCell(c.Config, c.App, c.Impl); row.Err != nil {
+						t.Error(row.Err)
+					}
+				}
+				return 1
+			})
+			if code != 1 {
+				t.Errorf("exit code = %d, want the body's 1", code)
+			}
+			f, err := os.Open(path)
+			if (err == nil) != tc.written {
+				t.Fatalf("trajectory written = %v, want %v (stderr: %s)", err == nil, tc.written, errw.String())
+			}
+			if err != nil {
+				return
+			}
+			defer f.Close()
+			traj, err := perf.ReadTrajectory(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if traj.CellRuns != 1 || traj.Meta.Rev != "cafe" || traj.Meta.Scale != "test" || !strings.HasPrefix(traj.Meta.Cmd, "dsmtest -procs 2") {
+				t.Errorf("trajectory = %d runs, meta %+v", traj.CellRuns, traj.Meta)
+			}
+		})
+	}
+}

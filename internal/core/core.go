@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"ecvslrc/internal/mem"
 	"ecvslrc/internal/sim"
@@ -93,14 +94,25 @@ func (i Impl) String() string {
 	}
 }
 
-// ParseImpl converts a paper-style implementation name back to an Impl.
+// ParseImpl converts a paper-style implementation name back to an Impl. The
+// error names every valid spelling, so CLIs can print it verbatim.
 func ParseImpl(s string) (Impl, error) {
 	for _, i := range Implementations() {
 		if i.String() == s {
 			return i, nil
 		}
 	}
-	return Impl{}, fmt.Errorf("core: unknown implementation %q", s)
+	return Impl{}, fmt.Errorf("core: unknown implementation %q (valid: %s)", s, strings.Join(ImplNames(), ", "))
+}
+
+// ImplNames lists the implementation names of Table 1 in Implementations
+// order: EC-ci, EC-time, EC-diff, LRC-ci, LRC-time, LRC-diff.
+func ImplNames() []string {
+	var out []string
+	for _, i := range Implementations() {
+		out = append(out, i.String())
+	}
+	return out
 }
 
 // Implementations lists the six combinations explored in the paper, EC first.

@@ -26,6 +26,9 @@ var ErrFaultPlan = errors.New("invalid fault plan")
 // observe exactly-once, in-order delivery per directed link; only the timing
 // (and the traffic counters, which include retransmissions) changes.
 type FaultPlan struct {
+	// Name labels the plan in reports: FaultPreset sets it to the preset
+	// name, hand-built plans leave it empty. It decides nothing.
+	Name string
 	// Seed keys the fault PRNG. Two runs with the same seed and rates make
 	// identical per-frame decisions.
 	Seed uint64
@@ -106,11 +109,11 @@ func FaultPreset(name string) (*FaultPlan, error) {
 	case "off":
 		return nil, nil
 	case "drop1e-3":
-		return &FaultPlan{Seed: 1, Drop: 1e-3}, nil
+		return &FaultPlan{Name: name, Seed: 1, Drop: 1e-3}, nil
 	case "drop1e-2":
-		return &FaultPlan{Seed: 1, Drop: 1e-2}, nil
+		return &FaultPlan{Name: name, Seed: 1, Drop: 1e-2}, nil
 	case "chaos":
-		return &FaultPlan{Seed: 1, Drop: 5e-3, Dup: 5e-3, Delay: 2e-2, DelayMax: 2 * sim.Millisecond}, nil
+		return &FaultPlan{Name: name, Seed: 1, Drop: 5e-3, Dup: 5e-3, Delay: 2e-2, DelayMax: 2 * sim.Millisecond}, nil
 	}
 	return nil, fmt.Errorf("fabric: %w: unknown fault preset %q (known: %s)",
 		ErrFaultPlan, name, strings.Join(FaultPresetNames(), ", "))

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"ecvslrc/internal/sim"
@@ -19,7 +20,7 @@ import (
 // when no Topology is enabled. At 256-1024 processors a flat link is
 // meaningless — every barrier would serialize the whole machine through one
 // resource — so `-scale large` sweeps enable a Clos model via the `topo=`
-// variant axis (internal/sweep.ParseTopologySpec).
+// variant axis or `-topo` (ParseTopology).
 type Topology struct {
 	// Radix is the switch radix: leaves (or subtrees) per switch, >= 2.
 	Radix int
@@ -74,7 +75,7 @@ func (t Topology) Stages(nprocs int) int {
 	return stages
 }
 
-// String renders the canonical spec form parsed by sweep.ParseTopologySpec.
+// String renders the canonical spec form ParseTopology accepts.
 func (t Topology) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "clos:radix=%d", t.Radix)
@@ -85,6 +86,59 @@ func (t Topology) String() string {
 		fmt.Fprintf(&b, ":stages=%d", t.ForcedStages)
 	}
 	return b.String()
+}
+
+// ParseTopology is the inverse of Topology.String, the grammar behind every
+// `-topo` flag and the sweep's topo= axis. "flat" keeps the calibrated flat
+// shared link and returns a nil topology; "clos:radix=K[:taper=T][:stages=N]"
+// selects a folded-Clos switch fabric with switch radix K, per-level bandwidth
+// taper T (default 1 = full bisection) and an optional forced stage count N
+// (default derives ceil(log_K nprocs)). Key order is free; duplicate and
+// unknown keys are rejected, and the geometry must pass Validate.
+func ParseTopology(spec string) (*Topology, error) {
+	if spec == "flat" {
+		return nil, nil
+	}
+	parts := strings.Split(spec, ":")
+	if parts[0] != "clos" {
+		return nil, fmt.Errorf("fabric: topology %q is neither \"flat\" nor \"clos:radix=K[:taper=T][:stages=N]\"", spec)
+	}
+	t := &Topology{Taper: 1}
+	seen := make(map[string]bool)
+	for _, kv := range parts[1:] {
+		key, val, ok := strings.Cut(kv, "=")
+		if !ok || val == "" {
+			return nil, fmt.Errorf("fabric: topology %q: %q is not key=value", spec, kv)
+		}
+		if seen[key] {
+			return nil, fmt.Errorf("fabric: topology %q: key %q given twice", spec, key)
+		}
+		seen[key] = true
+		var err error
+		switch key {
+		case "radix":
+			if t.Radix, err = strconv.Atoi(val); err != nil {
+				return nil, fmt.Errorf("fabric: topology %q: radix %q is not an integer", spec, val)
+			}
+		case "taper":
+			if t.Taper, err = strconv.ParseFloat(val, 64); err != nil {
+				return nil, fmt.Errorf("fabric: topology %q: taper %q is not a number", spec, val)
+			}
+		case "stages":
+			if t.ForcedStages, err = strconv.Atoi(val); err != nil {
+				return nil, fmt.Errorf("fabric: topology %q: stages %q is not an integer", spec, val)
+			}
+		default:
+			return nil, fmt.Errorf("fabric: topology %q: unknown key %q (known: radix, taper, stages)", spec, key)
+		}
+	}
+	if !seen["radix"] {
+		return nil, fmt.Errorf("fabric: topology %q: radix is required", spec)
+	}
+	if err := t.Validate(); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 // topoState is the network's resolved topology: the per-(level, group)

@@ -163,3 +163,114 @@ func TestTopologyTaperSerializes(t *testing.T) {
 		t.Errorf("full-bisection finish %v not faster than tapered %v", overlap, serial)
 	}
 }
+
+// TestParseTopology pins the `-topo` / topo= grammar (moved here from
+// internal/sweep with the parser).
+func TestParseTopology(t *testing.T) {
+	cases := []struct {
+		spec string
+		want *Topology
+		err  string // substring of the rejection, "" for accepted
+	}{
+		{spec: "flat", want: nil},
+		{spec: "clos:radix=8", want: &Topology{Radix: 8, Taper: 1}},
+		{spec: "clos:radix=16:taper=4", want: &Topology{Radix: 16, Taper: 4}},
+		{spec: "clos:radix=4:taper=1.5:stages=3", want: &Topology{Radix: 4, Taper: 1.5, ForcedStages: 3}},
+		// Key order is free; the canonical form fixes it.
+		{spec: "clos:stages=2:radix=2", want: &Topology{Radix: 2, Taper: 1, ForcedStages: 2}},
+
+		// Degenerate geometries: rejected by Topology.Validate.
+		{spec: "clos:radix=1", err: "radix 1 < 2"},
+		{spec: "clos:radix=0", err: "radix 0 < 2"},
+		{spec: "clos:radix=-8", err: "radix -8 < 2"},
+		{spec: "clos:radix=8:taper=0", err: "taper 0 outside"},
+		{spec: "clos:radix=8:taper=9", err: "taper 9 outside"},
+		{spec: "clos:radix=2:stages=-1", err: "stages -1 outside"},
+		{spec: "clos:radix=2:stages=17", err: "stages 17 outside"},
+
+		// Malformed specs.
+		{spec: "", err: "neither"},
+		{spec: "mesh:radix=4", err: "neither"},
+		{spec: "clos", err: "radix is required"},
+		{spec: "clos:taper=2", err: "radix is required"},
+		{spec: "clos:radix=two", err: "not an integer"},
+		{spec: "clos:radix=8:taper=fast", err: "not a number"},
+		{spec: "clos:radix=8:stages=1.5", err: "not an integer"},
+		{spec: "clos:radix=8:radix=8", err: "given twice"},
+		{spec: "clos:radix=8:width=2", err: "unknown key"},
+		{spec: "clos:radix=", err: "not key=value"},
+		{spec: "clos:", err: "not key=value"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.spec, func(t *testing.T) {
+			topo, err := ParseTopology(tc.spec)
+			if tc.err != "" {
+				if err == nil {
+					t.Fatalf("ParseTopology(%q) accepted, want error containing %q", tc.spec, tc.err)
+				}
+				if !strings.Contains(err.Error(), tc.err) {
+					t.Errorf("error %v does not contain %q", err, tc.err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("ParseTopology(%q) = %v, want accept", tc.spec, err)
+			}
+			if tc.want == nil {
+				if topo != nil {
+					t.Fatalf("ParseTopology(%q) = %+v, want nil (flat)", tc.spec, topo)
+				}
+				return
+			}
+			if topo == nil || *topo != *tc.want {
+				t.Fatalf("ParseTopology(%q) = %+v, want %+v", tc.spec, topo, tc.want)
+			}
+		})
+	}
+}
+
+// FuzzParseTopology asserts the topology parser's contract on arbitrary
+// input: it never panics, a rejection returns no topology, and every accepted
+// spec yields either nil (the flat link) or a validated geometry whose
+// canonical String form reparses to the identical topology (round-trip
+// stability — the property variant naming depends on).
+func FuzzParseTopology(f *testing.F) {
+	f.Add("flat")
+	f.Add("clos:radix=8")
+	f.Add("clos:radix=16:taper=4")
+	f.Add("clos:radix=4:taper=1.5:stages=3")
+	f.Add("clos:stages=2:radix=2")
+	f.Add("clos:radix=1")
+	f.Add("clos:radix=0:taper=0")
+	f.Add("clos:radix=8:taper=9")
+	f.Add("clos:radix=2:stages=17")
+	f.Add("clos:radix=8:radix=8")
+	f.Add("clos")
+	f.Add("mesh:radix=4")
+	f.Add("clos:radix=9223372036854775808")
+	f.Fuzz(func(t *testing.T, spec string) {
+		topo, err := ParseTopology(spec)
+		if err != nil {
+			if topo != nil {
+				t.Fatalf("rejected spec %q returned a non-nil topology", spec)
+			}
+			return
+		}
+		if topo == nil {
+			if spec != "flat" {
+				t.Fatalf("accepted spec %q yields nil topology but is not \"flat\"", spec)
+			}
+			return
+		}
+		if verr := topo.Validate(); verr != nil {
+			t.Fatalf("accepted spec %q yields invalid topology: %v", spec, verr)
+		}
+		again, err := ParseTopology(topo.String())
+		if err != nil {
+			t.Fatalf("canonical form %q of accepted spec %q does not reparse: %v", topo.String(), spec, err)
+		}
+		if again == nil || *again != *topo {
+			t.Fatalf("canonical form %q does not round-trip: %+v vs %+v", topo.String(), topo, again)
+		}
+	})
+}

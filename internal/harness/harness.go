@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -25,63 +24,46 @@ import (
 	"ecvslrc/internal/trace"
 )
 
-// Config selects the experiment size.
+// Config describes the cells of one experiment — everything about a cell but
+// its application and implementation: problem scale, processor count, cost
+// model, machine shape, watchdog and the host-side attachments. Every front
+// end (the table entry points, the sweep engine, the CLIs through
+// internal/cmdline, the root API) describes its cells with one, and Options
+// resolves it into the run.Options of a cell.
 type Config struct {
 	Scale  apps.Scale
 	NProcs int
 	Cost   fabric.CostModel
+	// Machine is the simulated machine's shape: contention, fault plan,
+	// topology, barrier fan-in, notice GC (see run.Machine for each). Options
+	// applies the scale-dependent defaults.
+	run.Machine
 	// Parallel bounds how many table cells run concurrently. Each cell is an
 	// isolated sim.Simulator, so cells are embarrassingly parallel; results
 	// are always assembled in table order, making the output independent of
 	// the worker count. <= 0 means GOMAXPROCS.
 	Parallel int
-	// Contention enables shared-link contention in the fabric (see
-	// fabric.Network.EnableContention). Off reproduces the calibrated
-	// free-overlap model bit-exactly.
-	Contention bool
 	// Trace attaches a fresh profiling tracer to every cell
 	// (trace.NewProfiling): the virtual-time profile is built while the cell
 	// runs and no event history is kept, so any processor count is traceable.
 	// Tracing is observation-only — the tables are byte-identical with it on.
 	// RunCell hands the cell's tracer back on Row.Trace for
 	// trace.BuildProfile (the sweep engine's stall breakdown); the table
-	// entry points discard it. Reports that need the history attach a
-	// trace.New tracer through run.Options instead.
+	// entry points discard it. Reports that need the history go through
+	// RunTraced instead.
 	Trace bool
-	// Faults injects the given seeded fault plan into every cell's fabric
-	// (see fabric.FaultPlan). nil reproduces the fault-free run bit-exactly.
-	Faults *fabric.FaultPlan
-	// Timeout arms the simulator watchdog in every cell: a cell whose
-	// virtual clock would pass Timeout fails with a sim.Stalled diagnostic
-	// naming the blocked processes instead of running forever. 0 disables.
+	// Timeout arms the virtual-time watchdog of every cell
+	// (run.Options.Timeout); 0 disables.
 	Timeout sim.Time
 	// Perf, when non-nil, attributes host-side performance to every cell:
 	// wall-clock time, runtime.MemStats allocation deltas and peak heap per
-	// (app, impl, nprocs, variant), plus the run-phase timers (internal/perf).
-	// Metrics are observation-only — host clocks, never virtual time — so
-	// the tables are byte-identical with metrics on; nil costs nothing.
+	// (app, impl, nprocs, variant), plus the run-phase timers
+	// (run.Options.Perf). Observation-only; nil costs nothing.
 	Perf *perf.Registry
 	// Variant labels this configuration's cost variant in the perf record
 	// (the sweep engine sets it to the variant name; "" for the calibrated
 	// paper platform). Purely a metrics label — it changes no behavior.
 	Variant string
-	// NoticeGC enables LRC notice-history garbage collection in every cell
-	// (run.Options.NoticeGC). Collection is provably invisible to Stats and
-	// final memory images (TestNoticeGCEquivalence), so it additionally
-	// defaults ON at apps.Large scale, where an uncollected 256-1024 processor
-	// run holds O(intervals x procs) history per node.
-	NoticeGC bool
-	// BarrierFanIn arranges barrier episodes as a radix-r tree (r >= 2; see
-	// syncmgr.BarrierMgr.SetFanIn). 0 picks the scale default: flat at the
-	// golden-pinned scales, 16 at apps.Large (a flat 1024-way barrier
-	// serializes the whole machine through one handler). 1 forces the flat
-	// protocol at any scale.
-	BarrierFanIn int
-	// Topology, when non-nil, replaces every cell's flat shared link with
-	// the folded-Clos switch model (fabric.Topology). Nil keeps the flat
-	// calibrated fabric. Mutually exclusive with Faults: the reliable
-	// sublayer's retransmission timing is calibrated against the flat link.
-	Topology *fabric.Topology
 }
 
 // ErrConfig is wrapped by every Config validation failure.
@@ -99,46 +81,18 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("harness: %w: unknown scale %d (valid: %s)",
 			ErrConfig, int(cfg.Scale), strings.Join(apps.ScaleNames(), ", "))
 	}
-	if cfg.Faults != nil {
-		if err := cfg.Faults.Validate(); err != nil {
-			return fmt.Errorf("harness: %w: %v", ErrConfig, err)
-		}
-	}
-	if cfg.Timeout < 0 {
-		return fmt.Errorf("harness: %w: negative timeout %v", ErrConfig, cfg.Timeout)
-	}
-	if cfg.BarrierFanIn < 0 {
-		return fmt.Errorf("harness: %w: negative barrier fan-in %d", ErrConfig, cfg.BarrierFanIn)
-	}
-	if cfg.Topology != nil {
-		if err := cfg.Topology.Validate(); err != nil {
-			return fmt.Errorf("harness: %w: %v", ErrConfig, err)
-		}
-		if cfg.Faults != nil {
-			return fmt.Errorf("harness: %w: topology and fault injection are mutually exclusive", ErrConfig)
-		}
+	if err := (run.Options{Machine: cfg.Machine, Timeout: cfg.Timeout}).Validate(); err != nil {
+		return fmt.Errorf("harness: %w: %v", ErrConfig, err)
 	}
 	return nil
-}
-
-// Default returns the paper's configuration: 8 processors, paper-size data
-// sets, calibrated platform costs.
-func Default() Config {
-	return Config{Scale: apps.Paper, NProcs: 8, Cost: fabric.DefaultCostModel()}
-}
-
-func (cfg Config) parallelism() int {
-	if cfg.Parallel > 0 {
-		return cfg.Parallel
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // ForEach runs fn(i) for every i in [0, n) on a bounded worker pool. fn must
 // write its result to an index-addressed slot; iteration order is unspecified
 // but every index completes before ForEach returns, so callers assemble
-// deterministic output regardless of par. The sweep engine reuses this pool
-// for its grid cells.
+// deterministic output regardless of par; par <= 0 means GOMAXPROCS, the one
+// place the Parallel default of Config and sweep.Grid is resolved. The sweep
+// engine reuses this pool for its grid cells.
 //
 // A panic in fn(i) is confined to that index: the worker recovers, records
 // the panic (with its stack) against i, and moves on, so one poisoned cell
@@ -153,6 +107,9 @@ func ForEach(par, n int, fn func(int)) error {
 			}
 		}()
 		fn(i)
+	}
+	if par <= 0 {
+		par = runtime.GOMAXPROCS(0)
 	}
 	if par > n {
 		par = n
@@ -188,9 +145,12 @@ type Row struct {
 	Impl core.Impl
 	run.Result
 	Err error
-	// Trace is the cell's profiling tracer when Config.Trace was set (nil
-	// otherwise) — the sweep engine's stall breakdown takes its per-record
-	// profile from it.
+	// Machine is the machine the cell ran on: Config.Machine with the
+	// scale-dependent defaults resolved.
+	Machine run.Machine
+	// Trace is the cell's tracer: the profiling tracer when Config.Trace was
+	// set (the sweep engine's stall breakdown takes its per-record profile
+	// from it), the buffered one after RunTraced, nil otherwise.
 	Trace *trace.Tracer
 }
 
@@ -249,22 +209,22 @@ func InitLayout(app string, scale apps.Scale) (*mem.Allocator, error) {
 	return ent.al, ent.err
 }
 
-// cellOptions assembles the cached-artifact options for one cell.
-func cellOptions(cfg Config, app string) (run.Options, error) {
+// Options resolves the run.Options of cfg's cells of app. It is the only
+// place a cell's options are assembled — every front end that runs a cell
+// gets them here (through RunCell, RunTraced or RunSeq), so the same cell
+// yields the same statistics everywhere: the cached layout and seeded image
+// of (app, scale), and the scale-dependent machine defaults.
+func Options(cfg Config, app string) (run.Options, error) {
 	ent := initEntry(app, cfg.Scale)
 	if ent.err != nil {
 		return run.Options{}, ent.err
 	}
 	opts := run.Options{
-		Contention:   cfg.Contention,
-		InitImage:    ent.im,
-		Layout:       ent.al,
-		Faults:       cfg.Faults,
-		Timeout:      cfg.Timeout,
-		Perf:         cfg.Perf,
-		NoticeGC:     cfg.NoticeGC,
-		BarrierFanIn: cfg.BarrierFanIn,
-		Topology:     cfg.Topology,
+		Machine:   cfg.Machine,
+		InitImage: ent.im,
+		Layout:    ent.al,
+		Timeout:   cfg.Timeout,
+		Perf:      cfg.Perf,
 	}
 	// The large machine gets the scaling machinery by default: notice GC is
 	// equivalence-pinned (TestNoticeGCEquivalence), and a flat 256-1024-way
@@ -327,7 +287,44 @@ func outcomeOf(err error) perf.Outcome {
 // the caller. With Config.Perf attached, the cell's wall time and allocation
 // deltas are recorded whatever the outcome — the panic path is attributed
 // its elapsed time too.
-func RunCell(cfg Config, app string, impl core.Impl) (row Row) {
+func RunCell(cfg Config, app string, impl core.Impl) Row {
+	return runCell(cfg, app, impl, nil)
+}
+
+// CheckBufferedTrace reports whether a buffered tracer (trace.New) can record
+// an nprocs-processor run; the CLIs call it up front so an oversize traced
+// run fails like a bad flag, not after the run.
+func CheckBufferedTrace(nprocs int) error {
+	if nprocs < 1 || nprocs > trace.MaxProcs {
+		return fmt.Errorf("traced runs support 1..%d processors, got %d", trace.MaxProcs, nprocs)
+	}
+	return nil
+}
+
+// RunTraced is RunCell with a buffered event tracer attached (trace.New;
+// scheduler dispatch events too when sched is set), for the reports that need
+// the event history: Row.Trace holds the tracer, and the returned metadata
+// names the run and its shared-memory layout (from the cached allocator) for
+// trace.Analyze and trace.Analyzed. Tracing is observation-only: Row.Stats
+// equals RunCell's.
+func RunTraced(cfg Config, app string, impl core.Impl, sched bool) (Row, trace.Meta) {
+	if err := CheckBufferedTrace(cfg.NProcs); err != nil {
+		return Row{App: app, Impl: impl, Err: err}, trace.Meta{}
+	}
+	tr := trace.New(cfg.NProcs)
+	if sched {
+		tr.EnableSched()
+	}
+	row := runCell(cfg, app, impl, tr)
+	meta := trace.Meta{App: app, Impl: impl.String(), Scale: cfg.Scale.String(), NProcs: cfg.NProcs}
+	if al, err := InitLayout(app, cfg.Scale); err == nil {
+		meta.Regions, meta.Pages = al.Regions(), al.Pages()
+	}
+	return row, meta
+}
+
+// runCell is RunCell; a non-nil tr replaces the tracer Options attaches.
+func runCell(cfg Config, app string, impl core.Impl, tr *trace.Tracer) (row Row) {
 	row = Row{App: app, Impl: impl}
 	cs := cfg.Perf.StartCell(cfg.Variant, app, impl.String(), cfg.NProcs)
 	defer func() {
@@ -344,14 +341,16 @@ func RunCell(cfg Config, app string, impl core.Impl) (row Row) {
 		row.Err = err
 		return row
 	}
-	opts, err := cellOptions(cfg, app)
+	opts, err := Options(cfg, app)
 	if err != nil {
 		row.Err = err
 		return row
 	}
-	res, err := run.RunWith(a, impl, cfg.NProcs, cfg.Cost, opts)
-	row.Result, row.Err = res, err
-	row.Trace = opts.Trace
+	if tr != nil {
+		opts.Trace = tr
+	}
+	row.Machine, row.Trace = opts.Machine, opts.Trace
+	row.Result, row.Err = run.RunWith(a, impl, cfg.NProcs, cfg.Cost, opts)
 	return row
 }
 
@@ -370,11 +369,10 @@ func RunSeq(cfg Config, app string) (t sim.Time, err error) {
 	if err != nil {
 		return 0, err
 	}
-	opts, err := cellOptions(cfg, app)
+	opts, err := Options(cfg, app)
 	if err != nil {
 		return 0, err
 	}
-	opts.Contention = false // the sequential reference has no fabric at all
 	return run.RunSeqWith(a, opts)
 }
 
@@ -437,47 +435,58 @@ type Table3Result struct {
 	LRCImpls []Row
 }
 
-// Table3 runs every implementation of every application and reports the
-// best EC against the best LRC, the paper's headline comparison. Cells run
-// concurrently up to cfg.Parallel; the result is identical for any worker
-// count.
-func Table3(cfg Config, appNames []string) ([]Table3Result, error) {
-	impls := core.Implementations()
-	stride := 1 + len(impls) // per app: the sequential reference plus each impl
+// runGrid runs every (application, implementation) cell — and, with seq, each
+// application's sequential reference — concurrently up to cfg.Parallel, and
+// returns each application's rows in implementation order under its name,
+// plus the sequential times in appNames order; the result is identical for
+// any worker count. It collects every failed cell before giving up, so one
+// bad configuration reports the whole damage, not just its first victim.
+func runGrid(cfg Config, appNames []string, impls []core.Impl, seq bool) (map[string][]Row, []sim.Time, error) {
+	stride := len(impls)
+	if seq {
+		stride++
+	}
+	rows := make([]Row, len(appNames)*len(impls))
 	seqTimes := make([]sim.Time, len(appNames))
 	seqErrs := make([]error, len(appNames))
-	rows := make([]Row, len(appNames)*len(impls))
-	poolErr := ForEach(cfg.parallelism(), len(appNames)*stride, func(k int) {
-		app := appNames[k/stride]
-		j := k % stride
-		if j == 0 {
-			seqTimes[k/stride], seqErrs[k/stride] = RunSeq(cfg, app)
+	errs := []error{ForEach(cfg.Parallel, len(appNames)*stride, func(k int) {
+		i, j := k/stride, k%stride
+		if seq {
+			j-- // slot 0 of each application is its sequential reference
+		}
+		if j < 0 {
+			seqTimes[i], seqErrs[i] = RunSeq(cfg, appNames[i])
 			return
 		}
-		rows[(k/stride)*len(impls)+j-1] = RunCell(cfg, app, impls[j-1])
-	})
-	// Collect every failed cell before giving up, so one bad configuration
-	// reports the whole damage, not just its first victim.
-	errs := []error{poolErr}
+		rows[i*len(impls)+j] = RunCell(cfg, appNames[i], impls[j])
+	})}
+	out := make(map[string][]Row, len(appNames))
 	for i, name := range appNames {
 		if seqErrs[i] != nil {
 			errs = append(errs, fmt.Errorf("harness: %s sequential: %w", name, seqErrs[i]))
 		}
-		for j := range impls {
-			if err := rows[i*len(impls)+j].Err; err != nil {
-				errs = append(errs, fmt.Errorf("harness: %s/%v: %w", name, impls[j], err))
+		out[name] = rows[i*len(impls) : (i+1)*len(impls)]
+		for _, row := range out[name] {
+			if row.Err != nil {
+				errs = append(errs, fmt.Errorf("harness: %s/%v: %w", row.App, row.Impl, row.Err))
 			}
 		}
 	}
-	if err := errors.Join(errs...); err != nil {
+	return out, seqTimes, errors.Join(errs...)
+}
+
+// Table3 runs every implementation of every application and reports the
+// best EC against the best LRC, the paper's headline comparison.
+func Table3(cfg Config, appNames []string) ([]Table3Result, error) {
+	rows, seqTimes, err := runGrid(cfg, appNames, core.Implementations(), true)
+	if err != nil {
 		return nil, err
 	}
 	var out []Table3Result
 	for i, name := range appNames {
 		r := Table3Result{App: name, SeqTime: seqTimes[i]}
-		for j := range impls {
-			row := rows[i*len(impls)+j]
-			if impls[j].Model == core.EC {
+		for _, row := range rows[name] {
+			if row.Impl.Model == core.EC {
 				r.ECImpls = append(r.ECImpls, row)
 			} else {
 				r.LRCImpls = append(r.LRCImpls, row)
@@ -488,6 +497,20 @@ func Table3(cfg Config, appNames []string) ([]Table3Result, error) {
 		out = append(out, r)
 	}
 	return out, nil
+}
+
+// modelRows regroups Table 3's rows as the trapping x collection matrix of
+// one model — what TableModel would simulate again, the simulator being
+// deterministic.
+func modelRows(t3 []Table3Result, model core.Model) map[string][]Row {
+	out := make(map[string][]Row, len(t3))
+	for _, r := range t3 {
+		out[r.App] = r.ECImpls
+		if model == core.LRC {
+			out[r.App] = r.LRCImpls
+		}
+	}
+	return out
 }
 
 func best(rows []Row) Row {
@@ -522,31 +545,8 @@ func implSuffix(i core.Impl) string {
 // for EC, Table 5 for LRC), with cells running concurrently up to
 // cfg.Parallel.
 func TableModel(cfg Config, model core.Model, appNames []string) (map[string][]Row, error) {
-	impls := core.ModelImpls(model)
-	rows := make([]Row, len(appNames)*len(impls))
-	poolErr := ForEach(cfg.parallelism(), len(rows), func(k int) {
-		rows[k] = RunCell(cfg, appNames[k/len(impls)], impls[k%len(impls)])
-	})
-	if err := errors.Join(append([]error{poolErr}, rowErrs(rows)...)...); err != nil {
-		return nil, err
-	}
-	out := make(map[string][]Row)
-	for k, row := range rows {
-		name := appNames[k/len(impls)]
-		out[name] = append(out[name], row)
-	}
-	return out, nil
-}
-
-// rowErrs gathers the errors of all failed rows, wrapped with cell identity.
-func rowErrs(rows []Row) []error {
-	var errs []error
-	for _, row := range rows {
-		if row.Err != nil {
-			errs = append(errs, fmt.Errorf("harness: %s/%v: %w", row.App, row.Impl, row.Err))
-		}
-	}
-	return errs
+	rows, _, err := runGrid(cfg, appNames, core.ModelImpls(model), false)
+	return rows, err
 }
 
 // FormatTableModel renders Table 4 or Table 5.
@@ -565,14 +565,8 @@ func FormatTableModel(model core.Model, rows map[string][]Row, appNames []string
 	b.WriteString("\n")
 	for _, name := range appNames {
 		fmt.Fprintf(&b, "%-12s", name)
-		cells := rows[name]
-		sort.Slice(cells, func(i, j int) bool { return cells[i].Impl.String() < cells[j].Impl.String() })
-		byImpl := map[string]Row{}
-		for _, c := range cells {
-			byImpl[c.Impl.String()] = c
-		}
-		for _, i := range impls {
-			fmt.Fprintf(&b, " %10.2f", byImpl[i.String()].Stats.Time.Seconds())
+		for _, c := range rows[name] { // in impls order, as TableModel returns them
+			fmt.Fprintf(&b, " %10.2f", c.Stats.Time.Seconds())
 		}
 		b.WriteString("\n")
 	}
@@ -597,21 +591,8 @@ func FormatCounters(rows []Table3Result) string {
 // Micro runs the Section 7.1 factor kernels for every implementation, with
 // cells running concurrently up to cfg.Parallel.
 func Micro(cfg Config) (map[string][]Row, error) {
-	names := apps.MicroNames()
-	impls := core.Implementations()
-	rows := make([]Row, len(names)*len(impls))
-	poolErr := ForEach(cfg.parallelism(), len(rows), func(k int) {
-		rows[k] = RunCell(cfg, names[k/len(impls)], impls[k%len(impls)])
-	})
-	if err := errors.Join(append([]error{poolErr}, rowErrs(rows)...)...); err != nil {
-		return nil, err
-	}
-	out := make(map[string][]Row)
-	for k, row := range rows {
-		name := names[k/len(impls)]
-		out[name] = append(out[name], row)
-	}
-	return out, nil
+	rows, _, err := runGrid(cfg, apps.MicroNames(), core.Implementations(), false)
+	return rows, err
 }
 
 // FormatMicro renders the factor-kernel comparison.
@@ -648,17 +629,10 @@ func BenchReport(cfg Config, appNames []string) (string, error) {
 	}
 	b.WriteString(FormatTable3(t3))
 	b.WriteString("\n")
-	t4, err := TableModel(cfg, core.EC, appNames)
-	if err != nil {
-		return "", err
-	}
-	b.WriteString(FormatTableModel(core.EC, t4, appNames))
+	// Tables 4 and 5 are Table 3's rows regrouped: each suite cell runs once.
+	b.WriteString(FormatTableModel(core.EC, modelRows(t3, core.EC), appNames))
 	b.WriteString("\n")
-	t5, err := TableModel(cfg, core.LRC, appNames)
-	if err != nil {
-		return "", err
-	}
-	b.WriteString(FormatTableModel(core.LRC, t5, appNames))
+	b.WriteString(FormatTableModel(core.LRC, modelRows(t3, core.LRC), appNames))
 	b.WriteString("\n")
 	b.WriteString(FormatCounters(t3))
 	b.WriteString("\n")

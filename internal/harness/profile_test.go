@@ -22,7 +22,7 @@ func runBuffered(t *testing.T, cfg Config, app string, impl core.Impl) (run.Resu
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts, err := cellOptions(cfg, app)
+	opts, err := Options(cfg, app)
 	if err != nil {
 		t.Fatal(err)
 	}

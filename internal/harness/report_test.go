@@ -87,6 +87,11 @@ func TestBenchReportWithMetricsMatchesSeedGolden(t *testing.T) {
 	if len(snap.Cells) == 0 || snap.CellRuns == 0 {
 		t.Error("registry attached but observed no cells")
 	}
+	// The report simulates each cell once: Tables 4 and 5 regroup Table 3's
+	// rows. 7 apps x (6 impls + seq) + 5 factor kernels x 6 impls.
+	if want := 7*7 + 5*6; int(snap.CellRuns) != want || len(snap.Cells) != want {
+		t.Errorf("report ran %d cells (%d distinct), want %d of each", snap.CellRuns, len(snap.Cells), want)
+	}
 	if snap.Counters["phase_simulate_ns"] <= 0 {
 		t.Error("no simulate-phase time attributed")
 	}
@@ -111,14 +116,16 @@ func TestConfigValidate(t *testing.T) {
 			"unknown scale -1 (valid: test, bench, paper, large)"},
 		{"negative-timeout", Config{Scale: apps.Test, NProcs: 4, Timeout: -1},
 			"negative timeout"},
-		{"negative-fanin", Config{Scale: apps.Test, NProcs: 4, BarrierFanIn: -2},
+		{"negative-fanin", Config{Scale: apps.Test, NProcs: 4, Machine: run.Machine{BarrierFanIn: -2}},
 			"negative barrier fan-in -2"},
-		{"bad-topology", Config{Scale: apps.Test, NProcs: 4, Topology: &fabric.Topology{Radix: 1, Taper: 1}},
+		{"bad-topology", Config{Scale: apps.Test, NProcs: 4, Machine: run.Machine{Topology: &fabric.Topology{Radix: 1, Taper: 1}}},
 			"radix 1 < 2"},
-		{"topology-with-faults", Config{Scale: apps.Test, NProcs: 4,
+		{"topology-with-faults", Config{Scale: apps.Test, NProcs: 4, Machine: run.Machine{
 			Topology: &fabric.Topology{Radix: 4, Taper: 1},
-			Faults:   &fabric.FaultPlan{Seed: 1}},
+			Faults:   &fabric.FaultPlan{Seed: 1}}},
 			"mutually exclusive"},
+		{"bad-fault-plan", Config{Scale: apps.Test, NProcs: 4, Machine: run.Machine{Faults: &fabric.FaultPlan{Drop: 2}}},
+			"drop rate 2 outside [0,1]"},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {

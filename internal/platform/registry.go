@@ -47,28 +47,47 @@ func ByName(name string) (Model, bool) {
 	return Model{}, false
 }
 
-// knob is one composable cost-model transform Resolve accepts after the
-// preset name. The set mirrors the sweep engine's cost axes (net, cpu,
-// detect, diff); contention, faults and topologies are run options, not
-// cost-model transforms, and stay out of cost specs.
-type knob struct {
-	name    string
-	numeric bool // takes a xK factor
-	apply   func(cm fabric.CostModel, k float64) fabric.CostModel
-	value   string // fixed value for enumerated knobs ("hw", "free")
+// Knob is one composable cost-model transform: a "+name=value" setting of a
+// cost spec (Resolve) and, under the same name, a cost axis of a sweep
+// (sweep.ParseVariantSpec). This is the one table of them; contention,
+// faults and topologies are machine options (run.Machine), not cost-model
+// transforms, and stay out of cost specs.
+type Knob struct {
+	Name string
+	// Default names the identity setting ("x1", "sw"): what a sweep axis
+	// elides from variant names. A cost spec simply omits the knob.
+	Default string
+	// Value is the one non-default setting of an enumerated knob ("hw",
+	// "free"); empty for a numeric knob, which takes an xK factor.
+	Value string
+	Apply func(cm fabric.CostModel, k float64) fabric.CostModel
 }
 
-func knobs() []knob {
-	return []knob{
-		{name: "net", numeric: true,
-			apply: func(cm fabric.CostModel, k float64) fabric.CostModel { return cm.ScaleNetwork(k) }},
-		{name: "cpu", numeric: true,
-			apply: func(cm fabric.CostModel, k float64) fabric.CostModel { return cm.ScaleCPU(k) }},
-		{name: "detect", value: "hw",
-			apply: func(cm fabric.CostModel, _ float64) fabric.CostModel { return cm.HardwareWriteDetection() }},
-		{name: "diff", value: "free",
-			apply: func(cm fabric.CostModel, _ float64) fabric.CostModel { return cm.ZeroCostDiff() }},
+// Knobs lists the cost knobs in application order.
+func Knobs() []Knob {
+	return []Knob{
+		{Name: "net", Default: "x1",
+			Apply: func(cm fabric.CostModel, k float64) fabric.CostModel { return cm.ScaleNetwork(k) }},
+		{Name: "cpu", Default: "x1",
+			Apply: func(cm fabric.CostModel, k float64) fabric.CostModel { return cm.ScaleCPU(k) }},
+		{Name: "detect", Default: "sw", Value: "hw",
+			Apply: func(cm fabric.CostModel, _ float64) fabric.CostModel { return cm.HardwareWriteDetection() }},
+		{Name: "diff", Default: "sw", Value: "free",
+			Apply: func(cm fabric.CostModel, _ float64) fabric.CostModel { return cm.ZeroCostDiff() }},
 	}
+}
+
+// ParseFactor parses the setting of a numeric knob: "x2", "x2.5" or bare "4",
+// which must be positive.
+func ParseFactor(val string) (float64, error) {
+	k, err := strconv.ParseFloat(strings.TrimPrefix(val, "x"), 64)
+	if err != nil {
+		return 0, err
+	}
+	if k <= 0 {
+		return 0, fmt.Errorf("scale %q must be > 0", val)
+	}
+	return k, nil
 }
 
 // knobSyntax names the accepted knob spellings for error messages.
@@ -108,23 +127,23 @@ func applyKnob(cm fabric.CostModel, part, spec string) (fabric.CostModel, error)
 		return cm, fmt.Errorf("platform: cost spec %q: %q is not a knob setting (knobs: %s)",
 			spec, part, knobSyntax)
 	}
-	for _, k := range knobs() {
-		if k.name != name {
+	for _, k := range Knobs() {
+		if k.Name != name {
 			continue
 		}
-		if !k.numeric {
-			if val != k.value {
+		if k.Value != "" {
+			if val != k.Value {
 				return cm, fmt.Errorf("platform: cost spec %q: knob %q takes %q, got %q",
-					spec, name, k.value, val)
+					spec, name, k.Value, val)
 			}
-			return k.apply(cm, 0), nil
+			return k.Apply(cm, 0), nil
 		}
-		factor, err := strconv.ParseFloat(strings.TrimPrefix(val, "x"), 64)
-		if err != nil || factor <= 0 {
+		factor, err := ParseFactor(val)
+		if err != nil {
 			return cm, fmt.Errorf("platform: cost spec %q: knob %q needs a positive xK factor, got %q",
 				spec, name, val)
 		}
-		return k.apply(cm, factor), nil
+		return k.Apply(cm, factor), nil
 	}
 	return cm, fmt.Errorf("platform: cost spec %q: unknown knob %q (knobs: %s)",
 		spec, name, knobSyntax)

@@ -71,12 +71,51 @@ type RefInit interface {
 	InitRef()
 }
 
-// Options tunes one run beyond the cost model.
-type Options struct {
+// Machine is the shape of the simulated machine beyond its cost model — the
+// one declaration of these options. run.Options, harness.Config and
+// sweep.Variant embed it, the CLIs bind their flags onto it (internal/cmdline),
+// and Options.Validate is its only validator. The zero value is the paper's
+// machine: flat contention-free link, no faults, flat barriers, no GC.
+type Machine struct {
 	// Contention enables shared-link contention in the fabric: concurrent
 	// bulk transfers queue on the ATM path instead of overlapping for free.
 	// Off reproduces the calibrated model bit-exactly.
 	Contention bool
+	// Faults, when non-nil, runs the fabric under the seeded fault plan with
+	// the reliable-delivery sublayer enabled (fabric.EnableFaults): messages
+	// are dropped, duplicated and delayed per the plan, and recovered via
+	// sequence numbers, acks and retransmission — all in virtual time, so
+	// the recovery cost lands in the run's statistics. Nil reproduces the
+	// fault-free fabric bit-exactly.
+	Faults *fabric.FaultPlan
+	// Topology, when non-nil, replaces the fabric's flat shared link with a
+	// folded-Clos switch model: per-stage latency and per-level contention
+	// capacity (fabric.Topology). Nil reproduces the flat fabric bit-exactly.
+	// Mutually exclusive with Faults: the reliable sublayer's retransmission
+	// timing is calibrated against the flat link.
+	Topology *fabric.Topology
+	// BarrierFanIn selects the barrier communication shape: 0 picks the
+	// default (flat fan-in, every processor messaging the manager;
+	// harness.Options resolves it to 16 at apps.Large), 1 forces flat, and
+	// r >= 2 arranges the processors into an implicit radix-r tree rooted at
+	// the manager, making barrier traffic at any one node O(r + log n)
+	// instead of O(n). Tree fan-in changes the message pattern (and therefore
+	// Stats), so it is off at the golden-pinned scales; equivalence of the
+	// final memory images is pinned by TestTreeBarrierEquivalence.
+	BarrierFanIn int
+	// NoticeGC enables LRC notice-history garbage collection at barrier
+	// quiescent points (internal/lrc's GC). Collection is provably invisible
+	// to the protocol: core.Stats and final memory images are identical with
+	// it on or off (TestNoticeGCEquivalence pins this); only host memory
+	// changes. Ignored for EC implementations. Off by default at the
+	// golden-pinned scales; harness.Options turns it on at apps.Large, where
+	// an uncollected run holds O(intervals x procs) history per node.
+	NoticeGC bool
+}
+
+// Options tunes one run beyond the cost model.
+type Options struct {
+	Machine
 	// InitImage, when non-nil, is a pre-seeded initial image for this exact
 	// application instance (same name, same scale), typically from the
 	// harness's per-(app, scale) cache. It is only honored for apps
@@ -101,13 +140,6 @@ type Options struct {
 	// is observation-only — the simulated statistics are bit-identical with
 	// and without it. The tracer must be fresh and sized for nprocs.
 	Trace *trace.Tracer
-	// Faults, when non-nil, runs the fabric under the seeded fault plan with
-	// the reliable-delivery sublayer enabled (fabric.EnableFaults): messages
-	// are dropped, duplicated and delayed per the plan, and recovered via
-	// sequence numbers, acks and retransmission — all in virtual time, so
-	// the recovery cost lands in the run's statistics. Nil reproduces the
-	// fault-free fabric bit-exactly.
-	Faults *fabric.FaultPlan
 	// Timeout, when > 0, arms the simulator's virtual-time watchdog: a run
 	// whose clock would pass this limit fails with a sim.Stalled error
 	// naming every blocked process, instead of running unbounded.
@@ -123,26 +155,33 @@ type Options struct {
 	// read host clocks only — simulated statistics are identical with and
 	// without a registry; nil costs nothing (internal/perf).
 	Perf *perf.Registry
-	// NoticeGC enables LRC notice-history garbage collection at barrier
-	// quiescent points (internal/lrc's GC). Collection is provably invisible
-	// to the protocol: core.Stats and final memory images are identical with
-	// it on or off (TestNoticeGCEquivalence pins this); only host memory
-	// changes. Ignored for EC implementations. Off by default at the
-	// golden-pinned scales; the harness turns it on at apps.Large.
-	NoticeGC bool
-	// BarrierFanIn selects the barrier communication shape: 0 picks the
-	// protocol default (flat fan-in, every processor messaging the manager),
-	// 1 forces flat, and r >= 2 arranges the processors into an implicit
-	// radix-r tree rooted at the manager, making barrier traffic at any one
-	// node O(r + log n) instead of O(n). Tree fan-in changes the message
-	// pattern (and therefore Stats), so it is opt-in and off at the
-	// golden-pinned scales; equivalence of the final memory images is pinned
-	// by TestTreeBarrierEquivalence.
-	BarrierFanIn int
-	// Topology, when non-nil, replaces the fabric's flat shared link with a
-	// folded-Clos switch model: per-stage latency and per-level contention
-	// capacity (fabric.Topology). Nil reproduces the flat fabric bit-exactly.
-	Topology *fabric.Topology
+}
+
+// Validate is the one validator of the machine options and the watchdog:
+// every front end (harness.Config, sweep grids and variant specs, the CLIs)
+// calls it instead of re-checking. The fabric re-checks only what it cannot
+// trust a caller of its own API to have done (EnableTopology, EnableFaults).
+func (o Options) Validate() error {
+	if o.Faults != nil {
+		if err := o.Faults.Validate(); err != nil {
+			return err
+		}
+	}
+	if o.Topology != nil {
+		if err := o.Topology.Validate(); err != nil {
+			return err
+		}
+		if o.Faults != nil {
+			return fmt.Errorf("run: topology and fault injection are mutually exclusive: retransmission timing is calibrated against the flat link")
+		}
+	}
+	if o.BarrierFanIn < 0 {
+		return fmt.Errorf("run: negative barrier fan-in %d", o.BarrierFanIn)
+	}
+	if o.Timeout < 0 {
+		return fmt.Errorf("run: negative timeout %v", o.Timeout)
+	}
+	return nil
 }
 
 // node is the common view of ec.Node and lrc.Node the runner needs.

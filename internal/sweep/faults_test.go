@@ -9,6 +9,7 @@ import (
 	"ecvslrc/internal/apps"
 	"ecvslrc/internal/core"
 	"ecvslrc/internal/fabric"
+	"ecvslrc/internal/run"
 	"ecvslrc/internal/sim"
 )
 
@@ -27,7 +28,7 @@ func TestParseVariantSpecFaultAxis(t *testing.T) {
 		t.Errorf("baseline = %+v, want fault-free %q first", vs[0], BaselineName)
 	}
 	v := vs[1]
-	if v.Name != "fault=drop1e-2" || v.Fault != "drop1e-2" || v.Faults == nil {
+	if v.Name != "fault=drop1e-2" || v.Faults == nil || v.Faults.Name != "drop1e-2" {
 		t.Errorf("fault variant = %+v, want name fault=drop1e-2 with a plan", v)
 	}
 	want, err := fabric.FaultPreset("drop1e-2")
@@ -116,7 +117,7 @@ func TestSweepPartialFailure(t *testing.T) {
 		NProcs: []int{2},
 		Variants: []Variant{
 			Baseline(),
-			{Name: "doomed", Cost: fabric.DefaultCostModel(), Faults: doomed},
+			{Name: "doomed", Cost: fabric.DefaultCostModel(), Machine: run.Machine{Faults: doomed}},
 		},
 	})
 	var cf *CellFailures

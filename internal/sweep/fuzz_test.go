@@ -56,52 +56,3 @@ func FuzzParseVariantSpec(f *testing.F) {
 		}
 	})
 }
-
-// FuzzParseTopologySpec asserts the topology parser's contract on arbitrary
-// input: it never panics, every rejection wraps ErrSpec, and every accepted
-// spec yields either nil (the flat link) or a validated geometry whose
-// canonical String form reparses to the identical topology (round-trip
-// stability — the property variant naming depends on).
-func FuzzParseTopologySpec(f *testing.F) {
-	f.Add("flat")
-	f.Add("clos:radix=8")
-	f.Add("clos:radix=16:taper=4")
-	f.Add("clos:radix=4:taper=1.5:stages=3")
-	f.Add("clos:stages=2:radix=2")
-	f.Add("clos:radix=1")
-	f.Add("clos:radix=0:taper=0")
-	f.Add("clos:radix=8:taper=9")
-	f.Add("clos:radix=2:stages=17")
-	f.Add("clos:radix=8:radix=8")
-	f.Add("clos")
-	f.Add("mesh:radix=4")
-	f.Add("clos:radix=9223372036854775808")
-	f.Fuzz(func(t *testing.T, spec string) {
-		topo, err := ParseTopologySpec(spec)
-		if err != nil {
-			if !errors.Is(err, ErrSpec) {
-				t.Fatalf("rejection does not wrap ErrSpec: %v", err)
-			}
-			if topo != nil {
-				t.Fatalf("rejected spec %q returned a non-nil topology", spec)
-			}
-			return
-		}
-		if topo == nil {
-			if spec != "flat" {
-				t.Fatalf("accepted spec %q yields nil topology but is not \"flat\"", spec)
-			}
-			return
-		}
-		if verr := topo.Validate(); verr != nil {
-			t.Fatalf("accepted spec %q yields invalid topology: %v", spec, verr)
-		}
-		again, err := ParseTopologySpec(topo.String())
-		if err != nil {
-			t.Fatalf("canonical form %q of accepted spec %q does not reparse: %v", topo.String(), spec, err)
-		}
-		if again == nil || *again != *topo {
-			t.Fatalf("canonical form %q does not round-trip: %+v vs %+v", topo.String(), topo, again)
-		}
-	})
-}

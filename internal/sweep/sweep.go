@@ -10,9 +10,9 @@
 package sweep
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -22,28 +22,19 @@ import (
 	"ecvslrc/internal/fabric"
 	"ecvslrc/internal/harness"
 	"ecvslrc/internal/perf"
+	"ecvslrc/internal/run"
 	"ecvslrc/internal/sim"
 	"ecvslrc/internal/trace"
 )
 
 // Variant is one platform point of a sweep: a name for reports, the cost
-// constants, whether shared-link contention is modeled, and the fault plan
-// injected into the fabric (nil runs fault-free).
+// constants and the machine shape (run.Machine: contention, fault plan,
+// topology, barrier fan-in, notice GC). ParseVariantSpec fills it from the
+// axes; programmatic callers set the fields they need.
 type Variant struct {
-	Name       string
-	Cost       fabric.CostModel
-	Contention bool
-	// Fault is the fault-plan preset name ("" or "off" means fault-free);
-	// Faults is the plan itself. ParseVariantSpec fills both from the fault
-	// axis; programmatic callers may set Faults alone.
-	Fault  string
-	Faults *fabric.FaultPlan
-	// Topo is the canonical topology spec ("" or "flat" means the calibrated
-	// flat link); Topology is the resolved switch geometry. ParseVariantSpec
-	// fills both from the topo axis; programmatic callers may set Topology
-	// alone. Mutually exclusive with Faults.
-	Topo     string
-	Topology *fabric.Topology
+	Name string
+	Cost fabric.CostModel
+	run.Machine
 }
 
 // BaselineName is the canonical name of the calibrated paper platform.
@@ -62,18 +53,11 @@ type Grid struct {
 	Impls    []core.Impl // default: all six implementations
 	NProcs   []int       // default: {8}
 	Variants []Variant   // default: {Baseline()}
-	// Parallel bounds concurrent cells, exactly like harness.Config.Parallel;
+	// Parallel and Timeout are harness.Config's, applied to every cell:
 	// records are assembled in grid order, so results are identical for any
-	// worker count. <= 0 means GOMAXPROCS.
+	// worker count, and a stalled cell fails instead of hanging the sweep.
 	Parallel int
-	// BarrierFanIn arranges every cell's barrier episodes as a radix-r tree
-	// (see harness.Config.BarrierFanIn). 0 picks the scale default (flat
-	// below apps.Large, 16 there); 1 forces the flat protocol.
-	BarrierFanIn int
-	// Timeout arms the simulator watchdog in every cell (see
-	// harness.Config.Timeout): a cell whose virtual clock would pass it fails
-	// with a sim.Stalled diagnostic instead of hanging the sweep. 0 disables.
-	Timeout sim.Time
+	Timeout  sim.Time
 	// Breakdown profiles every cell and attaches the virtual-time profiler's
 	// per-class stall decomposition to each record (Record.Stall), adding the
 	// breakdown columns to the CSV. The profile is built while the cell runs
@@ -134,31 +118,20 @@ func (g Grid) normalized() (Grid, error) {
 			return g, fmt.Errorf("sweep: %w: duplicate variant %q", ErrGrid, v.Name)
 		}
 		seen[v.Name] = true
-		if v.Faults != nil {
-			if err := v.Faults.Validate(); err != nil {
-				return g, fmt.Errorf("sweep: %w: variant %q: %v", ErrGrid, v.Name, err)
-			}
+		if err := g.config(v, g.NProcs[0]).Validate(); err != nil {
+			return g, fmt.Errorf("sweep: %w: variant %q: %v", ErrGrid, v.Name, err)
 		}
-		if v.Topology != nil {
-			if err := v.Topology.Validate(); err != nil {
-				return g, fmt.Errorf("sweep: %w: variant %q: %v", ErrGrid, v.Name, err)
-			}
-			if v.Faults != nil {
-				return g, fmt.Errorf("sweep: %w: variant %q combines a topology with a fault plan", ErrGrid, v.Name)
-			}
-		}
-	}
-	if g.Timeout < 0 {
-		return g, fmt.Errorf("sweep: %w: negative timeout %v", ErrGrid, g.Timeout)
-	}
-	if g.BarrierFanIn < 0 {
-		return g, fmt.Errorf("sweep: %w: negative barrier fan-in %d", ErrGrid, g.BarrierFanIn)
-	}
-	cfg := harness.Config{Scale: g.Scale, NProcs: g.NProcs[0], Cost: fabric.DefaultCostModel()}
-	if err := cfg.Validate(); err != nil {
-		return g, fmt.Errorf("sweep: %w: %v", ErrGrid, err)
 	}
 	return g, nil
+}
+
+// config is the harness description of the grid's cells under v on np
+// processors.
+func (g Grid) config(v Variant, np int) harness.Config {
+	return harness.Config{
+		Scale: g.Scale, NProcs: np, Cost: v.Cost, Machine: v.Machine,
+		Timeout: g.Timeout, Parallel: 1, Perf: g.Perf, Variant: v.Name, Trace: g.Breakdown,
+	}
 }
 
 // Record is the outcome of one sweep cell: full run statistics plus the
@@ -255,11 +228,7 @@ func Run(g Grid) ([]Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	par := g.Parallel
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	baseCfg := harness.Config{Scale: g.Scale, NProcs: g.NProcs[0], Parallel: par, Cost: fabric.DefaultCostModel(), Perf: g.Perf}
+	baseCfg := harness.Config{Scale: g.Scale, NProcs: g.NProcs[0], Cost: fabric.DefaultCostModel(), Perf: g.Perf}
 
 	// Progress accounting: every sequential reference and every grid cell is
 	// one unit. The callback gets a monotone completion count; wall times are
@@ -282,7 +251,7 @@ func Run(g Grid) ([]Record, error) {
 	// would be missing its denominator.
 	seqTimes := make([]sim.Time, len(g.Apps))
 	seqErrs := make([]error, len(g.Apps))
-	if err := harness.ForEach(par, len(g.Apps), func(i int) {
+	if err := harness.ForEach(g.Parallel, len(g.Apps), func(i int) {
 		t0 := startClock()
 		seqTimes[i], seqErrs[i] = harness.RunSeq(baseCfg, g.Apps[i])
 		if g.Progress != nil {
@@ -296,29 +265,19 @@ func Run(g Grid) ([]Record, error) {
 			return nil, fmt.Errorf("sweep: %s sequential: %w", g.Apps[i], err)
 		}
 	}
-	seqByApp := make(map[string]sim.Time, len(g.Apps))
-	for i, name := range g.Apps {
-		seqByApp[name] = seqTimes[i]
-	}
 
 	nApps, nProcs, nImpls := len(g.Apps), len(g.NProcs), len(g.Impls)
 	cells := len(g.Variants) * nApps * nProcs * nImpls
 	recs := make([]Record, cells)
 	cellErrs := make([]error, cells)
-	poolErr := harness.ForEach(par, cells, func(k int) {
+	poolErr := harness.ForEach(g.Parallel, cells, func(k int) {
 		ii := k % nImpls
 		ni := k / nImpls % nProcs
 		ai := k / (nImpls * nProcs) % nApps
 		vi := k / (nImpls * nProcs * nApps)
 		v, app, np, impl := g.Variants[vi], g.Apps[ai], g.NProcs[ni], g.Impls[ii]
-		cfg := harness.Config{
-			Scale: g.Scale, NProcs: np, Cost: v.Cost, Contention: v.Contention,
-			Faults: v.Faults, Timeout: g.Timeout, Parallel: 1,
-			Perf: g.Perf, Variant: v.Name, Topology: v.Topology,
-			BarrierFanIn: g.BarrierFanIn, Trace: g.Breakdown,
-		}
 		t0 := startClock()
-		row := harness.RunCell(cfg, app, impl)
+		row := harness.RunCell(g.config(v, np), app, impl)
 		if g.Progress != nil {
 			report(fmt.Sprintf("%s/%s/%v/%d", v.Name, app, impl, np), t0)
 		}
@@ -335,8 +294,8 @@ func Run(g Grid) ([]Record, error) {
 			stall = stallOf(trace.BuildProfile(row.Trace, meta))
 			ph.End()
 		}
-		seq := seqByApp[app]
-		recs[k] = Record{
+		seq := seqTimes[ai]
+		rec := Record{
 			Variant:      v.Name,
 			Contention:   v.Contention,
 			App:          app,
@@ -346,13 +305,20 @@ func Run(g Grid) ([]Record, error) {
 			Stats:        row.Stats,
 			Speedup:      float64(seq) / float64(row.Stats.Time),
 			LinkWait:     row.LinkWait,
-			Fault:        v.faultName(),
 			Retransmits:  row.Faults.Retransmits,
 			DupsDropped:  row.Faults.DupsDropped,
 			RecoveryWait: row.Faults.RecoveryWait,
-			Topo:         v.topoName(),
 			Stall:        stall,
 		}
+		// Fault and Topo stay empty — and out of the JSON — for the
+		// fault-free flat fabric; a hand-built plan has no preset name.
+		if v.Faults != nil {
+			rec.Fault = cmp.Or(v.Faults.Name, "custom")
+		}
+		if v.Topology != nil {
+			rec.Topo = v.Topology.String()
+		}
+		recs[k] = rec
 	})
 	var failed []error
 	if poolErr != nil {
@@ -370,26 +336,4 @@ func Run(g Grid) ([]Record, error) {
 		return ok, &CellFailures{Errs: failed}
 	}
 	return ok, nil
-}
-
-// faultName canonicalizes the variant's fault label: "" for fault-free (so
-// the field stays out of fault-free JSON), the preset name or "custom"
-// otherwise.
-func (v Variant) faultName() string {
-	if v.Faults == nil {
-		return ""
-	}
-	if v.Fault == "" || v.Fault == "off" {
-		return "custom"
-	}
-	return v.Fault
-}
-
-// topoName canonicalizes the variant's topology label: "" for the flat link
-// (so the field stays out of flat-fabric JSON), the canonical spec otherwise.
-func (v Variant) topoName() string {
-	if v.Topology == nil {
-		return ""
-	}
-	return v.Topology.String()
 }

@@ -4,75 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
-
-	"ecvslrc/internal/fabric"
 )
-
-func TestParseTopologySpec(t *testing.T) {
-	cases := []struct {
-		spec string
-		want *fabric.Topology
-		err  string // substring of the rejection, "" for accepted
-	}{
-		{spec: "flat", want: nil},
-		{spec: "clos:radix=8", want: &fabric.Topology{Radix: 8, Taper: 1}},
-		{spec: "clos:radix=16:taper=4", want: &fabric.Topology{Radix: 16, Taper: 4}},
-		{spec: "clos:radix=4:taper=1.5:stages=3", want: &fabric.Topology{Radix: 4, Taper: 1.5, ForcedStages: 3}},
-		// Key order is free; the canonical form fixes it.
-		{spec: "clos:stages=2:radix=2", want: &fabric.Topology{Radix: 2, Taper: 1, ForcedStages: 2}},
-
-		// Degenerate geometries: rejected by fabric.Topology.Validate, wrapped.
-		{spec: "clos:radix=1", err: "radix 1 < 2"},
-		{spec: "clos:radix=0", err: "radix 0 < 2"},
-		{spec: "clos:radix=-8", err: "radix -8 < 2"},
-		{spec: "clos:radix=8:taper=0", err: "taper 0 outside"},
-		{spec: "clos:radix=8:taper=9", err: "taper 9 outside"},
-		{spec: "clos:radix=2:stages=-1", err: "stages -1 outside"},
-		{spec: "clos:radix=2:stages=17", err: "stages 17 outside"},
-
-		// Malformed specs.
-		{spec: "", err: "neither"},
-		{spec: "mesh:radix=4", err: "neither"},
-		{spec: "clos", err: "radix is required"},
-		{spec: "clos:taper=2", err: "radix is required"},
-		{spec: "clos:radix=two", err: "not an integer"},
-		{spec: "clos:radix=8:taper=fast", err: "not a number"},
-		{spec: "clos:radix=8:stages=1.5", err: "not an integer"},
-		{spec: "clos:radix=8:radix=8", err: "given twice"},
-		{spec: "clos:radix=8:width=2", err: "unknown key"},
-		{spec: "clos:radix=", err: "not key=value"},
-		{spec: "clos:", err: "not key=value"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.spec, func(t *testing.T) {
-			topo, err := ParseTopologySpec(tc.spec)
-			if tc.err != "" {
-				if err == nil {
-					t.Fatalf("ParseTopologySpec(%q) accepted, want error containing %q", tc.spec, tc.err)
-				}
-				if !errors.Is(err, ErrSpec) {
-					t.Errorf("rejection does not wrap ErrSpec: %v", err)
-				}
-				if !strings.Contains(err.Error(), tc.err) {
-					t.Errorf("error %v does not contain %q", err, tc.err)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("ParseTopologySpec(%q) = %v, want accept", tc.spec, err)
-			}
-			if tc.want == nil {
-				if topo != nil {
-					t.Fatalf("ParseTopologySpec(%q) = %+v, want nil (flat)", tc.spec, topo)
-				}
-				return
-			}
-			if topo == nil || *topo != *tc.want {
-				t.Fatalf("ParseTopologySpec(%q) = %+v, want %+v", tc.spec, topo, tc.want)
-			}
-		})
-	}
-}
 
 // TestTopoVariantAxis pins the topo= axis end to end: canonical naming
 // (spelling variations collapse to fabric.Topology.String form), baseline
@@ -86,21 +18,32 @@ func TestTopoVariantAxis(t *testing.T) {
 	if len(vs) != 2 {
 		t.Fatalf("got %d variants, want 2 (baseline + one clos): %+v", len(vs), vs)
 	}
-	if vs[0].Name != BaselineName || vs[0].Topology != nil || vs[0].Topo != "" {
+	if vs[0].Name != BaselineName || vs[0].Topology != nil {
 		t.Errorf("baseline variant carries a topology: %+v", vs[0])
 	}
 	v := vs[1]
 	if v.Name != "topo=clos:radix=8" {
 		t.Errorf("variant name = %q, want %q", v.Name, "topo=clos:radix=8")
 	}
-	if v.Topo != "clos:radix=8" || v.Topology == nil || v.Topology.Radix != 8 || v.Topology.Taper != 1 {
-		t.Errorf("variant topology not resolved: Topo=%q Topology=%+v", v.Topo, v.Topology)
+	if v.Topology == nil || v.Topology.String() != "clos:radix=8" || v.Topology.Taper != 1 {
+		t.Errorf("variant topology not resolved: %+v", v.Topology)
 	}
 
 	if _, err := ParseVariantSpec("topo=clos:radix=4 fault=drop1e-3"); err == nil {
 		t.Fatal("fault+topo cross product accepted, want ErrSpec")
 	} else if !errors.Is(err, ErrSpec) {
 		t.Fatalf("fault+topo rejection does not wrap ErrSpec: %v", err)
+	}
+	// A malformed or degenerate topo= value is a spec error naming the cause.
+	for spec, want := range map[string]string{
+		"topo=mesh:radix=4":      "neither",
+		"topo=clos:radix=1":      "radix 1 < 2",
+		"topo=clos:radix=8:w=2":  "unknown key",
+		"topo=clos:radix=8,clos": "radix is required",
+	} {
+		if _, err := ParseVariantSpec(spec); !errors.Is(err, ErrSpec) || !strings.Contains(err.Error(), want) {
+			t.Errorf("spec %q: err = %v, want ErrSpec containing %q", spec, err, want)
+		}
 	}
 	// The cross product is only rejected where both are non-default: a spec
 	// listing "off"/"flat" alongside real values keeps its legal combinations.

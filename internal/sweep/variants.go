@@ -7,6 +7,8 @@ import (
 	"strings"
 
 	"ecvslrc/internal/fabric"
+	"ecvslrc/internal/platform"
+	"ecvslrc/internal/run"
 
 	// The platform axis resolves values through the fabric preset table; the
 	// blank import guarantees the model library (decstation_atm, cluster_gbe,
@@ -18,40 +20,57 @@ import (
 // ErrSpec is wrapped by every variant-spec parse failure.
 var ErrSpec = errors.New("invalid variant spec")
 
-// axis is one sensitivity dimension of the cost model. Axes apply in a fixed
-// order, so a variant's cost model (and canonical name) does not depend on
-// the order the user wrote the spec in.
+// axis is one sensitivity dimension of a sweep. Axes apply in a fixed order,
+// so a variant's cost model (and canonical name) does not depend on the
+// order the user wrote the spec in.
 type axis struct {
-	name    string
-	def     string // default value, elided from variant names
-	values  []string
-	apply   func(cm fabric.CostModel, val float64) fabric.CostModel
-	numeric bool                         // values are scale factors like "x2" (or bare "2")
-	canon   func(string) (string, error) // custom validation/canonicalization (topo specs)
+	name   string
+	def    string   // default value, elided from variant names
+	values []string // the accepted values of an enumerated axis
+	// canon validates one value and returns its canonical spelling; nil for
+	// an enumerated axis, whose values must match exactly.
+	canon func(string) (string, error)
+	// set applies a non-default (canonical, hence valid) value to the variant.
+	set func(v *Variant, val string)
 }
 
 func axes() []axis {
-	return []axis{
-		// The platform axis is first: it selects the starting cost model (any
-		// fabric preset — registered platform models included) that the knob
-		// axes below then transform. buildVariant resolves it directly.
-		{name: "platform", def: BaselineName, apply: nil, canon: canonPlatformSpec},
-		{name: "net", def: "x1", numeric: true,
-			apply: func(cm fabric.CostModel, k float64) fabric.CostModel { return cm.ScaleNetwork(k) }},
-		{name: "cpu", def: "x1", numeric: true,
-			apply: func(cm fabric.CostModel, k float64) fabric.CostModel { return cm.ScaleCPU(k) }},
-		{name: "detect", def: "sw", values: []string{"sw", "hw"},
-			apply: func(cm fabric.CostModel, _ float64) fabric.CostModel { return cm.HardwareWriteDetection() }},
-		{name: "diff", def: "sw", values: []string{"sw", "free"},
-			apply: func(cm fabric.CostModel, _ float64) fabric.CostModel { return cm.ZeroCostDiff() }},
-		{name: "contention", def: "off", values: []string{"off", "on"}, apply: nil},
-		// Fault plans are not cost-model transforms; buildVariant resolves
-		// the preset into Variant.Faults directly.
-		{name: "fault", def: "off", values: fabric.FaultPresetNames(), apply: nil},
-		// Switch topologies are not cost-model transforms either;
-		// buildVariant resolves the spec into Variant.Topology directly.
-		{name: "topo", def: "flat", apply: nil, canon: canonTopologySpec},
+	// The platform axis is first: it selects the starting cost model (any
+	// fabric preset — registered platform models included) that the knob
+	// axes then transform.
+	out := []axis{{name: "platform", def: BaselineName, canon: canonPlatformSpec,
+		set: func(v *Variant, val string) { v.Cost, _ = fabric.PresetByName(val) }}}
+	// The cost axes are platform.Resolve's knobs under the same names: a
+	// numeric knob takes any xK factor, an enumerated one its two settings.
+	for _, k := range platform.Knobs() {
+		k := k
+		if k.Value != "" {
+			out = append(out, axis{name: k.Name, def: k.Default, values: []string{k.Default, k.Value},
+				set: func(v *Variant, _ string) { v.Cost = k.Apply(v.Cost, 0) }})
+			continue
+		}
+		out = append(out, axis{name: k.Name, def: k.Default,
+			canon: func(val string) (string, error) {
+				f, err := platform.ParseFactor(val)
+				if err != nil {
+					return "", fmt.Errorf("sweep: %w: axis %q: value %q: %v", ErrSpec, k.Name, val, err)
+				}
+				return "x" + strconv.FormatFloat(f, 'g', -1, 64), nil
+			},
+			set: func(v *Variant, val string) {
+				f, _ := platform.ParseFactor(val)
+				v.Cost = k.Apply(v.Cost, f)
+			}})
 	}
+	// The machine axes set run.Machine fields, not cost constants.
+	return append(out,
+		axis{name: "contention", def: "off", values: []string{"off", "on"},
+			set: func(v *Variant, _ string) { v.Contention = true }},
+		axis{name: "fault", def: "off", values: fabric.FaultPresetNames(),
+			set: func(v *Variant, val string) { v.Faults, _ = fabric.FaultPreset(val) }},
+		axis{name: "topo", def: "flat", canon: canonTopologySpec,
+			set: func(v *Variant, val string) { v.Topology, _ = fabric.ParseTopology(val) }},
+	)
 }
 
 // canonPlatformSpec validates a platform= axis value against the fabric
@@ -68,9 +87,9 @@ func canonPlatformSpec(v string) (string, error) {
 // spelling rendered by fabric.Topology.String (defaults elided, fixed key
 // order), so "clos:taper=1:radix=8" and "clos:radix=8" name the same variant.
 func canonTopologySpec(v string) (string, error) {
-	t, err := ParseTopologySpec(v)
+	t, err := fabric.ParseTopology(v)
 	if err != nil {
-		return "", err
+		return "", fmt.Errorf("sweep: %w: axis \"topo\": %v", ErrSpec, err)
 	}
 	if t == nil {
 		return "flat", nil
@@ -97,7 +116,7 @@ func canonTopologySpec(v string) (string, error) {
 //	      reliable sublayer and its cost lands in the cell's virtual time
 //	topo=flat|clos:radix=K[:taper=T][:stages=N]  interconnect model: the
 //	      calibrated flat link or a folded-Clos switch fabric
-//	      (ParseTopologySpec); mutually exclusive with fault presets
+//	      (fabric.ParseTopology); mutually exclusive with fault presets
 //
 // Unspecified axes stay at their defaults (x1, sw, off). The all-default
 // combination is named "paper"; other variants are named by their non-default
@@ -157,13 +176,10 @@ func ParseVariantSpec(spec string) ([]Variant, error) {
 	counts := make([]int, len(defs))
 	for {
 		v := buildVariant(defs, chosen, counts)
-		if v.Faults != nil && v.Topology != nil {
-			// The reliable sublayer's retransmission timing is calibrated
-			// against the flat link (fabric.EnableTopology rejects the
-			// combination), so refuse the cross product up front instead of
-			// failing cell by cell.
-			return nil, fmt.Errorf("sweep: %w: fault=%s cannot combine with topo=%s; sweep them separately",
-				ErrSpec, v.Fault, v.Topo)
+		// Refuse an unrunnable cross product (a fault plan on a switch
+		// topology) up front instead of failing cell by cell.
+		if err := (run.Options{Machine: v.Machine}).Validate(); err != nil {
+			return nil, fmt.Errorf("sweep: %w: variant %q: %v; sweep them separately", ErrSpec, v.Name, err)
 		}
 		out = append(out, v)
 		// Odometer increment over the per-axis value lists.
@@ -198,13 +214,6 @@ func (ax axis) canonical(v string) (string, error) {
 	if ax.canon != nil {
 		return ax.canon(v)
 	}
-	if ax.numeric {
-		k, err := ax.factor(v)
-		if err != nil {
-			return "", err
-		}
-		return "x" + strconv.FormatFloat(k, 'g', -1, 64), nil
-	}
 	for _, known := range ax.values {
 		if v == known {
 			return v, nil
@@ -214,21 +223,8 @@ func (ax axis) canonical(v string) (string, error) {
 		ErrSpec, ax.name, v, strings.Join(ax.values, "|"))
 }
 
-// factor parses a scale value like "x2", "x2.5" or bare "4".
-func (ax axis) factor(v string) (float64, error) {
-	s := strings.TrimPrefix(v, "x")
-	k, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("sweep: %w: axis %q: value %q: %v", ErrSpec, ax.name, v, err)
-	}
-	if k <= 0 {
-		return 0, fmt.Errorf("sweep: %w: axis %q: scale %q must be > 0", ErrSpec, ax.name, v)
-	}
-	return k, nil
-}
-
-// buildVariant assembles the variant selected by counts: the cost model with
-// every non-default axis applied in axis order, named by those settings.
+// buildVariant assembles the variant selected by counts: every non-default
+// axis applied in axis order, named by those settings.
 func buildVariant(defs []axis, chosen [][]string, counts []int) Variant {
 	v := Variant{Cost: fabric.DefaultCostModel()}
 	var parts []string
@@ -238,29 +234,7 @@ func buildVariant(defs []axis, chosen [][]string, counts []int) Variant {
 			continue
 		}
 		parts = append(parts, ax.name+"="+val)
-		if ax.name == "platform" {
-			v.Cost, _ = fabric.PresetByName(val) // val validated by canonical
-			continue
-		}
-		if ax.name == "contention" {
-			v.Contention = true
-			continue
-		}
-		if ax.name == "fault" {
-			v.Fault = val
-			v.Faults, _ = fabric.FaultPreset(val) // val validated by canonical
-			continue
-		}
-		if ax.name == "topo" {
-			v.Topo = val
-			v.Topology, _ = ParseTopologySpec(val) // val validated by canonical
-			continue
-		}
-		var k float64
-		if ax.numeric {
-			k, _ = ax.factor(val) // already validated by canonical
-		}
-		v.Cost = ax.apply(v.Cost, k)
+		ax.set(&v, val)
 	}
 	if len(parts) == 0 {
 		v.Name = BaselineName

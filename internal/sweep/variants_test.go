@@ -2,9 +2,11 @@ package sweep
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"ecvslrc/internal/fabric"
+	"ecvslrc/internal/run"
 )
 
 func variantNames(vs []Variant) []string {
@@ -130,16 +132,23 @@ func TestParseVariantSpecPlatformAxis(t *testing.T) {
 }
 
 func TestParseVariantSpecErrors(t *testing.T) {
-	for _, spec := range []string{
-		"bogus=1",       // unknown axis
-		"net",           // not axis=values
-		"net=x0",        // non-positive scale
-		"net=-2",        // negative scale
-		"net=abc",       // not a number
-		"detect=maybe",  // unknown enum value
-		"net=x2 net=x4", // duplicate axis
-		"diff=, ,",      // only empty values
-		"platform=nope", // unknown platform preset
+	// Every rejection wraps ErrSpec and names the valid set or the rule broken.
+	for spec, want := range map[string]string{
+		"bogus=1":                       `unknown axis "bogus" (known: platform, net, cpu, detect, diff, contention, fault, topo)`,
+		"net":                           "is not axis=v1,v2,...",
+		"net=x0":                        "must be > 0", // non-positive scale
+		"net=-2":                        "must be > 0", // negative scale
+		"net=abc":                       "invalid syntax",
+		"detect=maybe":                  "want one of sw|hw",
+		"diff=hw":                       "want one of sw|free",
+		"contention=maybe":              "want one of off|on",
+		"net=x2 net=x4":                 "specified twice",
+		"diff=, ,":                      "lists no values",
+		"platform=nope":                 "valid: paper",
+		"fault=lossy":                   "want one of off|drop1e-3|drop1e-2|chaos",
+		"topo=ring":                     `neither "flat" nor`,
+		"topo=clos:radix=1":             "radix 1 < 2",
+		"topo=clos:radix=4 fault=chaos": "mutually exclusive",
 	} {
 		_, err := ParseVariantSpec(spec)
 		if err == nil {
@@ -148,6 +157,9 @@ func TestParseVariantSpecErrors(t *testing.T) {
 		}
 		if !errors.Is(err, ErrSpec) {
 			t.Errorf("spec %q: error does not wrap ErrSpec: %v", spec, err)
+		}
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("spec %q: error %q does not contain %q", spec, err, want)
 		}
 	}
 }
@@ -161,5 +173,23 @@ func TestGridValidation(t *testing.T) {
 	}
 	if _, err := Run(Grid{Variants: []Variant{Baseline(), Baseline()}}); !errors.Is(err, ErrGrid) {
 		t.Errorf("duplicate variants: %v", err)
+	}
+	// The machine options of every variant and the grid's watchdog go through
+	// the one validator (run.Options.Validate), whatever built the variant.
+	bad := func(m run.Machine) []Variant {
+		return []Variant{{Name: "bad", Cost: fabric.DefaultCostModel(), Machine: m}}
+	}
+	for want, g := range map[string]Grid{
+		"negative timeout":           {Timeout: -1},
+		"negative barrier fan-in -3": {Variants: bad(run.Machine{BarrierFanIn: -3})},
+		"radix 1 < 2":                {Variants: bad(run.Machine{Topology: &fabric.Topology{Radix: 1, Taper: 1}})},
+		"drop rate 1 loses":          {Variants: bad(run.Machine{Faults: &fabric.FaultPlan{Drop: 1}})},
+		"mutually exclusive": {Variants: bad(run.Machine{
+			Topology: &fabric.Topology{Radix: 4, Taper: 1}, Faults: &fabric.FaultPlan{Seed: 1}})},
+		"unknown scale 9": {Scale: 9},
+	} {
+		if _, err := Run(g); !errors.Is(err, ErrGrid) || !strings.Contains(err.Error(), want) {
+			t.Errorf("grid %+v: err = %v, want ErrGrid containing %q", g, err, want)
+		}
 	}
 }

@@ -32,7 +32,7 @@ func TestNoticeGCEquivalence(t *testing.T) {
 				impl, nprocs, name := impl, nprocs, name
 				t.Run(name+"/"+impl.String()+"/"+itoa(nprocs), func(t *testing.T) {
 					off := mustRun(t, name, impl, nprocs, cm, run.Options{KeepImage: true})
-					on := mustRun(t, name, impl, nprocs, cm, run.Options{KeepImage: true, NoticeGC: true})
+					on := mustRun(t, name, impl, nprocs, cm, run.Options{KeepImage: true, Machine: run.Machine{NoticeGC: true}})
 					if !reflect.DeepEqual(off.Stats, on.Stats) {
 						t.Errorf("stats diverge with notice GC:\n  off: %+v\n  on:  %+v", off.Stats, on.Stats)
 					}
@@ -76,7 +76,7 @@ func TestGCNeverResurrects(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			res := mustRun(t, name, core.Impl{Model: core.LRC, Trap: core.Twinning, Collect: core.Diffs},
-				32, cm, run.Options{NoticeGC: true})
+				32, cm, run.Options{Machine: run.Machine{NoticeGC: true}})
 			gc := res.GC
 			if gc == nil {
 				t.Fatal("no GC report")
@@ -124,7 +124,7 @@ func TestTreeBarrierEquivalence(t *testing.T) {
 				t.Run(name+"/"+impl.String()+"/"+itoa(nprocs), func(t *testing.T) {
 					flat := mustRun(t, name, impl, nprocs, cm, run.Options{KeepImage: true})
 					tree := mustRun(t, name, impl, nprocs, cm,
-						run.Options{KeepImage: true, BarrierFanIn: 4, NoticeGC: true})
+						run.Options{KeepImage: true, Machine: run.Machine{BarrierFanIn: 4, NoticeGC: true}})
 					if !lockOrderDependent[name] && !bytes.Equal(flat.Image, tree.Image) {
 						t.Errorf("final memory images diverge under tree fan-in")
 					}
@@ -163,9 +163,9 @@ func TestTopologySingleStageIdentity(t *testing.T) {
 				}
 				t.Run(label, func(t *testing.T) {
 					flat := mustRun(t, name, impl, 8, cm,
-						run.Options{KeepImage: true, Contention: contention})
+						run.Options{KeepImage: true, Machine: run.Machine{Contention: contention}})
 					clos := mustRun(t, name, impl, 8, cm,
-						run.Options{KeepImage: true, Contention: contention, Topology: topo})
+						run.Options{KeepImage: true, Machine: run.Machine{Contention: contention, Topology: topo}})
 					if !reflect.DeepEqual(flat.Stats, clos.Stats) {
 						t.Errorf("stats diverge under single-stage clos:\n  flat: %+v\n  clos: %+v",
 							flat.Stats, clos.Stats)
@@ -192,7 +192,7 @@ func TestTopologySingleStageIdentity(t *testing.T) {
 func TestNoticeHistoryBounded(t *testing.T) {
 	cm := fabric.DefaultCostModel()
 	impl := core.Impl{Model: core.LRC, Trap: core.Twinning, Collect: core.Diffs}
-	on := mustRun(t, "micro-producer-consumer", impl, 16, cm, run.Options{NoticeGC: true})
+	on := mustRun(t, "micro-producer-consumer", impl, 16, cm, run.Options{Machine: run.Machine{NoticeGC: true}})
 	off := mustRun(t, "micro-producer-consumer", impl, 16, cm, run.Options{})
 	if on.GC == nil {
 		t.Fatal("no GC report")

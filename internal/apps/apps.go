@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"strings"
 
+	"ecvslrc/internal/core"
+	"ecvslrc/internal/mem"
 	"ecvslrc/internal/run"
 	"ecvslrc/internal/sim"
 )
@@ -108,6 +110,19 @@ var (
 	_ run.StaticApp = (*FFT)(nil)
 	_ run.StaticApp = (*Micro)(nil)
 )
+
+// bindOne returns d.Bind for single-range bindings, passing every call the
+// same one-element argument slice. Bind does not retain its argument
+// (core.DSM), and the kernels call it through the generic dictionary, where a
+// fresh variadic slice would escape to the heap on every call — once per lock
+// per processor.
+func bindOne[D core.Accessor](d D) func(core.LockID, mem.Range) {
+	arg := make([]mem.Range, 1)
+	return func(l core.LockID, r mem.Range) {
+		arg[0] = r
+		d.Bind(l, arg...)
+	}
+}
 
 // lcg is a small deterministic pseudo-random generator (stdlib-only, and
 // identical across runs so results are bit-reproducible).

@@ -387,13 +387,15 @@ func barnesProgram[D core.Accessor](a *Barnes, d D) {
 	lo, hi := band(a.m, np, me)
 
 	if ec {
+		bind := bindOne(d)
 		for i := 0; i < a.m; i++ {
-			d.Bind(a.bodyBLock(i), mem.Range{Base: a.forceAddr(i, 0), Len: 24})
+			bind(a.bodyBLock(i), mem.Range{Base: a.forceAddr(i, 0), Len: 24})
 		}
 		if a.chunked {
+			var rs []mem.Range
 			for p := 0; p < np; p++ {
 				l, h := band(a.m, np, p)
-				var rs []mem.Range
+				rs = rs[:0]
 				for i := l; i < h; i++ {
 					rs = append(rs, mem.Range{Base: a.posAddr(i, 0), Len: 32})
 				}
@@ -403,12 +405,12 @@ func barnesProgram[D core.Accessor](a *Barnes, d D) {
 			}
 		} else {
 			for i := 0; i < a.m; i++ {
-				d.Bind(a.bodyALock(i), mem.Range{Base: a.posAddr(i, 0), Len: 32})
+				bind(a.bodyALock(i), mem.Range{Base: a.posAddr(i, 0), Len: 32})
 			}
 		}
 		for c := 0; c < a.maxCells; c += cellsPerLock {
 			n := min(cellsPerLock, a.maxCells-c)
-			d.Bind(a.cellLock(c), mem.Range{Base: a.cells + mem.Addr(cellBytes*c), Len: n * cellBytes})
+			bind(a.cellLock(c), mem.Range{Base: a.cells + mem.Addr(cellBytes*c), Len: n * cellBytes})
 		}
 	}
 
@@ -429,7 +431,7 @@ func barnesProgram[D core.Accessor](a *Barnes, d D) {
 			d.Release(l)
 		}
 		held = held[:0]
-		heldSet = map[core.LockID]bool{}
+		clear(heldSet)
 	}
 
 	for s := 0; s < a.steps; s++ {

@@ -294,13 +294,14 @@ func fftProgram[D core.Accessor](f *FFT, d D) {
 	jLo, jHi := band(a.n2, np, me) // my planes of B
 
 	if ec {
+		var rsA, rsB []mem.Range // reused: Bind copies its ranges
 		for q := 0; q < np; q++ {
 			qiLo, qiHi := band(a.n1, np, q)
 			qjLo, qjHi := band(a.n2, np, q)
 			for p := 0; p < np; p++ {
 				pjLo, pjHi := band(a.n2, np, p)
 				piLo, piHi := band(a.n1, np, p)
-				var rsA []mem.Range
+				rsA = rsA[:0]
 				for i := qiLo; i < qiHi; i++ {
 					if pjHi > pjLo {
 						rsA = append(rsA, mem.Range{Base: a.addrA(i, pjLo, 0), Len: (pjHi - pjLo) * a.n3 * 16})
@@ -309,7 +310,7 @@ func fftProgram[D core.Accessor](f *FFT, d D) {
 				if len(rsA) > 0 {
 					d.Bind(locks.lockA(q, p), rsA...)
 				}
-				var rsB []mem.Range
+				rsB = rsB[:0]
 				for j := qjLo; j < qjHi; j++ {
 					if piHi > piLo {
 						rsB = append(rsB, mem.Range{Base: a.addrB(j, piLo, 0), Len: (piHi - piLo) * a.n3 * 16})

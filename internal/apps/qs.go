@@ -122,13 +122,14 @@ func qsProgram[D core.Accessor](a *QS, d D) {
 	a.nprocs = d.NProcs()
 	me := d.Proc()
 	if ec {
-		d.Bind(qsQueueLock, mem.Range{Base: a.queue, Len: 8 + qsSlots*8})
+		bind := bindOne(d)
+		bind(qsQueueLock, mem.Range{Base: a.queue, Len: 8 + qsSlots*8})
 		for s := 0; s < qsSlots; s++ {
 			// Placeholder binding: rebound to the task's data at enqueue.
-			d.Bind(a.entryLock(s), mem.Range{Base: a.qOff(s), Len: 8})
+			bind(a.entryLock(s), mem.Range{Base: a.qOff(s), Len: 8})
 		}
 		for p := 0; p < d.NProcs(); p++ {
-			d.Bind(a.gatherLock(p), mem.Range{Base: a.qDone(), Len: 4})
+			bind(a.gatherLock(p), mem.Range{Base: a.qDone(), Len: 4})
 		}
 		// The pre-enqueued initial task: processor 0 rebinds slot 0's lock
 		// to the whole array before anyone pops it.

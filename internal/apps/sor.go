@@ -249,10 +249,11 @@ func sorProgram[D core.Accessor](a *SOR, d D) {
 	if ec {
 		// Bindings are static program declarations: every processor issues
 		// the identical full set (lock managers must know them too).
+		bind := bindOne(d)
 		for i := 1; i < a.rows-1; i++ {
 			if base := a.rowBase(i); base >= 0 {
-				d.Bind(a.lockOf(i, 0), a.redRange(base, i))
-				d.Bind(a.lockOf(i, 1), a.blackRange(base, i))
+				bind(a.lockOf(i, 0), a.redRange(base, i))
+				bind(a.lockOf(i, 1), a.blackRange(base, i))
 			}
 		}
 	}

@@ -215,18 +215,19 @@ func waterProgram[D core.Accessor](a *Water, d D) {
 	}
 
 	if ec {
+		bind := bindOne(d)
 		for i := 0; i < a.m; i++ {
 			if a.split {
-				d.Bind(a.molLock(i), mem.Range{Base: a.forceAddr(i, 0), Len: 24})
+				bind(a.molLock(i), mem.Range{Base: a.forceAddr(i, 0), Len: 24})
 			} else {
-				d.Bind(a.molLock(i), mem.Range{Base: a.mols + mem.Addr(molBytes*i), Len: 48})
+				bind(a.molLock(i), mem.Range{Base: a.mols + mem.Addr(molBytes*i), Len: 48})
 			}
 		}
 		if a.split {
 			for p := 0; p < np; p++ {
 				l, h := band(a.m, np, p)
 				if h > l {
-					d.Bind(a.dispChunkLock(p), mem.Range{Base: a.dispAddr(l, 0), Len: 24 * (h - l)})
+					bind(a.dispChunkLock(p), mem.Range{Base: a.dispAddr(l, 0), Len: 24 * (h - l)})
 				}
 			}
 		}
@@ -235,6 +236,13 @@ func waterProgram[D core.Accessor](a *Water, d D) {
 	readDisp := func(i int) [3]float64 {
 		return [3]float64{d.ReadF64(a.dispAddr(i, 0)), d.ReadF64(a.dispAddr(i, 1)), d.ReadF64(a.dispAddr(i, 2))}
 	}
+
+	// EC: read-only locks on the displacements of molecules read in a force
+	// phase, one acquire per molecule per phase. The acquisition order is
+	// tracked in a slice so releases stay deterministic; both are emptied,
+	// not replaced, at the end of each phase.
+	readLocked := map[core.LockID]bool{}
+	var readOrder []core.LockID
 
 	for s := 0; s < a.steps; s++ {
 		// Force computation phase: accumulate locally, then apply under
@@ -248,11 +256,6 @@ func waterProgram[D core.Accessor](a *Water, d D) {
 				acc[i][c] += sign * f[c]
 			}
 		}
-		// EC: read-only locks on the displacements of molecules read in
-		// this phase, one acquire per molecule per phase. The acquisition
-		// order is tracked in a slice so releases stay deterministic.
-		readLocked := map[core.LockID]bool{}
-		var readOrder []core.LockID
 		lockDisp := func(i int) {
 			if !ec {
 				return
@@ -282,6 +285,8 @@ func waterProgram[D core.Accessor](a *Water, d D) {
 		for _, l := range readOrder {
 			d.Release(l)
 		}
+		clear(readLocked)
+		readOrder = readOrder[:0]
 		// Apply accumulated force updates under per-molecule locks (both
 		// models: the lock is part of the sequentially consistent program).
 		for i := 0; i < a.m; i++ {

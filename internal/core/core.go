@@ -183,11 +183,14 @@ type DSM interface {
 	Barrier(b BarrierID)
 
 	// Bind associates shared ranges with lock l (EC only; no-op for LRC).
-	// Every processor must issue identical initial bindings.
+	// Every processor must issue identical initial bindings. Bind does not
+	// retain rs: the implementation copies what it needs, so a caller
+	// binding many locks may pass one reused slice and change it afterwards.
 	Bind(l LockID, rs ...mem.Range)
 	// Rebind changes the data bound to l (EC only). Must be called while
 	// holding l exclusively; the next transfer conservatively sends all
-	// bound data (Section 7.1, "Rebinding").
+	// bound data (Section 7.1, "Rebinding"). Like Bind, it does not retain
+	// rs.
 	Rebind(l LockID, rs ...mem.Range)
 	// AcquireForRebind obtains l exclusively without applying the update-
 	// protocol data: the caller is about to Rebind, so the old binding's

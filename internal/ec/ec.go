@@ -7,8 +7,9 @@
 package ec
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ecvslrc/internal/core"
 	"ecvslrc/internal/fabric"
@@ -22,30 +23,54 @@ import (
 	"ecvslrc/internal/wtrap"
 )
 
-// binding records the data associated with a lock. Version counts rebinds so
-// that a grant after a Rebind conservatively carries the full bound data
-// (Section 7.1, "Rebinding").
+// binding records the data associated with a lock; it lives by value in the
+// lock's state slot. Version counts rebinds so that a grant after a Rebind
+// conservatively carries the full bound data (Section 7.1, "Rebinding");
+// version 0 is "never bound". The ranges are immutable once set (Bind and
+// Rebind copy them into the node's slab, a grant hands over the owner's), so
+// nodes, twins and grant bodies may alias them freely.
 type binding struct {
 	ranges  []mem.Range
-	version int32
+	pages   []int32 // sorted pages of a large object; built on first use
 	words   int
-	bytes   int
+	version int32
 	small   bool // below a page: twin eagerly instead of write-protecting
 }
 
-func (b *binding) recompute() {
-	b.words, b.bytes = 0, 0
-	for _, r := range b.ranges {
+// setRanges installs rs as the bound data.
+func (b *binding) setRanges(rs []mem.Range) {
+	b.ranges, b.pages, b.words = rs, b.pages[:0], 0
+	bytes := 0
+	for _, r := range rs {
 		b.words += r.Words()
-		b.bytes += r.Len
+		bytes += r.Len
 	}
-	b.small = b.bytes < mem.PageSize
+	b.small = bytes < mem.PageSize
+}
+
+// pageList returns the pages the ranges touch, ascending and once each even
+// when several ranges share a page (non-contiguous bindings like the
+// transpose blocks or per-owner position chunks). Only processors that write
+// a large object under twinning ever ask, so it is computed on first use.
+func (b *binding) pageList() []int32 {
+	if len(b.pages) == 0 {
+		for _, r := range b.ranges {
+			for pg, last := r.PageSpan(); pg <= last; pg++ {
+				b.pages = append(b.pages, int32(pg))
+			}
+		}
+		slices.Sort(b.pages)
+		b.pages = slices.Compact(b.pages)
+	}
+	return b.pages
 }
 
 type taggedDiff struct {
 	Tag  int32
 	Diff *wcollect.Diff
 }
+
+func cmpTag(a, b taggedDiff) int { return cmp.Compare(a.Tag, b.Tag) }
 
 // EC lock-request slot conventions (the hook-owned half of a PayloadLockReq):
 // C is the requester's incarnation number, D its known binding version, and
@@ -58,9 +83,14 @@ type taggedDiff struct {
 const acqPayloadBytes = 8
 
 // grantBody carries the update-protocol data of a lock grant, as the typed
-// payload Body of a PayloadLockGrant message.
+// payload Body of a PayloadLockGrant message. Bodies are recycled: the
+// granting node takes one from its free list, the requester hands it back
+// (release) once ApplyLockGrant has installed the contents. The body owns
+// its slices and arena and keeps their capacity between grants.
 type grantBody struct {
-	Ranges []mem.Range // non-nil when the requester's binding is stale
+	owner *Node
+
+	Ranges []mem.Range // non-nil when the requester's binding is stale; the owner's binding
 
 	Stamped wcollect.StampedData // Timestamps collection
 	Diffs   []taggedDiff         // Diffs collection: applied at the requester
@@ -68,29 +98,62 @@ type grantBody struct {
 	// reflected in its memory) but travel with ownership so the new owner
 	// can serve future requesters with even older incarnations.
 	Carried  []taggedDiff
-	KnownInc map[int]int32      // incarnation gossip for diff pruning
-	Full     []wcollect.DataRun // conservative full transfer after rebind
+	KnownInc []int32            // incarnation gossip for diff pruning, per processor
+	Full     []wcollect.DataRun // conservative full transfer after rebind,
+	full     bool               // when set (Full may be empty)
+
+	arena wcollect.Arena // backs Stamped.Data or Full
 }
 
 // BodyKind implements fabric.Body.
 func (*grantBody) BodyKind() fabric.PayloadKind { return fabric.PayloadLockGrant }
 
-// lockState is the per-lock protocol state, held in a dense LockID-indexed
-// slice: lock operations are the protocol's hottest control path and the
-// previous per-field maps dominated their cost.
+// newGrant takes a grant body from this node's free list, or grows it.
+func (n *Node) newGrant() *grantBody {
+	if k := len(n.freeGrants); k > 0 {
+		g := n.freeGrants[k-1]
+		n.freeGrants = n.freeGrants[:k-1]
+		return g
+	}
+	return &grantBody{owner: n}
+}
+
+// release returns an installed grant body to the free list of the node that
+// built it. The retained diffs it named must not stay pinned, and a bulk
+// arena is dropped (wcollect.Arena.Release).
+func (g *grantBody) release() {
+	g.Stamped.Reset()
+	clear(g.Diffs)
+	clear(g.Carried)
+	clear(g.Full)
+	g.Ranges, g.full = nil, false
+	g.Diffs, g.Carried, g.KnownInc, g.Full = g.Diffs[:0], g.Carried[:0], g.KnownInc[:0], g.Full[:0]
+	g.arena.Release()
+	g.owner.freeGrants = append(g.owner.freeGrants, g)
+}
+
+// lockState is the per-lock protocol state, one slot of the node's lock
+// table: lock operations are the protocol's hottest control path.
 type lockState struct {
-	b       *binding
+	b       binding
 	inc     int32
 	dirty   bool // write epoch open and not yet harvested
 	diffs   []taggedDiff
 	objTwin *wtrap.ObjectTwin
 	// knownInc tracks the last incarnation number each processor was seen to
-	// hold. It travels with exclusive grants and lets the owner prune diffs
-	// no live requester can still need, giving the steady-state "n-1 diffs
-	// per transfer" behaviour of Section 5.3 without losing correctness for
-	// processors that have never acquired the lock.
-	knownInc map[int]int32
+	// hold (-1: never heard from). It travels with exclusive grants and lets
+	// the owner prune diffs no live requester can still need, giving the
+	// steady-state "n-1 diffs per transfer" behaviour of Section 5.3 without
+	// losing correctness for processors that have never acquired the lock.
+	// Nil until the lock's first diff grant at this node.
+	knownInc []int32
 }
+
+// lockChunk is the number of lock-state slots allocated together.
+const lockChunk = 256
+
+// rangeSlabLen is the number of bound ranges one slab block holds.
+const rangeSlabLen = 256
 
 // Node is one processor's EC engine. It implements core.DSM.
 type Node struct {
@@ -100,7 +163,19 @@ type Node struct {
 	locks *syncmgr.LockMgr
 	bars  *syncmgr.BarrierMgr
 
-	lockSt []lockState // indexed by LockID, grown on demand
+	// lockSt is the lock table, indexed by LockID / lockChunk then LockID %
+	// lockChunk. Chunks are allocated when a lock in them is first named and
+	// never move, so slot pointers stay valid and growth copies only chunk
+	// pointers; ids may arrive in any order and with gaps. Every processor
+	// binds every lock, so the table is O(locks) per node whatever it holds.
+	lockSt []*[lockChunk]lockState
+
+	// rangeSlab is the unused tail of the current block bound ranges are
+	// copied into: one allocation per block instead of one per lock.
+	rangeSlab []mem.Range
+
+	freeGrants []*grantBody        // grant bodies this node built, returned for reuse
+	freeTwins  []*wtrap.ObjectTwin // harvested small-object twins
 
 	// write collection state
 	stamps *wcollect.Stamps
@@ -108,30 +183,51 @@ type Node struct {
 	// write trapping state
 	db         *wtrap.DirtyBits
 	twins      *wtrap.PageTwins
-	openEpochs []map[core.LockID]bool // page -> locks with open large-object epochs
+	openEpochs [][]core.LockID // page -> locks with open large-object epochs
 
 	nextNoData bool // the next acquire is an AcquireForRebind
 
-	cmpScratch []mem.Range // reused small-object compare buffer; the runs
-	// it backs are consumed (stamped or diffed) before the next harvest
+	changed []mem.Range // reused harvest buffer: the changed runs it backs
+	// are consumed (stamped or diffed) before the next harvest
 }
 
-// ls returns the state slot of lock l, growing the table geometrically (ids
-// arrive in ascending order, so linear growth would copy quadratically).
+// ls returns the state slot of lock l.
 func (n *Node) ls(l core.LockID) *lockState {
-	if int(l) >= len(n.lockSt) {
-		newLen := int(l) + 1
-		if min := 2 * len(n.lockSt); newLen < min {
-			newLen = min
+	if c := int(l) / lockChunk; c < len(n.lockSt) {
+		if ch := n.lockSt[c]; ch != nil {
+			return &ch[int(l)%lockChunk]
 		}
-		if newLen < 64 {
-			newLen = 64
-		}
-		grown := make([]lockState, newLen)
-		copy(grown, n.lockSt)
-		n.lockSt = grown
 	}
-	return &n.lockSt[l]
+	return n.newLockChunk(l)
+}
+
+// newLockChunk allocates the chunk holding l and returns l's slot.
+func (n *Node) newLockChunk(l core.LockID) *lockState {
+	c := int(l) / lockChunk
+	if c >= len(n.lockSt) {
+		n.lockSt = append(n.lockSt, make([]*[lockChunk]lockState, c+1-len(n.lockSt))...)
+	}
+	n.lockSt[c] = new([lockChunk]lockState)
+	return &n.lockSt[c][int(l)%lockChunk]
+}
+
+// ownRanges copies rs into the node's slab, so a binding retains nothing of
+// the caller and its ranges never change under the twins and grant bodies
+// that alias them.
+func (n *Node) ownRanges(rs []mem.Range) []mem.Range {
+	if len(rs) == 0 {
+		return nil
+	}
+	if len(rs) > len(n.rangeSlab) {
+		if len(rs) > rangeSlabLen/2 {
+			return slices.Clone(rs) // would waste most of a block: its own array
+		}
+		n.rangeSlab = make([]mem.Range, rangeSlabLen)
+	}
+	own := n.rangeSlab[:len(rs):len(rs)]
+	n.rangeSlab = n.rangeSlab[len(rs):]
+	copy(own, rs)
+	return own
 }
 
 // New builds the EC node for processor p with a zeroed private image.
@@ -160,7 +256,7 @@ func NewWithImage(p *sim.Proc, net *fabric.Network, al *mem.Allocator, nprocs in
 		n.SetTrap(n.db, n.CM.InstrStoreOpt)
 	case core.Twinning:
 		n.twins = wtrap.NewPageTwins(n.Im)
-		n.openEpochs = make([]map[core.LockID]bool, al.Pages())
+		n.openEpochs = make([][]core.LockID, al.Pages())
 		n.MMU.SetHandler(n.onFault)
 	}
 	net.Attach(p, n.handle)
@@ -204,22 +300,28 @@ func (n *Node) handle(hc *fabric.HandlerCtx, m fabric.Msg) {
 }
 
 // Bind implements core.DSM: associates ranges with l. Must be issued
-// identically on every processor before the lock is first transferred.
+// identically on every processor before the lock is first transferred. The
+// ranges are copied: rs is the caller's to reuse.
 func (n *Node) Bind(l core.LockID, rs ...mem.Range) {
-	st := n.ls(l)
-	if st.b != nil {
+	b := &n.ls(l).b
+	if b.version != 0 {
 		panic(fmt.Sprintf("ec: lock %d already bound (use Rebind)", l))
 	}
-	b := &binding{ranges: rs, version: 1}
-	b.recompute()
-	st.b = b
+	b.version = 1
+	n.bindRanges(l, b, n.ownRanges(rs))
+}
+
+// bindRanges makes rs (immutable from here on) the data bound to l.
+func (n *Node) bindRanges(l core.LockID, b *binding, rs []mem.Range) {
+	b.setRanges(rs)
 	for _, r := range rs {
 		n.Tr.Bind(n.P.Now(), n.P.ID(), int(l), int(r.Base), r.Len)
 	}
 }
 
-// Rebind implements core.DSM: rebinds l to new ranges. The caller must hold
-// l exclusively; the next transfer sends all bound data conservatively.
+// Rebind implements core.DSM: rebinds l to new ranges (copied, like Bind's).
+// The caller must hold l exclusively; the next transfer sends all bound data
+// conservatively.
 func (n *Node) Rebind(l core.LockID, rs ...mem.Range) {
 	held, mode := n.locks.Holding(l)
 	if !held || mode != syncmgr.Exclusive {
@@ -233,23 +335,25 @@ func (n *Node) Rebind(l core.LockID, rs ...mem.Range) {
 	n.Charge(hwork)
 	// Every post-rebind transfer is a conservative full send, so diffs
 	// against the old binding can never be needed again.
-	n.ls(l).diffs = nil
-	b.ranges = rs
+	n.dropDiffs(n.ls(l))
 	b.version++
-	b.recompute()
-	for _, r := range rs {
-		n.Tr.Bind(n.P.Now(), n.P.ID(), int(l), int(r.Base), r.Len)
-	}
+	n.bindRanges(l, b, n.ownRanges(rs))
 	// Re-open the epoch for the new ranges: the holder may write them.
 	n.openEpoch(l)
 }
 
 func (n *Node) binding(l core.LockID) *binding {
-	b := n.ls(l).b
-	if b == nil {
+	b := &n.ls(l).b
+	if b.version == 0 {
 		panic(fmt.Sprintf("ec: lock %d has no bound data", l))
 	}
 	return b
+}
+
+// dropDiffs empties st's diff list, keeping its capacity but not the diffs.
+func (n *Node) dropDiffs(st *lockState) {
+	clear(st.diffs)
+	st.diffs = st.diffs[:0]
 }
 
 // Acquire implements core.DSM.
@@ -312,7 +416,12 @@ func (n *Node) openEpoch(l core.LockID) {
 	}
 	if b.small {
 		// Eager copy: no protection faults for small objects (Section 4.2).
-		st.objTwin = wtrap.MakeObjectTwin(n.Im, b.ranges)
+		if k := len(n.freeTwins); k > 0 {
+			st.objTwin, n.freeTwins = n.freeTwins[k-1], n.freeTwins[:k-1]
+		} else {
+			st.objTwin = new(wtrap.ObjectTwin)
+		}
+		st.objTwin.Remake(n.Im, b.ranges)
 		n.Tr.Twin(n.P.Now(), n.P.ID(), trace.DomainLock, int(l))
 		n.Tr.Work(n.P.Now(), n.P.ID(), trace.WorkTrapDiff, trace.ObjLock, int(l), sim.Time(b.words)*n.CM.WordCopy)
 		n.Charge(sim.Time(b.words) * n.CM.WordCopy)
@@ -320,16 +429,13 @@ func (n *Node) openEpoch(l core.LockID) {
 	}
 	for _, r := range b.ranges {
 		protected := false
-		for _, pg := range r.Pages() {
+		for pg, last := r.PageSpan(); pg <= last; pg++ {
 			// Register this epoch on every page it may write, so a twin
 			// shared with an overlapping lock's epoch survives until both
 			// have harvested.
-			eps := n.openEpochs[pg]
-			if eps == nil {
-				eps = make(map[core.LockID]bool)
-				n.openEpochs[pg] = eps
+			if !slices.Contains(n.openEpochs[pg], l) {
+				n.openEpochs[pg] = append(n.openEpochs[pg], l)
 			}
-			eps[l] = true
 			if n.twins.Has(pg) {
 				// Already twinned by an overlapping open epoch: writes are
 				// already trapped; the harvest intersects with our ranges.
@@ -357,26 +463,27 @@ func (n *Node) harvest(l core.LockID) sim.Time {
 	}
 	st.dirty = false
 	b := n.binding(l)
-	var changed []mem.Range
+	changed := n.changed[:0]
 	var work sim.Time
 
 	switch n.impl.Trap {
 	case core.CompilerInstr:
-		runs, scanned := n.db.Collect(b.ranges)
+		var scanned int
+		changed, scanned = n.db.CollectAppend(changed, b.ranges)
 		n.db.Reset(b.ranges)
-		changed = runs
 		work += sim.Time(scanned) * n.CM.WordScan
 	case core.Twinning:
 		if ot := st.objTwin; ot != nil {
-			runs, cmp := ot.CompareAppend(n.cmpScratch[:0])
-			n.cmpScratch = runs[:0]
+			var compared int
+			changed, compared = ot.CompareAppend(changed)
+			n.freeTwins = append(n.freeTwins, ot)
 			st.objTwin = nil
-			changed = runs
-			work += sim.Time(cmp) * n.CM.WordCompare
+			work += sim.Time(compared) * n.CM.WordCompare
 		} else {
-			changed, work = n.harvestLargeObject(l, b)
+			changed, work = n.harvestLargeObject(l, b, changed)
 		}
 	}
+	n.changed = changed[:0]
 
 	switch n.impl.Collect {
 	case core.Timestamps:
@@ -399,63 +506,50 @@ func (n *Node) harvest(l core.LockID) sim.Time {
 	return work
 }
 
-// known returns the incarnation-gossip map for l.
-func (n *Node) known(l core.LockID) map[int]int32 {
-	st := n.ls(l)
+// known returns the incarnation gossip of st, one entry per processor.
+func (n *Node) known(st *lockState) []int32 {
 	if st.knownInc == nil {
-		st.knownInc = make(map[int]int32)
+		st.knownInc = make([]int32, n.Base.NProcs)
+		for p := range st.knownInc {
+			st.knownInc[p] = -1
+		}
 	}
 	return st.knownInc
 }
 
 // pruneDiffs discards diffs every processor has provably incorporated: those
 // tagged at or below the minimum incarnation seen across all processors.
-func (n *Node) pruneDiffs(l core.LockID) {
-	st := n.ls(l)
-	ki := st.knownInc
-	if len(ki) < n.Base.NProcs {
-		return // some processor has never been heard from; assume inc 0
-	}
+func (n *Node) pruneDiffs(st *lockState) {
 	minInc := int32(1<<31 - 1)
-	for _, v := range ki {
-		if v < minInc {
-			minInc = v
+	for _, v := range n.known(st) {
+		if v < 0 {
+			return // some processor has never been heard from; assume inc 0
 		}
+		minInc = min(minInc, v)
 	}
-	ds := st.diffs
-	keep := ds[:0]
-	for _, td := range ds {
+	keep := st.diffs[:0]
+	for _, td := range st.diffs {
 		if td.Tag > minInc {
 			keep = append(keep, td)
 		}
 	}
+	clear(st.diffs[len(keep):])
 	st.diffs = keep
 }
 
 // harvestLargeObject compares the twinned pages overlapping l's ranges,
 // keeps the twins alive for other open epochs sharing a page, and refreshes
-// the twin contents within l's ranges so nothing is collected twice. Pages
-// are processed once each even when several of l's ranges share a page
-// (non-contiguous bindings like the transpose blocks or per-owner position
-// chunks).
-func (n *Node) harvestLargeObject(l core.LockID, b *binding) (changed []mem.Range, work sim.Time) {
-	seen := make(map[int]bool)
-	var pages []int
-	for _, r := range b.ranges {
-		for _, pg := range r.Pages() {
-			if !seen[pg] {
-				seen[pg] = true
-				pages = append(pages, pg)
-			}
-		}
-	}
-	sort.Ints(pages)
-	for _, pg := range pages {
+// the twin contents within l's ranges so nothing is collected twice. The
+// changed runs are appended to changed.
+func (n *Node) harvestLargeObject(l core.LockID, b *binding, changed []mem.Range) ([]mem.Range, sim.Time) {
+	var work sim.Time
+	for _, pg32 := range b.pageList() {
+		pg := int(pg32)
 		if !n.twins.Has(pg) {
 			continue // never written
 		}
-		runs, cmp := n.twins.Compare(pg)
-		work += sim.Time(cmp) * n.CM.WordCompare
+		runs, compared := n.twins.Compare(pg)
+		work += sim.Time(compared) * n.CM.WordCompare
 		for _, run := range runs {
 			for _, r := range b.ranges {
 				if x, ok := intersect(run, r); ok {
@@ -463,13 +557,13 @@ func (n *Node) harvestLargeObject(l core.LockID, b *binding) (changed []mem.Rang
 				}
 			}
 		}
-		if eps := n.openEpochs[pg]; eps != nil {
-			delete(eps, l)
-			if len(eps) == 0 {
-				n.openEpochs[pg] = nil
-			}
+		eps := n.openEpochs[pg]
+		if i := slices.Index(eps, l); i >= 0 {
+			eps[i] = eps[len(eps)-1] // only emptiness is ever asked of the set
+			eps = eps[:len(eps)-1]
+			n.openEpochs[pg] = eps
 		}
-		if len(n.openEpochs[pg]) == 0 {
+		if len(eps) == 0 {
 			n.twins.Drop(pg)
 		} else {
 			// Refresh the twin within our spans so a later harvest of an
@@ -519,7 +613,7 @@ func (h *lockHooks) MakeLockRequest(l core.LockID, mode syncmgr.Mode) (fabric.Pa
 }
 
 // MakeLockGrant runs at the owner: harvest pending changes, then collect
-// everything newer than the requester's incarnation.
+// everything newer than the requester's incarnation into a recycled body.
 func (h *lockHooks) MakeLockGrant(l core.LockID, mode syncmgr.Mode, req fabric.Payload, requester int) (fabric.Payload, int, sim.Time) {
 	n := h.node()
 	reqInc, reqBind, noData := req.C, req.D, req.Flag
@@ -527,7 +621,7 @@ func (h *lockHooks) MakeLockGrant(l core.LockID, mode syncmgr.Mode, req fabric.P
 	work := n.harvest(l)
 	st := n.ls(l)
 
-	g := &grantBody{}
+	g := n.newGrant()
 	grant := fabric.Payload{C: st.inc, D: b.version, Body: g}
 	size := 8 // incarnation + binding version
 
@@ -540,7 +634,7 @@ func (h *lockHooks) MakeLockGrant(l core.LockID, mode syncmgr.Mode, req fabric.P
 		if n.impl.Collect == core.Diffs && mode == syncmgr.Exclusive {
 			// Old-binding diffs are useless to the rebinder and to everyone
 			// after it (post-rebind transfers are full sends).
-			st.diffs = nil
+			n.dropDiffs(st)
 		}
 		return grant, size, work
 	}
@@ -550,24 +644,25 @@ func (h *lockHooks) MakeLockGrant(l core.LockID, mode syncmgr.Mode, req fabric.P
 		// bound data (the releaser cannot know what is already consistent).
 		g.Ranges = b.ranges
 		size += 8 * len(b.ranges)
-		g.Full = wcollect.ExtractRuns(n.Im, b.ranges)
-		for _, r := range g.Full {
-			size += wcollect.RunHeaderBytes + len(r.Data)
-		}
+		var wire int
+		g.Full, wire = g.arena.ExtractRuns(g.Full, n.Im, b.ranges)
+		g.full = true
+		size += wire
 		work += sim.Time(b.words) * n.CM.WordCopy
 	} else {
 		switch n.impl.Collect {
 		case core.Timestamps:
-			runs, scanned := wcollect.SelectPred(n.stamps, b.ranges, wcollect.NewerThan{Min: wcollect.Stamp(reqInc)})
+			var scanned int
+			g.Stamped.Runs, scanned = wcollect.AppendSelect(g.Stamped.Runs, n.stamps, b.ranges, wcollect.NewerThan{Min: wcollect.Stamp(reqInc)})
 			work += sim.Time(scanned) * n.CM.WordScan
-			g.Stamped = wcollect.ExtractStamped(n.Im, runs)
+			g.Stamped.Extract(n.Im, &g.arena)
 			size += g.Stamped.WireSize(wcollect.ECStampBytes)
-			n.Extra.StampRunsSent += int64(len(runs))
+			n.Extra.StampRunsSent += int64(len(g.Stamped.Runs))
 		case core.Diffs:
-			ki := n.known(l)
+			ki := n.known(st)
 			ki[requester] = reqInc
 			ki[n.P.ID()] = st.inc
-			n.pruneDiffs(l)
+			n.pruneDiffs(st)
 			for _, td := range st.diffs {
 				if td.Tag > reqInc {
 					g.Diffs = append(g.Diffs, td)
@@ -580,18 +675,19 @@ func (h *lockHooks) MakeLockGrant(l core.LockID, mode syncmgr.Mode, req fabric.P
 			if mode == syncmgr.Exclusive {
 				// Ownership moves: the diffs travel with it (Section 5.2),
 				// along with the incarnation gossip that bounds the list.
-				g.KnownInc = make(map[int]int32, len(ki))
-				for p, v := range ki {
-					g.KnownInc[p] = v
-				}
-				st.diffs = nil
+				g.KnownInc = append(g.KnownInc, ki...)
+				n.dropDiffs(st)
 			}
 		}
 	}
 	return grant, size, work
 }
 
-// ApplyLockGrant runs at the requester: install the update-protocol data.
+// ApplyLockGrant runs at the requester: install the update-protocol data,
+// then hand the body back to the granter. Nothing of the body is kept: data
+// and stamps are copied into this node's image and stamp array, retained
+// diffs are shared by pointer (they are immutable), and a handed-over
+// binding aliases the owner's immutable ranges, not the body.
 func (h *lockHooks) ApplyLockGrant(l core.LockID, mode syncmgr.Mode, payload fabric.Payload) sim.Time {
 	n := h.node()
 	ownerInc, bindVersion := payload.C, payload.D
@@ -601,16 +697,12 @@ func (h *lockHooks) ApplyLockGrant(l core.LockID, mode syncmgr.Mode, payload fab
 	var work sim.Time
 
 	if g.Ranges != nil {
-		b.ranges = g.Ranges
 		b.version = bindVersion
-		b.recompute()
-		for _, r := range g.Ranges {
-			n.Tr.Bind(n.P.Now(), n.P.ID(), int(l), int(r.Base), r.Len)
-		}
+		n.bindRanges(l, b, g.Ranges)
 	}
 	appliedWords := 0
 	switch {
-	case g.Full != nil:
+	case g.full:
 		words := wcollect.ApplyRuns(n.Im, g.Full)
 		appliedWords += words
 		work += sim.Time(words) * n.CM.WordApply
@@ -620,14 +712,14 @@ func (h *lockHooks) ApplyLockGrant(l core.LockID, mode syncmgr.Mode, payload fab
 				n.stamps.Set([]mem.Range{{Base: r.Base, Len: len(r.Data)}}, wcollect.Stamp(ownerInc))
 			}
 		} else {
-			st.diffs = nil
+			n.dropDiffs(st)
 		}
 	case n.impl.Collect == core.Timestamps:
 		words := g.Stamped.Apply(n.Im, n.stamps)
 		appliedWords += words
 		work += sim.Time(words) * n.CM.WordApply
 	default:
-		sort.Slice(g.Diffs, func(i, j int) bool { return g.Diffs[i].Tag < g.Diffs[j].Tag })
+		slices.SortFunc(g.Diffs, cmpTag)
 		for _, td := range g.Diffs {
 			words := td.Diff.Apply(n.Im)
 			appliedWords += words
@@ -637,15 +729,18 @@ func (h *lockHooks) ApplyLockGrant(l core.LockID, mode syncmgr.Mode, payload fab
 			// Save everything (applied and carried) for future transmission.
 			st.diffs = append(st.diffs, g.Carried...)
 			st.diffs = append(st.diffs, g.Diffs...)
-			sort.Slice(st.diffs, func(i, j int) bool { return st.diffs[i].Tag < st.diffs[j].Tag })
-			ki := n.known(l)
+			slices.SortFunc(st.diffs, cmpTag)
+			ki := n.known(st)
 			for p, v := range g.KnownInc {
-				if v > ki[p] {
+				// An incarnation of 0 is what never having been heard from
+				// already means, so it does not count as hearing.
+				if v > 0 && v > ki[p] {
 					ki[p] = v
 				}
 			}
 		}
 	}
+	g.release()
 
 	if appliedWords > 0 {
 		n.Tr.Apply(n.P.Now(), n.P.ID(), trace.DomainLock, int(l), -1, appliedWords)

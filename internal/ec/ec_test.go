@@ -94,12 +94,12 @@ func TestPruneDiffs(t *testing.T) {
 		n.Bind(1, mem.Range{Base: 0, Len: 64})
 		n.ls(1).diffs = []taggedDiff{{Tag: 1}, {Tag: 2}, {Tag: 3}}
 		// Incomplete gossip: no pruning.
-		n.pruneDiffs(1)
+		n.pruneDiffs(n.ls(1))
 		if len(n.ls(1).diffs) != 3 {
 			t.Fatalf("pruned without full gossip: %d", len(n.ls(1).diffs))
 		}
-		n.known(1)[0] = 2
-		n.pruneDiffs(1)
+		n.known(n.ls(1))[0] = 2
+		n.pruneDiffs(n.ls(1))
 		if len(n.ls(1).diffs) != 1 || n.ls(1).diffs[0].Tag != 3 {
 			t.Errorf("diffs after prune = %+v", n.ls(1).diffs)
 		}
@@ -108,18 +108,15 @@ func TestPruneDiffs(t *testing.T) {
 
 func TestBindingSmallLargeBoundary(t *testing.T) {
 	var b binding
-	b.ranges = []mem.Range{{Base: 0, Len: mem.PageSize - 1}}
-	b.recompute()
+	b.setRanges([]mem.Range{{Base: 0, Len: mem.PageSize - 1}})
 	if !b.small {
 		t.Error("just under a page should be small")
 	}
-	b.ranges = []mem.Range{{Base: 0, Len: mem.PageSize}}
-	b.recompute()
+	b.setRanges([]mem.Range{{Base: 0, Len: mem.PageSize}})
 	if b.small {
 		t.Error("a full page should be large")
 	}
-	b.ranges = []mem.Range{{Base: 0, Len: 3000}, {Base: 8192, Len: 3000}}
-	b.recompute()
+	b.setRanges([]mem.Range{{Base: 0, Len: 3000}, {Base: 8192, Len: 3000}})
 	if b.small {
 		t.Error("multi-range totals above a page should be large")
 	}
@@ -161,7 +158,7 @@ func TestRebindForcesFullSend(t *testing.T) {
 		h := (*lockHooks)(n)
 		payload, size, _ := h.MakeLockGrant(1, 0, fabric.Payload{C: 0, D: 1}, 0)
 		g := payload.Body.(*grantBody)
-		if g.Full == nil || g.Ranges == nil {
+		if !g.full || g.Ranges == nil {
 			t.Error("stale binding version must trigger a conservative full send")
 		}
 		if size < 64 {

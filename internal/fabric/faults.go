@@ -179,8 +179,13 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// relFrame is the sender-side record of one unacknowledged data frame.
+// relFrame is the sender-side record of one unacknowledged data frame. It is
+// also the frame's retransmission timer (Fire): every attempt arms exactly
+// one, and the next attempt is only made when that one fires, so at most one
+// is ever pending per frame. Frames are not recycled — an acked frame's last
+// timer is still in the event heap.
 type relFrame struct {
+	fs      *faultState
 	msg     Msg
 	reply   bool
 	seq     uint32
@@ -268,6 +273,7 @@ func (fs *faultState) link(from, to int) *relLink { return &fs.links[from*fs.npr
 func (fs *faultState) send(sendEnd sim.Time, fl *flight) {
 	lk := fs.link(fl.msg.From, fl.msg.To)
 	fr := &relFrame{
+		fs:      fs,
 		msg:     fl.msg,
 		reply:   fl.reply,
 		seq:     lk.sendSeq,
@@ -320,7 +326,7 @@ func (fs *faultState) attempt(sendEnd sim.Time, fr *relFrame, fl *flight) {
 			fs.launch(sendEnd+d2, dup)
 		}
 	}
-	n.sim.ScheduleTimer(sendEnd+fs.rto(fr.attempt), &retryTimer{fs: fs, from: from, to: to, seq: fr.seq})
+	n.sim.ScheduleTimer(sendEnd+fs.rto(fr.attempt), fr)
 }
 
 // launch puts an attempt on the wire at time at: straight to arrival without
@@ -336,37 +342,30 @@ func (fs *faultState) launch(at sim.Time, fl *flight) {
 	n.sim.ScheduleTimer(at, fl)
 }
 
-// retryTimer fires the retransmission check for one frame. A timer is armed
-// per attempt and simply does nothing when the frame was acked meanwhile.
-type retryTimer struct {
-	fs       *faultState
-	from, to int
-	seq      uint32
-}
-
-// Fire retransmits the frame if it is still unacknowledged: the sender's CPU
-// is charged for the repeated programmed I/O (landing in virtual time whether
-// the sender is computing or blocked), the traffic counters grow like any
-// real resend, and the next attempt is launched with a doubled timeout.
-func (rt *retryTimer) Fire(at sim.Time) {
-	fs := rt.fs
-	lk := fs.link(rt.from, rt.to)
-	fr := lk.unacked[rt.seq]
-	if fr == nil {
+// Fire is the retransmission check armed by each attempt; it does nothing
+// when the frame was acked meanwhile. Otherwise the frame is retransmitted:
+// the sender's CPU is charged for the repeated programmed I/O (landing in
+// virtual time whether the sender is computing or blocked), the traffic
+// counters grow like any real resend, and the next attempt is launched with
+// a doubled timeout.
+func (fr *relFrame) Fire(at sim.Time) {
+	fs := fr.fs
+	from, to := fr.msg.From, fr.msg.To
+	if fs.link(from, to).unacked[fr.seq] != fr {
 		return // acked; the timer outlived its frame
 	}
 	if fr.attempt >= fs.plan.MaxRetries {
 		panic(fmt.Sprintf("fabric: reliable delivery gave up: %d->%d seq %d (kind %d) unacked after %d attempts",
-			rt.from, rt.to, rt.seq, fr.msg.Kind, fr.attempt+1))
+			from, to, fr.seq, fr.msg.Kind, fr.attempt+1))
 	}
 	fr.attempt++
 	fs.stats.Retransmits++
 	n := fs.n
-	total := n.account(rt.from, fr.msg.Size)
-	n.tr.Retransmit(at, rt.from, rt.to, fr.msg.Kind, fr.attempt)
+	total := n.account(from, fr.msg.Size)
+	n.tr.Retransmit(at, from, to, fr.msg.Kind, fr.attempt)
 	cost := n.cm.MsgCost(total)
-	n.tr.Recovery(at, rt.from, cost)
-	n.procs[rt.from].InjectWork(cost)
+	n.tr.Recovery(at, from, cost)
+	n.procs[from].InjectWork(cost)
 	fs.attempt(at+cost, fr, nil)
 }
 

@@ -119,7 +119,8 @@ func cmpDiffInterval(d ivalDiff, ival int32) int { return cmp.Compare(d.Ival, iv
 
 // pageReply is the typed Body of a kindFetchReply message. Bodies are
 // recycled: the requester hands each one back to the node that served it
-// (release) once it has copied the contents out.
+// (release) once it has applied the contents. The body owns the Stamped
+// slices and their arena and keeps their capacity between replies.
 type pageReply struct {
 	owner *Node
 	// Diffs (Diffs collection) aliases the window of the server's diffStore
@@ -128,6 +129,7 @@ type pageReply struct {
 	// no processor is inside an access miss.
 	Diffs   []ivalDiff
 	Stamped wcollect.StampedData // Timestamps collection
+	arena   wcollect.Arena       // backs Stamped.Data
 }
 
 // BodyKind implements fabric.Body.
@@ -145,7 +147,9 @@ func (n *Node) newReply() *pageReply {
 
 // release returns a consumed reply body to its server's free list.
 func (r *pageReply) release() {
-	r.Diffs, r.Stamped = nil, wcollect.StampedData{}
+	r.Diffs = nil
+	r.Stamped.Reset()
+	r.arena.Release()
 	r.owner.freeReplies = append(r.owner.freeReplies, r)
 }
 
@@ -172,6 +176,7 @@ type pendingWriter struct {
 	proc  int
 	since int32
 	upTo  int32
+	reply *pageReply // backs this writer's timestamp units until they are applied
 
 	head, end int     // units[head:end]: this writer's unapplied units, ascending by interval
 	ival      int32   // interval of units[head]; MaxInt32 once head == end, so no vector covers it
@@ -664,7 +669,7 @@ func (n *Node) accessMiss(pg int, write bool) {
 			units = splitStamped(units, w.proc, &fr.Stamped)
 		}
 		w.end = len(units)
-		fr.release()
+		w.reply = fr
 	}
 	n.missUnits = units[:0]
 
@@ -695,6 +700,7 @@ func (n *Node) accessMiss(pg int, write bool) {
 	n.Charge(sim.Time(words) * n.CM.WordApply)
 
 	for _, w := range writers {
+		w.reply.release()
 		// Record exactly what was fetched: notices that arrived after the
 		// requests went out remain pending.
 		if win := pm.find(int32(w.proc)); win != nil && w.upTo > win.applied {
@@ -838,13 +844,14 @@ func (n *Node) handleFetch(hc *fabric.HandlerCtx, m fabric.Msg) {
 		}
 	case core.Timestamps:
 		pageRange := []mem.Range{{Base: mem.PageBase(pg), Len: mem.PageSize}}
-		runs, scanned := wcollect.SelectPred(n.stamps, pageRange,
+		var scanned int
+		reply.Stamped.Runs, scanned = wcollect.AppendSelect(reply.Stamped.Runs, n.stamps, pageRange,
 			wcollect.ProcWindow{Proc: n.P.ID(), Since: since, UpTo: upTo})
 		n.Tr.Work(hc.Now(), n.P.ID(), trace.WorkTrapDiff, trace.ObjPage, pg, sim.Time(scanned)*n.CM.WordScan)
 		hc.Work(sim.Time(scanned) * n.CM.WordScan)
-		reply.Stamped = wcollect.ExtractStamped(n.Im, runs)
+		reply.Stamped.Extract(n.Im, &reply.arena)
 		size = reply.Stamped.WireSize(wcollect.LRCStampBytes)
-		n.Extra.StampRunsSent += int64(len(runs))
+		n.Extra.StampRunsSent += int64(len(reply.Stamped.Runs))
 	}
 	n.Tr.FetchServe(hc.Now(), n.P.ID(), pg, m.From, size)
 	hc.Reply(m, kindFetchReply, size, fabric.Payload{Kind: fabric.PayloadPageReply, Body: reply})

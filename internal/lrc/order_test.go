@@ -9,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"ecvslrc/internal/core"
 	"ecvslrc/internal/fabric"
 	"ecvslrc/internal/mem"
 	"ecvslrc/internal/sim"
@@ -311,11 +312,19 @@ func TestAbsorbSortsFanInUnion(t *testing.T) {
 // TestAccessMissSteadyStateAllocs is the strict allocation guard of the miss
 // path, in the style of fabric's TestDeliverSteadyStateAllocs: once the
 // per-node scratch, the fetch waiters and the servers' reply free lists are
-// warm, a diff-mode access miss on a page with four concurrent writers,
-// served from already-harvested diffs, performs zero heap allocations end to
-// end — requests, handlers, replies, ordering and application.
+// warm, an access miss on a page with four concurrent writers performs zero
+// heap allocations end to end — requests, handlers, replies, ordering and
+// application — whether it is served from already-harvested diffs or by a
+// timestamp scan extracted into the servers' recycled reply bodies.
 func TestAccessMissSteadyStateAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	timeImpl := core.Impl{Model: core.LRC, Trap: core.Twinning, Collect: core.Timestamps}
+	for _, impl := range []core.Impl{diffImpl(), timeImpl} {
+		t.Run(impl.String(), func(t *testing.T) { accessMissSteadyStateAllocs(t, impl) })
+	}
+}
+
+func accessMissSteadyStateAllocs(t *testing.T, impl core.Impl) {
 	const writers, warm, rounds = 4, 3, 8
 	const nprocs = writers + 2
 	harvester, measured := writers, writers+1
@@ -359,7 +368,7 @@ func TestAccessMissSteadyStateAllocs(t *testing.T) {
 				nd.Barrier(1)
 			}
 		})
-		nodes[i] = New(p, net, al, nprocs, diffImpl())
+		nodes[i] = New(p, net, al, nprocs, impl)
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)

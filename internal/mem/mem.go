@@ -50,12 +50,21 @@ func (r Range) Contains(a Addr) bool { return a >= r.Base && a < r.End() }
 // Words returns the number of words spanned by r.
 func (r Range) Words() int { return (r.Len + WordSize - 1) / WordSize }
 
+// PageSpan returns the first and last page r touches; last < first when r is
+// empty, so "for pg := first; pg <= last; pg++" visits exactly r's pages.
+func (r Range) PageSpan() (first, last int) {
+	if r.Len <= 0 {
+		return 0, -1
+	}
+	return PageOf(r.Base), PageOf(r.End() - 1)
+}
+
 // Pages returns the page numbers r touches.
 func (r Range) Pages() []int {
-	if r.Len <= 0 {
+	first, last := r.PageSpan()
+	if last < first {
 		return nil
 	}
-	first, last := PageOf(r.Base), PageOf(r.End()-1)
 	out := make([]int, 0, last-first+1)
 	for pg := first; pg <= last; pg++ {
 		out = append(out, pg)

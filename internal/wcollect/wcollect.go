@@ -29,36 +29,64 @@ type DataRun struct {
 	Data []byte
 }
 
-// ExtractRuns copies the bytes of each changed range out of im. All runs
-// share one backing array (a per-call arena): the extraction allocates twice
-// regardless of run count, instead of once per run. Run lifetimes are
-// unbounded (diffs are retained for later requesters), so the arena is owned
-// by the result and never recycled.
-func ExtractRuns(im *mem.Image, changed []mem.Range) []DataRun {
-	runs, _ := extractRuns(im, changed)
-	return runs
+// maxRetainedArena bounds the capacity an Arena keeps across Release: grant
+// and reply bodies are recycled, and a body that once carried a bulk transfer
+// (a post-rebind full send of a whole array) must not hold that buffer idle
+// for the rest of the run. Ordinary updates — a lock's bound object, one
+// page's modified words — stay far below it.
+const maxRetainedArena = 16 * mem.PageSize
+
+// Arena is the byte store the DataRuns of one extraction are carved from, so
+// an extraction allocates at most twice (runs, bytes) however many runs it
+// has, and not at all once a recycled message body's arena and run slice
+// have grown to its working size. Every Extract call replaces the arena's
+// contents: the runs of the previous call are dead. The zero value is ready.
+type Arena struct{ buf []byte }
+
+// sized returns dst resized to n runs and the arena resized to total bytes,
+// reusing capacity where there is enough.
+func (a *Arena) sized(dst []DataRun, n, total int) []DataRun {
+	if cap(dst) < n {
+		dst = make([]DataRun, n)
+	}
+	if cap(a.buf) < total {
+		a.buf = make([]byte, total)
+	}
+	a.buf = a.buf[:total]
+	return dst[:n]
 }
 
-// extractRuns is ExtractRuns that also returns the runs' wire size: one run
-// header per run plus the data.
-func extractRuns(im *mem.Image, changed []mem.Range) (runs []DataRun, wire int) {
-	runs = make([]DataRun, len(changed))
-	if len(changed) == 0 {
-		return runs, 0
-	}
+// carve copies im[base, base+n) to offset off of the arena and returns the
+// run over the copy.
+func (a *Arena) carve(im *mem.Image, base mem.Addr, n, off int) DataRun {
+	b := a.buf[off : off+n : off+n]
+	copy(b, im.Bytes()[base:int(base)+n])
+	return DataRun{Base: base, Data: b}
+}
+
+// ExtractRuns copies the bytes of each changed range out of im into runs that
+// overwrite dst (whose capacity is reused), and returns them with their wire
+// size: one run header per run plus the data.
+func (a *Arena) ExtractRuns(dst []DataRun, im *mem.Image, changed []mem.Range) (runs []DataRun, wire int) {
 	total := 0
 	for _, r := range changed {
 		total += r.Len
 	}
-	backing := make([]byte, total)
+	runs = a.sized(dst, len(changed), total)
 	off := 0
 	for i, r := range changed {
-		b := backing[off : off+r.Len : off+r.Len]
-		copy(b, im.Bytes()[r.Base:r.End()])
-		runs[i] = DataRun{Base: r.Base, Data: b}
+		runs[i] = a.carve(im, r.Base, r.Len, off)
 		off += r.Len
 	}
 	return runs, RunHeaderBytes*len(runs) + total
+}
+
+// Release ends the use of the arena's contents, keeping the buffer for the
+// next extraction unless it has grown past maxRetainedArena.
+func (a *Arena) Release() {
+	if cap(a.buf) > maxRetainedArena {
+		a.buf = nil
+	}
 }
 
 // ApplyRuns writes each run's bytes into im and returns the number of words
@@ -80,8 +108,10 @@ type Diff struct {
 }
 
 // BuildDiff captures the contents of the changed ranges from im.
+// Diffs are retained for later requesters, so each owns a fresh arena.
 func BuildDiff(im *mem.Image, changed []mem.Range) *Diff {
-	runs, wire := extractRuns(im, changed)
+	var a Arena
+	runs, wire := a.ExtractRuns(nil, im, changed)
 	return &Diff{Runs: runs, wire: DiffHeaderBytes + wire}
 }
 
@@ -126,9 +156,6 @@ type StampRun struct {
 	Len   int
 	Stamp Stamp
 }
-
-// Range returns the run's extent.
-func (sr StampRun) Range() mem.Range { return mem.Range{Base: sr.Base, Len: sr.Len} }
 
 // StampRunsWireSize returns the transmission size of runs carrying their
 // data: per run, a header, one stamp of stampBytes, and the data bytes.
@@ -234,23 +261,17 @@ func (p funcPred) newer(s Stamp) bool { return p.f(s) }
 // blocks whose stamp satisfies newer, plus the number of blocks scanned (the
 // responder-side scan cost charged on every request — the computation
 // overhead Section 5.3 attributes to timestamping). Protocol hot paths use
-// SelectPred with a concrete predicate instead.
+// AppendSelect with a concrete predicate and a reused destination instead.
 func (st *Stamps) Select(ranges []mem.Range, newer func(Stamp) bool) (runs []StampRun, scanned int) {
-	return SelectPred(st, ranges, funcPred{newer})
+	return AppendSelect(nil, st, ranges, funcPred{newer})
 }
 
-// SelectPred is Select with a statically-typed predicate.
-func SelectPred[P stampPred](st *Stamps, ranges []mem.Range, pred P) (runs []StampRun, scanned int) {
+// AppendSelect is Select with a statically-typed predicate, appending the
+// selected runs to dst. Runs never merge across ranges, nor with what dst
+// already held.
+func AppendSelect[P stampPred](dst []StampRun, st *Stamps, ranges []mem.Range, pred P) (runs []StampRun, scanned int) {
+	runs = dst
 	zeroNewer := pred.newer(0) // the predicate is pure: hoist the never-stamped case
-	var cur *StampRun
-	emit := func(off, block int, s Stamp) {
-		if cur != nil && cur.Stamp == s && cur.Base+mem.Addr(cur.Len) == mem.Addr(off) {
-			cur.Len += block
-		} else {
-			runs = append(runs, StampRun{Base: mem.Addr(off), Len: block, Stamp: s})
-			cur = &runs[len(runs)-1]
-		}
-	}
 	for _, r := range ranges {
 		if r.Len <= 0 {
 			continue
@@ -258,7 +279,7 @@ func SelectPred[P stampPred](st *Stamps, ranges []mem.Range, pred P) (runs []Sta
 		block := st.blockAt(r.Base)
 		start := int(r.Base) &^ (block - 1) // block is a power of two
 		end := int(r.End())
-		cur = nil
+		open := false // runs[len(runs)-1] ends at off and may still grow
 		for off := start; off < end; {
 			pg := off >> mem.PageShift
 			stop := (pg + 1) << mem.PageShift
@@ -272,10 +293,11 @@ func SelectPred[P stampPred](st *Stamps, ranges []mem.Range, pred P) (runs []Sta
 				scanned += blocks
 				if zeroNewer {
 					for ; off < stop; off += block {
-						emit(off, block, 0)
+						runs = appendBlock(runs, open, off, block, 0)
+						open = true
 					}
 				} else {
-					cur = nil
+					open = false
 					off = stop
 				}
 				continue
@@ -284,14 +306,25 @@ func SelectPred[P stampPred](st *Stamps, ranges []mem.Range, pred P) (runs []Sta
 				scanned++
 				s := p[(off&(mem.PageSize-1))/mem.WordSize]
 				if pred.newer(s) {
-					emit(off, block, s)
+					runs = appendBlock(runs, open, off, block, s)
+					open = true
 				} else {
-					cur = nil
+					open = false
 				}
 			}
 		}
 	}
 	return runs, scanned
+}
+
+// appendBlock adds the selected block at off to runs: it extends the last run
+// when that run is open (it ends at off) and carries the same stamp.
+func appendBlock(runs []StampRun, open bool, off, block int, s Stamp) []StampRun {
+	if open && runs[len(runs)-1].Stamp == s {
+		runs[len(runs)-1].Len += block
+		return runs
+	}
+	return append(runs, StampRun{Base: mem.Addr(off), Len: block, Stamp: s})
 }
 
 // slot returns the stamp slot index (word index within page of the block
@@ -324,13 +357,27 @@ type StampedData struct {
 	Data []DataRun
 }
 
-// ExtractStamped builds the response payload for a timestamp-based request.
-func ExtractStamped(im *mem.Image, runs []StampRun) StampedData {
-	ranges := make([]mem.Range, len(runs))
-	for i, r := range runs {
-		ranges[i] = r.Range()
+// Extract fills Data with the bytes of Runs copied out of im and carved from
+// a — the response payload of a timestamp-based request. Data's capacity is
+// reused.
+func (sd *StampedData) Extract(im *mem.Image, a *Arena) {
+	total := 0
+	for _, r := range sd.Runs {
+		total += r.Len
 	}
-	return StampedData{Runs: runs, Data: ExtractRuns(im, ranges)}
+	sd.Data = a.sized(sd.Data, len(sd.Runs), total)
+	off := 0
+	for i, r := range sd.Runs {
+		sd.Data[i] = a.carve(im, r.Base, r.Len, off)
+		off += r.Len
+	}
+}
+
+// Reset empties sd for reuse in a recycled message body, keeping the
+// capacity of both slices and no reference into the arena.
+func (sd *StampedData) Reset() {
+	clear(sd.Data)
+	sd.Runs, sd.Data = sd.Runs[:0], sd.Data[:0]
 }
 
 // Apply installs the received data and stamps, returning words applied.

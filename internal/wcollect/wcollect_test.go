@@ -119,7 +119,8 @@ func TestExtractStampedRoundTrip(t *testing.T) {
 	srcStamps.Set([]mem.Range{{Base: 8, Len: 4}}, LRCStamp(3, 17))
 
 	runs, _ := srcStamps.Select([]mem.Range{{Base: 0, Len: 64}}, func(s Stamp) bool { return s != 0 })
-	sd := ExtractStamped(src, runs)
+	sd := StampedData{Runs: runs}
+	sd.Extract(src, new(Arena))
 	if got := sd.WireSize(LRCStampBytes); got != RunHeaderBytes+LRCStampBytes+4 {
 		t.Errorf("WireSize = %d", got)
 	}
@@ -209,6 +210,75 @@ func TestPropertyStampsSelectConsistent(t *testing.T) {
 			}
 		}
 		return len(got) <= len(model)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// selectRef is the specification of AppendSelect, one Get per block: within
+// each range, maximal runs of adjacent selected blocks with equal stamps.
+func selectRef(st *Stamps, al *mem.Allocator, ranges []mem.Range, newer func(Stamp) bool) (runs []StampRun, scanned int) {
+	for _, r := range ranges {
+		if r.Len <= 0 {
+			continue
+		}
+		block := al.BlockAt(r.Base)
+		open := false
+		for off := int(r.Base) / block * block; off < int(r.End()); off += block {
+			scanned++
+			s := st.Get(mem.Addr(off))
+			switch last := len(runs) - 1; {
+			case !newer(s):
+				open = false
+				continue
+			case open && runs[last].Stamp == s:
+				runs[last].Len += block
+			default:
+				runs = append(runs, StampRun{Base: mem.Addr(off), Len: block, Stamp: s})
+			}
+			open = true
+		}
+	}
+	return runs, scanned
+}
+
+// Property: AppendSelect agrees with the block-by-block specification on
+// random stamp patterns — word and double-word regions, pages never stamped
+// (with a predicate that selects stamp 0 and one that does not), ranges in
+// any order — and leaves what dst already held untouched and unmerged.
+func TestPropertyAppendSelectMatchesSpec(t *testing.T) {
+	al := mem.NewAllocator()
+	w4 := al.Alloc("w4", 3*mem.PageSize, 4)
+	w8 := al.Alloc("w8", 3*mem.PageSize, 8)
+	f := func(ops []struct {
+		Off uint16
+		Len uint8
+		S   uint8
+	}, cuts []uint16, min int8) bool {
+		st := NewStamps(al)
+		for i, op := range ops {
+			// The last page of each region is never stamped.
+			base := []mem.Addr{w4, w8}[i%2] + mem.Addr(int(op.Off)%(2*mem.PageSize))&^3
+			st.Set([]mem.Range{{Base: base, Len: int(op.Len)%40 + 1}}, Stamp(op.S%6))
+		}
+		var ranges []mem.Range
+		for i, c := range cuts {
+			base := []mem.Addr{w4, w8}[i%2] + mem.Addr(int(c)%(3*mem.PageSize-600))&^3
+			ranges = append(ranges, mem.Range{Base: base, Len: int(c)%600 + 1})
+		}
+		// A predecessor run ending exactly where the first range starts and
+		// carrying a stamp it may select: it must not be extended.
+		prefix := []StampRun{{Base: 0, Len: 4, Stamp: 1}}
+		if len(ranges) > 0 {
+			prefix[0].Base = ranges[0].Base - 4
+		}
+		pred := NewerThan{Min: Stamp(min % 4)} // negative Min selects never-stamped blocks
+		got, scanned := AppendSelect(prefix[:1:1], st, ranges, pred)
+		want, wantScanned := selectRef(st, al, ranges, pred.newer)
+		return scanned == wantScanned &&
+			reflect.DeepEqual(got[:1], prefix) &&
+			reflect.DeepEqual(append([]StampRun(nil), got[1:]...), want)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -94,6 +94,14 @@ func (db *DirtyBits) DirtyPages() []int {
 // as block-aligned runs, plus the number of blocks examined (the write-
 // collection scan cost). The bits are left set; call Reset to clear them.
 func (db *DirtyBits) Collect(ranges []mem.Range) (runs []mem.Range, scanned int) {
+	return db.CollectAppend(nil, ranges)
+}
+
+// CollectAppend is Collect appending to dst, letting callers reuse a scratch
+// buffer across collections. Runs never merge across ranges, nor with what
+// dst already held.
+func (db *DirtyBits) CollectAppend(dst, ranges []mem.Range) (runs []mem.Range, scanned int) {
+	runs = dst
 	for _, r := range ranges {
 		if r.Len <= 0 {
 			continue

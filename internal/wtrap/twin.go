@@ -124,30 +124,29 @@ func (t *PageTwins) DropAll() {
 // when a write lock is acquired on an object smaller than a page, the object
 // is copied immediately instead of taking a protection fault (Section 4.2,
 // "Twinning for EC" — the improvement over the Midway VM implementation).
+// The zero value is an empty twin; Remake fills (and refills) it, so a node
+// can keep a free list of twins instead of allocating one per acquire.
 type ObjectTwin struct {
-	ranges []mem.Range
-	data   [][]byte
+	ranges []mem.Range // aliases the caller's: must not change while twinned
+	data   []byte      // the ranges' bytes, back to back in range order
 	im     *mem.Image
 }
 
-// MakeObjectTwin eagerly copies the bytes of ranges from im. All range
-// copies share one backing array, so the twin costs a fixed three
-// allocations however many ranges the lock binds.
-func MakeObjectTwin(im *mem.Image, ranges []mem.Range) *ObjectTwin {
-	o := &ObjectTwin{ranges: ranges, im: im, data: make([][]byte, len(ranges))}
+// Remake makes o the twin of ranges: it eagerly copies their bytes from im,
+// replacing whatever o held and reusing its buffer when that is big enough.
+func (o *ObjectTwin) Remake(im *mem.Image, ranges []mem.Range) {
 	total := 0
 	for _, r := range ranges {
 		total += r.Len
 	}
-	backing := make([]byte, total)
-	off := 0
-	for i, r := range ranges {
-		b := backing[off : off+r.Len : off+r.Len]
-		copy(b, im.Bytes()[r.Base:r.End()])
-		o.data[i] = b
-		off += r.Len
+	if cap(o.data) < total {
+		o.data = make([]byte, total)
 	}
-	return o
+	o.ranges, o.im, o.data = ranges, im, o.data[:total]
+	off := 0
+	for _, r := range ranges {
+		off += copy(o.data[off:off+r.Len], im.Bytes()[r.Base:r.End()])
+	}
 }
 
 // Words returns the total words twinned (the copy cost basis).
@@ -169,10 +168,12 @@ func (o *ObjectTwin) Compare() (runs []mem.Range, compared int) {
 // buffer across harvests.
 func (o *ObjectTwin) CompareAppend(dst []mem.Range) (runs []mem.Range, compared int) {
 	runs = dst
-	for i, r := range o.ranges {
+	off := 0
+	for _, r := range o.ranges {
 		var c int
-		runs, c = compareWords(runs, o.im.Bytes()[r.Base:r.End()], o.data[i], r.Base)
+		runs, c = compareWords(runs, o.im.Bytes()[r.Base:r.End()], o.data[off:off+r.Len], r.Base)
 		compared += c
+		off += r.Len
 	}
 	return runs, compared
 }

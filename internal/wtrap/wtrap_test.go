@@ -1,6 +1,7 @@
 package wtrap
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -157,7 +158,8 @@ func TestObjectTwin(t *testing.T) {
 	im.WriteI32(0, 10)
 	im.WriteI32(40, 20)
 	ranges := []mem.Range{{Base: 0, Len: 8}, {Base: 40, Len: 8}}
-	ot := MakeObjectTwin(im, ranges)
+	ot := new(ObjectTwin)
+	ot.Remake(im, ranges)
 	if ot.Words() != 4 {
 		t.Errorf("Words = %d, want 4", ot.Words())
 	}
@@ -169,6 +171,46 @@ func TestObjectTwin(t *testing.T) {
 	}
 	if compared != 4 {
 		t.Errorf("compared = %d, want 4", compared)
+	}
+}
+
+// A pooled twin refilled by Remake — over fewer bytes, more bytes or more
+// ranges than it held before — compares exactly like a fresh one: nothing of
+// its earlier contents or extent shows through.
+func TestObjectTwinRemakeMatchesFresh(t *testing.T) {
+	im := mem.NewImage(2 * mem.PageSize)
+	rng := rand.New(rand.NewSource(7))
+	shapes := [][]mem.Range{
+		{{Base: 64, Len: 256}},
+		{{Base: 8, Len: 12}},                               // shorter, odd word count
+		{{Base: 1000, Len: 2000}, {Base: 4096, Len: 1024}}, // longer
+		{{Base: 0, Len: 4}, {Base: 16, Len: 8}, {Base: 100, Len: 60}, {Base: 5000, Len: 24}}, // more ranges
+		nil,
+		{{Base: 64, Len: 256}},
+	}
+	pooled := new(ObjectTwin)
+	for round, ranges := range shapes {
+		for a := 0; a < im.Size(); a += 4 {
+			im.WriteU32(mem.Addr(a), rng.Uint32())
+		}
+		fresh := new(ObjectTwin)
+		fresh.Remake(im, ranges)
+		pooled.Remake(im, ranges)
+		for _, r := range ranges {
+			for k := 0; k < 1+r.Words()/3; k++ {
+				a := r.Base + mem.Addr(4*rng.Intn(r.Words()))
+				im.WriteU32(a, im.ReadU32(a)+uint32(1+rng.Intn(2)))
+			}
+		}
+		wantRuns, wantCmp := fresh.Compare()
+		gotRuns, gotCmp := pooled.CompareAppend(nil)
+		if !reflect.DeepEqual(gotRuns, wantRuns) || gotCmp != wantCmp || pooled.Words() != fresh.Words() {
+			t.Errorf("round %d (%v): remade twin found %v (%d compared), fresh twin %v (%d)",
+				round, ranges, gotRuns, gotCmp, wantRuns, wantCmp)
+		}
+		if len(ranges) > 0 && len(wantRuns) == 0 {
+			t.Errorf("round %d: no change detected", round)
+		}
 	}
 }
 

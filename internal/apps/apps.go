@@ -124,6 +124,36 @@ func bindOne[D core.Accessor](d D) func(core.LockID, mem.Range) {
 	}
 }
 
+// lockSet is the set of locks a kernel holds for a phase, in acquisition
+// order (so releases stay deterministic). Membership is a flag indexed by
+// lock id: the once-per-phase check in front of every read lock hashes
+// nothing, and reset un-marks only the members.
+type lockSet struct {
+	member []bool
+	order  []core.LockID
+}
+
+// newLockSet returns an empty set over lock ids [0, ids).
+func newLockSet(ids int) *lockSet { return &lockSet{member: make([]bool, ids)} }
+
+// add inserts l and reports whether it was absent.
+func (s *lockSet) add(l core.LockID) bool {
+	if s.member[l] {
+		return false
+	}
+	s.member[l] = true
+	s.order = append(s.order, l)
+	return true
+}
+
+// reset empties the set, keeping its storage.
+func (s *lockSet) reset() {
+	for _, l := range s.order {
+		s.member[l] = false
+	}
+	s.order = s.order[:0]
+}
+
 // lcg is a small deterministic pseudo-random generator (stdlib-only, and
 // identical across runs so results are bit-reproducible).
 type lcg struct{ s uint64 }

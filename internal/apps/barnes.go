@@ -129,6 +129,11 @@ func (a *Barnes) cellLock(c int) core.LockID {
 	return core.LockID(1 + 2*a.m + 64 + c/cellsPerLock)
 }
 
+// numLocks bounds the lock ids above: the size of a lockSet over them.
+func (a *Barnes) numLocks() int {
+	return int(max(a.cellLock(a.maxCells-1), a.posChunkLock(a.nprocs-1))) + 1
+}
+
 // posLock returns the lock protecting body i's position set: per body in
 // the paper's program, per owner in the chunked variant.
 func (a *Barnes) posLock(i int) core.LockID {
@@ -416,22 +421,17 @@ func barnesProgram[D core.Accessor](a *Barnes, d D) {
 
 	// Per-phase read-lock cache (EC): lock each cell/body set once per
 	// phase, releasing in acquisition order at phase end.
-	var held []core.LockID
-	heldSet := map[core.LockID]bool{}
+	held := newLockSet(a.numLocks())
 	rlock := func(l core.LockID) {
-		if !ec || heldSet[l] {
-			return
+		if ec && held.add(l) {
+			d.AcquireRead(l)
 		}
-		d.AcquireRead(l)
-		heldSet[l] = true
-		held = append(held, l)
 	}
 	releaseAll := func() {
-		for _, l := range held {
+		for _, l := range held.order {
 			d.Release(l)
 		}
-		held = held[:0]
-		clear(heldSet)
+		held.reset()
 	}
 
 	for s := 0; s < a.steps; s++ {
@@ -547,16 +547,11 @@ func barnesProgram[D core.Accessor](a *Barnes, d D) {
 func barnesBuildShared[D core.Accessor](a *Barnes, d D, rlock func(core.LockID)) {
 	ec := d.Model() == core.EC
 	next := 1
-	var heldCells []core.LockID
-	heldCell := map[core.LockID]bool{}
+	heldCells := newLockSet(a.numLocks())
 	wlockCell := func(c int) {
-		l := a.cellLock(c)
-		if !ec || heldCell[l] {
-			return
+		if l := a.cellLock(c); ec && heldCells.add(l) {
+			d.Acquire(l)
 		}
-		d.Acquire(l)
-		heldCell[l] = true
-		heldCells = append(heldCells, l)
 	}
 	// Root cell.
 	wlockCell(0)
@@ -647,10 +642,8 @@ func barnesBuildShared[D core.Accessor](a *Barnes, d D, rlock func(core.LockID))
 	}
 	com(0)
 
-	if ec {
-		for _, l := range heldCells {
-			d.Release(l)
-		}
+	for _, l := range heldCells.order {
+		d.Release(l)
 	}
 }
 

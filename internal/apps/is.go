@@ -65,13 +65,19 @@ func (a *IS) Init(im *mem.Image) {}
 // InitRef implements run.RefInit (Init is stateless).
 func (a *IS) InitRef() {}
 
-// keys regenerates processor p's deterministic key set.
-func (a *IS) keys(p, nprocs int) []int {
+// keyStream returns the generator of processor p's deterministic key set and
+// the number of keys it holds; each key is the stream's next intn(a.bmax).
+func (a *IS) keyStream(p, nprocs int) (rng *lcg, n int) {
 	lo, hi := band(a.n, nprocs, p)
-	rng := newLCG(uint64(1000 + p))
-	out := make([]int, hi-lo)
+	return newLCG(uint64(1000 + p)), hi - lo
+}
+
+// keys regenerates processor p's deterministic key set.
+func (a *IS) keys(p, nprocs int) []int32 {
+	rng, n := a.keyStream(p, nprocs)
+	out := make([]int32, n)
 	for i := range out {
-		out[i] = rng.intn(a.bmax)
+		out[i] = int32(rng.intn(a.bmax))
 	}
 	return out
 }
@@ -98,22 +104,20 @@ func isProgram[D core.Accessor](a *IS, d D) {
 	a.nprocs = d.NProcs()
 	d.Bind(isLock, mem.Range{Base: a.buckets, Len: a.bmax * 4})
 	keys := a.keys(d.Proc(), d.NProcs())
+	local := make([]int32, a.bmax)
 
 	for r := 0; r < a.rounds; r++ {
 		// Phase 1: local ranking, then merge into the shared array.
-		local := make([]int32, a.bmax)
+		clear(local)
 		for _, k := range keys {
 			local[k]++
 		}
 		d.Compute(sim.Time(len(keys)) * isPerKeyCount)
 
 		d.Acquire(isLock)
-		snapshot := make([]int32, a.bmax)
 		for b := 0; b < a.bmax; b++ {
 			addr := a.buckets + mem.Addr(4*b)
-			v := d.ReadI32(addr) + local[b]
-			snapshot[b] = v
-			d.WriteI32(addr, v)
+			d.WriteI32(addr, d.ReadI32(addr)+local[b])
 		}
 		d.Compute(sim.Time(a.bmax) * 200 * sim.Nanosecond)
 		d.Release(isLock)
@@ -154,8 +158,9 @@ func isProgram[D core.Accessor](a *IS, d D) {
 func (a *IS) Verify(im *mem.Image) error {
 	want := make([]int32, a.bmax)
 	for p := 0; p < a.nprocs; p++ {
-		for _, k := range a.keys(p, a.nprocs) {
-			want[k] += int32(a.rounds)
+		rng, n := a.keyStream(p, a.nprocs)
+		for i := 0; i < n; i++ {
+			want[rng.intn(a.bmax)] += int32(a.rounds)
 		}
 	}
 	for b := 0; b < a.bmax; b++ {

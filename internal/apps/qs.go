@@ -280,26 +280,40 @@ func partition(buf []int32) int {
 	n := len(buf)
 	x, y, z := buf[0], buf[n/2], buf[n-1]
 	pivot := max(min(x, y), min(max(x, y), z))
-	var lt, eq, gt []int32
+	// Count the classes, then place every element at its class's cursor in
+	// one exactly-sized scratch: the stable lt‖eq‖gt order without growing
+	// three slices by append.
+	nlt, neq := 0, 0
 	for _, v := range buf {
 		switch {
 		case v < pivot:
-			lt = append(lt, v)
-		case v > pivot:
-			gt = append(gt, v)
-		default:
-			eq = append(eq, v)
+			nlt++
+		case v == pivot:
+			neq++
 		}
 	}
-	copy(buf, lt)
-	copy(buf[len(lt):], eq)
-	copy(buf[len(lt)+len(eq):], gt)
-	if len(gt) > 0 {
-		return len(lt) + len(eq)
+	out := make([]int32, n)
+	lt, eq, gt := 0, nlt, nlt+neq
+	for _, v := range buf {
+		switch {
+		case v < pivot:
+			out[lt] = v
+			lt++
+		case v > pivot:
+			out[gt] = v
+			gt++
+		default:
+			out[eq] = v
+			eq++
+		}
+	}
+	copy(buf, out)
+	if nlt+neq < n {
+		return nlt + neq
 	}
 	// The pivot is the maximum. Split before the equal run unless every
 	// element is equal (already sorted).
-	return len(lt)
+	return nlt
 }
 
 // bubblesort sorts buf in place and returns the number of compare/swap

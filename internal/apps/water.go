@@ -238,18 +238,20 @@ func waterProgram[D core.Accessor](a *Water, d D) {
 	}
 
 	// EC: read-only locks on the displacements of molecules read in a force
-	// phase, one acquire per molecule per phase. The acquisition order is
-	// tracked in a slice so releases stay deterministic; both are emptied,
-	// not replaced, at the end of each phase.
-	readLocked := map[core.LockID]bool{}
-	var readOrder []core.LockID
+	// phase, one acquire per molecule per phase, released in acquisition
+	// order at its end.
+	readLocked := newLockSet(int(a.dispChunkLock(np)))
+
+	// Force accumulators, flat and reused across steps: bump runs once per
+	// pairwise interaction.
+	acc := make([][3]float64, a.m)
+	touched := make([]bool, a.m)
 
 	for s := 0; s < a.steps; s++ {
 		// Force computation phase: accumulate locally, then apply under
-		// per-molecule locks (the SPLASH report's optimization). Flat
-		// accumulators: bump runs once per pairwise interaction.
-		acc := make([][3]float64, a.m)
-		touched := make([]bool, a.m)
+		// per-molecule locks (the SPLASH report's optimization).
+		clear(acc)
+		clear(touched)
 		bump := func(i int, f [3]float64, sign float64) {
 			touched[i] = true
 			for c := 0; c < 3; c++ {
@@ -266,10 +268,9 @@ func waterProgram[D core.Accessor](a *Water, d D) {
 			} else {
 				l = a.molLock(i)
 			}
-			if !readLocked[l] && owner(i) != me {
+			if !readLocked.member[l] && owner(i) != me {
+				readLocked.add(l)
 				d.AcquireRead(l)
-				readLocked[l] = true
-				readOrder = append(readOrder, l)
 			}
 		}
 		for i := lo; i < hi; i++ {
@@ -282,11 +283,10 @@ func waterProgram[D core.Accessor](a *Water, d D) {
 				d.Compute(waterPerPair)
 			}
 		}
-		for _, l := range readOrder {
+		for _, l := range readLocked.order {
 			d.Release(l)
 		}
-		clear(readLocked)
-		readOrder = readOrder[:0]
+		readLocked.reset()
 		// Apply accumulated force updates under per-molecule locks (both
 		// models: the lock is part of the sequentially consistent program).
 		for i := 0; i < a.m; i++ {

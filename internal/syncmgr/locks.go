@@ -13,10 +13,22 @@
 // double-queue a requester and a replayed KindBarrierArrive would over-count
 // st.arrived. Keeping the dedup in one place (the sublayer) is what lets the
 // two protocol stacks stay oblivious to fault plans.
+//
+// Lock table: a LockMgr keeps one lockSlot per lock it has named, in two
+// chunked tables (lockTable) — the locks it manages indexed by id / nprocs,
+// every other lock by id — so no lock operation hashes. Chunks are allocated
+// when a lock in them is first named and never move: Acquire keeps its slot
+// pointer across net.Call, while handlers name new locks underneath it, so a
+// slot's address must stay valid for the manager's lifetime. A slot owns at
+// most one lockQueue, only while requests are queued on it; Release detaches
+// the queue before the exclusive grant sleeps and returns it to the manager's
+// free list once its messages are granted or forwarded, so nothing but the
+// slot ever points at a live queue and a recycled one is always empty.
 package syncmgr
 
 import (
 	"fmt"
+	"math"
 
 	"ecvslrc/internal/core"
 	"ecvslrc/internal/fabric"
@@ -89,18 +101,72 @@ type Counters struct {
 // the mode; Flag2 is set once the manager has routed the request, so a second
 // arrival at the manager (via successor forwarding) does not re-route it.
 
-type lockState struct {
-	owned     bool // this processor holds the lock token (is the data owner)
-	acquiring bool // an acquire is in flight from this processor
-	held      bool
-	heldMode  Mode
-	successor int // processor we last granted exclusive ownership to, or -1
+// Slot flag bits. A zero slot has never been named at this processor; lock
+// initialises it in place on first touch.
+const (
+	slotNamed     uint8 = 1 << iota
+	slotOwned           // this processor holds the lock token (is the data owner)
+	slotAcquiring       // an acquire is in flight from this processor
+	slotHeld
+	slotHeldRead // held in ReadOnly mode (meaningful while slotHeld)
+)
+
+// lockSlot is one lock's state at one processor: 16 bytes.
+type lockSlot struct {
+	q         *lockQueue // requests queued here; nil when there are none
+	successor int16      // processor we last granted exclusive ownership to, or -1
 	// manager-only: the processor that most recently requested the lock
 	// exclusively (Section 6's "last requested" pointer).
-	lastReq int
+	lastReq int16
+	flags   uint8
+}
 
-	pendingEx   []fabric.Msg
-	pendingRead []fabric.Msg
+func (st *lockSlot) has(f uint8) bool { return st.flags&f != 0 }
+
+// hold marks the slot held in the given mode.
+func (st *lockSlot) hold(mode Mode) {
+	st.flags = st.flags&^slotHeldRead | slotHeld
+	if mode == ReadOnly {
+		st.flags |= slotHeldRead
+	}
+}
+
+// lockQueue holds the requests waiting on one busy lock. It exists only
+// while something is queued and is recycled through LockMgr.freeQ with its
+// slices' capacity, so a contention episode allocates nothing once warm.
+type lockQueue struct {
+	ex, read []fabric.Msg
+}
+
+// lockChunkSlots is the number of slots allocated together. Small on
+// purpose: a processor names the locks it manages (every nprocs-th id) and
+// scattered others (3D-FFT's ids stride by 64), and a chunk is paid for in
+// full by its first slot.
+const lockChunkSlots = 8
+
+// lockTable is a growable index -> slot table whose slots never move.
+type lockTable struct {
+	chunks []*[lockChunkSlots]lockSlot
+}
+
+// find returns slot i, or nil if no slot of its chunk was ever named.
+func (t *lockTable) find(i int) *lockSlot {
+	if c := i / lockChunkSlots; c < len(t.chunks) {
+		if ch := t.chunks[c]; ch != nil {
+			return &ch[i%lockChunkSlots]
+		}
+	}
+	return nil
+}
+
+// grow allocates slot i's chunk, which find did not find, and returns the slot.
+func (t *lockTable) grow(i int) *lockSlot {
+	c := i / lockChunkSlots
+	if c >= len(t.chunks) {
+		t.chunks = append(t.chunks, make([]*[lockChunkSlots]lockSlot, c+1-len(t.chunks))...)
+	}
+	t.chunks[c] = new([lockChunkSlots]lockSlot)
+	return &t.chunks[c][i%lockChunkSlots]
 }
 
 // LockMgr implements distributed locks for one processor.
@@ -110,9 +176,14 @@ type LockMgr struct {
 	p      *sim.Proc
 	net    *fabric.Network
 	hooks  LockHooks
-	locks  map[core.LockID]*lockState
-	cnt    *Counters
-	tr     *trace.Tracer
+	// managed holds the locks this processor manages (id % nprocs == self),
+	// indexed by id / nprocs; foreign holds every other lock it names, indexed
+	// by id. Two index spaces keep both halves dense: indexed by id alone, the
+	// managed locks would touch one slot in every nprocs ids — every chunk.
+	managed, foreign lockTable
+	freeQ            []*lockQueue // emptied queue records, for reuse
+	cnt              *Counters
+	tr               *trace.Tracer
 }
 
 // SetTracer attaches the event tracer (nil-safe, observation-only): acquire
@@ -120,15 +191,19 @@ type LockMgr struct {
 // and queue depths, the raw material of the per-lock contention reports.
 func (m *LockMgr) SetTracer(tr *trace.Tracer) { m.tr = tr }
 
-// NewLockMgr returns the lock manager endpoint for processor p.
+// NewLockMgr returns the lock manager endpoint for processor p. Processor
+// ids are stored as int16 in the lock table, so nprocs may not exceed
+// math.MaxInt16.
 func NewLockMgr(p *sim.Proc, net *fabric.Network, nprocs int, hooks LockHooks, cnt *Counters) *LockMgr {
+	if nprocs < 1 || nprocs > math.MaxInt16 {
+		panic(fmt.Sprintf("syncmgr: lock manager for %d processors: the lock table holds 1..%d", nprocs, math.MaxInt16))
+	}
 	return &LockMgr{
 		self:   p.ID(),
 		nprocs: nprocs,
 		p:      p,
 		net:    net,
 		hooks:  hooks,
-		locks:  make(map[core.LockID]*lockState),
 		cnt:    cnt,
 	}
 }
@@ -136,23 +211,83 @@ func NewLockMgr(p *sim.Proc, net *fabric.Network, nprocs int, hooks LockHooks, c
 // ManagerOf returns the statically assigned manager (round-robin by id).
 func (m *LockMgr) ManagerOf(l core.LockID) int { return int(l) % m.nprocs }
 
-func (m *LockMgr) lock(l core.LockID) *lockState {
-	st := m.locks[l]
-	if st == nil {
-		st = &lockState{successor: -1, lastReq: m.ManagerOf(l)}
-		st.owned = m.ManagerOf(l) == m.self
-		m.locks[l] = st
+// index returns the table and index of lock l at this processor, and l's
+// manager.
+func (m *LockMgr) index(l core.LockID) (t *lockTable, i, mgr int) {
+	if l < 0 {
+		panic(badLockID{m.self, l})
 	}
-	return st
+	if i, mgr = int(l)/m.nprocs, int(l)%m.nprocs; mgr == m.self {
+		return &m.managed, i, mgr
+	}
+	return &m.foreign, int(l), mgr
+}
+
+// badLockID is index's panic value: an error formatted only if it is ever
+// printed, so index stays small enough to inline into every lock operation.
+type badLockID struct {
+	proc int
+	l    core.LockID
+}
+
+func (e badLockID) Error() string {
+	return fmt.Sprintf("syncmgr: proc %d named lock %d: lock ids must be >= 0", e.proc, e.l)
+}
+
+// lock returns l's slot and manager, initialising the slot on first touch:
+// the manager starts as owner and as its own last requester.
+func (m *LockMgr) lock(l core.LockID) (st *lockSlot, mgr int) {
+	t, i, mgr := m.index(l)
+	if st = t.find(i); st == nil {
+		st = t.grow(i)
+	}
+	if st.flags == 0 {
+		st.flags, st.successor, st.lastReq = slotNamed, -1, int16(mgr)
+		if mgr == m.self {
+			st.flags |= slotOwned
+		}
+	}
+	return st, mgr
 }
 
 // Holding reports whether the lock is currently held locally (and its mode).
 func (m *LockMgr) Holding(l core.LockID) (bool, Mode) {
-	st := m.locks[l]
-	if st == nil || !st.held {
+	t, i, _ := m.index(l)
+	st := t.find(i)
+	if st == nil || !st.has(slotHeld) {
 		return false, Exclusive
 	}
-	return true, st.heldMode
+	if st.has(slotHeldRead) {
+		return true, ReadOnly
+	}
+	return true, Exclusive
+}
+
+// enqueue appends msg to st's queue, taking a recycled queue if st has none.
+func (m *LockMgr) enqueue(st *lockSlot, msg fabric.Msg, mode Mode) {
+	q := st.q
+	if q == nil {
+		if n := len(m.freeQ); n > 0 {
+			q, m.freeQ = m.freeQ[n-1], m.freeQ[:n-1]
+		} else {
+			q = new(lockQueue)
+		}
+		st.q = q
+	}
+	if mode == Exclusive {
+		q.ex = append(q.ex, msg)
+	} else {
+		q.read = append(q.read, msg)
+	}
+}
+
+// recycle empties a detached queue onto the free list. The cleared messages
+// drop their payload references; the slices keep their capacity.
+func (m *LockMgr) recycle(q *lockQueue) {
+	clear(q.ex)
+	clear(q.read)
+	q.ex, q.read = q.ex[:0], q.read[:0]
+	m.freeQ = append(m.freeQ, q)
 }
 
 // Acquire obtains lock l in the given mode, blocking until granted.
@@ -162,12 +297,12 @@ func (m *LockMgr) Acquire(l core.LockID, mode Mode) {
 	} else {
 		m.cnt.ReadLockAcquires++
 	}
-	st := m.lock(l)
-	if st.held {
+	st, target := m.lock(l)
+	if st.has(slotHeld) {
 		panic(fmt.Sprintf("syncmgr: proc %d reacquiring held lock %d", m.self, l))
 	}
-	if st.owned {
-		st.held, st.heldMode = true, mode
+	if st.has(slotOwned) {
+		st.hold(mode)
 		m.hooks.LocalReacquire(l, mode)
 		m.tr.LockAcq(m.p.Now(), m.self, int(l), mode == ReadOnly, true)
 		return
@@ -177,26 +312,25 @@ func (m *LockMgr) Acquire(l core.LockID, mode Mode) {
 	req, size := m.hooks.MakeLockRequest(l, mode)
 	req.Kind, req.A, req.B = fabric.PayloadLockReq, int32(l), int32(mode)
 
-	target := m.ManagerOf(l)
 	if target == m.self {
 		// We are the manager: route locally to the last requester.
-		target = st.lastReq
+		target = int(st.lastReq)
 		if mode == Exclusive {
-			st.lastReq = m.self
+			st.lastReq = int16(m.self)
 		}
 		req.Flag2 = true // routed via the manager already
 		if target == m.self {
 			panic(fmt.Sprintf("syncmgr: manager %d believes it owns un-owned lock %d", m.self, l))
 		}
 	}
-	st.acquiring = true
+	st.flags |= slotAcquiring
 	reply := m.net.Call(m.p, target, KindLockReq, size, req)
 	// Commit the new state before the apply work sleeps: requests arriving
 	// during the apply must see us as the holder and queue here.
-	st.acquiring = false
-	st.held, st.heldMode = true, mode
+	st.flags &^= slotAcquiring
+	st.hold(mode)
 	if mode == Exclusive {
-		st.owned = true
+		st.flags |= slotOwned
 		st.successor = -1
 	}
 	work := m.hooks.ApplyLockGrant(l, mode, reply.Payload)
@@ -207,46 +341,55 @@ func (m *LockMgr) Acquire(l core.LockID, mode Mode) {
 
 // Release releases lock l and grants any queued requests.
 func (m *LockMgr) Release(l core.LockID) {
-	st := m.lock(l)
-	if !st.held {
+	st, _ := m.lock(l)
+	if !st.has(slotHeld) {
 		panic(fmt.Sprintf("syncmgr: proc %d releasing un-held lock %d", m.self, l))
 	}
 	relWork := m.hooks.OnRelease(l)
 	m.tr.Work(m.p.Now(), m.self, trace.WorkTrapDiff, trace.ObjLock, int(l), relWork)
 	m.p.Sleep(relWork)
-	m.tr.LockRel(m.p.Now(), m.self, int(l), len(st.pendingEx)+len(st.pendingRead))
-	st.held = false
-	if st.heldMode == ReadOnly {
+	q := st.q
+	depth := 0
+	if q != nil {
+		depth = len(q.ex) + len(q.read)
+	}
+	m.tr.LockRel(m.p.Now(), m.self, int(l), depth)
+	st.flags &^= slotHeld
+	if st.has(slotHeldRead) {
 		// Read-only releases are local: ownership was never transferred.
 		// (Programs separate read and write epochs by barriers, as all the
 		// paper's applications do, so no revocation protocol is needed.)
 		return
 	}
+	if q == nil {
+		return
+	}
 	// Serve queued readers first (they do not move ownership), then pass
 	// ownership to the queued exclusive requester, forwarding any leftovers
-	// down the chain.
-	for _, req := range st.pendingRead {
+	// down the chain. The queue stays attached through the read grants —
+	// while an exclusive request waits in it, arrivals must keep queueing
+	// behind that request — and is detached before the exclusive grant
+	// sleeps, when arrivals start chasing the new owner instead.
+	for _, req := range q.read {
 		m.grantFromProc(st, req)
 	}
-	st.pendingRead = nil
-	if len(st.pendingEx) > 0 {
-		head := st.pendingEx[0]
-		rest := st.pendingEx[1:]
-		st.pendingEx = nil
-		m.grantFromProc(st, head)
-		for _, req := range rest {
-			m.net.ForwardFrom(m.p, req, st.successor, 0)
+	st.q = nil
+	if len(q.ex) > 0 {
+		m.grantFromProc(st, q.ex[0])
+		for _, req := range q.ex[1:] {
+			m.net.ForwardFrom(m.p, req, int(st.successor), 0)
 		}
 	}
+	m.recycle(q)
 }
 
-func (m *LockMgr) grantFromProc(st *lockState, req fabric.Msg) {
+func (m *LockMgr) grantFromProc(st *lockSlot, req fabric.Msg) {
 	l, mode := core.LockID(req.Payload.A), Mode(req.Payload.B)
 	// Transfer ownership before the collection work sleeps: requests
 	// arriving mid-grant must chase the new owner, not be granted again.
 	if mode == Exclusive {
-		st.owned = false
-		st.successor = req.From
+		st.flags &^= slotOwned
+		st.successor = int16(req.From)
 	}
 	payload, size, work := m.hooks.MakeLockGrant(l, mode, req.Payload, req.From)
 	payload.Kind, payload.A, payload.B = fabric.PayloadLockGrant, int32(l), int32(mode)
@@ -256,11 +399,11 @@ func (m *LockMgr) grantFromProc(st *lockState, req fabric.Msg) {
 	m.net.ReplyFrom(m.p, req, KindLockGrant, size, payload)
 }
 
-func (m *LockMgr) grantFromHandler(hc *fabric.HandlerCtx, st *lockState, req fabric.Msg) {
+func (m *LockMgr) grantFromHandler(hc *fabric.HandlerCtx, st *lockSlot, req fabric.Msg) {
 	l, mode := core.LockID(req.Payload.A), Mode(req.Payload.B)
 	if mode == Exclusive {
-		st.owned = false
-		st.successor = req.From
+		st.flags &^= slotOwned
+		st.successor = int16(req.From)
 	}
 	payload, size, work := m.hooks.MakeLockGrant(l, mode, req.Payload, req.From)
 	payload.Kind, payload.A, payload.B = fabric.PayloadLockGrant, int32(l), int32(mode)
@@ -279,45 +422,41 @@ func (m *LockMgr) Handle(hc *fabric.HandlerCtx, msg fabric.Msg) bool {
 		return false
 	}
 	l, mode := core.LockID(msg.Payload.A), Mode(msg.Payload.B)
-	st := m.lock(l)
+	st, mgr := m.lock(l)
 
-	if m.ManagerOf(l) == m.self && !msg.Payload.Flag2 {
+	if mgr == m.self && !msg.Payload.Flag2 {
 		// Manager role: forward to the last exclusive requester unless that
 		// is ourselves (then we are the owner and fall through).
 		msg.Payload.Flag2 = true
-		if st.lastReq != m.self {
-			target := st.lastReq
+		if int(st.lastReq) != m.self {
+			target := int(st.lastReq)
 			if mode == Exclusive {
-				st.lastReq = msg.From
+				st.lastReq = int16(msg.From)
 			}
 			hc.Forward(msg, target, 0)
 			return true
 		}
 		if mode == Exclusive {
-			st.lastReq = msg.From
+			st.lastReq = int16(msg.From)
 		}
 	}
 
 	// A read request can be granted while the owner itself holds the lock
 	// read-only: read-only locks are shared (Midway semantics; IS phase 2
 	// has every processor read-locking the same array concurrently).
-	free := !st.held || (st.heldMode == ReadOnly && mode == ReadOnly)
+	free := !st.has(slotHeld) || (st.has(slotHeldRead) && mode == ReadOnly)
 	switch {
-	case st.owned && free && len(st.pendingEx) == 0:
+	case st.has(slotOwned) && free && (st.q == nil || len(st.q.ex) == 0):
 		m.grantFromHandler(hc, st, msg)
-	case st.owned || st.acquiring:
+	case st.has(slotOwned | slotAcquiring):
 		// Busy (or about to own): queue until release.
-		if mode == Exclusive {
-			st.pendingEx = append(st.pendingEx, msg)
-		} else {
-			st.pendingRead = append(st.pendingRead, msg)
-		}
+		m.enqueue(st, msg, mode)
 	default:
 		// Ownership has moved on; chase it down the successor chain.
 		if st.successor < 0 {
 			panic(fmt.Sprintf("syncmgr: proc %d got request for lock %d it never owned", m.self, l))
 		}
-		hc.Forward(msg, st.successor, 0)
+		hc.Forward(msg, int(st.successor), 0)
 	}
 	return true
 }

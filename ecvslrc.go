@@ -47,7 +47,7 @@ type Stats = core.Stats
 type CostModel = fabric.CostModel
 
 // CostPreset is a named, documented cost-model variant.
-type CostPreset = fabric.Preset
+type CostPreset = platform.Preset
 
 // SweepRecord is one cell of a sensitivity sweep: full run statistics plus
 // variant metadata and speedup against the sequential reference.
@@ -57,10 +57,10 @@ type SweepRecord = sweep.Record
 func DefaultCost() CostModel { return fabric.DefaultCostModel() }
 
 // CostPresets lists the named cost models, the calibrated platform first:
-// the knob-composed sensitivity variants, then the registered platform
-// models (internal/platform) — validated machine models whose constants
-// derive from published numbers.
-func CostPresets() []CostPreset { return fabric.Presets() }
+// the aliases of knob-composed sensitivity specs, then the registered
+// platform models (internal/platform) — validated machine models whose
+// constants derive from published numbers.
+func CostPresets() []CostPreset { return platform.Presets() }
 
 // ResolveCost turns a cost spec into a cost model: a preset name (any
 // CostPresets entry, platform models included) optionally followed by

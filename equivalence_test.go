@@ -10,13 +10,17 @@ import (
 	"ecvslrc/internal/run"
 )
 
+// adapterOnly hides an application's StaticApp methods, so the runner's
+// dispatch rule enters it through Program(core.DSM).
+type adapterOnly struct{ run.App }
+
 // TestStaticDispatchEquivalence pins the devirtualized access path: for
 // every generic-kernel application and all six implementations, the
 // statically-dispatched entry (run.StaticApp, kernels instantiated at
 // *lrc.Node / *ec.Node) must produce core.Stats deeply equal to the
-// interface-adapter path (Program(core.DSM), forced via
-// Options.InterfaceDispatch). The two paths run the same kernel source, so
-// any divergence is a dispatch-layer bug, not an application change.
+// interface-adapter path (Program(core.DSM), reached by hiding the static
+// entry points behind adapterOnly). The two paths run the same kernel source,
+// so any divergence is a dispatch-layer bug, not an application change.
 func TestStaticDispatchEquivalence(t *testing.T) {
 	names := append(append([]string{}, apps.Names()...), apps.MicroNames()...)
 	const nprocs = 4
@@ -39,7 +43,7 @@ func TestStaticDispatchEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				iface, err := run.RunWith(b, impl, nprocs, cm, run.Options{InterfaceDispatch: true})
+				iface, err := run.RunWith(adapterOnly{b}, impl, nprocs, cm, run.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -70,7 +74,7 @@ func TestStaticDispatchSeqEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			iface, err := run.RunSeqWith(b, run.Options{InterfaceDispatch: true})
+			iface, err := run.RunSeqWith(adapterOnly{b}, run.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

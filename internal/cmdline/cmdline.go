@@ -82,7 +82,7 @@ func (c *Cmd) BindProcs() {
 
 // BindPreset binds -preset; role says what the cost spec is for.
 func (c *Cmd) BindPreset(def, role string) {
-	c.FS.StringVar(&c.Preset, "preset", def, role+": a preset ("+strings.Join(fabric.PresetNames(), ", ")+"), optionally +knobs, e.g. \"rdma_100g+net=x2\"")
+	c.FS.StringVar(&c.Preset, "preset", def, role+": a preset ("+strings.Join(platform.PresetNames(), ", ")+"), optionally +knobs, e.g. \"rdma_100g+net=x2\"")
 }
 
 // BindFanInTimeout binds the two machine flags that also apply to a whole

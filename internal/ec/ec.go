@@ -256,29 +256,16 @@ func NewWithImage(p *sim.Proc, net *fabric.Network, al *mem.Allocator, nprocs in
 		n.SetTrap(n.db, n.CM.InstrStoreOpt)
 	case core.Twinning:
 		n.twins = wtrap.NewPageTwins(n.Im)
+		if n.Tr != nil {
+			n.twins.OnMake = func(pg int) {
+				n.Tr.Twin(p.Now(), p.ID(), trace.DomainPage, pg)
+			}
+		}
 		n.openEpochs = make([][]core.LockID, al.Pages())
 		n.MMU.SetHandler(n.onFault)
 	}
 	net.Attach(p, n.handle)
 	return n
-}
-
-// Impl returns the implementation configuration.
-func (n *Node) Impl() core.Impl { return n.impl }
-
-// SetTracer attaches the event tracer to this node and its sub-machinery:
-// fault, twin, harvest and grant-install events plus the lock and barrier
-// manager taps. EC attribution is lock-keyed (trace.DomainLock); the Bind
-// records let the analyzer project it onto pages. Call before the run starts.
-func (n *Node) SetTracer(tr *trace.Tracer) {
-	n.AttachTracer(tr)
-	n.locks.SetTracer(tr)
-	n.bars.SetTracer(tr)
-	if n.twins != nil {
-		n.twins.OnMake = func(pg int) {
-			tr.Twin(n.P.Now(), n.P.ID(), trace.DomainPage, pg)
-		}
-	}
 }
 
 // NProcs implements core.DSM.

@@ -53,19 +53,6 @@ func TestHardwareKnobsZeroTheirGroups(t *testing.T) {
 	}
 }
 
-func TestPresetLookup(t *testing.T) {
-	if cm, err := PresetByName("paper"); err != nil || cm != DefaultCostModel() {
-		t.Errorf("paper preset: %v, %+v", err, cm)
-	}
-	if _, err := PresetByName("nope"); err == nil {
-		t.Error("want error for unknown preset")
-	}
-	names := PresetNames()
-	if len(names) != len(Presets()) || names[0] != "paper" {
-		t.Errorf("names = %v", names)
-	}
-}
-
 // TestContentionSerializesBulkTransfers checks the occupancy model: two
 // senders transmitting at once to distinct receivers overlap for free with
 // contention off, but queue on the shared link with it on.

@@ -487,9 +487,6 @@ func (n *Network) EnableFaults(plan FaultPlan) error {
 	return nil
 }
 
-// FaultsEnabled reports whether a fault plan is active.
-func (n *Network) FaultsEnabled() bool { return n.faults != nil }
-
 // FaultStats returns the fault-injection and recovery counters (zero-valued
 // with faults off).
 func (n *Network) FaultStats() FaultStats {

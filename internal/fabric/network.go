@@ -127,8 +127,10 @@ type Network struct {
 
 	// hctx is the scratch handler context reused across deliveries: handlers
 	// run synchronously in scheduler context and never nest, so one lives at
-	// a time and delivery allocates nothing.
+	// a time and delivery allocates nothing. ctxs holds each processor's own
+	// context (Proc).
 	hctx HandlerCtx
+	ctxs []HandlerCtx
 
 	// tr records send/deliver/link events for the tracing subsystem. All
 	// emit methods are nil-safe, so the disabled path costs one nil check
@@ -162,6 +164,7 @@ func New(s *sim.Simulator, cm CostModel, nprocs int) *Network {
 		handlers: make([]Handler, nprocs),
 		stats:    make([]Stats, nprocs),
 		links:    make([]link, nprocs),
+		ctxs:     make([]HandlerCtx, nprocs),
 	}
 }
 
@@ -169,8 +172,13 @@ func New(s *sim.Simulator, cm CostModel, nprocs int) *Network {
 func (n *Network) Cost() *CostModel { return &n.cm }
 
 // SetTracer attaches the event tracer (nil to detach). Tracing is
-// observation-only: traced runs stay bit-identical to untraced ones.
+// observation-only: traced runs stay bit-identical to untraced ones. Attach
+// it before building the protocol nodes and managers: each reads Tracer once,
+// when it is built.
 func (n *Network) SetTracer(tr *trace.Tracer) { n.tr = tr }
+
+// Tracer returns the attached event tracer, nil when tracing is off.
+func (n *Network) Tracer() *trace.Tracer { return n.tr }
 
 // EnableContention switches on shared-link contention: every message must
 // additionally occupy the shared ATM link/switch path for
@@ -179,9 +187,6 @@ func (n *Network) SetTracer(tr *trace.Tracer) { n.tr = tr }
 // (the default) transfers overlap for free and all outputs are byte-identical
 // to the calibrated model. Must be called before the simulation starts.
 func (n *Network) EnableContention() { n.contention = true }
-
-// ContentionEnabled reports whether shared-link contention is modeled.
-func (n *Network) ContentionEnabled() bool { return n.contention }
 
 // LinkWait returns the total queueing delay messages spent waiting for the
 // shared link (always zero with contention off).
@@ -239,17 +244,11 @@ func (n *Network) transmit(sendEnd sim.Time, fl *flight) {
 func (n *Network) Attach(p *sim.Proc, h Handler) {
 	n.procs[p.ID()] = p
 	n.handlers[p.ID()] = h
+	n.ctxs[p.ID()] = HandlerCtx{n: n, p: p, self: p.ID()}
 }
 
 // ProcStats returns the traffic counters for processor id.
 func (n *Network) ProcStats(id int) Stats { return n.stats[id] }
-
-// Snapshot copies all per-processor counters.
-func (n *Network) Snapshot() []Stats {
-	out := make([]Stats, len(n.stats))
-	copy(out, n.stats)
-	return out
-}
 
 // Total sums traffic over all processors.
 func (n *Network) Total() Stats {
@@ -267,10 +266,16 @@ func (n *Network) account(from, size int) int {
 	return total
 }
 
+// Proc returns processor p's own execution context: the same protocol
+// actions a handler performs through its HandlerCtx — Send, Reply, Forward,
+// Work — performed by the running program, which sleeps through each cost
+// instead of accumulating it. One value per processor, valid from Attach on.
+func (n *Network) Proc(p *sim.Proc) *HandlerCtx { return &n.ctxs[p.ID()] }
+
 // Send transmits a one-way message from the running processor p. The sender
 // is busy for the programmed-I/O cost of the message.
 func (n *Network) Send(p *sim.Proc, to, kind, size int, payload Payload) {
-	n.post(p, Msg{From: p.ID(), To: to, Kind: kind, Size: size, Payload: payload})
+	n.Proc(p).Send(to, kind, size, payload)
 }
 
 // Call transmits a request from the running processor p and blocks until the
@@ -280,7 +285,7 @@ func (n *Network) Send(p *sim.Proc, to, kind, size int, payload Payload) {
 // synchronous call outstanding.
 func (n *Network) Call(p *sim.Proc, to, kind, size int, payload Payload) Msg {
 	w := p.CallWaiter()
-	n.post(p, Msg{From: p.ID(), To: to, Kind: kind, Size: size, Payload: payload, waiter: w})
+	n.CallAsync(p, w, to, kind, size, payload)
 	return n.Await(w, "rpc-reply")
 }
 
@@ -291,7 +296,7 @@ func (n *Network) Call(p *sim.Proc, to, kind, size int, payload Payload) Msg {
 // so a processor that fetches over and over keeps its waiters instead of
 // allocating one per call.
 func (n *Network) CallAsync(p *sim.Proc, w *sim.Waiter, to, kind, size int, payload Payload) {
-	n.post(p, Msg{From: p.ID(), To: to, Kind: kind, Size: size, Payload: payload, waiter: w})
+	n.Proc(p).launch(Msg{From: p.ID(), To: to, Kind: kind, Size: size, Payload: payload, waiter: w}, false)
 }
 
 // Await blocks until the reply for a Call/CallAsync waiter arrives and
@@ -304,53 +309,6 @@ func (n *Network) Await(w *sim.Waiter, reason string) Msg {
 	m.waiter = nil
 	fl.n.release(fl)
 	return m
-}
-
-// post charges the running sender and schedules delivery.
-func (n *Network) post(p *sim.Proc, m Msg) {
-	if m.To == p.ID() {
-		panic(fmt.Sprintf("fabric: proc %d sending to itself (kind %d)", m.To, m.Kind))
-	}
-	if m.To < 0 || m.To >= len(n.procs) {
-		panic(fmt.Sprintf("fabric: bad destination %d", m.To))
-	}
-	total := n.account(p.ID(), m.Size)
-	n.tr.Send(p.Now(), m.From, m.To, m.Kind, total)
-	p.Sleep(n.cm.MsgCost(total))
-	n.transmit(p.Now(), n.newFlight(m))
-}
-
-// ForwardFrom re-addresses request req to another processor from process
-// context, preserving the original requester's reply path.
-func (n *Network) ForwardFrom(p *sim.Proc, req Msg, to int, extraSize int) {
-	if to == p.ID() {
-		panic("fabric: forwarding to self")
-	}
-	fwd := req
-	fwd.To = to
-	fwd.Size += extraSize
-	total := n.account(p.ID(), fwd.Size)
-	n.tr.Send(p.Now(), p.ID(), fwd.To, fwd.Kind, total)
-	p.Sleep(n.cm.MsgCost(total))
-	n.transmit(p.Now(), n.newFlight(fwd))
-}
-
-// ReplyFrom sends the reply to request req from the running processor p.
-// Used when a request was queued by a handler and is granted later from
-// process context (e.g. a lock released while others are waiting).
-func (n *Network) ReplyFrom(p *sim.Proc, req Msg, kind, size int, payload Payload) {
-	if req.waiter == nil {
-		panic("fabric: ReplyFrom for a one-way message")
-	}
-	if req.From == p.ID() {
-		panic("fabric: replying to self")
-	}
-	total := n.account(p.ID(), size)
-	n.tr.Send(p.Now(), p.ID(), req.From, kind, total)
-	p.Sleep(n.cm.MsgCost(total))
-	fl := n.newFlight(Msg{From: p.ID(), To: req.From, Kind: kind, Size: size, Payload: payload, waiter: req.waiter})
-	fl.reply = true
-	n.transmit(p.Now(), fl)
 }
 
 // deliver runs the destination's request handler at arrival time, charging
@@ -370,70 +328,81 @@ func (n *Network) deliver(m Msg, at sim.Time) {
 	n.procs[m.To].InjectWork(hc.busy)
 }
 
-// HandlerCtx is the execution context of a request handler. All time
-// consumed through it (fixed handler cost, Work, message sends) is charged to
-// the hosting processor after the handler returns; the context is valid only
-// for the duration of the handler call (it is reused across deliveries).
+// HandlerCtx is the execution context of a protocol action: who performs it
+// and how its CPU time is charged. There are two kinds. A handler's context
+// (deliver) runs in scheduler context at message-arrival time: Now is the
+// arrival time plus the work so far, Work accumulates, and the total is
+// charged to the hosting processor after the handler returns; it is valid
+// only for the duration of the handler call (it is reused across
+// deliveries). A processor's own context (Network.Proc) runs in the program:
+// Now is the process clock and Work sleeps. Everything else — accounting,
+// tracing, the order of charge and transmit — is one code path (launch).
 type HandlerCtx struct {
 	n    *Network
+	p    *sim.Proc // the running processor, for its own context; nil in a handler's
 	self int
 	at   sim.Time
 	busy sim.Time
 }
 
-// Self returns the processor the handler is running on.
-func (hc *HandlerCtx) Self() int { return hc.self }
-
-// Now returns the handler's current virtual time (arrival plus work so far).
-func (hc *HandlerCtx) Now() sim.Time { return hc.at + hc.busy }
-
-// Work charges d of CPU time inside the handler (e.g. a timestamp scan or a
-// diff creation performed while servicing the request).
-func (hc *HandlerCtx) Work(d sim.Time) { hc.busy += d }
-
-// Send transmits a one-way message from within the handler.
-func (hc *HandlerCtx) Send(to, kind, size int, payload Payload) {
-	if to == hc.self {
-		panic("fabric: handler sending to self")
+// Now returns the context's current virtual time.
+func (hc *HandlerCtx) Now() sim.Time {
+	if hc.p != nil {
+		return hc.p.Now()
 	}
-	total := hc.n.account(hc.self, size)
-	hc.n.tr.Send(hc.Now(), hc.self, to, kind, total)
-	hc.busy += hc.n.cm.MsgCost(total)
-	m := Msg{From: hc.self, To: to, Kind: kind, Size: size, Payload: payload}
-	hc.n.transmit(hc.at+hc.busy, hc.n.newFlight(m))
+	return hc.at + hc.busy
 }
 
-// Reply answers request req from within the handler.
+// Work charges d of CPU time to the hosting processor (e.g. a timestamp scan
+// or a diff creation performed while servicing a request).
+func (hc *HandlerCtx) Work(d sim.Time) {
+	if hc.p != nil {
+		hc.p.Sleep(d)
+		return
+	}
+	hc.busy += d
+}
+
+// launch is the one send path: charge the sender the programmed-I/O cost of
+// m and put it in flight once that cost has elapsed. Account, trace, charge,
+// take the slot, transmit — in that order in both contexts, so the events a
+// send schedules keep their sequence numbers whoever performs it.
+func (hc *HandlerCtx) launch(m Msg, reply bool) {
+	n := hc.n
+	if m.To == hc.self {
+		panic(fmt.Sprintf("fabric: proc %d sending to itself (kind %d)", m.To, m.Kind))
+	}
+	if m.To < 0 || m.To >= len(n.procs) {
+		panic(fmt.Sprintf("fabric: bad destination %d", m.To))
+	}
+	total := n.account(hc.self, m.Size)
+	n.tr.Send(hc.Now(), hc.self, m.To, m.Kind, total)
+	hc.Work(n.cm.MsgCost(total))
+	fl := n.newFlight(m)
+	fl.reply = reply
+	n.transmit(hc.Now(), fl)
+}
+
+// Send transmits a one-way message.
+func (hc *HandlerCtx) Send(to, kind, size int, payload Payload) {
+	hc.launch(Msg{From: hc.self, To: to, Kind: kind, Size: size, Payload: payload}, false)
+}
+
+// Reply answers request req: from the handler that received it, or later
+// from the program when the request was queued (a lock released while others
+// wait, a barrier lowered by the manager's own arrival).
 func (hc *HandlerCtx) Reply(req Msg, kind, size int, payload Payload) {
 	if req.waiter == nil {
 		panic("fabric: Reply to a one-way message")
 	}
-	total := hc.n.account(hc.self, size)
-	hc.n.tr.Send(hc.Now(), hc.self, req.From, kind, total)
-	hc.busy += hc.n.cm.MsgCost(total)
-	fl := hc.n.newFlight(Msg{From: hc.self, To: req.From, Kind: kind, Size: size, Payload: payload, waiter: req.waiter})
-	fl.reply = true
-	hc.n.transmit(hc.at+hc.busy, fl)
+	hc.launch(Msg{From: hc.self, To: req.From, Kind: kind, Size: size, Payload: payload, waiter: req.waiter}, true)
 }
 
 // Forward re-addresses request req to another processor, preserving the
 // original requester's reply path (the manager-forwarding pattern of
 // Section 6). extraSize is added to the forwarded payload size.
 func (hc *HandlerCtx) Forward(req Msg, to int, extraSize int) {
-	if to == hc.self {
-		panic("fabric: forwarding to self")
-	}
-	fwd := req
-	fwd.To = to
-	fwd.Size += extraSize
-	total := hc.n.account(hc.self, fwd.Size)
-	hc.n.tr.Send(hc.Now(), hc.self, fwd.To, fwd.Kind, total)
-	hc.busy += hc.n.cm.MsgCost(total)
-	hc.n.transmit(hc.at+hc.busy, hc.n.newFlight(fwd))
-}
-
-// LocalReply delivers a reply to a request that was queued earlier by this
-// same processor's handler and is being granted from handler context now.
-func (hc *HandlerCtx) LocalReply(req Msg, kind, size int, payload Payload) {
-	hc.Reply(req, kind, size, payload)
+	req.To = to
+	req.Size += extraSize
+	hc.launch(req, false)
 }

@@ -128,7 +128,7 @@ func TestDeferredReplyFromProcessContext(t *testing.T) {
 	p1 := s.Spawn("holder", func(p *sim.Proc) {
 		p.Sleep(1000 * sim.Microsecond) // holds the resource for 1 ms
 		for _, req := range pending {
-			n.ReplyFrom(p, req, 2, 0, Payload{B: 5})
+			n.Proc(p).Reply(req, 2, 0, Payload{B: 5})
 		}
 	})
 	n.Attach(p0, func(hc *HandlerCtx, m Msg) {})
@@ -168,23 +168,6 @@ func TestParallelCallsOverlap(t *testing.T) {
 	serial := 2 * (100 + 50 + 10 + 100 + 50 + 10) * sim.Microsecond
 	if elapsed >= serial {
 		t.Errorf("elapsed = %v, not overlapped (serial = %v)", elapsed, serial)
-	}
-}
-
-func TestSelfSendPanics(t *testing.T) {
-	s := sim.New()
-	n := New(s, flatCost(), 1)
-	p0 := s.Spawn("p0", func(p *sim.Proc) {
-		defer func() {
-			if recover() == nil {
-				t.Error("want panic on self-send")
-			}
-		}()
-		n.Send(p, 0, 1, 0, Payload{})
-	})
-	n.Attach(p0, func(hc *HandlerCtx, m Msg) {})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -192,9 +192,6 @@ func (n *Network) EnableTopology(t Topology) error {
 	return nil
 }
 
-// TopologyEnabled reports whether a switch topology is active.
-func (n *Network) TopologyEnabled() bool { return n.topo != nil }
-
 // level returns the lowest common switch level of two distinct processors.
 func (ts *topoState) level(i, j int) int {
 	l := 1

@@ -50,8 +50,6 @@
 // theirs, measured in EXPERIMENTS.md.
 package lrc
 
-import "fmt"
-
 // GC is a shared notice-history collector across the nodes of one run.
 // Attach with NewGC before the simulation starts; it fires once per barrier.
 type GC struct {
@@ -238,9 +236,4 @@ func (g *GC) collect() {
 
 	g.report.Collections++
 	g.report.Samples = append(g.report.Samples, GCSample{Before: before, After: g.NoticeBytes()})
-	if Trace {
-		fmt.Printf("    [gc] pass %d minVec=%v pruned rec=%d diff=%d bytes %d->%d\n",
-			g.report.Collections, g.minVec, g.report.RecordsPruned, g.report.DiffsPruned,
-			before, g.NoticeBytes())
-	}
 }

@@ -26,9 +26,6 @@ import (
 	"ecvslrc/internal/wtrap"
 )
 
-// Trace enables protocol-level debug output (tests only).
-var Trace = false
-
 // Message kinds beyond the shared synchronization managers'.
 const (
 	kindFetchReq = 10 + iota
@@ -279,6 +276,11 @@ func NewWithImage(p *sim.Proc, net *fabric.Network, al *mem.Allocator, nprocs in
 		n.SetTrap(n.db, n.CM.InstrStoreOpt+n.CM.InstrStoreOpt/2)
 	case core.Twinning:
 		n.twins = wtrap.NewPageTwins(n.Im)
+		if n.Tr != nil {
+			n.twins.OnMake = func(pg int) {
+				n.Tr.Twin(p.Now(), p.ID(), trace.DomainPage, pg)
+			}
+		}
 		// All shared pages start write-protected so first writes twin.
 		for pg := 0; pg < al.Pages(); pg++ {
 			n.MMU.SetProt(pg, vm.ReadOnly)
@@ -287,23 +289,6 @@ func NewWithImage(p *sim.Proc, net *fabric.Network, al *mem.Allocator, nprocs in
 	n.MMU.SetHandler(n.onFault)
 	net.Attach(p, n.handle)
 	return n
-}
-
-// Impl returns the implementation configuration.
-func (n *Node) Impl() core.Impl { return n.impl }
-
-// SetTracer attaches the event tracer to this node and its sub-machinery:
-// fault, miss, twin, collect and apply events plus the lock and barrier
-// manager taps. Tracing is observation-only; call before the run starts.
-func (n *Node) SetTracer(tr *trace.Tracer) {
-	n.AttachTracer(tr)
-	n.locks.SetTracer(tr)
-	n.bars.SetTracer(tr)
-	if n.twins != nil {
-		n.twins.OnMake = func(pg int) {
-			tr.Twin(n.P.Now(), n.P.ID(), trace.DomainPage, pg)
-		}
-	}
 }
 
 // NProcs implements core.DSM.
@@ -639,10 +624,6 @@ func (n *Node) accessMiss(pg int, write bool) {
 		panic(fmt.Sprintf("lrc: proc %d: invalid page %d with no pending notices", n.P.ID(), pg))
 	}
 	n.Tr.Miss(n.P.Now(), n.P.ID(), pg, len(writers), write)
-	if Trace {
-		fmt.Printf("    [lrc] t=%v p%d miss pg%d writers=%+v windows=%+v\n",
-			n.P.Now(), n.P.ID(), pg, writers, pm.writers)
-	}
 
 	// Parallel requests, as TreadMarks issues its diff requests.
 	for len(n.fetchWaiters) < len(writers) {
@@ -835,13 +816,6 @@ func (n *Node) handleFetch(hc *fabric.HandlerCtx, m fabric.Msg) {
 		for _, idf := range reply.Diffs {
 			size += idf.Diff.WireSize()
 		}
-		if Trace {
-			fmt.Printf("    [lrc] p%d serves fetch(pg%d since %d) from p%d: %d diffs of %d stored\n",
-				n.P.ID(), pg, since, m.From, len(reply.Diffs), len(ds))
-			for _, idf := range reply.Diffs {
-				fmt.Printf("      ival %d: %d runs\n", idf.Ival, len(idf.Diff.Runs))
-			}
-		}
 	case core.Timestamps:
 		pageRange := []mem.Range{{Base: mem.PageBase(pg), Len: mem.PageSize}}
 		var scanned int
@@ -1019,14 +993,6 @@ func (h *barrierHooks) MakeDeparture(b core.BarrierID, to int) (fabric.Payload, 
 		av = mv
 	}
 	records, size := n.collectNotices(av)
-	if Trace {
-		fmt.Printf("    [lrc] t=%v barrier %d mgr p%d departure to p%d: av=%v, %d records:",
-			n.P.Now(), b, n.P.ID(), to, av, len(records))
-		for _, r := range records {
-			fmt.Printf(" (p%d,%d,pgs%v)", r.proc, r.idx, r.pages)
-		}
-		fmt.Println()
-	}
 	v := make([]int32, len(n.vec))
 	copy(v, n.vec)
 	return fabric.Payload{Vec: v, Body: &noticeBody{records: records}}, size + 4*len(v), 0

@@ -82,9 +82,6 @@ type Region struct {
 	Block int
 }
 
-// Range returns the region's full extent.
-func (r Region) Range() Range { return Range{Base: r.Base, Len: r.Size} }
-
 // Allocator hands out page-aligned shared regions. All processors share one
 // allocator (allocation happens deterministically before the run starts).
 type Allocator struct {

@@ -59,8 +59,9 @@ type Base struct {
 	// the protection compare keeps the store fast path to a single branch.
 	fastWriteProt vm.Prot
 
-	// Tr is the event tracer, nil when tracing is off. Every emit method is
-	// nil-safe, so protocol code records unconditionally.
+	// Tr is the event tracer — the network's, read when the node is built —
+	// nil when tracing is off. Every emit method is nil-safe, so protocol code
+	// records unconditionally.
 	Tr *trace.Tracer
 
 	Cnt syncmgr.Counters
@@ -98,7 +99,8 @@ func (b *Base) Init(p *sim.Proc, net *fabric.Network, al *mem.Allocator, model c
 
 // InitWithImage is Init with a caller-provided image (typically recycled,
 // contents unspecified): the runner overwrites it in full before the
-// simulation starts.
+// simulation starts. With a tracer on the network, protection faults are
+// tapped through the MMU observer.
 func (b *Base) InitWithImage(p *sim.Proc, net *fabric.Network, al *mem.Allocator, model core.Model, nprocs int, im *mem.Image) {
 	b.P = p
 	b.Net = net
@@ -111,6 +113,11 @@ func (b *Base) InitWithImage(p *sim.Proc, net *fabric.Network, al *mem.Allocator
 	b.fastWriteProt = vm.ReadWrite
 	b.NProcs = nprocs
 	b.Model = model
+	if b.Tr = net.Tracer(); b.Tr != nil {
+		b.MMU.SetObserver(func(a mem.Addr, write bool) {
+			b.Tr.Fault(p.Now(), p.ID(), mem.PageOf(a), write)
+		})
+	}
 }
 
 // neverProt is fastWriteProt's sentinel: no page ever reaches it, so every
@@ -128,16 +135,6 @@ func (b *Base) SetTrap(db *wtrap.DirtyBits, cost sim.Time) {
 	} else {
 		b.fastWriteProt = vm.ReadWrite
 	}
-}
-
-// AttachTracer stores the event tracer and taps the hooks common to both
-// protocol stacks (protection faults via the MMU observer). The protocol
-// nodes extend it with their own taps in their SetTracer methods.
-func (b *Base) AttachTracer(tr *trace.Tracer) {
-	b.Tr = tr
-	b.MMU.SetObserver(func(a mem.Addr, write bool) {
-		tr.Fault(b.P.Now(), b.P.ID(), mem.PageOf(a), write)
-	})
 }
 
 // Charge defers d of CPU cost, flushing when the accumulation grows large.

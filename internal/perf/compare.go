@@ -8,6 +8,7 @@
 package perf
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"sort"
@@ -164,7 +165,7 @@ func (k CellKey) String() string {
 // revisions and aggregates, the top wall movers, every flagged regression,
 // and the coverage diff.
 func WriteCompare(w io.Writer, base, head *Trajectory, res *CompareResult, opt CompareOptions) error {
-	bw := &errWriter{w: w}
+	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# dsmperf compare\n\n")
 	fmt.Fprintf(bw, "| | base | head |\n|---|---|---|\n")
 	fmt.Fprintf(bw, "| rev | %s | %s |\n", base.Meta.Rev, head.Meta.Rev)
@@ -225,23 +226,7 @@ func WriteCompare(w io.Writer, base, head *Trajectory, res *CompareResult, opt C
 			fmt.Fprintf(bw, "- %s\n", k)
 		}
 	}
-	return bw.err
-}
-
-// errWriter latches the first write error so the report renderer stays
-// linear.
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (ew *errWriter) Write(p []byte) (int, error) {
-	if ew.err != nil {
-		return len(p), nil
-	}
-	n, err := ew.w.Write(p)
-	ew.err = err
-	return n, nil
+	return bw.Flush()
 }
 
 func fmtNS(ns int64) string {

@@ -427,17 +427,3 @@ func (r *Registry) Counters() map[string]int64 {
 	}
 	return out
 }
-
-// Gauges returns a point-in-time copy of every named gauge.
-func (r *Registry) Gauges() map[string]int64 {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]int64, len(r.gauges))
-	for name, g := range r.gauges {
-		out[name] = g.Value()
-	}
-	return out
-}

@@ -1,8 +1,7 @@
 // Package models registers the platform-model library with
-// internal/platform (and, through it, with the fabric preset table).
-// Importing this package — usually as a blank import — makes every model
-// resolvable by name via fabric.PresetByName, platform.Resolve and the
-// sweep "platform=" axis.
+// internal/platform. Importing this package — usually as a blank import —
+// makes every model resolvable by name via platform.Lookup, platform.Resolve
+// and the sweep "platform=" axis.
 //
 // Each model lives in its own sub-package with a sibling CHANGELOG.md
 // (append-only; enforced by a test and a CI grep). Registration order is

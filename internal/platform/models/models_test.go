@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ecvslrc/internal/fabric"
@@ -72,14 +73,15 @@ func TestAllModelsValidate(t *testing.T) {
 	}
 }
 
-// TestModelsRegisterAsPresets checks the fabric bridge: every model resolves
-// by name through the preset table to exactly its derived constants, and the
-// pre-library knob presets still resolve to their historical values.
+// TestModelsRegisterAsPresets checks the cost-name table: every model
+// resolves by name to exactly its derived constants, the pre-library knob
+// presets still resolve to their historical values, and the names list in
+// the order the fabric registry listed them before platform owned the table.
 func TestModelsRegisterAsPresets(t *testing.T) {
 	for _, m := range platform.Models() {
-		cm, err := fabric.PresetByName(m.Name)
+		cm, err := platform.Lookup(m.Name)
 		if err != nil {
-			t.Errorf("PresetByName(%q): %v", m.Name, err)
+			t.Errorf("Lookup(%q): %v", m.Name, err)
 			continue
 		}
 		if cm != m.Derive() {
@@ -97,7 +99,7 @@ func TestModelsRegisterAsPresets(t *testing.T) {
 		"modern":    base.ScaleNetwork(10).ScaleCPU(25),
 	}
 	for name, want := range compat {
-		cm, err := fabric.PresetByName(name)
+		cm, err := platform.Lookup(name)
 		if err != nil {
 			t.Errorf("compat preset %q: %v", name, err)
 			continue
@@ -106,16 +108,16 @@ func TestModelsRegisterAsPresets(t *testing.T) {
 			t.Errorf("compat preset %q drifted: %+v, want %+v", name, cm, want)
 		}
 	}
-	// Knob presets lead the table, models follow in registration order.
-	names := fabric.PresetNames()
-	if len(names) < 11 || names[0] != "paper" {
-		t.Fatalf("preset names = %v", names)
+	// The paper platform and its aliases lead, models follow in registration
+	// order.
+	want := []string{"paper", "net-x2", "net-x4", "cpu-x4", "hw-detect", "hw-diff", "modern",
+		"decstation_atm", "cluster_gbe", "rdma_100g", "grace"}
+	if names := platform.PresetNames(); !slices.Equal(names, want) {
+		t.Errorf("cost names = %v, want %v", names, want)
 	}
-	tail := names[len(names)-4:]
-	wantTail := []string{"decstation_atm", "cluster_gbe", "rdma_100g", "grace"}
-	for i := range wantTail {
-		if tail[i] != wantTail[i] {
-			t.Errorf("registered preset order = %v, want %v", tail, wantTail)
+	for i, p := range platform.Presets() {
+		if cm, err := platform.Lookup(p.Name); err != nil || cm != p.Cost || p.Name != want[i] || p.Desc == "" {
+			t.Errorf("Presets()[%d] = %q (%q): Lookup gives %+v, %v", i, p.Name, p.Desc, cm, err)
 		}
 	}
 }

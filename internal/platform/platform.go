@@ -11,10 +11,11 @@
 // reference timings, the way the in-core processor-modeling literature
 // calibrates machine models.
 //
-// Models register themselves (Register) and surface as fabric cost presets,
-// so `dsmrun -preset rdma_100g` and the sweep engine's `platform=` axis
-// resolve them by name; Resolve composes a registered model with the
-// sensitivity knobs ("rdma_100g+net=x2"). The shipped model library lives in
+// The package also owns the one table of cost names (Presets): the paper
+// platform, the historical knob presets as aliases into Resolve's grammar,
+// and every registered model (Register) — so `dsmrun -preset rdma_100g` and
+// the sweep engine's `platform=` axis resolve them by name; Resolve composes
+// a name with the sensitivity knobs ("rdma_100g+net=x2"). The shipped model library lives in
 // internal/platform/models, one directory per platform with an append-only
 // CHANGELOG.md; importing that package populates the registry.
 package platform

@@ -219,8 +219,86 @@ func TestResolve(t *testing.T) {
 	}
 }
 
-func TestRegisterRejectsInvalidModels(t *testing.T) {
+// TestCostNameTable pins the head of the one cost-name table — the paper
+// platform and its aliases, which need no model library — to the constants
+// fabric's own registry resolved these names to before platform took the
+// table over: an alias is a second name for a cost spec, so a drift here is a
+// drift in the knob arithmetic or in an alias's spec. (The full name order,
+// models included, is pinned in internal/platform/models.)
+func TestCostNameTable(t *testing.T) {
+	want := []struct {
+		name string
+		cm   fabric.CostModel
+	}{
+		{"paper", fabric.CostModel{SendFixed: 250000, SendPerByte: 90, WireLatency: 100000, HandlerFixed: 150000,
+			ProtFault: 120000, MProtect: 30000, InstrStore: 450, InstrStoreOpt: 260,
+			WordCopy: 50, WordCompare: 75, WordScan: 50, WordApply: 50, LinkPerByte: 80}},
+		{"net-x2", fabric.CostModel{SendFixed: 125000, SendPerByte: 45, WireLatency: 50000, HandlerFixed: 75000,
+			ProtFault: 120000, MProtect: 30000, InstrStore: 450, InstrStoreOpt: 260,
+			WordCopy: 50, WordCompare: 75, WordScan: 50, WordApply: 50, LinkPerByte: 40}},
+		{"net-x4", fabric.CostModel{SendFixed: 62500, SendPerByte: 23, WireLatency: 25000, HandlerFixed: 37500,
+			ProtFault: 120000, MProtect: 30000, InstrStore: 450, InstrStoreOpt: 260,
+			WordCopy: 50, WordCompare: 75, WordScan: 50, WordApply: 50, LinkPerByte: 20}},
+		{"cpu-x4", fabric.CostModel{SendFixed: 250000, SendPerByte: 90, WireLatency: 100000, HandlerFixed: 150000,
+			ProtFault: 30000, MProtect: 7500, InstrStore: 113, InstrStoreOpt: 65,
+			WordCopy: 13, WordCompare: 19, WordScan: 13, WordApply: 13, LinkPerByte: 80}},
+		{"hw-detect", fabric.CostModel{SendFixed: 250000, SendPerByte: 90, WireLatency: 100000, HandlerFixed: 150000,
+			WordCopy: 50, WordCompare: 75, WordScan: 50, WordApply: 50, LinkPerByte: 80}},
+		{"hw-diff", fabric.CostModel{SendFixed: 250000, SendPerByte: 90, WireLatency: 100000, HandlerFixed: 150000,
+			ProtFault: 120000, MProtect: 30000, InstrStore: 450, InstrStoreOpt: 260, LinkPerByte: 80}},
+		{"modern", fabric.CostModel{SendFixed: 25000, SendPerByte: 9, WireLatency: 10000, HandlerFixed: 15000,
+			ProtFault: 4800, MProtect: 1200, InstrStore: 18, InstrStoreOpt: 10,
+			WordCopy: 2, WordCompare: 3, WordScan: 2, WordApply: 2, LinkPerByte: 8}},
+	}
+	ps, names := Presets(), PresetNames()
+	if len(ps) < len(want) || len(names) != len(ps) {
+		t.Fatalf("table has %d presets and %d names, want at least %d of each", len(ps), len(names), len(want))
+	}
+	for i, w := range want {
+		if ps[i].Name != w.name || names[i] != w.name || ps[i].Cost != w.cm || ps[i].Desc == "" {
+			t.Errorf("Presets()[%d] = %+v (name %q), want %q = %+v", i, ps[i], names[i], w.name, w.cm)
+		}
+		if cm, err := Lookup(w.name); err != nil || cm != w.cm {
+			t.Errorf("Lookup(%q) = %+v, %v; want %+v", w.name, cm, err, w.cm)
+		}
+	}
+	// An unknown name is reported with the whole valid set, so the CLIs'
+	// exit-2 paths tell the user what to type instead.
+	for _, name := range []string{"nope", "", "Paper", "net-x8", "paper "} {
+		_, err := Lookup(name)
+		if err == nil {
+			t.Errorf("Lookup(%q) accepted", name)
+			continue
+		}
+		if !strings.Contains(err.Error(), "unknown cost preset") {
+			t.Errorf("Lookup(%q) error %q lacks the unknown-preset prefix", name, err)
+		}
+		for _, valid := range names {
+			if !strings.Contains(err.Error(), valid) {
+				t.Errorf("Lookup(%q) error %q does not name valid preset %q", name, err, valid)
+			}
+		}
+	}
+}
+
+// TestRegister: a registered model resolves by name to its derived constants
+// and lists last; invalid models and names already in the table — the paper
+// platform, an alias, an earlier model — panic (they are programming errors
+// in a model library, not user input).
+func TestRegister(t *testing.T) {
+	m := testModel()
+	if _, again := ByName(m.Name); !again { // -count=N reruns in one process
+		Register(m)
+	}
+	if cm, err := Lookup(m.Name); err != nil || cm != m.Derive() {
+		t.Errorf("Lookup(%q) = %+v, %v; want the model's derived constants", m.Name, cm, err)
+	}
+	if names := PresetNames(); names[len(names)-1] != m.Name {
+		t.Errorf("registered model not last: %v", names)
+	}
+	named := func(name string) Model { d := testModel(); d.Name = name; return d }
 	for _, m := range []Model{
+		named("paper"), named("hw-diff"), named(m.Name),
 		{Name: ""},
 		{Name: "bad-cpu", P: Primitives{CPUMHz: 0, IPC: 1, WireGbps: 1}},
 		{Name: "bad-wire", P: Primitives{CPUMHz: 100, IPC: 1, WireGbps: 0}},

@@ -11,22 +11,91 @@ import (
 // registered holds the model library in registration order. The shipped
 // models live in internal/platform/models (one directory per platform);
 // importing that package populates this registry at init time, so the order
-// — and therefore fabric.Presets() — is deterministic.
+// of Presets is deterministic.
 var registered []Model
 
-// Register adds a model to the library and surfaces it as a fabric cost
-// preset, so every preset consumer (CLIs, sweep axes, the root API) resolves
-// it by name. Registration happens at init time from a model library
-// package; an invalid model or duplicate name is a programming error and
-// panics.
+// baseName names the calibrated paper platform, fabric.DefaultCostModel: the
+// one cost name that is neither an alias nor a registered model.
+const baseName = "paper"
+
+// aliases are the historical knob presets, spelled in Resolve's own grammar:
+// a second name for a cost spec, not a second table of constants. "modern"
+// predates the model library and is kept for compatibility — prefer the
+// registered models (cluster_gbe, rdma_100g, ...), whose constants derive
+// from published numbers instead of round-number guesses.
+var aliases = []struct{ name, desc, spec string }{
+	{"net-x2", "messaging path 2x faster", "paper+net=x2"},
+	{"net-x4", "messaging path 4x faster", "paper+net=x4"},
+	{"cpu-x4", "memory-management software 4x faster", "paper+cpu=x4"},
+	{"hw-detect", "free write trapping (hardware dirty bits)", "paper+detect=hw"},
+	{"hw-diff", "free write collection (hardware diff engine)", "paper+diff=free"},
+	{"modern", "10x network and 25x CPU, a late-90s cluster (superseded by cluster_gbe)", "paper+net=x10+cpu=x25"},
+}
+
+// Preset is one entry of the cost-name table: a named, documented cost model.
+type Preset struct {
+	Name string
+	Desc string
+	Cost fabric.CostModel
+}
+
+// Presets lists the one table of cost names every consumer reads (the CLIs'
+// -preset flag, the sweep "platform" axis, the root API): the calibrated paper
+// platform first, then the aliases, then the registered models. Each is a
+// valid head of a cost spec (Resolve).
+func Presets() []Preset {
+	out := []Preset{{baseName, "calibrated DECstation-5000/240 + 100 Mbps ATM platform", fabric.DefaultCostModel()}}
+	for _, a := range aliases {
+		cm, err := Resolve(a.spec)
+		if err != nil {
+			panic(fmt.Sprintf("platform: alias %q: %v", a.name, err))
+		}
+		out = append(out, Preset{a.name, a.desc, cm})
+	}
+	for _, m := range registered {
+		out = append(out, Preset{m.Name, m.Desc, m.Derive()})
+	}
+	return out
+}
+
+// PresetNames lists the cost names in Presets order.
+func PresetNames() []string {
+	var out []string
+	for _, p := range Presets() {
+		out = append(out, p.Name)
+	}
+	return out
+}
+
+// Lookup resolves one cost name; unknown names are reported with the valid
+// set.
+func Lookup(name string) (fabric.CostModel, error) {
+	if name == baseName {
+		return fabric.DefaultCostModel(), nil
+	}
+	for _, a := range aliases {
+		if a.name == name {
+			return Resolve(a.spec)
+		}
+	}
+	if m, ok := ByName(name); ok {
+		return m.Derive(), nil
+	}
+	return fabric.CostModel{}, fmt.Errorf("platform: unknown cost preset %q (valid: %s)",
+		name, strings.Join(PresetNames(), ", "))
+}
+
+// Register adds a model to the library, which makes its name a cost name
+// every consumer of Presets resolves. Registration happens at init time from
+// a model library package; an invalid model or a name already in the table
+// is a programming error and panics.
 func Register(m Model) {
 	if err := m.validate(); err != nil {
 		panic(err)
 	}
-	if _, ok := ByName(m.Name); ok {
+	if _, err := Lookup(m.Name); err == nil {
 		panic(fmt.Sprintf("platform: duplicate model %q", m.Name))
 	}
-	fabric.RegisterPreset(fabric.Preset{Name: m.Name, Desc: m.Desc, Cost: m.Derive()})
 	registered = append(registered, m)
 }
 
@@ -93,9 +162,9 @@ func ParseFactor(val string) (float64, error) {
 // knobSyntax names the accepted knob spellings for error messages.
 const knobSyntax = "net=xK, cpu=xK, detect=hw, diff=free"
 
-// Resolve turns a cost spec into a cost model. A spec is a preset name —
-// any registered platform model or knob-composed preset — optionally
-// followed by "+"-separated knob settings applied left to right:
+// Resolve turns a cost spec into a cost model. A spec is a cost name — any
+// Presets entry — optionally followed by "+"-separated knob settings applied
+// left to right:
 //
 //	paper
 //	rdma_100g
@@ -108,7 +177,7 @@ const knobSyntax = "net=xK, cpu=xK, detect=hw, diff=free"
 // reported with the valid set.
 func Resolve(spec string) (fabric.CostModel, error) {
 	parts := strings.Split(spec, "+")
-	cm, err := fabric.PresetByName(parts[0])
+	cm, err := Lookup(parts[0])
 	if err != nil {
 		return fabric.CostModel{}, err
 	}

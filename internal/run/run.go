@@ -46,11 +46,14 @@ type App interface {
 // call dispatches statically instead of through the core.DSM interface —
 // the per-word cost the ROADMAP names as the largest remaining one. The
 // plain Program(core.DSM) method remains the adapter path: same kernel,
-// instantiated with the interface, used by custom DSM values and by the
-// equivalence tests (Options.InterfaceDispatch).
+// instantiated with the interface, used by custom DSM values and by apps
+// that provide nothing else.
 //
-// All four entry points must run the same kernel; the runner chooses freely
-// between them and the simulated statistics must not depend on the choice.
+// The dispatch rule: an app that implements StaticApp is entered through its
+// concrete frontend, any other through Program — decided by the app's type
+// alone, never by an option. All four entry points must run the same kernel
+// and the simulated statistics must not depend on which one ran (the
+// equivalence tests hide the static methods behind a wrapper to compare).
 type StaticApp interface {
 	App
 	// ProgramLRC is Program entered through the concrete LRC frontend.
@@ -128,12 +131,6 @@ type Options struct {
 	// out again: the app still binds its instance addresses, but the region
 	// tables are shared read-only across cells.
 	Layout *mem.Allocator
-	// InterfaceDispatch forces the run through the Program(core.DSM) adapter
-	// path even when the application provides statically-dispatched kernels
-	// (StaticApp). The statistics are identical either way — the equivalence
-	// tests pin that — so this exists for those tests and for debugging
-	// dispatch-layer suspicions, not for production runs.
-	InterfaceDispatch bool
 	// Trace, when non-nil, records the run's event trace: scheduler resumes,
 	// message traffic, faults, misses, twins, collections and synchronization
 	// events flow into it for post-run attribution (internal/trace). Tracing
@@ -258,6 +255,8 @@ func RunWith(app App, impl core.Impl, nprocs int, cm fabric.CostModel, opts Opti
 			return Result{}, fmt.Errorf("run: %s: tracer is sized for %d procs, run has %d",
 				app.Name(), opts.Trace.NProcs(), nprocs)
 		}
+		// The two attach calls of a traced run: the scheduler probe, and the
+		// network's tracer, which every node and manager built below reads.
 		s.SetProbe(opts.Trace)
 		net.SetTracer(opts.Trace)
 	}
@@ -265,9 +264,6 @@ func RunWith(app App, impl core.Impl, nprocs int, cm fabric.CostModel, opts Opti
 	// per-processor body then calls the concrete frontend's kernel
 	// instantiation instead of crossing the core.DSM interface per access.
 	sa, _ := app.(StaticApp)
-	if opts.InterfaceDispatch {
-		sa = nil
-	}
 	nodes := make([]node, nprocs)
 	images := make([]*mem.Image, nprocs)
 	starts := make([]func(), nprocs)
@@ -286,9 +282,6 @@ func RunWith(app App, impl core.Impl, nprocs int, cm fabric.CostModel, opts Opti
 		switch impl.Model {
 		case core.EC:
 			n := ec.NewWithImage(p, net, al, nprocs, impl, im)
-			if opts.Trace != nil {
-				n.SetTracer(opts.Trace)
-			}
 			n.Im.CopyFrom(initIm)
 			nodes[i], images[i] = n, n.Im
 			if sa != nil {
@@ -298,9 +291,6 @@ func RunWith(app App, impl core.Impl, nprocs int, cm fabric.CostModel, opts Opti
 			}
 		case core.LRC:
 			n := lrc.NewWithImage(p, net, al, nprocs, impl, im)
-			if opts.Trace != nil {
-				n.SetTracer(opts.Trace)
-			}
 			n.Im.CopyFrom(initIm)
 			nodes[i], images[i] = n, n.Im
 			lrcNodes = append(lrcNodes, n)
@@ -451,7 +441,7 @@ func RunSeqWith(app App, opts Options) (sim.Time, error) {
 		im = initIm
 	}
 	d := &Local{im: im}
-	if sa, ok := app.(StaticApp); ok && !opts.InterfaceDispatch {
+	if sa, ok := app.(StaticApp); ok {
 		sa.ProgramSeq(d)
 	} else {
 		app.Program(d)

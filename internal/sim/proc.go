@@ -223,9 +223,6 @@ func (w *Waiter) Wait(reason string) any {
 	return v
 }
 
-// Ready reports whether a value has been delivered and not yet consumed.
-func (w *Waiter) Ready() bool { return w.ready }
-
 // Deliver stores the value and unparks the owner so it resumes at time at.
 func (w *Waiter) Deliver(val any, at Time) {
 	if w.ready {

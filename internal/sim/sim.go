@@ -291,9 +291,6 @@ func (s *Simulator) batchWakes() {
 	}
 }
 
-// After is shorthand for Schedule(Now()+d, fn).
-func (s *Simulator) After(d Time, fn func()) { s.Schedule(s.now+d, fn) }
-
 // heapPush inserts e into the 4-ary heap.
 func (s *Simulator) heapPush(e event) {
 	q := append(s.queue, e)

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bufio"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -114,8 +115,8 @@ func WriteJSONL(w io.Writer, recs []Record) error {
 
 // WriteMarkdown renders the sweep as one table per variant, in record order.
 func WriteMarkdown(w io.Writer, recs []Record) error {
-	bw := &errWriter{w: w}
-	bw.printf("# Sensitivity sweep\n")
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "# Sensitivity sweep\n")
 	current := ""
 	for _, r := range recs {
 		if r.Variant != current {
@@ -124,14 +125,14 @@ func WriteMarkdown(w io.Writer, recs []Record) error {
 			if r.Contention {
 				contention = "on"
 			}
-			bw.printf("\n## Variant `%s` (contention %s)\n\n", r.Variant, contention)
-			bw.printf("| App | Impl | Procs | Time (s) | Speedup | Msgs | MB |\n")
-			bw.printf("|---|---|---:|---:|---:|---:|---:|\n")
+			fmt.Fprintf(bw, "\n## Variant `%s` (contention %s)\n\n", r.Variant, contention)
+			fmt.Fprintf(bw, "| App | Impl | Procs | Time (s) | Speedup | Msgs | MB |\n")
+			fmt.Fprintf(bw, "|---|---|---:|---:|---:|---:|---:|\n")
 		}
-		bw.printf("| %s | %s | %d | %.3f | %.2f | %d | %.2f |\n",
+		fmt.Fprintf(bw, "| %s | %s | %d | %.3f | %.2f | %d | %.2f |\n",
 			r.App, r.Impl, r.NProcs, r.Stats.Time.Seconds(), r.Speedup, r.Stats.Msgs, r.Stats.MB())
 	}
-	return bw.err
+	return bw.Flush()
 }
 
 // WriteBaselineReport renders the sensitivity verdict: per variant, each
@@ -151,11 +152,11 @@ func WriteBaselineReport(w io.Writer, recs []Record, baseline string) error {
 			base[cellKey{r.App, r.Impl, r.NProcs}] = r
 		}
 	}
-	bw := &errWriter{w: w}
-	bw.printf("# Sensitivity vs `%s`\n", baseline)
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "# Sensitivity vs `%s`\n", baseline)
 	if len(base) == 0 {
-		bw.printf("\nNo `%s` cells in this sweep; nothing to compare.\n", baseline)
-		return bw.err
+		fmt.Fprintf(bw, "\nNo `%s` cells in this sweep; nothing to compare.\n", baseline)
+		return bw.Flush()
 	}
 	current := ""
 	for _, r := range recs {
@@ -168,19 +169,19 @@ func WriteBaselineReport(w io.Writer, recs []Record, baseline string) error {
 		}
 		if r.Variant != current {
 			current = r.Variant
-			bw.printf("\n## `%s` vs `%s`\n\n", r.Variant, baseline)
-			bw.printf("| App | Impl | Procs | %s (s) | %s (s) | Δ time | Speedup %s → %s |\n",
+			fmt.Fprintf(bw, "\n## `%s` vs `%s`\n\n", r.Variant, baseline)
+			fmt.Fprintf(bw, "| App | Impl | Procs | %s (s) | %s (s) | Δ time | Speedup %s → %s |\n",
 				baseline, r.Variant, baseline, r.Variant)
-			bw.printf("|---|---|---:|---:|---:|---:|---:|\n")
+			fmt.Fprintf(bw, "|---|---|---:|---:|---:|---:|---:|\n")
 		}
 		delta := 100 * (float64(r.Stats.Time) - float64(b.Stats.Time)) / float64(b.Stats.Time)
-		bw.printf("| %s | %s | %d | %.3f | %.3f | %+.1f%% | %.2f → %.2f |\n",
+		fmt.Fprintf(bw, "| %s | %s | %d | %.3f | %.3f | %+.1f%% | %.2f → %.2f |\n",
 			r.App, r.Impl, r.NProcs, b.Stats.Time.Seconds(), r.Stats.Time.Seconds(),
 			delta, b.Speedup, r.Speedup)
 	}
 	writeFaultDegradation(bw, recs, baseline)
 	writeVerdictFlips(bw, recs, baseline)
-	return bw.err
+	return bw.Flush()
 }
 
 // faultLabel canonicalizes a record's fault column for reports: "off" for
@@ -196,7 +197,7 @@ func faultLabel(r Record) string {
 // faulted cell against its baseline counterpart, with the recovery traffic
 // and the virtual time the reliable sublayer spent waiting. Silent when the
 // sweep has no faulted records.
-func writeFaultDegradation(bw *errWriter, recs []Record, baseline string) {
+func writeFaultDegradation(bw *bufio.Writer, recs []Record, baseline string) {
 	type cellKey struct {
 		app    string
 		impl   string
@@ -219,12 +220,12 @@ func writeFaultDegradation(bw *errWriter, recs []Record, baseline string) {
 		}
 		if !wrote {
 			wrote = true
-			bw.printf("\n## Fault degradation vs `%s`\n\n", baseline)
-			bw.printf("| Variant | App | Impl | Procs | Δ time | Retransmits | Dups dropped | Recovery wait (s) |\n")
-			bw.printf("|---|---|---|---:|---:|---:|---:|---:|\n")
+			fmt.Fprintf(bw, "\n## Fault degradation vs `%s`\n\n", baseline)
+			fmt.Fprintf(bw, "| Variant | App | Impl | Procs | Δ time | Retransmits | Dups dropped | Recovery wait (s) |\n")
+			fmt.Fprintf(bw, "|---|---|---|---:|---:|---:|---:|---:|\n")
 		}
 		delta := 100 * (float64(r.Stats.Time) - float64(b.Stats.Time)) / float64(b.Stats.Time)
-		bw.printf("| %s | %s | %s | %d | %+.1f%% | %d | %d | %.4f |\n",
+		fmt.Fprintf(bw, "| %s | %s | %s | %d | %+.1f%% | %d | %d | %.4f |\n",
 			r.Variant, r.App, r.Impl, r.NProcs, delta, r.Retransmits, r.DupsDropped, r.RecoveryWait.Seconds())
 	}
 }
@@ -232,7 +233,7 @@ func writeFaultDegradation(bw *errWriter, recs []Record, baseline string) {
 // writeVerdictFlips reports where a variant changes the paper's headline
 // verdict: for each (app, nprocs), the better model (best EC vs best LRC
 // time) under the baseline against the better model under each variant.
-func writeVerdictFlips(bw *errWriter, recs []Record, baseline string) {
+func writeVerdictFlips(bw *bufio.Writer, recs []Record, baseline string) {
 	type vKey struct {
 		variant string
 		app     string
@@ -292,27 +293,14 @@ func writeVerdictFlips(bw *errWriter, recs []Record, baseline string) {
 			}
 		}
 	}
-	bw.printf("\n## Verdict flips\n\n")
+	fmt.Fprintf(bw, "\n## Verdict flips\n\n")
 	if len(flips) == 0 {
-		bw.printf("No variant changes the best-EC vs best-LRC winner for any cell.\n")
+		fmt.Fprintf(bw, "No variant changes the best-EC vs best-LRC winner for any cell.\n")
 		return
 	}
-	bw.printf("| Variant | App | Procs | %s winner | Variant winner |\n", baseline)
-	bw.printf("|---|---|---:|---|---|\n")
+	fmt.Fprintf(bw, "| Variant | App | Procs | %s winner | Variant winner |\n", baseline)
+	fmt.Fprintf(bw, "|---|---|---:|---|---|\n")
 	for _, f := range flips {
-		bw.printf("%s\n", f)
+		fmt.Fprintf(bw, "%s\n", f)
 	}
-}
-
-// errWriter latches the first write error so format chains stay readable.
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *errWriter) printf(format string, args ...any) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = fmt.Fprintf(e.w, format, args...)
 }

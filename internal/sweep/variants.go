@@ -10,8 +10,8 @@ import (
 	"ecvslrc/internal/platform"
 	"ecvslrc/internal/run"
 
-	// The platform axis resolves values through the fabric preset table; the
-	// blank import guarantees the model library (decstation_atm, cluster_gbe,
+	// The platform axis resolves values through platform's cost-name table;
+	// the blank import guarantees the model library (decstation_atm, cluster_gbe,
 	// rdma_100g, grace, ...) is registered whenever the sweep engine is
 	// linked, so "platform=rdma_100g" parses the same in every binary.
 	_ "ecvslrc/internal/platform/models"
@@ -36,10 +36,10 @@ type axis struct {
 
 func axes() []axis {
 	// The platform axis is first: it selects the starting cost model (any
-	// fabric preset — registered platform models included) that the knob
-	// axes then transform.
+	// platform.Presets name — registered models included) that the knob axes
+	// then transform.
 	out := []axis{{name: "platform", def: BaselineName, canon: canonPlatformSpec,
-		set: func(v *Variant, val string) { v.Cost, _ = fabric.PresetByName(val) }}}
+		set: func(v *Variant, val string) { v.Cost, _ = platform.Lookup(val) }}}
 	// The cost axes are platform.Resolve's knobs under the same names: a
 	// numeric knob takes any xK factor, an enumerated one its two settings.
 	for _, k := range platform.Knobs() {
@@ -73,11 +73,10 @@ func axes() []axis {
 	)
 }
 
-// canonPlatformSpec validates a platform= axis value against the fabric
-// preset table (which names the valid set on failure). Preset names are
-// already canonical.
+// canonPlatformSpec validates a platform= axis value against the cost-name
+// table (which names the valid set on failure). Names are already canonical.
 func canonPlatformSpec(v string) (string, error) {
-	if _, err := fabric.PresetByName(v); err != nil {
+	if _, err := platform.Lookup(v); err != nil {
 		return "", fmt.Errorf("sweep: %w: axis \"platform\": %v", ErrSpec, err)
 	}
 	return v, nil
@@ -101,7 +100,7 @@ func canonTopologySpec(v string) (string, error) {
 // axes, e.g. "net=x2,x4 detect=sw,hw" yields four variants. Syntax: space-
 // separated axes, each "name=v1,v2,...". Axes:
 //
-//	platform=NAME cost-model starting point: any fabric preset, including
+//	platform=NAME cost-model starting point: any platform.Presets name, including
 //	      the registered platform models (decstation_atm, cluster_gbe,
 //	      rdma_100g, grace — see internal/platform). The knob axes below
 //	      apply on top, so "platform=rdma_100g net=x2" is the RDMA platform

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ecvslrc/internal/fabric"
+	"ecvslrc/internal/platform"
 	"ecvslrc/internal/run"
 )
 
@@ -99,7 +100,7 @@ func TestParseVariantSpecPlatformAxis(t *testing.T) {
 	}
 	for _, v := range vs[1:] {
 		name := v.Name[len("platform="):]
-		cm, err := fabric.PresetByName(name)
+		cm, err := platform.Lookup(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +114,7 @@ func TestParseVariantSpecPlatformAxis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, _ := fabric.PresetByName("cluster_gbe")
+	base, _ := platform.Lookup("cluster_gbe")
 	if got := variantNames(vs); len(got) != 2 || got[1] != "platform=cluster_gbe+net=x2" {
 		t.Fatalf("variants = %v", got)
 	}

@@ -59,12 +59,16 @@ type BarrierMgr struct {
 	self     int
 	nprocs   int
 	p        *sim.Proc
+	hc       *fabric.HandlerCtx // p's own execution context
 	net      *fabric.Network
 	hooks    BarrierHooks
 	barriers map[core.BarrierID]*barrierState
 	cnt      *Counters
-	tr       *trace.Tracer
-	fanin    int // >= 2: implicit radix-fanin arrival/departure tree
+	// tr is the network's tracer when the manager was built (nil-safe,
+	// observation-only): each processor's arrival and departure instants are
+	// recorded, from which the analyzer derives per-episode barrier imbalance.
+	tr    *trace.Tracer
+	fanin int // >= 2: implicit radix-fanin arrival/departure tree
 }
 
 // SetFanIn arranges every barrier episode as an implicit radix-r tree rooted
@@ -85,21 +89,18 @@ func (m *BarrierMgr) SetFanIn(r int) {
 	m.fanin = r
 }
 
-// SetTracer attaches the event tracer (nil-safe, observation-only): each
-// processor's arrival and departure instants are recorded, from which the
-// analyzer derives per-episode barrier imbalance.
-func (m *BarrierMgr) SetTracer(tr *trace.Tracer) { m.tr = tr }
-
 // NewBarrierMgr returns the barrier manager endpoint for processor p.
 func NewBarrierMgr(p *sim.Proc, net *fabric.Network, nprocs int, hooks BarrierHooks, cnt *Counters) *BarrierMgr {
 	return &BarrierMgr{
 		self:     p.ID(),
 		nprocs:   nprocs,
 		p:        p,
+		hc:       net.Proc(p),
 		net:      net,
 		hooks:    hooks,
 		barriers: make(map[core.BarrierID]*barrierState),
 		cnt:      cnt,
+		tr:       net.Tracer(),
 	}
 }
 
@@ -115,10 +116,11 @@ func (m *BarrierMgr) state(b core.BarrierID) *barrierState {
 	return st
 }
 
-// workRec records classified consistency work charged for barrier b (nil-safe
-// through the tracer; zero work is dropped there).
-func (m *BarrierMgr) workRec(at sim.Time, b core.BarrierID, d sim.Time) {
-	m.tr.Work(at, m.self, trace.WorkTrapDiff, trace.ObjBarrier, int(b), d)
+// charge records d of classified consistency work for barrier b and charges
+// it in context hc; zero work is dropped by both.
+func (m *BarrierMgr) charge(hc *fabric.HandlerCtx, b core.BarrierID, d sim.Time) {
+	m.tr.Work(hc.Now(), m.self, trace.WorkTrapDiff, trace.ObjBarrier, int(b), d)
+	hc.Work(d)
 }
 
 // treeRank is this processor's rank in barrier b's tree: ids rotated so the
@@ -154,8 +156,7 @@ func (m *BarrierMgr) waitTree(b core.BarrierID) {
 	m.cnt.Barriers++
 	payload, size, work := m.hooks.MakeArrival(b)
 	payload.Kind, payload.A = fabric.PayloadBarrier, int32(b)
-	m.workRec(m.p.Now(), b, work)
-	m.p.Sleep(work)
+	m.charge(m.hc, b, work)
 	m.tr.BarArrive(m.p.Now(), m.self, int(b))
 
 	root := m.self == m.ManagerOf(b)
@@ -163,9 +164,7 @@ func (m *BarrierMgr) waitTree(b core.BarrierID) {
 	st.ownArrived = true
 	if root {
 		// The root absorbs its own arrival exactly like the flat manager.
-		awork := m.hooks.AbsorbArrival(b, m.self, payload)
-		m.workRec(m.p.Now(), b, awork)
-		m.p.Sleep(awork)
+		m.charge(m.hc, b, m.hooks.AbsorbArrival(b, m.self, payload))
 	}
 	if st.arrived < m.treeChildren(b) {
 		if st.local != nil {
@@ -188,24 +187,18 @@ func (m *BarrierMgr) waitTree(b core.BarrierID) {
 			up, usize, uwork = th.MergeSubtreeArrival(b, payload)
 			up.Kind, up.A = fabric.PayloadBarrier, int32(b)
 		}
-		m.workRec(m.p.Now(), b, uwork)
-		m.p.Sleep(uwork)
+		m.charge(m.hc, b, uwork)
 		reply := m.net.Call(m.p, m.treeParent(b), KindBarrierArrive, usize, up)
-		dwork := m.hooks.ApplyDeparture(b, reply.Payload)
-		m.workRec(m.p.Now(), b, dwork)
-		m.p.Sleep(dwork)
+		m.charge(m.hc, b, m.hooks.ApplyDeparture(b, reply.Payload))
 	} else {
-		pwork := m.hooks.PrepareDepartures(b)
-		m.workRec(m.p.Now(), b, pwork)
-		m.p.Sleep(pwork)
+		m.charge(m.hc, b, m.hooks.PrepareDepartures(b))
 	}
 	m.tr.BarDepart(m.p.Now(), m.self, int(b))
 	for _, req := range reqs {
 		dp, dsize, dwork := m.hooks.MakeDeparture(b, req.From)
 		dp.Kind, dp.A = fabric.PayloadBarrier, int32(b)
-		m.workRec(m.p.Now(), b, dwork)
-		m.p.Sleep(dwork)
-		m.net.ReplyFrom(m.p, req, KindBarrierDepart, dsize, dp)
+		m.charge(m.hc, b, dwork)
+		m.hc.Reply(req, KindBarrierDepart, dsize, dp)
 	}
 }
 
@@ -218,25 +211,20 @@ func (m *BarrierMgr) Wait(b core.BarrierID) {
 	m.cnt.Barriers++
 	payload, size, work := m.hooks.MakeArrival(b)
 	payload.Kind, payload.A = fabric.PayloadBarrier, int32(b)
-	m.workRec(m.p.Now(), b, work)
-	m.p.Sleep(work)
+	m.charge(m.hc, b, work)
 	m.tr.BarArrive(m.p.Now(), m.self, int(b))
 
 	mgr := m.ManagerOf(b)
 	if mgr != m.self {
 		reply := m.net.Call(m.p, mgr, KindBarrierArrive, size, payload)
-		dwork := m.hooks.ApplyDeparture(b, reply.Payload)
-		m.workRec(m.p.Now(), b, dwork)
-		m.p.Sleep(dwork)
+		m.charge(m.hc, b, m.hooks.ApplyDeparture(b, reply.Payload))
 		m.tr.BarDepart(m.p.Now(), m.self, int(b))
 		return
 	}
 
 	// Manager's own arrival.
 	st := m.state(b)
-	awork := m.hooks.AbsorbArrival(b, m.self, payload)
-	m.workRec(m.p.Now(), b, awork)
-	m.p.Sleep(awork)
+	m.charge(m.hc, b, m.hooks.AbsorbArrival(b, m.self, payload))
 	st.arrived++
 	if st.arrived < m.nprocs {
 		if st.local != nil {
@@ -247,7 +235,7 @@ func (m *BarrierMgr) Wait(b core.BarrierID) {
 		m.tr.BarDepart(m.p.Now(), m.self, int(b))
 		return
 	}
-	m.depart(b, st, nil)
+	m.depart(b, st, m.hc)
 	m.tr.BarDepart(m.p.Now(), m.self, int(b))
 }
 
@@ -261,9 +249,7 @@ func (m *BarrierMgr) Handle(hc *fabric.HandlerCtx, msg fabric.Msg) bool {
 	}
 	b := core.BarrierID(msg.Payload.A)
 	st := m.state(b)
-	awork := m.hooks.AbsorbArrival(b, msg.From, msg.Payload)
-	m.workRec(hc.Now(), b, awork)
-	hc.Work(awork)
+	m.charge(hc, b, m.hooks.AbsorbArrival(b, msg.From, msg.Payload))
 	st.arrived++
 	st.reqs = append(st.reqs, msg)
 	if m.fanin >= 2 {
@@ -282,10 +268,10 @@ func (m *BarrierMgr) Handle(hc *fabric.HandlerCtx, msg fabric.Msg) bool {
 	return true
 }
 
-// depart lowers the barrier: departure messages to every queued remote
-// arrival, and a local wake-up if the manager itself is waiting. Called
-// either from the manager's process context (manager arrived last, hc nil)
-// or from handler context (a remote arrival completed the set).
+// depart lowers the barrier from context hc — the manager's program when it
+// arrived last (m.hc), or the handler of the remote arrival that completed
+// the set: departure messages to every queued remote arrival, and a local
+// wake-up if the manager itself is waiting.
 func (m *BarrierMgr) depart(b core.BarrierID, st *barrierState, hc *fabric.HandlerCtx) {
 	reqs := st.reqs
 	local := st.local
@@ -293,30 +279,15 @@ func (m *BarrierMgr) depart(b core.BarrierID, st *barrierState, hc *fabric.Handl
 	st.local = nil
 	st.arrived = 0
 
-	if work := m.hooks.PrepareDepartures(b); work > 0 {
-		if hc != nil {
-			m.workRec(hc.Now(), b, work)
-			hc.Work(work)
-		} else {
-			m.workRec(m.p.Now(), b, work)
-			m.p.Sleep(work)
-		}
-	}
+	m.charge(hc, b, m.hooks.PrepareDepartures(b))
 	for _, req := range reqs {
 		payload, size, work := m.hooks.MakeDeparture(b, req.From)
 		payload.Kind, payload.A = fabric.PayloadBarrier, int32(b)
-		if hc != nil {
-			m.workRec(hc.Now(), b, work)
-			hc.Work(work)
-			hc.Reply(req, KindBarrierDepart, size, payload)
-		} else {
-			m.workRec(m.p.Now(), b, work)
-			m.p.Sleep(work)
-			m.net.ReplyFrom(m.p, req, KindBarrierDepart, size, payload)
-		}
+		m.charge(hc, b, work)
+		hc.Reply(req, KindBarrierDepart, size, payload)
 	}
 	if local != nil {
-		if hc == nil {
+		if hc == m.hc {
 			panic("syncmgr: manager waiting on its own last arrival")
 		}
 		local.Deliver(nil, hc.Now())

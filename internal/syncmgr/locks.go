@@ -174,6 +174,7 @@ type LockMgr struct {
 	self   int
 	nprocs int
 	p      *sim.Proc
+	hc     *fabric.HandlerCtx // p's own execution context: grants made by the program
 	net    *fabric.Network
 	hooks  LockHooks
 	// managed holds the locks this processor manages (id % nprocs == self),
@@ -183,13 +184,12 @@ type LockMgr struct {
 	managed, foreign lockTable
 	freeQ            []*lockQueue // emptied queue records, for reuse
 	cnt              *Counters
-	tr               *trace.Tracer
+	// tr is the network's tracer when the manager was built (nil-safe,
+	// observation-only): acquire requests, grants, completions and releases
+	// are recorded with their modes and queue depths, the raw material of the
+	// per-lock contention reports.
+	tr *trace.Tracer
 }
-
-// SetTracer attaches the event tracer (nil-safe, observation-only): acquire
-// requests, grants, completions and releases are recorded with their modes
-// and queue depths, the raw material of the per-lock contention reports.
-func (m *LockMgr) SetTracer(tr *trace.Tracer) { m.tr = tr }
 
 // NewLockMgr returns the lock manager endpoint for processor p. Processor
 // ids are stored as int16 in the lock table, so nprocs may not exceed
@@ -202,9 +202,11 @@ func NewLockMgr(p *sim.Proc, net *fabric.Network, nprocs int, hooks LockHooks, c
 		self:   p.ID(),
 		nprocs: nprocs,
 		p:      p,
+		hc:     net.Proc(p),
 		net:    net,
 		hooks:  hooks,
 		cnt:    cnt,
+		tr:     net.Tracer(),
 	}
 }
 
@@ -368,39 +370,29 @@ func (m *LockMgr) Release(l core.LockID) {
 	// ownership to the queued exclusive requester, forwarding any leftovers
 	// down the chain. The queue stays attached through the read grants —
 	// while an exclusive request waits in it, arrivals must keep queueing
-	// behind that request — and is detached before the exclusive grant
-	// sleeps, when arrivals start chasing the new owner instead.
-	for _, req := range q.read {
-		m.grantFromProc(st, req)
+	// behind that request, and a reader that queues while a grant sleeps is
+	// served by this same loop, hence the index — and is detached before the
+	// exclusive grant sleeps, when arrivals start chasing the new owner instead.
+	for i := 0; i < len(q.read); i++ {
+		m.grant(m.hc, st, q.read[i])
 	}
 	st.q = nil
 	if len(q.ex) > 0 {
-		m.grantFromProc(st, q.ex[0])
+		m.grant(m.hc, st, q.ex[0])
 		for _, req := range q.ex[1:] {
-			m.net.ForwardFrom(m.p, req, int(st.successor), 0)
+			m.hc.Forward(req, int(st.successor), 0)
 		}
 	}
 	m.recycle(q)
 }
 
-func (m *LockMgr) grantFromProc(st *lockSlot, req fabric.Msg) {
+// grant passes the lock to req's sender from context hc: the handler that
+// received the request, or the releasing program (m.hc).
+func (m *LockMgr) grant(hc *fabric.HandlerCtx, st *lockSlot, req fabric.Msg) {
 	l, mode := core.LockID(req.Payload.A), Mode(req.Payload.B)
-	// Transfer ownership before the collection work sleeps: requests
-	// arriving mid-grant must chase the new owner, not be granted again.
-	if mode == Exclusive {
-		st.flags &^= slotOwned
-		st.successor = int16(req.From)
-	}
-	payload, size, work := m.hooks.MakeLockGrant(l, mode, req.Payload, req.From)
-	payload.Kind, payload.A, payload.B = fabric.PayloadLockGrant, int32(l), int32(mode)
-	m.tr.Work(m.p.Now(), m.self, trace.WorkTrapDiff, trace.ObjLock, int(l), work)
-	m.p.Sleep(work)
-	m.tr.LockGrant(m.p.Now(), m.self, int(l), req.From, mode == ReadOnly, size)
-	m.net.ReplyFrom(m.p, req, KindLockGrant, size, payload)
-}
-
-func (m *LockMgr) grantFromHandler(hc *fabric.HandlerCtx, st *lockSlot, req fabric.Msg) {
-	l, mode := core.LockID(req.Payload.A), Mode(req.Payload.B)
+	// Transfer ownership before the collection work is charged (the program
+	// sleeps through it): requests arriving mid-grant must chase the new
+	// owner, not be granted again.
 	if mode == Exclusive {
 		st.flags &^= slotOwned
 		st.successor = int16(req.From)
@@ -447,7 +439,7 @@ func (m *LockMgr) Handle(hc *fabric.HandlerCtx, msg fabric.Msg) bool {
 	free := !st.has(slotHeld) || (st.has(slotHeldRead) && mode == ReadOnly)
 	switch {
 	case st.has(slotOwned) && free && (st.q == nil || len(st.q.ex) == 0):
-		m.grantFromHandler(hc, st, msg)
+		m.grant(hc, st, msg)
 	case st.has(slotOwned | slotAcquiring):
 		// Busy (or about to own): queue until release.
 		m.enqueue(st, msg, mode)

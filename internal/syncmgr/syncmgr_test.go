@@ -1,6 +1,7 @@
 package syncmgr
 
 import (
+	"slices"
 	"testing"
 
 	"ecvslrc/internal/core"
@@ -290,5 +291,61 @@ func TestHoldingQuery(t *testing.T) {
 	})
 	if err := c.s.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLateReaderIsServed pins Release's read-grant loop against a reader that
+// queues while it runs. No barrier separates the readers from the writer:
+//
+//	p1 holds lock 0 (manager p0) exclusively; p2's read request queues on it.
+//	p0 — the manager — read-acquires: it routes itself to p1 and starts its send.
+//	p3's exclusive request reaches p0 mid-send. The handler forwards it at
+//	once and its CPU time pushes p0's own send back, so on the same FIFO
+//	link the later-routed exclusive overtakes the earlier-routed read and
+//	queues on p1 first.
+//	p1 releases: the grant to p2 sleeps, and p0's read arrives meanwhile —
+//	the queue is still attached and an exclusive waits in it, so Handle
+//	enqueues.
+//
+// That reader must be granted by the same loop, not wiped with the queue
+// (p0 would block forever); then the exclusive moves to p3.
+func TestLateReaderIsServed(t *testing.T) {
+	const us = sim.Microsecond
+	var order []int // acquisitions of lock 0 in completion order
+	c := newCluster(t, 4, func(c *cluster, i int) {
+		lm := c.locks[i]
+		// Every sleep below is stretched by the handlers the sleeper fields
+		// meanwhile: 150 µs to queue a request, ~403 µs to grant or forward one.
+		// A message is ~253 µs of sender CPU and 100 µs of wire.
+		acquire := func(after sim.Time, mode Mode) {
+			lm.p.Sleep(after)
+			lm.Acquire(0, mode)
+			order = append(order, i)
+		}
+		switch i {
+		case 1:
+			acquire(0, Exclusive)
+			lm.p.Sleep(10000*us - lm.p.Now()) // queues p2 and p3 meanwhile: releases at 10.3 ms
+			lm.Release(0)                     // the grant to p2 sleeps until ~10.553 ms
+		case 2:
+			acquire(2000*us, ReadOnly)
+			lm.Release(0)
+		case 0:
+			// Grants p1 and forwards p2 meanwhile: routes itself to p1 at ~9.6 ms.
+			// Its send would end at ~9.853 ms; forwarding p3 pushes that to
+			// ~10.256 ms, and the request reaches p1 at ~10.356 ms.
+			acquire(8794*us, ReadOnly)
+			lm.Release(0)
+		case 3:
+			// Reaches p0 at ~9.64 ms, is forwarded, queues on p1 at ~10.143 ms.
+			acquire(9287*us, Exclusive)
+			lm.Release(0)
+		}
+	})
+	if err := c.s.Run(); err != nil {
+		t.Fatalf("the late reader was dropped with the queue: %v", err)
+	}
+	if want := []int{1, 2, 0, 3}; !slices.Equal(order, want) {
+		t.Errorf("lock 0 went to %v, want %v: both readers, then the writer", order, want)
 	}
 }

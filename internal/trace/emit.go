@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bufio"
 	"encoding/csv"
 	"encoding/json"
 	"errors"
@@ -157,84 +158,84 @@ const defaultTopPages = 20
 // totals, the pattern census, the hottest pages, the most contended locks,
 // barrier imbalance and the message-class timeline.
 func WriteMarkdown(w io.Writer, a *Analysis) error {
-	bw := &errWriter{w: w}
-	bw.printf("# Trace attribution — %s on %s, %d procs (%s scale)\n\n",
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "# Trace attribution — %s on %s, %d procs (%s scale)\n\n",
 		a.Meta.App, a.Meta.Impl, a.Meta.NProcs, a.Meta.Scale)
-	bw.printf("- span: %v\n- messages: %d\n- data: %.2f MB\n",
+	fmt.Fprintf(bw, "- span: %v\n- messages: %d\n- data: %.2f MB\n",
 		a.Span, a.TotalMsgs, float64(a.TotalBytes)/1e6)
 	if a.LinkWait > 0 {
-		bw.printf("- link wait (contention): %v\n", a.LinkWait)
+		fmt.Fprintf(bw, "- link wait (contention): %v\n", a.LinkWait)
 	}
 	counts := a.PatternCounts()
-	bw.printf("- pages: %d (", len(a.Pages))
+	fmt.Fprintf(bw, "- pages: %d (", len(a.Pages))
 	first := true
 	for _, p := range []Pattern{PatternPrivate, PatternReadMostly, PatternMigratory, PatternProducerConsumer, PatternFalseSharing} {
 		if counts[p] == 0 {
 			continue
 		}
 		if !first {
-			bw.printf(", ")
+			fmt.Fprintf(bw, ", ")
 		}
 		first = false
-		bw.printf("%d %s", counts[p], p)
+		fmt.Fprintf(bw, "%d %s", counts[p], p)
 	}
-	bw.printf(")\n\n")
+	fmt.Fprintf(bw, ")\n\n")
 
-	bw.printf("## Hottest pages\n\n")
-	bw.printf("| page | region | pattern | faults | misses | twins | collects | applies | bytes | writers | readers | moves |\n")
-	bw.printf("|-----:|--------|---------|-------:|-------:|------:|---------:|--------:|------:|--------:|--------:|------:|\n")
+	fmt.Fprintf(bw, "## Hottest pages\n\n")
+	fmt.Fprintf(bw, "| page | region | pattern | faults | misses | twins | collects | applies | bytes | writers | readers | moves |\n")
+	fmt.Fprintf(bw, "|-----:|--------|---------|-------:|-------:|------:|---------:|--------:|------:|--------:|--------:|------:|\n")
 	hot := hottestPages(a, defaultTopPages)
 	for _, p := range hot {
-		bw.printf("| %d | %s | %s | %d | %d | %d | %d | %d | %d | %d | %d | %d |\n",
+		fmt.Fprintf(bw, "| %d | %s | %s | %d | %d | %d | %d | %d | %d | %d | %d | %d |\n",
 			p.Page, p.Region, p.Pattern, p.Faults, p.Misses, p.Twins, p.Collects,
 			p.Applies, p.BytesMoved, p.Writers, p.Readers, p.OwnerMoves)
 	}
 	if len(a.Pages) > len(hot) {
-		bw.printf("\n(%d further pages in pages.csv)\n", len(a.Pages)-len(hot))
+		fmt.Fprintf(bw, "\n(%d further pages in pages.csv)\n", len(a.Pages)-len(hot))
 	}
 
-	bw.printf("\n## Locks\n\n")
-	bw.printf("| lock | acquires | ro | local | remote | grants | bytes | wait avg | wait max | handoff avg | max queue | holders |\n")
-	bw.printf("|-----:|---------:|---:|------:|-------:|-------:|------:|---------:|---------:|------------:|----------:|--------:|\n")
+	fmt.Fprintf(bw, "\n## Locks\n\n")
+	fmt.Fprintf(bw, "| lock | acquires | ro | local | remote | grants | bytes | wait avg | wait max | handoff avg | max queue | holders |\n")
+	fmt.Fprintf(bw, "|-----:|---------:|---:|------:|-------:|-------:|------:|---------:|---------:|------------:|----------:|--------:|\n")
 	for _, l := range contendedLocks(a) {
-		bw.printf("| %d | %d | %d | %d | %d | %d | %d | %v | %v | %v | %d | %d |\n",
+		fmt.Fprintf(bw, "| %d | %d | %d | %d | %d | %d | %d | %v | %v | %v | %d | %d |\n",
 			l.Lock, l.Acquires, l.ReadOnly, l.Local, l.Remote, l.Grants, l.BytesMoved,
 			avgTime(l.WaitTotal, l.Remote), l.WaitMax, avgTime(l.HandoffTotal, l.Remote),
 			l.MaxQueue, l.Holders)
 	}
 
-	bw.printf("\n## Barriers\n\n")
-	bw.printf("| barrier | episodes | imbalance avg | imbalance max | usual last |\n")
-	bw.printf("|--------:|---------:|--------------:|--------------:|-----------:|\n")
+	fmt.Fprintf(bw, "\n## Barriers\n\n")
+	fmt.Fprintf(bw, "| barrier | episodes | imbalance avg | imbalance max | usual last |\n")
+	fmt.Fprintf(bw, "|--------:|---------:|--------------:|--------------:|-----------:|\n")
 	for _, b := range a.Barriers {
 		last := "-"
 		if b.LastProc >= 0 {
 			last = fmt.Sprintf("p%d", b.LastProc)
 		}
-		bw.printf("| %d | %d | %v | %v | %s |\n",
+		fmt.Fprintf(bw, "| %d | %d | %v | %v | %s |\n",
 			b.Barrier, b.Episodes, avgTime(b.ImbalanceTotal, b.Episodes), b.ImbalanceMax, last)
 	}
 
 	if len(a.Links) > 0 {
-		bw.printf("\n## Fault injection per link\n\n")
-		bw.printf("| link | drops | retransmits | acks | dup drops |\n")
-		bw.printf("|------|------:|------------:|-----:|----------:|\n")
+		fmt.Fprintf(bw, "\n## Fault injection per link\n\n")
+		fmt.Fprintf(bw, "| link | drops | retransmits | acks | dup drops |\n")
+		fmt.Fprintf(bw, "|------|------:|------------:|-----:|----------:|\n")
 		for _, l := range a.Links {
-			bw.printf("| p%d→p%d | %d | %d | %d | %d |\n",
+			fmt.Fprintf(bw, "| p%d→p%d | %d | %d | %d | %d |\n",
 				l.From, l.To, l.Drops, l.Retransmits, l.Acks, l.DupDrops)
 		}
 	}
 
-	bw.printf("\n## Message classes over time\n\n")
-	bw.printf("| interval |")
+	fmt.Fprintf(bw, "\n## Message classes over time\n\n")
+	fmt.Fprintf(bw, "| interval |")
 	for _, c := range a.Classes {
-		bw.printf(" %s |", c)
+		fmt.Fprintf(bw, " %s |", c)
 	}
-	bw.printf("\n|----------|")
+	fmt.Fprintf(bw, "\n|----------|")
 	for range a.Classes {
-		bw.printf("------:|")
+		fmt.Fprintf(bw, "------:|")
 	}
-	bw.printf("\n")
+	fmt.Fprintf(bw, "\n")
 	for _, row := range a.Intervals {
 		total := int64(0)
 		for _, m := range row.Msgs {
@@ -243,13 +244,13 @@ func WriteMarkdown(w io.Writer, a *Analysis) error {
 		if total == 0 {
 			continue
 		}
-		bw.printf("| %v–%v |", row.Start, row.End)
+		fmt.Fprintf(bw, "| %v–%v |", row.Start, row.End)
 		for i := range a.Classes {
-			bw.printf(" %d |", row.Msgs[i])
+			fmt.Fprintf(bw, " %d |", row.Msgs[i])
 		}
-		bw.printf("\n")
+		fmt.Fprintf(bw, "\n")
 	}
-	return bw.err
+	return bw.Flush()
 }
 
 // hottestPages returns the top pages by bytes moved (ties by page number),
@@ -580,17 +581,4 @@ func EmitReports(dir string, reports []Report, art Artifacts, t *Tracer) ([]stri
 		}
 	}
 	return written, nil
-}
-
-// errWriter folds fmt errors so the markdown renderer reads linearly.
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *errWriter) printf(format string, args ...any) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = fmt.Fprintf(e.w, format, args...)
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bufio"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -16,77 +17,77 @@ import (
 // stacks, and the critical path's class and object decomposition.
 func WriteProfileMarkdown(w io.Writer, prof *Profile, cp *CritPath) error {
 	prof.requireFull("WriteProfileMarkdown")
-	bw := &errWriter{w: w}
+	bw := bufio.NewWriter(w)
 	m := prof.Meta
-	bw.printf("# Virtual-time profile — %s on %s, %d procs (%s scale)\n\n",
+	fmt.Fprintf(bw, "# Virtual-time profile — %s on %s, %d procs (%s scale)\n\n",
 		m.App, m.Impl, m.NProcs, m.Scale)
-	bw.printf("- span: %v (longest processor)\n", prof.Span)
-	bw.printf("- conservation: per-processor class totals sum exactly to each end time\n\n")
+	fmt.Fprintf(bw, "- span: %v (longest processor)\n", prof.Span)
+	fmt.Fprintf(bw, "- conservation: per-processor class totals sum exactly to each end time\n\n")
 
-	bw.printf("## Per-processor stall breakdown\n\n")
-	bw.printf("| proc | end |")
+	fmt.Fprintf(bw, "## Per-processor stall breakdown\n\n")
+	fmt.Fprintf(bw, "| proc | end |")
 	for _, c := range StallClasses() {
-		bw.printf(" %s |", c)
+		fmt.Fprintf(bw, " %s |", c)
 	}
-	bw.printf("\n|-----:|----:|")
+	fmt.Fprintf(bw, "\n|-----:|----:|")
 	for range StallClasses() {
-		bw.printf("----:|")
+		fmt.Fprintf(bw, "----:|")
 	}
-	bw.printf("\n")
+	fmt.Fprintf(bw, "\n")
 	for i := range prof.Procs {
 		pp := &prof.Procs[i]
-		bw.printf("| p%d | %v |", pp.Proc, pp.End)
+		fmt.Fprintf(bw, "| p%d | %v |", pp.Proc, pp.End)
 		for _, c := range StallClasses() {
-			bw.printf(" %s |", pct(pp.Class[c], pp.End))
+			fmt.Fprintf(bw, " %s |", pct(pp.Class[c], pp.End))
 		}
-		bw.printf("\n")
+		fmt.Fprintf(bw, "\n")
 	}
 	var endSum sim.Time
 	for i := range prof.Procs {
 		endSum += prof.Procs[i].End
 	}
-	bw.printf("| **all** | %v |", endSum)
+	fmt.Fprintf(bw, "| **all** | %v |", endSum)
 	for _, c := range StallClasses() {
-		bw.printf(" %s |", pct(prof.Total[c], endSum))
+		fmt.Fprintf(bw, " %s |", pct(prof.Total[c], endSum))
 	}
-	bw.printf("\n")
+	fmt.Fprintf(bw, "\n")
 
-	bw.printf("\n## Hottest stacks (proc;class;object)\n\n")
-	bw.printf("| stack | time | share |\n|-------|-----:|------:|\n")
+	fmt.Fprintf(bw, "\n## Hottest stacks (proc;class;object)\n\n")
+	fmt.Fprintf(bw, "| stack | time | share |\n|-------|-----:|------:|\n")
 	top := topStacks(prof, 20)
 	for _, e := range top {
-		bw.printf("| p%d;%s;%s | %v | %s |\n",
+		fmt.Fprintf(bw, "| p%d;%s;%s | %v | %s |\n",
 			e.Proc, e.Class, ObjName(e.ObjKind, e.ObjID, m), e.Time, pct(e.Time, endSum))
 	}
 	if len(prof.Stacks) > len(top) {
-		bw.printf("\n(%d further stacks in profile.folded)\n", len(prof.Stacks)-len(top))
+		fmt.Fprintf(bw, "\n(%d further stacks in profile.folded)\n", len(prof.Stacks)-len(top))
 	}
 
 	if cp != nil && cp.EndProc >= 0 {
-		bw.printf("\n## Critical path\n\n")
-		bw.printf("- anchor: p%d, total %v over %d spans\n", cp.EndProc, cp.Total, len(cp.Spans))
+		fmt.Fprintf(bw, "\n## Critical path\n\n")
+		fmt.Fprintf(bw, "- anchor: p%d, total %v over %d spans\n", cp.EndProc, cp.Total, len(cp.Spans))
 		if cp.Truncated {
-			bw.printf("- WARNING: walk truncated at the step bound; decomposition is partial\n")
+			fmt.Fprintf(bw, "- WARNING: walk truncated at the step bound; decomposition is partial\n")
 		}
-		bw.printf("\n| class | path time | share |\n|-------|----------:|------:|\n")
+		fmt.Fprintf(bw, "\n| class | path time | share |\n|-------|----------:|------:|\n")
 		for _, c := range StallClasses() {
 			if cp.Class[c] == 0 {
 				continue
 			}
-			bw.printf("| %s | %v | %s |\n", c, cp.Class[c], pct(cp.Class[c], cp.Total))
+			fmt.Fprintf(bw, "| %s | %v | %s |\n", c, cp.Class[c], pct(cp.Class[c], cp.Total))
 		}
-		bw.printf("\n### Path objects\n\n")
-		bw.printf("| class | object | path time | share |\n|-------|--------|----------:|------:|\n")
+		fmt.Fprintf(bw, "\n### Path objects\n\n")
+		fmt.Fprintf(bw, "| class | object | path time | share |\n|-------|--------|----------:|------:|\n")
 		objs := cp.Objects
 		if len(objs) > 20 {
 			objs = objs[:20]
 		}
 		for _, e := range objs {
-			bw.printf("| %s | %s | %v | %s |\n",
+			fmt.Fprintf(bw, "| %s | %s | %v | %s |\n",
 				e.Class, ObjName(e.ObjKind, e.ObjID, m), e.Time, pct(e.Time, cp.Total))
 		}
 	}
-	return bw.err
+	return bw.Flush()
 }
 
 // topStacks returns the n largest folded-stack entries (ties by the stable
@@ -115,11 +116,11 @@ func pct(part, total sim.Time) string {
 // value in simulated nanoseconds.
 func WriteFoldedStacks(w io.Writer, prof *Profile) error {
 	prof.requireFull("WriteFoldedStacks")
-	bw := &errWriter{w: w}
+	bw := bufio.NewWriter(w)
 	for _, e := range prof.Stacks {
-		bw.printf("p%d;%s;%s %d\n", e.Proc, e.Class, ObjName(e.ObjKind, e.ObjID, prof.Meta), int64(e.Time))
+		fmt.Fprintf(bw, "p%d;%s;%s %d\n", e.Proc, e.Class, ObjName(e.ObjKind, e.ObjID, prof.Meta), int64(e.Time))
 	}
-	return bw.err
+	return bw.Flush()
 }
 
 // WriteCritPathCSV emits the critical path's spans in forward time order.
@@ -147,18 +148,18 @@ func WriteCritPathCSV(w io.Writer, cp *CritPath) error {
 // bounds — zeroing a class does not re-schedule the run, and a second
 // near-critical path may sit right behind the first.
 func WriteWhatIfMarkdown(w io.Writer, cp *CritPath) error {
-	bw := &errWriter{w: w}
+	bw := bufio.NewWriter(w)
 	m := cp.Meta
-	bw.printf("# What-if projections — %s on %s, %d procs (%s scale)\n\n",
+	fmt.Fprintf(bw, "# What-if projections — %s on %s, %d procs (%s scale)\n\n",
 		m.App, m.Impl, m.NProcs, m.Scale)
 	if cp.EndProc < 0 {
-		bw.printf("(empty trace: no path)\n")
-		return bw.err
+		fmt.Fprintf(bw, "(empty trace: no path)\n")
+		return bw.Flush()
 	}
-	bw.printf("Critical path: p%d, %v. Each row zeroes one class on the path;\n", cp.EndProc, cp.Total)
-	bw.printf("the projection is a lower bound (the run is not re-scheduled).\n\n")
-	bw.printf("| class zeroed | path share | projected end | max speedup |\n")
-	bw.printf("|--------------|-----------:|--------------:|------------:|\n")
+	fmt.Fprintf(bw, "Critical path: p%d, %v. Each row zeroes one class on the path;\n", cp.EndProc, cp.Total)
+	fmt.Fprintf(bw, "the projection is a lower bound (the run is not re-scheduled).\n\n")
+	fmt.Fprintf(bw, "| class zeroed | path share | projected end | max speedup |\n")
+	fmt.Fprintf(bw, "|--------------|-----------:|--------------:|------------:|\n")
 	for _, c := range StallClasses() {
 		if cp.Class[c] == 0 {
 			continue
@@ -168,9 +169,9 @@ func WriteWhatIfMarkdown(w io.Writer, cp *CritPath) error {
 		if lower > 0 {
 			speed = fmt.Sprintf("%.2fx", float64(cp.Total)/float64(lower))
 		}
-		bw.printf("| %s | %s | %v | %s |\n", c, pct(cp.Class[c], cp.Total), lower, speed)
+		fmt.Fprintf(bw, "| %s | %s | %v | %s |\n", c, pct(cp.Class[c], cp.Total), lower, speed)
 	}
-	return bw.err
+	return bw.Flush()
 }
 
 // WriteCritPathChrome renders the critical path as a Chrome trace-event

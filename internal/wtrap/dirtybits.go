@@ -44,9 +44,6 @@ func NewDirtyBits(al *mem.Allocator, hierarchical bool) *DirtyBits {
 	}
 }
 
-// Hierarchical reports whether page-level bits are maintained.
-func (db *DirtyBits) Hierarchical() bool { return db.hierarchical }
-
 // Stores returns the number of instrumented stores recorded (each one paid
 // the instrumentation cost).
 func (db *DirtyBits) Stores() int64 { return db.stores }
@@ -180,15 +177,4 @@ func (db *DirtyBits) ResetPage(pg int) {
 		db.pageDirty[pg] = false
 		db.dirtyCount--
 	}
-}
-
-// ResetAll clears every dirty bit.
-func (db *DirtyBits) ResetAll() {
-	for pg := range db.words {
-		if pb := db.words[pg]; pb != nil {
-			*pb = pageBits{}
-		}
-		db.pageDirty[pg] = false
-	}
-	db.dirtyCount = 0
 }

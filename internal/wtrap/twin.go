@@ -56,17 +56,6 @@ func (t *PageTwins) Make(pg int) {
 // Has reports whether page pg currently has a twin.
 func (t *PageTwins) Has(pg int) bool { return t.twins[pg] != nil }
 
-// Pages returns the twinned pages in ascending order.
-func (t *PageTwins) Pages() []int {
-	out := make([]int, 0, t.count)
-	for pg, twin := range t.twins {
-		if twin != nil {
-			out = append(out, pg)
-		}
-	}
-	return out
-}
-
 // Made returns the total number of twins created.
 func (t *PageTwins) Made() int64 { return t.made }
 
@@ -107,17 +96,6 @@ func (t *PageTwins) Refresh(im *mem.Image, pg, lo, hi int) {
 	}
 	base := int(mem.PageBase(pg))
 	copy(twin[lo-base:hi-base], im.Bytes()[lo:hi])
-}
-
-// DropAll discards every twin.
-func (t *PageTwins) DropAll() {
-	for pg, twin := range t.twins {
-		if twin != nil {
-			t.pool = append(t.pool, twin)
-			t.twins[pg] = nil
-		}
-	}
-	t.count = 0
 }
 
 // ObjectTwin is the eager small-object twin used by our EC implementation:

@@ -8,13 +8,12 @@
 //	dsmbench -table 3 -scale paper -procs 8
 //	dsmbench -all -scale bench
 //	dsmbench -all -scale bench -preset rdma_100g
-//	dsmbench -all -micro -scale bench -parallel 1 -perf-out BENCH_head.json
 //	dsmbench -micro -cpuprofile cpu.pprof
 //
 // -preset regenerates the tables under a different cost spec; the default
 // "paper" keeps the output byte-identical to the calibrated platform. That
-// flag, -scale, -procs, -apps, -parallel, -perf-out/-rev and the pprof pair
-// are the shared ones documented in internal/cmdline.
+// flag, -scale, -procs, -apps, -parallel and the pprof pair are the shared
+// ones documented in internal/cmdline.
 //
 // Exit codes: 0 on success, 1 on run failure, 2 on invalid flags.
 package main

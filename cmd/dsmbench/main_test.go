@@ -5,8 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"ecvslrc/internal/perf"
 )
 
 // TestCLIExitCodes pins the exit-code contract: 0 on success and -h, 2 on
@@ -26,6 +24,8 @@ func TestCLIExitCodes(t *testing.T) {
 		{"bad preset", []string{"-all", "-preset", "quantum"}, 2, "unknown cost preset"},
 		{"bad preset knob", []string{"-all", "-preset", "paper+net=x0"}, 2, "positive xK factor"},
 		{"no action", []string{"-scale", "test"}, 2, ""},
+		{"no -perf-out flag", []string{"-all", "-perf-out", "x.json"}, 2, "flag provided but not defined: -perf-out"},
+		{"no -rev flag", []string{"-all", "-rev", "abc"}, 2, "flag provided but not defined: -rev"},
 		{"good table", []string{"-table", "3", "-scale", "test", "-procs", "2", "-apps", "SOR"}, 0, ""},
 		{"good table on a platform model", []string{"-table", "3", "-scale", "test", "-procs", "2",
 			"-apps", "SOR", "-preset", "grace"}, 0, ""},
@@ -41,54 +41,6 @@ func TestCLIExitCodes(t *testing.T) {
 				t.Errorf("stderr %q does not contain %q", stderr.String(), tc.stderr)
 			}
 		})
-	}
-}
-
-// TestCLIPerfTrajectory drives -perf-out end to end: stdout must stay
-// byte-identical to an unobserved run (the trajectory note goes to stderr),
-// and the written file must parse back as an exact-allocs trajectory with
-// the requested revision stamp and one cell per table entry.
-func TestCLIPerfTrajectory(t *testing.T) {
-	base := []string{"-table", "3", "-scale", "test", "-procs", "2", "-apps", "SOR,IS", "-parallel", "1"}
-	var plainOut, plainErr strings.Builder
-	if code := cli(base, &plainOut, &plainErr); code != 0 {
-		t.Fatalf("plain run exited %d: %s", code, plainErr.String())
-	}
-
-	path := filepath.Join(t.TempDir(), "BENCH_head.json")
-	var out, errw strings.Builder
-	args := append(append([]string{}, base...), "-perf-out", path, "-rev", "cafe01")
-	if code := cli(args, &out, &errw); code != 0 {
-		t.Fatalf("perf run exited %d: %s", code, errw.String())
-	}
-	if out.String() != plainOut.String() {
-		t.Error("-perf-out changed stdout; the note must go to stderr")
-	}
-	if !strings.Contains(errw.String(), "perf trajectory") {
-		t.Errorf("no trajectory note on stderr: %s", errw.String())
-	}
-
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	traj, err := perf.ReadTrajectory(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if traj.Meta.Rev != "cafe01" || traj.Meta.Scale != "test" || traj.Meta.Parallel != 1 {
-		t.Errorf("meta = %+v", traj.Meta)
-	}
-	if !traj.AllocsExact {
-		t.Error("-parallel 1 run not marked allocs-exact")
-	}
-	// Table 3 over 2 apps: 6 impls x 2 + 2 seq references.
-	if len(traj.Cells) != 14 {
-		t.Errorf("got %d cells, want 14", len(traj.Cells))
-	}
-	if traj.CellsPerSec <= 0 || traj.WallNS <= 0 {
-		t.Errorf("aggregates empty: %.1f cells/s over %dns", traj.CellsPerSec, traj.WallNS)
 	}
 }
 

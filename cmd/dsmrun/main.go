@@ -14,7 +14,8 @@
 // stall breakdown, the critical path's decomposition and the what-if
 // projections (internal/trace's profiler), without needing a -trace
 // directory. -perf prints a host-side breakdown after the run (phase wall
-// times, allocation delta, peak heap — internal/perf). Both are
+// times, each cell's wall time and allocation delta — the sequential
+// reference's too under -seq — and peak heap; internal/perf). Both are
 // observation-only: the simulated statistics are identical with and without
 // them. The cell and machine flags (-app ... -timeout, -cpuprofile,
 // -memprofile) are the shared ones of internal/cmdline; at -scale large the
@@ -69,7 +70,6 @@ func cli(args []string, stdout, stderr io.Writer) int {
 	}
 	if *perfFlag {
 		cfg.Perf = perf.New()
-		cfg.Perf.SetAllocsExact(true)
 	}
 	return c.Run(func() int {
 		if *seq {
@@ -120,7 +120,7 @@ func cli(args []string, stdout, stderr io.Writer) int {
 		if traced {
 			// The analysis (event scan, profile build, critical-path walk) is
 			// timed apart from file emission, so "analyze" wall time lands in
-			// the perf trajectory alongside init/simulate/verify.
+			// the -perf breakdown alongside init/simulate/verify.
 			ph := cfg.Perf.StartPhase("analyze")
 			art := trace.Analyzed(row.Trace, meta)
 			ph.End()
@@ -151,11 +151,11 @@ func cli(args []string, stdout, stderr io.Writer) int {
 	})
 }
 
-// printPerf renders the host-side breakdown: phase wall times in declared
-// order, then the cell's totals.
+// printPerf renders the host-side breakdown: phase wall times in name
+// order, then each recorded cell's totals — labelled by impl when -seq
+// recorded the sequential reference as a second cell — then the peak heap.
 func printPerf(w io.Writer, reg *perf.Registry) {
-	traj := reg.Snapshot(perf.Meta{Parallel: 1})
-	counters := traj.Counters
+	counters := reg.Counters()
 	var phases []string
 	for name := range counters {
 		if strings.HasPrefix(name, "phase_") {
@@ -168,10 +168,16 @@ func printPerf(w io.Writer, reg *perf.Registry) {
 		label := strings.TrimSuffix(strings.TrimPrefix(name, "phase_"), "_ns")
 		fmt.Fprintf(w, " %s %.1fms |", label, float64(counters[name])/1e6)
 	}
-	if len(traj.Cells) > 0 {
-		c := traj.Cells[0]
+	cells := reg.Cells()
+	for i, c := range cells {
+		if i > 0 {
+			fmt.Fprint(w, " |")
+		}
+		if len(cells) > 1 {
+			fmt.Fprintf(w, " %s", c.Impl)
+		}
 		fmt.Fprintf(w, " wall %.1fms | %d mallocs (%.1f MiB)",
 			float64(c.WallNS)/1e6, c.Mallocs, float64(c.AllocBytes)/(1<<20))
 	}
-	fmt.Fprintf(w, " | peak heap %.1f MiB\n", float64(traj.PeakHeapBytes)/(1<<20))
+	fmt.Fprintf(w, " | peak heap %.1f MiB\n", float64(reg.PeakHeapBytes())/(1<<20))
 }

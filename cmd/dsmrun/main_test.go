@@ -70,6 +70,33 @@ func TestCLIPerfBreakdown(t *testing.T) {
 			t.Errorf("perf breakdown missing %q: %s", want, perfLines)
 		}
 	}
+	if n := strings.Count(perfLines, "mallocs"); n != 1 || strings.Contains(perfLines, "LRC-diff") {
+		t.Errorf("one-cell breakdown has %d cell entries or an impl label: %s", n, perfLines)
+	}
+
+	// With -seq the sequential reference is a second recorded cell: both
+	// cells get an entry, labelled by impl.
+	seq := append(append([]string{}, base...), "-seq")
+	plain.Reset()
+	if code := cli(seq, &plain, &plainErr); code != 0 {
+		t.Fatalf("plain -seq run exited %d: %s", code, plainErr.String())
+	}
+	out.Reset()
+	if code := cli(append(seq, "-perf"), &out, &errw); code != 0 {
+		t.Fatalf("-seq -perf run exited %d: %s", code, errw.String())
+	}
+	if !strings.HasPrefix(out.String(), plain.String()) {
+		t.Errorf("-perf changed the -seq output:\nplain:\n%s\nperf:\n%s", plain.String(), out.String())
+	}
+	perfLines = strings.TrimPrefix(out.String(), plain.String())
+	if n := strings.Count(perfLines, "mallocs"); n != 2 {
+		t.Errorf("-seq breakdown has %d cell entries, want 2: %s", n, perfLines)
+	}
+	for _, want := range []string{" LRC-diff wall ", " seq wall ", "peak heap"} {
+		if !strings.Contains(perfLines, want) {
+			t.Errorf("-seq breakdown missing %q: %s", want, perfLines)
+		}
+	}
 }
 
 // TestCLIVirtualProfile runs the same cell with and without -profile: the

@@ -29,8 +29,8 @@
 // fields are identical with it on or off.
 //
 // -progress streams per-cell completion heartbeats (wall time, running
-// cells/sec, ETA) to stderr; like -perf-out it is observation-only: the
-// emitted records are identical with and without it.
+// cells/sec, ETA) to stderr; it is observation-only: the emitted records are
+// identical with and without it.
 //
 // Failed cells do not abort the sweep: the surviving records are emitted,
 // every failed cell is listed on stderr, and the exit code is 1.
@@ -79,7 +79,7 @@ func cli(args []string, stdout, stderr io.Writer) int {
 	cfg := &c.Config
 	g := sweep.Grid{
 		Scale: cfg.Scale, Apps: c.Apps, Parallel: cfg.Parallel, Timeout: cfg.Timeout,
-		Breakdown: *breakdown, Perf: cfg.Perf,
+		Breakdown: *breakdown,
 	}
 	for _, s := range cmdline.SplitList(*procsFlag) {
 		np, err := strconv.Atoi(s)
@@ -115,7 +115,7 @@ func cli(args []string, stdout, stderr io.Writer) int {
 }
 
 // sweepRun executes the grid and emits artifacts; split from cli so the
-// profiling/trajectory epilogue runs on every exit path.
+// profiling epilogue runs on every exit path.
 func sweepRun(c *cmdline.Cmd, g sweep.Grid, out string) int {
 	stdout, stderr, fail := c.Stdout, c.Stderr, c.Fail
 

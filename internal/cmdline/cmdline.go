@@ -1,9 +1,9 @@
 // Package cmdline is the one front end behind the commands: it binds the flags
 // they share onto a flag.FlagSet, resolves them into one cell description
 // (harness.Config plus the application and implementation), and brackets
-// the command body with the common prologue and epilogue — validation,
-// pprof profiles, the host-performance trajectory. Each cmd/*/main.go keeps
-// only the flags and output that are its own.
+// the command body with the common prologue and epilogue — validation and
+// the pprof profiles. Each cmd/*/main.go keeps only the flags and output that
+// are its own.
 //
 // The shared flags, by group:
 //
@@ -12,10 +12,7 @@
 //	         -contention -faults -fault-seed -topo -gc -fanin -timeout
 //	         (run.Machine documents each; at -scale large harness.Options
 //	         turns notice GC on and resolves -fanin 0 to a 16-way tree)
-//	grid     -apps -parallel; -perf-out/-rev write a schema-versioned
-//	         BENCH_*.json host-performance trajectory (per-cell wall/alloc
-//	         stats, aggregate cells/sec; see internal/perf and cmd/dsmperf),
-//	         with its note on stderr so stdout stays byte-identical
+//	grid     -apps -parallel
 //	host     -cpuprofile -memprofile write standard pprof profiles
 //
 // All host-side flags are observation-only: simulated statistics are
@@ -55,12 +52,11 @@ type Cmd struct {
 	Preset string    // -preset as written
 
 	name string
-	args []string
 	// Raw values of the shared flags; nil when the command did not bind them.
-	impl, scale, apps, faults, topo, perfOut, rev, cpuprofile, memprofile *string
-	procs                                                                 *int
-	faultSeed                                                             *uint64
-	timeout                                                               *float64
+	impl, scale, apps, faults, topo, cpuprofile, memprofile *string
+	procs                                                   *int
+	faultSeed                                               *uint64
+	timeout                                                 *float64
 }
 
 // New starts a command's flag set; usage and flag errors go to stderr.
@@ -109,13 +105,10 @@ func (c *Cmd) BindCell(scale string) {
 	c.BindFanInTimeout()
 }
 
-// BindGrid binds the flags of the many-cell commands: -apps, -parallel and
-// the trajectory pair -perf-out/-rev.
+// BindGrid binds the flags of the many-cell commands: -apps and -parallel.
 func (c *Cmd) BindGrid() {
 	c.apps = c.FS.String("apps", "", "comma-separated application subset, e.g. \"SOR,QS\" (default: all)")
 	c.FS.IntVar(&c.Config.Parallel, "parallel", runtime.GOMAXPROCS(0), "max cells simulated concurrently (output is identical for any value)")
-	c.perfOut = c.FS.String("perf-out", "", "write a BENCH_*.json host-performance trajectory to this file (per-cell alloc deltas are exact only with -parallel 1)")
-	c.rev = c.FS.String("rev", "", "revision stamp for -perf-out (default: the build's vcs.revision, else \"unknown\")")
 }
 
 // BindProfiles binds -cpuprofile and -memprofile.
@@ -151,7 +144,6 @@ func (c *Cmd) Fail(err error) int {
 // fields. done reports that the command is over — help was printed or a flag
 // was bad — and exit is then its exit code.
 func (c *Cmd) Parse(args []string) (exit int, done bool) {
-	c.args = args
 	if err := c.FS.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0, true
@@ -219,18 +211,13 @@ func (c *Cmd) resolve() (err error) {
 			return errors.New("-apps lists no applications")
 		}
 	}
-	if c.perfOut != nil && *c.perfOut != "" {
-		cfg.Perf = perf.New()
-		cfg.Perf.SetAllocsExact(cfg.Parallel == 1)
-	}
 	return nil
 }
 
 // Run is the command proper: it validates the cell description (the single
 // validator behind harness.Config.Validate — exit 2), then brackets body with
-// the pprof profiles and, whenever the run produced cells, the -perf-out
-// trajectory. A command that describes many cells (dsmsweep: -procs is its
-// own list flag) gets the same validation from sweep.Run, per variant.
+// the pprof profiles. A command that describes many cells (dsmsweep: -procs
+// is its own list flag) gets the same validation from sweep.Run, per variant.
 func (c *Cmd) Run(body func() int) int {
 	if c.procs != nil {
 		if err := c.Config.Validate(); err != nil {
@@ -245,21 +232,6 @@ func (c *Cmd) Run(body func() int) int {
 		}
 	}
 	code := body()
-	if reg := c.Config.Perf; c.perfOut != nil && reg != nil {
-		meta := perf.HostMeta(*c.rev)
-		meta.Scale, meta.Parallel = *c.scale, c.Config.Parallel
-		meta.Cmd = c.name + " " + strings.Join(c.args, " ")
-		if traj := reg.Snapshot(meta); traj.CellRuns > 0 {
-			write := func(w io.Writer) error { return perf.WriteTrajectory(w, traj) }
-			if err := WriteFile(*c.perfOut, write); err != nil {
-				code = max(code, c.Fail(err))
-			} else {
-				// Stderr, so stdout stays byte-identical to an unobserved run.
-				fmt.Fprintf(c.Stderr, "%s: perf trajectory (%d cells, %d runs, %.1f cells/s) -> %s\n",
-					c.name, len(traj.Cells), traj.CellRuns, traj.CellsPerSec, *c.perfOut)
-			}
-		}
-	}
 	if err := stop(); err != nil {
 		code = max(code, c.Fail(err))
 	}

@@ -1,13 +1,10 @@
 package cmdline
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"ecvslrc/internal/harness"
-	"ecvslrc/internal/perf"
 )
 
 // parse drives a command that binds every shared flag group through the
@@ -100,54 +97,5 @@ func TestResolvedValues(t *testing.T) {
 	}
 	if _, code, _ := parse(false, "-nonsense"); code != 2 {
 		t.Errorf("unknown flag exits %d, want 2", code)
-	}
-}
-
-// TestTrajectoryEpilogue pins the shared -perf-out epilogue: the trajectory
-// is written whenever the run produced cells — whatever the exit code, so a
-// partially failed run keeps its measurements — and not for a run that
-// produced none.
-func TestTrajectoryEpilogue(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		cells   bool
-		written bool
-	}{{"failed run with cells", true, true}, {"run without cells", false, false}} {
-		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "BENCH_test.json")
-			var out, errw strings.Builder
-			c := New("dsmtest", &out, &errw)
-			c.BindCell("test")
-			c.BindGrid()
-			if code, done := c.Parse([]string{"-procs", "2", "-parallel", "1", "-perf-out", path, "-rev", "cafe"}); done {
-				t.Fatalf("parse exited %d: %s", code, errw.String())
-			}
-			code := c.Run(func() int {
-				if tc.cells {
-					if row := harness.RunCell(c.Config, c.App, c.Impl); row.Err != nil {
-						t.Error(row.Err)
-					}
-				}
-				return 1
-			})
-			if code != 1 {
-				t.Errorf("exit code = %d, want the body's 1", code)
-			}
-			f, err := os.Open(path)
-			if (err == nil) != tc.written {
-				t.Fatalf("trajectory written = %v, want %v (stderr: %s)", err == nil, tc.written, errw.String())
-			}
-			if err != nil {
-				return
-			}
-			defer f.Close()
-			traj, err := perf.ReadTrajectory(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if traj.CellRuns != 1 || traj.Meta.Rev != "cafe" || traj.Meta.Scale != "test" || !strings.HasPrefix(traj.Meta.Cmd, "dsmtest -procs 2") {
-				t.Errorf("trajectory = %d runs, meta %+v", traj.CellRuns, traj.Meta)
-			}
-		})
 	}
 }

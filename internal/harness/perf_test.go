@@ -13,14 +13,14 @@ import (
 
 // TestPerfRegistryParallelDeterminism runs the same table twice on the
 // parallel worker pool, each with a fresh registry, and requires the
-// *identity* content of the snapshots to match exactly: same cell set, same
+// *identity* content of the registries to match exactly: same cell set, same
 // run counts, same outcomes, same phase-counter keys. Wall times and alloc
 // deltas are host noise and deliberately not compared. Runs under -race in
 // CI (the harness package is in the race job), which exercises the
 // registry's concurrent merge path.
 func TestPerfRegistryParallelDeterminism(t *testing.T) {
 	appNames := []string{"SOR", "IS"}
-	snap := func() *perf.Trajectory {
+	observe := func() ([]perf.Cell, map[string]int64) {
 		reg := perf.New()
 		cfg := Config{Scale: apps.Test, NProcs: 4, Cost: fabric.DefaultCostModel(), Parallel: 8, Perf: reg}
 		if _, err := TableModel(cfg, core.EC, appNames); err != nil {
@@ -29,30 +29,34 @@ func TestPerfRegistryParallelDeterminism(t *testing.T) {
 		if _, err := Table3(cfg, appNames); err != nil {
 			t.Fatal(err)
 		}
-		return reg.Snapshot(perf.Meta{Parallel: 8})
+		return reg.Cells(), reg.Counters()
 	}
-	a, b := snap(), snap()
-	if len(a.Cells) != len(b.Cells) {
-		t.Fatalf("cell counts differ: %d vs %d", len(a.Cells), len(b.Cells))
+	cellsA, countersA := observe()
+	cellsB, countersB := observe()
+	if len(cellsA) != len(cellsB) {
+		t.Fatalf("cell counts differ: %d vs %d", len(cellsA), len(cellsB))
 	}
-	for i := range a.Cells {
-		ca, cb := a.Cells[i], b.Cells[i]
+	var runsA, runsB int64
+	for i := range cellsA {
+		ca, cb := cellsA[i], cellsB[i]
 		if ca.Key() != cb.Key() || ca.Runs != cb.Runs || ca.Outcome != cb.Outcome {
 			t.Errorf("cell %d diverged: %+v vs %+v", i, ca.Key(), cb.Key())
 		}
+		runsA += ca.Runs
+		runsB += cb.Runs
 	}
-	if a.CellRuns != b.CellRuns {
-		t.Errorf("run totals differ: %d vs %d", a.CellRuns, b.CellRuns)
+	if runsA != runsB {
+		t.Errorf("run totals differ: %d vs %d", runsA, runsB)
 	}
-	for name := range a.Counters {
-		if _, ok := b.Counters[name]; !ok {
-			t.Errorf("counter %q present in first snapshot only", name)
+	for name := range countersA {
+		if _, ok := countersB[name]; !ok {
+			t.Errorf("counter %q present in first registry only", name)
 		}
 	}
 	// Table3 (6 impls + seq) and TableModel EC (3 impls, merged into the
 	// same cells) over 2 apps: 12 impl cells + 2 seq cells.
-	if want := 14; len(a.Cells) != want {
-		t.Errorf("distinct cells = %d, want %d", len(a.Cells), want)
+	if want := 14; len(cellsA) != want {
+		t.Errorf("distinct cells = %d, want %d", len(cellsA), want)
 	}
 }
 
@@ -89,11 +93,11 @@ func TestPanicCellWallAttribution(t *testing.T) {
 	if cp.Elapsed <= 0 {
 		t.Error("CellPanic carries no elapsed time despite an attached registry")
 	}
-	snap := reg.Snapshot(perf.Meta{Parallel: 1})
-	if len(snap.Cells) != 1 {
-		t.Fatalf("got %d perf cells, want 1", len(snap.Cells))
+	cells := reg.Cells()
+	if len(cells) != 1 {
+		t.Fatalf("got %d perf cells, want 1", len(cells))
 	}
-	c := snap.Cells[0]
+	c := cells[0]
 	if c.Outcome != string(perf.OutcomePanic) {
 		t.Errorf("outcome = %q, want panic", c.Outcome)
 	}
@@ -109,30 +113,27 @@ func TestPanicCellWallAttribution(t *testing.T) {
 // ok, run-phase counters populated, peak heap observed.
 func TestRunCellPerfAttribution(t *testing.T) {
 	reg := perf.New()
-	reg.SetAllocsExact(true)
 	impl := core.Impl{Model: core.LRC, Trap: core.Twinning, Collect: core.Diffs}
 	cfg := Config{Scale: apps.Test, NProcs: 4, Cost: fabric.DefaultCostModel(), Perf: reg, Variant: "paper"}
 	row := RunCell(cfg, "SOR", impl)
 	if row.Err != nil {
 		t.Fatal(row.Err)
 	}
-	snap := reg.Snapshot(perf.Meta{Parallel: 1})
-	if len(snap.Cells) != 1 {
-		t.Fatalf("got %d cells, want 1", len(snap.Cells))
+	cells := reg.Cells()
+	if len(cells) != 1 {
+		t.Fatalf("got %d cells, want 1", len(cells))
 	}
-	c := snap.Cells[0]
+	c := cells[0]
 	if c.Variant != "paper" || c.Outcome != "ok" || c.WallNS <= 0 || c.Mallocs <= 0 {
 		t.Errorf("cell = %+v", c)
 	}
+	counters := reg.Counters()
 	for _, phase := range []string{"phase_init_ns", "phase_simulate_ns", "phase_verify_ns"} {
-		if snap.Counters[phase] <= 0 {
-			t.Errorf("%s = %d, want > 0", phase, snap.Counters[phase])
+		if counters[phase] <= 0 {
+			t.Errorf("%s = %d, want > 0", phase, counters[phase])
 		}
 	}
-	if snap.PeakHeapBytes <= 0 {
+	if reg.PeakHeapBytes() <= 0 {
 		t.Error("no peak heap recorded")
-	}
-	if !snap.AllocsExact {
-		t.Error("allocs_exact flag lost")
 	}
 }

@@ -60,12 +60,20 @@ func TestBenchReportWithTracingMatchesSeedGolden(t *testing.T) {
 	}
 }
 
+// reportMallocCeiling bounds the heap allocations of the whole 79-cell
+// bench-scale report run one cell at a time: about 295 600 measured cold and
+// 294 970 warm (Go 1.24, linux/amd64), plus 15 % for allocator and
+// Go-version drift. One extra allocation per delivered message alone adds
+// about 112 000.
+const reportMallocCeiling = 340_000
+
 // TestBenchReportWithMetricsMatchesSeedGolden is the same invariant for the
 // host-side perf layer: a live registry on every cell reads host clocks and
 // MemStats only, so the simulated report must not move by a byte. It also
 // sanity-checks the registry actually observed the sweep (cells recorded,
 // phase counters non-zero) so a silently-disconnected registry can't fake a
-// pass.
+// pass. Cells run one at a time, so each cell's allocation delta is exact
+// and their sum is held under reportMallocCeiling.
 func TestBenchReportWithMetricsMatchesSeedGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench-scale full sweep")
@@ -75,7 +83,7 @@ func TestBenchReportWithMetricsMatchesSeedGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := perf.New()
-	cfg := Config{Scale: apps.Bench, NProcs: 8, Cost: fabric.DefaultCostModel(), Perf: reg}
+	cfg := Config{Scale: apps.Bench, NProcs: 8, Cost: fabric.DefaultCostModel(), Parallel: 1, Perf: reg}
 	got, err := BenchReport(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -83,17 +91,26 @@ func TestBenchReportWithMetricsMatchesSeedGolden(t *testing.T) {
 	if got != string(want) {
 		t.Errorf("BenchReport with metrics enabled drifted from the seed golden (%d vs %d bytes): the perf layer is perturbing the simulation", len(got), len(want))
 	}
-	snap := reg.Snapshot(perf.Meta{Parallel: 1})
-	if len(snap.Cells) == 0 || snap.CellRuns == 0 {
+	cells := reg.Cells()
+	var runs, mallocs int64
+	for _, c := range cells {
+		runs += c.Runs
+		mallocs += c.Mallocs
+	}
+	if len(cells) == 0 || runs == 0 {
 		t.Error("registry attached but observed no cells")
 	}
 	// The report simulates each cell once: Tables 4 and 5 regroup Table 3's
 	// rows. 7 apps x (6 impls + seq) + 5 factor kernels x 6 impls.
-	if want := 7*7 + 5*6; int(snap.CellRuns) != want || len(snap.Cells) != want {
-		t.Errorf("report ran %d cells (%d distinct), want %d of each", snap.CellRuns, len(snap.Cells), want)
+	if want := 7*7 + 5*6; int(runs) != want || len(cells) != want {
+		t.Errorf("report ran %d cells (%d distinct), want %d of each", runs, len(cells), want)
 	}
-	if snap.Counters["phase_simulate_ns"] <= 0 {
+	if reg.Counters()["phase_simulate_ns"] <= 0 {
 		t.Error("no simulate-phase time attributed")
+	}
+	t.Logf("report cells allocated %d objects (ceiling %d)", mallocs, reportMallocCeiling)
+	if mallocs > reportMallocCeiling {
+		t.Errorf("report cells allocated %d objects, over the %d ceiling: a simulation path started allocating", mallocs, reportMallocCeiling)
 	}
 }
 

@@ -1,27 +1,28 @@
-// Package perf is the host-side observability layer: counters, gauges,
-// fixed-bucket histograms, phase timers and per-cell spans measuring the
-// *host* running the simulator — wall-clock time, allocation counts, heap
-// footprint — as opposed to internal/trace, which observes the *simulated*
-// machine in virtual time.
+// Package perf is the host-side observability layer: counters, fixed-bucket
+// histograms, phase timers and per-cell spans measuring the *host* running
+// the simulator — wall-clock time, allocation counts, peak heap — as opposed
+// to internal/trace, which observes the *simulated* machine in virtual time.
 //
 // The layer is observation-only by construction:
 //
 //   - Every entry point is nil-safe: a nil *Registry (and the nil Counter /
-//     Gauge / Histogram handles and zero-valued CellSpan / Phase it hands
-//     out) turns every operation into a pointer check — no clock reads, no
+//     Histogram handles and zero-valued CellSpan / Phase it hands out) turns
+//     every operation into a pointer check — no clock reads, no
 //     runtime.MemStats, no allocation. The disabled path is pinned at zero
 //     allocations by BenchmarkPerfDisabled and TestDisabledRegistryAllocs.
 //   - Nothing here reads virtual time. Metrics come from host clocks and the
 //     Go runtime, so simulated statistics are byte-identical with metrics on
 //     (TestBenchReportWithMetricsMatchesSeedGolden pins the full report).
 //
-// All handles are safe for concurrent use: counters, gauges and histogram
-// buckets are atomics, and the per-cell record list is mutex-guarded, so a
-// registry can be shared by every worker of a parallel harness sweep.
+// All handles are safe for concurrent use: counters, the peak heap and
+// histogram buckets are atomics, and the per-cell records are mutex-guarded,
+// so a registry can be shared by every worker of a parallel harness sweep.
 package perf
 
 import (
+	"cmp"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,39 +46,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is an atomic instantaneous value with a set-to-maximum operation
-// (used for peak-heap tracking). The nil Gauge accepts everything.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores v. No-op on the nil Gauge.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// SetMax raises the gauge to v if v exceeds the current value.
-func (g *Gauge) SetMax(v int64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if v <= cur || g.v.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// Value returns the current value; zero on the nil Gauge.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // Histogram is a fixed-bucket histogram: bounds are ascending upper bounds,
@@ -147,30 +115,29 @@ func outcomeRank(o Outcome) int {
 // WallNS / Mallocs / AllocBytes accumulate, MinWallNS keeps the fastest run
 // (the least-noisy wall estimator, benchmarking's min-of-N).
 type Cell struct {
-	Variant string `json:"variant,omitempty"`
-	App     string `json:"app"`
-	Impl    string `json:"impl"`
-	NProcs  int    `json:"nprocs"`
-	Outcome string `json:"outcome"`
-	Runs    int64  `json:"runs"`
+	Variant string
+	App     string
+	Impl    string
+	NProcs  int
+	Outcome string
+	Runs    int64
 	// WallNS is the summed host wall-clock time of all runs; MinWallNS the
 	// fastest single run.
-	WallNS    int64 `json:"wall_ns"`
-	MinWallNS int64 `json:"min_wall_ns"`
+	WallNS    int64
+	MinWallNS int64
 	// Mallocs and AllocBytes are summed runtime.MemStats deltas across the
-	// cell's runs. Exact only when cells run one at a time (see
-	// Trajectory.AllocsExact); under parallel workers concurrent cells bleed
-	// into each other's windows.
-	Mallocs    int64 `json:"mallocs"`
-	AllocBytes int64 `json:"alloc_bytes"`
+	// cell's runs. Exact only when cells run one at a time; under parallel
+	// workers concurrent cells bleed into each other's windows.
+	Mallocs    int64
+	AllocBytes int64
 }
 
-// Key is the cell's merge/compare identity.
+// Key is the cell's merge identity.
 func (c Cell) Key() CellKey {
 	return CellKey{Variant: c.Variant, App: c.App, Impl: c.Impl, NProcs: c.NProcs}
 }
 
-// CellKey identifies a cell across trajectories.
+// CellKey identifies a cell.
 type CellKey struct {
 	Variant string
 	App     string
@@ -184,38 +151,19 @@ type CellKey struct {
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	cells    map[CellKey]*Cell
 
-	cells map[CellKey]*Cell
-	walls []int64 // every individual cell-run wall time, for exact quantiles
-
-	firstStart  time.Time
-	lastEnd     time.Time
-	allocsExact bool
+	peakHeap atomic.Int64 // highest HeapAlloc seen at a cell span's edges
 }
 
 // New returns an empty enabled registry.
 func New() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 		cells:    make(map[CellKey]*Cell),
 	}
-}
-
-// SetAllocsExact records whether per-cell allocation deltas are exact —
-// true only when the caller runs cells strictly one at a time (parallel 1).
-// The flag lands in the trajectory; dsmperf only gates on allocation counts
-// when both sides are exact.
-func (r *Registry) SetAllocsExact(exact bool) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.allocsExact = exact
-	r.mu.Unlock()
 }
 
 // Counter returns the named counter, creating it on first use. Nil registry
@@ -232,22 +180,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use. Nil registry
-// returns the nil Gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the named histogram, creating it with the given bounds
@@ -293,8 +225,8 @@ func (p Phase) End() {
 }
 
 // CellSpan measures one cell run: host wall time plus runtime.MemStats
-// deltas (Mallocs, TotalAlloc) between StartCell and End, with the peak
-// observed HeapAlloc folded into the "peak_heap_bytes" gauge at both edges.
+// deltas (Mallocs, TotalAlloc) between StartCell and End, with the observed
+// HeapAlloc folded into the registry's peak heap at both edges.
 type CellSpan struct {
 	r        *Registry
 	cell     Cell
@@ -312,7 +244,7 @@ func (r *Registry) StartCell(variant, app, impl string, nprocs int) CellSpan {
 	}
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
-	r.Gauge("peak_heap_bytes").SetMax(int64(m.HeapAlloc))
+	r.observeHeap(m.HeapAlloc)
 	return CellSpan{
 		r:        r,
 		cell:     Cell{Variant: variant, App: app, Impl: impl, NProcs: nprocs},
@@ -322,12 +254,8 @@ func (r *Registry) StartCell(variant, app, impl string, nprocs int) CellSpan {
 	}
 }
 
-// Active reports whether the span measures anything (false for spans from a
-// nil registry).
-func (cs CellSpan) Active() bool { return cs.r != nil }
-
-// Elapsed returns the host wall time since StartCell; zero on an inactive
-// span.
+// Elapsed returns the host wall time since StartCell; zero on a span from
+// the nil registry.
 func (cs CellSpan) Elapsed() time.Duration {
 	if cs.r == nil {
 		return 0
@@ -335,83 +263,79 @@ func (cs CellSpan) Elapsed() time.Duration {
 	return time.Since(cs.start)
 }
 
-// End closes the span with the given outcome and records the cell. Slow
-// cells that die are still attributed their elapsed time: the harness calls
-// End(OutcomePanic) from its recovery path, so a slow-then-crashing cell is
-// distinguishable from a fast one in the perf record.
+// End closes the span with the given outcome and records the cell, merging
+// it with any earlier run of the same identity: runs, wall time and
+// allocation deltas accumulate, MinWallNS keeps the fastest run and the
+// worst outcome wins. Slow cells that die are still attributed their elapsed
+// time: the harness calls End(OutcomePanic) from its recovery path, so a
+// slow-then-crashing cell is distinguishable from a fast one in the record.
 func (cs CellSpan) End(outcome Outcome) {
 	if cs.r == nil {
 		return
 	}
-	end := time.Now()
-	wall := end.Sub(cs.start)
+	wall := int64(time.Since(cs.start))
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
-	cs.r.Gauge("peak_heap_bytes").SetMax(int64(m.HeapAlloc))
-	cs.r.Histogram("cell_wall_ns", WallBuckets).Observe(int64(wall))
-
-	c := cs.cell
-	c.Outcome = string(outcome)
-	c.Runs = 1
-	c.WallNS = int64(wall)
-	c.MinWallNS = int64(wall)
-	c.Mallocs = int64(m.Mallocs - cs.mallocs0)
-	c.AllocBytes = int64(m.TotalAlloc - cs.alloc0)
+	cs.r.observeHeap(m.HeapAlloc)
+	cs.r.Histogram("cell_wall_ns", WallBuckets).Observe(wall)
+	mallocs, alloc := int64(m.Mallocs-cs.mallocs0), int64(m.TotalAlloc-cs.alloc0)
 
 	cs.r.mu.Lock()
-	cs.r.mergeLocked(c)
-	cs.r.walls = append(cs.r.walls, int64(wall))
-	if cs.r.firstStart.IsZero() || cs.start.Before(cs.r.firstStart) {
-		cs.r.firstStart = cs.start
+	defer cs.r.mu.Unlock()
+	key := cs.cell.Key()
+	cur := cs.r.cells[key]
+	if cur == nil {
+		c := cs.cell
+		c.Outcome, c.MinWallNS = string(outcome), wall
+		cur = &c
+		cs.r.cells[key] = cur
 	}
-	if end.After(cs.r.lastEnd) {
-		cs.r.lastEnd = end
+	cur.Runs++
+	cur.WallNS += wall
+	cur.MinWallNS = min(cur.MinWallNS, wall)
+	cur.Mallocs += mallocs
+	cur.AllocBytes += alloc
+	if outcomeRank(outcome) > outcomeRank(Outcome(cur.Outcome)) {
+		cur.Outcome = string(outcome)
 	}
-	cs.r.mu.Unlock()
 }
 
-// ObserveCell records a pre-measured cell (merging with any existing record
-// of the same identity). It exists for synthetic attribution — tests and
-// callers that measure cells through means other than CellSpan. Runs of a
-// multi-run cell contribute their average wall to the quantile pool.
-func (r *Registry) ObserveCell(c Cell) {
+// observeHeap raises the peak heap to v if v exceeds it.
+func (r *Registry) observeHeap(v uint64) {
+	for {
+		cur := r.peakHeap.Load()
+		if int64(v) <= cur || r.peakHeap.CompareAndSwap(cur, int64(v)) {
+			return
+		}
+	}
+}
+
+// PeakHeapBytes returns the highest HeapAlloc observed at the edges of any
+// cell span; zero on the nil registry.
+func (r *Registry) PeakHeapBytes() int64 {
 	if r == nil {
-		return
+		return 0
 	}
-	if c.Runs <= 0 {
-		c.Runs = 1
-	}
-	if c.MinWallNS == 0 {
-		c.MinWallNS = c.WallNS / c.Runs
+	return r.peakHeap.Load()
+}
+
+// Cells returns a copy of every cell record, sorted by (variant, app, impl,
+// nprocs); nil on the nil registry.
+func (r *Registry) Cells() []Cell {
+	if r == nil {
+		return nil
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.mergeLocked(c)
-	avg := c.WallNS / c.Runs
-	for i := int64(0); i < c.Runs; i++ {
-		r.walls = append(r.walls, avg)
+	out := make([]Cell, 0, len(r.cells))
+	for _, c := range r.cells {
+		out = append(out, *c)
 	}
-}
-
-// mergeLocked folds one cell record into the registry. Caller holds r.mu.
-func (r *Registry) mergeLocked(c Cell) {
-	key := c.Key()
-	cur := r.cells[key]
-	if cur == nil {
-		cc := c
-		r.cells[key] = &cc
-		return
-	}
-	cur.Runs += c.Runs
-	cur.WallNS += c.WallNS
-	cur.Mallocs += c.Mallocs
-	cur.AllocBytes += c.AllocBytes
-	if c.MinWallNS < cur.MinWallNS {
-		cur.MinWallNS = c.MinWallNS
-	}
-	if outcomeRank(Outcome(c.Outcome)) > outcomeRank(Outcome(cur.Outcome)) {
-		cur.Outcome = c.Outcome
-	}
+	r.mu.Unlock()
+	slices.SortFunc(out, func(a, b Cell) int {
+		return cmp.Or(cmp.Compare(a.Variant, b.Variant), cmp.Compare(a.App, b.App),
+			cmp.Compare(a.Impl, b.Impl), cmp.Compare(a.NProcs, b.NProcs))
+	})
+	return out
 }
 
 // Counters returns a point-in-time copy of every named counter.

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-func TestCounterGaugeHistogram(t *testing.T) {
+func TestCounterHistogram(t *testing.T) {
 	r := New()
 	c := r.Counter("c")
 	c.Add(3)
@@ -19,15 +19,8 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	if r.Counter("c") != c {
 		t.Error("second Counter lookup returned a different handle")
 	}
-	g := r.Gauge("g")
-	g.Set(10)
-	g.SetMax(5)
-	if got := g.Value(); got != 10 {
-		t.Errorf("SetMax(5) lowered gauge to %d", got)
-	}
-	g.SetMax(20)
-	if got := g.Value(); got != 20 {
-		t.Errorf("gauge = %d, want 20", got)
+	if got := r.Counters()["c"]; got != 7 {
+		t.Errorf("Counters()[c] = %d, want 7", got)
 	}
 	h := r.Histogram("h", []int64{10, 100})
 	for _, v := range []int64{5, 50, 500} {
@@ -36,56 +29,190 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	if got := h.Count(); got != 3 {
 		t.Errorf("histogram count = %d, want 3", got)
 	}
-	snap := r.Snapshot(Meta{})
-	hs := snap.Histograms[0]
-	if want := []int64{1, 1, 1}; len(hs.Buckets) != 3 || hs.Buckets[0] != want[0] || hs.Buckets[1] != want[1] || hs.Buckets[2] != want[2] {
-		t.Errorf("buckets = %v, want %v", hs.Buckets, want)
+	if r.Histogram("h", nil) != h {
+		t.Error("second Histogram lookup returned a different handle")
 	}
-	if hs.SumNS != 555 {
-		t.Errorf("histogram sum = %d, want 555", hs.SumNS)
+	for i, want := range []int64{1, 1, 1} {
+		if got := h.buckets[i].Load(); got != want {
+			t.Errorf("bucket %d = %d, want %d", i, got, want)
+		}
+	}
+	if got := h.sum.Load(); got != 555 {
+		t.Errorf("histogram sum = %d, want 555", got)
 	}
 }
 
+// TestNilRegistryIsInert drives every entry point of the disabled layer: each
+// is a no-op and every read reports zero or nil.
 func TestNilRegistryIsInert(t *testing.T) {
 	var r *Registry
-	r.Counter("c").Add(1)
-	r.Gauge("g").SetMax(1)
-	r.Histogram("h", WallBuckets).Observe(1)
-	r.SetAllocsExact(true)
-	r.ObserveCell(Cell{App: "a", Impl: "b"})
-	ph := r.StartPhase("x")
-	ph.End()
-	cs := r.StartCell("", "a", "b", 1)
-	if cs.Active() {
-		t.Error("nil registry produced an active span")
-	}
-	if cs.Elapsed() != 0 {
-		t.Error("inactive span reports elapsed time")
-	}
-	cs.End(OutcomeOK)
-	snap := r.Snapshot(Meta{Rev: "x"})
-	if snap.SchemaVersion != Schema || len(snap.Cells) != 0 || snap.Meta.Rev != "x" {
-		t.Errorf("nil snapshot = %+v", snap)
+	for _, tc := range []struct {
+		name  string
+		inert func() bool
+	}{
+		{"Counter", func() bool {
+			r.Counter("c").Add(1)
+			return r.Counter("c") == nil && r.Counter("c").Value() == 0
+		}},
+		{"Histogram", func() bool {
+			r.Histogram("h", WallBuckets).Observe(1)
+			return r.Histogram("h", WallBuckets) == nil && r.Histogram("h", WallBuckets).Count() == 0
+		}},
+		{"StartPhase", func() bool {
+			ph := r.StartPhase("x")
+			ph.End()
+			return ph == Phase{}
+		}},
+		{"StartCell", func() bool {
+			cs := r.StartCell("", "a", "b", 1)
+			cs.End(OutcomeOK)
+			return cs == CellSpan{} && cs.Elapsed() == 0
+		}},
+		{"Cells", func() bool { return r.Cells() == nil }},
+		{"Counters", func() bool { return r.Counters() == nil }},
+		{"PeakHeapBytes", func() bool { return r.PeakHeapBytes() == 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if !tc.inert() {
+				t.Errorf("nil registry's %s handed out a live handle or recorded a value", tc.name)
+			}
+		})
 	}
 }
+
+// TestHistogramBucketEdges pins Observe's bucket rule: a value lands in the
+// first bucket whose upper bound it does not exceed, so a value equal to a
+// bound stays in that bound's bucket and only values past the last bound
+// reach the overflow bucket.
+func TestHistogramBucketEdges(t *testing.T) {
+	bounds := []int64{10, 100}
+	for _, tc := range []struct {
+		name   string
+		v      int64
+		bucket int
+	}{
+		{"negative", -5, 0},
+		{"zero", 0, 0},
+		{"at first bound", 10, 0},
+		{"just past first bound", 11, 1},
+		{"at last bound", 100, 1},
+		{"overflow", 101, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := New().Histogram("h", bounds)
+			h.Observe(tc.v)
+			for i := range h.buckets {
+				want := int64(0)
+				if i == tc.bucket {
+					want = 1
+				}
+				if got := h.buckets[i].Load(); got != want {
+					t.Errorf("Observe(%d): bucket %d = %d, want %d", tc.v, i, got, want)
+				}
+			}
+			if h.Count() != 1 || h.sum.Load() != tc.v {
+				t.Errorf("Observe(%d): count = %d, sum = %d", tc.v, h.Count(), h.sum.Load())
+			}
+		})
+	}
+}
+
+// TestOutcomeMergeOrder runs one cell twice for every ordered pair of
+// outcomes: the merged record keeps the worse of the two (panic > err > ok)
+// whichever run ends first.
+func TestOutcomeMergeOrder(t *testing.T) {
+	outcomes := []Outcome{OutcomeOK, OutcomeErr, OutcomePanic}
+	for i, first := range outcomes {
+		for j, second := range outcomes {
+			want := outcomes[max(i, j)]
+			t.Run(string(first)+" then "+string(second), func(t *testing.T) {
+				r := New()
+				for _, o := range []Outcome{first, second} {
+					r.StartCell("", "IS", "LRC-diff", 2).End(o)
+				}
+				cells := r.Cells()
+				if len(cells) != 1 || cells[0].Runs != 2 {
+					t.Fatalf("cells = %+v, want one cell of two runs", cells)
+				}
+				if got := Outcome(cells[0].Outcome); got != want {
+					t.Errorf("merged outcome = %s, want %s", got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestCellsSortedCopy checks Cells orders records by (variant, app, impl,
+// nprocs) whatever order they were recorded in, and hands out copies the
+// caller may modify without touching the registry.
+func TestCellsSortedCopy(t *testing.T) {
+	r := New()
+	keys := []CellKey{
+		{"v2", "IS", "EC-time", 2},
+		{"v1", "SOR", "EC-time", 8},
+		{"v1", "IS", "LRC-diff", 2},
+		{"v1", "IS", "EC-time", 16},
+		{"v1", "IS", "EC-time", 4},
+		{"", "Water", "seq", 1},
+	}
+	for _, k := range keys {
+		r.StartCell(k.Variant, k.App, k.Impl, k.NProcs).End(OutcomeOK)
+	}
+	want := []CellKey{keys[5], keys[4], keys[3], keys[2], keys[1], keys[0]}
+	cells := r.Cells()
+	if len(cells) != len(want) {
+		t.Fatalf("got %d cells, want %d", len(cells), len(want))
+	}
+	for i, c := range cells {
+		if c.Key() != want[i] {
+			t.Errorf("cell %d = %+v, want %+v", i, c.Key(), want[i])
+		}
+	}
+	cells[0].Runs = 99
+	if got := r.Cells()[0].Runs; got != 1 {
+		t.Errorf("modifying a returned cell changed the registry: runs = %d", got)
+	}
+}
+
+// TestPhaseAccumulates checks every StartPhase/End pair of one name adds its
+// elapsed time to the same "phase_<name>_ns" counter, apart from other
+// phases.
+func TestPhaseAccumulates(t *testing.T) {
+	r := New()
+	const nap = time.Millisecond
+	for i := 0; i < 2; i++ {
+		ph := r.StartPhase("simulate")
+		time.Sleep(nap)
+		ph.End()
+	}
+	ph := r.StartPhase("verify")
+	ph.End()
+	counters := r.Counters()
+	if got := counters["phase_simulate_ns"]; got < int64(2*nap) {
+		t.Errorf("phase_simulate_ns = %d, want >= %d (two runs of %v)", got, int64(2*nap), nap)
+	}
+	if _, ok := counters["phase_verify_ns"]; !ok || len(counters) != 2 {
+		t.Errorf("counters = %v, want exactly phase_simulate_ns and phase_verify_ns", counters)
+	}
+}
+
+// sink keeps the test allocations below on the heap.
+var sink []byte
 
 func TestCellSpanMeasures(t *testing.T) {
 	r := New()
 	cs := r.StartCell("v", "SOR", "EC-time", 8)
-	if !cs.Active() {
-		t.Fatal("span inactive on live registry")
-	}
 	time.Sleep(2 * time.Millisecond)
 	if cs.Elapsed() < time.Millisecond {
 		t.Errorf("Elapsed = %v, want >= 1ms", cs.Elapsed())
 	}
-	_ = make([]byte, 1<<16) // guarantee at least one allocation in the window
+	sink = make([]byte, 1<<16) // guarantee at least one allocation in the window
 	cs.End(OutcomeOK)
-	snap := r.Snapshot(Meta{Parallel: 1})
-	if len(snap.Cells) != 1 {
-		t.Fatalf("got %d cells, want 1", len(snap.Cells))
+	cells := r.Cells()
+	if len(cells) != 1 {
+		t.Fatalf("got %d cells, want 1", len(cells))
 	}
-	c := snap.Cells[0]
+	c := cells[0]
 	if c.Variant != "v" || c.App != "SOR" || c.Impl != "EC-time" || c.NProcs != 8 {
 		t.Errorf("cell identity = %+v", c.Key())
 	}
@@ -95,54 +222,52 @@ func TestCellSpanMeasures(t *testing.T) {
 	if c.WallNS < int64(time.Millisecond) || c.MinWallNS != c.WallNS {
 		t.Errorf("wall = %d, min = %d", c.WallNS, c.MinWallNS)
 	}
-	if c.Mallocs < 1 {
-		t.Errorf("mallocs = %d, want >= 1", c.Mallocs)
+	if c.Mallocs < 1 || c.AllocBytes < 1<<16 {
+		t.Errorf("mallocs = %d, alloc bytes = %d, want >= 1 and >= 64 KiB", c.Mallocs, c.AllocBytes)
 	}
-	if snap.PeakHeapBytes <= 0 {
+	if r.PeakHeapBytes() <= 0 {
 		t.Error("no peak heap recorded")
 	}
-	if snap.CellRuns != 1 || snap.WallNS <= 0 || snap.CellsPerSec <= 0 {
-		t.Errorf("aggregates: runs=%d wall=%d cps=%f", snap.CellRuns, snap.WallNS, snap.CellsPerSec)
-	}
-	if snap.Occupancy <= 0 || snap.Occupancy > 1.01 {
-		t.Errorf("occupancy = %f", snap.Occupancy)
-	}
-	if snap.P50NS == 0 || snap.P99NS < snap.P50NS {
-		t.Errorf("quantiles p50=%d p99=%d", snap.P50NS, snap.P99NS)
+	if got := r.Histogram("cell_wall_ns", WallBuckets).Count(); got != 1 {
+		t.Errorf("cell_wall_ns count = %d, want 1", got)
 	}
 }
 
-// TestCellMerge pins the multi-run merge rule: runs accumulate, min wall
-// keeps the fastest run, the worst outcome wins.
+// TestCellMerge pins the multi-run merge rule through StartCell/End: runs
+// accumulate, min wall keeps the fastest run, the worst outcome wins
+// whatever order the runs end in, and distinct identities stay apart.
 func TestCellMerge(t *testing.T) {
 	r := New()
-	r.ObserveCell(Cell{App: "SOR", Impl: "EC-time", NProcs: 8, Outcome: "ok", Runs: 1, WallNS: 300, MinWallNS: 300, Mallocs: 10})
-	r.ObserveCell(Cell{App: "SOR", Impl: "EC-time", NProcs: 8, Outcome: "panic", Runs: 1, WallNS: 100, MinWallNS: 100, Mallocs: 30})
-	r.ObserveCell(Cell{App: "SOR", Impl: "EC-time", NProcs: 4, Outcome: "ok", Runs: 1, WallNS: 50, MinWallNS: 50})
-	snap := r.Snapshot(Meta{})
-	if len(snap.Cells) != 2 {
-		t.Fatalf("got %d cells, want 2 (one merged, one distinct)", len(snap.Cells))
+	run := func(nprocs int, sleep time.Duration, outcome Outcome) {
+		cs := r.StartCell("", "SOR", "EC-time", nprocs)
+		time.Sleep(sleep)
+		sink = make([]byte, 64)
+		cs.End(outcome)
+	}
+	const slow = 2 * time.Millisecond
+	run(8, slow, OutcomeOK)
+	run(8, 0, OutcomePanic)
+	run(8, 0, OutcomeErr)
+	run(4, 0, OutcomeOK)
+	cells := r.Cells()
+	if len(cells) != 2 {
+		t.Fatalf("got %d cells, want 2 (one merged, one distinct)", len(cells))
 	}
 	// Sorted by nprocs: the 4-proc cell first.
-	m := snap.Cells[1]
-	if m.Runs != 2 || m.WallNS != 400 || m.MinWallNS != 100 || m.Mallocs != 40 {
+	if d := cells[0]; d.NProcs != 4 || d.Runs != 1 || d.Outcome != "ok" {
+		t.Errorf("distinct cell = %+v", d)
+	}
+	m := cells[1]
+	if m.NProcs != 8 || m.Runs != 3 || m.Mallocs < 3 {
 		t.Errorf("merged cell = %+v", m)
+	}
+	// The fastest run is one of the two unslept ones, so it is at most the
+	// sum less the slow run.
+	if m.WallNS < int64(slow) || m.MinWallNS > m.WallNS-int64(slow) {
+		t.Errorf("merged wall = %d, min = %d: min is not the fastest run", m.WallNS, m.MinWallNS)
 	}
 	if m.Outcome != "panic" {
 		t.Errorf("merged outcome = %s, want panic (worst wins)", m.Outcome)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	ws := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if q := quantile(ws, 0.50); q != 5 {
-		t.Errorf("p50 = %d, want 5", q)
-	}
-	if q := quantile(ws, 0.99); q != 10 {
-		t.Errorf("p99 = %d, want 10", q)
-	}
-	if q := quantile(nil, 0.5); q != 0 {
-		t.Errorf("empty quantile = %d", q)
 	}
 }
 
@@ -151,6 +276,7 @@ func TestQuantile(t *testing.T) {
 // CI.
 func TestRegistryConcurrentUse(t *testing.T) {
 	r := New()
+	heap := New() // its peak sees only the values below, not the real heap
 	var wg sync.WaitGroup
 	const workers, perWorker = 8, 200
 	for w := 0; w < workers; w++ {
@@ -160,7 +286,7 @@ func TestRegistryConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				r.Counter("n").Add(1)
-				r.Gauge("peak").SetMax(int64(w*1000 + i))
+				heap.observeHeap(uint64(w*1000 + i))
 				r.Histogram("h", WallBuckets).Observe(int64(i))
 				cs := r.StartCell("", "app", "impl", w)
 				cs.End(OutcomeOK)
@@ -171,15 +297,19 @@ func TestRegistryConcurrentUse(t *testing.T) {
 	if got := r.Counter("n").Value(); got != workers*perWorker {
 		t.Errorf("counter = %d, want %d", got, workers*perWorker)
 	}
-	if got := r.Gauge("peak").Value(); got != 7199 {
-		t.Errorf("max gauge = %d, want 7199", got)
+	if got := heap.PeakHeapBytes(); got != 7199 {
+		t.Errorf("peak heap = %d, want 7199", got)
 	}
-	snap := r.Snapshot(Meta{Parallel: workers})
-	if snap.CellRuns != workers*perWorker {
-		t.Errorf("cell runs = %d, want %d", snap.CellRuns, workers*perWorker)
+	cells := r.Cells()
+	var runs int64
+	for _, c := range cells {
+		runs += c.Runs
 	}
-	if len(snap.Cells) != workers {
-		t.Errorf("distinct cells = %d, want %d", len(snap.Cells), workers)
+	if runs != workers*perWorker {
+		t.Errorf("cell runs = %d, want %d", runs, workers*perWorker)
+	}
+	if len(cells) != workers {
+		t.Errorf("distinct cells = %d, want %d", len(cells), workers)
 	}
 }
 

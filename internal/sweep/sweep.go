@@ -69,9 +69,8 @@ type Grid struct {
 	Breakdown bool
 	// Perf, when non-nil, attributes host-side performance (wall time,
 	// allocation deltas, peak heap) to every cell of the grid, labeled with
-	// the variant name, plus the grid's aggregate throughput and latency
-	// quantiles at Snapshot time (internal/perf). Observation-only: the
-	// records are byte-identical with and without it.
+	// the variant name (internal/perf). Observation-only: the records are
+	// byte-identical with and without it.
 	Perf *perf.Registry
 	// Progress, when non-nil, is invoked once after every completed unit of
 	// work — each sequential reference and each grid cell — with the running
@@ -288,7 +287,7 @@ func Run(g Grid) ([]Record, error) {
 		var stall *StallBreakdown
 		if g.Breakdown && row.Trace != nil {
 			// The profile build is host-side analysis, attributed to its own
-			// perf phase so breakdown cost is visible in the trajectory.
+			// perf phase so breakdown cost is visible among the run phases.
 			ph := g.Perf.StartPhase("analyze")
 			meta := trace.Meta{App: app, Impl: impl.String(), Scale: g.Scale.String(), NProcs: np}
 			stall = stallOf(trace.BuildProfile(row.Trace, meta))

@@ -5,22 +5,21 @@
 //
 //	dsmrun -app Water -impl LRC-diff -procs 8 -scale paper
 //	dsmrun -app QS -impl EC-time -procs 4 -scale test
-//	dsmrun -app SOR -impl LRC-diff -procs 8 -trace trace-out
-//	dsmrun -app SOR -impl LRC-diff -procs 8 -profile
 //	dsmrun -app Water -impl LRC-diff -perf -cpuprofile cpu.pprof
 //	dsmrun -app Water -impl LRC-diff -procs 256 -scale large -gc -fanin 16 -topo clos:radix=16
 //
-// -profile prints the virtual-time profile after the run: the per-processor
-// stall breakdown, the critical path's decomposition and the what-if
-// projections (internal/trace's profiler), without needing a -trace
-// directory. -perf prints a host-side breakdown after the run (phase wall
-// times, each cell's wall time and allocation delta — the sequential
-// reference's too under -seq — and peak heap; internal/perf). Both are
-// observation-only: the simulated statistics are identical with and without
-// them. The cell and machine flags (-app ... -timeout, -cpuprofile,
-// -memprofile) are the shared ones of internal/cmdline; at -scale large the
-// cell gets notice GC and a fan-in-16 barrier tree unless -fanin says
-// otherwise, and the printed label shows the machine that ran.
+// -perf prints a host-side breakdown after the run (phase wall times, each
+// cell's wall time and allocation delta — the sequential reference's too
+// under -seq — and peak heap; internal/perf). It is observation-only: the
+// simulated statistics are identical with and without it. The cell and
+// machine flags (-app ... -timeout, -cpuprofile, -memprofile) are the shared
+// ones of internal/cmdline; at -scale large the cell gets notice GC and a
+// fan-in-16 barrier tree unless -fanin says otherwise, and the printed label
+// shows the machine that ran.
+//
+// cmd/dsmtrace runs the same cell with event tracing and prints or writes its
+// attribution reports; dsmtrace -report profile,whatif prints the
+// virtual-time profile.
 //
 // The process runs on one P unless the GOMAXPROCS environment variable is
 // set: one simulation is one baton, so a second P only adds wake-ups.
@@ -38,7 +37,6 @@ import (
 	"ecvslrc/internal/cmdline"
 	"ecvslrc/internal/harness"
 	"ecvslrc/internal/perf"
-	"ecvslrc/internal/trace"
 )
 
 func main() {
@@ -53,21 +51,11 @@ func cli(args []string, stdout, stderr io.Writer) int {
 	c.BindCell("paper")
 	c.BindProfiles()
 	seq := c.FS.Bool("seq", false, "also run the sequential reference")
-	traceDir := c.FS.String("trace", "", "record an event trace and write all attribution reports to this directory (see cmd/dsmtrace for report selection)")
-	profileFlag := c.FS.Bool("profile", false, "print the virtual-time profile after the run (per-proc stall breakdown, critical path, what-if projections); implies tracing")
 	perfFlag := c.FS.Bool("perf", false, "print a host-side performance breakdown (phase wall times, allocs, peak heap) after the run")
 	if code, done := c.Parse(args); done {
 		return code
 	}
 	cfg, app, impl := &c.Config, c.App, c.Impl
-	// An untraceable cell must fail like a bad flag, before the (potentially
-	// long) run.
-	traced := *traceDir != "" || *profileFlag
-	if traced {
-		if err := harness.CheckBufferedTrace(cfg.NProcs); err != nil {
-			return c.Usage(err)
-		}
-	}
 	if *perfFlag {
 		cfg.Perf = perf.New()
 	}
@@ -79,13 +67,7 @@ func cli(args []string, stdout, stderr io.Writer) int {
 			}
 			fmt.Fprintf(stdout, "%s sequential: %v\n", app, t)
 		}
-		var row harness.Row
-		var meta trace.Meta
-		if traced {
-			row, meta = harness.RunTraced(*cfg, app, impl, false)
-		} else {
-			row = harness.RunCell(*cfg, app, impl)
-		}
+		row := harness.RunCell(*cfg, app, impl)
 		if row.Err != nil {
 			return c.Fail(row.Err)
 		}
@@ -116,33 +98,6 @@ func cli(args []string, stdout, stderr io.Writer) int {
 		if row.GC != nil {
 			fmt.Fprintf(stdout, "  gc: %d passes, %d records + %d diffs pruned, %d notice bytes live at exit\n",
 				row.GC.Collections, row.GC.RecordsPruned, row.GC.DiffsPruned, row.NoticeBytes)
-		}
-		if traced {
-			// The analysis (event scan, profile build, critical-path walk) is
-			// timed apart from file emission, so "analyze" wall time lands in
-			// the -perf breakdown alongside init/simulate/verify.
-			ph := cfg.Perf.StartPhase("analyze")
-			art := trace.Analyzed(row.Trace, meta)
-			ph.End()
-			if *traceDir != "" {
-				ph = cfg.Perf.StartPhase("trace_emit")
-				all, _ := trace.ParseReports("") // the empty selection is every report
-				written, err := trace.EmitReports(*traceDir, all, art, row.Trace)
-				ph.End()
-				if err != nil {
-					return c.Fail(err)
-				}
-				fmt.Fprintf(stdout, "  trace: %d events -> %s\n", row.Trace.Len(), strings.Join(written, ", "))
-			}
-			if *profileFlag {
-				if err := trace.WriteProfileMarkdown(stdout, art.Profile, art.CritPath); err != nil {
-					return c.Fail(err)
-				}
-				fmt.Fprintln(stdout)
-				if err := trace.WriteWhatIfMarkdown(stdout, art.CritPath); err != nil {
-					return c.Fail(err)
-				}
-			}
 		}
 		if cfg.Perf != nil {
 			printPerf(stdout, cfg.Perf)

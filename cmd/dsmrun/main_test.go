@@ -24,11 +24,12 @@ func TestCLIExitCodes(t *testing.T) {
 		{"bad preset names valid set", []string{"-preset", "quantum"}, 2, "valid: paper"},
 		{"bad preset knob", []string{"-preset", "paper+net=x0"}, 2, "positive xK factor"},
 		{"malformed preset knob", []string{"-preset", "paper+net"}, 2, "not a knob setting"},
-		{"negative timeout", []string{"-timeout", "-1"}, 2, "negative -timeout"},
-		{"trace past the buffered tracer", []string{"-scale", "test", "-procs", "256", "-trace", t.TempDir()}, 2,
-			"traced runs support 1..255 processors, got 256"},
-		{"profile past the buffered tracer", []string{"-scale", "test", "-procs", "256", "-profile"}, 2,
-			"traced runs support 1..255 processors, got 256"},
+		{"negative timeout", []string{"-timeout", "-1"}, 2, "-timeout must be a finite number of simulated seconds in [0, 9.2e9], got -1"},
+		{"procs past the lock table", []string{"-scale", "test", "-app", "IS", "-procs", "40000"}, 2,
+			"nprocs 40000 outside 1..32767"},
+		// Traced runs are dsmtrace's.
+		{"no -trace flag", []string{"-trace", "out"}, 2, "flag provided but not defined: -trace"},
+		{"no -profile flag", []string{"-profile"}, 2, "flag provided but not defined: -profile"},
 		{"unknown app fails run", []string{"-app", "NoSuch", "-scale", "test", "-procs", "2"}, 1, "unknown app"},
 		{"good run", []string{"-app", "SOR", "-impl", "EC-time", "-scale", "test", "-procs", "2"}, 0, ""},
 		{"good run on a platform model", []string{"-app", "SOR", "-impl", "EC-time", "-scale", "test",
@@ -95,32 +96,6 @@ func TestCLIPerfBreakdown(t *testing.T) {
 	for _, want := range []string{" LRC-diff wall ", " seq wall ", "peak heap"} {
 		if !strings.Contains(perfLines, want) {
 			t.Errorf("-seq breakdown missing %q: %s", want, perfLines)
-		}
-	}
-}
-
-// TestCLIVirtualProfile runs the same cell with and without -profile: the
-// statistics line must be identical (observation-only), and the profile must
-// render the stall breakdown, critical path and what-if tables to stdout
-// without needing a trace directory.
-func TestCLIVirtualProfile(t *testing.T) {
-	base := []string{"-app", "SOR", "-impl", "LRC-diff", "-scale", "test", "-procs", "2"}
-	var plain, plainErr strings.Builder
-	if code := cli(base, &plain, &plainErr); code != 0 {
-		t.Fatalf("plain run exited %d: %s", code, plainErr.String())
-	}
-	var out, errw strings.Builder
-	if code := cli(append(append([]string{}, base...), "-profile"), &out, &errw); code != 0 {
-		t.Fatalf("profile run exited %d: %s", code, errw.String())
-	}
-	if !strings.HasPrefix(out.String(), plain.String()) {
-		t.Errorf("-profile changed the simulated output:\nplain:\n%s\nprofile:\n%s", plain.String(), out.String())
-	}
-	profLines := strings.TrimPrefix(out.String(), plain.String())
-	for _, want := range []string{"# Virtual-time profile", "## Per-processor stall breakdown",
-		"## Critical path", "# What-if projections", "max speedup"} {
-		if !strings.Contains(profLines, want) {
-			t.Errorf("profile output missing %q: %s", want, profLines)
 		}
 	}
 }

@@ -32,7 +32,7 @@ func TestCLIExitCodes(t *testing.T) {
 		{"bad platform axis", []string{"-variants", "platform=nope"}, 2,
 			"invalid variant spec"},
 		{"bad fault preset", []string{"-variants", "fault=lossy"}, 2, "invalid variant spec"},
-		{"negative timeout", []string{"-timeout", "-1"}, 2, "negative -timeout"},
+		{"negative timeout", []string{"-timeout", "-1"}, 2, "-timeout must be a finite number of simulated seconds in [0, 9.2e9], got -1"},
 		{"no -perf-out flag", []string{"-perf-out", "x.json"}, 2, "flag provided but not defined: -perf-out"},
 		{"no -rev flag", []string{"-rev", "abc"}, 2, "flag provided but not defined: -rev"},
 		{"good run", []string{"-scale", "test", "-procs", "2", "-apps", "IS", "-impls", "LRC-time"}, 0, ""},
@@ -115,8 +115,9 @@ func TestCLIProgress(t *testing.T) {
 // bad flag value (exit 2), not a run failure, whichever flag carried it.
 func TestCLIGridErrorsAreUsageErrors(t *testing.T) {
 	for want, args := range map[string][]string{
-		"negative barrier fan-in -1": {"-scale", "test", "-fanin", "-1"},
-		"nprocs 0 < 1":               {"-scale", "test", "-procs", "0"},
+		"negative barrier fan-in -1":    {"-scale", "test", "-fanin", "-1"},
+		"nprocs 0 outside 1..32767":     {"-scale", "test", "-procs", "0"},
+		"nprocs 40000 outside 1..32767": {"-scale", "test", "-procs", "8,40000"},
 	} {
 		var stdout, stderr strings.Builder
 		if code := cli(args, &stdout, &stderr); code != 2 || !strings.Contains(stderr.String(), want) {

@@ -10,17 +10,23 @@
 //
 //	dsmtrace -app Water -impl LRC-diff -procs 8 -report pages,locks,timeline -out results/
 //	dsmtrace -app SOR -impl LRC-diff -procs 8 -report profile,critpath,whatif -out results/
+//	dsmtrace -app SOR -impl LRC-diff -procs 8 -report profile,whatif
 //	dsmtrace -app SOR -impl EC-time -procs 4 -scale test
 //
-// With -out unset the markdown summary goes to stdout; with it set, the
-// selected reports (summary.md, pages.csv, locks.csv, timeline.json,
-// trace.bin, profile.md, profile.folded, critpath.csv, critpath.json,
-// whatif.md) are written to the directory. Every selection other than
-// summary/barriers produces files, so it needs -out: such selections fail
-// fast with the wrapped trace.ErrConfig message before the run starts,
-// never silently writing nothing. Tracing is observation-only: the run's
-// statistics are bit-identical to an untraced dsmrun of the same cell, which
-// the shared cell and machine flags (internal/cmdline) describe identically.
+// With -out set, the selected reports (all by default: summary.md, pages.csv,
+// locks.csv, timeline.json, trace.bin, profile.md, profile.folded,
+// critpath.csv, critpath.json, whatif.md) are written to the directory. With
+// -out unset, the selected markdown reports (the summary by default) are
+// printed to stdout one blank line apart: summary (which holds the barrier
+// tables), profile and whatif. The other reports only write files, so they
+// need -out: such selections fail fast with the wrapped trace.ErrConfig
+// message before the run starts, never silently writing nothing. Tracing is
+// observation-only: the run's statistics are bit-identical to an untraced
+// dsmrun of the same cell, which the shared cell and machine flags
+// (internal/cmdline) describe identically.
+//
+// The process runs on one P unless the GOMAXPROCS environment variable is
+// set: one simulation is one baton, so a second P only adds wake-ups.
 //
 // Exit codes: 0 on success, 1 on run/emit failure, 2 on invalid flags
 // (including -report selections, which carry the wrapped trace.ErrConfig
@@ -49,8 +55,8 @@ func main() {
 func cli(args []string, stdout, stderr io.Writer) int {
 	c := cmdline.New("dsmtrace", stdout, stderr)
 	c.BindCell("bench")
-	reports := c.FS.String("report", "", "comma-separated reports: "+strings.Join(trace.ReportNames(), ", ")+" (default: all)")
-	out := c.FS.String("out", "", "artifact directory; empty prints the summary to stdout")
+	reports := c.FS.String("report", "", "comma-separated reports: "+strings.Join(trace.ReportNames(), ", ")+" (default: all with -out, summary without)")
+	out := c.FS.String("out", "", "artifact directory; empty prints the markdown reports to stdout")
 	sched := c.FS.Bool("sched", false, "also record scheduler dispatch events (very voluminous)")
 	if code, done := c.Parse(args); done {
 		return code
@@ -58,31 +64,22 @@ func cli(args []string, stdout, stderr io.Writer) int {
 	if err := harness.CheckBufferedTrace(c.Config.NProcs); err != nil {
 		return c.Usage(err)
 	}
-	// Stdout mode emits the summary only; files need -out.
-	sel := []trace.Report{trace.ReportSummary}
-	if *reports != "" || *out != "" {
-		var err error
-		if sel, err = trace.ParseReports(*reports); err != nil {
-			return c.Usage(err)
-		}
-	}
-	topts := trace.Options{Reports: sel, OutDir: *out, Sched: *sched}
-	if err := topts.Validate(); err != nil {
+	sel, err := trace.ParseReports(*reports, *out == "")
+	if err != nil {
 		return c.Usage(err)
 	}
 	return c.Run(func() int {
-		row, meta := harness.RunTraced(c.Config, c.App, c.Impl, topts.Sched)
+		row, meta := harness.RunTraced(c.Config, c.App, c.Impl, *sched)
 		if row.Err != nil {
 			return c.Fail(row.Err)
 		}
-		an := trace.Analyze(row.Trace, meta)
 		if *out == "" {
-			if err := trace.WriteMarkdown(stdout, an); err != nil {
+			if err := trace.WriteReports(stdout, sel, row.Trace, meta); err != nil {
 				return c.Fail(err)
 			}
 			return 0
 		}
-		written, err := trace.EmitReports(*out, sel, trace.Artifacts{Analysis: an}, row.Trace)
+		written, err := trace.EmitReports(*out, sel, row.Trace, meta)
 		if err != nil {
 			return c.Fail(err)
 		}

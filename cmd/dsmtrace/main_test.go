@@ -32,12 +32,12 @@ func TestCLIExitCodes(t *testing.T) {
 			"invalid trace options: report list selects nothing"},
 		{"file report without out", []string{"-report", "pages"}, 2,
 			"invalid trace options: report pages needs an output directory"},
-		{"profile without out", []string{"-report", "profile"}, 2,
-			"invalid trace options: report profile needs an output directory"},
+		{"profile without out", []string{"-report", "profile", "-app", "IS", "-scale", "test", "-procs", "2"}, 0, ""},
 		{"critpath without out", []string{"-report", "critpath"}, 2,
 			"invalid trace options: report critpath needs an output directory"},
-		{"whatif without out", []string{"-report", "whatif"}, 2,
-			"invalid trace options: report whatif needs an output directory"},
+		{"whatif without out", []string{"-report", "whatif", "-app", "IS", "-scale", "test", "-procs", "2"}, 0, ""},
+		{"file report among stdout ones", []string{"-report", "summary,timeline"}, 2,
+			"invalid trace options: report timeline needs an output directory"},
 		{"unknown app", []string{"-app", "NoSuch", "-scale", "test", "-procs", "2"}, 1,
 			`unknown application "NoSuch"`},
 		{"good run", []string{"-app", "IS", "-impl", "LRC-time", "-scale", "test", "-procs", "2"}, 0, ""},
@@ -86,5 +86,38 @@ func TestProfileReportsEmitted(t *testing.T) {
 	}
 	if !strings.HasPrefix(string(cp), "proc,start_ns,end_ns,duration_ns,class,object\n") {
 		t.Errorf("critpath.csv header = %q", strings.SplitN(string(cp), "\n", 2)[0])
+	}
+}
+
+// TestCLIVirtualProfile prints the virtual-time profile to stdout: without
+// -out, -report profile,whatif renders exactly profile.md, a blank line and
+// whatif.md of an -out run of the same cell.
+func TestCLIVirtualProfile(t *testing.T) {
+	cell := []string{"-app", "SOR", "-impl", "LRC-diff", "-scale", "test", "-procs", "2", "-report", "profile,whatif"}
+	var out, errw strings.Builder
+	if code := cli(cell, &out, &errw); code != 0 {
+		t.Fatalf("stdout run exited %d: %s", code, errw.String())
+	}
+	dir := t.TempDir()
+	var files strings.Builder
+	if code := cli(append(cell, "-out", dir), &files, &errw); code != 0 {
+		t.Fatalf("-out run exited %d: %s", code, errw.String())
+	}
+	prof, err := os.ReadFile(filepath.Join(dir, "profile.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	whatif, err := os.ReadFile(filepath.Join(dir, "whatif.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := string(prof) + "\n" + string(whatif); out.String() != want {
+		t.Errorf("stdout is not profile.md + blank line + whatif.md:\n%s\nwant:\n%s", out.String(), want)
+	}
+	for _, want := range []string{"# Virtual-time profile", "## Per-processor stall breakdown",
+		"## Critical path", "# What-if projections", "max speedup"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("profile output missing %q: %s", want, out.String())
+		}
 	}
 }

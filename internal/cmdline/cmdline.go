@@ -24,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"slices"
@@ -191,10 +192,13 @@ func (c *Cmd) resolve() (err error) {
 		}
 	}
 	if c.timeout != nil {
-		if *c.timeout < 0 {
-			return errors.New("negative -timeout")
+		// float64(math.MaxInt64) is 2^63, so ns below it converts exactly;
+		// NaN fails both comparisons.
+		ns := *c.timeout * float64(sim.Second)
+		if !(ns >= 0 && ns < math.MaxInt64) {
+			return fmt.Errorf("-timeout must be a finite number of simulated seconds in [0, 9.2e9], got %v", *c.timeout)
 		}
-		cfg.Timeout = sim.Time(*c.timeout * float64(sim.Second))
+		cfg.Timeout = sim.Time(ns)
 	}
 	switch {
 	case c.apps == nil:

@@ -8,8 +8,8 @@ import (
 )
 
 // parse drives a command that binds every shared flag group through the
-// three steps each main takes: Parse, its own checks (here only the buffered
-// tracer's processor bound, when traced), Run.
+// three steps each main takes: Parse, its own checks (here dsmtrace's, the
+// buffered tracer's processor bound, when traced), Run.
 func parse(traced bool, args ...string) (c *Cmd, code int, stderr string) {
 	var out, errw strings.Builder
 	c = New("dsmtest", &out, &errw)
@@ -53,9 +53,14 @@ func TestBadSharedFlagValues(t *testing.T) {
 		{"unknown topology key", false, []string{"-topo", "clos:radix=4:width=2"}, "unknown key \"width\" (known: radix, taper, stages)"},
 		{"degenerate topology", false, []string{"-topo", "clos:radix=1"}, "radix 1 < 2"},
 		{"topology with faults", false, []string{"-topo", "clos:radix=4", "-faults", "drop1e-3"}, "mutually exclusive"},
-		{"negative timeout", false, []string{"-timeout", "-1"}, "negative -timeout"},
+		{"negative timeout", false, []string{"-timeout", "-1"}, "-timeout must be a finite number of simulated seconds in [0, 9.2e9], got -1"},
+		{"NaN timeout", false, []string{"-timeout", "NaN"}, "-timeout must be a finite number of simulated seconds in [0, 9.2e9], got NaN"},
+		{"infinite timeout", false, []string{"-timeout", "+Inf"}, "-timeout must be a finite number of simulated seconds in [0, 9.2e9], got +Inf"},
+		{"overflowing timeout", false, []string{"-timeout", "1e300"}, "-timeout must be a finite number of simulated seconds in [0, 9.2e9], got 1e+300"},
+		{"timeout just past int64 ns", false, []string{"-timeout", "9.3e9"}, "in [0, 9.2e9], got 9.3e+09"},
 		{"negative fan-in", false, []string{"-fanin", "-1"}, "negative barrier fan-in -1"},
-		{"zero procs", false, []string{"-procs", "0"}, "nprocs 0 < 1"},
+		{"zero procs", false, []string{"-procs", "0"}, "nprocs 0 outside 1..32767"},
+		{"procs past the lock table", false, []string{"-procs", "40000"}, "nprocs 40000 outside 1..32767"},
 		{"zero procs, traced", true, []string{"-procs", "0"}, "traced runs support 1..255 processors, got 0"},
 		{"procs past the buffered tracer", true, []string{"-procs", "256"}, "traced runs support 1..255 processors, got 256"},
 		{"unwritable cpu profile", false, []string{"-cpuprofile", "/no/such/dir/cpu.pprof"}, "no such file or directory"},
@@ -91,6 +96,9 @@ func TestResolvedValues(t *testing.T) {
 	}
 	if cfg.Cost == (harness.Config{}).Cost {
 		t.Error("-preset did not resolve a cost model")
+	}
+	if _, code, stderr := parse(false, "-timeout", "9.2e9", "-procs", "32767"); code != 0 {
+		t.Errorf("the largest -timeout and -procs exit %d: %s", code, stderr)
 	}
 	if _, code, _ := parse(false, "-h"); code != 0 {
 		t.Errorf("-h exits %d, want 0", code)

@@ -21,6 +21,7 @@ import (
 	"ecvslrc/internal/perf"
 	"ecvslrc/internal/run"
 	"ecvslrc/internal/sim"
+	"ecvslrc/internal/syncmgr"
 	"ecvslrc/internal/trace"
 )
 
@@ -72,8 +73,8 @@ var ErrConfig = errors.New("invalid harness config")
 // Validate reports whether the configuration can run at all. Errors wrap
 // ErrConfig so callers can classify them with errors.Is.
 func (cfg Config) Validate() error {
-	if cfg.NProcs < 1 {
-		return fmt.Errorf("harness: %w: nprocs %d < 1", ErrConfig, cfg.NProcs)
+	if cfg.NProcs < 1 || cfg.NProcs > syncmgr.MaxProcs {
+		return fmt.Errorf("harness: %w: nprocs %d outside 1..%d", ErrConfig, cfg.NProcs, syncmgr.MaxProcs)
 	}
 	switch cfg.Scale {
 	case apps.Test, apps.Bench, apps.Paper, apps.Large:
@@ -305,7 +306,7 @@ func CheckBufferedTrace(nprocs int) error {
 // scheduler dispatch events too when sched is set), for the reports that need
 // the event history: Row.Trace holds the tracer, and the returned metadata
 // names the run and its shared-memory layout (from the cached allocator) for
-// trace.Analyze and trace.Analyzed. Tracing is observation-only: Row.Stats
+// trace.Analyze and trace.EmitReports. Tracing is observation-only: Row.Stats
 // equals RunCell's.
 func RunTraced(cfg Config, app string, impl core.Impl, sched bool) (Row, trace.Meta) {
 	if err := CheckBufferedTrace(cfg.NProcs); err != nil {

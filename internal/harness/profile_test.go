@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"testing"
 
 	"ecvslrc/internal/apps"
@@ -102,21 +103,74 @@ func TestProfileRealRunDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		meta := run.TraceMeta(a, impl, cfg.NProcs, cfg.Scale.String())
-		art := trace.Analyzed(tr, meta)
+		written, err := trace.EmitReports(t.TempDir(),
+			[]trace.Report{trace.ReportProfile, trace.ReportCritPath, trace.ReportWhatIf}, tr, meta)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var buf bytes.Buffer
-		for _, w := range []func() error{
-			func() error { return trace.WriteProfileMarkdown(&buf, art.Profile, art.CritPath) },
-			func() error { return trace.WriteFoldedStacks(&buf, art.Profile) },
-			func() error { return trace.WriteCritPathCSV(&buf, art.CritPath) },
-			func() error { return trace.WriteWhatIfMarkdown(&buf, art.CritPath) },
-		} {
-			if err := w(); err != nil {
+		for _, path := range written {
+			b, err := os.ReadFile(path)
+			if err != nil {
 				t.Fatal(err)
 			}
+			buf.Write(b)
 		}
 		return buf.Bytes()
 	}
 	if a, b := render(), render(); !bytes.Equal(a, b) {
 		t.Error("profiler reports differ across identical traced runs")
+	}
+}
+
+// TestRPCBlocksAreSynchronisation pins the fact DESIGN.md "Time accounting"
+// states: the only synchronous calls are lock requests and barrier arrivals,
+// so every "rpc-reply" block opens inside an outstanding lock request or a
+// barrier episode, and the profiler's page-fetch fallback for an RPC is
+// never reached by a real run (LRC fetches block as "lrc-fetch"). Every suite
+// and micro application under every implementation, with flat barriers and a
+// fan-in-2 tree.
+func TestRPCBlocksAreSynchronisation(t *testing.T) {
+	for _, fanIn := range []int{0, 2} {
+		for _, app := range append(apps.Names(), apps.MicroNames()...) {
+			for _, impl := range core.Implementations() {
+				app, impl, fanIn := app, impl, fanIn
+				t.Run(fmt.Sprintf("%s/%v/fanin=%d", app, impl, fanIn), func(t *testing.T) {
+					t.Parallel()
+					cfg := Config{Scale: apps.Test, NProcs: 8, Cost: fabric.DefaultCostModel(),
+						Machine: run.Machine{BarrierFanIn: fanIn}}
+					row, _ := RunTraced(cfg, app, impl, false)
+					if row.Err != nil {
+						t.Fatal(row.Err)
+					}
+					openLock := make([]bool, cfg.NProcs)
+					inBarrier := make([]bool, cfg.NProcs)
+					rpcs := 0
+					for _, r := range row.Trace.Merged() {
+						switch r.Kind {
+						case trace.EvLockReq:
+							openLock[r.Proc] = true
+						case trace.EvLockAcq:
+							openLock[r.Proc] = false
+						case trace.EvBarArrive:
+							inBarrier[r.Proc] = true
+						case trace.EvBarDepart:
+							inBarrier[r.Proc] = false
+						case trace.EvBlock:
+							if r.Aux != trace.BlockRPC {
+								continue
+							}
+							rpcs++
+							if !openLock[r.Proc] && !inBarrier[r.Proc] {
+								t.Fatalf("p%d blocks on an RPC at %v outside any lock request or barrier episode", r.Proc, r.At)
+							}
+						}
+					}
+					if rpcs == 0 && row.Stats.RemoteAcquires+row.Stats.Barriers > 0 {
+						t.Errorf("no rpc-reply blocks in a cell with %d remote acquires and %d barriers", row.Stats.RemoteAcquires, row.Stats.Barriers)
+					}
+				})
+			}
+		}
 	}
 }

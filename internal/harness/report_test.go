@@ -126,7 +126,7 @@ func TestConfigValidate(t *testing.T) {
 		cfg  Config
 		want string // substring of the error message
 	}{
-		{"zero-procs", Config{Scale: apps.Test, NProcs: 0}, "nprocs 0 < 1"},
+		{"zero-procs", Config{Scale: apps.Test, NProcs: 0}, "nprocs 0 outside 1..32767"},
 		{"unknown-scale", Config{Scale: apps.Scale(99), NProcs: 4},
 			"unknown scale 99 (valid: test, bench, paper, large)"},
 		{"negative-scale", Config{Scale: apps.Scale(-1), NProcs: 4},

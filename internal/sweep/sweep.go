@@ -98,11 +98,6 @@ func (g Grid) normalized() (Grid, error) {
 	if len(g.Variants) == 0 {
 		g.Variants = []Variant{Baseline()}
 	}
-	for _, np := range g.NProcs {
-		if np < 1 {
-			return g, fmt.Errorf("sweep: %w: nprocs %d < 1", ErrGrid, np)
-		}
-	}
 	for _, i := range g.Impls {
 		if !i.Valid() {
 			return g, fmt.Errorf("sweep: %w: implementation %v", ErrGrid, i)
@@ -117,8 +112,10 @@ func (g Grid) normalized() (Grid, error) {
 			return g, fmt.Errorf("sweep: %w: duplicate variant %q", ErrGrid, v.Name)
 		}
 		seen[v.Name] = true
-		if err := g.config(v, g.NProcs[0]).Validate(); err != nil {
-			return g, fmt.Errorf("sweep: %w: variant %q: %v", ErrGrid, v.Name, err)
+		for _, np := range g.NProcs {
+			if err := g.config(v, np).Validate(); err != nil {
+				return g, fmt.Errorf("sweep: %w: variant %q: %v", ErrGrid, v.Name, err)
+			}
 		}
 	}
 	return g, nil

@@ -166,8 +166,12 @@ func TestParseVariantSpecErrors(t *testing.T) {
 }
 
 func TestGridValidation(t *testing.T) {
-	if _, err := Run(Grid{NProcs: []int{0}}); !errors.Is(err, ErrGrid) {
-		t.Errorf("nprocs 0: %v", err)
+	// Every processor count goes through the config validator, not only the
+	// first.
+	for _, np := range [][]int{{0}, {8, 0}, {8, 40000}} {
+		if _, err := Run(Grid{NProcs: np}); !errors.Is(err, ErrGrid) || !strings.Contains(err.Error(), "outside 1..32767") {
+			t.Errorf("nprocs %v: err = %v, want ErrGrid naming 1..32767", np, err)
+		}
 	}
 	if _, err := Run(Grid{Variants: []Variant{{Name: ""}}}); !errors.Is(err, ErrGrid) {
 		t.Errorf("empty variant name: %v", err)

@@ -191,12 +191,15 @@ type LockMgr struct {
 	tr *trace.Tracer
 }
 
-// NewLockMgr returns the lock manager endpoint for processor p. Processor
-// ids are stored as int16 in the lock table, so nprocs may not exceed
-// math.MaxInt16.
+// MaxProcs is the largest processor count the lock table holds: it stores
+// processor ids as int16.
+const MaxProcs = math.MaxInt16
+
+// NewLockMgr returns the lock manager endpoint for processor p; nprocs must
+// be in 1..MaxProcs.
 func NewLockMgr(p *sim.Proc, net *fabric.Network, nprocs int, hooks LockHooks, cnt *Counters) *LockMgr {
-	if nprocs < 1 || nprocs > math.MaxInt16 {
-		panic(fmt.Sprintf("syncmgr: lock manager for %d processors: the lock table holds 1..%d", nprocs, math.MaxInt16))
+	if nprocs < 1 || nprocs > MaxProcs {
+		panic(fmt.Sprintf("syncmgr: lock manager for %d processors: the lock table holds 1..%d", nprocs, MaxProcs))
 	}
 	return &LockMgr{
 		self:   p.ID(),

@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -16,111 +17,132 @@ import (
 	"ecvslrc/internal/sim"
 )
 
-// ErrConfig is wrapped by every trace-options validation failure, mirroring
-// the harness.Config.Validate convention so callers classify with errors.Is.
+// ErrConfig is wrapped by every report-selection failure, mirroring the
+// harness.Config.Validate convention so callers classify with errors.Is.
 var ErrConfig = errors.New("invalid trace options")
 
-// Report names one emittable attribution artifact.
+// Report names one emittable attribution artifact: an index into reports.
 type Report int
 
 const (
-	// ReportSummary is the markdown attribution summary (summary.md).
 	ReportSummary Report = iota
-	// ReportPages is the per-page heat table (pages.csv).
 	ReportPages
-	// ReportLocks is the per-lock contention table (locks.csv).
 	ReportLocks
-	// ReportBarriers is the barrier-imbalance table (rendered inside
-	// summary.md; selecting it without summary still emits the summary).
 	ReportBarriers
-	// ReportTimeline is the Chrome trace-event JSON timeline (timeline.json,
-	// loadable in chrome://tracing or Perfetto).
 	ReportTimeline
-	// ReportBinary is the raw binary event trace (trace.bin).
 	ReportBinary
-	// ReportProfile is the virtual-time profile: the markdown stall-class
-	// breakdown (profile.md) plus folded stacks for flamegraph tools
-	// (profile.folded).
 	ReportProfile
-	// ReportCritPath is the critical path: the span table (critpath.csv)
-	// plus a Chrome-trace overlay of the path (critpath.json).
 	ReportCritPath
-	// ReportWhatIf is the what-if projection table (whatif.md): the path
-	// re-costed with each stall class zeroed.
 	ReportWhatIf
 )
 
+// product is the analysis a report renders from.
+type product int
+
+const (
+	fromTracer   product = iota // the records alone
+	fromAnalysis                // Analyze's page, lock and barrier tables
+	fromCritPath                // BuildProfile and its ExtractCriticalPath
+)
+
+// products holds what a selection renders from; render fills only the
+// analyses some selected report needs.
+type products struct {
+	t    *Tracer
+	meta Meta
+	an   *Analysis
+	prof *Profile
+	cp   *CritPath
+}
+
+// reportFile is one artifact file and its renderer.
+type reportFile struct {
+	name  string
+	write func(io.Writer, *products) error
+}
+
+var summaryFile = reportFile{"summary.md", func(w io.Writer, p *products) error { return WriteMarkdown(w, p.an) }}
+
+// reports declares every report once, in emission order: its -report name,
+// the product it needs, whether its first (markdown) file can go to stdout,
+// and the files it writes under an output directory.
+var reports = [...]struct {
+	name   string
+	needs  product
+	stdout bool
+	files  []reportFile
+}{
+	ReportSummary: {"summary", fromAnalysis, true, []reportFile{summaryFile}},
+	ReportPages: {"pages", fromAnalysis, false, []reportFile{
+		{"pages.csv", func(w io.Writer, p *products) error { return WritePagesCSV(w, p.an) }}}},
+	ReportLocks: {"locks", fromAnalysis, false, []reportFile{
+		{"locks.csv", func(w io.Writer, p *products) error { return WriteLocksCSV(w, p.an) }}}},
+	// The barrier tables render inside the summary, so selecting them emits it.
+	ReportBarriers: {"barriers", fromAnalysis, true, []reportFile{summaryFile}},
+	// Chrome trace-event JSON, loadable in chrome://tracing or Perfetto.
+	ReportTimeline: {"timeline", fromTracer, false, []reportFile{
+		{"timeline.json", func(w io.Writer, p *products) error { return WriteChromeTrace(w, p.t, p.meta) }}}},
+	ReportBinary: {"bin", fromTracer, false, []reportFile{
+		{"trace.bin", func(w io.Writer, p *products) error { return p.t.WriteBinary(w) }}}},
+	// The stall-class breakdown plus folded stacks for flamegraph tools.
+	ReportProfile: {"profile", fromCritPath, true, []reportFile{
+		{"profile.md", func(w io.Writer, p *products) error { return WriteProfileMarkdown(w, p.prof, p.cp) }},
+		{"profile.folded", func(w io.Writer, p *products) error { return WriteFoldedStacks(w, p.prof) }}}},
+	// The span table plus a Chrome-trace overlay of the path.
+	ReportCritPath: {"critpath", fromCritPath, false, []reportFile{
+		{"critpath.csv", func(w io.Writer, p *products) error { return WriteCritPathCSV(w, p.cp) }},
+		{"critpath.json", func(w io.Writer, p *products) error { return WriteCritPathChrome(w, p.cp) }}}},
+	// The path re-costed with each stall class zeroed.
+	ReportWhatIf: {"whatif", fromCritPath, true, []reportFile{
+		{"whatif.md", func(w io.Writer, p *products) error { return WriteWhatIfMarkdown(w, p.cp) }}}},
+}
+
 // String names the report as the -report flag spells it.
 func (r Report) String() string {
-	switch r {
-	case ReportSummary:
-		return "summary"
-	case ReportPages:
-		return "pages"
-	case ReportLocks:
-		return "locks"
-	case ReportBarriers:
-		return "barriers"
-	case ReportTimeline:
-		return "timeline"
-	case ReportBinary:
-		return "bin"
-	case ReportProfile:
-		return "profile"
-	case ReportCritPath:
-		return "critpath"
-	case ReportWhatIf:
-		return "whatif"
+	if r < 0 || int(r) >= len(reports) {
+		return "?"
 	}
-	return "?"
+	return reports[r].name
 }
 
 // ReportNames lists the valid -report selector names.
 func ReportNames() []string {
-	return []string{"summary", "pages", "locks", "barriers", "timeline", "bin", "profile", "critpath", "whatif"}
+	names := make([]string, len(reports))
+	for i := range reports {
+		names[i] = reports[i].name
+	}
+	return names
 }
 
 // ParseReports parses a comma-separated report selection ("pages,locks,
-// timeline"). Unknown names fail with an error wrapping ErrConfig; an empty
-// spec selects every report.
-func ParseReports(spec string) ([]Report, error) {
+// timeline") for an output directory, or for stdout when stdout is set. An
+// empty spec selects every report, or for stdout the summary alone. Unknown
+// names, and for stdout a report that only writes files, fail with an error
+// wrapping ErrConfig.
+func ParseReports(spec string, stdout bool) ([]Report, error) {
 	if strings.TrimSpace(spec) == "" {
-		return []Report{ReportSummary, ReportPages, ReportLocks, ReportBarriers, ReportTimeline, ReportBinary,
-			ReportProfile, ReportCritPath, ReportWhatIf}, nil
+		if stdout {
+			return []Report{ReportSummary}, nil
+		}
+		return ParseReports(strings.Join(ReportNames(), ","), false)
 	}
 	var out []Report
-	seen := make(map[Report]bool)
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue
 		}
-		var r Report
-		switch part {
-		case "summary":
-			r = ReportSummary
-		case "pages":
-			r = ReportPages
-		case "locks":
-			r = ReportLocks
-		case "barriers":
-			r = ReportBarriers
-		case "timeline":
-			r = ReportTimeline
-		case "bin":
-			r = ReportBinary
-		case "profile":
-			r = ReportProfile
-		case "critpath":
-			r = ReportCritPath
-		case "whatif":
-			r = ReportWhatIf
-		default:
+		r := Report(slices.Index(ReportNames(), part))
+		if r < 0 {
 			return nil, fmt.Errorf("trace: %w: unknown report %q (known: %s)",
 				ErrConfig, part, strings.Join(ReportNames(), ", "))
 		}
-		if !seen[r] {
-			seen[r] = true
+		if stdout {
+			if err := checkStdout(r); err != nil {
+				return nil, err
+			}
+		}
+		if !slices.Contains(out, r) {
 			out = append(out, r)
 		}
 	}
@@ -130,24 +152,10 @@ func ParseReports(spec string) ([]Report, error) {
 	return out, nil
 }
 
-// Options configures trace capture and report emission for the CLIs.
-type Options struct {
-	// Reports selects the artifacts to emit (nil = all).
-	Reports []Report
-	// OutDir is the artifact directory; empty means "summary to stdout".
-	OutDir string
-	// Sched enables the scheduler dispatch channel (very voluminous).
-	Sched bool
-}
-
-// Validate reports whether the options are usable. Errors wrap ErrConfig.
-func (o Options) Validate() error {
-	if o.OutDir == "" {
-		for _, r := range o.Reports {
-			if r != ReportSummary && r != ReportBarriers {
-				return fmt.Errorf("trace: %w: report %v needs an output directory", ErrConfig, r)
-			}
-		}
+// checkStdout rejects a report that has nothing to print without a directory.
+func checkStdout(r Report) error {
+	if !reports[r].stdout {
+		return fmt.Errorf("trace: %w: report %v needs an output directory", ErrConfig, r)
 	}
 	return nil
 }
@@ -297,12 +305,9 @@ func avgTime(total sim.Time, n int64) sim.Time {
 // WritePagesCSV emits the full per-page heat table.
 func WritePagesCSV(w io.Writer, a *Analysis) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"page", "region", "pattern", "faults", "misses", "write_misses",
-		"multi_writer_misses", "twins", "collects", "applies",
-		"words_collected", "words_applied", "bytes_moved",
-		"writers", "readers", "owner_moves",
-	}); err != nil {
+	if err := cw.Write(strings.Split("page,region,pattern,faults,misses,write_misses,"+
+		"multi_writer_misses,twins,collects,applies,words_collected,words_applied,"+
+		"bytes_moved,writers,readers,owner_moves", ",")); err != nil {
 		return err
 	}
 	for _, p := range a.Pages {
@@ -324,11 +329,9 @@ func WritePagesCSV(w io.Writer, a *Analysis) error {
 // WriteLocksCSV emits the full per-lock contention table.
 func WriteLocksCSV(w io.Writer, a *Analysis) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"lock", "acquires", "read_only", "local", "remote", "grants",
-		"bytes_moved", "wait_total_ns", "wait_max_ns",
-		"handoff_total_ns", "handoff_max_ns", "max_queue", "holders", "pages",
-	}); err != nil {
+	if err := cw.Write(strings.Split("lock,acquires,read_only,local,remote,grants,"+
+		"bytes_moved,wait_total_ns,wait_max_ns,handoff_total_ns,handoff_max_ns,"+
+		"max_queue,holders,pages", ",")); err != nil {
 		return err
 	}
 	for _, l := range a.Locks {
@@ -370,215 +373,150 @@ type chromeEvent struct {
 // (chrome://tracing, Perfetto): one track per processor with lock-held and
 // barrier-wait spans plus instants for faults, misses, twins and diffs.
 func WriteChromeTrace(w io.Writer, t *Tracer, meta Meta) error {
-	recs := t.Merged()
 	var evs []chromeEvent
 	us := func(at sim.Time) float64 { return at.Micros() }
 	type openKey struct{ proc, id int }
 	lockOpen := make(map[openKey]sim.Time)
 	barOpen := make(map[openKey]sim.Time)
-	for _, r := range recs {
-		proc := int(r.Proc)
-		switch r.Kind {
-		case EvLockAcq:
-			lockOpen[openKey{proc, int(r.A)}] = r.At
-		case EvLockRel:
-			k := openKey{proc, int(r.A)}
-			if at, ok := lockOpen[k]; ok {
-				delete(lockOpen, k)
-				evs = append(evs, chromeEvent{
-					Name: fmt.Sprintf("lock %d", r.A), Ph: "X",
-					Ts: us(at), Dur: us(r.At) - us(at), Pid: 0, Tid: proc,
-				})
-			}
-		case EvBarArrive:
-			barOpen[openKey{proc, int(r.A)}] = r.At
-		case EvBarDepart:
-			k := openKey{proc, int(r.A)}
-			if at, ok := barOpen[k]; ok {
-				delete(barOpen, k)
-				evs = append(evs, chromeEvent{
-					Name: fmt.Sprintf("barrier %d", r.A), Ph: "X",
-					Ts: us(at), Dur: us(r.At) - us(at), Pid: 0, Tid: proc,
-				})
-			}
-		case EvMiss:
-			evs = append(evs, chromeEvent{
-				Name: fmt.Sprintf("miss pg%d", r.A), Ph: "i", Ts: us(r.At),
-				Pid: 0, Tid: proc, S: "t",
-				Args: map[string]any{"writers": r.B, "write": r.Write()},
-			})
-		case EvFault:
-			evs = append(evs, chromeEvent{
-				Name: fmt.Sprintf("fault pg%d", r.A), Ph: "i", Ts: us(r.At),
-				Pid: 0, Tid: proc, S: "t",
-			})
-		case EvTwin:
-			evs = append(evs, chromeEvent{
-				Name: twinName(r), Ph: "i", Ts: us(r.At), Pid: 0, Tid: proc, S: "t",
-			})
-		case EvCollect:
-			evs = append(evs, chromeEvent{
-				Name: collectName(r), Ph: "i", Ts: us(r.At), Pid: 0, Tid: proc, S: "t",
-				Args: map[string]any{"words": r.C},
-			})
-		case EvDrop:
-			evs = append(evs, chromeEvent{
-				Name: fmt.Sprintf("drop →p%d", r.A), Ph: "i", Ts: us(r.At),
-				Pid: 0, Tid: proc, S: "t",
-				Args: map[string]any{"kind": MsgClassName(int(r.B)), "attempt": r.Aux},
-			})
-		case EvRetransmit:
-			evs = append(evs, chromeEvent{
-				Name: fmt.Sprintf("retransmit →p%d", r.A), Ph: "i", Ts: us(r.At),
-				Pid: 0, Tid: proc, S: "t",
-				Args: map[string]any{"kind": MsgClassName(int(r.B)), "attempt": r.Aux},
-			})
-		case EvDupDrop:
-			evs = append(evs, chromeEvent{
-				Name: fmt.Sprintf("dup-drop ←p%d", r.A), Ph: "i", Ts: us(r.At),
-				Pid: 0, Tid: proc, S: "t",
-				Args: map[string]any{"kind": MsgClassName(int(r.B))},
-			})
+	var r Rec
+	instant := func(name string, args map[string]any) {
+		evs = append(evs, chromeEvent{Name: name, Ph: "i", Ts: us(r.At), Tid: int(r.Proc), S: "t", Args: args})
+	}
+	span := func(open map[openKey]sim.Time, what string) {
+		k := openKey{int(r.Proc), int(r.A)}
+		if at, ok := open[k]; ok {
+			delete(open, k)
+			evs = append(evs, chromeEvent{Name: fmt.Sprintf("%s %d", what, r.A), Ph: "X",
+				Ts: us(at), Dur: us(r.At) - us(at), Tid: int(r.Proc)})
 		}
 	}
-	doc := map[string]any{
-		"traceEvents":     evs,
-		"displayTimeUnit": "ms",
-		"otherData": map[string]any{
-			"app": meta.App, "impl": meta.Impl, "nprocs": meta.NProcs, "scale": meta.Scale,
-		},
+	// object names a twin or collect by its lock or page.
+	object := func(lockKind, pageKind string) string {
+		if r.Domain() == DomainLock {
+			return fmt.Sprintf("%s lock%d", lockKind, r.A)
+		}
+		return fmt.Sprintf("%s pg%d", pageKind, r.A)
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
+	for _, r = range t.Merged() {
+		switch r.Kind {
+		case EvLockAcq:
+			lockOpen[openKey{int(r.Proc), int(r.A)}] = r.At
+		case EvLockRel:
+			span(lockOpen, "lock")
+		case EvBarArrive:
+			barOpen[openKey{int(r.Proc), int(r.A)}] = r.At
+		case EvBarDepart:
+			span(barOpen, "barrier")
+		case EvMiss:
+			instant(fmt.Sprintf("miss pg%d", r.A), map[string]any{"writers": r.B, "write": r.Write()})
+		case EvFault:
+			instant(fmt.Sprintf("fault pg%d", r.A), nil)
+		case EvTwin:
+			instant(object("objtwin", "twin"), nil)
+		case EvCollect:
+			instant(object("harvest", "harvest"), map[string]any{"words": r.C})
+		case EvDrop:
+			instant(fmt.Sprintf("drop →p%d", r.A), map[string]any{"kind": MsgClassName(int(r.B)), "attempt": r.Aux})
+		case EvRetransmit:
+			instant(fmt.Sprintf("retransmit →p%d", r.A), map[string]any{"kind": MsgClassName(int(r.B)), "attempt": r.Aux})
+		case EvDupDrop:
+			instant(fmt.Sprintf("dup-drop ←p%d", r.A), map[string]any{"kind": MsgClassName(int(r.B))})
+		}
+	}
+	return writeChromeDoc(w, evs, map[string]any{
+		"app": meta.App, "impl": meta.Impl, "nprocs": meta.NProcs, "scale": meta.Scale,
+	})
 }
 
-func twinName(r Rec) string {
-	if r.Domain() == DomainLock {
-		return fmt.Sprintf("objtwin lock%d", r.A)
-	}
-	return fmt.Sprintf("twin pg%d", r.A)
+// writeChromeDoc encodes a Chrome trace-event document: the events, the
+// display unit and the run identity in otherData.
+func writeChromeDoc(w io.Writer, evs []chromeEvent, other map[string]any) error {
+	return json.NewEncoder(w).Encode(map[string]any{
+		"traceEvents": evs, "displayTimeUnit": "ms", "otherData": other,
+	})
 }
 
-func collectName(r Rec) string {
-	if r.Domain() == DomainLock {
-		return fmt.Sprintf("harvest lock%d", r.A)
+// render computes the products the selection needs, once, and hands each
+// selected file to out in table order, a file two reports share once. With
+// stdout only each report's markdown file is selected, and a file-only
+// report fails with an error wrapping ErrConfig before anything is computed.
+func render(sel []Report, t *Tracer, meta Meta, stdout bool, out func(name string, write func(io.Writer) error) error) error {
+	p := &products{t: t, meta: meta}
+	var needs [fromCritPath + 1]bool
+	want := make(map[string]bool)
+	for _, r := range sel {
+		if stdout {
+			if err := checkStdout(r); err != nil {
+				return err
+			}
+		}
+		needs[reports[r].needs] = true
+		for _, f := range selectedFiles(r, stdout) {
+			want[f.name] = true
+		}
 	}
-	return fmt.Sprintf("harvest pg%d", r.A)
+	if needs[fromAnalysis] {
+		p.an = Analyze(t, meta)
+	}
+	if needs[fromCritPath] {
+		p.prof = BuildProfile(t, meta)
+		p.cp = ExtractCriticalPath(t, p.prof)
+	}
+	for r := range reports {
+		for _, f := range selectedFiles(Report(r), stdout) {
+			if !want[f.name] {
+				continue
+			}
+			delete(want, f.name)
+			if err := out(f.name, func(w io.Writer) error { return f.write(w, p) }); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
-// Artifacts bundles the analysis products report emission draws from. Only
-// Analysis is required: the profile and critical path are computed on demand
-// when a profile report is selected and the caller did not precompute them.
-// The CLIs precompute the full bundle (Analyzed) under a perf "analyze" phase
-// so analysis wall time is attributed separately from file emission.
-type Artifacts struct {
-	Analysis *Analysis
-	Profile  *Profile
-	CritPath *CritPath
+// selectedFiles is what r writes: its files, or for stdout its markdown.
+func selectedFiles(r Report, stdout bool) []reportFile {
+	if stdout {
+		return reports[r].files[:1]
+	}
+	return reports[r].files
 }
 
-// Analyzed computes the full artifact bundle for a traced run: the event
-// analysis plus the virtual-time profile and its critical path. Every product
-// is a pure function of the trace and meta.
-func Analyzed(t *Tracer, meta Meta) Artifacts {
-	prof := BuildProfile(t, meta)
-	return Artifacts{
-		Analysis: Analyze(t, meta),
-		Profile:  prof,
-		CritPath: ExtractCriticalPath(t, prof),
-	}
-}
-
-// EmitReports writes the selected artifacts into dir: summary.md, pages.csv,
-// locks.csv, timeline.json, trace.bin, profile.md + profile.folded,
-// critpath.csv + critpath.json and whatif.md (the barrier table lives inside
-// the summary). The profile and critical path are computed once — from the
-// bundle when precomputed, otherwise on demand — and shared across the
-// reports that need them. It returns the files written, in emission order.
-func EmitReports(dir string, reports []Report, art Artifacts, t *Tracer) ([]string, error) {
-	a := art.Analysis
-	if len(reports) == 0 {
-		reports, _ = ParseReports("")
-	}
+// EmitReports writes the selected reports' files into dir, computing from t
+// exactly the analyses they need. It returns the files written, in emission
+// order.
+func EmitReports(dir string, sel []Report, t *Tracer, meta Meta) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	want := make(map[Report]bool)
-	for _, r := range reports {
-		want[r] = true
-	}
 	var written []string
-	emit := func(name string, write func(f *os.File) error) error {
+	err := render(sel, t, meta, false, func(name string, write func(io.Writer) error) error {
 		path := filepath.Join(dir, name)
 		f, err := os.Create(path)
-		if err != nil {
+		if err == nil {
+			err = errors.Join(write(f), f.Close())
+		}
+		if err == nil {
+			written = append(written, path)
+		}
+		return err
+	})
+	return written, err
+}
+
+// WriteReports prints the selected reports' markdown to w, one blank line
+// between reports: the summary (with its barrier tables), profile.md and
+// whatif.md, in that order. A report that only writes files fails with an
+// error wrapping ErrConfig.
+func WriteReports(w io.Writer, sel []Report, t *Tracer, meta Meta) error {
+	sep := ""
+	return render(sel, t, meta, true, func(_ string, write func(io.Writer) error) error {
+		if _, err := io.WriteString(w, sep); err != nil {
 			return err
 		}
-		if err := write(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		written = append(written, path)
-		return nil
-	}
-	// Barrier tables render inside the summary, so selecting them emits it.
-	if want[ReportSummary] || want[ReportBarriers] {
-		if err := emit("summary.md", func(f *os.File) error { return WriteMarkdown(f, a) }); err != nil {
-			return written, err
-		}
-	}
-	if want[ReportPages] {
-		if err := emit("pages.csv", func(f *os.File) error { return WritePagesCSV(f, a) }); err != nil {
-			return written, err
-		}
-	}
-	if want[ReportLocks] {
-		if err := emit("locks.csv", func(f *os.File) error { return WriteLocksCSV(f, a) }); err != nil {
-			return written, err
-		}
-	}
-	if want[ReportTimeline] {
-		if err := emit("timeline.json", func(f *os.File) error { return WriteChromeTrace(f, t, a.Meta) }); err != nil {
-			return written, err
-		}
-	}
-	if want[ReportBinary] {
-		if err := emit("trace.bin", func(f *os.File) error { return t.WriteBinary(f) }); err != nil {
-			return written, err
-		}
-	}
-	if want[ReportProfile] || want[ReportCritPath] || want[ReportWhatIf] {
-		prof, cp := art.Profile, art.CritPath
-		if prof == nil {
-			prof = BuildProfile(t, a.Meta)
-		}
-		if cp == nil {
-			cp = ExtractCriticalPath(t, prof)
-		}
-		if want[ReportProfile] {
-			if err := emit("profile.md", func(f *os.File) error { return WriteProfileMarkdown(f, prof, cp) }); err != nil {
-				return written, err
-			}
-			if err := emit("profile.folded", func(f *os.File) error { return WriteFoldedStacks(f, prof) }); err != nil {
-				return written, err
-			}
-		}
-		if want[ReportCritPath] {
-			if err := emit("critpath.csv", func(f *os.File) error { return WriteCritPathCSV(f, cp) }); err != nil {
-				return written, err
-			}
-			if err := emit("critpath.json", func(f *os.File) error { return WriteCritPathChrome(f, cp) }); err != nil {
-				return written, err
-			}
-		}
-		if want[ReportWhatIf] {
-			if err := emit("whatif.md", func(f *os.File) error { return WriteWhatIfMarkdown(f, cp) }); err != nil {
-				return written, err
-			}
-		}
-	}
-	return written, nil
+		sep = "\n"
+		return write(w)
+	})
 }

@@ -3,7 +3,6 @@ package trace
 import (
 	"bufio"
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -187,14 +186,8 @@ func WriteCritPathChrome(w io.Writer, cp *CritPath) error {
 			Args: map[string]any{"class": s.Class.String()},
 		})
 	}
-	doc := map[string]any{
-		"traceEvents":     evs,
-		"displayTimeUnit": "ms",
-		"otherData": map[string]any{
-			"app": cp.Meta.App, "impl": cp.Meta.Impl, "nprocs": cp.Meta.NProcs,
-			"scale": cp.Meta.Scale, "overlay": "critical-path",
-		},
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
+	return writeChromeDoc(w, evs, map[string]any{
+		"app": cp.Meta.App, "impl": cp.Meta.Impl, "nprocs": cp.Meta.NProcs,
+		"scale": cp.Meta.Scale, "overlay": "critical-path",
+	})
 }

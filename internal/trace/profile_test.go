@@ -235,35 +235,42 @@ func TestProfileByteDeterminism(t *testing.T) {
 }
 
 // TestEmitReportsProfileFiles checks the profile report selection writes its
-// five artifacts, both from a precomputed bundle and from the lazy path.
+// five artifacts, and that the stdout rendering of the markdown ones is those
+// files one blank line apart.
 func TestEmitReportsProfileFiles(t *testing.T) {
 	tr := profileHistory()
 	meta := profileMeta()
-	sel := []Report{ReportProfile, ReportCritPath, ReportWhatIf}
+	sel := []Report{ReportWhatIf, ReportCritPath, ReportProfile}
 	wantNames := []string{"profile.md", "profile.folded", "critpath.csv", "critpath.json", "whatif.md"}
-	for _, tc := range []struct {
-		name string
-		art  Artifacts
-	}{
-		{"precomputed", Analyzed(tr, meta)},
-		{"lazy", Artifacts{Analysis: Analyze(tr, meta)}},
-	} {
-		dir := t.TempDir()
-		written, err := EmitReports(dir, sel, tc.art, tr)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+	written, err := EmitReports(t.TempDir(), sel, tr, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(written) != len(wantNames) {
+		t.Fatalf("wrote %v, want %v", written, wantNames)
+	}
+	for i, path := range written {
+		if filepath.Base(path) != wantNames[i] {
+			t.Errorf("file %d = %s, want %s (table order)", i, filepath.Base(path), wantNames[i])
 		}
-		if len(written) != len(wantNames) {
-			t.Fatalf("%s: wrote %v, want %v", tc.name, written, wantNames)
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s missing or empty (%v)", path, err)
 		}
-		for i, path := range written {
-			if filepath.Base(path) != wantNames[i] {
-				t.Errorf("%s: file %d = %s, want %s", tc.name, i, filepath.Base(path), wantNames[i])
-			}
-			if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
-				t.Errorf("%s: %s missing or empty (%v)", tc.name, path, err)
-			}
-		}
+	}
+	prof, err := os.ReadFile(written[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	whatif, err := os.ReadFile(written[4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteReports(&buf, []Report{ReportWhatIf, ReportProfile}, tr, meta); err != nil {
+		t.Fatal(err)
+	}
+	if want := string(prof) + "\n" + string(whatif); buf.String() != want {
+		t.Errorf("stdout rendering:\n%s\nwant profile.md, a blank line, whatif.md:\n%s", buf.String(), want)
 	}
 }
 
@@ -346,16 +353,14 @@ func TestProfilingTracerMisuseFailsLoudly(t *testing.T) {
 	}{
 		{"Merged", func() { live.Merged() }},
 		{"Analyze", func() { Analyze(live, profileMeta()) }},
-		{"Analyzed", func() { Analyzed(live, profileMeta()) }},
 		{"WriteBinary", func() { live.WriteBinary(io.Discard) }},
 		{"WriteChromeTrace", func() { WriteChromeTrace(io.Discard, live, profileMeta()) }},
 		{"ExtractCriticalPath on a profiling tracer", func() { ExtractCriticalPath(live, full) }},
 		{"ExtractCriticalPath on a totals-only profile", func() { ExtractCriticalPath(buffered, totals) }},
 		{"WriteProfileMarkdown", func() { WriteProfileMarkdown(io.Discard, totals, ExtractCriticalPath(buffered, full)) }},
 		{"WriteFoldedStacks", func() { WriteFoldedStacks(io.Discard, totals) }},
-		{"EmitReports", func() {
-			EmitReports(t.TempDir(), []Report{ReportProfile}, Artifacts{Analysis: Analyze(buffered, profileMeta())}, live)
-		}},
+		{"EmitReports", func() { EmitReports(t.TempDir(), []Report{ReportProfile}, live, profileMeta()) }},
+		{"WriteReports", func() { WriteReports(io.Discard, []Report{ReportWhatIf}, live, profileMeta()) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 	"unsafe"
@@ -125,19 +126,23 @@ func TestReadBinaryRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestParseReportsErrors pins the ErrConfig wrapping convention.
+// TestParseReportsErrors pins the ErrConfig wrapping convention and the
+// default selections.
 func TestParseReportsErrors(t *testing.T) {
-	if _, err := ParseReports("pages,nonsense"); !errors.Is(err, ErrConfig) {
+	if _, err := ParseReports("pages,nonsense", false); !errors.Is(err, ErrConfig) {
 		t.Errorf("unknown report: err = %v, want ErrConfig wrap", err)
 	}
-	if _, err := ParseReports(",,"); !errors.Is(err, ErrConfig) {
+	if _, err := ParseReports(",,", false); !errors.Is(err, ErrConfig) {
 		t.Errorf("empty selection: err = %v, want ErrConfig wrap", err)
 	}
-	all, err := ParseReports("")
+	all, err := ParseReports("", false)
 	if err != nil || len(all) != len(ReportNames()) {
 		t.Errorf("default selection = %v, %v", all, err)
 	}
-	sel, err := ParseReports(" pages , locks ,pages")
+	if def, err := ParseReports(" ", true); err != nil || len(def) != 1 || def[0] != ReportSummary {
+		t.Errorf("default stdout selection = %v, %v, want [summary]", def, err)
+	}
+	sel, err := ParseReports(" pages , locks ,pages", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,15 +151,37 @@ func TestParseReportsErrors(t *testing.T) {
 	}
 }
 
-// TestOptionsValidate pins the out-dir requirement for file reports.
-func TestOptionsValidate(t *testing.T) {
-	ok := Options{Reports: []Report{ReportSummary}, OutDir: ""}
-	if err := ok.Validate(); err != nil {
-		t.Errorf("summary-to-stdout rejected: %v", err)
+// TestReportTable pins what the report table declares: each name parses to
+// its report and prints back, and exactly the markdown reports render to
+// stdout; the others need an output directory, from ParseReports and from
+// WriteReports alike.
+func TestReportTable(t *testing.T) {
+	stdout := map[string]bool{"summary": true, "barriers": true, "profile": true, "whatif": true}
+	names := ReportNames()
+	if len(names) != 9 {
+		t.Errorf("%d reports, want 9: %v", len(names), names)
 	}
-	bad := Options{Reports: []Report{ReportPages}, OutDir: ""}
-	if err := bad.Validate(); !errors.Is(err, ErrConfig) {
-		t.Errorf("pages without out dir: err = %v, want ErrConfig wrap", err)
+	for i, name := range names {
+		r := Report(i)
+		if r.String() != name {
+			t.Errorf("report %d prints %q, want %q", i, r, name)
+		}
+		if sel, err := ParseReports(name, false); err != nil || len(sel) != 1 || sel[0] != r {
+			t.Errorf("%s: ParseReports = %v, %v", name, sel, err)
+		}
+		_, perr := ParseReports(name, true)
+		werr := WriteReports(io.Discard, []Report{r}, New(1), Meta{NProcs: 1})
+		for _, err := range []error{perr, werr} {
+			if stdout[name] && err != nil {
+				t.Errorf("%s to stdout rejected: %v", name, err)
+			}
+			if !stdout[name] && (!errors.Is(err, ErrConfig) || !strings.Contains(err.Error(), "report "+name+" needs an output directory")) {
+				t.Errorf("%s to stdout: err = %v, want ErrConfig naming the output directory", name, err)
+			}
+		}
+	}
+	if got := Report(len(names)).String(); got != "?" {
+		t.Errorf("out-of-table report prints %q", got)
 	}
 }
 
@@ -316,13 +343,21 @@ func TestEmitReportsBarrierSelectsSummary(t *testing.T) {
 	tr := New(2)
 	tr.BarArrive(10, 0, 0)
 	tr.BarArrive(20, 1, 0)
-	a := Analyze(tr, Meta{App: "x", Impl: "LRC-diff", Scale: "test", NProcs: 2})
-	dir := t.TempDir()
-	written, err := EmitReports(dir, []Report{ReportBarriers}, Artifacts{Analysis: a}, tr)
+	meta := Meta{App: "x", Impl: "LRC-diff", Scale: "test", NProcs: 2}
+	written, err := EmitReports(t.TempDir(), []Report{ReportBarriers}, tr, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(written) != 1 || !strings.HasSuffix(written[0], "summary.md") {
 		t.Errorf("written = %v, want just summary.md", written)
+	}
+	// Shared with the summary, the file is written once and in the summary's
+	// place in the table, ahead of pages.csv.
+	written, err = EmitReports(t.TempDir(), []Report{ReportPages, ReportBarriers, ReportSummary}, tr, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(written) != 2 || !strings.HasSuffix(written[0], "summary.md") || !strings.HasSuffix(written[1], "pages.csv") {
+		t.Errorf("written = %v, want summary.md then pages.csv", written)
 	}
 }

@@ -351,10 +351,22 @@ func sorProgram[D core.Accessor](a *SOR, d D) {
 					}
 				case i > lo && i < hi-1:
 					// SOR+ interior row: all four neighbours are in-band and
-					// private, so only the write may touch shared memory.
+					// private, so only the write may touch shared memory —
+					// when another processor count's band boundary shares
+					// the row. Its address then advances one word per step.
+					up, row, dn := pm[i-1], pm[i], pm[i+1]
+					base := a.rowBase(i)
+					var self mem.Addr
+					if base >= 0 {
+						self = a.elemAddr(base, i, j0)
+					}
 					for j := j0; j < a.cols-1; j += 2 {
-						v := (pm[i-1][j] + pm[i+1][j] + pm[i][j-1] + pm[i][j+1]) / 4
-						put(i, j, v)
+						v := (up[j] + dn[j] + row[j-1] + row[j+1]) / 4
+						row[j] = v
+						if base >= 0 {
+							d.WriteF32(self, v)
+							self += 4
+						}
 					}
 				default:
 					for j := j0; j < a.cols-1; j += 2 {

@@ -212,18 +212,21 @@ type DSM interface {
 	StatsEnd()
 }
 
-// Accessor is the type-parameter constraint for statically-dispatched
-// application kernels: write the program once as
+// Accessor is the type-parameter constraint of the application kernels:
+// write the program once as
 //
 //	func kernel[D core.Accessor](d D, ...)
 //
 // and instantiate it per protocol stack (*lrc.Node, *ec.Node, run.Local's
-// sequential frontend). Each instantiation binds the accessor calls to one
-// concrete frontend, so the per-word hot path (ReadI32..WriteF64, Compute,
-// Now) avoids the itab-based interface dispatch a core.DSM value pays on
-// every shared access. The method set is exactly DSM: the interface remains
-// the stable adapter surface (CLIs, tests, custom tooling), and any kernel
-// also instantiates with D = core.DSM itself — that is the adapter path.
+// sequential frontend). The dispatch is not static: the three frontends are
+// pointer types, so Go's GC-shape stenciling compiles them into one body
+// (kernel[go.shape.*uint8] in every CPU profile) whose per-word calls
+// (ReadI32..WriteF64, Compute, Now) go through the instantiation's
+// dictionary. That skips the itab lookup a core.DSM value pays on every
+// shared access, but nothing inlines into the kernel. The method set is
+// exactly DSM: the interface remains the stable adapter surface (CLIs,
+// tests, custom tooling), and any kernel also instantiates with D =
+// core.DSM itself — that is the adapter path.
 type Accessor interface {
 	DSM
 }

@@ -67,7 +67,7 @@ func (b *binding) pageList() []int32 {
 
 type taggedDiff struct {
 	Tag  int32
-	Diff *wcollect.Diff
+	Diff wcollect.Diff
 }
 
 func cmpTag(a, b taggedDiff) int { return cmp.Compare(a.Tag, b.Tag) }
@@ -673,7 +673,7 @@ func (h *lockHooks) MakeLockGrant(l core.LockID, mode syncmgr.Mode, req fabric.P
 // ApplyLockGrant runs at the requester: install the update-protocol data,
 // then hand the body back to the granter. Nothing of the body is kept: data
 // and stamps are copied into this node's image and stamp array, retained
-// diffs are shared by pointer (they are immutable), and a handed-over
+// diffs are shared by value (they are immutable), and a handed-over
 // binding aliases the owner's immutable ranges, not the body.
 func (h *lockHooks) ApplyLockGrant(l core.LockID, mode syncmgr.Mode, payload fabric.Payload) sim.Time {
 	n := h.node()

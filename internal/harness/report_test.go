@@ -61,11 +61,10 @@ func TestBenchReportWithTracingMatchesSeedGolden(t *testing.T) {
 }
 
 // reportMallocCeiling bounds the heap allocations of the whole 79-cell
-// bench-scale report run one cell at a time: about 295 600 measured cold and
-// 294 970 warm (Go 1.24, linux/amd64), plus 15 % for allocator and
-// Go-version drift. One extra allocation per delivered message alone adds
-// about 112 000.
-const reportMallocCeiling = 340_000
+// bench-scale report run one cell at a time: about 249 800 measured (Go 1.24,
+// linux/amd64), plus 15 % for allocator and Go-version drift. One extra
+// allocation per delivered message alone adds about 112 000.
+const reportMallocCeiling = 290_000
 
 // TestBenchReportWithMetricsMatchesSeedGolden is the same invariant for the
 // host-side perf layer: a live registry on every cell reads host clocks and

@@ -116,8 +116,11 @@ func (n *Node) NoticeHistoryBytes() int64 {
 			b += int64(r.wire)
 		}
 	}
-	for _, ds := range n.diffStore {
-		for _, idf := range ds {
+	for _, pm := range n.meta {
+		if pm == nil {
+			continue
+		}
+		for _, idf := range pm.diffs {
 			b += int64(idf.Diff.WireSize())
 		}
 	}
@@ -186,16 +189,19 @@ func (g *GC) collect() {
 	// Per-(writer, page) diff floors and pruning.
 	for _, n := range g.nodes {
 		self := int32(n.P.ID())
-		for pg, ds := range n.diffStore {
+		for pg, pm := range n.meta {
+			if pm == nil || len(pm.diffs) == 0 {
+				continue
+			}
+			ds := pm.diffs
 			floor := gcMaxIdx
 			for _, x := range g.nodes {
 				if x == n {
 					continue
 				}
-				pm := x.meta[pg]
 				var w *writerWindow
-				if pm != nil {
-					w = pm.find(self)
+				if xm := x.meta[pg]; xm != nil {
+					w = xm.find(self)
 				}
 				if w == nil {
 					// A cold reader reconstructs the page from the initial
@@ -208,7 +214,7 @@ func (g *GC) collect() {
 					floor = w.applied
 				}
 			}
-			if pm := n.meta[pg]; pm != nil && pm.closedIval >= 0 && pm.closedIval-1 < floor {
+			if pm.closedIval >= 0 && pm.closedIval-1 < floor {
 				floor = pm.closedIval - 1
 			}
 			if floor <= 0 {
@@ -228,9 +234,7 @@ func (g *GC) collect() {
 			for j := len(kept); j < len(ds); j++ {
 				ds[j] = ivalDiff{}
 			}
-			if len(kept) < len(ds) {
-				n.diffStore[pg] = kept
-			}
+			pm.diffs = kept
 		}
 	}
 

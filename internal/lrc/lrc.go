@@ -73,6 +73,9 @@ type writerWindow struct {
 // (pages x procs x nodes), while real pages have a handful of writers.
 type pageMeta struct {
 	writers []writerWindow // sorted by proc
+	// diffs are this processor's own harvested diffs of the page, in
+	// interval order (Diffs collection).
+	diffs []ivalDiff
 	// closedIval is this processor's own closed-but-unharvested interval
 	// that modified the page (-1 if none); the twin is kept for lazy diff
 	// creation until someone asks or a conflicting event forces it.
@@ -103,7 +106,7 @@ func (pm *pageMeta) find(proc int32) *writerWindow {
 
 type ivalDiff struct {
 	Ival int32
-	Diff *wcollect.Diff
+	Diff wcollect.Diff
 }
 
 func cmpDiffInterval(d ivalDiff, ival int32) int { return cmp.Compare(d.Ival, ival) }
@@ -120,10 +123,10 @@ func cmpDiffInterval(d ivalDiff, ival int32) int { return cmp.Compare(d.Ival, iv
 // slices and their arena and keeps their capacity between replies.
 type pageReply struct {
 	owner *Node
-	// Diffs (Diffs collection) aliases the window of the server's diffStore
-	// the request named. The store is only ever appended to while a reply
-	// is outstanding; the collector compacts it at barrier quiescence, when
-	// no processor is inside an access miss.
+	// Diffs (Diffs collection) aliases the window of the page's diffs at
+	// the server the request named. They are only ever appended to while a
+	// reply is outstanding; the collector compacts them at barrier
+	// quiescence, when no processor is inside an access miss.
 	Diffs   []ivalDiff
 	Stamped wcollect.StampedData // Timestamps collection
 	arena   wcollect.Arena       // backs Stamped.Data
@@ -182,10 +185,11 @@ type pendingWriter struct {
 }
 
 // applyUnit is one writer interval's modifications, the happens-before
-// ordering unit of an access miss.
+// ordering unit of an access miss: a diff, or stamped runs and their data.
 type applyUnit struct {
 	proc int
 	ival int32
+	diff wcollect.Diff
 	dr   []wcollect.DataRun
 	sr   []wcollect.StampRun
 }
@@ -204,10 +208,6 @@ type Node struct {
 
 	meta      []*pageMeta // indexed by page, nil until first touched
 	openPages []int       // pages modified in the open interval (twinning), in fault order
-
-	// diffStore holds this processor's own harvested diffs: page -> diffs
-	// in interval order (Diffs collection).
-	diffStore map[int][]ivalDiff
 
 	stamps *wcollect.Stamps // Timestamps collection
 
@@ -252,7 +252,6 @@ func NewWithImage(p *sim.Proc, net *fabric.Network, al *mem.Allocator, nprocs in
 		vec:         make([]int32, nprocs),
 		records:     make([][]*interval, nprocs),
 		meta:        make([]*pageMeta, al.Pages()),
-		diffStore:   make(map[int][]ivalDiff),
 		arrivalVecs: make(map[int][]int32),
 		arrivalRecs: make(map[int][]*interval),
 	}
@@ -434,7 +433,7 @@ func (n *Node) harvestPage(pg int) sim.Time {
 		n.stamps.Set(runs, wcollect.LRCStamp(n.P.ID(), int(ival)))
 	case core.Diffs:
 		d := wcollect.BuildDiff(n.Im, runs)
-		n.diffStore[pg] = append(n.diffStore[pg], ivalDiff{Ival: ival, Diff: d})
+		pm.diffs = append(pm.diffs, ivalDiff{Ival: ival, Diff: d})
 		n.Extra.DiffsCreated++
 		work += sim.Time(d.Words()) * n.CM.WordCopy
 	}
@@ -643,8 +642,8 @@ func (n *Node) accessMiss(pg int, write bool) {
 		w.head = len(units)
 		switch n.impl.Collect {
 		case core.Diffs:
-			for _, idf := range fr.Diffs { // the server's store is in interval order
-				units = append(units, applyUnit{proc: w.proc, ival: idf.Ival, dr: idf.Diff.Runs})
+			for _, idf := range fr.Diffs { // the server's diffs are in interval order
+				units = append(units, applyUnit{proc: w.proc, ival: idf.Ival, diff: idf.Diff})
 			}
 		case core.Timestamps:
 			units = splitStamped(units, w.proc, &fr.Stamped)
@@ -670,9 +669,12 @@ func (n *Node) accessMiss(pg int, write bool) {
 		if u == nil {
 			panic("lrc: cycle in interval happens-before order")
 		}
-		w := wcollect.ApplyRuns(n.Im, u.dr)
+		var w int
 		if n.stamps != nil {
+			w = wcollect.ApplyRuns(n.Im, u.dr)
 			n.stamps.ApplyStamps(u.sr)
+		} else {
+			w = u.diff.Apply(n.Im)
 		}
 		n.Tr.Apply(n.P.Now(), n.P.ID(), trace.DomainPage, pg, u.proc, w)
 		words += w
@@ -809,7 +811,7 @@ func (n *Node) handleFetch(hc *fabric.HandlerCtx, m fabric.Msg) {
 	size := 0
 	switch n.impl.Collect {
 	case core.Diffs:
-		ds := n.diffStore[pg] // in interval order: the window is one subslice
+		ds := n.pageMeta(pg).diffs // in interval order: the window is one subslice
 		lo, _ := slices.BinarySearchFunc(ds, since+1, cmpDiffInterval)
 		cnt, _ := slices.BinarySearchFunc(ds[lo:], upTo+1, cmpDiffInterval)
 		reply.Diffs = ds[lo : lo+cnt]

@@ -98,13 +98,13 @@ func TestLazyDiffCreatedAtHarvest(t *testing.T) {
 	newTestNode(t, diffImpl(), func(n *Node) {
 		n.WriteI32(0, 42)
 		n.closeInterval()
-		if len(n.diffStore[0]) != 0 {
+		if len(n.meta[0].diffs) != 0 {
 			t.Error("diff must not exist before harvest (lazy diffing)")
 		}
 		n.harvestPage(0)
-		ds := n.diffStore[0]
+		ds := n.meta[0].diffs
 		if len(ds) != 1 || ds[0].Ival != 1 || ds[0].Diff.Words() != 1 {
-			t.Errorf("diffStore = %+v", ds)
+			t.Errorf("diffs = %+v", ds)
 		}
 		if n.twins.Has(0) {
 			t.Error("twin must be dropped after harvest")
@@ -117,10 +117,13 @@ func TestRewriteForcesHarvestOfClosedInterval(t *testing.T) {
 		n.WriteI32(0, 1)
 		n.closeInterval()
 		n.WriteI32(4, 2) // fault: must harvest interval 1 first, then retwin
-		if len(n.diffStore[0]) != 1 {
-			t.Fatalf("diffStore = %+v", n.diffStore[0])
+		if len(n.meta[0].diffs) != 1 {
+			t.Fatalf("diffs = %+v", n.meta[0].diffs)
 		}
-		if d := n.diffStore[0][0].Diff; d.Words() != 1 || d.Runs[0].Base != 0 {
+		d := n.meta[0].diffs[0].Diff
+		im := mem.NewImage(mem.PageSize)
+		d.Apply(im)
+		if d.Words() != 1 || im.ReadI32(0) != 1 || im.ReadI32(4) != 0 {
 			t.Errorf("interval-1 diff = %+v (must contain only the first write)", d)
 		}
 	})

@@ -43,8 +43,8 @@ type App interface {
 // kernel `func kernel[D core.Accessor](d D, ...)` instantiated once per
 // protocol stack. The runner then enters the kernel through the concrete
 // frontend (*lrc.Node, *ec.Node, *Local), so every shared-memory accessor
-// call dispatches statically instead of through the core.DSM interface —
-// the per-word cost the ROADMAP names as the largest remaining one. The
+// call goes through the instantiation's dictionary instead of the core.DSM
+// interface's itab (not a static call: see core.Accessor). The
 // plain Program(core.DSM) method remains the adapter path: same kernel,
 // instantiated with the interface, used by custom DSM values and by apps
 // that provide nothing else.

@@ -6,6 +6,7 @@
 package wcollect
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"ecvslrc/internal/mem"
@@ -101,38 +102,66 @@ func ApplyRuns(im *mem.Image, runs []DataRun) int {
 }
 
 // Diff is a run-length encoding of the changes to an object (EC) or a page
-// (LRC) during one execution interval.
-type Diff struct {
-	Runs []DataRun
-	wire int // WireSize, fixed at creation: a diff is served many times
-}
+// (LRC) during one execution interval. It is one exact-size, pointer-free
+// allocation holding the runs back to back in their wire format: per run a
+// RunHeaderBytes header, the run's base address and byte length as two
+// little-endian uint32s, then its bytes. A diff is immutable once built, so
+// nodes hold and hand it on by value; the zero Diff is the empty one.
+type Diff struct{ enc []byte }
 
-// BuildDiff captures the contents of the changed ranges from im.
-// Diffs are retained for later requesters, so each owns a fresh arena.
-func BuildDiff(im *mem.Image, changed []mem.Range) *Diff {
-	var a Arena
-	runs, wire := a.ExtractRuns(nil, im, changed)
-	return &Diff{Runs: runs, wire: DiffHeaderBytes + wire}
+// BuildDiff captures the contents of the changed ranges from im. An empty
+// diff allocates nothing.
+func BuildDiff(im *mem.Image, changed []mem.Range) Diff {
+	size := 0
+	for _, r := range changed {
+		size += RunHeaderBytes + r.Len
+	}
+	if size == 0 {
+		return Diff{}
+	}
+	enc := make([]byte, size)
+	off := 0
+	for _, r := range changed {
+		binary.LittleEndian.PutUint32(enc[off:], uint32(r.Base))
+		binary.LittleEndian.PutUint32(enc[off+4:], uint32(r.Len))
+		off += RunHeaderBytes
+		off += copy(enc[off:off+r.Len], im.Bytes()[r.Base:r.End()])
+	}
+	return Diff{enc: enc}
 }
 
 // Apply copies the diff's runs into im, returning words applied.
-func (d *Diff) Apply(im *mem.Image) int { return ApplyRuns(im, d.Runs) }
+func (d Diff) Apply(im *mem.Image) int { return d.walk(im) }
 
 // Words returns the total data words carried.
-func (d *Diff) Words() int {
-	n := 0
-	for _, r := range d.Runs {
-		n += (len(r.Data) + mem.WordSize - 1) / mem.WordSize
+func (d Diff) Words() int { return d.walk(nil) }
+
+// walk decodes the runs in order, copying each into im unless im is nil, and
+// returns their words.
+func (d Diff) walk(im *mem.Image) int {
+	var dst []byte
+	if im != nil {
+		dst = im.Bytes()
 	}
-	return n
+	words := 0
+	for enc := d.enc; len(enc) > RunHeaderBytes; {
+		base := int(binary.LittleEndian.Uint32(enc))
+		end := RunHeaderBytes + int(binary.LittleEndian.Uint32(enc[4:]))
+		if dst != nil {
+			copy(dst[base:], enc[RunHeaderBytes:end])
+		}
+		words += (end - RunHeaderBytes + mem.WordSize - 1) / mem.WordSize
+		enc = enc[end:]
+	}
+	return words
 }
 
 // WireSize returns the transmission size in bytes: a diff header plus one
 // run header per run plus the data.
-func (d *Diff) WireSize() int { return d.wire }
+func (d Diff) WireSize() int { return DiffHeaderBytes + len(d.enc) }
 
 // Empty reports whether the diff carries no changes.
-func (d *Diff) Empty() bool { return len(d.Runs) == 0 }
+func (d Diff) Empty() bool { return len(d.enc) == 0 }
 
 // Stamp is a per-block logical timestamp. For EC it holds the lock
 // incarnation number; for LRC it packs (processor, interval).

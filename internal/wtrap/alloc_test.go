@@ -23,66 +23,3 @@ func TestCompareWordsAllocs(t *testing.T) {
 		t.Errorf("compareWords on identical pages allocates %.2f objects per run, want 0", avg)
 	}
 }
-
-// TestCompareWordsMatchesReference cross-checks the word-wide (8 bytes at a
-// time, bytes.Equal fast-skip) implementation against a plain word-by-word
-// reference on adversarial change patterns: changes straddling the 64-byte
-// skip-chunk and 8-byte double-word boundaries, and a trailing odd word.
-func TestCompareWordsMatchesReference(t *testing.T) {
-	reference := func(cur, old []byte, base mem.Addr) []mem.Range {
-		var runs []mem.Range
-		for w := 0; w < len(cur)/mem.WordSize; w++ {
-			off := w * mem.WordSize
-			same := cur[off] == old[off] && cur[off+1] == old[off+1] &&
-				cur[off+2] == old[off+2] && cur[off+3] == old[off+3]
-			if !same {
-				a := base + mem.Addr(off)
-				if n := len(runs); n > 0 && runs[n-1].End() == a {
-					runs[n-1].Len += mem.WordSize
-				} else {
-					runs = append(runs, mem.Range{Base: a, Len: mem.WordSize})
-				}
-			}
-		}
-		return runs
-	}
-	cases := [][]int{
-		{0},                      // first word
-		{1023},                   // last word of a page
-		{15, 16},                 // straddles a 64-byte chunk boundary
-		{14, 15, 16, 17},         // run across the chunk boundary
-		{0, 1, 2, 3, 4, 5, 6, 7}, // a full chunk
-		{8, 10, 12},              // alternating words within a chunk
-		{5, 100, 101, 900},       // sparse mix
-	}
-	for _, words := range cases {
-		cur := make([]byte, mem.PageSize)
-		old := make([]byte, mem.PageSize)
-		for _, w := range words {
-			cur[w*mem.WordSize] = 0xff
-		}
-		got, compared := compareWords(nil, cur, old, 0x3000)
-		want := reference(cur, old, 0x3000)
-		if compared != mem.PageWords {
-			t.Errorf("words %v: compared = %d, want %d", words, compared, mem.PageWords)
-		}
-		if len(got) != len(want) {
-			t.Errorf("words %v: runs = %v, want %v", words, got, want)
-			continue
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Errorf("words %v: runs = %v, want %v", words, got, want)
-				break
-			}
-		}
-	}
-	// Odd-word-length tail (object ranges need not be double-word multiples).
-	cur := make([]byte, 20)
-	old := make([]byte, 20)
-	cur[16] = 1 // the lone tail word
-	got, compared := compareWords(nil, cur, old, 0)
-	if compared != 5 || len(got) != 1 || got[0] != (mem.Range{Base: 16, Len: 4}) {
-		t.Errorf("tail case: runs = %v (compared %d)", got, compared)
-	}
-}

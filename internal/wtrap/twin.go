@@ -17,7 +17,6 @@ type PageTwins struct {
 	twins   [][]byte // indexed by page; nil = no twin
 	pool    [][]byte // free-list of dropped twin buffers, reused by Make
 	scratch []mem.Range
-	count   int
 	made    int64
 
 	// OnMake, when non-nil, observes every twin creation (the tracing
@@ -46,7 +45,6 @@ func (t *PageTwins) Make(pg int) {
 	}
 	copy(twin, t.im.Page(pg))
 	t.twins[pg] = twin
-	t.count++
 	t.made++
 	if t.OnMake != nil {
 		t.OnMake(pg)
@@ -80,7 +78,6 @@ func (t *PageTwins) Drop(pg int) {
 	if twin := t.twins[pg]; twin != nil {
 		t.pool = append(t.pool, twin)
 		t.twins[pg] = nil
-		t.count--
 	}
 }
 
@@ -156,17 +153,24 @@ func (o *ObjectTwin) CompareAppend(dst []mem.Range) (runs []mem.Range, compared 
 	return runs, compared
 }
 
-// compareChunk is the granularity of the bytes.Equal fast-skip inside
-// compareWords: identical stretches are skipped a cache line at a time using
-// the runtime's vectorized memequal before any per-word work happens.
-const compareChunk = 64
+// Identical stretches are skipped with the runtime's vectorized memequal
+// before any per-word work happens: a block at a time where one is aligned,
+// then a chunk (a cache line) at a time.
+const (
+	compareChunk = 64
+	compareBlock = 8 * compareChunk
+)
 
-// compareWords diffs cur against old word-by-word, appending coalesced runs
-// to dst; base is the shared address of cur[0]. Both slices must have equal,
-// word-multiple length. Comparison proceeds 8 bytes at a time, narrowing to
-// the two 4-byte words only when a double-word differs, so the reported runs
-// are identical to a word-by-word scan. Passing a reused dst keeps the
-// steady-state compare allocation-free.
+// compareWords diffs cur against old, appending the runs of modified words to
+// dst; base is the shared address of cur[0]. Both slices must have equal,
+// word-multiple length. The runs are exactly those of a word-by-word scan
+// that coalesces adjacent modified words (a run starting at base joins a last
+// run of dst that ends there), but the work follows the changes, not the
+// words: with no run open, identical blocks and chunks are skipped whole and
+// then identical double-words; inside a run, the scan extends 8 bytes at a
+// time while both words of a double-word differ, and the run is appended
+// once, when it closes. Passing a reused dst keeps the steady-state compare
+// allocation-free.
 func compareWords(dst []mem.Range, cur, old []byte, base mem.Addr) (runs []mem.Range, compared int) {
 	n := len(cur)
 	compared = n / mem.WordSize
@@ -174,47 +178,68 @@ func compareWords(dst []mem.Range, cur, old []byte, base mem.Addr) (runs []mem.R
 	if bytes.Equal(cur, old) {
 		return runs, compared
 	}
-	off := 0
-	for ; off+compareChunk <= n; off += compareChunk {
-		if bytes.Equal(cur[off:off+compareChunk], old[off:off+compareChunk]) {
+	n8 := n &^ 7 // the whole double-words; an odd word count leaves a 4-byte tail
+	for off := skipEqual(cur, old, 0); off < n8; {
+		x := xor8(cur, old, off)
+		if x == 0 {
+			if off += 8; off%compareChunk == 0 {
+				off = skipEqual(cur, old, off)
+			}
 			continue
 		}
-		for o := off; o < off+compareChunk; o += 8 {
-			runs = diff8(runs, cur, old, base, o)
+		lo, hi := off, off+4
+		if uint32(x) == 0 {
+			lo += 4 // only the high word differs
 		}
-	}
-	for ; off+8 <= n; off += 8 {
-		runs = diff8(runs, cur, old, base, off)
-	}
-	if off < n { // 4-byte tail of an odd-word-length object range
-		if binary.LittleEndian.Uint32(cur[off:]) != binary.LittleEndian.Uint32(old[off:]) {
-			runs = addRun(runs, base+mem.Addr(off))
+		if x>>32 != 0 {
+			// The run is open through the high word: extend it while both
+			// words of a double-word differ; a modified low word closes it.
+			for hi = off + 8; hi < n8; hi += 8 {
+				if x = xor8(cur, old, hi); uint32(x) == 0 || x>>32 == 0 {
+					if uint32(x) != 0 {
+						hi += 4
+					}
+					break
+				}
+			}
 		}
+		runs = appendRun(runs, base, lo, hi)
+		off = (hi + 7) &^ 7 // the next double-word, or this one if its high word may open a run
+	}
+	if n8 < n && binary.LittleEndian.Uint32(cur[n8:]) != binary.LittleEndian.Uint32(old[n8:]) {
+		runs = appendRun(runs, base, n8, n) // joins a run that reached n8
 	}
 	return runs, compared
 }
 
-// diff8 compares the double-word at off and appends the differing words.
-func diff8(runs []mem.Range, cur, old []byte, base mem.Addr, off int) []mem.Range {
-	a := binary.LittleEndian.Uint64(cur[off:])
-	b := binary.LittleEndian.Uint64(old[off:])
-	if a == b {
-		return runs
+// skipEqual returns the first offset at or after off, a multiple of
+// compareChunk, whose chunk differs or is incomplete.
+func skipEqual(cur, old []byte, off int) int {
+	for off+compareChunk <= len(cur) {
+		if off%compareBlock == 0 && off+compareBlock <= len(cur) && bytes.Equal(cur[off:off+compareBlock], old[off:off+compareBlock]) {
+			off += compareBlock
+		} else if bytes.Equal(cur[off:off+compareChunk], old[off:off+compareChunk]) {
+			off += compareChunk
+		} else {
+			break
+		}
 	}
-	if uint32(a) != uint32(b) {
-		runs = addRun(runs, base+mem.Addr(off))
-	}
-	if uint32(a>>32) != uint32(b>>32) {
-		runs = addRun(runs, base+mem.Addr(off)+4)
-	}
-	return runs
+	return off
 }
 
-// addRun appends the changed word at a, coalescing with an adjacent last run.
-func addRun(runs []mem.Range, a mem.Addr) []mem.Range {
-	if len(runs) > 0 && runs[len(runs)-1].End() == a {
-		runs[len(runs)-1].Len += mem.WordSize
+// xor8 returns the XOR of the double-words of cur and old at off: its low and
+// high halves are nonzero exactly where the first and second word differ.
+func xor8(cur, old []byte, off int) uint64 {
+	return binary.LittleEndian.Uint64(cur[off:]) ^ binary.LittleEndian.Uint64(old[off:])
+}
+
+// appendRun appends the modified bytes [lo, hi) of the compared slice, whose
+// first byte is at base, coalescing with a last run that ends at lo.
+func appendRun(runs []mem.Range, base mem.Addr, lo, hi int) []mem.Range {
+	a := base + mem.Addr(lo)
+	if k := len(runs) - 1; k >= 0 && runs[k].End() == a {
+		runs[k].Len += hi - lo
 		return runs
 	}
-	return append(runs, mem.Range{Base: a, Len: mem.WordSize})
+	return append(runs, mem.Range{Base: a, Len: hi - lo})
 }

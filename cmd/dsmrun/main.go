@@ -8,9 +8,9 @@
 //	dsmrun -app Water -impl LRC-diff -perf -cpuprofile cpu.pprof
 //	dsmrun -app Water -impl LRC-diff -procs 256 -scale large -gc -fanin 16 -topo clos:radix=16
 //
-// -perf prints a host-side breakdown after the run (phase wall times, each
-// cell's wall time and allocation delta — the sequential reference's too
-// under -seq — and peak heap; internal/perf). It is observation-only: the
+// -perf prints a host-side breakdown after the run (phase wall times, baton
+// handoffs, each cell's wall time and allocation delta — the sequential
+// reference's too under -seq — and peak heap; internal/perf). It is observation-only: the
 // simulated statistics are identical with and without it. The cell and
 // machine flags (-app ... -timeout, -cpuprofile, -memprofile) are the shared
 // ones of internal/cmdline; at -scale large the cell gets notice GC and a
@@ -107,8 +107,9 @@ func cli(args []string, stdout, stderr io.Writer) int {
 }
 
 // printPerf renders the host-side breakdown: phase wall times in name
-// order, then each recorded cell's totals — labelled by impl when -seq
-// recorded the sequential reference as a second cell — then the peak heap.
+// order, the simulation's baton handoffs, then each recorded cell's totals —
+// labelled by impl when -seq recorded the sequential reference as a second
+// cell — then the peak heap.
 func printPerf(w io.Writer, reg *perf.Registry) {
 	counters := reg.Counters()
 	var phases []string
@@ -122,6 +123,9 @@ func printPerf(w io.Writer, reg *perf.Registry) {
 	for _, name := range phases {
 		label := strings.TrimSuffix(strings.TrimPrefix(name, "phase_"), "_ns")
 		fmt.Fprintf(w, " %s %.1fms |", label, float64(counters[name])/1e6)
+	}
+	if n, ok := counters["sim_handoffs"]; ok {
+		fmt.Fprintf(w, " %d handoffs |", n)
 	}
 	cells := reg.Cells()
 	for i, c := range cells {

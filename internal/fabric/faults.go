@@ -326,7 +326,7 @@ func (fs *faultState) attempt(sendEnd sim.Time, fr *relFrame, fl *flight) {
 			fs.launch(sendEnd+d2, dup)
 		}
 	}
-	n.sim.ScheduleTimer(sendEnd+fs.rto(fr.attempt), fr)
+	n.sim.ScheduleTimer(sendEnd+fs.rto(fr.attempt), fr, n.procs[from])
 }
 
 // launch puts an attempt on the wire at time at: straight to arrival without
@@ -335,11 +335,11 @@ func (fs *faultState) attempt(sendEnd sim.Time, fr *relFrame, fl *flight) {
 func (fs *faultState) launch(at sim.Time, fl *flight) {
 	n := fs.n
 	if !n.contention {
-		n.sim.ScheduleTimer(at+n.cm.WireLatency, fl)
+		n.sim.ScheduleTimer(at+n.cm.WireLatency, fl, n.procs[fl.msg.To])
 		return
 	}
 	fl.claim = true
-	n.sim.ScheduleTimer(at, fl)
+	n.sim.ScheduleTimer(at, fl, n.procs[fl.msg.To])
 }
 
 // Fire is the retransmission check armed by each attempt; it does nothing
@@ -462,7 +462,7 @@ func (fs *faultState) sendAck(at sim.Time, from, to int, got uint32) {
 		delay = 1 + sim.Time(fs.roll(pAckDelayAmt, at, from, to, got, int(draw))*float64(fs.plan.DelayMax))
 	}
 	fs.n.sim.ScheduleTimer(at+fs.n.cm.WireLatency+delay,
-		&ackTimer{fs: fs, from: from, to: to, below: lk.deliverSeq, got: got})
+		&ackTimer{fs: fs, from: from, to: to, below: lk.deliverSeq, got: got}, nil)
 }
 
 // EnableFaults switches the network onto the seeded fault plan and enables
@@ -484,6 +484,11 @@ func (n *Network) EnableFaults(plan FaultPlan) error {
 		nprocs: np,
 		links:  make([]relLink, np*np),
 	}
+	// Every attempt arms a retransmission timer aimed at its sender, so a
+	// processor with a frame unacked could never run ahead anyway: declare
+	// no lookahead, and a processor runs ahead only through sleeps that end
+	// before every pending event.
+	n.sim.SetLookahead(0)
 	return nil
 }
 

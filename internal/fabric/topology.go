@@ -189,6 +189,7 @@ func (n *Network) EnableTopology(t Topology) error {
 	}
 	ts.free = make([]sim.Time, resources)
 	n.topo = ts
+	n.declareLookahead(2 * ts.stage) // the shortest crossing: up one stage, down one
 	return nil
 }
 

@@ -148,9 +148,10 @@ type Options struct {
 	// Perf, when non-nil, accumulates host-side phase timings for this run
 	// into the registry's "phase_init_ns" (layout replay, image seeding,
 	// node construction), "phase_simulate_ns" (the event loop) and
-	// "phase_verify_ns" (stats aggregation + verification) counters. Phases
-	// read host clocks only — simulated statistics are identical with and
-	// without a registry; nil costs nothing (internal/perf).
+	// "phase_verify_ns" (stats aggregation + verification) counters, and
+	// the run's baton handoffs (sim.Simulator.Handoffs) into "sim_handoffs".
+	// Phases read host clocks only — simulated statistics are identical with
+	// and without a registry; nil costs nothing (internal/perf).
 	Perf *perf.Registry
 }
 
@@ -319,6 +320,7 @@ func RunWith(app App, impl core.Impl, nprocs int, cm fabric.CostModel, opts Opti
 		return Result{}, fmt.Errorf("run: %s on %v: %w", app.Name(), impl, err)
 	}
 	ph.End()
+	opts.Perf.Counter("sim_handoffs").Add(s.Handoffs())
 	ph = opts.Perf.StartPhase("verify")
 
 	res := Result{App: app.Name(), Impl: impl, NProcs: nprocs, LinkWait: net.LinkWait(), Faults: net.FaultStats()}

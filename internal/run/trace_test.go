@@ -3,13 +3,16 @@ package run_test
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ecvslrc/internal/apps"
 	"ecvslrc/internal/core"
 	"ecvslrc/internal/fabric"
 	"ecvslrc/internal/harness"
+	"ecvslrc/internal/perf"
 	"ecvslrc/internal/run"
+	"ecvslrc/internal/sim"
 	"ecvslrc/internal/trace"
 )
 
@@ -34,6 +37,90 @@ func TestTracingObservationOnly(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRunAheadMatchesTracedRun is the cross-layer differential for the
+// simulator's run-ahead: a tracer turns run-ahead off, so a traced run takes
+// every block and resume the old way. On cells where run-ahead is active —
+// contention, a Clos fabric, a large machine with notice GC and a barrier
+// tree, a watchdog firing mid-compute — the untraced result, per-processor
+// windows and final image included, must equal the traced one, and a stall
+// must read the same.
+func TestRunAheadMatchesTracedRun(t *testing.T) {
+	cells := []struct {
+		app, impl string
+		nprocs    int
+		scale     apps.Scale
+		opts      run.Options
+	}{
+		{"Water", "LRC-diff", 8, apps.Test, run.Options{Machine: run.Machine{Contention: true}}},
+		{"3D-FFT", "EC-time", 8, apps.Test, run.Options{Machine: run.Machine{Contention: true}}},
+		{"SOR+", "LRC-diff", 8, apps.Test, run.Options{Machine: run.Machine{Topology: &fabric.Topology{Radix: 4, Taper: 1}}}},
+		{"QS", "EC-diff", 8, apps.Test, run.Options{Machine: run.Machine{Topology: &fabric.Topology{Radix: 4, Taper: 1}, Contention: true}}},
+		{"3D-FFT", "EC-time", 32, apps.Large, run.Options{Machine: run.Machine{NoticeGC: true, BarrierFanIn: 16}}},
+		{"SOR", "LRC-diff", 64, apps.Large, run.Options{Machine: run.Machine{NoticeGC: true, BarrierFanIn: 16}}},
+		{"Water", "LRC-diff", 4, apps.Test, run.Options{Timeout: 20 * sim.Millisecond}},
+	}
+	for _, c := range cells {
+		impl, err := core.ParseImpl(c.impl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		once := func(tr *trace.Tracer) (run.Result, string) {
+			a, err := apps.New(c.app, c.scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := c.opts
+			opts.Trace, opts.KeepImage = tr, true
+			res, err := run.RunWith(a, impl, c.nprocs, fabric.DefaultCostModel(), opts)
+			if err != nil {
+				return res, err.Error()
+			}
+			return res, ""
+		}
+		plain, plainErr := once(nil)
+		traced, tracedErr := once(trace.NewProfiling(c.nprocs))
+		if plainErr != tracedErr {
+			t.Errorf("%s on %s, %d procs: untraced error %q, traced %q", c.app, c.impl, c.nprocs, plainErr, tracedErr)
+		}
+		if c.opts.Timeout > 0 && !strings.Contains(plainErr, "watchdog") {
+			t.Errorf("%s on %s: the watchdog did not fire mid-run: %q", c.app, c.impl, plainErr)
+		}
+		if !reflect.DeepEqual(plain, traced) {
+			t.Errorf("%s on %s, %d procs: untraced run diverged from the traced one:\n  untraced: %+v\n  traced:   %+v",
+				c.app, c.impl, c.nprocs, plain.Stats, traced.Stats)
+		}
+	}
+}
+
+// TestRunAheadHandoffCensus pins what run-ahead buys where it matters most:
+// untraced, Water/LRC-diff at 32 processors and large scale (the slowest
+// cell of the benchmark's scale_large) passes the baton at most 65 % as
+// often as traced, where every flush sleep is a block. Both counts come
+// from the cell's "sim_handoffs" registry counter.
+func TestRunAheadHandoffCensus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two 32-proc large-scale Water runs")
+	}
+	impl := core.Impl{Model: core.LRC, Trap: core.Twinning, Collect: core.Diffs}
+	handoffs := func(tr *trace.Tracer) int64 {
+		a, err := apps.New("Water", apps.Large)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := perf.New()
+		opts := run.Options{Machine: run.Machine{NoticeGC: true, BarrierFanIn: 16}, Trace: tr, Perf: reg}
+		if _, err := run.RunWith(a, impl, 32, fabric.DefaultCostModel(), opts); err != nil {
+			t.Fatal(err)
+		}
+		return reg.Counters()["sim_handoffs"]
+	}
+	untraced, traced := handoffs(nil), handoffs(trace.NewProfiling(32))
+	t.Logf("handoffs: %d untraced, %d traced", untraced, traced)
+	if untraced <= 0 || untraced*100 > traced*65 {
+		t.Errorf("untraced run made %d handoffs, traced %d: want at most 65 %%", untraced, traced)
 	}
 }
 

@@ -76,9 +76,9 @@ func (tl *timerLog) Fire(at Time) { tl.at = append(tl.at, at) }
 func TestScheduleTimerFiresInOrder(t *testing.T) {
 	s := New()
 	tl := &timerLog{}
-	s.ScheduleTimer(20*Microsecond, tl)
-	s.ScheduleTimer(10*Microsecond, tl)
-	s.ScheduleTimer(10*Microsecond, tl)
+	s.ScheduleTimer(20*Microsecond, tl, nil)
+	s.ScheduleTimer(10*Microsecond, tl, nil)
+	s.ScheduleTimer(10*Microsecond, tl, nil)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}

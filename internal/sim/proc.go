@@ -47,6 +47,19 @@ type Proc struct {
 	finishedAt Time
 	wakeGen    uint64  // invalidates stale sleep-wake events
 	callWaiter *Waiter // reused rendezvous for synchronous calls
+
+	// inbound counts what is aimed at this process and may act on it
+	// sooner than the lookahead: pending targeted timers plus AddInbound
+	// marks. A process with a non-zero tally never runs ahead.
+	inbound int
+	// script holds the sleeps taken while running ahead, after the first
+	// (which is queued as usual), for wake to replay: script[scriptHead:
+	// scriptLen] are still to come. It lives inline, so running ahead never
+	// allocates; a full script ends the run-ahead like a sleep that leaves
+	// the window.
+	script     [32]Time
+	scriptHead int
+	scriptLen  int
 }
 
 // killSignal is the sentinel panic value used to unwind a blocked process
@@ -72,18 +85,19 @@ func (p *Proc) FinishedAt() Time { return p.finishedAt }
 // top is the goroutine body wrapping the user function.
 func (p *Proc) top(body func(*Proc)) {
 	<-p.resume // wait for the first baton delivery
+	s := p.sim
 	if !p.killed {
 		p.runBody(body)
+		s.catchUp() // a body that returns ahead of the queue finishes on time
 	}
 	p.state = stateDone
-	p.finishedAt = p.sim.now
+	p.finishedAt = s.now
 	if p.killed {
-		p.sim.yield <- struct{}{} // acknowledge to killBlocked and exit
+		s.yield <- struct{}{} // acknowledge to killBlocked and exit
 		return
 	}
 	// The body returned with the baton held: keep driving the event loop,
 	// then pass the baton on (this goroutine is done and never resumes).
-	s := p.sim
 	if next := s.step(); next != nil {
 		next.resume <- struct{}{}
 		return
@@ -92,12 +106,14 @@ func (p *Proc) top(body func(*Proc)) {
 }
 
 // runBody executes the user function, capturing panics as the simulation's
-// failure. A killSignal unwind (Stop teardown) is not a failure.
+// failure. A killSignal unwind (Stop teardown) is not a failure. A panic
+// ends the run where it happened, ahead of the queue or not.
 func (p *Proc) runBody(body func(*Proc)) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, kill := r.(killSignal); !kill {
 				p.sim.failure = &procPanic{proc: p.name, value: r, stack: debug.Stack()}
+				p.sim.ahead = nil
 			}
 		}
 	}()
@@ -123,6 +139,7 @@ func (p *Proc) block(reason string) {
 	case next == p:
 		// Direct self-resume.
 	case next != nil:
+		s.handoffs++
 		next.resume <- struct{}{}
 		<-p.resume
 	default:
@@ -140,6 +157,13 @@ func (p *Proc) block(reason string) {
 
 // Sleep advances the process by d: the processor is busy (computing) for d of
 // simulated time. Handler work injected while sleeping extends the sleep.
+//
+// When the wake falls inside p's lookahead window (Simulator.window),
+// nothing can act on p before it, so p keeps the baton instead of blocking:
+// it runs ahead of the queue on a local clock, and each further sleep that
+// stays inside the window is appended to its script. The queue replays the
+// script in p's absence (Simulator.wake), and any other interaction — a
+// schedule, Park, Spawn, the body returning — first syncs.
 func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		panic("sim: negative sleep")
@@ -148,11 +172,50 @@ func (p *Proc) Sleep(d Time) {
 		return
 	}
 	s := p.sim
+	if s.ahead == p {
+		p.script[p.scriptLen] = d
+		p.scriptLen++
+		if s.now += d; s.now < s.limit && p.scriptLen < len(p.script) {
+			return
+		}
+		// The sleep leaves the window (or fills the script): it ends the
+		// script, and p waits for the replay. Work injected past the window
+		// may extend it, so its resume time is not asserted.
+		s.now, s.ahead = s.aheadFrom, nil
+		p.block("sleep")
+		return
+	}
+	limit := s.window(p)
 	p.busyUntil = s.now + d
 	p.wakeGen++
 	s.schedule(event{at: p.busyUntil, kind: kindSleepWake, p: p, gen: p.wakeGen})
+	if p.busyUntil < limit {
+		s.ahead, s.aheadFrom, s.limit = p, s.now, limit
+		s.now = p.busyUntil
+		return
+	}
 	p.block("sleep")
 }
+
+// sync ends p's run-ahead: p blocks as "sleep" while the queue catches up
+// and replays its script, and must resume exactly at the local clock it had
+// reached — nothing could act on it inside the window.
+func (p *Proc) sync() {
+	s := p.sim
+	local := s.now
+	s.now, s.ahead = s.aheadFrom, nil
+	p.block("sleep")
+	if s.now != local {
+		panic(fmt.Sprintf("sim: %s ran ahead to %v but resumed at %v: an event acted on it inside the lookahead window",
+			p.name, local, s.now))
+	}
+}
+
+// AddInbound adjusts p's inbound tally by delta. A sender marks the
+// destination (+1) from the moment it starts paying for a message until the
+// message's timer is scheduled (-1), so the destination does not run ahead
+// past an arrival the sender has not queued yet.
+func (p *Proc) AddInbound(delta int) { p.inbound += delta }
 
 // InjectWork charges d of CPU time to this process on behalf of an
 // asynchronous message handler (the SIGIO handler in the paper's systems).
@@ -174,6 +237,7 @@ func (p *Proc) InjectWork(d Time) {
 // Park blocks the process until some event unparks it via UnparkAt. Spurious
 // wake-ups are possible; callers must re-check their condition in a loop.
 func (p *Proc) Park(reason string) {
+	p.sim.catchUp()
 	p.parked = true
 	p.block(reason)
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"runtime/debug"
 )
 
@@ -19,7 +20,7 @@ type event struct {
 	seq  uint64
 	kind uint8
 	gen  uint64 // kindSleepWake: wake-generation guard
-	p    *Proc  // target of the typed kinds
+	p    *Proc  // target of the typed kinds; kindTimer: the process it acts on, or nil
 	fn   func() // kindFn only
 	t    Timer  // kindTimer only
 }
@@ -125,6 +126,18 @@ type Simulator struct {
 	// records that the horizon fired.
 	watchdog    Time
 	watchdogHit bool
+
+	// Run-ahead (see Proc.Sleep). lookahead is the declared bound: no event
+	// at time t acts on a process before t+lookahead unless it is aimed at
+	// that process. ahead is the process computing ahead of the queue, nil
+	// when none; while it is, now holds its local clock, aheadFrom the
+	// queue's clock, and limit the end of its window.
+	lookahead Time
+	ahead     *Proc
+	aheadFrom Time
+	limit     Time
+
+	handoffs int64 // baton passes from a blocking process to another
 }
 
 // New returns an empty simulator at time zero.
@@ -132,8 +145,22 @@ func New() *Simulator {
 	return &Simulator{done: make(chan struct{}), yield: make(chan struct{})}
 }
 
-// Now returns the current simulated time.
+// Now returns the current simulated time: a process running ahead of the
+// queue sees its own clock.
 func (s *Simulator) Now() Time { return s.now }
+
+// SetLookahead declares that nothing reaches a process sooner than l after
+// the event that causes it, except events aimed at it (ScheduleTimer's
+// target, Proc.AddInbound). A computing process with nothing aimed at it may
+// then run ahead of the queue by up to l past the earliest pending event;
+// the event order, and so every simulated result, is unchanged. Zero (the
+// default) still lets a process run through sleeps that end before any
+// pending event.
+func (s *Simulator) SetLookahead(l Time) { s.lookahead = l }
+
+// Handoffs returns how many times the baton passed from a blocking process
+// to another one — the goroutine switches the run cost.
+func (s *Simulator) Handoffs() int64 { return s.handoffs }
 
 // SetProbe installs the scheduler observation hook (nil to remove). Must be
 // called before Run; the probe only records, so probed runs are bit-identical
@@ -159,14 +186,20 @@ func (s *Simulator) Schedule(at Time, fn func()) {
 
 // ScheduleTimer registers t to fire at time at (>= Now) in scheduler context,
 // under the same same-instant ordering as Schedule, without allocating: the
-// target is stored inline in the event.
-func (s *Simulator) ScheduleTimer(at Time, t Timer) {
-	s.schedule(event{at: at, kind: kindTimer, t: t})
+// target is stored inline in the event. to, when non-nil, is the process the
+// firing acts on (injects work into, unparks); it counts toward to's inbound
+// tally until it fires, so to does not run ahead past it.
+func (s *Simulator) ScheduleTimer(at Time, t Timer, to *Proc) {
+	if to != nil {
+		to.inbound++
+	}
+	s.schedule(event{at: at, kind: kindTimer, t: t, p: to})
 }
 
 // schedule enqueues e (whose at must be >= Now), assigning its sequence
-// number.
+// number. A process running ahead first waits for the queue to catch up.
 func (s *Simulator) schedule(e event) {
+	s.catchUp()
 	if e.at < s.now {
 		panic(fmt.Sprintf("sim: schedule in the past: %v < %v", e.at, s.now))
 	}
@@ -184,7 +217,7 @@ func (s *Simulator) schedule(e event) {
 func (s *Simulator) dispatch(ev *event) *Proc {
 	if s.probe != nil {
 		pid := -1
-		if ev.p != nil {
+		if ev.p != nil && ev.kind != kindTimer {
 			pid = ev.p.id
 		}
 		s.probe.EventDispatched(ev.at, ev.kind, pid)
@@ -209,6 +242,9 @@ func (s *Simulator) dispatch(ev *event) *Proc {
 		}
 		return nil
 	case kindTimer:
+		if ev.p != nil {
+			ev.p.inbound--
+		}
 		ev.t.Fire(ev.at)
 		return nil
 	}
@@ -370,6 +406,7 @@ func (s *Simulator) pop() event {
 // begins at time 0 (or at the current time if spawned mid-run), and processes
 // spawned earlier get control first on ties.
 func (s *Simulator) Spawn(name string, body func(*Proc)) *Proc {
+	s.catchUp()
 	p := &Proc{
 		sim:    s,
 		id:     len(s.procs),
@@ -398,11 +435,54 @@ func (s *Simulator) wake(p *Proc) *Proc {
 		s.schedule(event{at: p.busyUntil, kind: kindRunProc, p: p})
 		return nil
 	}
+	if p.scriptHead < p.scriptLen {
+		// p ran ahead past this point: replay its next sleep with the calls
+		// its own Sleep would have made on resuming here, at the same
+		// position in event order.
+		d := p.script[p.scriptHead]
+		if p.scriptHead++; p.scriptHead == p.scriptLen {
+			p.scriptHead, p.scriptLen = 0, 0
+		}
+		p.busyUntil = s.now + d
+		p.wakeGen++
+		s.schedule(event{at: p.busyUntil, kind: kindSleepWake, p: p, gen: p.wakeGen})
+		return nil
+	}
 	p.state = stateRunning
 	if s.probe != nil {
 		s.probe.ProcResumed(s.now, p.id)
 	}
 	return p
+}
+
+// window returns the time p may run ahead to: the earliest pending event
+// (read before p's own wake is queued; the current instant while the batch
+// is non-empty) plus the lookahead, capped at the watchdog horizon. Nothing
+// bounds it when the queue is empty. A probed or stopped run, or a p with
+// something aimed at it, gets no window: a probe must see every block and
+// resume as it happens.
+func (s *Simulator) window(p *Proc) Time {
+	if s.probe != nil || s.stopped || p.inbound > 0 {
+		return s.now
+	}
+	limit := Time(math.MaxInt64)
+	if s.batchHead < len(s.batch) {
+		limit = s.now + s.lookahead
+	} else if e := s.peek(); e != nil {
+		limit = e.at + s.lookahead
+	}
+	if s.watchdog > 0 && limit > s.watchdog {
+		limit = s.watchdog + 1
+	}
+	return limit
+}
+
+// catchUp ends a run-ahead before the running process interacts with the
+// queue (see Proc.sync).
+func (s *Simulator) catchUp() {
+	if p := s.ahead; p != nil {
+		p.sync()
+	}
 }
 
 // Deadlock is returned by Run when the event queue drains while processes are
@@ -471,8 +551,10 @@ func (s *Simulator) Run() error {
 
 // Stop aborts the run at the end of the current event. Goroutines blocked on
 // their resume channel are not garbage-collectable, so Run terminates them
-// explicitly (via killBlocked) before returning. Intended for tests.
-func (s *Simulator) Stop() { s.stopped = true }
+// explicitly (via killBlocked) before returning. A process that stops the
+// run while ahead of the queue ends it at its own clock, as it would have
+// without running ahead. Intended for tests.
+func (s *Simulator) Stop() { s.stopped, s.ahead = true, nil }
 
 // killBlocked terminates every process goroutine still parked when a run
 // ends (stop, deadlock or failure): each one is resumed with the killed flag

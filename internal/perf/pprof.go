@@ -57,8 +57,12 @@ func StartProfiles(cpuPath, memPath string) (stop func() error, err error) {
 
 // SingleCellProcs pins a process that runs exactly one simulation to one P,
 // unless the GOMAXPROCS environment variable says otherwise. A cell is one
-// baton handed between goroutines, never two running at once: extra Ps add
-// no parallelism, only idle Ms spinning and futex wake-ups on every handoff.
+// baton moved between coroutines, never two running at once: extra Ps add
+// no parallelism. A coroutine switch never enters the scheduler, so a
+// second P no longer costs a wake-up per handoff, only room for idle Ms and
+// background work: Barnes-Hut/EC-time at paper scale simulates in 1.30 s on
+// one P and 1.34 s on two (medians of four runs, 2 vCPUs), where the
+// channel handoff it replaced took 1.40 and 2.04 s.
 func SingleCellProcs() {
 	if os.Getenv("GOMAXPROCS") == "" {
 		runtime.GOMAXPROCS(1)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -31,6 +32,43 @@ func TestScheduleAllocs(t *testing.T) {
 	})
 	if avg > 0 {
 		t.Errorf("schedule/dispatch cycle allocates %.2f objects per run, want 0", avg)
+	}
+}
+
+// TestHandoffAllocs guards the baton handoff: two processes sleeping in
+// lock-step with staggered phases (the sim.handoff_ns probe's shape) hand
+// the baton over on every wake, and once warm those handoffs allocate
+// nothing. Handoffs must count every one.
+func TestHandoffAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const warm, rounds = 8, 1000
+	s := New()
+	var m0, m1 runtime.MemStats
+	var h0, h1 int64
+	for i := 0; i < 2; i++ {
+		s.Spawn("p", func(p *Proc) {
+			p.Sleep(Time(i + 1))
+			for k := 0; k < warm+rounds; k++ {
+				if i == 0 && k == warm {
+					runtime.ReadMemStats(&m0)
+					h0 = s.Handoffs()
+				}
+				p.Sleep(2)
+			}
+			if i == 0 {
+				runtime.ReadMemStats(&m1)
+				h1 = s.Handoffs()
+			}
+		})
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := m1.Mallocs - m0.Mallocs; got != 0 {
+		t.Errorf("%d warm handoffs allocated %d objects, want 0", h1-h0, got)
+	}
+	if h1-h0 != 2*rounds {
+		t.Errorf("Handoffs counted %d over %d rounds of two processes, want %d", h1-h0, rounds, 2*rounds)
 	}
 }
 

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -61,6 +64,91 @@ func TestBatchedWakeHonoursInjectedWork(t *testing.T) {
 	}
 	if resumed != 15*Microsecond {
 		t.Errorf("b resumed at %v, want 15µs (10µs sleep + 5µs injected)", resumed)
+	}
+}
+
+// orderTag names one scheduled event by its place in the total order.
+type orderTag struct {
+	at  Time
+	seq uint64
+}
+
+// tagTimer logs its own tag when it fires.
+type tagTimer struct {
+	tag   orderTag
+	fired *[]orderTag
+}
+
+func (tt *tagTimer) Fire(Time) { *tt.fired = append(*tt.fired, tt.tag) }
+
+// TestEventOrderMatchesSort: seeded random interleavings of Schedule,
+// ScheduleTimer, same-instant events and batched wakes must dispatch in
+// exactly the (at, seq) order a sort of everything scheduled gives. Each
+// event logs the tag it was scheduled under when it fires (a process when
+// its wake resumes it); a probe keeps every sleep a queued wake.
+func TestEventOrderMatchesSort(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := New()
+		s.SetProbe(nopProbe{})
+		var scheduled, fired []orderTag
+		// event queues a callback or a timer between 0 and 3 µs from now;
+		// a callback may queue more.
+		var event func(depth int)
+		event = func(depth int) {
+			at := s.Now() + Time(rng.Intn(4))*Microsecond
+			if rng.Intn(2) == 0 {
+				tt := &tagTimer{fired: &fired}
+				s.ScheduleTimer(at, tt, nil)
+				tt.tag = orderTag{at, s.seq}
+				scheduled = append(scheduled, tt.tag)
+				return
+			}
+			var tag orderTag
+			s.Schedule(at, func() {
+				fired = append(fired, tag)
+				for n := rng.Intn(3); n > 0 && depth > 0; n-- {
+					event(depth - 1)
+				}
+			})
+			tag = orderTag{at, s.seq}
+			scheduled = append(scheduled, tag)
+		}
+		nprocs := 1 + rng.Intn(6)
+		next := make([]orderTag, nprocs)
+		for i := 0; i < nprocs; i++ {
+			s.Spawn("p", func(p *Proc) {
+				fired = append(fired, next[i])
+				for k := rng.Intn(20); k > 0; k-- {
+					for n := rng.Intn(3); n > 0; n-- {
+						event(2)
+					}
+					// Short sleeps keep several wakes on one instant.
+					d := Time(1+rng.Intn(2)) * Microsecond
+					next[i] = orderTag{p.Now() + d, s.seq + 1}
+					scheduled = append(scheduled, next[i])
+					p.Sleep(d)
+					fired = append(fired, next[i])
+				}
+			})
+			next[i] = orderTag{0, s.seq}
+			scheduled = append(scheduled, next[i])
+		}
+		for n := rng.Intn(8); n > 0; n-- {
+			event(3)
+		}
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		sort.Slice(scheduled, func(a, b int) bool {
+			if scheduled[a].at != scheduled[b].at {
+				return scheduled[a].at < scheduled[b].at
+			}
+			return scheduled[a].seq < scheduled[b].seq
+		})
+		if !reflect.DeepEqual(fired, scheduled) {
+			t.Fatalf("seed %d: dispatch order\n  got:  %v\n  want: %v", seed, fired, scheduled)
+		}
 	}
 }
 

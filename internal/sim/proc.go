@@ -26,15 +26,21 @@ func (st procState) String() string {
 	return "?"
 }
 
-// Proc is a simulated processor: a goroutine that runs application and
-// protocol code against the virtual clock. Exactly one Proc (or the
-// scheduler) executes at any instant; control moves by explicit handoff.
+// Proc is a simulated processor: a coroutine of Run that runs application
+// and protocol code against the virtual clock. Exactly one Proc (or Run)
+// executes at any instant; control moves by explicit coroutine switches.
 type Proc struct {
-	sim    *Simulator
-	id     int
-	name   string
-	resume chan struct{}
-	state  procState
+	sim   *Simulator
+	id    int
+	name  string
+	state procState
+
+	// The coroutine (iter.Pull over the body): Run calls resume to run the
+	// process until it yields or returns; the process yields to give the
+	// baton back, and yield returns false once killBlocked has called stop.
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
+	stop   func()
 
 	// busyUntil is the horizon before which this process may not resume:
 	// message handlers that ran on its behalf while it was blocked have
@@ -43,7 +49,7 @@ type Proc struct {
 
 	waitReason string
 	parked     bool
-	killed     bool // set by Simulator.killBlocked: unwind instead of resuming
+	killed     bool // stopped by Simulator.killBlocked: unwind instead of resuming
 	finishedAt Time
 	wakeGen    uint64  // invalidates stale sleep-wake events
 	callWaiter *Waiter // reused rendezvous for synchronous calls
@@ -62,9 +68,9 @@ type Proc struct {
 	scriptLen  int
 }
 
-// killSignal is the sentinel panic value used to unwind a blocked process
-// goroutine after Simulator.Stop; it is recovered in top and not treated as
-// a failure.
+// killSignal is the sentinel panic value used to unwind a suspended process
+// when its run ends; it is recovered in runBody and not treated as a
+// failure.
 type killSignal struct{}
 
 // ID returns the process's spawn index, used as the processor identifier.
@@ -82,32 +88,25 @@ func (p *Proc) Now() Time { return p.sim.now }
 // FinishedAt reports when the process body returned (valid after Run).
 func (p *Proc) FinishedAt() Time { return p.finishedAt }
 
-// top is the goroutine body wrapping the user function.
+// top is the coroutine body wrapping the user function. A process whose
+// body returned holds the baton: it drives the event loop once more and
+// yields the next process to Run by returning.
 func (p *Proc) top(body func(*Proc)) {
-	<-p.resume // wait for the first baton delivery
-	s := p.sim
-	if !p.killed {
-		p.runBody(body)
-		s.catchUp() // a body that returns ahead of the queue finishes on time
+	p.runBody(body)
+	if p.killed {
+		return
 	}
+	s := p.sim
 	p.state = stateDone
 	p.finishedAt = s.now
-	if p.killed {
-		s.yield <- struct{}{} // acknowledge to killBlocked and exit
-		return
-	}
-	// The body returned with the baton held: keep driving the event loop,
-	// then pass the baton on (this goroutine is done and never resumes).
-	if next := s.step(); next != nil {
-		next.resume <- struct{}{}
-		return
-	}
-	s.done <- struct{}{}
+	s.next = s.step()
 }
 
-// runBody executes the user function, capturing panics as the simulation's
-// failure. A killSignal unwind (Stop teardown) is not a failure. A panic
-// ends the run where it happened, ahead of the queue or not.
+// runBody executes the user function, then ends any run-ahead it returned
+// in (a body that returns ahead of the queue finishes on time), capturing
+// panics from either as the simulation's failure. A killSignal unwind (run
+// teardown) is not a failure. A panic ends the run where it happened, ahead
+// of the queue or not.
 func (p *Proc) runBody(body func(*Proc)) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -118,13 +117,15 @@ func (p *Proc) runBody(body func(*Proc)) {
 		}
 	}()
 	body(p)
+	p.sim.catchUp()
 }
 
 // block parks the process until it is resumed. The caller must have arranged
-// a wake-up (an event or a Waiter delivery). The blocking goroutine keeps
-// the baton and drives the event loop itself: when its own wake-up is the
-// next thing to run it simply continues — no channel operation, no context
-// switch — and otherwise it hands the baton straight to the next process.
+// a wake-up (an event or a Waiter delivery). The blocking process keeps the
+// baton and drives the event loop itself: when its own wake-up is the next
+// thing to run it simply continues — no switch at all — and otherwise it
+// names the next process (nil when the run is over) and yields to Run,
+// which resumes that one.
 func (p *Proc) block(reason string) {
 	if p.state != stateRunning {
 		panic(fmt.Sprintf("sim: block on non-running proc %s", p.name))
@@ -135,22 +136,16 @@ func (p *Proc) block(reason string) {
 	if s.probe != nil {
 		s.probe.ProcBlocked(s.now, p.id, reason)
 	}
-	switch next := s.step(); {
-	case next == p:
-		// Direct self-resume.
-	case next != nil:
-		s.handoffs++
-		next.resume <- struct{}{}
-		<-p.resume
-	default:
-		// The run is over (drain, failure or stop) while we are blocked:
-		// give the baton back to Run and park. We are woken again only by
-		// killBlocked after a Stop.
-		s.done <- struct{}{}
-		<-p.resume
-	}
-	if p.killed {
-		panic(killSignal{})
+	if next := s.step(); next != p {
+		if next != nil {
+			s.handoffs++
+		}
+		s.next = next
+		if !p.yield(struct{}{}) {
+			// The run ended while we were suspended: killBlocked stopped us.
+			p.killed = true
+			panic(killSignal{})
+		}
 	}
 	p.waitReason = ""
 }

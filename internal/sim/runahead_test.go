@@ -209,10 +209,12 @@ func FuzzRunAhead(f *testing.F) {
 	})
 }
 
-// TestRunAheadSyncAssertion breaks the lookahead on purpose: an untargeted
-// callback inside the window injects work into a process that ran past it.
-// The process's sync must catch the violation.
-func TestRunAheadSyncAssertion(t *testing.T) {
+// checkSyncAssertion breaks the lookahead on purpose: an untargeted callback
+// inside the window injects work into a process that ran past it, five
+// 50 µs sleeps, and then ends its run-ahead with last. The sync must catch
+// the violation and Run must return it.
+func checkSyncAssertion(t *testing.T, last func(s *Simulator, p *Proc)) {
+	t.Helper()
 	s := New()
 	s.SetLookahead(raLookahead)
 	var p0 *Proc
@@ -220,13 +222,24 @@ func TestRunAheadSyncAssertion(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			p.Sleep(50 * Microsecond)
 		}
-		s.Schedule(p.Now(), func() {}) // an interaction: sync
+		last(s, p)
 	})
 	s.Schedule(100*Microsecond, func() { p0.InjectWork(10 * Microsecond) })
 	err := s.Run()
 	if err == nil || !strings.Contains(err.Error(), "ran ahead to 250.0µs but resumed at 260.0µs") {
 		t.Fatalf("err = %v, want the sync assertion", err)
 	}
+}
+
+// TestRunAheadSyncAssertion: an interaction after the sleeps syncs.
+func TestRunAheadSyncAssertion(t *testing.T) {
+	checkSyncAssertion(t, func(s *Simulator, p *Proc) { s.Schedule(p.Now(), func() {}) })
+}
+
+// TestRunAheadSyncAssertionAtReturn: the body returning syncs, and the
+// violation found there is Run's error like any other, not a crash.
+func TestRunAheadSyncAssertionAtReturn(t *testing.T) {
+	checkSyncAssertion(t, func(*Simulator, *Proc) {})
 }
 
 // TestRunAheadPanicOrStop: a process that panics, or stops the run, while

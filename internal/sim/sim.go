@@ -2,12 +2,15 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"runtime/debug"
 )
 
 // event is a scheduled callback. Events at equal times fire in scheduling
-// order (seq), which is what makes the simulation deterministic.
+// order (seq), which is what makes the simulation deterministic. A queued
+// event lives in a slab slot (Simulator.slots) from schedule until step
+// takes it; the queues order only its key.
 //
 // The scheduler's own wake-ups (sleep expiry, deferred resume, unpark) are
 // encoded as typed events targeting a Proc instead of closures: they are by
@@ -59,43 +62,54 @@ type Timer interface {
 	Fire(at Time)
 }
 
-// eventLess orders events by (at, seq): earlier time first, scheduling order
-// on ties. seq is unique, so this is a strict total order.
-func eventLess(a, b *event) bool {
+// hkey is the heap's view of a queued event: its order, (at, seq), and the
+// slab slot holding its payload. Sifting 24-byte keys instead of whole
+// events is what keeps a push or pop cheap.
+type hkey struct {
+	at   Time
+	seq  uint64
+	slot int32
+}
+
+// keyLess orders keys by (at, seq): earlier time first, scheduling order on
+// ties. seq is unique, so this is a strict total order.
+func keyLess(a, b *hkey) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-// Simulator owns the virtual clock and the event queue, and coordinates the
-// coroutine handoff with processes. All simulation state (processes, protocol
-// structures, memory images) is mutated by exactly one goroutine at a time:
-// the holder of the scheduling baton. The baton starts with Run's goroutine
-// and travels with control: a process that blocks keeps the baton and drives
-// the event loop itself until some process must resume — itself (no channel
-// operations at all, the common case for an undisturbed Sleep) or another
-// process (one direct channel handoff). Run's goroutine sleeps until the
-// event queue drains. Compared to a dedicated scheduler goroutine this
-// halves (often eliminates) the context switches per simulated block/resume,
-// without changing the event order. No locking is needed anywhere in the
-// simulation.
+// Simulator owns the virtual clock and the event queue, and drives the
+// processes, which are coroutines of Run. All simulation state (processes,
+// protocol structures, memory images) is mutated by exactly one coroutine at
+// a time: the holder of the scheduling baton. Run's goroutine starts with
+// it; a process that blocks keeps it and drives the event loop itself until
+// some process must resume — itself (no switch at all, the common case for
+// an undisturbed Sleep) or another one, which the blocking process names in
+// next before yielding to Run, and Run resumes. A handoff is therefore two
+// coroutine switches (process → Run → process) that never enter the
+// runtime's scheduler, and the event order is exactly that of a dedicated
+// scheduler loop. No locking is needed anywhere in the simulation.
 type Simulator struct {
 	now Time
 	seq uint64
 
-	// queue is a value-based 4-ary min-heap ordered by eventLess. Storing
-	// events by value (rather than *event through container/heap's interface
-	// boxing) keeps Schedule/pop allocation-free in steady state.
-	queue []event
+	// queue is a 4-ary min-heap of keys ordered by keyLess; the payloads
+	// live in slots, and a slot freed by dispatch is reused through free.
+	// Both are reused in steady state, so Schedule and dispatch allocate
+	// nothing.
+	queue []hkey
+	slots []event
+	free  []int32
 
 	// nowQ is the fast path for the very common same-instant case
 	// (After(0, ...), Schedule(Now(), ...)): events scheduled for the
 	// current instant carry a seq greater than any queued event at this
-	// instant, so they form a FIFO that needs no heap sifting. nowHead
-	// indexes the first unconsumed entry; the backing array is reused once
-	// the instant drains.
-	nowQ    []event
+	// instant, so they form a FIFO of slots that needs no heap sifting.
+	// nowHead indexes the first unconsumed entry; the backing array is
+	// reused once the instant drains.
+	nowQ    []int32
 	nowHead int
 
 	// batch is the per-instant run queue: when dispatching an event resumes a
@@ -104,10 +118,11 @@ type Simulator struct {
 	// baton then travels straight down the batch — each blocking process takes
 	// the next entry without re-entering the queues — so all scheduler work
 	// for the instant happens on the carrier that first reached it. Entries
-	// are raw events, validated (wake generation, busyUntil, parked state)
-	// only when their turn comes, which keeps the dispatch order and every
-	// reschedule's sequence number identical to unbatched execution.
-	batch     []event
+	// are the slots of raw events, validated (wake generation, busyUntil,
+	// parked state) only when their turn comes, which keeps the dispatch
+	// order and every reschedule's sequence number identical to unbatched
+	// execution.
+	batch     []int32
 	batchHead int
 
 	// probe, when non-nil, observes dispatches and process resumes. The
@@ -115,9 +130,8 @@ type Simulator struct {
 	probe Probe
 
 	procs   []*Proc
-	done    chan struct{} // baton holder -> Run: the event queue drained
-	yield   chan struct{} // killed process -> killBlocked: unwound, baton back
-	failure error         // first panic captured from a process
+	next    *Proc // set by a process yielding to Run: who resumes next, nil when the run is over
+	failure error // first panic captured from a process
 	stopped bool
 
 	// watchdog, when > 0, is the virtual-time horizon past which the run is
@@ -141,9 +155,7 @@ type Simulator struct {
 }
 
 // New returns an empty simulator at time zero.
-func New() *Simulator {
-	return &Simulator{done: make(chan struct{}), yield: make(chan struct{})}
-}
+func New() *Simulator { return &Simulator{} }
 
 // Now returns the current simulated time: a process running ahead of the
 // queue sees its own clock.
@@ -159,7 +171,7 @@ func (s *Simulator) Now() Time { return s.now }
 func (s *Simulator) SetLookahead(l Time) { s.lookahead = l }
 
 // Handoffs returns how many times the baton passed from a blocking process
-// to another one — the goroutine switches the run cost.
+// to another one — each two coroutine switches (process → Run → process).
 func (s *Simulator) Handoffs() int64 { return s.handoffs }
 
 // SetProbe installs the scheduler observation hook (nil to remove). Must be
@@ -205,11 +217,30 @@ func (s *Simulator) schedule(e event) {
 	}
 	s.seq++
 	e.seq = s.seq
+	var slot int32
+	if n := len(s.free); n > 0 {
+		slot = s.free[n-1]
+		s.free = s.free[:n-1]
+		s.slots[slot] = e
+	} else {
+		slot = int32(len(s.slots))
+		s.slots = append(s.slots, e)
+	}
 	if e.at == s.now {
-		s.nowQ = append(s.nowQ, e)
+		s.nowQ = append(s.nowQ, slot)
 		return
 	}
-	s.heapPush(e)
+	s.heapPush(hkey{at: e.at, seq: e.seq, slot: slot})
+}
+
+// take copies the payload out of slot and frees the slot, releasing its
+// closure and process for GC. It runs before dispatch, which may schedule
+// and so grow the slab under any pointer into it.
+func (s *Simulator) take(slot int32) event {
+	ev := s.slots[slot]
+	s.slots[slot] = event{}
+	s.free = append(s.free, slot)
+	return ev
 }
 
 // dispatch runs one event with the baton held, returning the process that
@@ -256,8 +287,8 @@ func (s *Simulator) dispatch(ev *event) *Proc {
 // per-instant batch is drained first: its entries were popped ahead of the
 // queues and must fire before anything scheduled since. A panic in an event
 // callback is recorded as the run's failure and ends the run: the baton may
-// be held by any process goroutine, where an escaping panic would kill the
-// whole program (or be misattributed to the parked process).
+// be held by any process, where an escaping panic would unwind that
+// process's body and be misattributed to it.
 func (s *Simulator) step() (next *Proc) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -266,8 +297,7 @@ func (s *Simulator) step() (next *Proc) {
 		}
 	}()
 	for s.batchHead < len(s.batch) && s.failure == nil && !s.stopped {
-		ev := s.batch[s.batchHead]
-		s.batch[s.batchHead] = event{}
+		ev := s.take(s.batch[s.batchHead])
 		s.batchHead++
 		if s.batchHead == len(s.batch) {
 			s.batch = s.batch[:0]
@@ -279,13 +309,15 @@ func (s *Simulator) step() (next *Proc) {
 		}
 	}
 	for s.pending() && s.failure == nil && !s.stopped {
-		if s.watchdog > 0 && s.peek().at > s.watchdog {
+		slot := s.peek()
+		if s.watchdog > 0 && s.slots[slot].at > s.watchdog {
 			// The next event lies beyond the watchdog horizon: declare the
 			// run stalled without advancing the clock past the limit.
 			s.watchdogHit = true
 			return nil
 		}
-		ev := s.pop()
+		s.pop(slot)
+		ev := s.take(slot)
 		s.now = ev.at
 		if p := s.dispatch(&ev); p != nil {
 			s.batchWakes()
@@ -295,19 +327,21 @@ func (s *Simulator) step() (next *Proc) {
 	return nil
 }
 
-// peek returns the event that pop would remove next, or nil.
-func (s *Simulator) peek() *event {
+// peek returns the slot of the next event in (at, seq) order across the
+// same-instant FIFO and the heap, or -1 when both are empty.
+func (s *Simulator) peek() int32 {
 	if s.nowHead < len(s.nowQ) {
-		front := &s.nowQ[s.nowHead]
-		if len(s.queue) == 0 || eventLess(front, &s.queue[0]) {
+		front := s.nowQ[s.nowHead]
+		e := &s.slots[front]
+		if len(s.queue) == 0 || keyLess(&hkey{at: e.at, seq: e.seq}, &s.queue[0]) {
 			return front
 		}
-		return &s.queue[0]
+		return s.queue[0].slot
 	}
 	if len(s.queue) > 0 {
-		return &s.queue[0]
+		return s.queue[0].slot
 	}
-	return nil
+	return -1
 }
 
 // batchWakes extends the per-instant batch: consecutive pending wake-up
@@ -319,21 +353,25 @@ func (s *Simulator) peek() *event {
 // queue of processes). Entries stay unvalidated; see the batch field.
 func (s *Simulator) batchWakes() {
 	for {
-		e := s.peek()
-		if e == nil || e.at != s.now || e.kind == kindFn || e.kind == kindTimer {
+		slot := s.peek()
+		if slot < 0 {
 			return
 		}
-		s.batch = append(s.batch, s.pop())
+		if e := &s.slots[slot]; e.at != s.now || e.kind == kindFn || e.kind == kindTimer {
+			return
+		}
+		s.pop(slot)
+		s.batch = append(s.batch, slot)
 	}
 }
 
-// heapPush inserts e into the 4-ary heap.
-func (s *Simulator) heapPush(e event) {
-	q := append(s.queue, e)
+// heapPush inserts k into the 4-ary heap.
+func (s *Simulator) heapPush(k hkey) {
+	q := append(s.queue, k)
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) >> 2
-		if !eventLess(&q[i], &q[parent]) {
+		if !keyLess(&q[i], &q[parent]) {
 			break
 		}
 		q[i], q[parent] = q[parent], q[i]
@@ -342,13 +380,11 @@ func (s *Simulator) heapPush(e event) {
 	s.queue = q
 }
 
-// heapPop removes and returns the minimum event of the 4-ary heap.
-func (s *Simulator) heapPop() event {
+// heapPop removes the minimum key of the 4-ary heap.
+func (s *Simulator) heapPop() {
 	q := s.queue
-	top := q[0]
 	last := len(q) - 1
 	e := q[last]
-	q[last] = event{} // release the closure for GC
 	q = q[:last]
 	s.queue = q
 	if last > 0 {
@@ -364,11 +400,11 @@ func (s *Simulator) heapPop() event {
 				end = last
 			}
 			for c := first + 1; c < end; c++ {
-				if eventLess(&q[c], &q[min]) {
+				if keyLess(&q[c], &q[min]) {
 					min = c
 				}
 			}
-			if !eventLess(&q[min], &e) {
+			if !keyLess(&q[min], &e) {
 				break
 			}
 			q[i] = q[min]
@@ -376,7 +412,6 @@ func (s *Simulator) heapPop() event {
 		}
 		q[i] = e
 	}
-	return top
 }
 
 // pending reports whether any event remains in either queue.
@@ -384,38 +419,39 @@ func (s *Simulator) pending() bool {
 	return len(s.queue) > 0 || s.nowHead < len(s.nowQ)
 }
 
-// pop removes the globally minimum event across the heap and the
-// same-instant FIFO. The selection is delegated to peek, so the batch
-// look-ahead (which peeks, then pops) can never disagree with it.
-func (s *Simulator) pop() event {
-	front := s.peek()
-	if s.nowHead < len(s.nowQ) && front == &s.nowQ[s.nowHead] {
-		e := *front
-		*front = event{} // release the closure and proc for GC
+// pop removes slot, which peek has just returned, from the same-instant
+// FIFO or the heap; the slot itself stays allocated until take. Taking
+// peek's answer keeps the batch look-ahead and step from ever disagreeing
+// with it.
+func (s *Simulator) pop(slot int32) {
+	if s.nowHead < len(s.nowQ) && s.nowQ[s.nowHead] == slot {
 		s.nowHead++
 		if s.nowHead == len(s.nowQ) {
 			s.nowQ = s.nowQ[:0]
 			s.nowHead = 0
 		}
-		return e
+		return
 	}
-	return s.heapPop()
+	s.heapPop()
 }
 
 // Spawn creates a process that will execute body when Run starts. The process
 // begins at time 0 (or at the current time if spawned mid-run), and processes
-// spawned earlier get control first on ties.
+// spawned earlier get control first on ties. The body runs as a coroutine of
+// Run (iter.Pull); a process stopped before its first resume never runs it.
 func (s *Simulator) Spawn(name string, body func(*Proc)) *Proc {
 	s.catchUp()
 	p := &Proc{
-		sim:    s,
-		id:     len(s.procs),
-		name:   name,
-		resume: make(chan struct{}),
-		state:  stateBlocked,
+		sim:   s,
+		id:    len(s.procs),
+		name:  name,
+		state: stateBlocked,
 	}
+	p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		p.top(body)
+	})
 	s.procs = append(s.procs, p)
-	go p.top(body)
 	s.schedule(event{at: s.now, kind: kindRunProc, p: p})
 	return p
 }
@@ -468,8 +504,8 @@ func (s *Simulator) window(p *Proc) Time {
 	limit := Time(math.MaxInt64)
 	if s.batchHead < len(s.batch) {
 		limit = s.now + s.lookahead
-	} else if e := s.peek(); e != nil {
-		limit = e.at + s.lookahead
+	} else if slot := s.peek(); slot >= 0 {
+		limit = s.slots[slot].at + s.lookahead
 	}
 	if s.watchdog > 0 && limit > s.watchdog {
 		limit = s.watchdog + 1
@@ -517,24 +553,24 @@ func (st *Stalled) Error() string {
 // panics. It returns nil when every spawned process has finished, a *Deadlock
 // if some are still blocked, or the captured panic as an error.
 func (s *Simulator) Run() error {
-	if p := s.step(); p != nil {
-		// Hand the baton into the process web; it returns on s.done when the
-		// queue drains (every handoff in between is proc-to-proc).
-		p.resume <- struct{}{}
-		<-s.done
+	// Each process yields back here naming the next one to resume (nil when
+	// the run is over); the baton never passes directly between processes.
+	for p := s.step(); p != nil; p = s.next {
+		s.next = nil
+		p.resume()
 	}
 	// Gather the blocked set for the deadlock report before the teardown
-	// below releases those goroutines.
+	// below stops those coroutines.
 	var blocked []string
 	for _, p := range s.procs {
 		if p.state != stateDone {
 			blocked = append(blocked, fmt.Sprintf("%s(%s)", p.name, p.waitReason))
 		}
 	}
-	// The run is over in every branch from here: release parked process
-	// goroutines so stopped, deadlocked and failed runs do not leak them
-	// (goroutines blocked on channels are never garbage collected). A stop or
-	// failure may abandon prefetched batch entries; drop them with the run.
+	// The run is over in every branch from here: stop suspended process
+	// coroutines so stopped, deadlocked and failed runs do not leak their
+	// goroutines, which are never garbage collected. A stop or failure may
+	// abandon prefetched batch entries; drop them with the run.
 	s.batch, s.batchHead = nil, 0
 	s.killBlocked()
 	if s.failure != nil {
@@ -549,26 +585,24 @@ func (s *Simulator) Run() error {
 	return nil
 }
 
-// Stop aborts the run at the end of the current event. Goroutines blocked on
-// their resume channel are not garbage-collectable, so Run terminates them
-// explicitly (via killBlocked) before returning. A process that stops the
-// run while ahead of the queue ends it at its own clock, as it would have
-// without running ahead. Intended for tests.
+// Stop aborts the run at the end of the current event. Suspended process
+// coroutines are not garbage-collectable, so Run stops them explicitly (via
+// killBlocked) before returning. A process that stops the run while ahead of
+// the queue ends it at its own clock, as it would have without running
+// ahead. Intended for tests.
 func (s *Simulator) Stop() { s.stopped, s.ahead = true, nil }
 
-// killBlocked terminates every process goroutine still parked when a run
-// ends (stop, deadlock or failure): each one is resumed with the killed flag
-// set, unwinds via a sentinel panic recovered in Proc.top, and exits.
-// Without this, repeated terminated runs accumulate goroutines forever.
+// killBlocked stops every process coroutine still suspended when a run ends
+// (stop, deadlock or failure): its pending yield returns false, and it
+// unwinds via a sentinel panic recovered in Proc.runBody. One that never
+// started exits without running its body. Without this, repeated terminated
+// runs accumulate goroutines forever.
 func (s *Simulator) killBlocked() {
 	for _, p := range s.procs {
-		if p.state == stateDone {
-			continue
+		if p.state != stateDone {
+			p.stop()
+			p.state, p.finishedAt = stateDone, s.now
 		}
-		p.killed = true
-		p.state = stateRunning
-		p.resume <- struct{}{}
-		<-s.yield
 	}
 }
 

@@ -151,8 +151,9 @@ func BenchmarkHarnessTable3(b *testing.B) {
 // selection. They report allocs/op so regressions in the allocation-free
 // design are caught by inspection of the benchmark output.
 
-// BenchmarkSimSchedule measures a schedule/dispatch cycle through both the
-// same-instant FIFO and the time-ordered heap. Steady state is zero allocs.
+// BenchmarkSimSchedule measures a schedule/dispatch cycle through the event
+// heap, one event at the current instant and three later. Steady state is
+// zero allocs.
 func BenchmarkSimSchedule(b *testing.B) {
 	s := sim.New()
 	fn := func() {}

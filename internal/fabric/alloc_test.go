@@ -188,12 +188,11 @@ func TestPayloadRoundTripEveryVariant(t *testing.T) {
 	check("reply", echoed)
 }
 
-// TestBatchedWakesKeepLinkClaimOrder pins the interplay between the sim's
-// per-instant wake batching and contention mode: three senders wake at the
-// same virtual instant (a batched resume chain) and send concurrently; their
-// shared-link claims must still serialize in process schedule order with the
-// exact queueing delays of unbatched execution.
-func TestBatchedWakesKeepLinkClaimOrder(t *testing.T) {
+// TestSameInstantSendersKeepLinkClaimOrder pins the interplay between
+// same-instant wakes and contention mode: three senders wake at the same
+// virtual instant and send concurrently; their shared-link claims must
+// serialize in process schedule order with exact queueing delays.
+func TestSameInstantSendersKeepLinkClaimOrder(t *testing.T) {
 	const size = 4000
 	cm := flatCost()
 	cm.LinkPerByte = 100 * sim.Nanosecond

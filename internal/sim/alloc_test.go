@@ -9,7 +9,7 @@ import (
 )
 
 // TestScheduleAllocs guards the event loop's allocation behaviour: in steady
-// state, Schedule and event dispatch reuse the heap and same-instant queue
+// state, Schedule and event dispatch reuse the heap, slot and free-list
 // backing arrays, so a schedule/run cycle performs no per-event allocations
 // beyond the caller's own closure.
 func TestScheduleAllocs(t *testing.T) {
@@ -23,8 +23,8 @@ func TestScheduleAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		s.Schedule(s.Now(), fn)             // same-instant fast path
-		s.Schedule(s.Now()+Microsecond, fn) // heap path
+		s.Schedule(s.Now(), fn) // same instant
+		s.Schedule(s.Now()+Microsecond, fn)
 		s.Schedule(s.Now()+2*Microsecond, fn)
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
@@ -72,9 +72,9 @@ func TestHandoffAllocs(t *testing.T) {
 	}
 }
 
-// TestStopReleasesGoroutines guards the Stop leak fix: goroutines of blocked
-// processes must exit once a stopped Run returns, instead of staying parked
-// on their resume channels forever.
+// TestStopReleasesGoroutines guards the Stop leak fix: the coroutines of
+// blocked processes must exit once a stopped Run returns, instead of staying
+// suspended forever.
 func TestStopReleasesGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {

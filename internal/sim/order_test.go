@@ -7,11 +7,10 @@ import (
 	"testing"
 )
 
-// TestSameInstantWakeBatchOrder pins the per-instant batching rule: when
-// several processes become runnable at one virtual instant, they are drained
-// through the batch in schedule order, and a plain callback scheduled between
-// them (which is never batched) still fires at its sequence position.
-func TestSameInstantWakeBatchOrder(t *testing.T) {
+// TestSameInstantWakeOrder: when several processes become runnable at one
+// virtual instant, they resume in schedule order, and a plain callback
+// scheduled before them still fires at its sequence position.
+func TestSameInstantWakeOrder(t *testing.T) {
 	s := New()
 	var log []string
 	// The callback is scheduled before Run, so its sequence number precedes
@@ -41,17 +40,16 @@ func TestSameInstantWakeBatchOrder(t *testing.T) {
 	}
 }
 
-// TestBatchedWakeHonoursInjectedWork: a process already prefetched into the
-// per-instant batch must still defer its resume when an earlier process in
-// the chain injects handler work into it, exactly as unbatched validation
-// would.
-func TestBatchedWakeHonoursInjectedWork(t *testing.T) {
+// TestSameInstantWakeHonoursInjectedWork: a process whose wake is already
+// queued at the current instant must still defer its resume when a process
+// resumed earlier at that instant injects handler work into it.
+func TestSameInstantWakeHonoursInjectedWork(t *testing.T) {
 	s := New()
 	var resumed Time
 	var pB *Proc
 	pA := s.Spawn("a", func(p *Proc) {
 		p.Sleep(10 * Microsecond)
-		// Both wakes landed on the batch; b must now wait out the extra work.
+		// b's wake is queued at this instant; b must now wait out the extra work.
 		pB.InjectWork(5 * Microsecond)
 	})
 	pB = s.Spawn("b", func(p *Proc) {
@@ -82,7 +80,7 @@ type tagTimer struct {
 func (tt *tagTimer) Fire(Time) { *tt.fired = append(*tt.fired, tt.tag) }
 
 // TestEventOrderMatchesSort: seeded random interleavings of Schedule,
-// ScheduleTimer, same-instant events and batched wakes must dispatch in
+// ScheduleTimer, same-instant events and process wakes must dispatch in
 // exactly the (at, seq) order a sort of everything scheduled gives. Each
 // event logs the tag it was scheduled under when it fires (a process when
 // its wake resumes it); a probe keeps every sleep a queued wake.

@@ -226,7 +226,7 @@ func (p *Proc) InjectWork(d Time) {
 	}
 	p.busyUntil += d
 	// Any pending sleep-wake or unpark event will observe the moved horizon
-	// via runProc's busyUntil check and reschedule itself.
+	// via wake's busyUntil check and reschedule itself.
 }
 
 // Park blocks the process until some event unparks it via UnparkAt. Spurious

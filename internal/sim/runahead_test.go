@@ -204,6 +204,10 @@ func FuzzRunAhead(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 6, 0, 40, 0, 7, 30, 1, 0, 20, 0, 4, 0, 1, 5, 7, 90, 0})
 	f.Add([]byte{3, 4, 9, 7, 60, 1, 0, 30, 0, 4, 9, 2, 2, 6, 50, 3, 5, 20, 0, 8, 7, 7, 1})
+	// Three processes wake together at 10 µs; the first runs ahead through
+	// three 100 µs sleeps while the other two wakes are still queued at that
+	// instant, which bounds its window.
+	f.Add([]byte{2, 1, 4, 0, 1, 0, 0, 19, 0, 0, 19, 0, 0, 19, 0, 1, 0, 1, 0, 1, 0, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkRunAhead(t, decodeProgram(data))
 	})

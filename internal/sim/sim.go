@@ -10,7 +10,7 @@ import (
 // event is a scheduled callback. Events at equal times fire in scheduling
 // order (seq), which is what makes the simulation deterministic. A queued
 // event lives in a slab slot (Simulator.slots) from schedule until step
-// takes it; the queues order only its key.
+// takes it; the heap orders only its key.
 //
 // The scheduler's own wake-ups (sleep expiry, deferred resume, unpark) are
 // encoded as typed events targeting a Proc instead of closures: they are by
@@ -95,35 +95,14 @@ type Simulator struct {
 	now Time
 	seq uint64
 
-	// queue is a 4-ary min-heap of keys ordered by keyLess; the payloads
-	// live in slots, and a slot freed by dispatch is reused through free.
-	// Both are reused in steady state, so Schedule and dispatch allocate
-	// nothing.
+	// queue is the event queue: a 4-ary min-heap of keys ordered by keyLess,
+	// so it alone decides the order of every event, same-instant ones
+	// included. The payloads live in slots, and a slot freed by dispatch is
+	// reused through free. All three are reused in steady state, so Schedule
+	// and dispatch allocate nothing.
 	queue []hkey
 	slots []event
 	free  []int32
-
-	// nowQ is the fast path for the very common same-instant case
-	// (After(0, ...), Schedule(Now(), ...)): events scheduled for the
-	// current instant carry a seq greater than any queued event at this
-	// instant, so they form a FIFO of slots that needs no heap sifting.
-	// nowHead indexes the first unconsumed entry; the backing array is
-	// reused once the instant drains.
-	nowQ    []int32
-	nowHead int
-
-	// batch is the per-instant run queue: when dispatching an event resumes a
-	// process, every immediately following event at the same instant that is
-	// itself a process wake-up is popped ahead of time into this FIFO. The
-	// baton then travels straight down the batch — each blocking process takes
-	// the next entry without re-entering the queues — so all scheduler work
-	// for the instant happens on the carrier that first reached it. Entries
-	// are the slots of raw events, validated (wake generation, busyUntil,
-	// parked state) only when their turn comes, which keeps the dispatch
-	// order and every reschedule's sequence number identical to unbatched
-	// execution.
-	batch     []int32
-	batchHead int
 
 	// probe, when non-nil, observes dispatches and process resumes. The
 	// disabled path costs one nil check per event.
@@ -226,10 +205,6 @@ func (s *Simulator) schedule(e event) {
 		slot = int32(len(s.slots))
 		s.slots = append(s.slots, e)
 	}
-	if e.at == s.now {
-		s.nowQ = append(s.nowQ, slot)
-		return
-	}
 	s.heapPush(hkey{at: e.at, seq: e.seq, slot: slot})
 }
 
@@ -283,12 +258,10 @@ func (s *Simulator) dispatch(ev *event) *Proc {
 }
 
 // step drains events until some process must resume (returned marked
-// running) or the run is over (nil). Called by the baton holder. The
-// per-instant batch is drained first: its entries were popped ahead of the
-// queues and must fire before anything scheduled since. A panic in an event
-// callback is recorded as the run's failure and ends the run: the baton may
-// be held by any process, where an escaping panic would unwind that
-// process's body and be misattributed to it.
+// running) or the run is over (nil). Called by the baton holder. A panic in
+// an event callback is recorded as the run's failure and ends the run: the
+// baton may be held by any process, where an escaping panic would unwind
+// that process's body and be misattributed to it.
 func (s *Simulator) step() (next *Proc) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -296,87 +269,39 @@ func (s *Simulator) step() (next *Proc) {
 			next = nil
 		}
 	}()
-	for s.batchHead < len(s.batch) && s.failure == nil && !s.stopped {
-		ev := s.take(s.batch[s.batchHead])
-		s.batchHead++
-		if s.batchHead == len(s.batch) {
-			s.batch = s.batch[:0]
-			s.batchHead = 0
-		}
-		if p := s.dispatch(&ev); p != nil {
-			s.batchWakes()
-			return p
-		}
-	}
-	for s.pending() && s.failure == nil && !s.stopped {
-		slot := s.peek()
-		if s.watchdog > 0 && s.slots[slot].at > s.watchdog {
+	for len(s.queue) > 0 && s.failure == nil && !s.stopped {
+		top := s.queue[0]
+		if s.watchdog > 0 && top.at > s.watchdog {
 			// The next event lies beyond the watchdog horizon: declare the
 			// run stalled without advancing the clock past the limit.
 			s.watchdogHit = true
 			return nil
 		}
-		s.pop(slot)
-		ev := s.take(slot)
+		s.heapPop()
+		ev := s.take(top.slot)
 		s.now = ev.at
 		if p := s.dispatch(&ev); p != nil {
-			s.batchWakes()
 			return p
 		}
 	}
 	return nil
 }
 
-// peek returns the slot of the next event in (at, seq) order across the
-// same-instant FIFO and the heap, or -1 when both are empty.
-func (s *Simulator) peek() int32 {
-	if s.nowHead < len(s.nowQ) {
-		front := s.nowQ[s.nowHead]
-		e := &s.slots[front]
-		if len(s.queue) == 0 || keyLess(&hkey{at: e.at, seq: e.seq}, &s.queue[0]) {
-			return front
-		}
-		return s.queue[0].slot
-	}
-	if len(s.queue) > 0 {
-		return s.queue[0].slot
-	}
-	return -1
-}
-
-// batchWakes extends the per-instant batch: consecutive pending wake-up
-// events at the current instant are popped into the batch so the processes
-// they resume are handed the baton one after another without queue re-entry.
-// The look-ahead stops at the first callback or timer event (those may mutate
-// state the later wake-ups' validation depends on only in the same ways a
-// process run can, but keeping them in the queues keeps the batch a pure run
-// queue of processes). Entries stay unvalidated; see the batch field.
-func (s *Simulator) batchWakes() {
-	for {
-		slot := s.peek()
-		if slot < 0 {
-			return
-		}
-		if e := &s.slots[slot]; e.at != s.now || e.kind == kindFn || e.kind == kindTimer {
-			return
-		}
-		s.pop(slot)
-		s.batch = append(s.batch, slot)
-	}
-}
-
-// heapPush inserts k into the 4-ary heap.
+// heapPush inserts k into the 4-ary heap. Parents move down into the hole
+// and k is written once, as in heapPop: an event at the current instant
+// climbs all the way to the root.
 func (s *Simulator) heapPush(k hkey) {
 	q := append(s.queue, k)
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) >> 2
-		if !keyLess(&q[i], &q[parent]) {
+		if !keyLess(&k, &q[parent]) {
 			break
 		}
-		q[i], q[parent] = q[parent], q[i]
+		q[i] = q[parent]
 		i = parent
 	}
+	q[i] = k
 	s.queue = q
 }
 
@@ -412,27 +337,6 @@ func (s *Simulator) heapPop() {
 		}
 		q[i] = e
 	}
-}
-
-// pending reports whether any event remains in either queue.
-func (s *Simulator) pending() bool {
-	return len(s.queue) > 0 || s.nowHead < len(s.nowQ)
-}
-
-// pop removes slot, which peek has just returned, from the same-instant
-// FIFO or the heap; the slot itself stays allocated until take. Taking
-// peek's answer keeps the batch look-ahead and step from ever disagreeing
-// with it.
-func (s *Simulator) pop(slot int32) {
-	if s.nowHead < len(s.nowQ) && s.nowQ[s.nowHead] == slot {
-		s.nowHead++
-		if s.nowHead == len(s.nowQ) {
-			s.nowQ = s.nowQ[:0]
-			s.nowHead = 0
-		}
-		return
-	}
-	s.heapPop()
 }
 
 // Spawn creates a process that will execute body when Run starts. The process
@@ -492,20 +396,17 @@ func (s *Simulator) wake(p *Proc) *Proc {
 }
 
 // window returns the time p may run ahead to: the earliest pending event
-// (read before p's own wake is queued; the current instant while the batch
-// is non-empty) plus the lookahead, capped at the watchdog horizon. Nothing
-// bounds it when the queue is empty. A probed or stopped run, or a p with
-// something aimed at it, gets no window: a probe must see every block and
-// resume as it happens.
+// (read before p's own wake is queued) plus the lookahead, capped at the
+// watchdog horizon. Nothing bounds it when the queue is empty. A probed or
+// stopped run, or a p with something aimed at it, gets no window: a probe
+// must see every block and resume as it happens.
 func (s *Simulator) window(p *Proc) Time {
 	if s.probe != nil || s.stopped || p.inbound > 0 {
 		return s.now
 	}
 	limit := Time(math.MaxInt64)
-	if s.batchHead < len(s.batch) {
-		limit = s.now + s.lookahead
-	} else if slot := s.peek(); slot >= 0 {
-		limit = s.slots[slot].at + s.lookahead
+	if len(s.queue) > 0 {
+		limit = s.queue[0].at + s.lookahead
 	}
 	if s.watchdog > 0 && limit > s.watchdog {
 		limit = s.watchdog + 1
@@ -569,9 +470,7 @@ func (s *Simulator) Run() error {
 	}
 	// The run is over in every branch from here: stop suspended process
 	// coroutines so stopped, deadlocked and failed runs do not leak their
-	// goroutines, which are never garbage collected. A stop or failure may
-	// abandon prefetched batch entries; drop them with the run.
-	s.batch, s.batchHead = nil, 0
+	// goroutines, which are never garbage collected.
 	s.killBlocked()
 	if s.failure != nil {
 		return s.failure

@@ -183,7 +183,8 @@ type DSM interface {
 	Barrier(b BarrierID)
 
 	// Bind associates shared ranges with lock l (EC only; no-op for LRC).
-	// Every processor must issue identical initial bindings. Bind does not
+	// Every processor must issue identical initial bindings (EC panics on a
+	// mismatch, naming the lock and both range lists). Bind does not
 	// retain rs: the implementation copies what it needs, so a caller
 	// binding many locks may pass one reused slice and change it afterwards.
 	Bind(l LockID, rs ...mem.Range)

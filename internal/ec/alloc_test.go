@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"unsafe"
 
 	"ecvslrc/internal/core"
 	"ecvslrc/internal/fabric"
@@ -149,7 +150,7 @@ func TestBindOwnsRanges(t *testing.T) {
 		n.Release(3)
 		arg[0], arg[1] = mem.Range{Base: 4000, Len: 4000}, mem.Range{}
 		for l := range want {
-			b := n.binding(core.LockID(l))
+			b := &n.ls(core.LockID(l)).b
 			if fmt.Sprint(b.ranges) != fmt.Sprint(want[l]) {
 				t.Errorf("lock %d bound to %v, want %v", l, b.ranges, want[l])
 			}
@@ -163,41 +164,129 @@ func TestBindOwnsRanges(t *testing.T) {
 		}
 		n.Bind(9, big...)
 		big[0].Len = 0
-		if got := n.binding(9).ranges; len(got) != len(big) || got[0].Len != 4 {
+		if got := n.ls(9).b.ranges; len(got) != len(big) || got[0].Len != 4 {
 			t.Errorf("a binding larger than a slab block was not copied: %d ranges, first %v", len(got), got[0])
 		}
 	})
 }
 
-// TestLockTableChunks: lock ids arrive in any order, with gaps (3D-FFT's
+// slotOf returns lock l's slot at n without making it: nil if n has not
+// used l.
+func slotOf(n *Node, l core.LockID) *lockState {
+	if c := int(l) / lockChunk; c < len(n.lockSt) && n.lockSt[c] != nil {
+		if st := &n.lockSt[c][int(l)%lockChunk]; st.b.version != 0 {
+			return st
+		}
+	}
+	return nil
+}
+
+// TestLockTableSlots: lock ids arrive in any order, with gaps (3D-FFT's
 // second lock family starts at 5001) and above 2^16 (3D-FFT at 256
-// processors); every id resolves to one slot that never moves, and chunks no
-// lock was named in stay unallocated.
-func TestLockTableChunks(t *testing.T) {
+// processors); every id resolves to one slot of its own, made by the node's
+// first use and not by Bind, that never moves while further slabs are
+// carved; ids the node bound but never used have no slot, and chunks no
+// used id falls in are not allocated.
+func TestLockTableSlots(t *testing.T) {
 	newTestNode(t, core.Impl{Model: core.EC, Trap: core.CompilerInstr, Collect: core.Timestamps}, func(n *Node) {
 		ids := []core.LockID{5001, 3, 1<<16 + 77, 0, 5000, lockChunk, 131072, lockChunk - 1, 9097}
+		for l := core.LockID(0); l <= 131072; l++ {
+			n.Bind(l, mem.Range{Base: mem.Addr(4 * (l % 1024)), Len: 4})
+		}
+		if len(n.lockSt) != 0 {
+			t.Fatalf("Bind made a lock table of %d chunks", len(n.lockSt))
+		}
 		slots := make(map[core.LockID]*lockState)
-		for i, l := range ids {
+		touch := func(l core.LockID) {
 			st := n.ls(l)
-			st.inc = int32(i + 1)
+			st.inc = int32(l) + 1
 			slots[l] = st
 		}
-		for i, l := range ids {
-			if st := n.ls(l); st != slots[l] || st.inc != int32(i+1) {
-				t.Errorf("lock %d: slot moved or shared (inc %d, want %d)", l, st.inc, i+1)
+		for _, l := range ids {
+			touch(l)
+		}
+		// One lock in each of several slabs' worth of further chunks.
+		for l := core.LockID(10000); l < 10000+3*lockSlab*lockChunk; l += lockChunk {
+			touch(l)
+		}
+		for l, st := range slots {
+			if got := n.ls(l); got != st || got.inc != int32(l)+1 || got.b.version != 1 {
+				t.Errorf("lock %d: slot moved or shared (inc %d, version %d)", l, got.inc, got.b.version)
 			}
 		}
-		touched := make(map[int]bool)
-		for _, l := range ids {
-			touched[int(l)/lockChunk] = true
+		if want := (131072 + lockChunk) / lockChunk; len(n.lockSt) != want {
+			t.Errorf("table covers %d chunks, want every bound id's (%d)", len(n.lockSt), want)
 		}
-		if want := 131072/lockChunk + 1; len(n.lockSt) != want {
-			t.Errorf("table has %d chunk slots, want %d", len(n.lockSt), want)
+		used := make(map[int]bool)
+		for l := range slots {
+			used[int(l)/lockChunk] = true
 		}
 		for c, ch := range n.lockSt {
-			if (ch != nil) != touched[c] {
-				t.Errorf("chunk %d: allocated %v, want %v", c, ch != nil, touched[c])
+			if (ch != nil) != used[c] {
+				t.Errorf("chunk %d: allocated %v, used %v", c, ch != nil, used[c])
+			}
+		}
+		for l := core.LockID(0); l <= 131072; l++ {
+			if (slotOf(n, l) != nil) != (slots[l] != nil) {
+				t.Errorf("lock %d: has a slot %v, used %v", l, slotOf(n, l) != nil, slots[l] != nil)
 			}
 		}
 	})
+}
+
+// TestLockTableStaysSparse: a node's lock table costs the locks it uses, not
+// the locks the cell binds. 3D-FFT at 64 processors binds 8192 locks (ids
+// 1..9096) on every processor; a processor then uses the blocks it writes,
+// the blocks it reads and the locks it manages (id % 64 == self, whose
+// first grant it makes) — about 380, as every processor of the real cell
+// but processor 0 (which gathers the result) does, in about 205 chunks.
+// Its table must hold no more than 8x the bytes of those slots plus
+// perLockID bytes per lock id (a chunk pointer per lockChunk ids and one
+// bound bit); the table this replaced held a 128-byte slot per lock id.
+func TestLockTableStaysSparse(t *testing.T) {
+	const nprocs, maxFactor, perLockID = 64, 8, 2
+	lockA := func(q, p int) core.LockID { return core.LockID(1 + 64*q + p) }
+	lockB := func(q, p int) core.LockID { return core.LockID(5001 + 64*q + p) }
+	impl := core.Impl{Model: core.EC, Trap: core.Twinning, Collect: core.Timestamps}
+	slotBytes := unsafe.Sizeof(lockState{})
+	binds := newTestCell(t, nprocs, impl, func(self int, n *Node) {
+		for q := 0; q < nprocs; q++ {
+			for p := 0; p < nprocs; p++ {
+				n.Bind(lockA(q, p), mem.Range{Base: mem.Addr(64 * p), Len: 64})
+				n.Bind(lockB(q, p), mem.Range{Base: mem.Addr(4096 + 64*p), Len: 64})
+			}
+		}
+		used := make(map[core.LockID]bool)
+		for _, lock := range []func(q, p int) core.LockID{lockA, lockB} {
+			for q := 0; q < nprocs; q++ {
+				used[lock(self, q)] = true // writer self
+				used[lock(q, self)] = true // reader self
+				for p := 0; p < nprocs; p++ {
+					if l := lock(q, p); int(l)%nprocs == self {
+						used[l] = true // managed: the first owner
+					}
+				}
+			}
+		}
+		for l := range used {
+			n.ls(l)
+		}
+		touched, chunks := len(used), 0
+		for _, ch := range n.lockSt {
+			if ch != nil {
+				chunks++
+			}
+		}
+		slabs := (chunks + len(n.slab)) / lockSlab
+		got := uintptr(cap(n.lockSt))*unsafe.Sizeof(n.lockSt[0]) + uintptr(cap(n.bound))*8 +
+			uintptr(slabs*lockSlab)*unsafe.Sizeof(n.slab[0])
+		ids := len(n.binds.b)
+		if limit := maxFactor*uintptr(touched)*slotBytes + perLockID*uintptr(ids); got > limit {
+			t.Errorf("proc %d: %d slots used (%d B) of %d lock ids hold %d B of table, over %dx + %d B per id = %d B",
+				self, touched, uintptr(touched)*slotBytes, ids, got, maxFactor, perLockID, limit)
+		}
+	})
+	if ids := 5001 + 64*64; len(binds.b) != ids {
+		t.Errorf("the cell's table holds %d ids, want %d", len(binds.b), ids)
+	}
 }

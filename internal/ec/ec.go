@@ -24,11 +24,12 @@ import (
 )
 
 // binding records the data associated with a lock; it lives by value in the
-// lock's state slot. Version counts rebinds so that a grant after a Rebind
-// conservatively carries the full bound data (Section 7.1, "Rebinding");
-// version 0 is "never bound". The ranges are immutable once set (Bind and
-// Rebind copy them into the node's slab, a grant hands over the owner's), so
-// nodes, twins and grant bodies may alias them freely.
+// cell's Bindings (version 1) and in each lock state slot. Version counts
+// rebinds so that a grant after a Rebind conservatively carries the full
+// bound data (Section 7.1, "Rebinding"); version 0 is "never bound". The
+// ranges are immutable once set (Bind and Rebind copy them into the cell's
+// range slab, a grant hands over the owner's), so nodes, twins and grant
+// bodies may alias them freely.
 type binding struct {
 	ranges  []mem.Range
 	pages   []int32 // sorted pages of a large object; built on first use
@@ -149,11 +150,73 @@ type lockState struct {
 	knownInc []int32
 }
 
-// lockChunk is the number of lock-state slots allocated together.
-const lockChunk = 256
+// lockChunk is the number of lock slots, consecutive by id, that a node
+// makes together; lockSlab is the number of chunks one allocation holds.
+const (
+	lockChunk = 8
+	lockSlab  = 8
+)
 
 // rangeSlabLen is the number of bound ranges one slab block holds.
 const rangeSlabLen = 256
+
+// Bindings is one cell's table of initial (version-1) bindings, shared by
+// all of its EC nodes. Bind is a static declaration issued identically on
+// every processor, so the first node to bind a lock records its ranges and
+// every later Bind of the lock only checks that it names the same ones. The
+// protocol never writes the table: a node copies a binding's header into
+// its own lock slot on first use, and Rebind and stale-binding grants change
+// only that slot. The nodes of a cell run one at a time, so the table needs
+// no lock. The zero value is an empty table.
+type Bindings struct {
+	b []binding // by lock id; version 0: not bound
+
+	// slab is the unused tail of the current block bound ranges are copied
+	// into: one allocation per block instead of one per lock.
+	slab []mem.Range
+}
+
+// bind records rs as lock l's initial binding, or checks that it is the one
+// already recorded; proc is the binding processor, for the panic message.
+func (t *Bindings) bind(l core.LockID, rs []mem.Range, proc int) {
+	if int(l) >= len(t.b) {
+		if int(l) >= cap(t.b) {
+			// Double: the cell's first Bind of each lock grows the table by
+			// one id. The ids past len are zero (never written), unbound.
+			t.b = append(make([]binding, 0, max(int(l)+1, 2*cap(t.b))), t.b...)
+		}
+		t.b = t.b[:int(l)+1]
+	}
+	b := &t.b[l]
+	if b.version == 0 {
+		b.version = 1
+		b.setRanges(t.own(rs))
+		return
+	}
+	if !slices.Equal(b.ranges, rs) {
+		panic(fmt.Sprintf("ec: processor %d binds lock %d to %v, but it is bound to %v elsewhere (Bind must be issued identically on every processor)",
+			proc, l, rs, b.ranges))
+	}
+}
+
+// own copies rs into the table's slab, so a binding retains nothing of the
+// caller and its ranges never change under the twins and grant bodies that
+// alias them.
+func (t *Bindings) own(rs []mem.Range) []mem.Range {
+	if len(rs) == 0 {
+		return nil
+	}
+	if len(rs) > len(t.slab) {
+		if len(rs) > rangeSlabLen/2 {
+			return slices.Clone(rs) // would waste most of a block: its own array
+		}
+		t.slab = make([]mem.Range, rangeSlabLen)
+	}
+	own := t.slab[:len(rs):len(rs)]
+	t.slab = t.slab[len(rs):]
+	copy(own, rs)
+	return own
+}
 
 // Node is one processor's EC engine. It implements core.DSM.
 type Node struct {
@@ -163,16 +226,21 @@ type Node struct {
 	locks *syncmgr.LockMgr
 	bars  *syncmgr.BarrierMgr
 
-	// lockSt is the lock table, indexed by LockID / lockChunk then LockID %
-	// lockChunk. Chunks are allocated when a lock in them is first named and
-	// never move, so slot pointers stay valid and growth copies only chunk
-	// pointers; ids may arrive in any order and with gaps. Every processor
-	// binds every lock, so the table is O(locks) per node whatever it holds.
-	lockSt []*[lockChunk]lockState
+	// binds is the cell's table of initial bindings; bit l of bound is set
+	// once this node has issued Bind(l).
+	binds *Bindings
+	bound []uint64
 
-	// rangeSlab is the unused tail of the current block bound ranges are
-	// copied into: one allocation per block instead of one per lock.
-	rangeSlab []mem.Range
+	// lockSt is the lock table: lock l's state is slot l%lockChunk of
+	// chunk l/lockChunk, live once its binding version is non-zero. A chunk
+	// is carved from the current slab when the node first requests, grants
+	// or applies a lock in it (touch), and slabs never move, so a slot
+	// pointer stays valid while other slots are made. The table costs a
+	// chunk per group of lockChunk ids the node uses and one pointer per
+	// group of ids the cell binds — a node uses a small fraction of the
+	// locks.
+	lockSt []*[lockChunk]lockState
+	slab   [][lockChunk]lockState // unused tail of the current slab
 
 	freeGrants []*grantBody        // grant bodies this node built, returned for reuse
 	freeTwins  []*wtrap.ObjectTwin // harvested small-object twins
@@ -191,58 +259,59 @@ type Node struct {
 	// are consumed (stamped or diffed) before the next harvest
 }
 
-// ls returns the state slot of lock l.
+// ls returns the state slot of lock l, making it on this node's first use.
 func (n *Node) ls(l core.LockID) *lockState {
-	if c := int(l) / lockChunk; c < len(n.lockSt) {
+	if c := uint(l) / lockChunk; c < uint(len(n.lockSt)) {
 		if ch := n.lockSt[c]; ch != nil {
-			return &ch[int(l)%lockChunk]
+			if st := &ch[uint(l)%lockChunk]; st.b.version != 0 {
+				return st
+			}
 		}
 	}
-	return n.newLockChunk(l)
+	return n.touch(l)
 }
 
-// newLockChunk allocates the chunk holding l and returns l's slot.
-func (n *Node) newLockChunk(l core.LockID) *lockState {
+// touch makes lock l's slot on this node's first use of l, from the cell's
+// initial binding: the slot copies the binding header and shares its
+// ranges, which is safe because bound ranges are immutable. The lock must be
+// bound, by this node or another.
+func (n *Node) touch(l core.LockID) *lockState {
+	if uint(l) >= uint(len(n.binds.b)) || n.binds.b[l].version == 0 {
+		panic(fmt.Sprintf("ec: lock %d has no bound data", l))
+	}
 	c := int(l) / lockChunk
 	if c >= len(n.lockSt) {
-		n.lockSt = append(n.lockSt, make([]*[lockChunk]lockState, c+1-len(n.lockSt))...)
+		// Cover every id bound so far, so a program that binds before it
+		// synchronises sizes the table once.
+		n.lockSt = append(n.lockSt, make([]*[lockChunk]lockState, (len(n.binds.b)+lockChunk-1)/lockChunk-len(n.lockSt))...)
 	}
-	n.lockSt[c] = new([lockChunk]lockState)
-	return &n.lockSt[c][int(l)%lockChunk]
-}
-
-// ownRanges copies rs into the node's slab, so a binding retains nothing of
-// the caller and its ranges never change under the twins and grant bodies
-// that alias them.
-func (n *Node) ownRanges(rs []mem.Range) []mem.Range {
-	if len(rs) == 0 {
-		return nil
-	}
-	if len(rs) > len(n.rangeSlab) {
-		if len(rs) > rangeSlabLen/2 {
-			return slices.Clone(rs) // would waste most of a block: its own array
+	ch := n.lockSt[c]
+	if ch == nil {
+		if len(n.slab) == 0 {
+			n.slab = make([][lockChunk]lockState, lockSlab)
 		}
-		n.rangeSlab = make([]mem.Range, rangeSlabLen)
+		ch, n.slab = &n.slab[0], n.slab[1:]
+		n.lockSt[c] = ch
 	}
-	own := n.rangeSlab[:len(rs):len(rs)]
-	n.rangeSlab = n.rangeSlab[len(rs):]
-	copy(own, rs)
-	return own
+	st := &ch[int(l)%lockChunk]
+	st.b = n.binds.b[l]
+	return st
 }
 
-// New builds the EC node for processor p with a zeroed private image.
-// impl.Model must be core.EC.
+// New builds the EC node for processor p with a zeroed private image and a
+// binding table of its own. impl.Model must be core.EC.
 func New(p *sim.Proc, net *fabric.Network, al *mem.Allocator, nprocs int, impl core.Impl) *Node {
-	return NewWithImage(p, net, al, nprocs, impl, mem.NewImage(al.Size()))
+	return NewWithImage(p, net, al, nprocs, impl, mem.NewImage(al.Size()), new(Bindings))
 }
 
-// NewWithImage is New with a caller-provided (possibly recycled) image; the
-// caller must overwrite it in full before the simulation starts.
-func NewWithImage(p *sim.Proc, net *fabric.Network, al *mem.Allocator, nprocs int, impl core.Impl, im *mem.Image) *Node {
+// NewWithImage is New with a caller-provided (possibly recycled) image, which
+// the caller must overwrite in full before the simulation starts, and the
+// cell's binding table, which every EC node of the cell shares.
+func NewWithImage(p *sim.Proc, net *fabric.Network, al *mem.Allocator, nprocs int, impl core.Impl, im *mem.Image, binds *Bindings) *Node {
 	if impl.Model != core.EC || !impl.Valid() {
 		panic(fmt.Sprintf("ec: bad implementation %v", impl))
 	}
-	n := &Node{impl: impl}
+	n := &Node{impl: impl, binds: binds}
 	n.InitWithImage(p, net, al, core.EC, nprocs, im)
 	n.locks = syncmgr.NewLockMgr(p, net, nprocs, (*lockHooks)(n), &n.Cnt)
 	n.bars = syncmgr.NewBarrierMgr(p, net, nprocs, nilBarrierHooks{}, &n.Cnt)
@@ -287,15 +356,24 @@ func (n *Node) handle(hc *fabric.HandlerCtx, m fabric.Msg) {
 }
 
 // Bind implements core.DSM: associates ranges with l. Must be issued
-// identically on every processor before the lock is first transferred. The
-// ranges are copied: rs is the caller's to reuse.
+// identically on every processor; the first Bind of l in the cell records
+// the ranges (copied: rs is the caller's to reuse) and every later one
+// panics unless it names the same ranges. Bind creates no lock slot: a node
+// that uses l before its own Bind starts from the recorded binding.
 func (n *Node) Bind(l core.LockID, rs ...mem.Range) {
-	b := &n.ls(l).b
-	if b.version != 0 {
+	w, bit := int(l)/64, uint64(1)<<(uint(l)%64)
+	if w >= len(n.bound) {
+		// Cover every id the cell has bound, as touch does for the table.
+		n.bound = append(n.bound, make([]uint64, max(w+1, (len(n.binds.b)+63)/64)-len(n.bound))...)
+	}
+	if n.bound[w]&bit != 0 {
 		panic(fmt.Sprintf("ec: lock %d already bound (use Rebind)", l))
 	}
-	b.version = 1
-	n.bindRanges(l, b, n.ownRanges(rs))
+	n.bound[w] |= bit
+	n.binds.bind(l, rs, n.P.ID())
+	for _, r := range rs {
+		n.Tr.Bind(n.P.Now(), n.P.ID(), int(l), int(r.Base), r.Len)
+	}
 }
 
 // bindRanges makes rs (immutable from here on) the data bound to l.
@@ -314,27 +392,19 @@ func (n *Node) Rebind(l core.LockID, rs ...mem.Range) {
 	if !held || mode != syncmgr.Exclusive {
 		panic(fmt.Sprintf("ec: Rebind(%d) without holding the lock exclusively", l))
 	}
-	b := n.binding(l)
+	st := n.ls(l)
 	// Harvest the open epoch against the OLD binding first, so pending
 	// changes are not mis-scanned against the new ranges.
-	hwork := n.harvest(l)
+	hwork := n.harvest(l, st)
 	n.Tr.Work(n.P.Now(), n.P.ID(), trace.WorkTrapDiff, trace.ObjLock, int(l), hwork)
 	n.Charge(hwork)
 	// Every post-rebind transfer is a conservative full send, so diffs
 	// against the old binding can never be needed again.
-	n.dropDiffs(n.ls(l))
-	b.version++
-	n.bindRanges(l, b, n.ownRanges(rs))
+	n.dropDiffs(st)
+	st.b.version++
+	n.bindRanges(l, &st.b, n.binds.own(rs))
 	// Re-open the epoch for the new ranges: the holder may write them.
-	n.openEpoch(l)
-}
-
-func (n *Node) binding(l core.LockID) *binding {
-	b := &n.ls(l).b
-	if b.version == 0 {
-		panic(fmt.Sprintf("ec: lock %d has no bound data", l))
-	}
-	return b
+	n.openEpoch(l, st)
 }
 
 // dropDiffs empties st's diff list, keeping its capacity but not the diffs.
@@ -392,11 +462,10 @@ func (n *Node) onFault(a mem.Addr, write bool) {
 	n.MMU.SetProt(pg, vm.ReadWrite)
 }
 
-// openEpoch prepares write trapping for a newly acquired exclusive lock and
-// advances the lock's incarnation number.
-func (n *Node) openEpoch(l core.LockID) {
-	st := n.ls(l)
-	b := n.binding(l)
+// openEpoch prepares write trapping for a newly acquired exclusive lock l
+// with state slot st.
+func (n *Node) openEpoch(l core.LockID, st *lockState) {
+	b := &st.b
 	st.dirty = true
 	if n.impl.Trap != core.Twinning {
 		return
@@ -440,16 +509,15 @@ func (n *Node) openEpoch(l core.LockID) {
 	}
 }
 
-// harvest closes the open write epoch of l: it discovers the changed words
-// via the trapping mechanism and records them for collection (stamping them
-// or building a diff). Returns the CPU cost.
-func (n *Node) harvest(l core.LockID) sim.Time {
-	st := n.ls(l)
+// harvest closes the open write epoch of l, whose state slot is st: it
+// discovers the changed words via the trapping mechanism and records them
+// for collection (stamping them or building a diff). Returns the CPU cost.
+func (n *Node) harvest(l core.LockID, st *lockState) sim.Time {
 	if !st.dirty {
 		return 0
 	}
 	st.dirty = false
-	b := n.binding(l)
+	b := &st.b
 	changed := n.changed[:0]
 	var work sim.Time
 
@@ -595,7 +663,8 @@ func (h *lockHooks) node() *Node { return (*Node)(h) }
 // MakeLockRequest sends our incarnation number and binding version.
 func (h *lockHooks) MakeLockRequest(l core.LockID, mode syncmgr.Mode) (fabric.Payload, int) {
 	n := h.node()
-	p := fabric.Payload{C: n.ls(l).inc, D: n.binding(l).version, Flag: n.nextNoData}
+	st := n.ls(l)
+	p := fabric.Payload{C: st.inc, D: st.b.version, Flag: n.nextNoData}
 	return p, acqPayloadBytes
 }
 
@@ -604,9 +673,9 @@ func (h *lockHooks) MakeLockRequest(l core.LockID, mode syncmgr.Mode) (fabric.Pa
 func (h *lockHooks) MakeLockGrant(l core.LockID, mode syncmgr.Mode, req fabric.Payload, requester int) (fabric.Payload, int, sim.Time) {
 	n := h.node()
 	reqInc, reqBind, noData := req.C, req.D, req.Flag
-	b := n.binding(l)
-	work := n.harvest(l)
 	st := n.ls(l)
+	b := &st.b
+	work := n.harvest(l, st)
 
 	g := n.newGrant()
 	grant := fabric.Payload{C: st.inc, D: b.version, Body: g}
@@ -679,8 +748,8 @@ func (h *lockHooks) ApplyLockGrant(l core.LockID, mode syncmgr.Mode, payload fab
 	n := h.node()
 	ownerInc, bindVersion := payload.C, payload.D
 	g := payload.Body.(*grantBody)
-	b := n.binding(l)
 	st := n.ls(l)
+	b := &st.b
 	var work sim.Time
 
 	if g.Ranges != nil {
@@ -737,7 +806,7 @@ func (h *lockHooks) ApplyLockGrant(l core.LockID, mode syncmgr.Mode, payload fab
 		if !n.nextNoData {
 			// An acquire-for-rebind skips the epoch on the old binding;
 			// Rebind opens one on the new ranges.
-			n.openEpoch(l)
+			n.openEpoch(l, st)
 		} else {
 			st.dirty = false
 		}
@@ -755,12 +824,13 @@ func (h *lockHooks) LocalReacquire(l core.LockID, mode syncmgr.Mode) {
 	if mode != syncmgr.Exclusive {
 		return
 	}
-	rwork := n.harvest(l) // close any previous un-harvested epoch
+	st := n.ls(l)
+	rwork := n.harvest(l, st) // close any previous un-harvested epoch
 	n.Tr.Work(n.P.Now(), n.P.ID(), trace.WorkTrapDiff, trace.ObjLock, int(l), rwork)
 	n.Charge(rwork)
-	n.ls(l).inc++
+	st.inc++
 	if !n.nextNoData {
-		n.openEpoch(l)
+		n.openEpoch(l, st)
 	}
 }
 

@@ -269,8 +269,12 @@ func RunWith(app App, impl core.Impl, nprocs int, cm fabric.CostModel, opts Opti
 	images := make([]*mem.Image, nprocs)
 	starts := make([]func(), nprocs)
 	var lrcNodes []*lrc.Node
-	if impl.Model == core.LRC {
+	var binds *ec.Bindings // the EC nodes' shared initial bindings
+	switch impl.Model {
+	case core.LRC:
 		lrcNodes = make([]*lrc.Node, 0, nprocs)
+	case core.EC:
+		binds = new(ec.Bindings)
 	}
 	for i := 0; i < nprocs; i++ {
 		i := i
@@ -282,7 +286,7 @@ func RunWith(app App, impl core.Impl, nprocs int, cm fabric.CostModel, opts Opti
 		im := mem.RecycledImage(al.Size())
 		switch impl.Model {
 		case core.EC:
-			n := ec.NewWithImage(p, net, al, nprocs, impl, im)
+			n := ec.NewWithImage(p, net, al, nprocs, impl, im, binds)
 			n.Im.CopyFrom(initIm)
 			nodes[i], images[i] = n, n.Im
 			if sa != nil {

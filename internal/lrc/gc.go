@@ -17,18 +17,22 @@
 // Keying rule. Retained state is consulted by exactly three futures, and
 // each gets its own floor:
 //
-//   - Interval records at node y serve two purposes: forwarding to peers
-//     (collectNotices sends only records past the requester's vector, and
-//     every vector is at least minVec[q] = min over nodes of vec[q]), and
-//     happens-before ordering of y's OWN access misses (the merge in
-//     accessMiss consults record (q,j) only for j inside one of y's pending
-//     fetch windows (applied, noticed]). So records of writer q at node y are
-//     dead up to recFloor_y[q] = min(minVec[q], min applied over y's own
-//     pending windows for q); for y == q additionally capped by
-//     lastBarrierSent, since q's next barrier arrival re-sends its own
-//     records past that mark. Re-absorption of a pruned record is
-//     impossible — a node's vector covers every record it ever absorbed,
-//     so peers never resend them (the violation counter enforces this).
+//   - Interval records live once per run, in the History log of their
+//     writer; node y holds writer q's records (floor_y[q], held_y[q]] of
+//     it. They serve y two purposes: forwarding to peers (collectNotices
+//     sends only records past the requester's vector, and every vector is
+//     at least minVec[q] = min over nodes of vec[q]), and happens-before
+//     ordering of y's OWN access misses (the merge in accessMiss consults
+//     record (q,j) only for j inside one of y's pending fetch windows
+//     (applied, noticed]). So records of writer q at node y are dead up to
+//     min(minVec[q], min applied over y's own pending windows for q); for
+//     y == q additionally capped by lastBarrierSent, since q's next barrier
+//     arrival re-sends its own records past that mark. A pass raises
+//     floor_y[q] to that line (a floor never falls), then trims each
+//     writer's log below the lowest floor of any node. Re-absorption of a
+//     pruned record is impossible — a node's vector covers every record it
+//     ever absorbed, so peers never resend them (the violation counter
+//     enforces this).
 //
 //   - Diffs live at their writer and are served only to fetch windows on
 //     one page. A node with a window (applied, noticed] never asks below
@@ -54,7 +58,8 @@ package lrc
 // Attach with NewGC before the simulation starts; it fires once per barrier.
 type GC struct {
 	nodes  []*Node
-	minVec []int32 // scratch: min over nodes of vec[q]
+	minVec []int32 // scratch: min over nodes of vec[q], then of floor[q]
+	dead   []int32 // scratch: one node's record kill line per writer
 	report GCReport
 }
 
@@ -82,10 +87,9 @@ func NewGC(nodes []*Node) *GC {
 		return nil
 	}
 	nprocs := nodes[0].Base.NProcs
-	g := &GC{nodes: nodes, minVec: make([]int32, nprocs)}
+	g := &GC{nodes: nodes, minVec: make([]int32, nprocs), dead: make([]int32, nprocs)}
 	for _, n := range nodes {
 		n.gc = g
-		n.recFloor = make([]int32, nprocs)
 		n.diffFloor = make(map[int]int32)
 	}
 	return g
@@ -106,26 +110,11 @@ func (g *GC) NoticeBytes() int64 {
 }
 
 // NoticeHistoryBytes is one node's share of the notice-history footprint:
-// retained interval records plus the node's own stored diffs, in wire bytes.
-// The runner reports the machine-wide sum so GC-off and GC-on footprints
-// compare directly.
-func (n *Node) NoticeHistoryBytes() int64 {
-	var b int64
-	for _, recs := range n.records {
-		for _, r := range recs {
-			b += int64(r.wire)
-		}
-	}
-	for _, pm := range n.meta {
-		if pm == nil {
-			continue
-		}
-		for _, idf := range pm.diffs {
-			b += int64(idf.Diff.WireSize())
-		}
-	}
-	return b
-}
+// the interval records it holds plus its own stored diffs, in wire bytes, as
+// if each node kept its own copies (the log shares them, but the footprint
+// is the protocol's). The runner reports the machine-wide sum so GC-off and
+// GC-on footprints compare directly. The node keeps it as a running count.
+func (n *Node) NoticeHistoryBytes() int64 { return n.noticeBytes }
 
 const gcMaxIdx = int32(1<<31 - 1)
 
@@ -146,43 +135,52 @@ func (g *GC) collect() {
 		}
 	}
 
-	// Per-node record floors and pruning.
+	// Per-node record floors: the held records at or below the kill line
+	// are pruned.
+	dead := g.dead
 	for _, n := range g.nodes {
 		self := n.P.ID()
-		for q := range n.recFloor {
-			n.recFloor[q] = g.minVec[q]
-		}
-		if n.lastBarrierSent < n.recFloor[self] {
-			n.recFloor[self] = n.lastBarrierSent
+		copy(dead, g.minVec)
+		if n.lastBarrierSent < dead[self] {
+			dead[self] = n.lastBarrierSent
 		}
 		for _, pm := range n.meta {
 			if pm == nil {
 				continue
 			}
 			for _, w := range pm.writers {
-				if w.noticed > w.applied && w.applied < n.recFloor[w.proc] {
-					n.recFloor[w.proc] = w.applied
+				if w.noticed > w.applied && w.applied < dead[w.proc] {
+					dead[w.proc] = w.applied
 				}
 			}
 		}
-		for q := range n.records {
-			recs := n.records[q]
-			cut := 0
-			for cut < len(recs) && recs[cut].idx <= n.recFloor[q] {
-				cut++
-			}
-			if cut == 0 {
+		for q, line := range dead {
+			line = min(line, n.held[q])
+			if line <= n.floor[q] {
 				continue
 			}
-			g.report.RecordsPruned += int64(cut)
-			// Shift down in place and nil the tail so the pruned records are
-			// unreachable; the backing array stays at its high-water mark,
-			// which collection bounds across barriers.
-			k := copy(recs, recs[cut:])
-			for j := k; j < len(recs); j++ {
-				recs[j] = nil
+			for _, r := range n.hist.span(q, n.floor[q], line) {
+				n.noticeBytes -= int64(r.wire)
 			}
-			n.records[q] = recs[:k]
+			g.report.RecordsPruned += int64(line - n.floor[q])
+			n.floor[q] = line
+		}
+	}
+
+	// No node holds a writer's records below the lowest floor: trim the
+	// logs there. A shared log is trimmed at its first node, a no-op after.
+	low := g.minVec
+	for q := range low {
+		low[q] = gcMaxIdx
+	}
+	for _, n := range g.nodes {
+		for q, f := range n.floor {
+			low[q] = min(low[q], f)
+		}
+	}
+	for _, n := range g.nodes {
+		for q, f := range low {
+			n.hist.trim(q, f)
 		}
 	}
 
@@ -229,6 +227,7 @@ func (g *GC) collect() {
 					kept = append(kept, idf)
 				} else {
 					g.report.DiffsPruned++
+					n.noticeBytes -= int64(idf.Diff.WireSize())
 				}
 			}
 			for j := len(kept); j < len(ds); j++ {

@@ -202,9 +202,15 @@ type Node struct {
 	locks *syncmgr.LockMgr
 	bars  *syncmgr.BarrierMgr
 
-	cur     int32 // index of the currently open interval
-	vec     []int32
-	records [][]*interval // per processor, its known closed intervals in idx order
+	cur int32 // index of the currently open interval
+	vec []int32
+
+	// The interval records this node holds are (floor[q], held[q]] of writer
+	// q's log in hist. held[q] equals vec[q] once a batch of notices is in;
+	// floor[q] is 0 until the collector prunes (gc.go).
+	hist        *History
+	floor, held []int32
+	noticeBytes int64 // wire size of the held records and of this node's stored diffs
 
 	meta      []*pageMeta // indexed by page, nil until first touched
 	openPages []int       // pages modified in the open interval (twinning), in fault order
@@ -230,19 +236,20 @@ type Node struct {
 	freeReplies []*pageReply // fetch-reply bodies this node served, returned for reuse
 
 	gc        *GC           // shared notice-history collector, nil when GC is off
-	recFloor  []int32       // per-writer record kill floor at this node (GC only)
 	diffFloor map[int]int32 // per-page diff kill floor at this writer (GC only)
 }
 
-// New builds the LRC node for processor p with a zeroed private image.
-// impl.Model must be core.LRC.
+// New builds the LRC node for processor p with a zeroed private image and a
+// private interval-record log. impl.Model must be core.LRC.
 func New(p *sim.Proc, net *fabric.Network, al *mem.Allocator, nprocs int, impl core.Impl) *Node {
-	return NewWithImage(p, net, al, nprocs, impl, mem.NewImage(al.Size()))
+	return NewWithImage(p, net, al, nprocs, impl, mem.NewImage(al.Size()), NewHistory(nprocs))
 }
 
-// NewWithImage is New with a caller-provided (possibly recycled) image; the
-// caller must overwrite it in full before the simulation starts.
-func NewWithImage(p *sim.Proc, net *fabric.Network, al *mem.Allocator, nprocs int, impl core.Impl, im *mem.Image) *Node {
+// NewWithImage is New with a caller-provided (possibly recycled) image, which
+// the caller must overwrite in full before the simulation starts, and the
+// run's interval-record log: every node of a run should share one, made by
+// NewHistory(nprocs).
+func NewWithImage(p *sim.Proc, net *fabric.Network, al *mem.Allocator, nprocs int, impl core.Impl, im *mem.Image, hist *History) *Node {
 	if impl.Model != core.LRC || !impl.Valid() {
 		panic(fmt.Sprintf("lrc: bad implementation %v", impl))
 	}
@@ -250,11 +257,12 @@ func NewWithImage(p *sim.Proc, net *fabric.Network, al *mem.Allocator, nprocs in
 		impl:        impl,
 		cur:         1,
 		vec:         make([]int32, nprocs),
-		records:     make([][]*interval, nprocs),
+		hist:        hist,
 		meta:        make([]*pageMeta, al.Pages()),
 		arrivalVecs: make(map[int][]int32),
 		arrivalRecs: make(map[int][]*interval),
 	}
+	n.setWriters(nprocs)
 	// vec[q] is the highest CLOSED interval of q whose write notices this
 	// node holds; the open interval (index cur) is not covered until it
 	// closes. Initially nothing is closed anywhere.
@@ -407,7 +415,10 @@ func (n *Node) closeInterval() sim.Time {
 	}
 	vec := make([]int32, len(n.vec))
 	copy(vec, n.vec)
-	n.records[self] = append(n.records[self], newInterval(self, n.cur, vec, pages))
+	rec := newInterval(self, n.cur, vec, pages)
+	n.hist.add(rec)
+	n.held[self] = n.cur
+	n.noticeBytes += int64(rec.wire)
 	n.vec[self] = n.cur
 	n.cur++
 	return work
@@ -434,6 +445,7 @@ func (n *Node) harvestPage(pg int) sim.Time {
 	case core.Diffs:
 		d := wcollect.BuildDiff(n.Im, runs)
 		pm.diffs = append(pm.diffs, ivalDiff{Ival: ival, Diff: d})
+		n.noticeBytes += int64(d.WireSize())
 		n.Extra.DiffsCreated++
 		work += sim.Time(d.Words()) * n.CM.WordCopy
 	}
@@ -455,12 +467,14 @@ func rangeWords(rs []mem.Range) int {
 // --- write notice application --------------------------------------------
 
 // absorb installs a batch of interval records received with a grant or a
-// barrier departure: it saves them, invalidates the named pages, and merges
-// the sender's vector. Records for intervals already covered are skipped.
+// barrier departure: it takes them into the node's held range, invalidates
+// the named pages, and merges the sender's vector. Records for intervals
+// already held are skipped; a record past the next one a writer's held range
+// can take is a gap in the history, which the protocol never sends.
 func (n *Node) absorb(records []*interval, senderVec []int32) sim.Time {
 	var work sim.Time
 	self := n.P.ID()
-	// Apply in (proc, idx) order so per-processor record lists stay sorted.
+	// Apply in (proc, idx) order so each writer's held range grows by one.
 	// collectNotices emits that order already; only a tree fan-in union
 	// (children folded around the parent's own records, a few per barrier)
 	// arrives out of order.
@@ -469,16 +483,26 @@ func (n *Node) absorb(records []*interval, senderVec []int32) sim.Time {
 		slices.SortFunc(records, cmpInterval)
 	}
 	for _, rec := range records {
-		if rec.proc == self || n.record(rec.proc, rec.idx) != nil {
+		q, idx := rec.proc, rec.idx
+		if q == self || idx > n.floor[q] && idx <= n.held[q] {
 			continue
 		}
-		if n.recFloor != nil && rec.idx <= n.recFloor[rec.proc] {
+		if idx <= n.floor[q] {
 			// A collected interval must never come back: its diffs are gone.
 			// The floor proof says this cannot happen; count it if it does.
 			n.gc.report.Violations++
 			continue
 		}
-		n.records[rec.proc] = append(n.records[rec.proc], rec)
+		if idx != n.held[q]+1 {
+			panic(fmt.Sprintf("lrc: proc %d: gap in writer %d's records: holds up to %d, received %d", self, q, n.held[q], idx))
+		}
+		if idx > n.hist.top(q) {
+			n.hist.add(rec) // a private log learns the record here
+		} else if n.hist.at(q, idx) != rec {
+			panic(fmt.Sprintf("lrc: proc %d: record (%d,%d) differs from the log's", self, q, idx))
+		}
+		n.held[q] = idx
+		n.noticeBytes += int64(rec.wire)
 		for _, pg := range rec.pages {
 			pm := n.pageMeta(pg)
 			if w := pm.window(int32(rec.proc)); w.noticed < rec.idx {
@@ -504,42 +528,29 @@ func (n *Node) absorb(records []*interval, senderVec []int32) sim.Time {
 	return work
 }
 
-// recordPos returns the position in recs — one processor's records,
-// ascending by index — of the first record whose index is at least idx.
-// closeInterval bumps cur only when it appends a record, so a processor's
-// indices are contiguous and the position is one subtraction; the search
-// runs only if a list ever turns out not to be.
-func recordPos(recs []*interval, idx int32) int {
-	if len(recs) == 0 {
-		return 0
-	}
-	switch i := int(idx - recs[0].idx); {
-	case i <= 0:
-		return 0
-	case i < len(recs):
-		if recs[i].idx == idx {
-			return i
-		}
-	case recs[len(recs)-1].idx < idx:
-		return len(recs)
-	}
-	i, _ := slices.BinarySearchFunc(recs, idx, func(r *interval, idx int32) int { return cmp.Compare(r.idx, idx) })
-	return i
+// setWriters sizes the node's per-writer record indices for nprocs writers.
+func (n *Node) setWriters(nprocs int) {
+	idx := make([]int32, 2*nprocs)
+	n.floor, n.held = idx[:nprocs:nprocs], idx[nprocs:]
 }
 
 // record returns processor proc's interval record idx, or nil if this node
 // does not hold it.
 func (n *Node) record(proc int, idx int32) *interval {
-	recs := n.records[proc]
-	if i := recordPos(recs, idx); i < len(recs) && recs[i].idx == idx {
-		return recs[i]
+	if idx <= n.floor[proc] || idx > n.held[proc] {
+		return nil
 	}
-	return nil
+	return n.hist.at(proc, idx)
 }
 
-// recordsAfter returns the records of q with index beyond bound.
+// recordsAfter returns the records of q this node holds with index beyond
+// bound.
 func (n *Node) recordsAfter(q int, bound int32) []*interval {
-	return n.records[q][recordPos(n.records[q], bound+1):]
+	lo, hi := max(bound, n.floor[q]), n.held[q]
+	if lo >= hi {
+		return nil
+	}
+	return n.hist.span(q, lo, hi)
 }
 
 // collectNotices gathers every record this node knows that the peer's
@@ -932,7 +943,7 @@ func (h *barrierHooks) MergeSubtreeArrival(b core.BarrierID, own fabric.Payload)
 	maxVec := own.Vec // MakeArrival already returns a private copy
 	minVec := make([]int32, len(maxVec))
 	copy(minVec, maxVec)
-	// Own records alias n.records[self]; the union must not append in place.
+	// Own records alias the log; the union must not append in place.
 	records := append([]*interval(nil), own.Body.(*noticeBody).records...)
 	for from := 0; from < n.Base.NProcs; from++ {
 		recs, ok := n.arrivalRecs[from]

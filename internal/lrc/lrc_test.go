@@ -24,6 +24,19 @@ func newTestNode(t *testing.T, impl core.Impl, body func(n *Node)) {
 	}
 }
 
+// holdAll gives n a fresh log of history's records, every one held:
+// history[p] must be writer p's records indexed 1, 2, ... in order.
+func (n *Node) holdAll(history [][]*interval) {
+	n.hist = NewHistory(len(history))
+	n.setWriters(len(history))
+	for p, recs := range history {
+		for _, r := range recs {
+			n.hist.add(r)
+		}
+		n.held[p] = n.hist.top(p)
+	}
+}
+
 func diffImpl() core.Impl {
 	return core.Impl{Model: core.LRC, Trap: core.Twinning, Collect: core.Diffs}
 }
@@ -76,7 +89,7 @@ func TestCloseIntervalRecordsNotices(t *testing.T) {
 		if work <= 0 {
 			t.Error("closing a dirty interval should cost time")
 		}
-		recs := n.records[0]
+		recs := n.recordsAfter(0, 0)
 		if len(recs) != 1 || recs[0].idx != 1 {
 			t.Fatalf("records = %+v", recs)
 		}
@@ -88,7 +101,7 @@ func TestCloseIntervalRecordsNotices(t *testing.T) {
 		}
 		// Empty close: no new record.
 		n.closeInterval()
-		if len(n.records[0]) != 1 {
+		if len(n.recordsAfter(0, 0)) != 1 {
 			t.Error("empty interval must not produce a record")
 		}
 	})
@@ -140,11 +153,10 @@ func TestIntervalBefore(t *testing.T) {
 	newTestNode(t, diffImpl(), func(n *Node) {
 		// Fake a two-processor history on a one-node test rig.
 		n.vec = make([]int32, 2)
-		n.records = make([][]*interval, 2)
-		n.records[1] = []*interval{
+		n.holdAll([][]*interval{nil, {
 			{proc: 1, idx: 1, vec: []int32{0, 0}, pages: []int{0}},
 			{proc: 1, idx: 2, vec: []int32{5, 1}, pages: []int{0}},
-		}
+		}})
 		if !n.intervalBefore(1, 1, 1, 2) {
 			t.Error("same-processor intervals are ordered by index")
 		}

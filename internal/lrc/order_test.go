@@ -136,22 +136,20 @@ func randomHistory(rng *rand.Rand, nprocs, steps int) [][]*interval {
 }
 
 // TestMergeMatchesKahnOracle is the seeded property test of the ordering:
-// over random histories, writer sets, fetch windows, unknown records (nil
-// vectors, which also leave index gaps for recordPos to search) and — for
-// the timestamp collection — address-ordered replies, the merge must emit
-// exactly the order of the retired min-source Kahn selection.
+// over random histories, writer sets, fetch windows, unknown records (the
+// requester holds a random prefix of each writer's records, so the units
+// past it have nil vectors) and — for the timestamp collection —
+// address-ordered replies, the merge must emit exactly the order of the
+// retired min-source Kahn selection.
 func TestMergeMatchesKahnOracle(t *testing.T) {
 	for seed := int64(1); seed <= 400; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		nprocs := 2 + rng.Intn(9)
 		full := randomHistory(rng, nprocs, 5+rng.Intn(60))
-		n := &Node{records: make([][]*interval, nprocs)}
+		n := &Node{}
+		n.holdAll(full)
 		for p, recs := range full {
-			for _, r := range recs {
-				if rng.Intn(6) > 0 { // the requester never saw one record in six
-					n.records[p] = append(n.records[p], r)
-				}
-			}
+			n.held[p] = int32(rng.Intn(len(recs) + 1))
 		}
 		stamped := seed%2 == 0
 
@@ -217,10 +215,11 @@ func unitNames(us []applyUnit) string {
 // TestNextUnitReportsCycle: inconsistent vectors (each head covered by the
 // other's) leave no source; nextUnit must say so instead of picking one.
 func TestNextUnitReportsCycle(t *testing.T) {
-	n := &Node{records: [][]*interval{
+	n := &Node{}
+	n.holdAll([][]*interval{
 		{newInterval(0, 1, []int32{0, 1}, nil)},
 		{newInterval(1, 1, []int32{1, 0}, nil)},
-	}}
+	})
 	units := []applyUnit{{proc: 0, ival: 1}, {proc: 1, ival: 1}}
 	writers := []pendingWriter{{proc: 0, head: 0, end: 1}, {proc: 1, head: 1, end: 2}}
 	for i := range writers {
@@ -231,17 +230,20 @@ func TestNextUnitReportsCycle(t *testing.T) {
 	}
 }
 
-// TestRecordLookupOnPrunedHistory: record lists are index-contiguous, so a
-// lookup is one subtraction from the first retained index — which the
-// collector moves. Pruned and future indices must miss, retained ones must
-// resolve at their shifted position, and a list with a gap must still
-// resolve through the search fallback.
+// TestRecordLookupOnPrunedHistory: a writer's log is index-contiguous, so a
+// lookup is one subtraction from the log's base — which trimming moves — and
+// a node holds (floor, held] of it. Pruned and future indices must miss,
+// held ones must resolve at their shifted position, and records the log has
+// but the node has not received must miss too.
 func TestRecordLookupOnPrunedHistory(t *testing.T) {
 	var recs []*interval
 	for idx := int32(1); idx <= 8; idx++ {
 		recs = append(recs, newInterval(1, idx, nil, nil))
 	}
-	n := &Node{records: [][]*interval{nil, recs[3:]}} // the collector pruned 1..3 (floor 3)
+	n := &Node{}
+	n.holdAll([][]*interval{nil, recs})
+	n.floor[1] = 3 // the collector pruned 1..3 and trimmed the log there
+	n.hist.trim(1, 3)
 	for idx := int32(0); idx <= 10; idx++ {
 		got := n.record(1, idx)
 		if retained := idx >= 4 && idx <= 8; retained != (got != nil) || (got != nil && got.idx != idx) {
@@ -258,34 +260,30 @@ func TestRecordLookupOnPrunedHistory(t *testing.T) {
 		t.Error("empty history must miss")
 	}
 
-	gapped := []*interval{recs[3], recs[5], recs[6], recs[7]} // 4, 6, 7, 8
-	n.records[1] = gapped
-	for idx := int32(3); idx <= 9; idx++ {
-		got := n.record(1, idx)
-		if present := idx == 4 || (idx >= 6 && idx <= 8); present != (got != nil) || (got != nil && got.idx != idx) {
-			t.Errorf("gapped history: record(1,%d) = %v", idx, got)
-		}
+	n.held[1] = 6 // a shared log runs ahead of what this node received
+	if n.record(1, 6) != recs[5] || n.record(1, 7) != nil {
+		t.Error("a record the node has not received must miss")
 	}
-	if after := n.recordsAfter(1, 4); len(after) != 3 || after[0].idx != 6 {
-		t.Errorf("gapped history: recordsAfter(1,4) = %d records", len(after))
+	if after := n.recordsAfter(1, 4); len(after) != 2 || after[1] != recs[5] {
+		t.Errorf("shared log: recordsAfter(1,4) has %d records, want 2", len(after))
 	}
 }
 
 // TestAbsorbSortsFanInUnion: a tree fan-in union arrives with the children's
 // records folded around the parent's own, out of (proc, idx) order; absorb
-// must still append per-processor lists in index order, without reordering
+// must still take each writer's records in index order, without reordering
 // the sender's slice.
 func TestAbsorbSortsFanInUnion(t *testing.T) {
 	newTestNode(t, diffImpl(), func(n *Node) {
 		n.vec = make([]int32, 4)
-		n.records = make([][]*interval, 4)
+		n.holdAll(make([][]*interval, 4))
 		rec := func(proc int, idx int32) *interval { return newInterval(proc, idx, make([]int32, 4), []int{proc % 4}) }
 		union := []*interval{rec(2, 1), rec(2, 2), rec(3, 1), rec(1, 1), rec(1, 2), rec(1, 3)}
 		sent := slices.Clone(union)
 		n.absorb(union, []int32{0, 3, 2, 1})
 		for proc, want := range [][]int32{nil, {1, 2, 3}, {1, 2}, {1}} {
 			var got []int32
-			for _, r := range n.records[proc] {
+			for _, r := range n.recordsAfter(proc, 0) {
 				got = append(got, r.idx)
 			}
 			if !slices.Equal(got, want) {
@@ -303,8 +301,8 @@ func TestAbsorbSortsFanInUnion(t *testing.T) {
 		}
 		// An in-order batch (what collectNotices emits) is applied as it stands.
 		n.absorb([]*interval{rec(1, 4), rec(3, 2)}, nil)
-		if len(n.records[1]) != 4 || len(n.records[3]) != 2 {
-			t.Errorf("in-order batch: records %d/%d", len(n.records[1]), len(n.records[3]))
+		if n.held[1] != 4 || n.held[3] != 2 {
+			t.Errorf("in-order batch: held %d/%d", n.held[1], n.held[3])
 		}
 	})
 }

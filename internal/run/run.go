@@ -269,10 +269,12 @@ func RunWith(app App, impl core.Impl, nprocs int, cm fabric.CostModel, opts Opti
 	images := make([]*mem.Image, nprocs)
 	starts := make([]func(), nprocs)
 	var lrcNodes []*lrc.Node
+	var hist *lrc.History  // the LRC nodes' shared interval-record log
 	var binds *ec.Bindings // the EC nodes' shared initial bindings
 	switch impl.Model {
 	case core.LRC:
 		lrcNodes = make([]*lrc.Node, 0, nprocs)
+		hist = lrc.NewHistory(nprocs)
 	case core.EC:
 		binds = new(ec.Bindings)
 	}
@@ -295,7 +297,7 @@ func RunWith(app App, impl core.Impl, nprocs int, cm fabric.CostModel, opts Opti
 				starts[i] = func() { n.StatsBegin(); app.Program(n) }
 			}
 		case core.LRC:
-			n := lrc.NewWithImage(p, net, al, nprocs, impl, im)
+			n := lrc.NewWithImage(p, net, al, nprocs, impl, im, hist)
 			n.Im.CopyFrom(initIm)
 			nodes[i], images[i] = n, n.Im
 			lrcNodes = append(lrcNodes, n)

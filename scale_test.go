@@ -218,8 +218,9 @@ func TestNoticeHistoryBounded(t *testing.T) {
 }
 
 // largeScaleBudgets bound the host heap of large-scale cells, measured by
-// the perf registry's cell spans, with headroom for allocator slack and
-// for what the earlier tests in the same process left live:
+// the perf registry's cell spans on one P (as dsmrun runs a cell, so the
+// reading is the peak its -perf line prints), with headroom for allocator
+// slack and for what the earlier tests in the same process left live:
 //   - 256-proc SOR/LRC-diff, ~115 MiB measured cold, under 1 GiB: an
 //     O(procs^2) regression in per-node protocol state blows past this by
 //     design (the uncollected Water cell at the same processor count peaks
@@ -227,13 +228,18 @@ func TestNoticeHistoryBounded(t *testing.T) {
 //   - 64-proc 3D-FFT/EC-time, ~155 MiB, under 170 MiB: it binds 8192 locks
 //     on every processor, and an EC lock table that costs a slot per bound
 //     lock per processor again, instead of per lock a processor uses, reads
-//     ~214 MiB.
+//     ~214 MiB;
+//   - 32-proc Water/LRC-diff, 39-46 MiB, under 52 MiB: its nodes share one
+//     interval-record log, and a node that keeps its own per-writer record
+//     lists again reads ~62 MiB. It runs first: the later cells' node
+//     images wait in the image recycle pool, which would count against it.
 var largeScaleBudgets = []struct {
 	app    string
 	impl   core.Impl
 	nprocs int
 	budget int64
 }{
+	{"Water", core.Impl{Model: core.LRC, Trap: core.Twinning, Collect: core.Diffs}, 32, 52 << 20},
 	{"SOR", core.Impl{Model: core.LRC, Trap: core.Twinning, Collect: core.Diffs}, 256, 1 << 30},
 	{"3D-FFT", core.Impl{Model: core.EC, Trap: core.Twinning, Collect: core.Timestamps}, 64, 170 << 20},
 }
@@ -249,6 +255,9 @@ func TestLargeScaleMemoryBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-processor cell")
 	}
+	// The end-of-span reading includes the cell's uncollected garbage, which
+	// depends on how many Ps run the collector; pin it to dsmrun's one.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, c := range largeScaleBudgets {
 		t.Run(c.app+"/"+c.impl.String()+"/"+itoa(c.nprocs), func(t *testing.T) {
 			// The peak is read at the cell's span edges: collect the

@@ -20,9 +20,10 @@
 // printed to stdout one blank line apart: summary (which holds the barrier
 // tables), profile and whatif. The other reports only write files, so they
 // need -out: such selections fail fast with the wrapped trace.ErrConfig
-// message before the run starts, never silently writing nothing. Tracing is
-// observation-only: the run's statistics are bit-identical to an untraced
-// dsmrun of the same cell, which the shared cell and machine flags
+// message before the run starts, never silently writing nothing; so does
+// -sched without the bin report, which alone holds the dispatch stream.
+// Tracing is observation-only: the run's statistics are bit-identical to an
+// untraced dsmrun of the same cell, which the shared cell and machine flags
 // (internal/cmdline) describe identically.
 //
 // The process runs on one P unless the GOMAXPROCS environment variable is
@@ -37,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"ecvslrc/internal/cmdline"
@@ -57,7 +59,7 @@ func cli(args []string, stdout, stderr io.Writer) int {
 	c.BindCell("bench")
 	reports := c.FS.String("report", "", "comma-separated reports: "+strings.Join(trace.ReportNames(), ", ")+" (default: all with -out, summary without)")
 	out := c.FS.String("out", "", "artifact directory; empty prints the markdown reports to stdout")
-	sched := c.FS.Bool("sched", false, "also record scheduler dispatch events (very voluminous)")
+	sched := c.FS.Bool("sched", false, "also record scheduler dispatch events into trace.bin (very voluminous; needs the bin report, and turns run-ahead off)")
 	if code, done := c.Parse(args); done {
 		return code
 	}
@@ -67,6 +69,9 @@ func cli(args []string, stdout, stderr io.Writer) int {
 	sel, err := trace.ParseReports(*reports, *out == "")
 	if err != nil {
 		return c.Usage(err)
+	}
+	if *sched && !slices.Contains(sel, trace.ReportBinary) {
+		return c.Usage(fmt.Errorf("trace: %w: -sched records the dispatch stream, which only trace.bin holds: select the bin report", trace.ErrConfig))
 	}
 	return c.Run(func() int {
 		row, meta := harness.RunTraced(c.Config, c.App, c.Impl, *sched)

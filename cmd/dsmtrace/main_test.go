@@ -38,6 +38,10 @@ func TestCLIExitCodes(t *testing.T) {
 		{"whatif without out", []string{"-report", "whatif", "-app", "IS", "-scale", "test", "-procs", "2"}, 0, ""},
 		{"file report among stdout ones", []string{"-report", "summary,timeline"}, 2,
 			"invalid trace options: report timeline needs an output directory"},
+		{"sched without bin", []string{"-sched", "-report", "summary,profile", "-out", t.TempDir()}, 2,
+			"invalid trace options: -sched records the dispatch stream, which only trace.bin holds"},
+		{"sched without out", []string{"-sched"}, 2,
+			"invalid trace options: -sched records the dispatch stream, which only trace.bin holds"},
 		{"unknown app", []string{"-app", "NoSuch", "-scale", "test", "-procs", "2"}, 1,
 			`unknown application "NoSuch"`},
 		{"good run", []string{"-app", "IS", "-impl", "LRC-time", "-scale", "test", "-procs", "2"}, 0, ""},

@@ -314,7 +314,7 @@ func (fs *faultState) attempt(sendEnd sim.Time, fr *relFrame, fl *flight) {
 			delay = 1 + sim.Time(fs.roll(pDelayAmt, sendEnd, from, to, fr.seq, fr.attempt)*float64(fs.plan.DelayMax))
 			fs.stats.Delayed++
 		}
-		fs.launch(sendEnd+delay, fl)
+		n.putOnWire(sendEnd+delay, fl)
 		if fs.plan.Dup > 0 && fs.roll(pDup, sendEnd, from, to, fr.seq, fr.attempt) < fs.plan.Dup {
 			fs.stats.Duplicated++
 			dup := n.newFlight(fr.msg)
@@ -323,23 +323,10 @@ func (fs *faultState) attempt(sendEnd sim.Time, fr *relFrame, fl *flight) {
 			dup.seq = fr.seq
 			dup.nominal = fr.nominal
 			d2 := 1 + sim.Time(fs.roll(pDupDelay, sendEnd, from, to, fr.seq, fr.attempt)*float64(fs.plan.DelayMax))
-			fs.launch(sendEnd+d2, dup)
+			n.putOnWire(sendEnd+d2, dup)
 		}
 	}
 	n.sim.ScheduleTimer(sendEnd+fs.rto(fr.attempt), fr, n.procs[from])
-}
-
-// launch puts an attempt on the wire at time at: straight to arrival without
-// contention, or through the shared-link claim stage with it — the same two
-// event shapes as the fault-free fabric.
-func (fs *faultState) launch(at sim.Time, fl *flight) {
-	n := fs.n
-	if !n.contention {
-		n.sim.ScheduleTimer(at+n.cm.WireLatency, fl, n.procs[fl.msg.To])
-		return
-	}
-	fl.claim = true
-	n.sim.ScheduleTimer(at, fl, n.procs[fl.msg.To])
 }
 
 // Fire is the retransmission check armed by each attempt; it does nothing

@@ -71,6 +71,7 @@ func (fl *flight) Fire(at sim.Time) {
 	if fl.claim {
 		// Link claims are events, so they serialize in virtual-time order.
 		fl.claim = false
+		n.procs[fl.msg.From].AddInbound(-1)
 		start := at
 		n.tr.LinkClaim(at, fl.msg.From, fl.msg.To, fl.msg.Size+MsgHeader)
 		if n.topo != nil {
@@ -229,24 +230,33 @@ func (n *Network) release(fl *flight) {
 }
 
 // transmit moves fl, whose sender-side processing ends at sendEnd, to its
-// receiver. Without contention the message arrives WireLatency after sendEnd,
-// scheduled directly (the pre-contention event pattern, kept bit-identical).
-// With contention the message first claims the shared link at sendEnd —
-// claims are processed in virtual-time order because they are themselves
-// events — holds it for (size+header)*LinkPerByte, and only then starts its
-// WireLatency. Every stage's timer is aimed at the destination, which it acts
-// on.
+// receiver: through the reliable sublayer when a fault plan is active (which
+// puts each attempt on the wire itself), else straight onto the wire.
 func (n *Network) transmit(sendEnd sim.Time, fl *flight) {
 	if n.faults != nil {
 		n.faults.send(sendEnd, fl)
 		return
 	}
+	n.putOnWire(sendEnd, fl)
+}
+
+// putOnWire puts fl on the wire at at. Without contention the message
+// arrives a wire latency later, scheduled directly (the pre-contention event
+// pattern, kept bit-identical). With contention the message first claims the
+// shared link at at — claims are processed in virtual-time order because
+// they are themselves events — holds it for (size+header)*LinkPerByte, and
+// only then starts its wire latency. Every stage's timer is aimed at the
+// destination, which it acts on; the claim also counts toward the sender's
+// inbound tally until it fires, because it writes into the sender's trace
+// buffer, which the sender must not run ahead of.
+func (n *Network) putOnWire(at sim.Time, fl *flight) {
 	if n.contention {
 		fl.claim = true
-		n.sim.ScheduleTimer(sendEnd, fl, n.procs[fl.msg.To])
+		n.procs[fl.msg.From].AddInbound(1)
+		n.sim.ScheduleTimer(at, fl, n.procs[fl.msg.To])
 		return
 	}
-	n.sim.ScheduleTimer(sendEnd+n.wireLatency(fl.msg.From, fl.msg.To), fl, n.procs[fl.msg.To])
+	n.sim.ScheduleTimer(at+n.wireLatency(fl.msg.From, fl.msg.To), fl, n.procs[fl.msg.To])
 }
 
 // Attach registers proc (with request handler h) as processor proc.ID().

@@ -47,7 +47,8 @@ type Config struct {
 	// Trace attaches a fresh profiling tracer to every cell
 	// (trace.NewProfiling): the virtual-time profile is built while the cell
 	// runs and no event history is kept, so any processor count is traceable.
-	// Tracing is observation-only — the tables are byte-identical with it on.
+	// Tracing is observation-only — the tables are byte-identical with it on,
+	// and the cell schedules exactly as untraced (run-ahead included).
 	// RunCell hands the cell's tracer back on Row.Trace for
 	// trace.BuildProfile (the sweep engine's stall breakdown); the table
 	// entry points discard it. Reports that need the history go through

@@ -135,7 +135,8 @@ type Options struct {
 	// message traffic, faults, misses, twins, collections and synchronization
 	// events flow into it for post-run attribution (internal/trace). Tracing
 	// is observation-only — the simulated statistics are bit-identical with
-	// and without it. The tracer must be fresh and sized for nprocs.
+	// and without it, and so is the schedule unless it records the dispatch
+	// stream (EnableSched). The tracer must be fresh and sized for nprocs.
 	Trace *trace.Tracer
 	// Timeout, when > 0, arms the simulator's virtual-time watchdog: a run
 	// whose clock would pass this limit fails with a sim.Stalled error

@@ -2,7 +2,9 @@ package run_test
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -41,12 +43,14 @@ func TestTracingObservationOnly(t *testing.T) {
 }
 
 // TestRunAheadMatchesTracedRun is the cross-layer differential for the
-// simulator's run-ahead: a tracer turns run-ahead off, so a traced run takes
-// every block and resume the old way. On cells where run-ahead is active —
+// simulator's run-ahead. A tracer that records the dispatch stream
+// (EnableSched) turns run-ahead off, so its run takes every block and resume
+// as it happens, and is the reference. On cells where run-ahead is active —
 // contention, a Clos fabric, a large machine with notice GC and a barrier
 // tree, a watchdog firing mid-compute — the untraced result, per-processor
-// windows and final image included, must equal the traced one, and a stall
-// must read the same.
+// windows and final image included, must equal the reference one, a stall
+// must read the same, and a buffered trace taken with run-ahead on must hold
+// the reference trace's records, dispatches aside, in the same merged order.
 func TestRunAheadMatchesTracedRun(t *testing.T) {
 	cells := []struct {
 		app, impl string
@@ -80,29 +84,68 @@ func TestRunAheadMatchesTracedRun(t *testing.T) {
 			}
 			return res, ""
 		}
+		ordered := trace.New(c.nprocs)
+		ordered.EnableSched()
+		want, wantErr := once(ordered)
 		plain, plainErr := once(nil)
-		traced, tracedErr := once(trace.NewProfiling(c.nprocs))
-		if plainErr != tracedErr {
-			t.Errorf("%s on %s, %d procs: untraced error %q, traced %q", c.app, c.impl, c.nprocs, plainErr, tracedErr)
+		if plainErr != wantErr {
+			t.Errorf("%s on %s, %d procs: untraced error %q, ordered trace %q", c.app, c.impl, c.nprocs, plainErr, wantErr)
 		}
 		if c.opts.Timeout > 0 && !strings.Contains(plainErr, "watchdog") {
 			t.Errorf("%s on %s: the watchdog did not fire mid-run: %q", c.app, c.impl, plainErr)
 		}
-		if !reflect.DeepEqual(plain, traced) {
-			t.Errorf("%s on %s, %d procs: untraced run diverged from the traced one:\n  untraced: %+v\n  traced:   %+v",
-				c.app, c.impl, c.nprocs, plain.Stats, traced.Stats)
+		if !reflect.DeepEqual(plain, want) {
+			t.Errorf("%s on %s, %d procs: untraced run diverged from the ordered trace's:\n  untraced: %+v\n  ordered:  %+v",
+				c.app, c.impl, c.nprocs, plain.Stats, want.Stats)
+		}
+		buffered := trace.New(c.nprocs)
+		once(buffered)
+		got := buffered.Merged()
+		ref := slices.DeleteFunc(ordered.Merged(), func(r trace.Rec) bool { return r.Kind == trace.EvDispatch })
+		if i := firstDiff(got, ref); i >= 0 {
+			t.Errorf("%s on %s, %d procs: the run-ahead trace diverges at record %d of %d (ordered %d): %s",
+				c.app, c.impl, c.nprocs, i, len(got), len(ref), recAt(got, i)+" vs "+recAt(ref, i))
+		}
+		// The profile folds each buffer in emission order, which the merged
+		// order does not show.
+		if !reflect.DeepEqual(trace.BuildProfile(buffered, trace.Meta{}), trace.BuildProfile(ordered, trace.Meta{})) {
+			t.Errorf("%s on %s, %d procs: the run-ahead trace's profile differs from the ordered one's", c.app, c.impl, c.nprocs)
 		}
 	}
 }
 
-// TestRunAheadHandoffCensus pins what run-ahead buys where it matters most:
-// untraced, Water/LRC-diff at 32 processors and large scale (the slowest
-// cell of the benchmark's scale_large) passes the baton at most 65 % as
-// often as traced, where every flush sleep is a block. Both counts come
-// from the cell's "sim_handoffs" registry counter.
+// firstDiff returns the first index where a and b differ, -1 if they are
+// equal.
+func firstDiff(a, b []trace.Rec) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	return -1
+}
+
+// recAt prints record i of recs, or "none" past the end.
+func recAt(recs []trace.Rec, i int) string {
+	if i >= len(recs) {
+		return "none"
+	}
+	return fmt.Sprintf("%+v", recs[i])
+}
+
+// TestRunAheadHandoffCensus pins what run-ahead buys where it matters most,
+// and that a profiling tracer does not turn it off: traced, Water/LRC-diff
+// at 32 processors and large scale (the slowest cell of the benchmark's
+// scale_large) passes the baton as often as untraced, and at most 65 % as
+// often as under a tracer that records the dispatch stream, where every
+// flush sleep is a block. All three counts come from the cell's
+// "sim_handoffs" registry counter.
 func TestRunAheadHandoffCensus(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two 32-proc large-scale Water runs")
+		t.Skip("three 32-proc large-scale Water runs")
 	}
 	impl := core.Impl{Model: core.LRC, Trap: core.Twinning, Collect: core.Diffs}
 	handoffs := func(tr *trace.Tracer) int64 {
@@ -117,10 +160,15 @@ func TestRunAheadHandoffCensus(t *testing.T) {
 		}
 		return reg.Counters()["sim_handoffs"]
 	}
-	untraced, traced := handoffs(nil), handoffs(trace.NewProfiling(32))
-	t.Logf("handoffs: %d untraced, %d traced", untraced, traced)
-	if untraced <= 0 || untraced*100 > traced*65 {
-		t.Errorf("untraced run made %d handoffs, traced %d: want at most 65 %%", untraced, traced)
+	ordered := trace.New(32)
+	ordered.EnableSched()
+	untraced, traced, sched := handoffs(nil), handoffs(trace.NewProfiling(32)), handoffs(ordered)
+	t.Logf("handoffs: %d untraced, %d profiled, %d with the dispatch stream", untraced, traced, sched)
+	if traced != untraced {
+		t.Errorf("profiled run made %d handoffs, untraced %d: the profiling tracer changed the schedule", traced, untraced)
+	}
+	if untraced <= 0 || untraced*100 > sched*65 {
+		t.Errorf("untraced run made %d handoffs, the dispatch-stream run %d: want at most 65 %%", untraced, sched)
 	}
 }
 

@@ -83,12 +83,12 @@ func (tt *tagTimer) Fire(Time) { *tt.fired = append(*tt.fired, tt.tag) }
 // ScheduleTimer, same-instant events and process wakes must dispatch in
 // exactly the (at, seq) order a sort of everything scheduled gives. Each
 // event logs the tag it was scheduled under when it fires (a process when
-// its wake resumes it); a probe keeps every sleep a queued wake.
+// its wake resumes it); an ordered probe keeps every sleep a queued wake.
 func TestEventOrderMatchesSort(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		s := New()
-		s.SetProbe(nopProbe{})
+		s.SetProbe(&recProbe{ordered: true})
 		var scheduled, fired []orderTag
 		// event queues a callback or a timer between 0 and 3 µs from now;
 		// a callback may queue more.

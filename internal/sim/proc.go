@@ -92,6 +92,9 @@ func (p *Proc) FinishedAt() Time { return p.finishedAt }
 // body returned holds the baton: it drives the event loop once more and
 // yields the next process to Run by returning.
 func (p *Proc) top(body func(*Proc)) {
+	if s := p.sim; s.probe != nil {
+		s.probe.ProcResumed(s.now, p.id)
+	}
 	p.runBody(body)
 	if p.killed {
 		return
@@ -120,22 +123,32 @@ func (p *Proc) runBody(body func(*Proc)) {
 	p.sim.catchUp()
 }
 
-// block parks the process until it is resumed. The caller must have arranged
-// a wake-up (an event or a Waiter delivery). The blocking process keeps the
-// baton and drives the event loop itself: when its own wake-up is the next
-// thing to run it simply continues — no switch at all — and otherwise it
-// names the next process (nil when the run is over) and yields to Run,
-// which resumes that one.
-func (p *Proc) block(reason string) {
+// block reports the process blocked since from and suspends it, then
+// reports its resume.
+func (p *Proc) block(reason string, from Time) {
+	s := p.sim
+	if s.probe != nil {
+		s.probe.ProcBlocked(from, p.id, reason)
+	}
+	p.suspend(reason)
+	if s.probe != nil {
+		s.probe.ProcResumed(s.now, p.id)
+	}
+}
+
+// suspend parks the process until it is resumed. The caller must have
+// arranged a wake-up (an event or a Waiter delivery). The blocking process
+// keeps the baton and drives the event loop itself: when its own wake-up is
+// the next thing to run it simply continues — no switch at all — and
+// otherwise it names the next process (nil when the run is over) and yields
+// to Run, which resumes that one.
+func (p *Proc) suspend(reason string) {
 	if p.state != stateRunning {
 		panic(fmt.Sprintf("sim: block on non-running proc %s", p.name))
 	}
 	p.state = stateBlocked
 	p.waitReason = reason
 	s := p.sim
-	if s.probe != nil {
-		s.probe.ProcBlocked(s.now, p.id, reason)
-	}
 	if next := s.step(); next != p {
 		if next != nil {
 			s.handoffs++
@@ -158,7 +171,8 @@ func (p *Proc) block(reason string) {
 // it runs ahead of the queue on a local clock, and each further sleep that
 // stays inside the window is appended to its script. The queue replays the
 // script in p's absence (Simulator.wake), and any other interaction — a
-// schedule, Park, Spawn, the body returning — first syncs.
+// schedule, Park, Spawn, the body returning — first syncs. Either way the
+// probe sees the sleep block at its start and resume at its end.
 func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		panic("sim: negative sleep")
@@ -167,39 +181,44 @@ func (p *Proc) Sleep(d Time) {
 		return
 	}
 	s := p.sim
-	if s.ahead == p {
-		p.script[p.scriptLen] = d
-		p.scriptLen++
-		if s.now += d; s.now < s.limit && p.scriptLen < len(p.script) {
+	if s.ahead != p {
+		limit := s.window(p)
+		p.busyUntil = s.now + d
+		p.wakeGen++
+		s.schedule(event{at: p.busyUntil, kind: kindSleepWake, p: p, gen: p.wakeGen})
+		if p.busyUntil >= limit {
+			p.block("sleep", s.now)
 			return
 		}
-		// The sleep leaves the window (or fills the script): it ends the
-		// script, and p waits for the replay. Work injected past the window
-		// may extend it, so its resume time is not asserted.
-		s.now, s.ahead = s.aheadFrom, nil
-		p.block("sleep")
-		return
-	}
-	limit := s.window(p)
-	p.busyUntil = s.now + d
-	p.wakeGen++
-	s.schedule(event{at: p.busyUntil, kind: kindSleepWake, p: p, gen: p.wakeGen})
-	if p.busyUntil < limit {
 		s.ahead, s.aheadFrom, s.limit = p, s.now, limit
-		s.now = p.busyUntil
+	} else {
+		p.script[p.scriptLen] = d
+		p.scriptLen++
+	}
+	if s.now+d < s.limit && p.scriptLen < len(p.script) {
+		if s.probe != nil {
+			s.probe.ProcBlocked(s.now, p.id, "sleep")
+			s.probe.ProcResumed(s.now+d, p.id)
+		}
+		s.now += d
 		return
 	}
-	p.block("sleep")
+	// The sleep leaves the window (or fills the script): it ends the
+	// script, and p waits for the replay. Work injected past the window
+	// may extend it, so its resume time is not asserted.
+	from := s.now
+	s.now, s.ahead = s.aheadFrom, nil
+	p.block("sleep", from)
 }
 
 // sync ends p's run-ahead: p blocks as "sleep" while the queue catches up
 // and replays its script, and must resume exactly at the local clock it had
-// reached — nothing could act on it inside the window.
+// reached — nothing could act on it inside the window; the probe saw it end.
 func (p *Proc) sync() {
 	s := p.sim
 	local := s.now
 	s.now, s.ahead = s.aheadFrom, nil
-	p.block("sleep")
+	p.suspend("sleep")
 	if s.now != local {
 		panic(fmt.Sprintf("sim: %s ran ahead to %v but resumed at %v: an event acted on it inside the lookahead window",
 			p.name, local, s.now))
@@ -234,7 +253,7 @@ func (p *Proc) InjectWork(d Time) {
 func (p *Proc) Park(reason string) {
 	p.sim.catchUp()
 	p.parked = true
-	p.block(reason)
+	p.block(reason, p.sim.now)
 }
 
 // UnparkAt schedules the process to resume at time at (respecting any

@@ -79,13 +79,14 @@ type raFiring struct {
 }
 
 // raOutcome is everything a run of a program shows: it must not depend on
-// the declared lookahead or on a probe.
+// the declared lookahead or on a probe being ordered.
 type raOutcome struct {
 	err    string
 	finish []Time
 	seen   [][]Time // each process's clock after each of its operations
 	fired  []raFiring
 	seq    uint64
+	probed [][]probeMark // the probe's blocks and resumes, per process
 }
 
 // peerTimer injects work into its target and logs the firing; a send's timer
@@ -108,19 +109,38 @@ func (t *peerTimer) Fire(at Time) {
 	t.target.UnparkAt(at + t.work)
 }
 
-// nopProbe observes nothing; installing it turns run-ahead off.
-type nopProbe struct{}
+// probeMark is one block (with its reason) or resume a probe saw.
+type probeMark struct {
+	at     Time
+	reason string // "" for a resume
+}
 
-func (nopProbe) ProcBlocked(Time, int, string)    {}
-func (nopProbe) ProcResumed(Time, int)            {}
-func (nopProbe) EventDispatched(Time, uint8, int) {}
+// recProbe records each process's blocks and resumes in the order it sees
+// them. An ordered one turns run-ahead off, so it sees them as they happen.
+type recProbe struct {
+	ordered bool
+	marks   [][]probeMark
+}
 
-// run executes prog with the given declared lookahead, probed or not.
-func (prog raProgram) run(lookahead Time, probed bool) (raOutcome, int64) {
+func (r *recProbe) mark(proc int, m probeMark) {
+	for len(r.marks) <= proc {
+		r.marks = append(r.marks, nil)
+	}
+	r.marks[proc] = append(r.marks[proc], m)
+}
+
+func (r *recProbe) ProcBlocked(at Time, proc int, reason string) { r.mark(proc, probeMark{at, reason}) }
+func (r *recProbe) ProcResumed(at Time, proc int)                { r.mark(proc, probeMark{at, ""}) }
+func (r *recProbe) EventDispatched(Time, uint8, int)             {}
+func (r *recProbe) Ordered() bool                                { return r.ordered }
+
+// run executes prog with the given declared lookahead and probe (nil for
+// none).
+func (prog raProgram) run(lookahead Time, probe *recProbe) (raOutcome, int64) {
 	s := New()
 	s.SetLookahead(lookahead)
-	if probed {
-		s.SetProbe(nopProbe{})
+	if probe != nil {
+		s.SetProbe(probe)
 	}
 	s.SetWatchdog(prog.watchdog)
 	n := len(prog.ops)
@@ -160,46 +180,54 @@ func (prog raProgram) run(lookahead Time, probed bool) (raOutcome, int64) {
 		out.finish[i] = p.FinishedAt()
 	}
 	out.seq = s.seq
+	if probe != nil {
+		out.probed = probe.marks
+	}
 	return out, s.Handoffs()
 }
 
-// checkRunAhead runs prog with the lookahead, with none, and probed (the
-// path with no run-ahead at all) and requires one outcome. It returns the
-// handoffs of the run with the lookahead and of the probed run.
-func checkRunAhead(t *testing.T, prog raProgram) (ahead, probed int64) {
+// checkRunAhead runs prog under an ordered probe (the path with no run-ahead
+// at all), then with the lookahead and with none under a plain probe, and
+// with the lookahead unprobed, and requires one outcome: the probes must see
+// the same blocks and resumes per process. It returns the handoffs of the
+// unprobed run and of the ordered one.
+func checkRunAhead(t *testing.T, prog raProgram) (ahead, ordered int64) {
 	t.Helper()
-	want, probed := prog.run(raLookahead, true)
+	want, ordered := prog.run(raLookahead, &recProbe{ordered: true})
 	for _, l := range []Time{raLookahead, 0} {
-		got, h := prog.run(l, false)
+		got, _ := prog.run(l, &recProbe{})
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("lookahead %v diverged from the probed run\n  got:  %+v\n  want: %+v\n  program: %+v", l, got, want, prog)
-		}
-		if l > 0 {
-			ahead = h
+			t.Fatalf("lookahead %v diverged from the ordered run\n  got:  %+v\n  want: %+v\n  program: %+v", l, got, want, prog)
 		}
 	}
-	return ahead, probed
+	got, ahead := prog.run(raLookahead, nil)
+	want.probed = nil
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("unprobed run diverged from the ordered run\n  got:  %+v\n  want: %+v\n  program: %+v", got, want, prog)
+	}
+	return ahead, ordered
 }
 
 // TestRunAheadSeededTable runs a seeded table of random programs through
 // checkRunAhead and requires run-ahead to have saved handoffs somewhere.
 func TestRunAheadSeededTable(t *testing.T) {
-	var ahead, probed int64
+	var ahead, ordered int64
 	for seed := int64(1); seed <= 300; seed++ {
 		data := make([]byte, 200)
 		rand.New(rand.NewSource(seed)).Read(data)
-		a, p := checkRunAhead(t, decodeProgram(data))
+		a, o := checkRunAhead(t, decodeProgram(data))
 		ahead += a
-		probed += p
+		ordered += o
 	}
-	if ahead >= probed {
-		t.Errorf("run-ahead took %d handoffs over the table, the probed runs %d: it never ran ahead", ahead, probed)
+	if ahead >= ordered {
+		t.Errorf("run-ahead took %d handoffs over the table, the ordered runs %d: it never ran ahead", ahead, ordered)
 	}
 }
 
 // FuzzRunAhead checks that running ahead of the queue never changes a run:
 // per-process clocks and finish times, the timer firing log, the final
-// sequence number and the error must match a probed run.
+// sequence number, the error and each process's probed blocks and resumes
+// must match a run under an ordered probe.
 func FuzzRunAhead(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 6, 0, 40, 0, 7, 30, 1, 0, 20, 0, 4, 0, 1, 5, 7, 90, 0})
@@ -251,17 +279,15 @@ func TestRunAheadSyncAssertionAtReturn(t *testing.T) {
 // goroutine.
 func TestRunAheadPanicOrStop(t *testing.T) {
 	before := runtime.NumGoroutine()
-	run := func(probed bool, end func(s *Simulator)) (string, Time) {
+	run := func(ordered bool, end func(s *Simulator)) (string, Time) {
 		s := New()
 		s.SetLookahead(raLookahead)
-		if probed {
-			s.SetProbe(nopProbe{})
-		}
+		s.SetProbe(&recProbe{ordered: ordered})
 		s.Spawn("bystander", func(p *Proc) { p.Sleep(Millisecond) })
 		s.Spawn("ender", func(p *Proc) {
 			p.Sleep(100 * Microsecond)
 			p.Sleep(100 * Microsecond)
-			if !probed && s.ahead != p {
+			if !ordered && s.ahead != p {
 				t.Error("the process is not running ahead")
 			}
 			end(s)
@@ -280,7 +306,7 @@ func TestRunAheadPanicOrStop(t *testing.T) {
 		gotErr, gotAt := run(false, end)
 		wantErr, wantAt := run(true, end)
 		if gotErr != wantErr || gotAt != wantAt || gotAt != 200*Microsecond {
-			t.Errorf("%s ahead: %q at %v, probed: %q at %v (want 200µs)", name, gotErr, gotAt, wantErr, wantAt)
+			t.Errorf("%s ahead: %q at %v, ordered: %q at %v (want 200µs)", name, gotErr, gotAt, wantErr, wantAt)
 		}
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -295,13 +321,11 @@ func TestRunAheadPanicOrStop(t *testing.T) {
 // TestRunAheadWatchdog: a watchdog horizon inside a run-ahead stops the run
 // exactly where it stops without one.
 func TestRunAheadWatchdog(t *testing.T) {
-	run := func(probed bool) string {
+	run := func(ordered bool) string {
 		s := New()
 		s.SetLookahead(raLookahead)
 		s.SetWatchdog(230 * Microsecond)
-		if probed {
-			s.SetProbe(nopProbe{})
-		}
+		s.SetProbe(&recProbe{ordered: ordered})
 		s.Spawn("computer", func(p *Proc) {
 			for {
 				p.Sleep(30 * Microsecond)
@@ -316,7 +340,7 @@ func TestRunAheadWatchdog(t *testing.T) {
 	}
 	got, want := run(false), run(true)
 	if got != want || !strings.Contains(got, "stopped at 210.0µs") {
-		t.Errorf("stall ahead: %q\nprobed:      %q", got, want)
+		t.Errorf("stall ahead: %q\nordered:     %q", got, want)
 	}
 }
 

@@ -44,9 +44,10 @@ const (
 // cycle — busyUntil deferrals and stale wake generations do not fire it);
 // EventDispatched fires for every event the loop dispatches, with the
 // internal event kind and the target process id (-1 for callbacks and
-// timers). Because virtual time only advances while every process is blocked,
-// a ProcBlocked/ProcResumed pairing exactly tiles each process's lifetime
-// into blocked intervals — the profiler's time-accounting foundation.
+// timers). A process running ahead of the queue reports its sleeps on its
+// local clock, so a ProcBlocked/ProcResumed pairing tiles each process's
+// lifetime into blocked intervals as if every sleep blocked — the profiler's
+// time-accounting foundation.
 type Probe interface {
 	ProcBlocked(at Time, proc int, reason string)
 	ProcResumed(at Time, proc int)
@@ -104,9 +105,10 @@ type Simulator struct {
 	slots []event
 	free  []int32
 
-	// probe, when non-nil, observes dispatches and process resumes. The
+	// probe, when non-nil, observes dispatches, blocks and resumes. The
 	// disabled path costs one nil check per event.
-	probe Probe
+	probe   Probe
+	ordered bool // the probe needs global event order: no run-ahead
 
 	procs   []*Proc
 	next    *Proc // set by a process yielding to Run: who resumes next, nil when the run is over
@@ -155,8 +157,12 @@ func (s *Simulator) Handoffs() int64 { return s.handoffs }
 
 // SetProbe installs the scheduler observation hook (nil to remove). Must be
 // called before Run; the probe only records, so probed runs are bit-identical
-// to unprobed ones.
-func (s *Simulator) SetProbe(p Probe) { s.probe = p }
+// to unprobed ones. A probe whose Ordered method reports true (the tracer's
+// dispatch stream) needs global event order, so it turns run-ahead off.
+func (s *Simulator) SetProbe(p Probe) {
+	o, ok := p.(interface{ Ordered() bool })
+	s.probe, s.ordered = p, ok && o.Ordered()
+}
 
 // SetWatchdog arms the virtual-time watchdog: if the simulation is about to
 // advance past limit, the run stops and Run returns a *Stalled error naming
@@ -389,19 +395,16 @@ func (s *Simulator) wake(p *Proc) *Proc {
 		return nil
 	}
 	p.state = stateRunning
-	if s.probe != nil {
-		s.probe.ProcResumed(s.now, p.id)
-	}
 	return p
 }
 
 // window returns the time p may run ahead to: the earliest pending event
 // (read before p's own wake is queued) plus the lookahead, capped at the
-// watchdog horizon. Nothing bounds it when the queue is empty. A probed or
-// stopped run, or a p with something aimed at it, gets no window: a probe
-// must see every block and resume as it happens.
+// watchdog horizon. Nothing bounds it when the queue is empty. A run with
+// an ordered probe (SetProbe) or a stopped run, or a p with something aimed
+// at it, gets no window.
 func (s *Simulator) window(p *Proc) Time {
-	if s.probe != nil || s.stopped || p.inbound > 0 {
+	if s.ordered || s.stopped || p.inbound > 0 {
 		return s.now
 	}
 	limit := Time(math.MaxInt64)

@@ -383,6 +383,10 @@ func (t *Tracer) fold(proc int) {
 // voluminous thing the tracer can capture.
 func (t *Tracer) EnableSched() { t.sched = true }
 
+// Ordered reports whether the tracer records the dispatch stream, which
+// needs global event order and so turns run-ahead off (sim.SetProbe).
+func (t *Tracer) Ordered() bool { return t != nil && t.sched }
+
 // NProcs returns the processor count the tracer was created for.
 func (t *Tracer) NProcs() int { return len(t.bufs) }
 

@@ -10,6 +10,7 @@ package apps
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"ecvslrc/internal/core"
 	"ecvslrc/internal/mem"
@@ -110,6 +111,38 @@ var (
 	_ run.StaticApp = (*FFT)(nil)
 	_ run.StaticApp = (*Micro)(nil)
 )
+
+// refMemo holds an application's sequential verification reference per
+// problem size: the reference is a pure function of the instance, and a sweep
+// runs the same instance in every cell. Init warms it, so set-up pays for the
+// solve; Verify reads it back.
+type refMemo[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]*refEntry[V]
+}
+
+type refEntry[V any] struct {
+	once sync.Once
+	v    V
+}
+
+// get returns the reference for k, running solve on the first request only:
+// parallel first requests for one k wait for a single solve, and a hit does
+// not allocate.
+func (r *refMemo[K, V]) get(k K, solve func() V) V {
+	r.mu.Lock()
+	e := r.m[k]
+	if e == nil {
+		if r.m == nil {
+			r.m = make(map[K]*refEntry[V])
+		}
+		e = new(refEntry[V])
+		r.m[k] = e
+	}
+	r.mu.Unlock()
+	e.once.Do(func() { e.v = solve() })
+	return e.v
+}
 
 // bindOne returns d.Bind for single-range bindings, passing every call the
 // same one-element argument slice. Bind does not retain its argument

@@ -3,7 +3,6 @@ package apps
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"ecvslrc/internal/core"
 	"ecvslrc/internal/ec"
@@ -55,9 +54,6 @@ type Barnes struct {
 	cells    mem.Addr
 	ncells   mem.Addr // shared allocation counter (written by proc 0 only)
 	nprocs   int
-
-	expPos   [][3]float64
-	expForce [][3]float64
 }
 
 func newBarnes(s Scale) *Barnes {
@@ -154,7 +150,7 @@ func (a *Barnes) initPos(i int) ([3]float64, float64) {
 	return [3]float64{rng.f64(), rng.f64(), rng.f64()}, 1.0 / float64(a.m)
 }
 
-// Init implements run.App: body positions plus the sequential reference.
+// Init implements run.App: body positions; it warms the sequential reference.
 func (a *Barnes) Init(im *mem.Image) {
 	for i := 0; i < a.m; i++ {
 		p, m := a.initPos(i)
@@ -163,12 +159,8 @@ func (a *Barnes) Init(im *mem.Image) {
 		}
 		im.WriteF64(a.massAddr(i), m)
 	}
-	a.InitRef()
+	a.reference()
 }
-
-// InitRef implements run.RefInit: adopt the memoized sequential reference
-// without re-seeding an image.
-func (a *Barnes) InitRef() { a.computeReference() }
 
 // --- plain-Go reference implementation (also defines the physics) ---------
 
@@ -327,44 +319,39 @@ func (t *refTree) forceOn(i, cell int, f *[3]float64, interactions *int) {
 	}
 }
 
-func (a *Barnes) computeReference() {
-	key := [2]int{a.m, a.steps}
-	if ref, ok := barnesRefCache.Load(key); ok {
-		r := ref.(*barnesRef)
-		a.expPos, a.expForce = r.pos, r.force
-		return
-	}
-	pos := make([][3]float64, a.m)
-	mass := make([]float64, a.m)
-	for i := range pos {
-		pos[i], mass[i] = a.initPos(i)
-	}
-	force := make([][3]float64, a.m)
-	for s := 0; s < a.steps; s++ {
-		t := buildRefTree(pos, mass)
-		ints := 0
-		for i := 0; i < a.m; i++ {
-			force[i] = [3]float64{}
-			t.forceOn(i, 0, &force[i], &ints)
-		}
-		for i := 0; i < a.m; i++ {
-			for c := 0; c < 3; c++ {
-				pos[i][c] += 1e-4 * force[i][c]
-				pos[i][c] = math.Min(math.Max(pos[i][c], 0), 1-1e-12)
-			}
-		}
-	}
-	a.expPos, a.expForce = pos, force
-	barnesRefCache.Store(key, &barnesRef{pos: pos, force: force})
-}
-
-// barnesRef memoizes the sequential reference per problem size: a pure
-// function of (bodies, steps).
+// barnesRef is the sequential reference: a pure function of (bodies, steps).
 type barnesRef struct {
 	pos, force [][3]float64
 }
 
-var barnesRefCache sync.Map // [2]int{m, steps} -> *barnesRef
+var barnesRefs refMemo[[2]int, *barnesRef]
+
+// reference returns the memoized sequential reference.
+func (a *Barnes) reference() *barnesRef {
+	return barnesRefs.get([2]int{a.m, a.steps}, func() *barnesRef {
+		pos := make([][3]float64, a.m)
+		mass := make([]float64, a.m)
+		for i := range pos {
+			pos[i], mass[i] = a.initPos(i)
+		}
+		force := make([][3]float64, a.m)
+		for s := 0; s < a.steps; s++ {
+			t := buildRefTree(pos, mass)
+			ints := 0
+			for i := 0; i < a.m; i++ {
+				force[i] = [3]float64{}
+				t.forceOn(i, 0, &force[i], &ints)
+			}
+			for i := 0; i < a.m; i++ {
+				for c := 0; c < 3; c++ {
+					pos[i][c] += 1e-4 * force[i][c]
+					pos[i][c] = math.Min(math.Max(pos[i][c], 0), 1-1e-12)
+				}
+			}
+		}
+		return &barnesRef{pos: pos, force: force}
+	})
+}
 
 // --- the DSM program -------------------------------------------------------
 
@@ -705,15 +692,16 @@ func barnesForce[D core.Accessor](a *Barnes, d D, i, cell int, f *[3]float64, in
 // Verify implements run.App.
 func (a *Barnes) Verify(im *mem.Image) error {
 	const tol = 1e-9
+	ref := a.reference()
 	for i := 0; i < a.m; i++ {
 		for c := 0; c < 3; c++ {
 			got := im.ReadF64(a.posAddr(i, c))
-			want := a.expPos[i][c]
+			want := ref.pos[i][c]
 			if math.Abs(got-want) > tol*(1+math.Abs(want)) {
 				return fmt.Errorf("Barnes-Hut: pos[%d][%d] = %v, want %v", i, c, got, want)
 			}
 			gotF := im.ReadF64(a.forceAddr(i, c))
-			wantF := a.expForce[i][c]
+			wantF := ref.force[i][c]
 			if math.Abs(gotF-wantF) > tol*(1+math.Abs(wantF)) {
 				return fmt.Errorf("Barnes-Hut: force[%d][%d] = %v, want %v", i, c, gotF, wantF)
 			}

@@ -62,9 +62,6 @@ func (a *IS) Layout(al *mem.Allocator) {
 // Init implements run.App.
 func (a *IS) Init(im *mem.Image) {}
 
-// InitRef implements run.RefInit (Init is stateless).
-func (a *IS) InitRef() {}
-
 // keyStream returns the generator of processor p's deterministic key set and
 // the number of keys it holds; each key is the stream's next intn(a.bmax).
 func (a *IS) keyStream(p, nprocs int) (rng *lcg, n int) {

@@ -95,9 +95,6 @@ func (m *Micro) Layout(al *mem.Allocator) {
 // Init implements run.App.
 func (m *Micro) Init(im *mem.Image) {}
 
-// InitRef implements run.RefInit (Init is stateless).
-func (m *Micro) InitRef() {}
-
 // Program implements run.App: the interface-adapter entry of microProgram —
 // the same generic kernel the statically-dispatched entries run.
 func (m *Micro) Program(d core.DSM) { microProgram(m, d) }

@@ -84,10 +84,6 @@ func (a *QS) Init(im *mem.Image) {
 	im.WriteI32(a.qLen(0), int32(a.n))
 }
 
-// InitRef implements run.RefInit: Verify recomputes its reference from the
-// generator, so Init keeps no instance state to adopt.
-func (a *QS) InitRef() {}
-
 func (a *QS) qTop() mem.Addr      { return a.queue }
 func (a *QS) qDone() mem.Addr     { return a.queue + 4 }
 func (a *QS) qOff(s int) mem.Addr { return a.queue + 8 + mem.Addr(8*s) }

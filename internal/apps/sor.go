@@ -2,7 +2,6 @@ package apps
 
 import (
 	"fmt"
-	"sync"
 
 	"ecvslrc/internal/core"
 	"ecvslrc/internal/ec"
@@ -43,8 +42,7 @@ type SOR struct {
 	sharedOf     []int32
 	bandCounts   []int // processor counts whose band boundaries Layout pre-shares
 	nShared      int
-	stride       int // cached sharedStride (SOR+)
-	expected     [][]float32
+	stride       int                 // cached sharedStride (SOR+)
 	priv         map[int][][]float32 // SOR+: per-processor private bands
 	verifyGather bool
 }
@@ -170,13 +168,8 @@ func (a *SOR) initValue(i, j int) float32 {
 	return float32(1 + (i*31+j*17)%23)
 }
 
-// sorRefCache memoizes the sequential reference solution per problem size:
-// it is a pure function of (rows, cols, iters) and every cell of a table
-// sweep re-solves the same instance otherwise.
-var sorRefCache sync.Map // [3]int{rows, cols, iters} -> [][]float32
-
-// Init implements run.App: it seeds the shared rows and precomputes the
-// expected result with a plain sequential solver.
+// Init implements run.App: it seeds the shared rows and warms the expected
+// result of a plain sequential solver.
 func (a *SOR) Init(im *mem.Image) {
 	for i := 0; i < a.rows; i++ {
 		base := a.rowBase(i)
@@ -187,38 +180,35 @@ func (a *SOR) Init(im *mem.Image) {
 			im.WriteF32(a.elemAddr(base, i, j), a.initValue(i, j))
 		}
 	}
-	a.InitRef()
+	a.reference()
 }
 
-// InitRef implements run.RefInit: adopt the memoized sequential solution
-// without re-seeding an image.
-func (a *SOR) InitRef() {
-	key := [3]int{a.rows, a.cols, a.iters}
-	if ref, ok := sorRefCache.Load(key); ok {
-		a.expected = ref.([][]float32)
-		return
-	}
-	// Sequential reference.
-	m := make([][]float32, a.rows)
-	for i := range m {
-		m[i] = make([]float32, a.cols)
-		for j := range m[i] {
-			m[i][j] = a.initValue(i, j)
+var sorRefs refMemo[[3]int, [][]float32]
+
+// reference returns the memoized sequential solution, a pure function of
+// (rows, cols, iters).
+func (a *SOR) reference() [][]float32 {
+	return sorRefs.get([3]int{a.rows, a.cols, a.iters}, func() [][]float32 {
+		m := make([][]float32, a.rows)
+		for i := range m {
+			m[i] = make([]float32, a.cols)
+			for j := range m[i] {
+				m[i][j] = a.initValue(i, j)
+			}
 		}
-	}
-	for it := 0; it < a.iters; it++ {
-		for color := 0; color < 2; color++ {
-			for i := 1; i < a.rows-1; i++ {
-				for j := 1; j < a.cols-1; j++ {
-					if (i+j)%2 == color {
-						m[i][j] = (m[i-1][j] + m[i+1][j] + m[i][j-1] + m[i][j+1]) / 4
+		for it := 0; it < a.iters; it++ {
+			for color := 0; color < 2; color++ {
+				for i := 1; i < a.rows-1; i++ {
+					for j := 1; j < a.cols-1; j++ {
+						if (i+j)%2 == color {
+							m[i][j] = (m[i-1][j] + m[i+1][j] + m[i][j-1] + m[i][j+1]) / 4
+						}
 					}
 				}
 			}
 		}
-	}
-	a.expected = m
-	sorRefCache.Store(key, m)
+		return m
+	})
 }
 
 // lock ids: per (row, color).
@@ -394,6 +384,7 @@ func sorProgram[D core.Accessor](a *SOR, d D) {
 	d.StatsEnd()
 
 	// Verify own band against the reference; gather shared rows to proc 0.
+	ref := a.reference()
 	for i := lo; i < hi; i++ {
 		for j := 1; j < a.cols-1; j++ {
 			var got float32
@@ -402,8 +393,8 @@ func sorProgram[D core.Accessor](a *SOR, d D) {
 			} else {
 				got = d.ReadF32(a.elemAddr(a.rowBase(i), i, j))
 			}
-			if got != a.expected[i][j] {
-				panic(fmt.Sprintf("%s: proc %d: m[%d][%d] = %v, want %v", a.Name(), me, i, j, got, a.expected[i][j]))
+			if got != ref[i][j] {
+				panic(fmt.Sprintf("%s: proc %d: m[%d][%d] = %v, want %v", a.Name(), me, i, j, got, ref[i][j]))
 			}
 		}
 	}
@@ -431,6 +422,7 @@ func sorProgram[D core.Accessor](a *SOR, d D) {
 
 // Verify implements run.App: checks every shared row in processor 0's image.
 func (a *SOR) Verify(im *mem.Image) error {
+	ref := a.reference()
 	for i := 1; i < a.rows-1; i++ {
 		base := a.rowBase(i)
 		if base < 0 {
@@ -438,8 +430,8 @@ func (a *SOR) Verify(im *mem.Image) error {
 		}
 		for j := 1; j < a.cols-1; j++ {
 			got := im.ReadF32(a.elemAddr(base, i, j))
-			if got != a.expected[i][j] {
-				return fmt.Errorf("%s: m[%d][%d] = %v, want %v", a.Name(), i, j, got, a.expected[i][j])
+			if got != ref[i][j] {
+				return fmt.Errorf("%s: m[%d][%d] = %v, want %v", a.Name(), i, j, got, ref[i][j])
 			}
 		}
 	}

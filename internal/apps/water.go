@@ -3,7 +3,6 @@ package apps
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"ecvslrc/internal/core"
 	"ecvslrc/internal/ec"
@@ -46,9 +45,6 @@ type Water struct {
 	mols   mem.Addr
 	disp   mem.Addr // split variant: separate displacement array
 	nprocs int
-
-	expDisp  [][3]float64
-	expForce [][3]float64
 }
 
 func newWater(s Scale, split bool) *Water {
@@ -105,8 +101,8 @@ func (a *Water) initDisp(i int) [3]float64 {
 	return [3]float64{rng.f64(), rng.f64(), rng.f64()}
 }
 
-// Init implements run.App: deterministic initial positions, zero forces,
-// plus the sequential reference trajectory.
+// Init implements run.App: deterministic initial positions and zero forces;
+// it warms the sequential reference trajectory.
 func (a *Water) Init(im *mem.Image) {
 	for i := 0; i < a.m; i++ {
 		d := a.initDisp(i)
@@ -114,53 +110,47 @@ func (a *Water) Init(im *mem.Image) {
 			im.WriteF64(a.dispAddr(i, c), d[c])
 		}
 	}
-	a.InitRef()
+	a.reference()
 }
 
-// InitRef implements run.RefInit: adopt the memoized sequential reference
-// trajectory without re-seeding an image.
-func (a *Water) InitRef() {
-	key := [2]int{a.m, a.steps}
-	if ref, ok := waterRefCache.Load(key); ok {
-		r := ref.(*waterRef)
-		a.expDisp, a.expForce = r.disp, r.force
-		return
-	}
-	disp := make([][3]float64, a.m)
-	force := make([][3]float64, a.m)
-	for i := range disp {
-		disp[i] = a.initDisp(i)
-	}
-	for s := 0; s < a.steps; s++ {
-		acc := make([][3]float64, a.m)
-		for i := 0; i < a.m; i++ {
-			for w := 1; w <= a.m/2; w++ {
-				j := (i + w) % a.m
-				f := pairForce(disp[i], disp[j])
-				for c := 0; c < 3; c++ {
-					acc[i][c] += f[c]
-					acc[j][c] -= f[c]
-				}
-			}
-		}
-		for i := 0; i < a.m; i++ {
-			for c := 0; c < 3; c++ {
-				force[i][c] = acc[i][c]
-				disp[i][c] += 0.001 * force[i][c]
-			}
-		}
-	}
-	a.expDisp, a.expForce = disp, force
-	waterRefCache.Store(key, &waterRef{disp: disp, force: force})
-}
-
-// waterRef memoizes the sequential reference trajectory per problem size:
-// it is a pure function of (molecules, steps).
+// waterRef is the sequential reference trajectory: a pure function of
+// (molecules, steps).
 type waterRef struct {
 	disp, force [][3]float64
 }
 
-var waterRefCache sync.Map // [2]int{m, steps} -> *waterRef
+var waterRefs refMemo[[2]int, *waterRef]
+
+// reference returns the memoized sequential reference trajectory.
+func (a *Water) reference() *waterRef {
+	return waterRefs.get([2]int{a.m, a.steps}, func() *waterRef {
+		disp := make([][3]float64, a.m)
+		force := make([][3]float64, a.m)
+		for i := range disp {
+			disp[i] = a.initDisp(i)
+		}
+		for s := 0; s < a.steps; s++ {
+			acc := make([][3]float64, a.m)
+			for i := 0; i < a.m; i++ {
+				for w := 1; w <= a.m/2; w++ {
+					j := (i + w) % a.m
+					f := pairForce(disp[i], disp[j])
+					for c := 0; c < 3; c++ {
+						acc[i][c] += f[c]
+						acc[j][c] -= f[c]
+					}
+				}
+			}
+			for i := 0; i < a.m; i++ {
+				for c := 0; c < 3; c++ {
+					force[i][c] = acc[i][c]
+					disp[i][c] += 0.001 * force[i][c]
+				}
+			}
+		}
+		return &waterRef{disp: disp, force: force}
+	})
+}
 
 // pairForce is the simplified interaction: a clipped inverse-square pull.
 func pairForce(di, dj [3]float64) [3]float64 {
@@ -358,15 +348,16 @@ func waterProgram[D core.Accessor](a *Water, d D) {
 // a tolerance for the parallel force-accumulation order.
 func (a *Water) Verify(im *mem.Image) error {
 	const tol = 1e-9
+	ref := a.reference()
 	for i := 0; i < a.m; i++ {
 		for c := 0; c < 3; c++ {
 			got := im.ReadF64(a.dispAddr(i, c))
-			want := a.expDisp[i][c]
+			want := ref.disp[i][c]
 			if math.Abs(got-want) > tol*(1+math.Abs(want)) {
 				return fmt.Errorf("Water: disp[%d][%d] = %v, want %v", i, c, got, want)
 			}
 			gotF := im.ReadF64(a.forceAddr(i, c))
-			wantF := a.expForce[i][c]
+			wantF := ref.force[i][c]
 			if math.Abs(gotF-wantF) > tol*(1+math.Abs(wantF)) {
 				return fmt.Errorf("Water: force[%d][%d] = %v, want %v", i, c, gotF, wantF)
 			}

@@ -325,11 +325,6 @@ func NewWithImage(p *sim.Proc, net *fabric.Network, al *mem.Allocator, nprocs in
 		n.SetTrap(n.db, n.CM.InstrStoreOpt)
 	case core.Twinning:
 		n.twins = wtrap.NewPageTwins(n.Im)
-		if n.Tr != nil {
-			n.twins.OnMake = func(pg int) {
-				n.Tr.Twin(p.Now(), p.ID(), trace.DomainPage, pg)
-			}
-		}
 		n.openEpochs = make([][]core.LockID, al.Pages())
 		n.MMU.SetHandler(n.onFault)
 	}
@@ -458,6 +453,7 @@ func (n *Node) onFault(a mem.Addr, write bool) {
 		n.CM.ProtFault+mem.PageWords*n.CM.WordCopy+n.CM.MProtect)
 	n.Charge(n.CM.ProtFault + mem.PageWords*n.CM.WordCopy + n.CM.MProtect)
 	n.twins.Make(pg)
+	n.Tr.Twin(n.P.Now(), n.P.ID(), trace.DomainPage, pg)
 	n.Extra.TwinsMade++
 	n.MMU.SetProt(pg, vm.ReadWrite)
 }
@@ -833,9 +829,6 @@ func (h *lockHooks) LocalReacquire(l core.LockID, mode syncmgr.Mode) {
 		n.openEpoch(l, st)
 	}
 }
-
-// OnRelease: collection is lazy (at grant time), nothing to do here.
-func (h *lockHooks) OnRelease(l core.LockID) sim.Time { return 0 }
 
 // nilBarrierHooks: EC barriers are pure synchronization; arrival and
 // departure payloads stay empty (PayloadNone body slots).

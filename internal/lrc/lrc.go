@@ -283,11 +283,6 @@ func NewWithImage(p *sim.Proc, net *fabric.Network, al *mem.Allocator, nprocs in
 		n.SetTrap(n.db, n.CM.InstrStoreOpt+n.CM.InstrStoreOpt/2)
 	case core.Twinning:
 		n.twins = wtrap.NewPageTwins(n.Im)
-		if n.Tr != nil {
-			n.twins.OnMake = func(pg int) {
-				n.Tr.Twin(p.Now(), p.ID(), trace.DomainPage, pg)
-			}
-		}
 		// All shared pages start write-protected so first writes twin.
 		for pg := 0; pg < al.Pages(); pg++ {
 			n.MMU.SetProt(pg, vm.ReadOnly)
@@ -608,6 +603,7 @@ func (n *Node) writeTwinFault(pg int) {
 	n.Charge(hwork)
 	n.Charge(twork)
 	n.twins.Make(pg)
+	n.Tr.Twin(n.P.Now(), n.P.ID(), trace.DomainPage, pg)
 	n.Extra.TwinsMade++
 	n.openPages = append(n.openPages, pg)
 	n.MMU.SetProt(pg, vm.ReadWrite)
@@ -881,9 +877,6 @@ func (h *lockHooks) LocalReacquire(l core.LockID, mode syncmgr.Mode) {
 	// The interval was already closed by Node.Acquire before the lock
 	// manager ran; nothing further is needed.
 }
-
-// OnRelease is lazy: consistency work happens when the next acquire arrives.
-func (h *lockHooks) OnRelease(l core.LockID) sim.Time { return 0 }
 
 // --- syncmgr barrier hooks --------------------------------------------------
 

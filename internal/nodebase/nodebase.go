@@ -92,15 +92,9 @@ type Extra struct {
 	StampRunsSent int64
 }
 
-// Init fills the common fields with a zeroed private image.
-func (b *Base) Init(p *sim.Proc, net *fabric.Network, al *mem.Allocator, model core.Model, nprocs int) {
-	b.InitWithImage(p, net, al, model, nprocs, mem.NewImage(al.Size()))
-}
-
-// InitWithImage is Init with a caller-provided image (typically recycled,
-// contents unspecified): the runner overwrites it in full before the
-// simulation starts. With a tracer on the network, protection faults are
-// tapped through the MMU observer.
+// InitWithImage fills the common fields around a caller-provided image
+// (typically recycled, contents unspecified): the runner overwrites it in
+// full before the simulation starts.
 func (b *Base) InitWithImage(p *sim.Proc, net *fabric.Network, al *mem.Allocator, model core.Model, nprocs int, im *mem.Image) {
 	b.P = p
 	b.Net = net
@@ -113,11 +107,7 @@ func (b *Base) InitWithImage(p *sim.Proc, net *fabric.Network, al *mem.Allocator
 	b.fastWriteProt = vm.ReadWrite
 	b.NProcs = nprocs
 	b.Model = model
-	if b.Tr = net.Tracer(); b.Tr != nil {
-		b.MMU.SetObserver(func(a mem.Addr, write bool) {
-			b.Tr.Fault(p.Now(), p.ID(), mem.PageOf(a), write)
-		})
-	}
+	b.Tr = net.Tracer()
 }
 
 // neverProt is fastWriteProt's sentinel: no page ever reaches it, so every
@@ -226,12 +216,16 @@ func (b *Base) WriteF64(a mem.Addr, v float64) {
 	binary.LittleEndian.PutUint64(b.data[a:], math.Float64bits(v))
 }
 
-// readFault is the read slow path: the page is invalid, run the fault
-// machinery. go:noinline keeps its cost out of the accessors' budgets — it
-// is taken once per access miss, never on the in-window path.
+// readFault is the read slow path: the page is invalid, record the fault
+// and run the fault machinery. go:noinline keeps its cost out of the
+// accessors' budgets — it is taken once per access miss, never on the
+// in-window path.
 //
 //go:noinline
-func (b *Base) readFault(a mem.Addr) { b.MMU.FaultRead(a) }
+func (b *Base) readFault(a mem.Addr) {
+	b.Tr.Fault(b.P.Now(), b.P.ID(), mem.PageOf(a), false)
+	b.MMU.FaultRead(a)
+}
 
 // writeSlow handles everything a store may owe beyond the raw write: a
 // protection fault (resolved before trapping, as the hardware would), then
@@ -240,6 +234,7 @@ func (b *Base) readFault(a mem.Addr) { b.MMU.FaultRead(a) }
 // is per-store work, there is no untrapped write path to speed up.
 func (b *Base) writeSlow(a mem.Addr, size int) {
 	if b.prot[a>>mem.PageShift] != vm.ReadWrite {
+		b.Tr.Fault(b.P.Now(), b.P.ID(), mem.PageOf(a), true)
 		b.MMU.FaultWrite(a)
 	}
 	if b.trapDB != nil {

@@ -19,7 +19,7 @@ func rig(t *testing.T, body func(b *Base)) {
 	al.Alloc("data", 2*mem.PageSize, 4)
 	b := &Base{}
 	p := s.Spawn("p0", func(p *sim.Proc) { body(b) })
-	b.Init(p, net, al, core.LRC, 1)
+	b.InitWithImage(p, net, al, core.LRC, 1, mem.NewImage(al.Size()))
 	net.Attach(p, func(hc *fabric.HandlerCtx, m fabric.Msg) {})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)

@@ -23,7 +23,8 @@ type fuzzApp struct {
 	ops      int
 	base     mem.Addr
 	procs    int
-	// expected number of increments per counter, filled during Program.
+	// expected number of increments per counter, sized by Layout and
+	// filled during Program.
 	added []int64
 }
 
@@ -38,9 +39,10 @@ func (a *fuzzApp) Name() string { return "fuzz" }
 
 func (a *fuzzApp) Layout(al *mem.Allocator) {
 	a.base = al.Alloc("counters", a.counters*8, 4)
+	a.added = make([]int64, a.counters)
 }
 
-func (a *fuzzApp) Init(im *mem.Image) { a.added = make([]int64, a.counters) }
+func (a *fuzzApp) Init(im *mem.Image) {}
 
 func (a *fuzzApp) addr(c int) mem.Addr    { return a.base + mem.Addr(8*c) }
 func (a *fuzzApp) lock(c int) core.LockID { return core.LockID(1 + c) }

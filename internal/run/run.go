@@ -28,7 +28,9 @@ type App interface {
 	Layout(al *mem.Allocator)
 	// Init populates the initial shared memory contents. It runs before the
 	// processors start; every processor begins with this image (process
-	// creation is not part of the timed region in the paper).
+	// creation is not part of the timed region in the paper). Init only
+	// writes the image and keeps no instance state, so the run skips it
+	// when handed a cached image (Options.InitImage).
 	Init(im *mem.Image)
 	// Program is the per-processor program. It must call d.StatsEnd() after
 	// its final barrier; processor 0 must then gather the results through
@@ -62,16 +64,6 @@ type StaticApp interface {
 	ProgramEC(n *ec.Node)
 	// ProgramSeq is Program entered through the sequential frontend.
 	ProgramSeq(l *Local)
-}
-
-// RefInit is implemented by applications whose Init separates into image
-// seeding (a pure, deterministic function of the problem instance) and
-// adoption of the verification reference (memoized per problem size).
-// RunWith calls InitRef instead of Init when handed a cached initial image,
-// skipping the seeding writes. Apps whose Init keeps no instance state
-// implement it as a no-op.
-type RefInit interface {
-	InitRef()
 }
 
 // Machine is the shape of the simulated machine beyond its cost model — the
@@ -121,9 +113,8 @@ type Options struct {
 	Machine
 	// InitImage, when non-nil, is a pre-seeded initial image for this exact
 	// application instance (same name, same scale), typically from the
-	// harness's per-(app, scale) cache. It is only honored for apps
-	// implementing RefInit; ownership stays with the caller (the image is
-	// read, never recycled).
+	// harness's per-(app, scale) cache; the run then skips Init. Ownership
+	// stays with the caller (the image is read, never recycled).
 	InitImage *mem.Image
 	// Layout, when non-nil, is the pre-computed allocator for this exact
 	// application instance, typically cached alongside InitImage. The run
@@ -408,19 +399,15 @@ func layout(app App, opts Options) *mem.Allocator {
 }
 
 // initialImage produces the seeded initial image for app (already laid out
-// on al), honoring a cached image from opts when the app supports reference
-// adoption. cached reports whether the returned image is caller-owned.
+// on al), honoring a cached image from opts in place of Init. cached reports
+// whether the returned image is caller-owned.
 func initialImage(app App, al *mem.Allocator, opts Options) (im *mem.Image, cached bool, err error) {
 	if opts.InitImage != nil {
-		if r, ok := app.(RefInit); ok {
-			want := mem.ImageBytes(al.Size())
-			if opts.InitImage.Size() != want {
-				return nil, false, fmt.Errorf("run: %s: cached image is %d bytes, layout needs %d",
-					app.Name(), opts.InitImage.Size(), want)
-			}
-			r.InitRef()
-			return opts.InitImage, true, nil
+		if want := mem.ImageBytes(al.Size()); opts.InitImage.Size() != want {
+			return nil, false, fmt.Errorf("run: %s: cached image is %d bytes, layout needs %d",
+				app.Name(), opts.InitImage.Size(), want)
 		}
+		return opts.InitImage, true, nil
 	}
 	im = mem.NewImage(al.Size())
 	app.Init(im)

@@ -85,8 +85,6 @@ type LockHooks interface {
 	// LocalReacquire runs when the owner reacquires its own lock without
 	// any communication.
 	LocalReacquire(l core.LockID, mode Mode)
-	// OnRelease runs at release time, before any queued grant is serviced.
-	OnRelease(l core.LockID) sim.Time
 }
 
 // Counters tallies synchronization events for core.Stats.
@@ -350,9 +348,6 @@ func (m *LockMgr) Release(l core.LockID) {
 	if !st.has(slotHeld) {
 		panic(fmt.Sprintf("syncmgr: proc %d releasing un-held lock %d", m.self, l))
 	}
-	relWork := m.hooks.OnRelease(l)
-	m.tr.Work(m.p.Now(), m.self, trace.WorkTrapDiff, trace.ObjLock, int(l), relWork)
-	m.p.Sleep(relWork)
 	q := st.q
 	depth := 0
 	if q != nil {

@@ -60,7 +60,6 @@ func (h *recHooks) ApplyLockGrant(l core.LockID, mode Mode, payload fabric.Paylo
 }
 
 func (h *recHooks) LocalReacquire(core.LockID, Mode) {}
-func (h *recHooks) OnRelease(core.LockID) sim.Time   { return 0 }
 
 func (h *recHooks) MakeArrival(b core.BarrierID) (fabric.Payload, int, sim.Time) {
 	return fabric.Payload{Vec: []int32{int32(h.self), 40}, Body: &testBody{tag: 7}}, 8, 0

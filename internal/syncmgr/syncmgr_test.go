@@ -20,7 +20,6 @@ func (nilHooks) MakeLockGrant(core.LockID, Mode, fabric.Payload, int) (fabric.Pa
 }
 func (nilHooks) ApplyLockGrant(core.LockID, Mode, fabric.Payload) sim.Time { return 0 }
 func (nilHooks) LocalReacquire(core.LockID, Mode)                          {}
-func (nilHooks) OnRelease(core.LockID) sim.Time                            { return 0 }
 
 func (nilHooks) MakeArrival(core.BarrierID) (fabric.Payload, int, sim.Time) {
 	return fabric.Payload{}, 0, 0
@@ -167,7 +166,7 @@ func TestConcurrentReaders(t *testing.T) {
 	}
 }
 
-func TestQueuedExclusiveGrantedOnRelease(t *testing.T) {
+func TestQueuedExclusiveGrantedAtRelease(t *testing.T) {
 	var holdEnd, p2Got sim.Time
 	c := newCluster(t, 3, func(c *cluster, i int) {
 		lm := c.locks[i]

@@ -20,7 +20,9 @@ import (
 // class comes from its block reason — a Sleep is compute, a parked page fetch
 // is page-fetch stall, a barrier park is barrier wait, a synchronous call is
 // resolved from context (an open lock request means lock wait, an open
-// barrier episode means barrier wait, otherwise the call is fetching pages).
+// barrier episode means barrier wait; the only synchronous calls are lock
+// requests and barrier arrivals, so a call outside both is never reached by
+// a real run and falls back to page fetch).
 // Three record streams then refine the base class from within:
 //
 //   - EvWork: classified protocol CPU (trap/twin/diff/scan/install machinery)
@@ -441,9 +443,9 @@ func (st *procScan) closeInterval(at sim.Time) {
 // baseClass resolves the block reason to the interval's remainder class. A
 // synchronous call ("rpc-reply") is classified from context: inside a barrier
 // episode it is barrier wait, with an outstanding lock request it is lock
-// wait, otherwise it is fetching page data (LRC's parallel fetches block on
-// dedicated waiters, but the reply of a single fetch or an EC grant carrying
-// data land here).
+// wait. Those are the only synchronous calls: LRC fetches block as
+// "lrc-fetch" and EC grants answer lock requests, so the page-fetch fallback
+// is never reached by a real run (TestRPCBlocksAreSynchronisation).
 func (st *procScan) baseClass() (StallClass, int32, int32) {
 	switch st.blockReason {
 	case BlockSleep:

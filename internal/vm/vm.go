@@ -44,10 +44,9 @@ type FaultHandler func(addr mem.Addr, write bool)
 
 // MMU is one processor's page table.
 type MMU struct {
-	prot     []Prot
-	handler  FaultHandler
-	observer FaultHandler
-	faults   int64
+	prot    []Prot
+	handler FaultHandler
+	faults  int64
 }
 
 // New returns an MMU covering pages pages, all initially ReadWrite.
@@ -61,11 +60,6 @@ func New(pages int) *MMU {
 
 // SetHandler installs the fault handler (the protocol's SIGSEGV handler).
 func (m *MMU) SetHandler(h FaultHandler) { m.handler = h }
-
-// SetObserver installs a fault observation hook (the tracing subsystem's tap
-// point). It runs before the handler on every real fault and must not resolve
-// the fault or mutate protocol state — observation only.
-func (m *MMU) SetObserver(h FaultHandler) { m.observer = h }
 
 // Pages returns the number of pages covered.
 func (m *MMU) Pages() int { return len(m.prot) }
@@ -126,9 +120,6 @@ func (m *MMU) check(addr mem.Addr, write bool) {
 			pg, accessName(write), m.prot[pg]))
 	}
 	m.faults++
-	if m.observer != nil {
-		m.observer(addr, write)
-	}
 	m.handler(addr, write)
 	if !m.allowed(pg, write) {
 		panic(fmt.Sprintf("vm: fault handler left page %d inaccessible (%s access, prot %s)",

@@ -18,10 +18,6 @@ type PageTwins struct {
 	pool    [][]byte // free-list of dropped twin buffers, reused by Make
 	scratch []mem.Range
 	made    int64
-
-	// OnMake, when non-nil, observes every twin creation (the tracing
-	// subsystem's tap point). It must not mutate twin state.
-	OnMake func(pg int)
 }
 
 // NewPageTwins returns an empty twin store over image im.
@@ -46,9 +42,6 @@ func (t *PageTwins) Make(pg int) {
 	copy(twin, t.im.Page(pg))
 	t.twins[pg] = twin
 	t.made++
-	if t.OnMake != nil {
-		t.OnMake(pg)
-	}
 }
 
 // Has reports whether page pg currently has a twin.

@@ -538,7 +538,7 @@ func (n *Node) harvest(l core.LockID, st *lockState) sim.Time {
 
 	switch n.impl.Collect {
 	case core.Timestamps:
-		n.stamps.Set(changed, wcollect.Stamp(st.inc))
+		n.stamps.Set(changed, wcollect.ECStamp(st.inc))
 	case core.Diffs:
 		if len(changed) > 0 {
 			d := wcollect.BuildDiff(n.Im, changed)
@@ -705,7 +705,7 @@ func (h *lockHooks) MakeLockGrant(l core.LockID, mode syncmgr.Mode, req fabric.P
 		switch n.impl.Collect {
 		case core.Timestamps:
 			var scanned int
-			g.Stamped.Runs, scanned = wcollect.AppendSelect(g.Stamped.Runs, n.stamps, b.ranges, wcollect.NewerThan{Min: wcollect.Stamp(reqInc)})
+			g.Stamped.Runs, scanned = wcollect.AppendSelect(g.Stamped.Runs, n.stamps, b.ranges, wcollect.NewerThan{Min: wcollect.ECStamp(reqInc)})
 			work += sim.Time(scanned) * n.CM.WordScan
 			g.Stamped.Extract(n.Im, &g.arena)
 			size += g.Stamped.WireSize(wcollect.ECStampBytes)
@@ -761,7 +761,7 @@ func (h *lockHooks) ApplyLockGrant(l core.LockID, mode syncmgr.Mode, payload fab
 		if n.impl.Collect == core.Timestamps {
 			// The full content is current as of the owner's incarnation.
 			for _, r := range g.Full {
-				n.stamps.Set([]mem.Range{{Base: r.Base, Len: len(r.Data)}}, wcollect.Stamp(ownerInc))
+				n.stamps.Set([]mem.Range{{Base: r.Base, Len: len(r.Data)}}, wcollect.ECStamp(ownerInc))
 			}
 		} else {
 			n.dropDiffs(st)

@@ -215,7 +215,8 @@ type Node struct {
 	meta      []*pageMeta // indexed by page, nil until first touched
 	openPages []int       // pages modified in the open interval (twinning), in fault order
 
-	stamps *wcollect.Stamps // Timestamps collection
+	stamps *wcollect.Stamps    // Timestamps collection
+	pack   wcollect.LRCPacking // (processor, interval) → stamp for this cell
 
 	db    *wtrap.DirtyBits // CompilerInstr trapping
 	twins *wtrap.PageTwins // Twinning
@@ -272,6 +273,7 @@ func NewWithImage(p *sim.Proc, net *fabric.Network, al *mem.Allocator, nprocs in
 
 	if impl.Collect == core.Timestamps {
 		n.stamps = wcollect.NewStamps(al)
+		n.pack = wcollect.NewLRCPacking(nprocs)
 	}
 	switch impl.Trap {
 	case core.CompilerInstr:
@@ -380,7 +382,7 @@ func (n *Node) closeInterval() sim.Time {
 			// stamping the modified blocks now (ci implies timestamps).
 			runs, scanned := n.db.CollectPage(pg)
 			work += sim.Time(scanned) * n.CM.WordScan
-			n.stamps.Set(runs, wcollect.LRCStamp(self, int(n.cur)))
+			n.stamps.Set(runs, n.pack.Stamp(self, int(n.cur)))
 			if n.Tr != nil {
 				n.Tr.Collect(n.P.Now(), self, trace.DomainPage, pg, int(n.cur), rangeWords(runs))
 			}
@@ -436,7 +438,7 @@ func (n *Node) harvestPage(pg int) sim.Time {
 	work := sim.Time(cmp) * n.CM.WordCompare
 	switch n.impl.Collect {
 	case core.Timestamps:
-		n.stamps.Set(runs, wcollect.LRCStamp(n.P.ID(), int(ival)))
+		n.stamps.Set(runs, n.pack.Stamp(n.P.ID(), int(ival)))
 	case core.Diffs:
 		d := wcollect.BuildDiff(n.Im, runs)
 		pm.diffs = append(pm.diffs, ivalDiff{Ival: ival, Diff: d})
@@ -653,7 +655,7 @@ func (n *Node) accessMiss(pg int, write bool) {
 				units = append(units, applyUnit{proc: w.proc, ival: idf.Ival, diff: idf.Diff})
 			}
 		case core.Timestamps:
-			units = splitStamped(units, w.proc, &fr.Stamped)
+			units = splitStamped(units, n.pack, w.proc, &fr.Stamped)
 		}
 		w.end = len(units)
 		w.reply = fr
@@ -766,8 +768,8 @@ func (n *Node) nextUnit(writers []pendingWriter, units []applyUnit) *applyUnit {
 }
 
 // stampedByInterval sorts a timestamp reply's parallel run arrays by stamp,
-// in lock step. All stamps of one reply name the same processor, so stamp
-// order is interval order.
+// in lock step. All stamps of one reply name the same processor, which takes
+// a stamp's high bits, so stamp order is interval order.
 type stampedByInterval wcollect.StampedData
 
 func (s *stampedByInterval) Len() int           { return len(s.Runs) }
@@ -782,10 +784,10 @@ func (s *stampedByInterval) Swap(i, j int) {
 // Data[k] carrying the bytes of Runs[k]; a stable sort by interval (the
 // requester owns the reply's arrays) makes each interval's runs contiguous
 // and keeps them in address order, so a unit is a pair of subslices.
-func splitStamped(units []applyUnit, proc int, sd *wcollect.StampedData) []applyUnit {
+func splitStamped(units []applyUnit, pk wcollect.LRCPacking, proc int, sd *wcollect.StampedData) []applyUnit {
 	sort.Stable((*stampedByInterval)(sd))
 	for k := 0; k < len(sd.Runs); {
-		p, iv := sd.Runs[k].Stamp.ProcInterval()
+		p, iv := pk.Unpack(sd.Runs[k].Stamp)
 		if p != proc {
 			panic("lrc: responder sent foreign stamps")
 		}
@@ -829,7 +831,7 @@ func (n *Node) handleFetch(hc *fabric.HandlerCtx, m fabric.Msg) {
 		pageRange := []mem.Range{{Base: mem.PageBase(pg), Len: mem.PageSize}}
 		var scanned int
 		reply.Stamped.Runs, scanned = wcollect.AppendSelect(reply.Stamped.Runs, n.stamps, pageRange,
-			wcollect.ProcWindow{Proc: n.P.ID(), Since: since, UpTo: upTo})
+			n.pack.Window(n.P.ID(), since, upTo))
 		n.Tr.Work(hc.Now(), n.P.ID(), trace.WorkTrapDiff, trace.ObjPage, pg, sim.Time(scanned)*n.CM.WordScan)
 		hc.Work(sim.Time(scanned) * n.CM.WordScan)
 		reply.Stamped.Extract(n.Im, &reply.arena)

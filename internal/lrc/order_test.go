@@ -72,10 +72,10 @@ func (n *Node) kahnOrder(units []applyUnit) []applyUnit {
 // firstSeenUnits is the retired split of a timestamp reply, splitStamped's
 // oracle: one unit per interval in first-seen (address) order, each run
 // appended to its unit.
-func firstSeenUnits(units []applyUnit, proc int, sd wcollect.StampedData) []applyUnit {
+func firstSeenUnits(units []applyUnit, pk wcollect.LRCPacking, proc int, sd wcollect.StampedData) []applyUnit {
 	seg := len(units)
 	for k, sr := range sd.Runs {
-		_, iv := sr.Stamp.ProcInterval()
+		_, iv := pk.Unpack(sr.Stamp)
 		u := (*applyUnit)(nil)
 		for j := seg; j < len(units); j++ {
 			if units[j].ival == int32(iv) {
@@ -152,6 +152,7 @@ func TestMergeMatchesKahnOracle(t *testing.T) {
 			n.held[p] = int32(rng.Intn(len(recs) + 1))
 		}
 		stamped := seed%2 == 0
+		pk := wcollect.NewLRCPacking(nprocs)
 
 		var writers []pendingWriter
 		var units, oracleUnits []applyUnit
@@ -178,11 +179,11 @@ func TestMergeMatchesKahnOracle(t *testing.T) {
 						iv = ivals[perm[k]]
 					}
 					base := mem.Addr(8 * k)
-					sd.Runs = append(sd.Runs, wcollect.StampRun{Base: base, Len: 4, Stamp: wcollect.LRCStamp(p, int(iv))})
+					sd.Runs = append(sd.Runs, wcollect.StampRun{Base: base, Len: 4, Stamp: pk.Stamp(p, int(iv))})
 					sd.Data = append(sd.Data, wcollect.DataRun{Base: base, Data: []byte{byte(k)}})
 				}
-				oracleUnits = firstSeenUnits(oracleUnits, p, sd)
-				units = splitStamped(units, p, &wcollect.StampedData{Runs: slices.Clone(sd.Runs), Data: slices.Clone(sd.Data)})
+				oracleUnits = firstSeenUnits(oracleUnits, pk, p, sd)
+				units = splitStamped(units, pk, p, &wcollect.StampedData{Runs: slices.Clone(sd.Runs), Data: slices.Clone(sd.Data)})
 			} else {
 				for _, iv := range ivals {
 					units = append(units, applyUnit{proc: p, ival: iv})

@@ -8,6 +8,7 @@ package wcollect
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"ecvslrc/internal/mem"
 )
@@ -15,7 +16,8 @@ import (
 // Wire-format overheads, in bytes. A run header carries (address, length);
 // an EC timestamp is one incarnation number per run; an LRC timestamp is a
 // (processor, interval) pair per run; a diff carries one tag for the whole
-// diff.
+// diff. These are the modeled wire widths: they do not depend on how the host
+// represents a Stamp.
 const (
 	RunHeaderBytes  = 8
 	ECStampBytes    = 4
@@ -163,18 +165,72 @@ func (d Diff) WireSize() int { return DiffHeaderBytes + len(d.enc) }
 // Empty reports whether the diff carries no changes.
 func (d Diff) Empty() bool { return len(d.enc) == 0 }
 
-// Stamp is a per-block logical timestamp. For EC it holds the lock
-// incarnation number; for LRC it packs (processor, interval).
-type Stamp int64
+// Stamp is a per-block logical timestamp, 32 bits wide in host memory. For EC
+// it holds a lock incarnation number (ECStamp); for LRC it packs a
+// (processor, interval) pair under the cell's LRCPacking. Stamp 0 means
+// "never stamped".
+type Stamp uint32
 
-// LRCStamp packs a processor id and an interval index.
-func LRCStamp(proc, interval int) Stamp {
-	return Stamp(int64(proc)<<40 | int64(interval)&0xffffffffff)
+// ECStamp converts a lock incarnation number to a stamp. Incarnations start
+// at 0 and only grow, so a negative one is a protocol bug.
+func ECStamp(inc int32) Stamp {
+	if inc < 0 {
+		panic(fmt.Sprintf("wcollect: negative lock incarnation %d", inc))
+	}
+	return Stamp(inc)
 }
 
-// ProcInterval unpacks an LRC stamp.
-func (s Stamp) ProcInterval() (proc, interval int) {
-	return int(int64(s) >> 40), int(int64(s) & 0xffffffffff)
+// LRCPacking packs the (processor, interval) pairs of one cell into stamps:
+// the processor id takes the high bits.Len(nprocs-1) bits and the interval
+// index the rest, so one processor's stamps are a contiguous range ordered by
+// interval and (0, 0) packs to stamp 0. The interval field is at least 22 bits
+// wide up to 1024 processors and 17 bits at 32 767.
+type LRCPacking struct {
+	nprocs int
+	shift  uint  // width of the interval field
+	mask   Stamp // the interval field
+}
+
+// NewLRCPacking returns the packing of a cell of nprocs processors.
+func NewLRCPacking(nprocs int) LRCPacking {
+	procBits := bits.Len(uint(nprocs - 1))
+	if nprocs < 1 || procBits > 31 {
+		panic(fmt.Sprintf("wcollect: no LRC stamp packing for %d processors", nprocs))
+	}
+	shift := uint(32 - procBits)
+	return LRCPacking{nprocs: nprocs, shift: shift, mask: Stamp(uint64(1)<<shift - 1)}
+}
+
+// MaxInterval returns the largest interval index a stamp can carry.
+func (k LRCPacking) MaxInterval() int { return int(k.mask) }
+
+// Stamp packs processor proc's interval. An interval past the field's limit
+// panics: the stamp would alias another processor's.
+func (k LRCPacking) Stamp(proc, interval int) Stamp {
+	if proc < 0 || proc >= k.nprocs {
+		panic(fmt.Sprintf("wcollect: LRC stamp for processor %d of a %d-processor cell", proc, k.nprocs))
+	}
+	if interval < 0 || interval > k.MaxInterval() {
+		panic(fmt.Sprintf("wcollect: LRC stamp for interval %d of processor %d: a %d-processor cell's stamps hold intervals 0..%d",
+			interval, proc, k.nprocs, k.MaxInterval()))
+	}
+	return Stamp(proc)<<k.shift | Stamp(interval)
+}
+
+// Unpack returns the processor and interval an LRC stamp carries.
+func (k LRCPacking) Unpack(s Stamp) (proc, interval int) {
+	return int(s >> k.shift), int(s & k.mask)
+}
+
+// Window returns the predicate that selects processor proc's stamps with
+// interval in (since, upTo] (LRC: one writer's unfetched intervals).
+func (k LRCPacking) Window(proc int, since, upTo int32) ProcWindow {
+	first := k.Stamp(proc, 0)
+	lo, hi := max(int(since), -1), min(int(upTo), k.MaxInterval())
+	if hi <= lo {
+		return ProcWindow{}
+	}
+	return ProcWindow{lo: first + Stamp(lo+1), n: uint32(hi - lo)}
 }
 
 // StampRun is a maximal sequence of adjacent blocks sharing one timestamp —
@@ -196,11 +252,14 @@ func StampRunsWireSize(runs []StampRun, stampBytes int) int {
 	return n
 }
 
-// Stamps is the per-processor timestamp array: one Stamp per block of the
-// shared space, allocated lazily per page and indexed by a flat page-number
-// slice sized from the allocator. Block granularity follows the allocator's
-// region configuration (word or double-word for compiler instrumentation;
-// always a word with twinning).
+// Stamps is the per-processor timestamp array: one Stamp per trapping block
+// of the shared space, allocated lazily per page and indexed by a flat
+// page-number slice sized from the allocator. The block is the region's
+// granularity from the allocator's per-page table (word or double-word)
+// under every trapping method — Water's EC-time cell, which twins, stamps
+// double-words — so a page's slice holds PageSize/block stamps: 4 KiB for a
+// word page, 2 KiB for a double-word page. A range takes the block of its
+// first address; one that runs into a page of another block size panics.
 type Stamps struct {
 	al    *mem.Allocator
 	pages [][]Stamp // indexed by page; nil until first stamped
@@ -211,48 +270,67 @@ func NewStamps(al *mem.Allocator) *Stamps {
 	return &Stamps{al: al, pages: make([][]Stamp, al.Pages())}
 }
 
-func (st *Stamps) page(pg int) []Stamp {
+// page returns page pg's stamps, allocating them for blocks of 1<<shift bytes.
+func (st *Stamps) page(pg int, shift uint) []Stamp {
 	p := st.pages[pg]
 	if p == nil {
-		p = make([]Stamp, mem.PageWords)
+		p = make([]Stamp, mem.PageSize>>shift)
 		st.pages[pg] = p
 	}
 	return p
 }
 
-func (st *Stamps) blockAt(a mem.Addr) int { return st.al.BlockAt(a) }
+// geometry returns the block of r's first address, its log2, and r's base
+// aligned down to it.
+func (st *Stamps) geometry(r mem.Range) (block int, shift uint, start int) {
+	block = st.al.BlockAt(r.Base)
+	return block, uint(bits.TrailingZeros(uint(block))), int(r.Base) &^ (block - 1)
+}
 
-// Set stamps every block overlapping the changed ranges with s. The span is
-// walked page by page so the page lookup happens once per page, not once per
-// block.
+// pageSlots returns the stamp slots [lo, hi) of page pg that the blocks of
+// [off, stop) occupy, off being block-aligned and both inside pg. It panics if
+// pg's block is not the range's: the slots would not line up.
+func (st *Stamps) pageSlots(pg, off, stop, block int, shift uint) (lo, hi int) {
+	if b := st.al.BlockAt(mem.PageBase(pg)); b != block {
+		panic(blockMismatch{block, pg, b})
+	}
+	return (off & (mem.PageSize - 1)) >> shift, ((stop-1)&(mem.PageSize-1))>>shift + 1
+}
+
+// blockMismatch is pageSlots' panic value; it formats only when printed, so
+// pageSlots stays cheap enough to inline.
+type blockMismatch struct{ block, pg, pageBlock int }
+
+func (e blockMismatch) Error() string {
+	return fmt.Sprintf("wcollect: a range of %d-byte blocks runs into page %d, whose blocks are %d bytes", e.block, e.pg, e.pageBlock)
+}
+
+// Set stamps every block overlapping the changed ranges with s, filling each
+// page's slots as one slice.
 func (st *Stamps) Set(changed []mem.Range, s Stamp) {
 	for _, r := range changed {
 		if r.Len <= 0 {
 			continue
 		}
-		block := st.blockAt(r.Base)
-		start := int(r.Base) &^ (block - 1) // block is a power of two
+		block, shift, off := st.geometry(r)
 		end := int(r.End())
-		for off := start; off < end; {
+		for off < end {
 			pg := off >> mem.PageShift
-			stop := (pg + 1) << mem.PageShift
-			if stop > end {
-				stop = end
+			stop := min((pg+1)<<mem.PageShift, end)
+			lo, hi := st.pageSlots(pg, off, stop, block, shift)
+			slots := st.page(pg, shift)[lo:hi]
+			for i := range slots {
+				slots[i] = s
 			}
-			p := st.page(pg)
-			for ; off < stop; off += block {
-				p[(off&(mem.PageSize-1))/mem.WordSize] = s
-			}
+			off = stop
 		}
 	}
 }
 
 // Get returns the stamp of the block containing a.
 func (st *Stamps) Get(a mem.Addr) Stamp {
-	block := st.blockAt(a)
-	off := int(a) &^ (block - 1) // block is a power of two
-	if p := st.pages[off>>mem.PageShift]; p != nil {
-		return p[(off&(mem.PageSize-1))/mem.WordSize]
+	if p := st.pages[int(a)>>mem.PageShift]; p != nil {
+		return p[(int(a)&(mem.PageSize-1))>>bits.TrailingZeros(uint(st.al.BlockAt(a)))]
 	}
 	return 0
 }
@@ -270,17 +348,14 @@ type NewerThan struct{ Min Stamp }
 
 func (p NewerThan) newer(s Stamp) bool { return s > p.Min }
 
-// ProcWindow selects stamps by processor Proc with interval in (Since, UpTo]
-// (LRC: one writer's unfetched intervals).
+// ProcWindow selects the n stamps from lo up: one processor's intervals in a
+// window (LRCPacking.Window). The zero ProcWindow selects nothing.
 type ProcWindow struct {
-	Proc        int
-	Since, UpTo int32
+	lo Stamp
+	n  uint32
 }
 
-func (p ProcWindow) newer(s Stamp) bool {
-	q, iv := s.ProcInterval()
-	return q == p.Proc && int32(iv) > p.Since && int32(iv) <= p.UpTo
-}
+func (p ProcWindow) newer(s Stamp) bool { return uint32(s-p.lo) < p.n }
 
 type funcPred struct{ f func(Stamp) bool }
 
@@ -305,41 +380,37 @@ func AppendSelect[P stampPred](dst []StampRun, st *Stamps, ranges []mem.Range, p
 		if r.Len <= 0 {
 			continue
 		}
-		block := st.blockAt(r.Base)
-		start := int(r.Base) &^ (block - 1) // block is a power of two
+		block, shift, off := st.geometry(r)
 		end := int(r.End())
 		open := false // runs[len(runs)-1] ends at off and may still grow
-		for off := start; off < end; {
+		for off < end {
 			pg := off >> mem.PageShift
-			stop := (pg + 1) << mem.PageShift
-			if stop > end {
-				stop = end
-			}
+			stop := min((pg+1)<<mem.PageShift, end)
+			lo, hi := st.pageSlots(pg, off, stop, block, shift)
+			scanned += hi - lo
 			p := st.pages[pg]
 			if p == nil {
 				// Whole page unstamped: every block reads stamp 0.
-				blocks := (stop - off + block - 1) / block
-				scanned += blocks
-				if zeroNewer {
-					for ; off < stop; off += block {
-						runs = appendBlock(runs, open, off, block, 0)
-						open = true
-					}
-				} else {
+				if !zeroNewer {
 					open = false
 					off = stop
+					continue
+				}
+				for range hi - lo {
+					runs = appendBlock(runs, open, off, block, 0)
+					open = true
+					off += block
 				}
 				continue
 			}
-			for ; off < stop; off += block {
-				scanned++
-				s := p[(off&(mem.PageSize-1))/mem.WordSize]
+			for _, s := range p[lo:hi] {
 				if pred.newer(s) {
 					runs = appendBlock(runs, open, off, block, s)
 					open = true
 				} else {
 					open = false
 				}
+				off += block
 			}
 		}
 	}
@@ -356,26 +427,12 @@ func appendBlock(runs []StampRun, open bool, off, block int, s Stamp) []StampRun
 	return append(runs, StampRun{Base: mem.Addr(off), Len: block, Stamp: s})
 }
 
-// slot returns the stamp slot index (word index within page of the block
-// start) for address a given block size.
-func slot(a mem.Addr, block int) (pg, idx int) {
-	off := int(a) &^ (block - 1) // block is a power of two
-	return mem.PageOf(mem.Addr(off)), (off % mem.PageSize) / mem.WordSize
-}
-
 // ApplyStamps records the stamps of received runs locally, so this processor
-// can in turn serve later requests. Run bases are aligned down per block (a
-// run base inside a block stamps that whole block).
+// can in turn serve later requests: each run stamps every block it overlaps,
+// as Set does.
 func (st *Stamps) ApplyStamps(runs []StampRun) {
 	for _, sr := range runs {
-		block := st.blockAt(sr.Base)
-		if block <= 0 {
-			panic(fmt.Sprintf("wcollect: bad block at %d", sr.Base))
-		}
-		for off := int(sr.Base); off < int(sr.Base)+sr.Len; off += block {
-			pg, idx := slot(mem.Addr(off), block)
-			st.page(pg)[idx] = sr.Stamp
-		}
+		st.Set([]mem.Range{{Base: sr.Base, Len: sr.Len}}, sr.Stamp)
 	}
 }
 

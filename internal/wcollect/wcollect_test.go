@@ -1,9 +1,12 @@
 package wcollect
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"ecvslrc/internal/mem"
 )
@@ -56,13 +59,127 @@ func TestDiffSnapshotsDataAtBuildTime(t *testing.T) {
 }
 
 func TestLRCStampPacking(t *testing.T) {
-	s := LRCStamp(7, 123456)
-	p, i := s.ProcInterval()
-	if p != 7 || i != 123456 {
-		t.Errorf("unpacked (%d,%d)", p, i)
+	for _, tc := range []struct{ nprocs, maxInterval int }{
+		{1, 1<<32 - 1}, {8, 1<<29 - 1}, {1024, 1<<22 - 1}, {32767, 1<<17 - 1},
+	} {
+		k := NewLRCPacking(tc.nprocs)
+		if k.MaxInterval() != tc.maxInterval {
+			t.Errorf("%d procs: MaxInterval = %d, want %d", tc.nprocs, k.MaxInterval(), tc.maxInterval)
+		}
+		if k.Stamp(0, 0) != 0 {
+			t.Errorf("%d procs: (0, 0) packs to %d, want the never-stamped 0", tc.nprocs, k.Stamp(0, 0))
+		}
+		// In (processor, interval) order, so stamps must ascend.
+		last := tc.nprocs - 1
+		pairs := [][2]int{{0, 0}, {0, 1}, {0, tc.maxInterval}}
+		if last > 0 {
+			pairs = append(pairs, [2]int{last, 0}, [2]int{last, 1}, [2]int{last, tc.maxInterval})
+		}
+		for i, pi := range pairs {
+			s := k.Stamp(pi[0], pi[1])
+			if p, iv := k.Unpack(s); p != pi[0] || iv != pi[1] {
+				t.Errorf("%d procs: (%d, %d) unpacked as (%d, %d)", tc.nprocs, pi[0], pi[1], p, iv)
+			}
+			if i > 0 && s <= k.Stamp(pairs[i-1][0], pairs[i-1][1]) {
+				t.Errorf("%d procs: (%d, %d) = %d is out of (processor, interval) order", tc.nprocs, pi[0], pi[1], s)
+			}
+		}
+		wantPanic(t, fmt.Sprintf("interval %d of processor %d: a %d-processor cell's stamps hold intervals 0..%d",
+			tc.maxInterval+1, last, tc.nprocs, tc.maxInterval), func() { k.Stamp(last, tc.maxInterval+1) })
+		wantPanic(t, "interval -1", func() { k.Stamp(0, -1) })
+		wantPanic(t, fmt.Sprintf("processor %d of a %d-processor cell", tc.nprocs, tc.nprocs), func() { k.Stamp(tc.nprocs, 0) })
 	}
-	if LRCStamp(0, 0) != 0 {
-		t.Error("zero stamp should be zero")
+	wantPanic(t, "no LRC stamp packing for 0 processors", func() { NewLRCPacking(0) })
+}
+
+// ProcWindow selects exactly what "processor proc, interval in (since, upTo]"
+// means, at the window's edges, at the interval field's limit and for the
+// lowest and highest processor ids — never a neighbour's stamps.
+func TestProcWindowEdges(t *testing.T) {
+	for _, nprocs := range []int{1, 8, 1024, 32767} {
+		k := NewLRCPacking(nprocs)
+		top := k.MaxInterval()
+		lim := min(top, 1<<31-1) // a window's bounds are int32
+		for _, proc := range []int{0, 1, nprocs - 1} {
+			if proc >= nprocs {
+				continue
+			}
+			for _, win := range [][2]int{{-1, 0}, {-1, 5}, {0, 0}, {3, 4}, {3, 2}, {7, 1076}, {lim - 2, lim}, {-1, lim}, {lim - 1, min(lim+5, 1<<31-1)}, {-5, 2}} {
+				since, upTo := win[0], win[1]
+				w := k.Window(proc, int32(since), int32(upTo))
+				for _, q := range []int{proc - 1, proc, proc + 1} {
+					if q < 0 || q >= nprocs {
+						continue
+					}
+					for _, iv := range []int{0, 1, since, since + 1, since + 2, upTo - 1, upTo, upTo + 1, top - 1, top} {
+						if iv < 0 || iv > top {
+							continue
+						}
+						want := q == proc && iv > since && iv <= upTo
+						if got := w.newer(k.Stamp(q, iv)); got != want {
+							t.Errorf("%d procs, window of %d over (%d, %d]: stamp (%d, %d) selected = %v, want %v",
+								nprocs, proc, since, upTo, q, iv, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	wantPanic(t, "processor 8 of a 8-processor cell", func() { NewLRCPacking(8).Window(8, -1, 3) })
+}
+
+func TestECStamp(t *testing.T) {
+	if ECStamp(0) != 0 || ECStamp(1<<31-1) != 1<<31-1 {
+		t.Error("ECStamp must keep an incarnation's value")
+	}
+	wantPanic(t, "negative lock incarnation -1", func() { ECStamp(-1) })
+}
+
+// wantPanic fails t unless f panics with a message containing want.
+func wantPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		r := recover()
+		if msg := fmt.Sprint(r); r == nil || !strings.Contains(msg, want) {
+			t.Errorf("panic %v, want one containing %q", r, want)
+		}
+	}()
+	f()
+}
+
+// A stamped page holds one 4-byte stamp per trapping block: 1024 for a word
+// page, 512 for a double-word page.
+func TestStampPageCost(t *testing.T) {
+	al := mem.NewAllocator()
+	w4 := al.Alloc("w4", mem.PageSize, 4)
+	w8 := al.Alloc("w8", mem.PageSize, 8)
+	st := NewStamps(al)
+	st.Set([]mem.Range{{Base: w4 + 12, Len: 4}, {Base: w8 + 12, Len: 4}}, 1)
+	for _, tc := range []struct {
+		base  mem.Addr
+		bytes int
+	}{{w4, 1024 * 4}, {w8, 512 * 4}} {
+		p := st.pages[mem.PageOf(tc.base)]
+		if got := cap(p) * int(unsafe.Sizeof(Stamp(0))); got != tc.bytes {
+			t.Errorf("page at %d costs %d B of stamps, want %d", tc.base, got, tc.bytes)
+		}
+	}
+}
+
+// A range keeps its first address's block; one that runs on into a page of
+// another block size panics in every operation that walks it.
+func TestRangeIntoOtherBlockSizePanics(t *testing.T) {
+	al := mem.NewAllocator()
+	w4 := al.Alloc("w4", mem.PageSize, 4)
+	w8 := al.Alloc("w8", mem.PageSize, 8)
+	al.Alloc("w4b", mem.PageSize, 4)
+	for _, r := range []mem.Range{{Base: w8 - 8, Len: 16}, {Base: w8 + mem.PageSize - 8, Len: 12}, {Base: w4, Len: 2 * mem.PageSize}} {
+		st := NewStamps(al)
+		msg := "blocks runs into page"
+		wantPanic(t, msg, func() { st.Set([]mem.Range{r}, 1) })
+		wantPanic(t, msg, func() { st.Select([]mem.Range{r}, func(Stamp) bool { return true }) })
+		wantPanic(t, msg, func() { st.ApplyStamps([]StampRun{{Base: r.Base, Len: r.Len, Stamp: 1}}) })
 	}
 }
 
@@ -116,7 +233,8 @@ func TestExtractStampedRoundTrip(t *testing.T) {
 	dstStamps := NewStamps(al)
 
 	src.WriteI32(8, 42)
-	srcStamps.Set([]mem.Range{{Base: 8, Len: 4}}, LRCStamp(3, 17))
+	pk := NewLRCPacking(8)
+	srcStamps.Set([]mem.Range{{Base: 8, Len: 4}}, pk.Stamp(3, 17))
 
 	runs, _ := srcStamps.Select([]mem.Range{{Base: 0, Len: 64}}, func(s Stamp) bool { return s != 0 })
 	sd := StampedData{Runs: runs}
@@ -131,7 +249,7 @@ func TestExtractStampedRoundTrip(t *testing.T) {
 	if dst.ReadI32(8) != 42 {
 		t.Error("data not applied")
 	}
-	p, i := dstStamps.Get(8).ProcInterval()
+	p, i := pk.Unpack(dstStamps.Get(8))
 	if p != 3 || i != 17 {
 		t.Errorf("stamp = (%d,%d)", p, i)
 	}
@@ -243,29 +361,68 @@ func selectRef(st *Stamps, al *mem.Allocator, ranges []mem.Range, newer func(Sta
 	return runs, scanned
 }
 
-// Property: AppendSelect agrees with the block-by-block specification on
-// random stamp patterns — word and double-word regions, pages never stamped
-// (with a predicate that selects stamp 0 and one that does not), ranges in
-// any order — and leaves what dst already held untouched and unmerged.
-func TestPropertyAppendSelectMatchesSpec(t *testing.T) {
+// mixedRegions lays out word and double-word regions of two and three pages,
+// back to back, so ranges meet both block sizes and page edges of each.
+func mixedRegions() (*mem.Allocator, []mem.Range) {
 	al := mem.NewAllocator()
-	w4 := al.Alloc("w4", 3*mem.PageSize, 4)
-	w8 := al.Alloc("w8", 3*mem.PageSize, 8)
+	var regions []mem.Range
+	for i, block := range []int{4, 8, 8, 4, 8} {
+		size := (3 - i%2) * mem.PageSize
+		regions = append(regions, mem.Range{Base: al.Alloc(fmt.Sprint("r", i), size, block), Len: size})
+	}
+	return al, regions
+}
+
+// sameStamps reports whether a and b hold the same stamp for every block of
+// regions.
+func sameStamps(a, b *Stamps, al *mem.Allocator, regions []mem.Range) bool {
+	for _, r := range regions {
+		for off := r.Base; off < r.End(); off += mem.Addr(al.BlockAt(off)) {
+			if a.Get(off) != b.Get(off) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Property: AppendSelect agrees with the block-by-block specification on
+// random stamp patterns — word and double-word regions side by side, ranges
+// that start mid-block and cross page edges, pages never stamped (with a
+// predicate that selects stamp 0 and one that does not), ranges in any
+// order, stamps set directly or received through ApplyStamps — and leaves
+// what dst already held untouched and unmerged.
+func TestPropertyAppendSelectMatchesSpec(t *testing.T) {
+	al, regions := mixedRegions()
+	pk := NewLRCPacking(8)
 	f := func(ops []struct {
 		Off uint16
 		Len uint8
 		S   uint8
-	}, cuts []uint16, min int8) bool {
+	}, cuts []struct{ Off, Len uint16 }, cut uint8, window, viaApply bool) bool {
 		st := NewStamps(al)
 		for i, op := range ops {
-			// The last page of each region is never stamped.
-			base := []mem.Addr{w4, w8}[i%2] + mem.Addr(int(op.Off)%(2*mem.PageSize))&^3
+			// The last page of each region is almost never stamped.
+			reg := regions[i%len(regions)]
+			base := reg.Base + mem.Addr(int(op.Off)%(reg.Len-mem.PageSize))&^3
 			st.Set([]mem.Range{{Base: base, Len: int(op.Len)%40 + 1}}, Stamp(op.S%6))
+		}
+		if viaApply {
+			// A requester that received every stamped block holds the same
+			// stamps.
+			runs, _ := st.Select(regions, func(s Stamp) bool { return s != 0 })
+			got := NewStamps(al)
+			got.ApplyStamps(runs)
+			if !sameStamps(got, st, al, regions) {
+				return false
+			}
+			st = got
 		}
 		var ranges []mem.Range
 		for i, c := range cuts {
-			base := []mem.Addr{w4, w8}[i%2] + mem.Addr(int(c)%(3*mem.PageSize-600))&^3
-			ranges = append(ranges, mem.Range{Base: base, Len: int(c)%600 + 1})
+			reg := regions[i%len(regions)]
+			base := reg.Base + mem.Addr(int(c.Off)%(reg.Len-600))
+			ranges = append(ranges, mem.Range{Base: base, Len: int(c.Len)%600 + 1})
 		}
 		// A predecessor run ending exactly where the first range starts and
 		// carrying a stamp it may select: it must not be extended.
@@ -273,12 +430,38 @@ func TestPropertyAppendSelectMatchesSpec(t *testing.T) {
 		if len(ranges) > 0 {
 			prefix[0].Base = ranges[0].Base - 4
 		}
-		pred := NewerThan{Min: Stamp(min % 4)} // negative Min selects never-stamped blocks
+		var pred stampPred = NewerThan{Min: Stamp(cut % 4)}
+		if window {
+			pred = pk.Window(0, -1, int32(cut%6)) // selects never-stamped blocks
+		}
 		got, scanned := AppendSelect(prefix[:1:1], st, ranges, pred)
 		want, wantScanned := selectRef(st, al, ranges, pred.newer)
 		return scanned == wantScanned &&
 			reflect.DeepEqual(got[:1], prefix) &&
 			reflect.DeepEqual(append([]StampRun(nil), got[1:]...), want)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: ApplyStamps stamps every block a run overlaps, as Set does with
+// the run's range, wherever in a block the run starts or ends.
+func TestPropertyApplyStampsMatchesSet(t *testing.T) {
+	al, regions := mixedRegions()
+	f := func(runs []struct {
+		Off uint16
+		Len uint8
+		S   uint8
+	}) bool {
+		got, want := NewStamps(al), NewStamps(al)
+		for i, r := range runs {
+			reg := regions[i%len(regions)]
+			sr := StampRun{Base: reg.Base + mem.Addr(int(r.Off)%(reg.Len-256)), Len: int(r.Len), Stamp: Stamp(r.S)}
+			got.ApplyStamps([]StampRun{sr})
+			want.Set([]mem.Range{{Base: sr.Base, Len: sr.Len}}, sr.Stamp)
+		}
+		return sameStamps(got, want, al, regions)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -225,9 +225,11 @@ func TestNoticeHistoryBounded(t *testing.T) {
 //     O(procs^2) regression in per-node protocol state blows past this by
 //     design (the uncollected Water cell at the same processor count peaks
 //     at ~2.4 GiB);
-//   - 64-proc 3D-FFT/EC-time, ~155 MiB, under 170 MiB: it binds 8192 locks
-//     on every processor, and an EC lock table that costs a slot per bound
-//     lock per processor again, instead of per lock a processor uses, reads
+//   - 64-proc 3D-FFT/EC-time, ~107 MiB, under 125 MiB: it binds 8192 locks
+//     on every processor and stamps double-word blocks. Stamps of 8 bytes
+//     per word again, instead of 4 bytes per trapping block, read
+//     ~155 MiB; an EC lock table that costs a slot per
+//     bound lock per processor, instead of per lock a processor uses, reads
 //     ~214 MiB;
 //   - 32-proc Water/LRC-diff, 39-46 MiB, under 52 MiB: its nodes share one
 //     interval-record log, and a node that keeps its own per-writer record
@@ -241,7 +243,7 @@ var largeScaleBudgets = []struct {
 }{
 	{"Water", core.Impl{Model: core.LRC, Trap: core.Twinning, Collect: core.Diffs}, 32, 52 << 20},
 	{"SOR", core.Impl{Model: core.LRC, Trap: core.Twinning, Collect: core.Diffs}, 256, 1 << 30},
-	{"3D-FFT", core.Impl{Model: core.EC, Trap: core.Twinning, Collect: core.Timestamps}, 64, 170 << 20},
+	{"3D-FFT", core.Impl{Model: core.EC, Trap: core.Twinning, Collect: core.Timestamps}, 64, 125 << 20},
 }
 
 // TestLargeScaleMemoryBudget runs full large-scale cells through the harness

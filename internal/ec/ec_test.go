@@ -21,7 +21,7 @@ func newTestNode(t *testing.T, impl core.Impl, body func(n *Node)) {
 	al.Alloc("data", 4*mem.PageSize, 4)
 	var n *Node
 	s.Spawn("p0", func(p *sim.Proc) { body(n) })
-	n = New(s.Procs()[0].Sim().Procs()[0], net, al, 1, impl)
+	n = New(s.Procs()[0], net, al, 1, impl)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -211,7 +211,7 @@ func TestSameInstantSendersKeepLinkClaimOrder(t *testing.T) {
 	n.EnableContention()
 	for i := 0; i < 3; i++ {
 		i := i
-		rp := s.Spawn("recv", func(p *sim.Proc) { p.Park("recv") })
+		rp := s.Spawn("recv", func(p *sim.Proc) { p.Park(sim.Wait{}) })
 		n.Attach(rp, func(hc *HandlerCtx, m Msg) {
 			arrivals[i] = hc.Now() - cm.HandlerFixed
 			order = append(order, m.Payload.A)

@@ -73,7 +73,7 @@ func TestContentionSerializesBulkTransfers(t *testing.T) {
 		for i, sp := range senders {
 			n.Attach(sp, nil)
 			i := i
-			rp := s.Spawn("r", func(p *sim.Proc) { p.Park("recv") })
+			rp := s.Spawn("r", func(p *sim.Proc) { p.Park(sim.Wait{}) })
 			n.Attach(rp, func(hc *HandlerCtx, m Msg) {
 				arrivals[i] = hc.Now() - hc.n.cm.HandlerFixed
 				rp.UnparkAt(hc.Now())

@@ -46,7 +46,7 @@ func TestExecutionContextsAgree(t *testing.T) {
 		})
 		procs[actor] = s.Spawn("actor", func(p *sim.Proc) {
 			if inProc {
-				p.Park("both requests")
+				p.Park(sim.Wait{})
 				action(n.Proc(p))
 			}
 		})

@@ -301,11 +301,13 @@ func (n *Network) Send(p *sim.Proc, to, kind, size int, payload Payload) {
 // matching Reply arrives, returning the reply message. The remote handler may
 // reply immediately, forward the request, or queue it and reply much later.
 // The rendezvous reuses p's cached waiter: a processor has at most one
-// synchronous call outstanding.
+// synchronous call outstanding. The caller parks unlabelled; one that knows
+// what the reply means pairs CallAsync on p.CallWaiter() with a labelled
+// Await instead.
 func (n *Network) Call(p *sim.Proc, to, kind, size int, payload Payload) Msg {
 	w := p.CallWaiter()
 	n.CallAsync(p, w, to, kind, size, payload)
-	return n.Await(w, "rpc-reply")
+	return n.Await(w, sim.Wait{})
 }
 
 // CallAsync transmits a request without blocking, so a processor can issue
@@ -318,12 +320,12 @@ func (n *Network) CallAsync(p *sim.Proc, w *sim.Waiter, to, kind, size int, payl
 	n.Proc(p).launch(Msg{From: p.ID(), To: to, Kind: kind, Size: size, Payload: payload, waiter: w}, false)
 }
 
-// Await blocks until the reply for a Call/CallAsync waiter arrives and
-// returns it. CallAsync callers must collect each reply through Await, not
-// Waiter.Wait directly: the delivered value is the fabric's in-flight slot,
-// which Await copies out and returns to its link's free list.
-func (n *Network) Await(w *sim.Waiter, reason string) Msg {
-	fl := w.Wait(reason).(*flight)
+// Await blocks on what until the reply for a Call/CallAsync waiter arrives
+// and returns it. CallAsync callers must collect each reply through Await,
+// not Waiter.Wait directly: the delivered value is the fabric's in-flight
+// slot, which Await copies out and returns to its link's free list.
+func (n *Network) Await(w *sim.Waiter, what sim.Wait) Msg {
+	fl := w.Wait(what).(*flight)
 	m := fl.msg
 	m.waiter = nil
 	fl.n.release(fl)

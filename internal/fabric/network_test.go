@@ -28,7 +28,7 @@ func TestOneWaySendDeliversAndCharges(t *testing.T) {
 		sendDone = p.Now()
 	})
 	p1 := s.Spawn("p1", func(p *sim.Proc) {
-		p.Park("wait") // parked; the handler below unparks it
+		p.Park(sim.Wait{}) // parked; the handler below unparks it
 	})
 	_ = p0
 	n.Attach(p0, func(hc *HandlerCtx, m Msg) { t.Error("p0 got a message") })
@@ -150,8 +150,8 @@ func TestParallelCallsOverlap(t *testing.T) {
 		w1, w2 := sim.NewWaiter(p), sim.NewWaiter(p)
 		n.CallAsync(p, w1, 1, 1, 0, Payload{})
 		n.CallAsync(p, w2, 2, 1, 0, Payload{})
-		n.Await(w1, "r1")
-		n.Await(w2, "r2")
+		n.Await(w1, sim.ForPage(1))
+		n.Await(w2, sim.ForPage(2))
 		elapsed = p.Now() - start
 	})
 	p1 := s.Spawn("s1", func(p *sim.Proc) {})
@@ -181,7 +181,7 @@ func TestPerByteCostAndStats(t *testing.T) {
 		n.Send(p, 1, 1, 968, Payload{}) // 968 + 32 header = 1000 bytes
 		sendDone = p.Now()
 	})
-	p1 := s.Spawn("p1", func(p *sim.Proc) { p.Park("x") })
+	p1 := s.Spawn("p1", func(p *sim.Proc) { p.Park(sim.Wait{}) })
 	n.Attach(p0, nil)
 	n.Attach(p1, func(hc *HandlerCtx, m Msg) { p1.UnparkAt(hc.Now()) })
 	if err := s.Run(); err != nil {

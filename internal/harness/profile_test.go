@@ -123,14 +123,14 @@ func TestProfileRealRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestRPCBlocksAreSynchronisation pins the fact DESIGN.md "Time accounting"
-// states: the only synchronous calls are lock requests and barrier arrivals,
-// so every "rpc-reply" block opens inside an outstanding lock request or a
-// barrier episode, and the profiler's page-fetch fallback for an RPC is
-// never reached by a real run (LRC fetches block as "lrc-fetch"). Every suite
-// and micro application under every implementation, with flat barriers and a
-// fan-in-2 tree.
-func TestRPCBlocksAreSynchronisation(t *testing.T) {
+// TestBlockLabelsMatchContext pins what DESIGN.md "Time accounting" rests
+// on: the wait a block is labelled with where it blocks agrees with the
+// protocol records around it. A lock wait lies inside the processor's open
+// request of that lock, a barrier wait inside its episode of that barrier,
+// and a page wait follows its latest miss, on that page; no real run parks
+// unlabelled. Every suite and micro application under every implementation,
+// with flat barriers and a fan-in-2 tree.
+func TestBlockLabelsMatchContext(t *testing.T) {
 	for _, fanIn := range []int{0, 2} {
 		for _, app := range append(apps.Names(), apps.MicroNames()...) {
 			for _, impl := range core.Implementations() {
@@ -143,31 +143,53 @@ func TestRPCBlocksAreSynchronisation(t *testing.T) {
 					if row.Err != nil {
 						t.Fatal(row.Err)
 					}
-					openLock := make([]bool, cfg.NProcs)
-					inBarrier := make([]bool, cfg.NProcs)
-					rpcs := 0
+					// Per processor: the lock requested and the barrier entered
+					// (-1 when none is open), and the page last missed on.
+					lock, barrier, missed := make([]int32, cfg.NProcs), make([]int32, cfg.NProcs), make([]int32, cfg.NProcs)
+					for p := range lock {
+						lock[p], barrier[p], missed[p] = -1, -1, -1
+					}
+					var labelled [sim.WaitLock + 1]int
 					for _, r := range row.Trace.Merged() {
 						switch r.Kind {
 						case trace.EvLockReq:
-							openLock[r.Proc] = true
+							lock[r.Proc] = r.A
 						case trace.EvLockAcq:
-							openLock[r.Proc] = false
+							lock[r.Proc] = -1
 						case trace.EvBarArrive:
-							inBarrier[r.Proc] = true
+							barrier[r.Proc] = r.A
 						case trace.EvBarDepart:
-							inBarrier[r.Proc] = false
+							barrier[r.Proc] = -1
+						case trace.EvMiss:
+							missed[r.Proc] = r.A
 						case trace.EvBlock:
-							if r.Aux != trace.BlockRPC {
+							w := sim.Wait{Kind: sim.WaitKind(r.Aux), Obj: r.A}
+							var open int32
+							switch w.Kind {
+							case sim.WaitSleep:
 								continue
+							case sim.WaitLock:
+								open = lock[r.Proc]
+							case sim.WaitBarrier:
+								open = barrier[r.Proc]
+							case sim.WaitPage:
+								open = missed[r.Proc]
+							default:
+								t.Fatalf("p%d parks at %v waiting for %v", r.Proc, r.At, w)
 							}
-							rpcs++
-							if !openLock[r.Proc] && !inBarrier[r.Proc] {
-								t.Fatalf("p%d blocks on an RPC at %v outside any lock request or barrier episode", r.Proc, r.At)
+							if open != w.Obj {
+								t.Fatalf("p%d waits for %v at %v, but its open object of that kind is %d", r.Proc, w, r.At, open)
 							}
+							labelled[w.Kind]++
 						}
 					}
-					if rpcs == 0 && row.Stats.RemoteAcquires+row.Stats.Barriers > 0 {
-						t.Errorf("no rpc-reply blocks in a cell with %d remote acquires and %d barriers", row.Stats.RemoteAcquires, row.Stats.Barriers)
+					for _, c := range []struct {
+						kind sim.WaitKind
+						ops  int64
+					}{{sim.WaitLock, row.Stats.RemoteAcquires}, {sim.WaitBarrier, row.Stats.Barriers}, {sim.WaitPage, row.Stats.AccessMisses}} {
+						if c.ops > 0 && labelled[c.kind] == 0 {
+							t.Errorf("no %v blocks in a cell with %d such operations", sim.Wait{Kind: c.kind}, c.ops)
+						}
 					}
 				})
 			}

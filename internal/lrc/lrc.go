@@ -646,7 +646,7 @@ func (n *Node) accessMiss(pg int, write bool) {
 	units := n.missUnits[:0]
 	for i := range writers {
 		w := &writers[i]
-		reply := n.Net.Await(n.fetchWaiters[i], "lrc-fetch")
+		reply := n.Net.Await(n.fetchWaiters[i], sim.ForPage(pg))
 		fr := reply.Payload.Body.(*pageReply)
 		w.head = len(units)
 		switch n.impl.Collect {

@@ -9,7 +9,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -30,9 +29,6 @@ func PageOf(a Addr) int { return int(a) >> PageShift }
 
 // PageBase returns the first address of page pg.
 func PageBase(pg int) Addr { return Addr(pg << PageShift) }
-
-// WordOf returns the global word index of a.
-func WordOf(a Addr) int { return int(a) / WordSize }
 
 // Range is a contiguous span of shared memory, used for binding data to
 // entry-consistency locks (Len in bytes).
@@ -156,19 +152,6 @@ func (al *Allocator) Pages() int { return int(al.next) / PageSize }
 
 // Regions returns the allocations in address order.
 func (al *Allocator) Regions() []Region { return al.regions }
-
-// RegionAt returns the region containing a, or false if a is unallocated.
-func (al *Allocator) RegionAt(a Addr) (Region, bool) {
-	i := sort.Search(len(al.regions), func(i int) bool { return al.regions[i].Base > a })
-	if i == 0 {
-		return Region{}, false
-	}
-	r := al.regions[i-1]
-	if a >= r.Base+Addr(r.Size) {
-		return Region{}, false
-	}
-	return r, true
-}
 
 // BlockAt returns the instrumentation block size covering a (4 if the
 // address is unallocated). Page padding inside an allocated region's final

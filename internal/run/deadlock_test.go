@@ -56,6 +56,12 @@ func TestNestedBodyLocksDeadlock(t *testing.T) {
 	if !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("err = %v, want a detected deadlock", err)
 	}
+	// Each processor holds its first lock and waits for the other's.
+	for _, want := range []string{"nested-locks/p0(lock 2)", "nested-locks/p1(lock 1)"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("err = %v, want it to name %s", err, want)
+		}
+	}
 }
 
 func TestNestedBodyLocksOrderedIsFine(t *testing.T) {

@@ -85,7 +85,7 @@ func TestStopReleasesGoroutines(t *testing.T) {
 			}
 		})
 		s.Spawn("parked", func(p *Proc) {
-			p.Park("never woken")
+			p.Park(Wait{})
 		})
 		s.Schedule(5*Microsecond, s.Stop)
 		if err := s.Run(); err != nil {
@@ -108,7 +108,7 @@ func TestDeadlockReleasesGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
 		s := New()
-		s.Spawn("stuck", func(p *Proc) { p.Park("forever") })
+		s.Spawn("stuck", func(p *Proc) { p.Park(Wait{}) })
 		if _, ok := s.Run().(*Deadlock); !ok {
 			t.Fatal("expected deadlock")
 		}

@@ -47,7 +47,7 @@ type Proc struct {
 	// consumed its CPU up to this point.
 	busyUntil Time
 
-	waitReason string
+	waitingFor Wait
 	parked     bool
 	killed     bool // stopped by Simulator.killBlocked: unwind instead of resuming
 	finishedAt Time
@@ -68,6 +68,52 @@ type Proc struct {
 	scriptLen  int
 }
 
+// WaitKind is what a blocked process waits for. trace.EvBlock records it,
+// so the set is append-only: 2, a synchronous call of unnamed purpose, is
+// retired and stays reserved.
+type WaitKind uint16
+
+const (
+	// WaitNone is an unlabelled wait (the zero Wait).
+	WaitNone WaitKind = iota
+	// WaitSleep is a Sleep: the processor is computing.
+	WaitSleep
+	_
+	// WaitPage is an access miss waiting for the data of page Obj.
+	WaitPage
+	// WaitBarrier is waiting for barrier Obj to lower.
+	WaitBarrier
+	// WaitLock is waiting for the grant of lock Obj.
+	WaitLock
+)
+
+// Wait names what a blocked process waits for: the kind of wait and the
+// page, lock or barrier it is on. The zero value is unlabelled.
+type Wait struct {
+	Kind WaitKind
+	Obj  int32
+}
+
+// ForPage, ForLock and ForBarrier label a wait on that object.
+func ForPage(pg int) Wait   { return Wait{WaitPage, int32(pg)} }
+func ForLock(l int) Wait    { return Wait{WaitLock, int32(l)} }
+func ForBarrier(b int) Wait { return Wait{WaitBarrier, int32(b)} }
+
+// String renders the wait for deadlock and watchdog reports.
+func (w Wait) String() string {
+	switch w.Kind {
+	case WaitSleep:
+		return "sleep"
+	case WaitPage:
+		return fmt.Sprintf("page %d", w.Obj)
+	case WaitBarrier:
+		return fmt.Sprintf("barrier %d", w.Obj)
+	case WaitLock:
+		return fmt.Sprintf("lock %d", w.Obj)
+	}
+	return "unlabelled"
+}
+
 // killSignal is the sentinel panic value used to unwind a suspended process
 // when its run ends; it is recovered in runBody and not treated as a
 // failure.
@@ -78,9 +124,6 @@ func (p *Proc) ID() int { return p.id }
 
 // Name returns the debug name given at Spawn.
 func (p *Proc) Name() string { return p.name }
-
-// Sim returns the owning simulator.
-func (p *Proc) Sim() *Simulator { return p.sim }
 
 // Now returns the current simulated time. Valid only while p is running.
 func (p *Proc) Now() Time { return p.sim.now }
@@ -123,14 +166,14 @@ func (p *Proc) runBody(body func(*Proc)) {
 	p.sim.catchUp()
 }
 
-// block reports the process blocked since from and suspends it, then
+// block reports the process blocked on w since from and suspends it, then
 // reports its resume.
-func (p *Proc) block(reason string, from Time) {
+func (p *Proc) block(w Wait, from Time) {
 	s := p.sim
 	if s.probe != nil {
-		s.probe.ProcBlocked(from, p.id, reason)
+		s.probe.ProcBlocked(from, p.id, w)
 	}
-	p.suspend(reason)
+	p.suspend(w)
 	if s.probe != nil {
 		s.probe.ProcResumed(s.now, p.id)
 	}
@@ -142,12 +185,12 @@ func (p *Proc) block(reason string, from Time) {
 // the next thing to run it simply continues — no switch at all — and
 // otherwise it names the next process (nil when the run is over) and yields
 // to Run, which resumes that one.
-func (p *Proc) suspend(reason string) {
+func (p *Proc) suspend(w Wait) {
 	if p.state != stateRunning {
 		panic(fmt.Sprintf("sim: block on non-running proc %s", p.name))
 	}
 	p.state = stateBlocked
-	p.waitReason = reason
+	p.waitingFor = w
 	s := p.sim
 	if next := s.step(); next != p {
 		if next != nil {
@@ -160,7 +203,7 @@ func (p *Proc) suspend(reason string) {
 			panic(killSignal{})
 		}
 	}
-	p.waitReason = ""
+	p.waitingFor = Wait{}
 }
 
 // Sleep advances the process by d: the processor is busy (computing) for d of
@@ -187,7 +230,7 @@ func (p *Proc) Sleep(d Time) {
 		p.wakeGen++
 		s.schedule(event{at: p.busyUntil, kind: kindSleepWake, p: p, gen: p.wakeGen})
 		if p.busyUntil >= limit {
-			p.block("sleep", s.now)
+			p.block(Wait{Kind: WaitSleep}, s.now)
 			return
 		}
 		s.ahead, s.aheadFrom, s.limit = p, s.now, limit
@@ -197,7 +240,7 @@ func (p *Proc) Sleep(d Time) {
 	}
 	if s.now+d < s.limit && p.scriptLen < len(p.script) {
 		if s.probe != nil {
-			s.probe.ProcBlocked(s.now, p.id, "sleep")
+			s.probe.ProcBlocked(s.now, p.id, Wait{Kind: WaitSleep})
 			s.probe.ProcResumed(s.now+d, p.id)
 		}
 		s.now += d
@@ -208,17 +251,17 @@ func (p *Proc) Sleep(d Time) {
 	// may extend it, so its resume time is not asserted.
 	from := s.now
 	s.now, s.ahead = s.aheadFrom, nil
-	p.block("sleep", from)
+	p.block(Wait{Kind: WaitSleep}, from)
 }
 
-// sync ends p's run-ahead: p blocks as "sleep" while the queue catches up
+// sync ends p's run-ahead: p blocks as a sleep while the queue catches up
 // and replays its script, and must resume exactly at the local clock it had
 // reached — nothing could act on it inside the window; the probe saw it end.
 func (p *Proc) sync() {
 	s := p.sim
 	local := s.now
 	s.now, s.ahead = s.aheadFrom, nil
-	p.suspend("sleep")
+	p.suspend(Wait{Kind: WaitSleep})
 	if s.now != local {
 		panic(fmt.Sprintf("sim: %s ran ahead to %v but resumed at %v: an event acted on it inside the lookahead window",
 			p.name, local, s.now))
@@ -248,12 +291,13 @@ func (p *Proc) InjectWork(d Time) {
 	// via wake's busyUntil check and reschedule itself.
 }
 
-// Park blocks the process until some event unparks it via UnparkAt. Spurious
-// wake-ups are possible; callers must re-check their condition in a loop.
-func (p *Proc) Park(reason string) {
+// Park blocks the process on w until some event unparks it via UnparkAt.
+// Spurious wake-ups are possible; callers must re-check their condition in a
+// loop.
+func (p *Proc) Park(w Wait) {
 	p.sim.catchUp()
 	p.parked = true
-	p.block(reason, p.sim.now)
+	p.block(w, p.sim.now)
 }
 
 // UnparkAt schedules the process to resume at time at (respecting any
@@ -289,11 +333,11 @@ func (p *Proc) CallWaiter() *Waiter {
 	return p.callWaiter
 }
 
-// Wait blocks the owner until Deliver has been called, then returns the
-// delivered value and resets the Waiter for reuse.
-func (w *Waiter) Wait(reason string) any {
+// Wait blocks the owner on what until Deliver has been called, then returns
+// the delivered value and resets the Waiter for reuse.
+func (w *Waiter) Wait(what Wait) any {
 	for !w.ready {
-		w.p.Park(reason)
+		w.p.Park(what)
 	}
 	w.ready = false
 	v := w.val

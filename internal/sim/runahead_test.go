@@ -109,10 +109,11 @@ func (t *peerTimer) Fire(at Time) {
 	t.target.UnparkAt(at + t.work)
 }
 
-// probeMark is one block (with its reason) or resume a probe saw.
+// probeMark is one block (with what it waits for) or resume a probe saw.
 type probeMark struct {
-	at     Time
-	reason string // "" for a resume
+	at    Time
+	block bool
+	w     Wait
 }
 
 // recProbe records each process's blocks and resumes in the order it sees
@@ -129,10 +130,10 @@ func (r *recProbe) mark(proc int, m probeMark) {
 	r.marks[proc] = append(r.marks[proc], m)
 }
 
-func (r *recProbe) ProcBlocked(at Time, proc int, reason string) { r.mark(proc, probeMark{at, reason}) }
-func (r *recProbe) ProcResumed(at Time, proc int)                { r.mark(proc, probeMark{at, ""}) }
-func (r *recProbe) EventDispatched(Time, uint8, int)             {}
-func (r *recProbe) Ordered() bool                                { return r.ordered }
+func (r *recProbe) ProcBlocked(at Time, proc int, w Wait) { r.mark(proc, probeMark{at, true, w}) }
+func (r *recProbe) ProcResumed(at Time, proc int)         { r.mark(proc, probeMark{at: at}) }
+func (r *recProbe) EventDispatched(Time, uint8, int)      {}
+func (r *recProbe) Ordered() bool                         { return r.ordered }
 
 // run executes prog with the given declared lookahead and probe (nil for
 // none).
@@ -154,7 +155,7 @@ func (prog raProgram) run(lookahead Time, probe *recProbe) (raOutcome, int64) {
 				case raSleep:
 					p.Sleep(o.d)
 				case raPark:
-					p.Park("park")
+					p.Park(Wait{})
 				case raUnpark:
 					procs[o.peer].UnparkAt(p.Now() + o.d)
 				case raTimer:
@@ -331,7 +332,7 @@ func TestRunAheadWatchdog(t *testing.T) {
 				p.Sleep(30 * Microsecond)
 			}
 		})
-		s.Spawn("parked", func(p *Proc) { p.Park("a grant that never comes") })
+		s.Spawn("parked", func(p *Proc) { p.Park(ForLock(5)) })
 		err := s.Run()
 		if _, ok := err.(*Stalled); !ok {
 			t.Fatalf("err = %v, want *Stalled", err)

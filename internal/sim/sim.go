@@ -39,17 +39,18 @@ const (
 // Probe observes scheduler activity for the tracing subsystem. All methods
 // run with the baton held and must not mutate simulation state: a probed run
 // must stay bit-identical to an unprobed one. ProcBlocked fires when a
-// process gives up the CPU (with the wait reason it parks under); ProcResumed
-// fires once per actual process resume (the wake half of the block/wake
-// cycle — busyUntil deferrals and stale wake generations do not fire it);
-// EventDispatched fires for every event the loop dispatches, with the
-// internal event kind and the target process id (-1 for callbacks and
-// timers). A process running ahead of the queue reports its sleeps on its
-// local clock, so a ProcBlocked/ProcResumed pairing tiles each process's
+// process gives up the CPU, with what it waits for as the blocking code
+// labelled it (a Sleep is a sleep; Park and Waiter.Wait take the caller's
+// Wait); ProcResumed fires once per actual process resume (the wake half of
+// the block/wake cycle — busyUntil deferrals and stale wake generations do
+// not fire it); EventDispatched fires for every event the loop dispatches,
+// with the internal event kind and the target process id (-1 for callbacks
+// and timers). A process running ahead of the queue reports its sleeps on
+// its local clock, so a ProcBlocked/ProcResumed pairing tiles each process's
 // lifetime into blocked intervals as if every sleep blocked — the profiler's
 // time-accounting foundation.
 type Probe interface {
-	ProcBlocked(at Time, proc int, reason string)
+	ProcBlocked(at Time, proc int, w Wait)
 	ProcResumed(at Time, proc int)
 	EventDispatched(at Time, kind uint8, proc int)
 }
@@ -429,22 +430,23 @@ func (s *Simulator) catchUp() {
 // still blocked.
 type Deadlock struct {
 	At      Time
-	Blocked []string // names of the blocked processes with their wait reasons
+	Blocked []string // names of the blocked processes with what they wait for
 }
 
-// Error describes the deadlock with every blocked process and its reason.
+// Error describes the deadlock with every blocked process and what it waits
+// for.
 func (d *Deadlock) Error() string {
 	return fmt.Sprintf("sim: deadlock at %v: blocked: %v", d.At, d.Blocked)
 }
 
 // Stalled is returned by Run when the virtual-time watchdog (SetWatchdog)
 // fires: the simulation was about to advance past the limit with work still
-// pending. Blocked lists every unfinished process with its wait reason
-// (lock, barrier, page fetch, ...), same format as Deadlock.
+// pending. Blocked lists every unfinished process with what it waits for
+// (lock, barrier, page, ...), same format as Deadlock.
 type Stalled struct {
 	Limit   Time
 	At      Time     // virtual time reached when the watchdog fired
-	Blocked []string // names of the unfinished processes with wait reasons
+	Blocked []string // names of the unfinished processes with what they wait for
 }
 
 // Error names the limit and every process still waiting when it fired.
@@ -468,7 +470,7 @@ func (s *Simulator) Run() error {
 	var blocked []string
 	for _, p := range s.procs {
 		if p.state != stateDone {
-			blocked = append(blocked, fmt.Sprintf("%s(%s)", p.name, p.waitReason))
+			blocked = append(blocked, fmt.Sprintf("%s(%v)", p.name, p.waitingFor))
 		}
 	}
 	// The run is over in every branch from here: stop suspended process

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -91,7 +92,7 @@ func TestWaiterRendezvous(t *testing.T) {
 	s.Spawn("consumer", func(p *Proc) {
 		w := NewWaiter(p)
 		s.Schedule(9*Microsecond, func() { w.Deliver("hello", 10*Microsecond) })
-		got = w.Wait("msg")
+		got = w.Wait(Wait{})
 		when = p.Now()
 	})
 	if err := s.Run(); err != nil {
@@ -109,7 +110,7 @@ func TestWaiterDeliverBeforeWait(t *testing.T) {
 		w := NewWaiter(p)
 		w.Deliver(42, p.Now())
 		p.Sleep(Microsecond)
-		got = w.Wait("msg") // already ready: must not block
+		got = w.Wait(Wait{}) // already ready: must not block
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -146,7 +147,7 @@ func TestInjectWorkWhileParkedDelaysResume(t *testing.T) {
 			p.InjectWork(30 * Microsecond) // handler work while parked
 		})
 		s.Schedule(20*Microsecond, func() { w.Deliver(nil, 20*Microsecond) })
-		w.Wait("reply")
+		w.Wait(Wait{})
 		end = p.Now()
 	})
 	if err := s.Run(); err != nil {
@@ -157,18 +158,21 @@ func TestInjectWorkWhileParkedDelaysResume(t *testing.T) {
 	}
 }
 
+// TestDeadlockDetection pins the deadlock report: every blocked process is
+// named with what it waits for, rendered from its typed wait.
 func TestDeadlockDetection(t *testing.T) {
 	s := New()
-	s.Spawn("stuck", func(p *Proc) {
-		p.Park("forever")
-	})
+	s.Spawn("stuck", func(p *Proc) { p.Park(ForBarrier(3)) })
+	s.Spawn("fetcher", func(p *Proc) { NewWaiter(p).Wait(ForPage(12)) })
+	s.Spawn("anon", func(p *Proc) { p.Park(Wait{}) })
 	err := s.Run()
 	d, ok := err.(*Deadlock)
 	if !ok {
 		t.Fatalf("err = %v, want *Deadlock", err)
 	}
-	if len(d.Blocked) != 1 || !strings.Contains(d.Blocked[0], "stuck") {
-		t.Errorf("blocked = %v", d.Blocked)
+	want := []string{"stuck(barrier 3)", "fetcher(page 12)", "anon(unlabelled)"}
+	if !slices.Equal(d.Blocked, want) {
+		t.Errorf("blocked = %v, want %v", d.Blocked, want)
 	}
 }
 
@@ -185,7 +189,7 @@ func TestWatchdogStallsLongRun(t *testing.T) {
 		}
 	})
 	s.Spawn("parked", func(p *Proc) {
-		p.Park("a grant that never comes")
+		p.Park(ForLock(5)) // a grant that never comes
 	})
 	err := s.Run()
 	st, ok := err.(*Stalled)
@@ -198,17 +202,8 @@ func TestWatchdogStallsLongRun(t *testing.T) {
 	if st.At > 50*Microsecond {
 		t.Errorf("stopped at %v, past the %v limit", st.At, st.Limit)
 	}
-	if len(st.Blocked) != 2 {
-		t.Errorf("blocked = %v, want both processes", st.Blocked)
-	}
-	found := false
-	for _, b := range st.Blocked {
-		if strings.Contains(b, "a grant that never comes") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("blocked list does not name the wait reason: %v", st.Blocked)
+	if want := []string{"sleeper(sleep)", "parked(lock 5)"}; !slices.Equal(st.Blocked, want) {
+		t.Errorf("blocked = %v, want %v", st.Blocked, want)
 	}
 }
 

@@ -171,7 +171,7 @@ func (m *BarrierMgr) waitTree(b core.BarrierID) {
 			panic(fmt.Sprintf("syncmgr: barrier %d node arrived twice", b))
 		}
 		st.local = sim.NewWaiter(m.p)
-		st.local.Wait("barrier")
+		st.local.Wait(sim.ForBarrier(int(b)))
 		st.local = nil
 	}
 
@@ -188,7 +188,7 @@ func (m *BarrierMgr) waitTree(b core.BarrierID) {
 			up.Kind, up.A = fabric.PayloadBarrier, int32(b)
 		}
 		m.charge(m.hc, b, uwork)
-		reply := m.net.Call(m.p, m.treeParent(b), KindBarrierArrive, usize, up)
+		reply := call(m.net, m.p, sim.ForBarrier(int(b)), m.treeParent(b), KindBarrierArrive, usize, up)
 		m.charge(m.hc, b, m.hooks.ApplyDeparture(b, reply.Payload))
 	} else {
 		m.charge(m.hc, b, m.hooks.PrepareDepartures(b))
@@ -216,7 +216,7 @@ func (m *BarrierMgr) Wait(b core.BarrierID) {
 
 	mgr := m.ManagerOf(b)
 	if mgr != m.self {
-		reply := m.net.Call(m.p, mgr, KindBarrierArrive, size, payload)
+		reply := call(m.net, m.p, sim.ForBarrier(int(b)), mgr, KindBarrierArrive, size, payload)
 		m.charge(m.hc, b, m.hooks.ApplyDeparture(b, reply.Payload))
 		m.tr.BarDepart(m.p.Now(), m.self, int(b))
 		return
@@ -231,7 +231,7 @@ func (m *BarrierMgr) Wait(b core.BarrierID) {
 			panic(fmt.Sprintf("syncmgr: barrier %d manager arrived twice", b))
 		}
 		st.local = sim.NewWaiter(m.p)
-		st.local.Wait("barrier")
+		st.local.Wait(sim.ForBarrier(int(b)))
 		m.tr.BarDepart(m.p.Now(), m.self, int(b))
 		return
 	}

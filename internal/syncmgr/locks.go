@@ -18,7 +18,7 @@
 // chunked tables (lockTable) — the locks it manages indexed by id / nprocs,
 // every other lock by id — so no lock operation hashes. Chunks are allocated
 // when a lock in them is first named and never move: Acquire keeps its slot
-// pointer across net.Call, while handlers name new locks underneath it, so a
+// pointer across its call, while handlers name new locks underneath it, so a
 // slot's address must stay valid for the manager's lifetime. A slot owns at
 // most one lockQueue, only while requests are queued on it; Release detaches
 // the queue before the exclusive grant sleeps and returns it to the manager's
@@ -43,6 +43,14 @@ const (
 	KindBarrierArrive
 	KindBarrierDepart
 )
+
+// call sends a synchronous request from p, as Network.Call does, and parks p
+// on what until the reply arrives.
+func call(net *fabric.Network, p *sim.Proc, what sim.Wait, to, kind, size int, payload fabric.Payload) fabric.Msg {
+	w := p.CallWaiter()
+	net.CallAsync(p, w, to, kind, size, payload)
+	return net.Await(w, what)
+}
 
 // Mode is the lock acquisition mode.
 type Mode int
@@ -327,7 +335,7 @@ func (m *LockMgr) Acquire(l core.LockID, mode Mode) {
 		}
 	}
 	st.flags |= slotAcquiring
-	reply := m.net.Call(m.p, target, KindLockReq, size, req)
+	reply := call(m.net, m.p, sim.ForLock(int(l)), target, KindLockReq, size, req)
 	// Commit the new state before the apply work sleeps: requests arriving
 	// during the apply must see us as the holder and queue here.
 	st.flags &^= slotAcquiring

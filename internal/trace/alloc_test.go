@@ -30,7 +30,7 @@ func BenchmarkProfilerDisabled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Block(1, i&3, "lrc-fetch")
+		tr.Block(1, i&3, sim.ForPage(i))
 		tr.Work(2, i&3, WorkTrapDiff, ObjPage, i&7, 25)
 		tr.Recovery(3, i&3, 40)
 		tr.Wake(4, i&3)
@@ -78,7 +78,7 @@ func TestProfilingEmitSteadyStateAllocs(t *testing.T) {
 		tr.Work(at, p, WorkTrapDiff, ObjPage, (i+1)&7, 30)
 		tr.Miss(at, p, i&7, 1, true)
 		tr.Send(at, p, (p+1)&3, 10, 64)
-		tr.ProcBlocked(at, p, "lrc-fetch")
+		tr.ProcBlocked(at, p, sim.ForPage(i&7))
 		tr.EventDispatched(at+50, 0, -1)
 		tr.LinkWait(at+50, p, 20)
 		tr.Deliver(at+90, (p+1)&3, p, 11, 4096)

@@ -64,16 +64,18 @@ func FuzzReadBinary(f *testing.F) {
 	})
 }
 
-// fuzzKinds are the kinds the profiler reads, plus two it only takes the time
-// of.
+// fuzzKinds are the kinds the profiler reads, plus some it only takes the
+// time of.
 var fuzzKinds = []Kind{EvBlock, EvWake, EvWork, EvRecovery, EvLinkWait, EvLockReq,
 	EvLockAcq, EvBarArrive, EvBarDepart, EvMiss, EvSend, EvDeliver}
 
 // fuzzHistory decodes arbitrary bytes into a three-processor record stream in
 // global emission order, four bytes a record: kind, processor, time step and
-// one value for whichever slot the kind reads. The scheduler's clock never
-// runs backward, so block and wake records advance it; the others are stamped
-// that far ahead of it instead, as handler-context records can be.
+// one value for whichever slot the kind reads. A block's value is what it
+// waits for: every sim.WaitKind, unlabelled and the retired code included,
+// on one of eight objects. The scheduler's clock never runs backward, so
+// block and wake records advance it; the others are stamped that far ahead
+// of it instead, as handler-context records can be.
 func fuzzHistory(data []byte) []Rec {
 	var recs []Rec
 	var now sim.Time
@@ -84,10 +86,11 @@ func fuzzHistory(data []byte) []Rec {
 			now = at
 		}
 		v := int32(data[3])
-		recs = append(recs, Rec{
-			At: at, Kind: kind, Proc: data[1] % 3,
-			Aux: uint16(v % 5), A: v % 8, B: v % 4, C: int64(v) * 3,
-		})
+		r := Rec{At: at, Kind: kind, Proc: data[1] % 3, Aux: uint16(v % 5), A: v % 8, B: v % 4, C: int64(v) * 3}
+		if kind == EvBlock {
+			r.Aux, r.A = uint16(v%int32(sim.WaitLock+1)), v/int32(sim.WaitLock+1)%8
+		}
+		recs = append(recs, r)
 	}
 	return recs
 }
@@ -119,9 +122,9 @@ func FuzzProfileFold(f *testing.F) {
 	f.Add([]byte{1, 1, 99, 0, 4, 1, 0, 200, 0, 1, 30, 2})             // wake first, link wait longer than any interval
 	// A lock wait with recovery and work inside it, then a barrier episode
 	// left open at the end, interleaved over all three processors.
-	f.Add([]byte{5, 0, 0, 5, 0, 0, 10, 2, 3, 0, 5, 7, 2, 0, 0, 4, 1, 0, 60, 0, 6, 0, 0, 5,
-		0, 1, 0, 1, 1, 1, 30, 0, 9, 1, 0, 3, 0, 1, 0, 3, 4, 1, 5, 2, 1, 1, 50, 0,
-		7, 2, 0, 1, 0, 2, 0, 4, 11, 2, 80, 0})
+	f.Add([]byte{5, 0, 0, 5, 0, 0, 10, 35, 3, 0, 5, 7, 2, 0, 0, 4, 1, 0, 60, 0, 6, 0, 0, 5,
+		0, 1, 0, 1, 1, 1, 30, 0, 9, 1, 0, 3, 0, 1, 0, 21, 4, 1, 5, 2, 1, 1, 50, 0,
+		7, 2, 0, 1, 0, 2, 0, 10, 11, 2, 80, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4*512 {
 			data = data[:4*512]

@@ -17,12 +17,10 @@ import (
 // never advances while a process runs, so each processor's lifetime is tiled
 // exactly by its blocked intervals (EvBlock..EvWake pairs). Classifying a run
 // therefore means classifying every blocked interval. An interval's base
-// class comes from its block reason — a Sleep is compute, a parked page fetch
-// is page-fetch stall, a barrier park is barrier wait, a synchronous call is
-// resolved from context (an open lock request means lock wait, an open
-// barrier episode means barrier wait; the only synchronous calls are lock
-// requests and barrier arrivals, so a call outside both is never reached by
-// a real run and falls back to page fetch).
+// class and object come from what the block waits for, labelled where it
+// blocks — a sleep is compute, a wait for page p is page-fetch stall on p, a
+// wait for lock l lock wait on l, a wait for barrier b barrier wait on b, and
+// an unlabelled wait (never parked by a real run) is compute.
 // Three record streams then refine the base class from within:
 //
 //   - EvWork: classified protocol CPU (trap/twin/diff/scan/install machinery)
@@ -102,7 +100,7 @@ type SegPart struct {
 type Segment struct {
 	T0, T1 sim.Time
 	// Class/ObjKind/ObjID classify the interval remainder after deductions
-	// (the base class derived from the block reason and its context).
+	// (the base class of what the block waited for).
 	Class   StallClass
 	ObjKind int32
 	ObjID   int32
@@ -222,17 +220,11 @@ type pendingWork struct {
 type procScan struct {
 	proc int
 
-	blockAt     sim.Time
-	blockReason uint16
-	blocked     bool
-	cursor      sim.Time // time accounted so far
-	end         sim.Time
-
-	// Context for resolving "rpc-reply" blocks.
-	openLock      int32 // lock with an outstanding request, -1 when none
-	inBarrier     bool
-	barID         int32
-	lastFetchPage int32
+	blockAt sim.Time
+	waiting sim.Wait // what the open block waits for
+	blocked bool
+	cursor  sim.Time // time accounted so far
+	end     sim.Time
 
 	// Deduction pools.
 	work     []pendingWork
@@ -253,7 +245,7 @@ type procScan struct {
 // newProcScan returns the initial state for proc, sinking totals only when
 // stacks is nil.
 func newProcScan(proc int, stacks map[[3]int32]*StackEntry) procScan {
-	return procScan{proc: proc, openLock: -1, lastFetchPage: -1, stacks: stacks}
+	return procScan{proc: proc, stacks: stacks}
 }
 
 // BuildProfile runs the per-processor time-accounting state machine over the
@@ -349,7 +341,7 @@ func (st *procScan) feed(r *Rec) {
 		}
 		st.blocked = true
 		st.blockAt = r.At
-		st.blockReason = r.Aux
+		st.waiting = sim.Wait{Kind: sim.WaitKind(r.Aux), Obj: r.A}
 	case EvWake:
 		if st.blocked {
 			st.closeInterval(r.At)
@@ -364,17 +356,6 @@ func (st *procScan) feed(r *Rec) {
 		st.recPool += sim.Time(r.C)
 	case EvLinkWait:
 		st.linkPool += sim.Time(r.C)
-	case EvLockReq:
-		st.openLock = r.A
-	case EvLockAcq:
-		st.openLock = -1
-	case EvBarArrive:
-		st.inBarrier = true
-		st.barID = r.A
-	case EvBarDepart:
-		st.inBarrier = false
-	case EvMiss:
-		st.lastFetchPage = r.A
 	}
 }
 
@@ -416,7 +397,7 @@ func (st *procScan) take(remain *sim.Time, class StallClass, objKind, objID int3
 
 // closeInterval classifies the blocked interval [st.blockAt, at): deduct
 // link-contention wait, then fault recovery, then drain pending work records,
-// then attribute the remainder to the block reason's base class.
+// then attribute the remainder to the base class of what the block waits for.
 func (st *procScan) closeInterval(at sim.Time) {
 	class, objKind, objID := st.baseClass()
 	remain := at - st.blockAt
@@ -440,28 +421,16 @@ func (st *procScan) closeInterval(at sim.Time) {
 	st.cursor = at
 }
 
-// baseClass resolves the block reason to the interval's remainder class. A
-// synchronous call ("rpc-reply") is classified from context: inside a barrier
-// episode it is barrier wait, with an outstanding lock request it is lock
-// wait. Those are the only synchronous calls: LRC fetches block as
-// "lrc-fetch" and EC grants answer lock requests, so the page-fetch fallback
-// is never reached by a real run (TestRPCBlocksAreSynchronisation).
+// baseClass maps what the open block waits for to the interval's remainder
+// class and object.
 func (st *procScan) baseClass() (StallClass, int32, int32) {
-	switch st.blockReason {
-	case BlockSleep:
-		return ClassCompute, ObjNone, -1
-	case BlockFetch:
-		return ClassPageFetch, ObjPage, st.lastFetchPage
-	case BlockBarrier:
-		return ClassBarrierWait, ObjBarrier, st.barID
-	case BlockRPC:
-		if st.inBarrier {
-			return ClassBarrierWait, ObjBarrier, st.barID
-		}
-		if st.openLock >= 0 {
-			return ClassLockWait, ObjLock, st.openLock
-		}
-		return ClassPageFetch, ObjPage, st.lastFetchPage
+	switch w := st.waiting; w.Kind {
+	case sim.WaitPage:
+		return ClassPageFetch, ObjPage, w.Obj
+	case sim.WaitLock:
+		return ClassLockWait, ObjLock, w.Obj
+	case sim.WaitBarrier:
+		return ClassBarrierWait, ObjBarrier, w.Obj
 	}
 	return ClassCompute, ObjNone, -1
 }

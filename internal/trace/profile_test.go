@@ -43,44 +43,45 @@ func profileMeta() Meta {
 // barrier 0 -> straggler p2, page 3 fetch -> server p1, lock 5 -> granter p0.
 func profileHistory() *Tracer {
 	tr := New(3)
+	sleep := sim.Wait{Kind: sim.WaitSleep}
 
 	// p0
-	tr.Block(0, 0, "sleep")
+	tr.Block(0, 0, sleep)
 	tr.Wake(25, 0)
 	tr.Work(25, 0, WorkTrapDiff, ObjPage, 1, 30)
-	tr.Block(25, 0, "sleep")
+	tr.Block(25, 0, sleep)
 	tr.LockGrant(30, 0, 5, 1, false, 64) // handler: grants lock 5 to p1
 	tr.Wake(140, 0)
 	tr.BarArrive(140, 0, 0)
-	tr.Block(140, 0, "barrier")
+	tr.Block(140, 0, sim.ForBarrier(0))
 	tr.Wake(300, 0)
 	tr.BarDepart(300, 0, 0)
 
 	// p1
 	tr.LockReq(0, 1, 5, false)
-	tr.Block(0, 1, "rpc-reply")
+	tr.Block(0, 1, sim.ForLock(5))
 	tr.Wake(40, 1)
 	tr.LockAcq(40, 1, 5, false, false)
-	tr.Block(40, 1, "sleep")
+	tr.Block(40, 1, sleep)
 	tr.Recovery(50, 1, 15)
 	tr.FetchServe(150, 1, 3, 2, 4096) // handler: serves page 3 to p2
 	tr.Wake(160, 1)
 	tr.BarArrive(160, 1, 0)
-	tr.Block(160, 1, "barrier")
+	tr.Block(160, 1, sim.ForBarrier(0))
 	tr.Wake(300, 1)
 	tr.BarDepart(300, 1, 0)
 
 	// p2
-	tr.Block(0, 2, "sleep")
+	tr.Block(0, 2, sleep)
 	tr.Wake(100, 2)
 	tr.Miss(100, 2, 3, 1, false)
-	tr.Block(100, 2, "lrc-fetch")
+	tr.Block(100, 2, sim.ForPage(3))
 	tr.LinkWait(110, 2, 20)
 	tr.Wake(200, 2)
-	tr.Block(200, 2, "sleep")
+	tr.Block(200, 2, sleep)
 	tr.Wake(280, 2)
 	tr.BarArrive(280, 2, 0)
-	tr.Block(280, 2, "barrier")
+	tr.Block(280, 2, sim.ForBarrier(0))
 	tr.Wake(300, 2)
 	tr.BarDepart(300, 2, 0)
 

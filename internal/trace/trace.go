@@ -4,6 +4,10 @@
 // raw events into the attribution artifacts the paper's discussion relies on
 // — per-page heat, per-lock contention, barrier imbalance, message-class
 // breakdowns and a sharing-pattern classification of every shared page.
+// Scheduler blocks arrive through sim.Probe labelled by the code that
+// blocked with what it waits for (a sim.Wait: a sleep, or a page, lock or
+// barrier); EvBlock records keep that label, and the virtual-time profiler
+// classifies every blocked interval from it alone.
 //
 // Tracing is strictly observation-only: no emit call mutates simulation
 // state, so a traced run produces bit-identical statistics to an untraced
@@ -102,10 +106,11 @@ const (
 	// EvDupDrop is Proc (a receiver) discarding a duplicate frame:
 	// A = sender, B = message kind.
 	EvDupDrop
-	// EvBlock marks Proc giving up the CPU: Aux = the wait-reason code
-	// (Block* constants). Virtual time only advances while every process is
-	// blocked, so the EvBlock/EvWake pairs of one processor exactly tile its
-	// lifetime — the profiler's per-proc time accounting rests on this.
+	// EvBlock marks Proc giving up the CPU: Aux = what it waits for (a
+	// sim.WaitKind), A = the page, lock or barrier it waits on. Virtual time
+	// only advances while every process is blocked, so the EvBlock/EvWake
+	// pairs of one processor exactly tile its lifetime — the profiler's
+	// per-proc time accounting rests on this.
 	EvBlock
 	// EvWork is classified protocol CPU charged to Proc: Aux = the work class
 	// (Work* constants), A = the object the work is for (page, lock or
@@ -178,39 +183,6 @@ func (k Kind) String() string {
 		return "recovery"
 	}
 	return "?"
-}
-
-// Wait-reason codes carried in EvBlock's Aux slot, mapped from the
-// scheduler's free-form wait-reason strings. The set is append-only: binary
-// traces embed these values.
-const (
-	// BlockOther is any reason the tracer does not recognize.
-	BlockOther uint16 = iota
-	// BlockSleep is a Proc.Sleep: the processor is computing (protocol and
-	// application CPU both land here; EvWork records split them).
-	BlockSleep
-	// BlockRPC is a synchronous request awaiting its reply (lock acquires,
-	// barrier arrivals at the manager or tree parent).
-	BlockRPC
-	// BlockFetch is an LRC access miss awaiting page data.
-	BlockFetch
-	// BlockBarrier is a barrier wait parked on the local waiter.
-	BlockBarrier
-)
-
-// BlockReasonCode maps a scheduler wait-reason string to its EvBlock code.
-func BlockReasonCode(reason string) uint16 {
-	switch reason {
-	case "sleep":
-		return BlockSleep
-	case "rpc-reply":
-		return BlockRPC
-	case "lrc-fetch":
-		return BlockFetch
-	case "barrier":
-		return BlockBarrier
-	}
-	return BlockOther
 }
 
 // Work classes carried in EvWork's Aux slot. Append-only.
@@ -450,12 +422,12 @@ func (t *Tracer) Dispatch(at sim.Time, evKind uint8, proc int) {
 	t.emit(proc, Rec{At: at, Kind: EvDispatch, Aux: uint16(evKind), A: int32(target)})
 }
 
-// Block records proc giving up the CPU with the given wait reason.
-func (t *Tracer) Block(at sim.Time, proc int, reason string) {
+// Block records proc giving up the CPU to wait for w.
+func (t *Tracer) Block(at sim.Time, proc int, w sim.Wait) {
 	if t == nil {
 		return
 	}
-	t.emit(proc, Rec{At: at, Kind: EvBlock, Aux: BlockReasonCode(reason)})
+	t.emit(proc, Rec{At: at, Kind: EvBlock, Aux: uint16(w.Kind), A: w.Obj})
 }
 
 // Work records d of classified protocol CPU charged to proc, attributed to
@@ -486,8 +458,8 @@ func (t *Tracer) ProcResumed(at sim.Time, proc int) {
 }
 
 // ProcBlocked implements sim.Probe: proc gave up the CPU.
-func (t *Tracer) ProcBlocked(at sim.Time, proc int, reason string) {
-	t.Block(at, proc, reason)
+func (t *Tracer) ProcBlocked(at sim.Time, proc int, w sim.Wait) {
+	t.Block(at, proc, w)
 	t.fold(proc)
 }
 

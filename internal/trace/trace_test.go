@@ -46,7 +46,7 @@ func TestNilTracerEmitsAreNoOps(t *testing.T) {
 	tr.BarArrive(1, 0, 2)
 	tr.BarDepart(1, 0, 2)
 	tr.Bind(1, 0, 7, 4096, 128)
-	tr.Block(1, 0, "lrc-fetch")
+	tr.Block(1, 0, sim.ForPage(3))
 	tr.Work(1, 0, WorkTrapDiff, ObjPage, 3, 25)
 	tr.Recovery(1, 0, 40)
 	if tr.Len() != 0 {

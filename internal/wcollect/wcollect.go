@@ -162,9 +162,6 @@ func (d Diff) walk(im *mem.Image) int {
 // run header per run plus the data.
 func (d Diff) WireSize() int { return DiffHeaderBytes + len(d.enc) }
 
-// Empty reports whether the diff carries no changes.
-func (d Diff) Empty() bool { return len(d.enc) == 0 }
-
 // Stamp is a per-block logical timestamp, 32 bits wide in host memory. For EC
 // it holds a lock incarnation number (ECStamp); for LRC it packs a
 // (processor, interval) pair under the cell's LRCPacking. Stamp 0 means

@@ -10,7 +10,9 @@
 //
 // -perf prints a host-side breakdown after the run (phase wall times, baton
 // handoffs, each cell's wall time and allocation delta — the sequential
-// reference's too under -seq — and peak heap; internal/perf). It is observation-only: the
+// reference's too under -seq — then the peak heap and the process's peak
+// resident set, which also counts the copy-on-write node images of runs past
+// 8 processors; internal/perf). It is observation-only: the
 // simulated statistics are identical with and without it. The cell and
 // machine flags (-app ... -timeout, -cpuprofile, -memprofile) are the shared
 // ones of internal/cmdline; at -scale large the cell gets notice GC and a
@@ -109,7 +111,7 @@ func cli(args []string, stdout, stderr io.Writer) int {
 // printPerf renders the host-side breakdown: phase wall times in name
 // order, the simulation's baton handoffs, then each recorded cell's totals —
 // labelled by impl when -seq recorded the sequential reference as a second
-// cell — then the peak heap.
+// cell — then the peak heap and the peak resident set.
 func printPerf(w io.Writer, reg *perf.Registry) {
 	counters := reg.Counters()
 	var phases []string
@@ -138,5 +140,6 @@ func printPerf(w io.Writer, reg *perf.Registry) {
 		fmt.Fprintf(w, " wall %.1fms | %d mallocs (%.1f MiB)",
 			float64(c.WallNS)/1e6, c.Mallocs, float64(c.AllocBytes)/(1<<20))
 	}
-	fmt.Fprintf(w, " | peak heap %.1f MiB\n", float64(reg.PeakHeapBytes())/(1<<20))
+	fmt.Fprintf(w, " | peak heap %.1f MiB | peak rss %.1f MiB\n",
+		float64(reg.PeakHeapBytes())/(1<<20), float64(perf.PeakRSSBytes())/(1<<20))
 }

@@ -66,7 +66,7 @@ func TestCLIPerfBreakdown(t *testing.T) {
 		t.Errorf("-perf changed the simulated output:\nplain:\n%s\nperf:\n%s", plain.String(), out.String())
 	}
 	perfLines := strings.TrimPrefix(out.String(), plain.String())
-	for _, want := range []string{"perf:", "init", "simulate", "verify", "handoffs", "wall", "mallocs", "peak heap"} {
+	for _, want := range []string{"perf:", "init", "simulate", "verify", "handoffs", "wall", "mallocs", "peak heap", "peak rss"} {
 		if !strings.Contains(perfLines, want) {
 			t.Errorf("perf breakdown missing %q: %s", want, perfLines)
 		}

@@ -304,8 +304,8 @@ func New(p *sim.Proc, net *fabric.Network, al *mem.Allocator, nprocs int, impl c
 	return NewWithImage(p, net, al, nprocs, impl, mem.NewImage(al.Size()), new(Bindings))
 }
 
-// NewWithImage is New with a caller-provided (possibly recycled) image, which
-// the caller must overwrite in full before the simulation starts, and the
+// NewWithImage is New with a caller-provided private image, holding the
+// initial shared memory before the simulation starts, and the
 // cell's binding table, which every EC node of the cell shares.
 func NewWithImage(p *sim.Proc, net *fabric.Network, al *mem.Allocator, nprocs int, impl core.Impl, im *mem.Image, binds *Bindings) *Node {
 	if impl.Model != core.EC || !impl.Valid() {

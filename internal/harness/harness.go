@@ -162,7 +162,9 @@ type Row struct {
 // and cost variant. Seeding runs under a per-key once — not a global lock —
 // so a parallel sweep's first touches of distinct apps seed concurrently. The
 // footprint is bounded by #apps x #scales (a few MB per paper-scale image);
-// cells share images and layouts read-only.
+// cells share images and layouts read-only. Past 8 processors an image is
+// also the template its cells' nodes fork (mem.Image.Fork): its memory file
+// is written on the first such fork and lives as long as the entry.
 var imageCache sync.Map // imageKey -> *imageEntry
 
 type imageKey struct {

@@ -246,8 +246,8 @@ func New(p *sim.Proc, net *fabric.Network, al *mem.Allocator, nprocs int, impl c
 	return NewWithImage(p, net, al, nprocs, impl, mem.NewImage(al.Size()), NewHistory(nprocs))
 }
 
-// NewWithImage is New with a caller-provided (possibly recycled) image, which
-// the caller must overwrite in full before the simulation starts, and the
+// NewWithImage is New with a caller-provided private image, holding the
+// initial shared memory before the simulation starts, and the
 // run's interval-record log: every node of a run should share one, made by
 // NewHistory(nprocs).
 func NewWithImage(p *sim.Proc, net *fabric.Network, al *mem.Allocator, nprocs int, impl core.Impl, im *mem.Image, hist *History) *Node {

@@ -165,9 +165,11 @@ func (al *Allocator) BlockAt(a Addr) int {
 	return WordSize
 }
 
-// Image is one processor's private copy of the shared space.
+// Image is one processor's private copy of the shared space: a heap buffer,
+// or a copy-on-write fork of a template image (Fork).
 type Image struct {
 	data []byte
+	fork forkState
 }
 
 // ImageBytes returns the page-rounded byte size an image of size bytes
@@ -204,8 +206,14 @@ func RecycledImage(size int) *Image {
 }
 
 // RecycleImage surrenders im's buffer for reuse by RecycledImage. The caller
-// must drop every reference to im.
+// must drop every reference to im. A fork is not a heap buffer: it panics,
+// since a fork must be released (Release) instead. A template's memory file
+// is closed, as the buffer's next owner rewrites it.
 func RecycleImage(im *Image) {
+	if im.fork.mapped {
+		panic("mem: RecycleImage of a fork: release it")
+	}
+	im.Release()
 	p, _ := imagePools.LoadOrStore(len(im.data), &sync.Pool{})
 	p.(*sync.Pool).Put(im)
 }

@@ -92,9 +92,9 @@ type Extra struct {
 	StampRunsSent int64
 }
 
-// InitWithImage fills the common fields around a caller-provided image
-// (typically recycled, contents unspecified): the runner overwrites it in
-// full before the simulation starts.
+// InitWithImage fills the common fields around a caller-provided image: the
+// node's private copy of the initial shared memory, a heap buffer or a
+// copy-on-write mapping (mem.Image.Fork) alike.
 func (b *Base) InitWithImage(p *sim.Proc, net *fabric.Network, al *mem.Allocator, model core.Model, nprocs int, im *mem.Image) {
 	b.P = p
 	b.Net = net

@@ -259,6 +259,16 @@ func RunWith(app App, impl core.Impl, nprocs int, cm fabric.CostModel, opts Opti
 	sa, _ := app.(StaticApp)
 	nodes := make([]node, nprocs)
 	images := make([]*mem.Image, nprocs)
+	fork := nprocs > forkImagesAbove
+	// The nodes are dead once the run returns, on every path: give their
+	// images back (several MB each at paper scale).
+	defer func() {
+		for _, im := range images {
+			if im != nil {
+				releaseImage(im, fork)
+			}
+		}
+	}()
 	starts := make([]func(), nprocs)
 	var lrcNodes []*lrc.Node
 	var hist *lrc.History  // the LRC nodes' shared interval-record log
@@ -275,14 +285,18 @@ func RunWith(app App, impl core.Impl, nprocs int, cm fabric.CostModel, opts Opti
 		p := s.Spawn(fmt.Sprintf("%s/p%d", app.Name(), i), func(p *sim.Proc) {
 			starts[i]()
 		})
-		// Node images come from the recycle pool (contents unspecified) and
-		// are fully overwritten by CopyFrom before the simulation starts.
-		im := mem.RecycledImage(al.Size())
+		im, err := nodeImage(initIm, fork)
+		if err != nil {
+			if !cached {
+				initIm.Release()
+			}
+			return Result{}, fmt.Errorf("run: %s: %w", app.Name(), err)
+		}
+		images[i] = im
 		switch impl.Model {
 		case core.EC:
 			n := ec.NewWithImage(p, net, al, nprocs, impl, im, binds)
-			n.Im.CopyFrom(initIm)
-			nodes[i], images[i] = n, n.Im
+			nodes[i] = n
 			if sa != nil {
 				starts[i] = func() { n.StatsBegin(); sa.ProgramEC(n) }
 			} else {
@@ -290,8 +304,7 @@ func RunWith(app App, impl core.Impl, nprocs int, cm fabric.CostModel, opts Opti
 			}
 		case core.LRC:
 			n := lrc.NewWithImage(p, net, al, nprocs, impl, im, hist)
-			n.Im.CopyFrom(initIm)
-			nodes[i], images[i] = n, n.Im
+			nodes[i] = n
 			lrcNodes = append(lrcNodes, n)
 			if sa != nil {
 				starts[i] = func() { n.StatsBegin(); sa.ProgramLRC(n) }
@@ -307,10 +320,10 @@ func RunWith(app App, impl core.Impl, nprocs int, cm fabric.CostModel, opts Opti
 	if opts.NoticeGC && impl.Model == core.LRC {
 		gc = lrc.NewGC(lrcNodes)
 	}
-	// Every node holds its own copy now; recycle the template's buffer
-	// (cached templates stay with their owner).
+	// Every node holds its own copy now; give the template back (cached
+	// templates stay with their owner).
 	if !cached {
-		mem.RecycleImage(initIm)
+		releaseImage(initIm, fork)
 	}
 	ph.End()
 	ph = opts.Perf.StartPhase("simulate")
@@ -366,13 +379,41 @@ func RunWith(app App, impl core.Impl, nprocs int, cm fabric.CostModel, opts Opti
 	if opts.KeepImage {
 		res.Image = append([]byte(nil), images[0].Bytes()...)
 	}
-	// The nodes are dead past this point: recycle the private images (several
-	// MB each at paper scale) for the next cell.
-	for _, im := range images {
-		mem.RecycleImage(im)
-	}
 	ph.End()
 	return res, nil
+}
+
+// forkImagesAbove is the processor count past which the nodes' images are
+// copy-on-write forks of the initial image (mem.Image.Fork) instead of heap
+// copies of it. A fork costs a page fault of a few microseconds on each page
+// its node writes, where a copy costs a memcpy of every page. Past 8
+// processors the copies add up to most of the host's memory while a node
+// writes 2-51 % of its pages, so forking pays (scale_large peak RSS falls
+// by more than half); at 8 the images are small and written almost
+// everywhere, and the faults cost more than the copies (DESIGN.md "Node
+// images").
+const forkImagesAbove = 8
+
+// nodeImage returns one node's private copy of the initial image: a fork of
+// it, or a pooled heap buffer overwritten with it.
+func nodeImage(initIm *mem.Image, fork bool) (*mem.Image, error) {
+	if fork {
+		return initIm.Fork()
+	}
+	im := mem.RecycledImage(initIm.Size())
+	im.CopyFrom(initIm)
+	return im, nil
+}
+
+// releaseImage gives an image back once the run is done with it: forking,
+// Release unmaps a node's fork and closes a template's memory file;
+// copying, the heap buffer goes to the recycle pool for the next cell.
+func releaseImage(im *mem.Image, fork bool) {
+	if fork {
+		im.Release()
+	} else {
+		mem.RecycleImage(im)
+	}
 }
 
 // TraceMeta assembles the analysis metadata for a traced run of app: the

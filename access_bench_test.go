@@ -12,27 +12,18 @@ import (
 )
 
 // BenchmarkDSMAccess is the per-word hot-path guard: a tight read/write loop
-// over every implementation's access frontend, measured through both the
-// statically-dispatched generic kernel (the path the suite applications use)
-// and the core.DSM interface adapter. CI runs it with -benchmem and requires
-// 0 allocs/op on every line — the in-window access path must never allocate —
-// matching the fabric and trace alloc guards.
+// over every implementation's access frontend, called through core.DSM as the
+// application programs call it. CI runs it with -benchmem and requires
+// 0 allocs/op on every line — the in-window access path must never allocate.
 func BenchmarkDSMAccess(b *testing.B) {
 	for _, impl := range core.Implementations() {
-		b.Run(impl.String()+"/static", func(b *testing.B) {
-			benchAccess(b, impl, false)
-		})
-		b.Run(impl.String()+"/iface", func(b *testing.B) {
-			benchAccess(b, impl, true)
-		})
+		b.Run(impl.String(), func(b *testing.B) { benchAccess(b, impl) })
 	}
 }
 
 // accessLoop is the measured kernel: integer and float traffic over one page
-// (a word-strided sweep, the suite's common access pattern). Generic like
-// the application kernels, so the static variants measure exactly the
-// devirtualized path.
-func accessLoop[D core.Accessor](d D, base mem.Addr, n int) {
+// (a word-strided sweep, the suite's common access pattern).
+func accessLoop(d core.DSM, base mem.Addr, n int) {
 	for i := 0; i < n; i++ {
 		a := base + mem.Addr((i&511)*4)
 		d.WriteI32(a, int32(i))
@@ -43,30 +34,18 @@ func accessLoop[D core.Accessor](d D, base mem.Addr, n int) {
 	}
 }
 
-func benchAccess(b *testing.B, impl core.Impl, iface bool) {
+func benchAccess(b *testing.B, impl core.Impl) {
 	s := sim.New()
 	net := fabric.New(s, fabric.DefaultCostModel(), 1)
 	al := mem.NewAllocator()
 	base := al.Alloc("bench", mem.PageSize, 4)
-	var start func()
-	p := s.Spawn("bench", func(p *sim.Proc) { start() })
+	var d core.DSM
+	p := s.Spawn("bench", func(p *sim.Proc) { accessLoop(d, base, b.N) })
 	switch impl.Model {
 	case core.EC:
-		n := ec.New(p, net, al, 1, impl)
-		if iface {
-			var d core.DSM = n
-			start = func() { accessLoop(d, base, b.N) }
-		} else {
-			start = func() { accessLoop(n, base, b.N) }
-		}
+		d = ec.New(p, net, al, 1, impl)
 	case core.LRC:
-		n := lrc.New(p, net, al, 1, impl)
-		if iface {
-			var d core.DSM = n
-			start = func() { accessLoop(d, base, b.N) }
-		} else {
-			start = func() { accessLoop(n, base, b.N) }
-		}
+		d = lrc.New(p, net, al, 1, impl)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -13,6 +13,7 @@
 package ecvslrc
 
 import (
+	"fmt"
 	"io"
 
 	"ecvslrc/internal/apps"
@@ -180,9 +181,14 @@ func Table3(scale Scale, nprocs int, appNames ...string) (string, error) {
 
 // Table45 regenerates Table 4 (model "EC") or Table 5 (model "LRC").
 func Table45(model string, scale Scale, nprocs int, appNames ...string) (string, error) {
-	m := core.EC
-	if model == "LRC" {
+	var m core.Model
+	switch model {
+	case "EC":
+		m = core.EC
+	case "LRC":
 		m = core.LRC
+	default:
+		return "", fmt.Errorf("ecvslrc: %w: unknown model %q (valid: EC, LRC)", harness.ErrConfig, model)
 	}
 	appNames = suite(appNames)
 	rows, err := harness.TableModel(cellConfig(scale, nprocs, fabric.DefaultCostModel(), false), m, appNames)

@@ -1,8 +1,7 @@
-// Genericapp: how to add an application with the statically-dispatched
-// access path. The program is written ONCE as a generic kernel over
-// core.Accessor; the run.StaticApp methods instantiate it per protocol
-// stack (*lrc.Node, *ec.Node, *run.Local), and Program(core.DSM) keeps the
-// interface-adapter path for custom tooling. See DESIGN.md, "Access path".
+// Genericapp: how to add an application. The program is written ONCE, as
+// the Program method over core.DSM, for both models and for the sequential
+// reference; the runner hands it the protocol node (or run.Local) directly.
+// See DESIGN.md, "Access path" and "Adding an application".
 package main
 
 import (
@@ -10,9 +9,7 @@ import (
 	"log"
 
 	"ecvslrc/internal/core"
-	"ecvslrc/internal/ec"
 	"ecvslrc/internal/fabric"
-	"ecvslrc/internal/lrc"
 	"ecvslrc/internal/mem"
 	"ecvslrc/internal/run"
 	"ecvslrc/internal/sim"
@@ -40,19 +37,9 @@ func (h *histogram) Layout(al *mem.Allocator) {
 // Init implements run.App.
 func (h *histogram) Init(im *mem.Image) {}
 
-// Program implements run.App: the interface-adapter entry of histProgram.
-func (h *histogram) Program(d core.DSM) { histProgram(h, d) }
-
-// ProgramLRC, ProgramEC and ProgramSeq implement run.StaticApp: the same
-// kernel, statically instantiated per protocol stack. This boilerplate is
-// all an app provides to get the devirtualized per-word access path.
-func (h *histogram) ProgramLRC(n *lrc.Node)  { histProgram(h, n) }
-func (h *histogram) ProgramEC(n *ec.Node)    { histProgram(h, n) }
-func (h *histogram) ProgramSeq(l *run.Local) { histProgram(h, l) }
-
-// histProgram is the per-processor program: one source for both models
-// (Section 3.3's dual programming style), generic over the access frontend.
-func histProgram[D core.Accessor](h *histogram, d D) {
+// Program implements run.App: the per-processor program, one source for
+// both models (Section 3.3's dual programming style).
+func (h *histogram) Program(d core.DSM) {
 	ec := d.Model() == core.EC
 	h.nprocs = d.NProcs()
 	d.Bind(histLock, mem.Range{Base: h.base, Len: h.buckets * 4})
@@ -103,10 +90,8 @@ func (h *histogram) Verify(im *mem.Image) error {
 	return nil
 }
 
-var _ run.StaticApp = (*histogram)(nil)
-
 func main() {
-	fmt.Println("custom generic-kernel app on all six implementations, 4 processors")
+	fmt.Println("custom app on all six implementations, 4 processors")
 	for _, impl := range core.Implementations() {
 		app := &histogram{buckets: 256, rounds: 8}
 		res, err := run.Run(app, impl, 4, fabric.DefaultCostModel())

@@ -98,20 +98,6 @@ func MicroNames() []string {
 	return []string{"micro-migratory", "micro-producer-consumer", "micro-false-sharing", "micro-prefetch", "micro-rebinding"}
 }
 
-// Every suite application is written as a generic kernel
-// (func kernel[D core.Accessor](app, d D)) and provides the
-// statically-dispatched run.StaticApp entries alongside the
-// Program(core.DSM) adapter; the runner picks the concrete instantiation.
-var (
-	_ run.StaticApp = (*SOR)(nil)
-	_ run.StaticApp = (*QS)(nil)
-	_ run.StaticApp = (*Water)(nil)
-	_ run.StaticApp = (*Barnes)(nil)
-	_ run.StaticApp = (*IS)(nil)
-	_ run.StaticApp = (*FFT)(nil)
-	_ run.StaticApp = (*Micro)(nil)
-)
-
 // refMemo holds an application's sequential verification reference per
 // problem size: the reference is a pure function of the instance, and a sweep
 // runs the same instance in every cell. Init warms it, so set-up pays for the
@@ -146,10 +132,9 @@ func (r *refMemo[K, V]) get(k K, solve func() V) V {
 
 // bindOne returns d.Bind for single-range bindings, passing every call the
 // same one-element argument slice. Bind does not retain its argument
-// (core.DSM), and the kernels call it through the generic dictionary, where a
-// fresh variadic slice would escape to the heap on every call — once per lock
-// per processor.
-func bindOne[D core.Accessor](d D) func(core.LockID, mem.Range) {
+// (core.DSM), but a fresh variadic slice passed through the interface would
+// escape to the heap on every call — once per lock per processor.
+func bindOne(d core.DSM) func(core.LockID, mem.Range) {
 	arg := make([]mem.Range, 1)
 	return func(l core.LockID, r mem.Range) {
 		arg[0] = r

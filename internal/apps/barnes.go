@@ -5,8 +5,6 @@ import (
 	"math"
 
 	"ecvslrc/internal/core"
-	"ecvslrc/internal/ec"
-	"ecvslrc/internal/lrc"
 	"ecvslrc/internal/mem"
 	"ecvslrc/internal/run"
 	"ecvslrc/internal/sim"
@@ -355,23 +353,8 @@ func (a *Barnes) reference() *barnesRef {
 
 // --- the DSM program -------------------------------------------------------
 
-// Program implements run.App: the interface-adapter entry of barnesProgram —
-// the same generic kernel the statically-dispatched entries run.
-func (a *Barnes) Program(d core.DSM) { barnesProgram(a, d) }
-
-// ProgramLRC implements run.StaticApp: barnesProgram at *lrc.Node.
-func (a *Barnes) ProgramLRC(n *lrc.Node) { barnesProgram(a, n) }
-
-// ProgramEC implements run.StaticApp: barnesProgram at *ec.Node.
-func (a *Barnes) ProgramEC(n *ec.Node) { barnesProgram(a, n) }
-
-// ProgramSeq implements run.StaticApp: barnesProgram at *run.Local.
-func (a *Barnes) ProgramSeq(l *run.Local) { barnesProgram(a, l) }
-
-// barnesProgram is the per-processor program as a generic kernel: one
-// source, statically instantiated per protocol stack (the tree-walking
-// helpers below are generic over the same frontend).
-func barnesProgram[D core.Accessor](a *Barnes, d D) {
+// Program implements run.App: the per-processor program.
+func (a *Barnes) Program(d core.DSM) {
 	ec := d.Model() == core.EC
 	np := d.NProcs()
 	me := d.Proc()
@@ -531,7 +514,7 @@ func barnesProgram[D core.Accessor](a *Barnes, d D) {
 // buildShared rebuilds the shared tree (processor 0 only). Cell locks are
 // acquired exclusively per touched cell; they stay owned by processor 0
 // across steps, so reacquisition is free after the first step.
-func barnesBuildShared[D core.Accessor](a *Barnes, d D, rlock func(core.LockID)) {
+func barnesBuildShared(a *Barnes, d core.DSM, rlock func(core.LockID)) {
 	ec := d.Model() == core.EC
 	next := 1
 	heldCells := newLockSet(a.numLocks())
@@ -636,7 +619,7 @@ func barnesBuildShared[D core.Accessor](a *Barnes, d D, rlock func(core.LockID))
 
 // traverse walks the whole tree, read-locking cells (the load-balancing
 // phase's tree examination).
-func barnesTraverse[D core.Accessor](a *Barnes, d D, cell int, rlock func(core.LockID)) {
+func barnesTraverse(a *Barnes, d core.DSM, cell int, rlock func(core.LockID)) {
 	rlock(a.cellLock(cell))
 	d.Compute(barnesPerVisit)
 	for k := 0; k < 8; k++ {
@@ -649,7 +632,7 @@ func barnesTraverse[D core.Accessor](a *Barnes, d D, cell int, rlock func(core.L
 
 // force accumulates the force on body i by tree traversal, mirroring the
 // reference implementation but reading through the DSM with EC read locks.
-func barnesForce[D core.Accessor](a *Barnes, d D, i, cell int, f *[3]float64, ints *int, rlock func(core.LockID)) {
+func barnesForce(a *Barnes, d core.DSM, i, cell int, f *[3]float64, ints *int, rlock func(core.LockID)) {
 	rlock(a.cellLock(cell))
 	pi := [3]float64{d.ReadF64(a.posAddr(i, 0)), d.ReadF64(a.posAddr(i, 1)), d.ReadF64(a.posAddr(i, 2))}
 	for k := 0; k < 8; k++ {

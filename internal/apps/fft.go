@@ -6,8 +6,6 @@ import (
 	"math/cmplx"
 
 	"ecvslrc/internal/core"
-	"ecvslrc/internal/ec"
-	"ecvslrc/internal/lrc"
 	"ecvslrc/internal/mem"
 	"ecvslrc/internal/run"
 	"ecvslrc/internal/sim"
@@ -261,22 +259,8 @@ func (l fftLocks) lockB(q, p int) core.LockID {
 	return core.LockID(l.baseB + q*l.stride + p)
 }
 
-// Program implements run.App: the interface-adapter entry of fftProgram —
-// the same generic kernel the statically-dispatched entries run.
-func (f *FFT) Program(d core.DSM) { fftProgram(f, d) }
-
-// ProgramLRC implements run.StaticApp: fftProgram instantiated at *lrc.Node.
-func (f *FFT) ProgramLRC(n *lrc.Node) { fftProgram(f, n) }
-
-// ProgramEC implements run.StaticApp: fftProgram instantiated at *ec.Node.
-func (f *FFT) ProgramEC(n *ec.Node) { fftProgram(f, n) }
-
-// ProgramSeq implements run.StaticApp: fftProgram instantiated at *run.Local.
-func (f *FFT) ProgramSeq(l *run.Local) { fftProgram(f, l) }
-
-// fftProgram is the per-processor program as a generic kernel: one source,
-// statically instantiated per protocol stack.
-func fftProgram[D core.Accessor](f *FFT, d D) {
+// Program implements run.App: the per-processor program.
+func (f *FFT) Program(d core.DSM) {
 	ec := d.Model() == core.EC
 	np := d.NProcs()
 	me := d.Proc()

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"ecvslrc/internal/core"
-	"ecvslrc/internal/ec"
-	"ecvslrc/internal/lrc"
 	"ecvslrc/internal/mem"
 	"ecvslrc/internal/run"
 	"ecvslrc/internal/sim"
@@ -81,22 +79,8 @@ func (a *IS) keys(p, nprocs int) []int32 {
 
 const isLock = core.LockID(1)
 
-// Program implements run.App: the interface-adapter entry of isProgram —
-// the same generic kernel the statically-dispatched entries run.
-func (a *IS) Program(d core.DSM) { isProgram(a, d) }
-
-// ProgramLRC implements run.StaticApp: isProgram instantiated at *lrc.Node.
-func (a *IS) ProgramLRC(n *lrc.Node) { isProgram(a, n) }
-
-// ProgramEC implements run.StaticApp: isProgram instantiated at *ec.Node.
-func (a *IS) ProgramEC(n *ec.Node) { isProgram(a, n) }
-
-// ProgramSeq implements run.StaticApp: isProgram instantiated at *run.Local.
-func (a *IS) ProgramSeq(l *run.Local) { isProgram(a, l) }
-
-// isProgram is the per-processor program as a generic kernel: one source,
-// statically instantiated per protocol stack.
-func isProgram[D core.Accessor](a *IS, d D) {
+// Program implements run.App: the per-processor program.
+func (a *IS) Program(d core.DSM) {
 	ec := d.Model() == core.EC
 	a.nprocs = d.NProcs()
 	d.Bind(isLock, mem.Range{Base: a.buckets, Len: a.bmax * 4})

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"ecvslrc/internal/core"
-	"ecvslrc/internal/ec"
-	"ecvslrc/internal/lrc"
 	"ecvslrc/internal/mem"
 	"ecvslrc/internal/run"
 	"ecvslrc/internal/sim"
@@ -95,22 +93,9 @@ func (m *Micro) Layout(al *mem.Allocator) {
 // Init implements run.App.
 func (m *Micro) Init(im *mem.Image) {}
 
-// Program implements run.App: the interface-adapter entry of microProgram —
-// the same generic kernel the statically-dispatched entries run.
-func (m *Micro) Program(d core.DSM) { microProgram(m, d) }
-
-// ProgramLRC implements run.StaticApp: microProgram at *lrc.Node.
-func (m *Micro) ProgramLRC(n *lrc.Node) { microProgram(m, n) }
-
-// ProgramEC implements run.StaticApp: microProgram at *ec.Node.
-func (m *Micro) ProgramEC(n *ec.Node) { microProgram(m, n) }
-
-// ProgramSeq implements run.StaticApp: microProgram at *run.Local.
-func (m *Micro) ProgramSeq(l *run.Local) { microProgram(m, l) }
-
-// microProgram dispatches to the selected factor kernel; each kernel is
-// generic over the access frontend and instantiated per protocol stack.
-func microProgram[D core.Accessor](m *Micro, d D) {
+// Program implements run.App: the per-processor program runs the selected
+// factor kernel.
+func (m *Micro) Program(d core.DSM) {
 	switch m.kind {
 	case microMigratory:
 		migratory(m, d)
@@ -125,7 +110,7 @@ func microProgram[D core.Accessor](m *Micro, d D) {
 	}
 }
 
-func migratory[D core.Accessor](m *Micro, d D) {
+func migratory(m *Micro, d core.DSM) {
 	m.nprocs = d.NProcs()
 	const words = 256 // 1 KB record, below a page
 	d.Bind(1, mem.Range{Base: m.base, Len: words * 4})
@@ -149,7 +134,7 @@ func migratory[D core.Accessor](m *Micro, d D) {
 	}
 }
 
-func producerConsumer[D core.Accessor](m *Micro, d D) {
+func producerConsumer(m *Micro, d core.DSM) {
 	ec := d.Model() == core.EC
 	m.nprocs = d.NProcs()
 	n := 4 * mem.PageSize / 4
@@ -190,7 +175,7 @@ func producerConsumer[D core.Accessor](m *Micro, d D) {
 	}
 }
 
-func falseSharing[D core.Accessor](m *Micro, d D) {
+func falseSharing(m *Micro, d core.DSM) {
 	ec := d.Model() == core.EC
 	m.nprocs = d.NProcs()
 	np := d.NProcs()
@@ -228,7 +213,7 @@ func falseSharing[D core.Accessor](m *Micro, d D) {
 	d.StatsEnd()
 }
 
-func prefetch[D core.Accessor](m *Micro, d D) {
+func prefetch(m *Micro, d core.DSM) {
 	ec := d.Model() == core.EC
 	m.nprocs = d.NProcs()
 	const objs = 32 // 128-byte objects, all on one page
@@ -274,7 +259,7 @@ func prefetch[D core.Accessor](m *Micro, d D) {
 	d.StatsEnd()
 }
 
-func rebinding[D core.Accessor](m *Micro, d D) {
+func rebinding(m *Micro, d core.DSM) {
 	ec := d.Model() == core.EC
 	m.nprocs = d.NProcs()
 	const taskBytes = 2048

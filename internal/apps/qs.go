@@ -5,8 +5,6 @@ import (
 	"slices"
 
 	"ecvslrc/internal/core"
-	"ecvslrc/internal/ec"
-	"ecvslrc/internal/lrc"
 	"ecvslrc/internal/mem"
 	"ecvslrc/internal/run"
 	"ecvslrc/internal/sim"
@@ -98,22 +96,8 @@ const (
 func (a *QS) entryLock(slot int) core.LockID { return qsEntryLock0 + core.LockID(slot) }
 func (a *QS) gatherLock(p int) core.LockID   { return qsGatherL0 + core.LockID(p) }
 
-// Program implements run.App: the interface-adapter entry of qsProgram —
-// the same generic kernel the statically-dispatched entries run.
-func (a *QS) Program(d core.DSM) { qsProgram(a, d) }
-
-// ProgramLRC implements run.StaticApp: qsProgram instantiated at *lrc.Node.
-func (a *QS) ProgramLRC(n *lrc.Node) { qsProgram(a, n) }
-
-// ProgramEC implements run.StaticApp: qsProgram instantiated at *ec.Node.
-func (a *QS) ProgramEC(n *ec.Node) { qsProgram(a, n) }
-
-// ProgramSeq implements run.StaticApp: qsProgram instantiated at *run.Local.
-func (a *QS) ProgramSeq(l *run.Local) { qsProgram(a, l) }
-
-// qsProgram is the per-processor program as a generic kernel: one source,
-// statically instantiated per protocol stack.
-func qsProgram[D core.Accessor](a *QS, d D) {
+// Program implements run.App: the per-processor program.
+func (a *QS) Program(d core.DSM) {
 	ec := d.Model() == core.EC
 	a.nprocs = d.NProcs()
 	me := d.Proc()

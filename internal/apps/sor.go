@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"ecvslrc/internal/core"
-	"ecvslrc/internal/ec"
-	"ecvslrc/internal/lrc"
 	"ecvslrc/internal/mem"
 	"ecvslrc/internal/run"
 	"ecvslrc/internal/sim"
@@ -214,22 +212,8 @@ func (a *SOR) reference() [][]float32 {
 // lock ids: per (row, color).
 func (a *SOR) lockOf(row, color int) core.LockID { return core.LockID(1 + 2*row + color) }
 
-// Program implements run.App: the interface-adapter entry of sorProgram —
-// the same generic kernel the statically-dispatched entries run.
-func (a *SOR) Program(d core.DSM) { sorProgram(a, d) }
-
-// ProgramLRC implements run.StaticApp: sorProgram instantiated at *lrc.Node.
-func (a *SOR) ProgramLRC(n *lrc.Node) { sorProgram(a, n) }
-
-// ProgramEC implements run.StaticApp: sorProgram instantiated at *ec.Node.
-func (a *SOR) ProgramEC(n *ec.Node) { sorProgram(a, n) }
-
-// ProgramSeq implements run.StaticApp: sorProgram instantiated at *run.Local.
-func (a *SOR) ProgramSeq(l *run.Local) { sorProgram(a, l) }
-
-// sorProgram is the per-processor program as a generic kernel: one source,
-// statically instantiated per protocol stack.
-func sorProgram[D core.Accessor](a *SOR, d D) {
+// Program implements run.App: the per-processor program.
+func (a *SOR) Program(d core.DSM) {
 	ec := d.Model() == core.EC
 	np := d.NProcs()
 	me := d.Proc()

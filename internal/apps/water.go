@@ -5,8 +5,6 @@ import (
 	"math"
 
 	"ecvslrc/internal/core"
-	"ecvslrc/internal/ec"
-	"ecvslrc/internal/lrc"
 	"ecvslrc/internal/mem"
 	"ecvslrc/internal/run"
 	"ecvslrc/internal/sim"
@@ -173,22 +171,8 @@ func pairForce(di, dj [3]float64) [3]float64 {
 func (a *Water) molLock(i int) core.LockID       { return core.LockID(1 + i) }
 func (a *Water) dispChunkLock(p int) core.LockID { return core.LockID(1 + a.m + p) }
 
-// Program implements run.App: the interface-adapter entry of waterProgram —
-// the same generic kernel the statically-dispatched entries run.
-func (a *Water) Program(d core.DSM) { waterProgram(a, d) }
-
-// ProgramLRC implements run.StaticApp: waterProgram instantiated at *lrc.Node.
-func (a *Water) ProgramLRC(n *lrc.Node) { waterProgram(a, n) }
-
-// ProgramEC implements run.StaticApp: waterProgram instantiated at *ec.Node.
-func (a *Water) ProgramEC(n *ec.Node) { waterProgram(a, n) }
-
-// ProgramSeq implements run.StaticApp: waterProgram instantiated at *run.Local.
-func (a *Water) ProgramSeq(l *run.Local) { waterProgram(a, l) }
-
-// waterProgram is the per-processor program as a generic kernel: one source,
-// statically instantiated per protocol stack.
-func waterProgram[D core.Accessor](a *Water, d D) {
+// Program implements run.App: the per-processor program.
+func (a *Water) Program(d core.DSM) {
 	ec := d.Model() == core.EC
 	np := d.NProcs()
 	me := d.Proc()

@@ -213,21 +213,10 @@ type DSM interface {
 	StatsEnd()
 }
 
-// Accessor is the type-parameter constraint of the application kernels:
-// write the program once as
-//
-//	func kernel[D core.Accessor](d D, ...)
-//
-// and instantiate it per protocol stack (*lrc.Node, *ec.Node, run.Local's
-// sequential frontend). The dispatch is not static: the three frontends are
-// pointer types, so Go's GC-shape stenciling compiles them into one body
-// (kernel[go.shape.*uint8] in every CPU profile) whose per-word calls
-// (ReadI32..WriteF64, Compute, Now) go through the instantiation's
-// dictionary. That skips the itab lookup a core.DSM value pays on every
-// shared access, but nothing inlines into the kernel. The method set is
-// exactly DSM: the interface remains the stable adapter surface (CLIs,
-// tests, custom tooling), and any kernel also instantiates with D =
-// core.DSM itself — that is the adapter path.
+// Accessor is a type-parameter constraint with exactly DSM's method set. No
+// application uses it: every program takes a plain DSM. It is kept only for
+// the generic accessLoop of the benchmark's access probes, and goes when
+// those probes are re-pointed at DSM.
 type Accessor interface {
 	DSM
 }

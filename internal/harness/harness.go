@@ -72,21 +72,30 @@ type Config struct {
 var ErrConfig = errors.New("invalid harness config")
 
 // Validate reports whether the configuration can run at all. Errors wrap
-// ErrConfig so callers can classify them with errors.Is.
+// ErrConfig so callers can classify them with errors.Is. RunCell, RunTraced
+// and the table entry points call it; RunSeq checks the scale only, the
+// sequential reference running on one processor whatever NProcs says.
 func (cfg Config) Validate() error {
 	if cfg.NProcs < 1 || cfg.NProcs > syncmgr.MaxProcs {
 		return fmt.Errorf("harness: %w: nprocs %d outside 1..%d", ErrConfig, cfg.NProcs, syncmgr.MaxProcs)
 	}
-	switch cfg.Scale {
-	case apps.Test, apps.Bench, apps.Paper, apps.Large:
-	default:
-		return fmt.Errorf("harness: %w: unknown scale %d (valid: %s)",
-			ErrConfig, int(cfg.Scale), strings.Join(apps.ScaleNames(), ", "))
+	if err := validScale(cfg.Scale); err != nil {
+		return err
 	}
 	if err := (run.Options{Machine: cfg.Machine, Timeout: cfg.Timeout}).Validate(); err != nil {
 		return fmt.Errorf("harness: %w: %v", ErrConfig, err)
 	}
 	return nil
+}
+
+// validScale is Validate's scale check.
+func validScale(s apps.Scale) error {
+	switch s {
+	case apps.Test, apps.Bench, apps.Paper, apps.Large:
+		return nil
+	}
+	return fmt.Errorf("harness: %w: unknown scale %d (valid: %s)",
+		ErrConfig, int(s), strings.Join(apps.ScaleNames(), ", "))
 }
 
 // ForEach runs fn(i) for every i in [0, n) on a bounded worker pool. fn must
@@ -290,8 +299,11 @@ func outcomeOf(err error) perf.Outcome {
 // cell's run is recovered into a *CellPanic in Row.Err rather than crashing
 // the caller. With Config.Perf attached, the cell's wall time and allocation
 // deltas are recorded whatever the outcome — the panic path is attributed
-// its elapsed time too.
+// its elapsed time too. An invalid cfg fails without running the cell.
 func RunCell(cfg Config, app string, impl core.Impl) Row {
+	if err := cfg.Validate(); err != nil {
+		return Row{App: app, Impl: impl, Err: err}
+	}
 	return runCell(cfg, app, impl, nil)
 }
 
@@ -312,7 +324,11 @@ func CheckBufferedTrace(nprocs int) error {
 // trace.Analyze and trace.EmitReports. Tracing is observation-only: Row.Stats
 // equals RunCell's.
 func RunTraced(cfg Config, app string, impl core.Impl, sched bool) (Row, trace.Meta) {
-	if err := CheckBufferedTrace(cfg.NProcs); err != nil {
+	err := cfg.Validate()
+	if err == nil {
+		err = CheckBufferedTrace(cfg.NProcs)
+	}
+	if err != nil {
 		return Row{App: app, Impl: impl, Err: err}, trace.Meta{}
 	}
 	tr := trace.New(cfg.NProcs)
@@ -369,6 +385,9 @@ func RunSeq(cfg Config, app string) (t sim.Time, err error) {
 		}
 		cs.End(outcomeOf(err))
 	}()
+	if err := validScale(cfg.Scale); err != nil {
+		return 0, err
+	}
 	a, err := apps.New(app, cfg.Scale)
 	if err != nil {
 		return 0, err
@@ -444,8 +463,12 @@ type Table3Result struct {
 // returns each application's rows in implementation order under its name,
 // plus the sequential times in appNames order; the result is identical for
 // any worker count. It collects every failed cell before giving up, so one
-// bad configuration reports the whole damage, not just its first victim.
+// bad configuration reports the whole damage, not just its first victim. An
+// invalid cfg fails once, before any cell runs.
 func runGrid(cfg Config, appNames []string, impls []core.Impl, seq bool) (map[string][]Row, []sim.Time, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
 	stride := len(impls)
 	if seq {
 		stride++
@@ -618,9 +641,6 @@ func FormatMicro(rows map[string][]Row) string {
 // cmd/dsmbench prints exactly this for -all, and the byte-identity regression
 // test pins it against the seed's golden output with contention off.
 func BenchReport(cfg Config, appNames []string) (string, error) {
-	if err := cfg.Validate(); err != nil {
-		return "", err
-	}
 	if len(appNames) == 0 {
 		appNames = apps.Names()
 	}

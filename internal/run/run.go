@@ -41,31 +41,6 @@ type App interface {
 	Verify(im *mem.Image) error
 }
 
-// StaticApp is implemented by applications whose Program body is a generic
-// kernel `func kernel[D core.Accessor](d D, ...)` instantiated once per
-// protocol stack. The runner then enters the kernel through the concrete
-// frontend (*lrc.Node, *ec.Node, *Local), so every shared-memory accessor
-// call goes through the instantiation's dictionary instead of the core.DSM
-// interface's itab (not a static call: see core.Accessor). The
-// plain Program(core.DSM) method remains the adapter path: same kernel,
-// instantiated with the interface, used by custom DSM values and by apps
-// that provide nothing else.
-//
-// The dispatch rule: an app that implements StaticApp is entered through its
-// concrete frontend, any other through Program — decided by the app's type
-// alone, never by an option. All four entry points must run the same kernel
-// and the simulated statistics must not depend on which one ran (the
-// equivalence tests hide the static methods behind a wrapper to compare).
-type StaticApp interface {
-	App
-	// ProgramLRC is Program entered through the concrete LRC frontend.
-	ProgramLRC(n *lrc.Node)
-	// ProgramEC is Program entered through the concrete EC frontend.
-	ProgramEC(n *ec.Node)
-	// ProgramSeq is Program entered through the sequential frontend.
-	ProgramSeq(l *Local)
-}
-
 // Machine is the shape of the simulated machine beyond its cost model — the
 // one declaration of these options. run.Options, harness.Config and
 // sweep.Variant embed it, the CLIs bind their flags onto it (internal/cmdline),
@@ -253,10 +228,6 @@ func RunWith(app App, impl core.Impl, nprocs int, cm fabric.CostModel, opts Opti
 		s.SetProbe(opts.Trace)
 		net.SetTracer(opts.Trace)
 	}
-	// Statically-dispatched entry when the app provides generic kernels: the
-	// per-processor body then calls the concrete frontend's kernel
-	// instantiation instead of crossing the core.DSM interface per access.
-	sa, _ := app.(StaticApp)
 	nodes := make([]node, nprocs)
 	images := make([]*mem.Image, nprocs)
 	fork := nprocs > forkImagesAbove
@@ -295,23 +266,13 @@ func RunWith(app App, impl core.Impl, nprocs int, cm fabric.CostModel, opts Opti
 		images[i] = im
 		switch impl.Model {
 		case core.EC:
-			n := ec.NewWithImage(p, net, al, nprocs, impl, im, binds)
-			nodes[i] = n
-			if sa != nil {
-				starts[i] = func() { n.StatsBegin(); sa.ProgramEC(n) }
-			} else {
-				starts[i] = func() { n.StatsBegin(); app.Program(n) }
-			}
+			nodes[i] = ec.NewWithImage(p, net, al, nprocs, impl, im, binds)
 		case core.LRC:
 			n := lrc.NewWithImage(p, net, al, nprocs, impl, im, hist)
 			nodes[i] = n
 			lrcNodes = append(lrcNodes, n)
-			if sa != nil {
-				starts[i] = func() { n.StatsBegin(); sa.ProgramLRC(n) }
-			} else {
-				starts[i] = func() { n.StatsBegin(); app.Program(n) }
-			}
 		}
+		starts[i] = func() { nodes[i].StatsBegin(); app.Program(nodes[i]) }
 		if opts.BarrierFanIn >= 2 {
 			nodes[i].(interface{ SetBarrierFanIn(int) }).SetBarrierFanIn(opts.BarrierFanIn)
 		}
@@ -478,11 +439,7 @@ func RunSeqWith(app App, opts Options) (sim.Time, error) {
 		im = initIm
 	}
 	d := &Local{im: im}
-	if sa, ok := app.(StaticApp); ok {
-		sa.ProgramSeq(d)
-	} else {
-		app.Program(d)
-	}
+	app.Program(d)
 	if !d.ended {
 		return 0, fmt.Errorf("run: %s sequential program never called StatsEnd", app.Name())
 	}

@@ -9,9 +9,10 @@ import (
 )
 
 // TestInvalidCellsRejected pins the root entry points' argument checks: an
-// out-of-range processor count, an unknown scale or an unknown model is
-// refused by the one validator before anything is simulated, with an error
-// that wraps harness.ErrConfig and names the valid values.
+// out-of-range processor count, an unknown scale, model or application, or a
+// traced run past the buffered tracer's limit is refused before anything is
+// simulated, once, with an error that wraps harness.ErrConfig and names the
+// valid values.
 func TestInvalidCellsRejected(t *testing.T) {
 	cases := []struct {
 		name string
@@ -27,6 +28,9 @@ func TestInvalidCellsRejected(t *testing.T) {
 		{"Table45 0 procs", func() error { _, err := Table45("EC", Test, 0, "SOR"); return err }, "nprocs 0 outside 1..32767"},
 		{"Table45 bogus model", func() error { _, err := Table45("bogus", Test, 4, "SOR"); return err }, `unknown model "bogus" (valid: EC, LRC)`},
 		{"Table45 lower-case model", func() error { _, err := Table45("ec", Test, 4, "SOR"); return err }, `unknown model "ec" (valid: EC, LRC)`},
+		{"Run unknown app", func() error { _, err := Run("nope", "EC-diff", 4, Test); return err }, `unknown application "nope" (valid: SOR, SOR+, QS, Water, Barnes-Hut, IS, 3D-FFT, micro-migratory,`},
+		{"Table3 unknown app", func() error { _, err := Table3(Test, 4, "nope"); return err }, `unknown application "nope" (valid: `},
+		{"Trace 256 procs", func() error { _, err := Trace("SOR", "LRC-diff", 256, Test); return err }, "traced runs support 1..255 processors, got 256"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

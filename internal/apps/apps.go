@@ -29,9 +29,10 @@ const (
 	// Paper is the data-set size of Table 2.
 	Paper
 	// Large is the scaled-machine tier: problem sizes chosen so 256-1024
-	// simulated processors each have real work while the per-node memory
-	// image stays small (every node replicates the full shared image, so
-	// image bytes multiply by the processor count). Cells at this scale
+	// simulated processors each have real work while the shared image
+	// stays small (every node has a private image; past 8 processors it is
+	// a copy-on-write fork of one template, so host memory grows with the
+	// pages each node writes, not with the full image). Cells at this scale
 	// default to LRC notice garbage collection and tree barrier fan-in
 	// (see internal/harness); 8-proc output at the other tiers is
 	// unaffected.
@@ -81,11 +82,20 @@ func register(name string, f Factory) { registry[name] = f }
 
 // New builds the named application at the given scale.
 func New(name string, scale Scale) (run.App, error) {
-	f, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("apps: unknown application %q", name)
+	if err := Check(name); err != nil {
+		return nil, err
 	}
-	return f(scale), nil
+	return registry[name](scale), nil
+}
+
+// Check reports whether name is a registered application. The error names
+// every valid name, suite and micro kernels alike.
+func Check(name string) error {
+	if _, ok := registry[name]; !ok {
+		return fmt.Errorf("apps: unknown application %q (valid: %s)", name,
+			strings.Join(append(Names(), MicroNames()...), ", "))
+	}
+	return nil
 }
 
 // Names lists the registered applications in table order.

@@ -6,6 +6,7 @@
 package harness
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
@@ -83,6 +84,14 @@ func (cfg Config) Validate() error {
 		return err
 	}
 	if err := (run.Options{Machine: cfg.Machine, Timeout: cfg.Timeout}).Validate(); err != nil {
+		return fmt.Errorf("harness: %w: %v", ErrConfig, err)
+	}
+	return nil
+}
+
+// validApp rejects an unknown application name as a config error.
+func validApp(name string) error {
+	if err := apps.Check(name); err != nil {
 		return fmt.Errorf("harness: %w: %v", ErrConfig, err)
 	}
 	return nil
@@ -301,7 +310,7 @@ func outcomeOf(err error) perf.Outcome {
 // deltas are recorded whatever the outcome — the panic path is attributed
 // its elapsed time too. An invalid cfg fails without running the cell.
 func RunCell(cfg Config, app string, impl core.Impl) Row {
-	if err := cfg.Validate(); err != nil {
+	if err := cmp.Or(cfg.Validate(), validApp(app)); err != nil {
 		return Row{App: app, Impl: impl, Err: err}
 	}
 	return runCell(cfg, app, impl, nil)
@@ -312,7 +321,7 @@ func RunCell(cfg Config, app string, impl core.Impl) Row {
 // run fails like a bad flag, not after the run.
 func CheckBufferedTrace(nprocs int) error {
 	if nprocs < 1 || nprocs > trace.MaxProcs {
-		return fmt.Errorf("traced runs support 1..%d processors, got %d", trace.MaxProcs, nprocs)
+		return fmt.Errorf("harness: %w: traced runs support 1..%d processors, got %d", ErrConfig, trace.MaxProcs, nprocs)
 	}
 	return nil
 }
@@ -324,11 +333,7 @@ func CheckBufferedTrace(nprocs int) error {
 // trace.Analyze and trace.EmitReports. Tracing is observation-only: Row.Stats
 // equals RunCell's.
 func RunTraced(cfg Config, app string, impl core.Impl, sched bool) (Row, trace.Meta) {
-	err := cfg.Validate()
-	if err == nil {
-		err = CheckBufferedTrace(cfg.NProcs)
-	}
-	if err != nil {
+	if err := cmp.Or(cfg.Validate(), validApp(app), CheckBufferedTrace(cfg.NProcs)); err != nil {
 		return Row{App: app, Impl: impl, Err: err}, trace.Meta{}
 	}
 	tr := trace.New(cfg.NProcs)
@@ -385,7 +390,7 @@ func RunSeq(cfg Config, app string) (t sim.Time, err error) {
 		}
 		cs.End(outcomeOf(err))
 	}()
-	if err := validScale(cfg.Scale); err != nil {
+	if err := cmp.Or(validScale(cfg.Scale), validApp(app)); err != nil {
 		return 0, err
 	}
 	a, err := apps.New(app, cfg.Scale)
@@ -464,10 +469,15 @@ type Table3Result struct {
 // plus the sequential times in appNames order; the result is identical for
 // any worker count. It collects every failed cell before giving up, so one
 // bad configuration reports the whole damage, not just its first victim. An
-// invalid cfg fails once, before any cell runs.
+// invalid cfg or an unknown application fails once, before any cell runs.
 func runGrid(cfg Config, appNames []string, impls []core.Impl, seq bool) (map[string][]Row, []sim.Time, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
+	}
+	for _, name := range appNames {
+		if err := validApp(name); err != nil {
+			return nil, nil, err
+		}
 	}
 	stride := len(impls)
 	if seq {

@@ -10,7 +10,6 @@ package lrc
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -44,10 +43,17 @@ type interval struct {
 	// identity, its vector, and one notice per page. A record is immutable,
 	// so newInterval computes it once for every later grant and departure.
 	wire int
+	// sum is Σ vec, an access miss's ordering key: it strictly increases
+	// along happens-before (see accessMiss).
+	sum int64
 }
 
 func newInterval(proc int, idx int32, vec []int32, pages []int) *interval {
-	return &interval{proc: proc, idx: idx, vec: vec, pages: pages, wire: 8 + 4*len(vec) + 4*len(pages)}
+	var sum int64
+	for _, v := range vec {
+		sum += int64(v)
+	}
+	return &interval{proc: proc, idx: idx, vec: vec, pages: pages, wire: 8 + 4*len(vec) + 4*len(pages), sum: sum}
 }
 
 // cmpInterval orders records by (proc, idx), the order absorb applies them in.
@@ -169,19 +175,12 @@ type noticeBody struct {
 // BodyKind implements fabric.Body.
 func (*noticeBody) BodyKind() fabric.PayloadKind { return fabric.PayloadNoticeSet }
 
-// pendingWriter is one processor with unfetched write notices for a page
-// and, once its reply is in, that writer's cursor in the happens-before
-// merge of the fetched units (see nextUnit).
+// pendingWriter is one processor with unfetched write notices for a page.
 type pendingWriter struct {
 	proc  int
 	since int32
 	upTo  int32
 	reply *pageReply // backs this writer's timestamp units until they are applied
-
-	head, end int     // units[head:end]: this writer's unapplied units, ascending by interval
-	ival      int32   // interval of units[head]; MaxInt32 once head == end, so no vector covers it
-	vec       []int32 // closed-interval vector of units[head]; nil if exhausted or the record is unknown
-	cleared   int     // writers[:cleared] are known to hold no predecessor of units[head]
 }
 
 // applyUnit is one writer interval's modifications, the happens-before
@@ -193,6 +192,16 @@ type applyUnit struct {
 	dr   []wcollect.DataRun
 	sr   []wcollect.StampRun
 }
+
+// unitKey is the sort key of units[i] in an access miss (see orderUnits).
+// The units arrive in (proc, ival) order, so i stands for that tie-break,
+// and sorting these keys instead of the units moves 16 bytes per swap.
+type unitKey struct {
+	sum int64
+	i   int
+}
+
+func cmpUnitKey(a, b unitKey) int { return cmp.Or(cmp.Compare(a.sum, b.sum), cmp.Compare(a.i, b.i)) }
 
 // Node is one processor's LRC engine. It implements core.DSM.
 type Node struct {
@@ -228,10 +237,11 @@ type Node struct {
 	arrivalMins     map[int][]int32     // tree fan-in: subtree min vector per child arrival
 
 	// accessMiss scratch, reused across misses (a node has one miss
-	// outstanding at a time): the pending writers with their merge cursors,
-	// the fetched units, and one reply rendezvous per parallel fetch.
+	// outstanding at a time): the pending writers, the fetched units, their
+	// application order, and one reply rendezvous per parallel fetch.
 	missWriters  []pendingWriter
 	missUnits    []applyUnit
+	missOrder    []unitKey
 	fetchWaiters []*sim.Waiter
 
 	freeReplies []*pageReply // fetch-reply bodies this node served, returned for reuse
@@ -641,14 +651,12 @@ func (n *Node) accessMiss(pg int, write bool) {
 		req := fabric.Payload{Kind: fabric.PayloadPageReq, A: int32(pg), B: w.since, C: w.upTo}
 		n.Net.CallAsync(n.P, n.fetchWaiters[i], w.proc, kindFetchReq, 12, req)
 	}
-	// Each reply becomes one run of units, ascending by interval; the writers
-	// themselves are in ascending processor order.
+	// Each reply becomes one run of units, ascending by interval.
 	units := n.missUnits[:0]
 	for i := range writers {
 		w := &writers[i]
 		reply := n.Net.Await(n.fetchWaiters[i], sim.ForPage(pg))
 		fr := reply.Payload.Body.(*pageReply)
-		w.head = len(units)
 		switch n.impl.Collect {
 		case core.Diffs:
 			for _, idf := range fr.Diffs { // the server's diffs are in interval order
@@ -657,27 +665,14 @@ func (n *Node) accessMiss(pg int, write bool) {
 		case core.Timestamps:
 			units = splitStamped(units, n.pack, w.proc, &fr.Stamped)
 		}
-		w.end = len(units)
 		w.reply = fr
 	}
 	n.missUnits = units[:0]
 
-	// Apply in happens-before order: unit a must precede b when b's
-	// interval vector covers a's interval. Happens-before plus an arbitrary
-	// tie-break is NOT a strict weak order (incomparability is not
-	// transitive), so a comparison sort would be unsound; nextUnit runs an
-	// explicit topological selection instead. Concurrent units touch
-	// disjoint words (they arise only from multi-writer false sharing), so
-	// their relative order matters only for determinism.
-	for i := range writers {
-		n.loadHead(&writers[i], units)
-	}
+	n.missOrder = n.orderUnits(n.missOrder, units)
 	words := 0
-	for range units {
-		u := n.nextUnit(writers, units)
-		if u == nil {
-			panic("lrc: cycle in interval happens-before order")
-		}
+	for _, k := range n.missOrder {
+		u := &units[k.i]
 		var w int
 		if n.stamps != nil {
 			w = wcollect.ApplyRuns(n.Im, u.dr)
@@ -717,54 +712,32 @@ func (n *Node) accessMiss(pg int, write bool) {
 	}
 }
 
-// loadHead resolves the closed-interval vector of w's head unit, after the
-// head changed. A missing record leaves vec nil: the unit then has no
-// cross-writer predecessors.
-func (n *Node) loadHead(w *pendingWriter, units []applyUnit) {
-	w.ival, w.vec, w.cleared = math.MaxInt32, nil, 0
-	if w.head < w.end {
-		w.ival = units[w.head].ival
-		if rec := n.record(w.proc, w.ival); rec != nil {
-			w.vec = rec.vec
+// orderUnits returns, in order[:0], the happens-before application order of
+// an access miss's units, which arrive as one ascending run per writer in
+// ascending processor order. Unit a must precede b when b's interval vector
+// covers a's interval. b's vector then covers a's vector and exceeds it in
+// a's own entry, so Σ vec strictly increases along happens-before, and one
+// sort on (sum, proc, ival) is a linear extension with no cycle to detect.
+// A unit whose record this node does not hold takes its writer's previous
+// key in this miss, or 0, which keeps the writer's order and gives it no
+// cross-writer predecessors. Concurrent units touch disjoint words (they
+// arise only from multi-writer false sharing), so their relative order
+// matters only for determinism.
+func (n *Node) orderUnits(order []unitKey, units []applyUnit) []unitKey {
+	order = order[:0]
+	var key int64
+	for i := range units {
+		u := &units[i]
+		if i > 0 && units[i-1].proc != u.proc {
+			key = 0
 		}
+		if rec := n.record(u.proc, u.ival); rec != nil {
+			key = rec.sum
+		}
+		order = append(order, unitKey{sum: key, i: i})
 	}
-}
-
-// nextUnit removes and returns the next unit of an access miss in
-// happens-before order, or nil if every remaining head waits on another (a
-// cycle). It is Kahn's algorithm extracting the (proc, ival)-minimum source,
-// run as a merge over the per-writer runs: within a writer only the head can
-// be a source (earlier intervals of one processor precede later ones), and
-// since another writer x's units are consumed in ascending interval order,
-// x still holds a predecessor of head b exactly when x's own head interval
-// is covered by b's vector. Scanning writers in ascending processor order
-// and taking the first source head therefore yields the minimum source. A
-// test that passed stays passed as heads only advance, so each head resumes
-// at w.cleared: O(units x writers) integer compares per miss in all.
-func (n *Node) nextUnit(writers []pendingWriter, units []applyUnit) *applyUnit {
-	for i := range writers {
-		w := &writers[i]
-		if w.head == w.end {
-			continue
-		}
-		if vec := w.vec; vec != nil {
-			c := w.cleared
-			for ; c < len(writers); c++ {
-				if x := &writers[c]; x.ival <= vec[x.proc] && c != i {
-					break // x's head happened before w's
-				}
-			}
-			w.cleared = c
-			if c < len(writers) {
-				continue
-			}
-		}
-		u := &units[w.head]
-		w.head++
-		n.loadHead(w, units)
-		return u
-	}
-	return nil
+	slices.SortFunc(order, cmpUnitKey)
+	return order
 }
 
 // stampedByInterval sorts a timestamp reply's parallel run arrays by stamp,

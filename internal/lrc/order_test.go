@@ -1,6 +1,7 @@
 package lrc
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -18,7 +19,7 @@ import (
 
 // intervalBefore reports whether (p,i) happened before (q,j): q had seen p's
 // interval i closed by the time it closed its own interval j. It is the
-// pairwise definition nextUnit's merge is checked against.
+// pairwise definition orderUnits is checked against.
 func (n *Node) intervalBefore(p int, i int32, q int, j int32) bool {
 	if p == q {
 		return i < j
@@ -27,7 +28,7 @@ func (n *Node) intervalBefore(p int, i int32, q int, j int32) bool {
 	return rec != nil && rec.vec[p] >= i
 }
 
-// kahnOrder is the retired accessMiss ordering, kept as nextUnit's oracle:
+// kahnOrder is a retired accessMiss ordering, kept as the test oracle:
 // Kahn's algorithm over all-pairs in-degrees, always extracting the
 // (proc, ival)-minimum source. O(k^2) happens-before tests per miss.
 func (n *Node) kahnOrder(units []applyUnit) []applyUnit {
@@ -93,24 +94,6 @@ func firstSeenUnits(units []applyUnit, pk wcollect.LRCPacking, proc int, sd wcol
 	return units
 }
 
-// mergeOrder drives loadHead/nextUnit over the fetched units the way
-// accessMiss does and returns the application order.
-func (n *Node) mergeOrder(t *testing.T, writers []pendingWriter, units []applyUnit) []applyUnit {
-	t.Helper()
-	for i := range writers {
-		n.loadHead(&writers[i], units)
-	}
-	ordered := make([]applyUnit, 0, len(units))
-	for range units {
-		u := n.nextUnit(writers, units)
-		if u == nil {
-			t.Fatalf("nextUnit found no source with %d of %d units applied", len(ordered), len(units))
-		}
-		ordered = append(ordered, *u)
-	}
-	return ordered
-}
-
 // randomHistory plays a random execution of nprocs processors: each step one
 // processor optionally learns another's vector (an acquire) and closes an
 // interval, exactly as closeInterval and absorb maintain vectors. Real vector
@@ -135,13 +118,14 @@ func randomHistory(rng *rand.Rand, nprocs, steps int) [][]*interval {
 	return records
 }
 
-// TestMergeMatchesKahnOracle is the seeded property test of the ordering:
-// over random histories, writer sets, fetch windows, unknown records (the
-// requester holds a random prefix of each writer's records, so the units
-// past it have nil vectors) and — for the timestamp collection —
-// address-ordered replies, the merge must emit exactly the order of the
-// retired min-source Kahn selection.
-func TestMergeMatchesKahnOracle(t *testing.T) {
+// TestMissOrderExtendsHappensBefore is the seeded property test of the
+// ordering: over random histories, writer sets, fetch windows, unknown
+// records (the requester holds a random window (floor, held] of each
+// writer's records, so the units outside it have nil vectors) and — for the
+// timestamp collection — address-ordered replies, orderUnits must return a
+// permutation of the units that keeps each writer's interval order and
+// respects every happens-before edge the Kahn oracle respects.
+func TestMissOrderExtendsHappensBefore(t *testing.T) {
 	for seed := int64(1); seed <= 400; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		nprocs := 2 + rng.Intn(9)
@@ -154,7 +138,6 @@ func TestMergeMatchesKahnOracle(t *testing.T) {
 		stamped := seed%2 == 0
 		pk := wcollect.NewLRCPacking(nprocs)
 
-		var writers []pendingWriter
 		var units, oracleUnits []applyUnit
 		for p, recs := range full {
 			if len(recs) == 0 || rng.Intn(3) == 0 {
@@ -169,7 +152,6 @@ func TestMergeMatchesKahnOracle(t *testing.T) {
 			if len(ivals) == 0 {
 				continue
 			}
-			w := pendingWriter{proc: p, head: len(units)}
 			if stamped {
 				var sd wcollect.StampedData
 				perm := rng.Perm(len(ivals)) // every interval at least once, scrambled over the page
@@ -189,18 +171,61 @@ func TestMergeMatchesKahnOracle(t *testing.T) {
 					units = append(units, applyUnit{proc: p, ival: iv})
 				}
 			}
-			w.end = len(units)
-			writers = append(writers, w)
 		}
 		if !stamped {
 			oracleUnits = slices.Clone(units)
 		}
+		// Half the seeds of each collection also prune a prefix of what the
+		// node holds, as the notice collector does: those units have nil
+		// vectors too.
+		if seed%4 < 2 {
+			for p := range full {
+				n.floor[p] = int32(rng.Intn(int(n.held[p]) + 1))
+			}
+		}
 
-		got := n.mergeOrder(t, writers, slices.Clone(units))
+		var got []applyUnit
+		for _, k := range n.orderUnits(nil, units) {
+			got = append(got, units[k.i])
+		}
 		want := n.kahnOrder(oracleUnits)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d (%d procs, %d writers, %d units, stamped=%v): merge order diverges from the Kahn oracle\n got  %s\n want %s",
-				seed, nprocs, len(writers), len(units), stamped, unitNames(got), unitNames(want))
+		desc := fmt.Sprintf("seed %d (%d procs, %d units, stamped=%v)\n got  %s\n kahn %s",
+			seed, nprocs, len(units), stamped, unitNames(got), unitNames(want))
+
+		// A permutation: the same units, each with its runs intact.
+		byID := func(us []applyUnit) []applyUnit {
+			us = slices.Clone(us)
+			slices.SortFunc(us, func(a, b applyUnit) int {
+				return cmp.Or(cmp.Compare(a.proc, b.proc), cmp.Compare(a.ival, b.ival))
+			})
+			return us
+		}
+		if !reflect.DeepEqual(byID(got), byID(oracleUnits)) {
+			t.Fatalf("%s: not a permutation of the fetched units", desc)
+		}
+		pos := make(map[[2]int]int, len(got))
+		for i, u := range got {
+			pos[[2]int{u.proc, int(u.ival)}] = i
+		}
+		kahnPos := make(map[[2]int]int, len(want))
+		for i, u := range want {
+			kahnPos[[2]int{u.proc, int(u.ival)}] = i
+		}
+		// Every happens-before edge the oracle can see, which includes each
+		// writer's own interval order.
+		for _, a := range units {
+			for _, b := range units {
+				if !n.intervalBefore(a.proc, a.ival, b.proc, b.ival) {
+					continue
+				}
+				ka, kb := [2]int{a.proc, int(a.ival)}, [2]int{b.proc, int(b.ival)}
+				if kahnPos[ka] > kahnPos[kb] {
+					t.Fatalf("%s: the oracle puts (%d,%d) after (%d,%d)", desc, a.proc, a.ival, b.proc, b.ival)
+				}
+				if pos[ka] > pos[kb] {
+					t.Fatalf("%s: (%d,%d) happened before (%d,%d) but is applied after it", desc, a.proc, a.ival, b.proc, b.ival)
+				}
+			}
 		}
 	}
 }
@@ -211,24 +236,6 @@ func unitNames(us []applyUnit) string {
 		s += fmt.Sprintf(" (%d,%d)", u.proc, u.ival)
 	}
 	return s
-}
-
-// TestNextUnitReportsCycle: inconsistent vectors (each head covered by the
-// other's) leave no source; nextUnit must say so instead of picking one.
-func TestNextUnitReportsCycle(t *testing.T) {
-	n := &Node{}
-	n.holdAll([][]*interval{
-		{newInterval(0, 1, []int32{0, 1}, nil)},
-		{newInterval(1, 1, []int32{1, 0}, nil)},
-	})
-	units := []applyUnit{{proc: 0, ival: 1}, {proc: 1, ival: 1}}
-	writers := []pendingWriter{{proc: 0, head: 0, end: 1}, {proc: 1, head: 1, end: 2}}
-	for i := range writers {
-		n.loadHead(&writers[i], units)
-	}
-	if u := n.nextUnit(writers, units); u != nil {
-		t.Errorf("nextUnit picked (%d,%d) out of a happens-before cycle", u.proc, u.ival)
-	}
 }
 
 // TestRecordLookupOnPrunedHistory: a writer's log is index-contiguous, so a

@@ -44,7 +44,7 @@ type interval struct {
 	// so newInterval computes it once for every later grant and departure.
 	wire int
 	// sum is Σ vec, an access miss's ordering key: it strictly increases
-	// along happens-before (see accessMiss).
+	// along happens-before (see orderUnits).
 	sum int64
 }
 
@@ -724,7 +724,7 @@ func (n *Node) accessMiss(pg int, write bool) {
 // arise only from multi-writer false sharing), so their relative order
 // matters only for determinism.
 func (n *Node) orderUnits(order []unitKey, units []applyUnit) []unitKey {
-	order = order[:0]
+	order = slices.Grow(order[:0], len(units))
 	var key int64
 	for i := range units {
 		u := &units[i]

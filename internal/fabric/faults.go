@@ -25,6 +25,10 @@ var ErrFaultPlan = errors.New("invalid fault plan")
 // retransmission with exponential backoff. Protocol handlers therefore still
 // observe exactly-once, in-order delivery per directed link; only the timing
 // (and the traffic counters, which include retransmissions) changes.
+//
+// A plan chooses only its seed and its three rates. The sublayer's timing —
+// the base retransmission timeout, the retry bound and the injected-delay
+// bound — is fixed (rto, maxRetries, delayMax).
 type FaultPlan struct {
 	// Name labels the plan in reports: FaultPreset sets it to the preset
 	// name, hand-built plans leave it empty. It decides nothing.
@@ -39,36 +43,28 @@ type FaultPlan struct {
 	// (the copy arrives after an extra delay).
 	Dup float64
 	// Delay is the probability that an attempt is held back; a delayed frame
-	// arrives up to DelayMax late, which is also how reordering happens: a
+	// arrives up to delayMax late, which is also how reordering happens: a
 	// delayed frame can be overtaken by its successors on the same link.
 	Delay float64
-	// DelayMax bounds the injected extra latency. Defaults to 2 ms (about
-	// two round trips) when Delay > 0 and DelayMax is zero.
-	DelayMax sim.Time
-	// RTO is the base retransmission timeout, doubling per retry up to
-	// 16x. Defaults to 1 ms, several times the ack round trip, so spurious
-	// retransmissions are rare at low loss rates.
-	RTO sim.Time
-	// MaxRetries bounds retransmissions per frame; past it the run fails
-	// with a diagnostic (the plan is then not recoverable). Default 12.
-	MaxRetries int
 }
 
-// withDefaults returns the plan with zero-valued tuning knobs filled in.
-func (p FaultPlan) withDefaults() FaultPlan {
-	if p.RTO <= 0 {
-		p.RTO = sim.Millisecond
-	}
-	if p.MaxRetries <= 0 {
-		p.MaxRetries = 12
-	}
-	if p.DelayMax <= 0 {
-		p.DelayMax = 2 * sim.Millisecond
-	}
-	return p
-}
+// The reliable sublayer's timing constants. They are the same for every
+// plan and do not scale with the cost model: a ScaleNetwork variant keeps the
+// paper platform's timeouts.
+const (
+	// rto is the base retransmission timeout, doubling per retry up to 16x:
+	// several times the ack round trip, so spurious retransmissions are rare
+	// at low loss rates.
+	rto = sim.Millisecond
+	// maxRetries bounds retransmissions per frame; past it the run fails
+	// with a diagnostic (the plan is then not recoverable).
+	maxRetries = 12
+	// delayMax bounds the extra latency the delay and duplicate injectors
+	// add: about two round trips.
+	delayMax = 2 * sim.Millisecond
+)
 
-// Validate checks the plan's rates and knobs, wrapping ErrFaultPlan.
+// Validate checks the plan's rates, wrapping ErrFaultPlan.
 func (p FaultPlan) Validate() error {
 	check := func(name string, v float64) error {
 		if v < 0 || v > 1 {
@@ -87,12 +83,6 @@ func (p FaultPlan) Validate() error {
 	}
 	if p.Drop >= 1 {
 		return fmt.Errorf("fabric: %w: drop rate 1 loses every attempt (unrecoverable)", ErrFaultPlan)
-	}
-	if p.DelayMax < 0 || p.RTO < 0 {
-		return fmt.Errorf("fabric: %w: negative duration", ErrFaultPlan)
-	}
-	if p.MaxRetries < 0 {
-		return fmt.Errorf("fabric: %w: negative MaxRetries", ErrFaultPlan)
 	}
 	return nil
 }
@@ -113,7 +103,7 @@ func FaultPreset(name string) (*FaultPlan, error) {
 	case "drop1e-2":
 		return &FaultPlan{Name: name, Seed: 1, Drop: 1e-2}, nil
 	case "chaos":
-		return &FaultPlan{Name: name, Seed: 1, Drop: 5e-3, Dup: 5e-3, Delay: 2e-2, DelayMax: 2 * sim.Millisecond}, nil
+		return &FaultPlan{Name: name, Seed: 1, Drop: 5e-3, Dup: 5e-3, Delay: 2e-2}, nil
 	}
 	return nil, fmt.Errorf("fabric: %w: unknown fault preset %q (known: %s)",
 		ErrFaultPlan, name, strings.Join(FaultPresetNames(), ", "))
@@ -255,14 +245,14 @@ func (fs *faultState) roll(purpose int, at sim.Time, from, to int, seq uint32, a
 	return float64(x>>11) / (1 << 53)
 }
 
-// rto returns the retransmission timeout for the given attempt: the base RTO
-// doubling per retry, capped at 16x.
-func (fs *faultState) rto(attempt int) sim.Time {
+// timeout returns the retransmission timeout for the given attempt: the base
+// rto doubling per retry, capped at 16x.
+func (fs *faultState) timeout(attempt int) sim.Time {
 	shift := attempt
 	if shift > 4 {
 		shift = 4
 	}
-	return fs.plan.RTO << uint(shift)
+	return rto << uint(shift)
 }
 
 func (fs *faultState) link(from, to int) *relLink { return &fs.links[from*fs.nprocs+to] }
@@ -277,7 +267,7 @@ func (fs *faultState) send(sendEnd sim.Time, fl *flight) {
 		msg:     fl.msg,
 		reply:   fl.reply,
 		seq:     lk.sendSeq,
-		nominal: sendEnd + fs.n.cm.WireLatency,
+		nominal: sendEnd + fs.n.wireLatency(fl.msg.From, fl.msg.To),
 	}
 	lk.sendSeq++
 	if lk.unacked == nil {
@@ -311,7 +301,7 @@ func (fs *faultState) attempt(sendEnd sim.Time, fr *relFrame, fl *flight) {
 	} else {
 		var delay sim.Time
 		if fs.plan.Delay > 0 && fs.roll(pDelayHit, sendEnd, from, to, fr.seq, fr.attempt) < fs.plan.Delay {
-			delay = 1 + sim.Time(fs.roll(pDelayAmt, sendEnd, from, to, fr.seq, fr.attempt)*float64(fs.plan.DelayMax))
+			delay = 1 + sim.Time(fs.roll(pDelayAmt, sendEnd, from, to, fr.seq, fr.attempt)*float64(delayMax))
 			fs.stats.Delayed++
 		}
 		n.putOnWire(sendEnd+delay, fl)
@@ -322,11 +312,11 @@ func (fs *faultState) attempt(sendEnd sim.Time, fr *relFrame, fl *flight) {
 			dup.rel = true
 			dup.seq = fr.seq
 			dup.nominal = fr.nominal
-			d2 := 1 + sim.Time(fs.roll(pDupDelay, sendEnd, from, to, fr.seq, fr.attempt)*float64(fs.plan.DelayMax))
+			d2 := 1 + sim.Time(fs.roll(pDupDelay, sendEnd, from, to, fr.seq, fr.attempt)*float64(delayMax))
 			n.putOnWire(sendEnd+d2, dup)
 		}
 	}
-	n.sim.ScheduleTimer(sendEnd+fs.rto(fr.attempt), fr, n.procs[from])
+	n.sim.ScheduleTimer(sendEnd+fs.timeout(fr.attempt), fr, n.procs[from])
 }
 
 // Fire is the retransmission check armed by each attempt; it does nothing
@@ -341,7 +331,7 @@ func (fr *relFrame) Fire(at sim.Time) {
 	if fs.link(from, to).unacked[fr.seq] != fr {
 		return // acked; the timer outlived its frame
 	}
-	if fr.attempt >= fs.plan.MaxRetries {
+	if fr.attempt >= maxRetries {
 		panic(fmt.Sprintf("fabric: reliable delivery gave up: %d->%d seq %d (kind %d) unacked after %d attempts",
 			from, to, fr.seq, fr.msg.Kind, fr.attempt+1))
 	}
@@ -446,28 +436,27 @@ func (fs *faultState) sendAck(at sim.Time, from, to int, got uint32) {
 	}
 	var delay sim.Time
 	if fs.plan.Delay > 0 && fs.roll(pAckDelayHit, at, from, to, got, int(draw)) < fs.plan.Delay {
-		delay = 1 + sim.Time(fs.roll(pAckDelayAmt, at, from, to, got, int(draw))*float64(fs.plan.DelayMax))
+		delay = 1 + sim.Time(fs.roll(pAckDelayAmt, at, from, to, got, int(draw))*float64(delayMax))
 	}
-	fs.n.sim.ScheduleTimer(at+fs.n.cm.WireLatency+delay,
+	fs.n.sim.ScheduleTimer(at+fs.n.wireLatency(to, from)+delay,
 		&ackTimer{fs: fs, from: from, to: to, below: lk.deliverSeq, got: got}, nil)
 }
 
 // EnableFaults switches the network onto the seeded fault plan and enables
 // the reliable-delivery sublayer for every directed link. Must be called
-// before the simulation starts. The plan is validated and normalized
-// (defaults filled in); with faults off the fabric stays event-for-event
-// identical to the fault-free seed.
+// before the simulation starts. The plan is validated; with faults off the
+// fabric stays event-for-event identical to the fault-free seed.
 func (n *Network) EnableFaults(plan FaultPlan) error {
 	if err := plan.Validate(); err != nil {
 		return err
 	}
-	if n.topo != nil {
+	if n.clos {
 		return fmt.Errorf("fabric: fault plan cannot be combined with a topology")
 	}
 	np := len(n.procs)
 	n.faults = &faultState{
 		n:      n,
-		plan:   plan.withDefaults(),
+		plan:   plan,
 		nprocs: np,
 		links:  make([]relLink, np*np),
 	}

@@ -72,20 +72,9 @@ func (fl *flight) Fire(at sim.Time) {
 		// Link claims are events, so they serialize in virtual-time order.
 		fl.claim = false
 		n.procs[fl.msg.From].AddInbound(-1)
-		start := at
 		n.tr.LinkClaim(at, fl.msg.From, fl.msg.To, fl.msg.Size+MsgHeader)
-		if n.topo != nil {
-			done := n.claimTopo(start, fl.msg.From, fl.msg.To, fl.msg.Size+MsgHeader)
-			n.sim.ScheduleTimer(done+n.wireLatency(fl.msg.From, fl.msg.To), fl, n.procs[fl.msg.To])
-			return
-		}
-		if n.linkFree > start {
-			n.linkWait += n.linkFree - start
-			n.tr.LinkWait(at, fl.msg.From, n.linkFree-start)
-			start = n.linkFree
-		}
-		n.linkFree = start + sim.Time(fl.msg.Size+MsgHeader)*n.cm.LinkPerByte
-		n.sim.ScheduleTimer(n.linkFree+n.cm.WireLatency, fl, n.procs[fl.msg.To])
+		done := n.claimTopo(at, fl.msg.From, fl.msg.To, fl.msg.Size+MsgHeader)
+		n.sim.ScheduleTimer(done+n.wireLatency(fl.msg.From, fl.msg.To), fl, n.procs[fl.msg.To])
 		return
 	}
 	if fl.rel {
@@ -138,11 +127,9 @@ type Network struct {
 	// per hook and allocates nothing.
 	tr *trace.Tracer
 
-	// Shared-link contention (opt-in; see EnableContention). linkFree is the
-	// virtual time at which the shared ATM path next becomes idle; linkWait
-	// accumulates the queueing delay messages suffered behind it.
+	// Link contention (opt-in; see EnableContention). linkWait accumulates
+	// the queueing delay messages suffered behind the geometry's resources.
 	contention bool
-	linkFree   sim.Time
 	linkWait   sim.Time
 
 	// faults, when non-nil, is the seeded fault injector plus the
@@ -150,14 +137,18 @@ type Network struct {
 	// fault-free path costs one nil check in transmit.
 	faults *faultState
 
-	// topo, when non-nil, is the folded-Clos switch model (see topology.go
-	// and EnableTopology): per-level latency and, with contention, per-
-	// subtree tapered bandwidth instead of one machine-wide link.
+	// topo is the switch geometry (see topology.go): per-level latency and,
+	// with contention, per-subtree tapered bandwidth. New installs the flat
+	// shared link as its one-stage case; clos records that EnableTopology
+	// replaced it, which a fault plan excludes.
 	topo *topoState
+	clos bool
 }
 
-// New returns a network over s for nprocs processors using cost model cm,
-// and declares the network's lookahead to s (declareLookahead).
+// New returns a network over s for nprocs processors using cost model cm.
+// Its interconnect is the flat shared link: one switch stage whose radix
+// covers the machine and whose taper equals its radix, so every message
+// crosses one level, at single-link speed, in one WireLatency.
 func New(s *sim.Simulator, cm CostModel, nprocs int) *Network {
 	n := &Network{
 		sim:      s,
@@ -168,17 +159,9 @@ func New(s *sim.Simulator, cm CostModel, nprocs int) *Network {
 		links:    make([]link, nprocs),
 		ctxs:     make([]HandlerCtx, nprocs),
 	}
-	n.declareLookahead(cm.WireLatency)
+	r := max(2, nprocs)
+	n.setGeometry(Topology{Radix: r, Taper: float64(r), ForcedStages: 1})
 	return n
-}
-
-// declareLookahead tells the simulator how soon, at the earliest, anything
-// that happens at time t can act on a processor other than through a flight
-// already aimed at it: a new message costs its sender at least the
-// programmed I/O of a bare header, then at least wire (the shortest wire
-// latency) before it arrives — 353 µs on the paper's platform.
-func (n *Network) declareLookahead(wire sim.Time) {
-	n.sim.SetLookahead(n.cm.MsgCost(MsgHeader) + wire)
 }
 
 // Cost returns the network's cost model.
@@ -193,10 +176,11 @@ func (n *Network) SetTracer(tr *trace.Tracer) { n.tr = tr }
 // Tracer returns the attached event tracer, nil when tracing is off.
 func (n *Network) Tracer() *trace.Tracer { return n.tr }
 
-// EnableContention switches on shared-link contention: every message must
-// additionally occupy the shared ATM link/switch path for
-// (size+header)*LinkPerByte after the sender's programmed I/O completes, and
-// the link serves one message at a time in send order. With contention off
+// EnableContention switches on link contention: every message must
+// additionally occupy its crossing level's resource — on the flat link, the
+// shared ATM path — for (size+header)*LinkPerByte (divided by the level's
+// aggregate speedup) after the sender's programmed I/O completes, and each
+// resource serves one message at a time in claim order. With contention off
 // (the default) transfers overlap for free and all outputs are byte-identical
 // to the calibrated model. Must be called before the simulation starts.
 func (n *Network) EnableContention() { n.contention = true }
@@ -242,10 +226,10 @@ func (n *Network) transmit(sendEnd sim.Time, fl *flight) {
 
 // putOnWire puts fl on the wire at at. Without contention the message
 // arrives a wire latency later, scheduled directly (the pre-contention event
-// pattern, kept bit-identical). With contention the message first claims the
-// shared link at at — claims are processed in virtual-time order because
-// they are themselves events — holds it for (size+header)*LinkPerByte, and
-// only then starts its wire latency. Every stage's timer is aimed at the
+// pattern, kept bit-identical). With contention the message first claims its
+// crossing level's resource at at — claims are processed in virtual-time
+// order because they are themselves events — holds it for its transfer
+// time, and only then starts its wire latency. Every stage's timer is aimed at the
 // destination, which it acts on; the claim also counts toward the sender's
 // inbound tally until it fires, because it writes into the sender's trace
 // buffer, which the sender must not run ahead of.

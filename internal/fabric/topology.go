@@ -9,18 +9,20 @@ import (
 )
 
 // Topology models the interconnect as a folded-Clos (fat-tree) hierarchy of
-// switches instead of the default flat shared link. Processors are leaves;
-// Radix consecutive leaves share a first-level switch, Radix first-level
-// switches share a second-level switch, and so on. A message between
-// processors i and j climbs to their lowest common switch level and back
-// down, paying StageLatency per stage each way; under contention it occupies
-// that level's subtree resource, whose bandwidth tapers with height.
+// switches. Processors are leaves; Radix consecutive leaves share a
+// first-level switch, Radix first-level switches share a second-level
+// switch, and so on. A message between processors i and j climbs to their
+// lowest common switch level l and back down, paying l x WireLatency; under
+// contention it occupies that level's subtree resource, whose bandwidth
+// tapers with height.
 //
-// The flat link remains the calibrated 1996 ATM model and stays bit-exact
-// when no Topology is enabled. At 256-1024 processors a flat link is
-// meaningless — every barrier would serialize the whole machine through one
-// resource — so `-scale large` sweeps enable a Clos model via the `topo=`
-// variant axis or `-topo` (ParseTopology).
+// The calibrated 1996 flat ATM link is this model's one-stage case (radix
+// and taper both covering the machine), which New installs and
+// TestTopologySingleStageIdentity pins against the spec that spells it out.
+// At 256-1024 processors a flat link is meaningless — every barrier would
+// serialize the whole machine through one resource — so `-scale large`
+// sweeps enable a multi-stage Clos via the `topo=` variant axis or `-topo`
+// (ParseTopology).
 type Topology struct {
 	// Radix is the switch radix: leaves (or subtrees) per switch, >= 2.
 	Radix int
@@ -29,12 +31,8 @@ type Topology struct {
 	// bandwidth. Taper 1 models full bisection bandwidth (each level
 	// aggregates its children's capacity); Taper == Radix degrades every
 	// level to single-link speed — with a single stage that is exactly the
-	// flat shared link, which TestTopologySingleStageIdentity pins.
+	// flat shared link.
 	Taper float64
-	// StageLatency is the one-way per-stage switch traversal time; 0 picks
-	// WireLatency/2 so a single-stage crossing (up one, down one) costs
-	// exactly the flat model's WireLatency.
-	StageLatency sim.Time
 	// ForcedStages, when > 0, fixes the switch-level count instead of
 	// deriving ceil(log_Radix nprocs). Levels above the derived need are
 	// harmless (no pair reaches them); fewer levels cap the climb.
@@ -52,9 +50,6 @@ func (t Topology) Validate() error {
 	}
 	if t.Taper < 1 || t.Taper > float64(t.Radix) {
 		return fmt.Errorf("fabric: topology taper %g outside [1, radix=%d]", t.Taper, t.Radix)
-	}
-	if t.StageLatency < 0 {
-		return fmt.Errorf("fabric: negative stage latency %v", t.StageLatency)
 	}
 	if t.ForcedStages < 0 || t.ForcedStages > maxTopologyStages {
 		return fmt.Errorf("fabric: topology stages %d outside [0, %d]", t.ForcedStages, maxTopologyStages)
@@ -141,11 +136,9 @@ func ParseTopology(spec string) (*Topology, error) {
 	return t, nil
 }
 
-// topoState is the network's resolved topology: the per-(level, group)
+// topoState is the network's switch geometry: the per-(level, group)
 // contention resources and the precomputed radix powers.
 type topoState struct {
-	t      Topology
-	stage  sim.Time   // resolved per-stage latency
 	pow    []int      // pow[l] = Radix^l, l in [0, stages]
 	off    []int      // resource index offset of level l+1's groups
 	free   []sim.Time // next-idle time per (level, group) resource
@@ -153,7 +146,7 @@ type topoState struct {
 }
 
 // EnableTopology replaces the flat shared link with the folded-Clos model:
-// message latency becomes 2*level*StageLatency (level = lowest common switch
+// message latency becomes level x WireLatency (level = lowest common switch
 // of the endpoints) and, when contention is also enabled, each message
 // serializes on its crossing level's subtree resource with tapered
 // bandwidth. Must be called before the simulation starts. Topology composes
@@ -166,13 +159,21 @@ func (n *Network) EnableTopology(t Topology) error {
 	if n.faults != nil {
 		return fmt.Errorf("fabric: topology cannot be combined with a fault plan")
 	}
+	n.setGeometry(t)
+	n.clos = true
+	return nil
+}
+
+// setGeometry installs t's switch geometry, every resource idle, and
+// declares the network's lookahead to the simulator: how soon, at the
+// earliest, anything that happens at one instant can act on a processor
+// other than through a flight already aimed at it. A new message costs its sender
+// at least the programmed I/O of a bare header, then at least one level's
+// WireLatency before it arrives — 353 µs on the paper's platform.
+func (n *Network) setGeometry(t Topology) {
 	nprocs := len(n.procs)
 	stages := t.Stages(nprocs)
-	ts := &topoState{t: t, stage: t.StageLatency}
-	if ts.stage == 0 {
-		ts.stage = n.cm.WireLatency / 2
-	}
-	ts.pow = make([]int, stages+1)
+	ts := &topoState{pow: make([]int, stages+1)}
 	ts.pow[0] = 1
 	for l := 1; l <= stages; l++ {
 		ts.pow[l] = ts.pow[l-1] * t.Radix
@@ -189,8 +190,7 @@ func (n *Network) EnableTopology(t Topology) error {
 	}
 	ts.free = make([]sim.Time, resources)
 	n.topo = ts
-	n.declareLookahead(2 * ts.stage) // the shortest crossing: up one stage, down one
-	return nil
+	n.sim.SetLookahead(n.cm.MsgCost(MsgHeader) + n.cm.WireLatency)
 }
 
 // level returns the lowest common switch level of two distinct processors.
@@ -203,12 +203,9 @@ func (ts *topoState) level(i, j int) int {
 }
 
 // wireLatency is the end-to-end switch traversal time between two endpoints:
-// up to the lowest common level and back down.
+// one WireLatency per level up to their lowest common switch and back down.
 func (n *Network) wireLatency(from, to int) sim.Time {
-	if n.topo == nil {
-		return n.cm.WireLatency
-	}
-	return sim.Time(2*n.topo.level(from, to)) * n.topo.stage
+	return sim.Time(n.topo.level(from, to)) * n.cm.WireLatency
 }
 
 // claimTopo occupies the (level, group) resource a message crosses, in

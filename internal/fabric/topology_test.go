@@ -14,14 +14,13 @@ func TestTopologyValidate(t *testing.T) {
 		want string // substring of the error, "" for valid
 	}{
 		{"valid-minimal", Topology{Radix: 2, Taper: 1}, ""},
-		{"valid-full", Topology{Radix: 8, Taper: 4, StageLatency: sim.Microsecond, ForcedStages: 3}, ""},
+		{"valid-full", Topology{Radix: 8, Taper: 4, ForcedStages: 3}, ""},
 		{"radix-one", Topology{Radix: 1, Taper: 1}, "radix 1 < 2"},
 		{"radix-zero", Topology{Radix: 0, Taper: 1}, "radix 0 < 2"},
 		{"radix-negative", Topology{Radix: -4, Taper: 1}, "radix -4 < 2"},
 		{"taper-below-one", Topology{Radix: 4, Taper: 0.5}, "taper 0.5 outside"},
 		{"taper-above-radix", Topology{Radix: 4, Taper: 4.5}, "taper 4.5 outside"},
 		{"taper-zero", Topology{Radix: 4, Taper: 0}, "taper 0 outside"},
-		{"negative-stage-latency", Topology{Radix: 4, Taper: 1, StageLatency: -1}, "negative stage latency"},
 		{"stages-negative", Topology{Radix: 4, Taper: 1, ForcedStages: -1}, "stages -1 outside"},
 		{"stages-too-many", Topology{Radix: 2, Taper: 1, ForcedStages: 17}, "stages 17 outside"},
 	}
@@ -78,21 +77,21 @@ func TestTopologyString(t *testing.T) {
 	}
 }
 
-// TestTopologyLatencyClimbsLCA pins the per-stage latency model: a message
-// pays 2*level*StageLatency of wire time, where level is the lowest common
+// TestTopologyLatencyClimbsLCA pins the per-level latency model: a message
+// pays level x WireLatency of wire time, where level is the lowest common
 // switch of the endpoints.
 func TestTopologyLatencyClimbsLCA(t *testing.T) {
 	for _, tc := range []struct {
-		to   int
-		want sim.Time // wire component
+		to    int
+		level int
 	}{
-		{1, 100 * sim.Microsecond}, // same first-level switch: up 1, down 1
-		{2, 200 * sim.Microsecond}, // siblings' parent: up 2, down 2
-		{5, 300 * sim.Microsecond}, // across the root of an 8-leaf radix-2 tree
+		{1, 1}, // same first-level switch
+		{2, 2}, // siblings' parent
+		{5, 3}, // across the root of an 8-leaf radix-2 tree
 	} {
 		s := sim.New()
 		n := New(s, flatCost(), 8)
-		if err := n.EnableTopology(Topology{Radix: 2, Taper: 1, StageLatency: 50 * sim.Microsecond}); err != nil {
+		if err := n.EnableTopology(Topology{Radix: 2, Taper: 1}); err != nil {
 			t.Fatal(err)
 		}
 		var arriveAt sim.Time
@@ -116,7 +115,7 @@ func TestTopologyLatencyClimbsLCA(t *testing.T) {
 			t.Fatal(err)
 		}
 		// 100µs programmed send, then the switch traversal.
-		if want := 100*sim.Microsecond + tc.want; arriveAt != want {
+		if want := 100*sim.Microsecond + sim.Time(tc.level)*n.cm.WireLatency; arriveAt != want {
 			t.Errorf("to=%d: arrival = %v, want %v", tc.to, arriveAt, want)
 		}
 	}
@@ -133,7 +132,7 @@ func TestTopologyTaperSerializes(t *testing.T) {
 		cm.LinkPerByte = 100 * sim.Nanosecond
 		n := New(s, cm, 4)
 		n.EnableContention()
-		if err := n.EnableTopology(Topology{Radix: 2, Taper: taper, StageLatency: 50 * sim.Microsecond}); err != nil {
+		if err := n.EnableTopology(Topology{Radix: 2, Taper: taper}); err != nil {
 			t.Fatal(err)
 		}
 		var last sim.Time

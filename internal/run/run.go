@@ -59,10 +59,12 @@ type Machine struct {
 	// fault-free fabric bit-exactly.
 	Faults *fabric.FaultPlan
 	// Topology, when non-nil, replaces the fabric's flat shared link with a
-	// folded-Clos switch model: per-stage latency and per-level contention
-	// capacity (fabric.Topology). Nil reproduces the flat fabric bit-exactly.
-	// Mutually exclusive with Faults: the reliable sublayer's retransmission
-	// timing is calibrated against the flat link.
+	// folded-Clos switch model: per-level latency (level x WireLatency) and
+	// per-level contention capacity (fabric.Topology). Nil is the flat link,
+	// the one-stage Clos whose radix and taper cover the machine, which
+	// reproduces the calibrated fabric bit-exactly. Mutually exclusive with
+	// Faults: the reliable sublayer's retransmission timing is calibrated
+	// against the flat link.
 	Topology *fabric.Topology
 	// BarrierFanIn selects the barrier communication shape: 0 picks the
 	// default (flat fan-in, every processor messaging the manager;

@@ -109,7 +109,7 @@ func TestSweepPartialFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doomed := &fabric.FaultPlan{Seed: 2, Drop: 0.9, MaxRetries: 1, RTO: 200 * sim.Microsecond}
+	doomed := &fabric.FaultPlan{Seed: 2, Drop: 0.99}
 	recs, err := Run(Grid{
 		Scale:  apps.Test,
 		Apps:   []string{"SOR", "IS"},

@@ -143,15 +143,22 @@ func TestTreeBarrierEquivalence(t *testing.T) {
 	}
 }
 
-// TestTopologySingleStageIdentity pins the degenerate-Clos contract: a
-// single-stage switch whose radix covers the whole machine and whose taper
-// equals its radix is exactly the calibrated flat link (one resource at
-// single-link speed, 2 x WireLatency/2 traversal), so Stats and the final
-// memory image must be byte-identical to a run with no topology at all —
+// TestTopologySingleStageIdentity pins the degenerate-Clos contract: the
+// flat link is the single-stage switch whose radix covers the whole machine
+// and whose taper equals its radix (one resource at single-link speed, one
+// WireLatency per crossing), so the spec "flat" and the spec that spells
+// that geometry out must give byte-identical Stats and final memory images —
 // with and without link contention.
 func TestTopologySingleStageIdentity(t *testing.T) {
 	cm := fabric.DefaultCostModel()
-	topo := &fabric.Topology{Radix: 8, Taper: 8, ForcedStages: 1}
+	flatTopo, err := fabric.ParseTopology("flat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := fabric.ParseTopology("clos:radix=8:taper=8:stages=1")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, name := range []string{"SOR", "Water", "IS"} {
 		for _, impl := range []core.Impl{
 			{Model: core.LRC, Trap: core.Twinning, Collect: core.Diffs},
@@ -165,7 +172,7 @@ func TestTopologySingleStageIdentity(t *testing.T) {
 				}
 				t.Run(label, func(t *testing.T) {
 					flat := mustRun(t, name, impl, 8, cm,
-						run.Options{KeepImage: true, Machine: run.Machine{Contention: contention}})
+						run.Options{KeepImage: true, Machine: run.Machine{Contention: contention, Topology: flatTopo}})
 					clos := mustRun(t, name, impl, 8, cm,
 						run.Options{KeepImage: true, Machine: run.Machine{Contention: contention, Topology: topo}})
 					if !reflect.DeepEqual(flat.Stats, clos.Stats) {

@@ -136,7 +136,7 @@ func BenchmarkInstrumentationOptimization(b *testing.B) {
 
 // BenchmarkHarnessTable3 exercises the full harness path end to end.
 func BenchmarkHarnessTable3(b *testing.B) {
-	cfg := harness.Config{Scale: apps.Test, NProcs: 4, Cost: fabric.DefaultCostModel()}
+	cfg := harness.Config{Scale: apps.Test, NProcs: 4, Cost: fabric.DefaultCostModel(), Timeout: cellTimeout}
 	for i := 0; i < b.N; i++ {
 		if _, err := harness.Table3(cfg, []string{"IS"}); err != nil {
 			b.Fatal(err)

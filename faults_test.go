@@ -12,7 +12,6 @@ import (
 	"ecvslrc/internal/fabric"
 	"ecvslrc/internal/mem"
 	"ecvslrc/internal/run"
-	"ecvslrc/internal/sim"
 	"ecvslrc/internal/trace"
 )
 
@@ -40,9 +39,7 @@ func runFaulted(t *testing.T, appName string, impl core.Impl, nprocs int, plan *
 	res, err := run.RunWith(a, impl, nprocs, fabric.DefaultCostModel(), run.Options{
 		Machine:   run.Machine{Faults: plan},
 		KeepImage: true,
-		// A generous virtual-time watchdog: a recovery bug fails the test
-		// with a sim.Stalled diagnostic instead of hanging it.
-		Timeout: 3600 * sim.Second,
+		Timeout:   cellTimeout,
 	})
 	if err != nil {
 		t.Fatalf("%s on %v under faults %+v: %v", appName, impl, plan, err)
@@ -167,7 +164,7 @@ func TestFaultTraceAttribution(t *testing.T) {
 	}
 	tr := trace.New(nprocs)
 	res, err := run.RunWith(a, impl, nprocs, fabric.DefaultCostModel(), run.Options{
-		Machine: run.Machine{Faults: plan}, Trace: tr, Timeout: 3600 * sim.Second,
+		Machine: run.Machine{Faults: plan}, Trace: tr, Timeout: cellTimeout,
 	})
 	if err != nil {
 		t.Fatal(err)

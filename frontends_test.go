@@ -32,7 +32,7 @@ func TestFrontEndsAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			row := harness.RunCell(harness.Config{Scale: c.scale, NProcs: c.nprocs, Cost: fabric.DefaultCostModel()}, c.app, impl)
+			row := harness.RunCell(harness.Config{Scale: c.scale, NProcs: c.nprocs, Cost: fabric.DefaultCostModel(), Timeout: cellTimeout}, c.app, impl)
 			if row.Err != nil {
 				t.Fatal(row.Err)
 			}

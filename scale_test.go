@@ -13,6 +13,7 @@ import (
 	"ecvslrc/internal/harness"
 	"ecvslrc/internal/perf"
 	"ecvslrc/internal/run"
+	"ecvslrc/internal/sim"
 )
 
 // scaleProcs are the processor counts the scale-equivalence suite pins:
@@ -285,7 +286,7 @@ func TestLargeScaleMemoryBudget(t *testing.T) {
 			debug.FreeOSMemory()
 			rssReset := perf.ResetPeakRSS() == nil
 			reg := perf.New()
-			cfg := harness.Config{Scale: apps.Large, NProcs: c.nprocs, Cost: fabric.DefaultCostModel(), Perf: reg}
+			cfg := harness.Config{Scale: apps.Large, NProcs: c.nprocs, Cost: fabric.DefaultCostModel(), Perf: reg, Timeout: cellTimeout}
 			row := harness.RunCell(cfg, c.app, c.impl)
 			if row.Err != nil {
 				t.Fatal(row.Err)
@@ -327,12 +328,22 @@ func TestLargeScaleMemoryBudget(t *testing.T) {
 	}
 }
 
+// cellTimeout arms the virtual-time watchdog of every cell the root tests
+// run (run.Options.Timeout, harness.Config.Timeout). It lies far past any
+// test cell's simulated time, so it decides nothing on working code, but a
+// protocol bug that stops a cell from finishing fails the test with a
+// sim.Stalled naming the blocked processes instead of hanging it.
+const cellTimeout = 3600 * sim.Second
+
+// mustRun runs name at test scale under the watchdog and fails the test on
+// any error.
 func mustRun(t *testing.T, name string, impl core.Impl, nprocs int, cm fabric.CostModel, opts run.Options) run.Result {
 	t.Helper()
 	a, err := apps.New(name, apps.Test)
 	if err != nil {
 		t.Fatal(err)
 	}
+	opts.Timeout = cellTimeout
 	res, err := run.RunWith(a, impl, nprocs, cm, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -60,3 +60,47 @@ func TestFrontEndsAgree(t *testing.T) {
 		})
 	}
 }
+
+// TestSweepBaselineFirst runs the root Sweep over the topology axis and holds
+// its contract: one record per (variant, app, implementation) cell, every
+// baseline (flat-link) record ahead of every Clos record, and each baseline
+// record's statistics equal to ecvslrc.Run's for the same cell.
+func TestSweepBaselineFirst(t *testing.T) {
+	const nprocs = 4
+	names := []string{"SOR", "IS"}
+	recs, err := Sweep("topo=flat,clos:radix=2", Test, nprocs, names...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := len(names) * len(Impls())
+	if len(recs) != 2*cells {
+		t.Fatalf("Sweep returned %d records, want %d (2 variants x %d cells)", len(recs), 2*cells, cells)
+	}
+	var clos int
+	for i, r := range recs {
+		if i < cells {
+			if r.Variant != sweep.BaselineName || r.Topo != "" {
+				t.Errorf("record %d is variant %q topo %q, want the baseline first", i, r.Variant, r.Topo)
+				continue
+			}
+			want, err := Run(r.App, r.Impl, nprocs, Test)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Stats != want {
+				t.Errorf("%s/%s: Sweep baseline %+v != ecvslrc.Run %+v", r.App, r.Impl, r.Stats, want)
+			}
+			continue
+		}
+		flat := recs[i-cells]
+		if r.Topo != "clos:radix=2" || r.App != flat.App || r.Impl != flat.Impl {
+			t.Errorf("record %d is %s/%s topo %q, want %s/%s on clos:radix=2", i, r.App, r.Impl, r.Topo, flat.App, flat.Impl)
+		}
+		if r.Stats != flat.Stats {
+			clos++
+		}
+	}
+	if clos == 0 {
+		t.Error("every clos:radix=2 record equals its flat record: the topology axis changed nothing")
+	}
+}

@@ -247,7 +247,7 @@ func (fs *faultState) roll(purpose int, at sim.Time, from, to int, seq uint32, a
 
 // timeout returns the retransmission timeout for the given attempt: the base
 // rto doubling per retry, capped at 16x.
-func (fs *faultState) timeout(attempt int) sim.Time {
+func timeout(attempt int) sim.Time {
 	shift := attempt
 	if shift > 4 {
 		shift = 4
@@ -316,7 +316,7 @@ func (fs *faultState) attempt(sendEnd sim.Time, fr *relFrame, fl *flight) {
 			n.putOnWire(sendEnd+d2, dup)
 		}
 	}
-	n.sim.ScheduleTimer(sendEnd+fs.timeout(fr.attempt), fr, n.procs[from])
+	n.sim.ScheduleTimer(sendEnd+timeout(fr.attempt), fr, n.procs[from])
 }
 
 // Fire is the retransmission check armed by each attempt; it does nothing

@@ -229,10 +229,10 @@ func (n *Network) transmit(sendEnd sim.Time, fl *flight) {
 // pattern, kept bit-identical). With contention the message first claims its
 // crossing level's resource at at — claims are processed in virtual-time
 // order because they are themselves events — holds it for its transfer
-// time, and only then starts its wire latency. Every stage's timer is aimed at the
-// destination, which it acts on; the claim also counts toward the sender's
-// inbound tally until it fires, because it writes into the sender's trace
-// buffer, which the sender must not run ahead of.
+// time, and only then starts its wire latency. Every stage's timer is aimed
+// at the destination, which it acts on; the claim also counts toward the
+// sender's inbound tally until it fires, because it writes into the sender's
+// trace buffer, which the sender must not run ahead of.
 func (n *Network) putOnWire(at sim.Time, fl *flight) {
 	if n.contention {
 		fl.claim = true

@@ -167,9 +167,9 @@ func (n *Network) EnableTopology(t Topology) error {
 // setGeometry installs t's switch geometry, every resource idle, and
 // declares the network's lookahead to the simulator: how soon, at the
 // earliest, anything that happens at one instant can act on a processor
-// other than through a flight already aimed at it. A new message costs its sender
-// at least the programmed I/O of a bare header, then at least one level's
-// WireLatency before it arrives — 353 µs on the paper's platform.
+// other than through a flight already aimed at it. A new message costs its
+// sender at least the programmed I/O of a bare header, then at least one
+// level's WireLatency before it arrives — 353 µs on the paper's platform.
 func (n *Network) setGeometry(t Topology) {
 	nprocs := len(n.procs)
 	stages := t.Stages(nprocs)

@@ -644,8 +644,11 @@ func (n *Node) accessMiss(pg int, write bool) {
 	n.Tr.Miss(n.P.Now(), n.P.ID(), pg, len(writers), write)
 
 	// Parallel requests, as TreadMarks issues its diff requests.
-	for len(n.fetchWaiters) < len(writers) {
-		n.fetchWaiters = append(n.fetchWaiters, sim.NewWaiter(n.P))
+	if grow := len(writers) - len(n.fetchWaiters); grow > 0 {
+		ws := sim.NewWaiters(n.P, grow)
+		for i := range ws {
+			n.fetchWaiters = append(n.fetchWaiters, &ws[i])
+		}
 	}
 	for i, w := range writers {
 		req := fabric.Payload{Kind: fabric.PayloadPageReq, A: int32(pg), B: w.since, C: w.upTo}

@@ -322,6 +322,16 @@ type Waiter struct {
 // NewWaiter returns a Waiter owned by p.
 func NewWaiter(p *Proc) *Waiter { return &Waiter{p: p} }
 
+// NewWaiters returns k Waiters owned by p in one allocation, for a process
+// that grows its set of concurrently outstanding requests.
+func NewWaiters(p *Proc, k int) []Waiter {
+	ws := make([]Waiter, k)
+	for i := range ws {
+		ws[i].p = p
+	}
+	return ws
+}
+
 // CallWaiter returns p's cached waiter for fully synchronous request/reply
 // exchanges: the caller must Wait before issuing another synchronous call,
 // which a blocked process trivially guarantees. Concurrent outstanding

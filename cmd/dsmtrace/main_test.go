@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -123,5 +124,49 @@ func TestCLIVirtualProfile(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("profile output missing %q: %s", want, out.String())
 		}
+	}
+}
+
+// TestRunAheadReportsMatchSched is the CI "Run-ahead trace identity" step
+// under a fault plan: the dispatch stream (-sched) turns run-ahead off, and
+// every report but trace.bin, which alone holds that stream, must read the
+// same byte for byte either way.
+func TestRunAheadReportsMatchSched(t *testing.T) {
+	cell := []string{"-app", "QS", "-impl", "LRC-diff", "-procs", "8", "-scale", "test", "-faults", "chaos"}
+	const reports = "summary,pages,locks,barriers,timeline,profile,critpath,whatif"
+	ahead, ordered := t.TempDir(), t.TempDir()
+	for _, run := range [][]string{
+		{"-report", reports, "-out", ahead},
+		{"-report", reports + ",bin", "-sched", "-out", ordered},
+	} {
+		var stdout, stderr strings.Builder
+		if code := cli(append(cell, run...), &stdout, &stderr); code != 0 {
+			t.Fatalf("%v exited %d: %s", run, code, stderr.String())
+		}
+	}
+	files, err := os.ReadDir(ordered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compared := 0
+	for _, f := range files {
+		if f.Name() == "trace.bin" {
+			continue
+		}
+		o, err := os.ReadFile(filepath.Join(ordered, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := os.ReadFile(filepath.Join(ahead, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, o) {
+			t.Errorf("%s differs between the run-ahead and the -sched run", f.Name())
+		}
+		compared++
+	}
+	if own, err := os.ReadDir(ahead); err != nil || len(own) != compared || compared == 0 {
+		t.Errorf("the run-ahead run wrote %d files (%v), the -sched run %d besides trace.bin", len(own), err, compared)
 	}
 }

@@ -47,11 +47,15 @@ func TestTracingObservationOnly(t *testing.T) {
 // (EnableSched) turns run-ahead off, so its run takes every block and resume
 // as it happens, and is the reference. On cells where run-ahead is active —
 // contention, a Clos fabric, a large machine with notice GC and a barrier
-// tree, a watchdog firing mid-compute — the untraced result, per-processor
+// tree, a fault plan, a watchdog firing mid-compute — the untraced result, per-processor
 // windows and final image included, must equal the reference one, a stall
 // must read the same, and a buffered trace taken with run-ahead on must hold
 // the reference trace's records, dispatches aside, in the same merged order.
 func TestRunAheadMatchesTracedRun(t *testing.T) {
+	chaos, err := fabric.FaultPreset("chaos")
+	if err != nil {
+		t.Fatal(err)
+	}
 	cells := []struct {
 		app, impl string
 		nprocs    int
@@ -64,6 +68,8 @@ func TestRunAheadMatchesTracedRun(t *testing.T) {
 		{"QS", "EC-diff", 8, apps.Test, run.Options{Machine: run.Machine{Topology: &fabric.Topology{Radix: 4, Taper: 1}, Contention: true}}},
 		{"3D-FFT", "EC-time", 32, apps.Large, run.Options{Machine: run.Machine{NoticeGC: true, BarrierFanIn: 16}}},
 		{"SOR", "LRC-diff", 64, apps.Large, run.Options{Machine: run.Machine{NoticeGC: true, BarrierFanIn: 16}}},
+		{"QS", "LRC-diff", 8, apps.Test, run.Options{Machine: run.Machine{Faults: chaos}}},
+		{"Water", "EC-time", 8, apps.Test, run.Options{Machine: run.Machine{Faults: chaos, Contention: true}}},
 		{"Water", "LRC-diff", 4, apps.Test, run.Options{Timeout: 20 * sim.Millisecond}},
 	}
 	for _, c := range cells {

@@ -175,7 +175,8 @@ type LinkReport struct {
 // Analysis is the attribution summary of one traced run.
 type Analysis struct {
 	Meta Meta
-	// Span is the last record's timestamp (the analyzed horizon).
+	// Span is the last record's timestamp (the analyzed horizon), not
+	// counting scheduler dispatch records.
 	Span sim.Time
 	// TotalMsgs/TotalBytes tally every send in the trace.
 	TotalMsgs  int64
@@ -272,8 +273,11 @@ type barTally struct {
 func Analyze(t *Tracer, meta Meta) *Analysis {
 	recs := t.Merged()
 	a := &Analysis{Meta: meta, Classes: MsgClassNames()}
-	if len(recs) > 0 {
-		a.Span = recs[len(recs)-1].At
+	for i := len(recs) - 1; i >= 0; i-- {
+		if recs[i].Kind != EvDispatch {
+			a.Span = recs[i].At
+			break
+		}
 	}
 
 	pages := make(map[int]*pageTally)

@@ -327,7 +327,10 @@ func scanProc(proc int, recs []Rec, stacks map[[3]int32]*StackEntry) procScan {
 
 // feed advances the state machine by one record of its processor.
 func (st *procScan) feed(r *Rec) {
-	if r.At > st.end {
+	// A dispatch record is the scheduler's, not the processor's: an
+	// untargeted one lands in buffer 0 whenever it fires, after the last
+	// process may be long done, and must not stretch that lifetime.
+	if r.At > st.end && r.Kind != EvDispatch {
 		st.end = r.At
 	}
 	switch r.Kind {

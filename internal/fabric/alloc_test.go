@@ -78,6 +78,69 @@ func TestDeliverSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestFaultSublayerSteadyStateAllocs is TestDeliverSteadyStateAllocs under a
+// fault plan that drops and delays frames and acks: a window of call round
+// trips, retransmissions included, must perform zero heap allocations.
+//
+// Fates are random, so the pools (frames, ack timers, flights, the event
+// queue) grow to whatever peak occupancy the traffic reaches. The warm-up
+// therefore streams one-way messages both ways at once, which keeps about
+// three times as many frames outstanding as the window's serialized calls
+// can, and then lets every timer drain.
+func TestFaultSublayerSteadyStateAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	s := sim.New()
+	n := New(s, flatCost(), 2)
+	if err := n.EnableFaults(FaultPlan{Seed: 1, Drop: 0.05, Delay: 0.1}); err != nil {
+		t.Fatal(err)
+	}
+	const stream = 1000
+	var delta uint64
+	var before FaultStats
+	client := s.Spawn("client", func(p *sim.Proc) {
+		call := func(i int) {
+			reply := n.Call(p, 1, 1, 8, Payload{Kind: PayloadPageReq, A: int32(i)})
+			if reply.Payload.C != int32(i) {
+				t.Errorf("reply %d carries %d", i, reply.Payload.C)
+			}
+		}
+		for i := 0; i < stream; i++ {
+			n.Send(p, 1, 8, 8, Payload{A: int32(i)})
+		}
+		call(0) // makes the caller's waiter
+		p.Sleep(100 * sim.Millisecond)
+		before = n.FaultStats()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < 200; i++ {
+			call(i)
+		}
+		runtime.ReadMemStats(&m1)
+		delta = m1.Mallocs - m0.Mallocs
+	})
+	server := s.Spawn("server", func(p *sim.Proc) {
+		for i := 0; i < stream; i++ {
+			n.Send(p, 0, 8, 8, Payload{A: int32(i)})
+		}
+	})
+	n.Attach(client, func(hc *HandlerCtx, m Msg) {})
+	n.Attach(server, func(hc *HandlerCtx, m Msg) {
+		if m.Kind == 1 {
+			hc.Reply(m, 2, 8, Payload{Kind: PayloadPageReply, C: m.Payload.A})
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if delta != 0 {
+		t.Errorf("200 faulted call round trips allocated %d objects, want 0", delta)
+	}
+	fs := n.FaultStats()
+	if fs.Retransmits == before.Retransmits || fs.Delayed == before.Delayed || fs.AcksLost == before.AcksLost {
+		t.Errorf("the measured window recovered from nothing: %v, then %v", before, fs)
+	}
+}
+
 // TestNilTracerDeliverAllocs proves the tracing hooks add zero allocations
 // to the BenchmarkFabricDeliver message path when no tracer is attached: the
 // nil-tracer fast path is one nil check per hook. SetTracer(nil) is called

@@ -169,15 +169,18 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// relFrame is the sender-side record of one unacknowledged data frame. It is
-// also the frame's retransmission timer (Fire): every attempt arms exactly
-// one, and the next attempt is only made when that one fires, so at most one
-// is ever pending per frame. Frames are not recycled — an acked frame's last
-// timer is still in the event heap.
+// relFrame is the sender-side record of one data frame. It is also the
+// frame's retransmission timer (Fire): every attempt arms exactly one, and
+// the next attempt is only made when that one fires, so exactly one is
+// pending per frame at any time. While unacked the frame sits in its link's
+// window; once acked it waits for that pending timer, whose firing is the
+// last reference to it and returns it to the sublayer's free list.
 type relFrame struct {
 	fs      *faultState
+	next    *relFrame // the next frame in the link's window, or in the free list
 	msg     Msg
 	reply   bool
+	acked   bool
 	seq     uint32
 	attempt int
 	// nominal is the frame's fault-free arrival time (first attempt's send
@@ -194,14 +197,55 @@ type heldFrame struct {
 }
 
 // relLink is the reliable-delivery state of one directed link. The sender
-// half numbers outgoing frames and tracks the unacknowledged window; the
-// receiver half enforces exactly-once in-order delivery.
+// half numbers outgoing frames and holds the unacked window; the receiver
+// half enforces exactly-once in-order delivery.
 type relLink struct {
 	sendSeq    uint32
-	unacked    map[uint32]*relFrame
 	deliverSeq uint32
-	held       []heldFrame // sorted by seq
-	ackDraw    uint32      // per-link counter salting ack fate draws
+	ackDraw    uint32 // per-link counter salting ack fate draws
+	// first and last bound the window: the frames sent on this link and not
+	// acked yet, in sequence order, linked through next. A list rather than
+	// a slice keeps the struct at 56 bytes (a fault cell holds nprocs² of
+	// them); a window rarely holds more than a few frames.
+	first, last *relFrame
+	held        []heldFrame // sorted by seq
+}
+
+// push appends a freshly sent frame, the highest sequence yet, to the window.
+func (lk *relLink) push(fr *relFrame) {
+	if lk.last == nil {
+		lk.first = fr
+	} else {
+		lk.last.next = fr
+	}
+	lk.last = fr
+}
+
+// ack takes the frames an ack covers out of the window and marks them
+// acked: every sequence below the receiver's cumulative edge below, plus got,
+// the one that triggered the ack. It returns how many it took. The walk stops
+// at the first frame past both, so it costs the covered prefix, plus the
+// frames between the edge and got when got lies above the edge.
+func (lk *relLink) ack(below, got uint32) int {
+	n := 0
+	var prev *relFrame
+	for fr := lk.first; fr != nil && (fr.seq < below || fr.seq <= got); fr = fr.next {
+		if fr.seq >= below && fr.seq != got {
+			prev = fr // still unacked
+			continue
+		}
+		if prev == nil {
+			lk.first = fr.next
+		} else {
+			prev.next = fr.next
+		}
+		if lk.last == fr {
+			lk.last = prev
+		}
+		fr.acked = true
+		n++
+	}
+	return n
 }
 
 func (lk *relLink) holds(seq uint32) bool {
@@ -224,14 +268,18 @@ func (lk *relLink) insert(hf heldFrame) {
 // faultState is the per-network fault injector plus reliable-delivery
 // sublayer. It exists only when EnableFaults was called; the fault-free path
 // costs one nil check in transmit and stays event-for-event identical to the
-// seed fabric. Unlike the fault-free path, the sublayer allocates (frames,
-// timers, buffers) — fault mode models robustness, not allocator pressure.
+// seed fabric. Frames and ack timers are recycled through free lists, and
+// the reorder buffers and flights keep their capacity, so once warm the
+// sublayer allocates nothing either.
 type faultState struct {
 	n      *Network
 	plan   FaultPlan
 	nprocs int
 	links  []relLink // directed, indexed from*nprocs+to
 	stats  FaultStats
+
+	freeFrames *relFrame // linked through next
+	freeAcks   *ackTimer // linked through next
 }
 
 // roll returns a deterministic uniform draw in [0,1) for one decision about
@@ -258,22 +306,33 @@ func timeout(attempt int) sim.Time {
 func (fs *faultState) link(from, to int) *relLink { return &fs.links[from*fs.nprocs+to] }
 
 // send routes a freshly posted flight into the reliable sublayer: assign the
-// link's next sequence number, remember the frame until it is acked, and
-// launch the first transmission attempt.
+// link's next sequence number, keep the frame in the window until it is
+// acked, and launch the first transmission attempt.
+//
+// The frame's retransmission timers act on the sender (they charge the
+// resend and write its trace records) but are aimed at nobody, so that the
+// leftover timer of an acked frame does not keep the sender from running
+// ahead. Instead the sender is marked inbound for exactly as long as the
+// frame is unacked: until the ack lands, every timer that can act on it.
 func (fs *faultState) send(sendEnd sim.Time, fl *flight) {
-	lk := fs.link(fl.msg.From, fl.msg.To)
-	fr := &relFrame{
+	from, to := fl.msg.From, fl.msg.To
+	lk := fs.link(from, to)
+	fr := fs.freeFrames
+	if fr != nil {
+		fs.freeFrames = fr.next
+	} else {
+		fr = &relFrame{}
+	}
+	*fr = relFrame{
 		fs:      fs,
 		msg:     fl.msg,
 		reply:   fl.reply,
 		seq:     lk.sendSeq,
-		nominal: sendEnd + fs.n.wireLatency(fl.msg.From, fl.msg.To),
+		nominal: sendEnd + fs.n.wireLatency(from, to),
 	}
 	lk.sendSeq++
-	if lk.unacked == nil {
-		lk.unacked = make(map[uint32]*relFrame)
-	}
-	lk.unacked[fr.seq] = fr
+	lk.push(fr)
+	fs.n.procs[from].AddInbound(1)
 	fs.stats.Sent++
 	fs.attempt(sendEnd, fr, fl)
 }
@@ -283,6 +342,12 @@ func (fs *faultState) send(sendEnd sim.Time, fl *flight) {
 // this attempt (the first one); retransmissions pass nil and get a fresh
 // slot. Whatever the fate, a retransmission timer is armed: only an ack
 // cancels the frame.
+//
+// Each copy put on the wire also marks the sender until it arrives. A copy
+// that outlives its frame's ack (a delayed original overtaken by its
+// retransmission, an injected duplicate) still provokes an ack at the
+// sender, only a wire latency after the arrival: inside the lookahead, so
+// the sender must not be running ahead meanwhile.
 func (fs *faultState) attempt(sendEnd sim.Time, fr *relFrame, fl *flight) {
 	n := fs.n
 	from, to := fr.msg.From, fr.msg.To
@@ -304,6 +369,7 @@ func (fs *faultState) attempt(sendEnd sim.Time, fr *relFrame, fl *flight) {
 			delay = 1 + sim.Time(fs.roll(pDelayAmt, sendEnd, from, to, fr.seq, fr.attempt)*float64(delayMax))
 			fs.stats.Delayed++
 		}
+		n.procs[from].AddInbound(1)
 		n.putOnWire(sendEnd+delay, fl)
 		if fs.plan.Dup > 0 && fs.roll(pDup, sendEnd, from, to, fr.seq, fr.attempt) < fs.plan.Dup {
 			fs.stats.Duplicated++
@@ -313,24 +379,28 @@ func (fs *faultState) attempt(sendEnd sim.Time, fr *relFrame, fl *flight) {
 			dup.seq = fr.seq
 			dup.nominal = fr.nominal
 			d2 := 1 + sim.Time(fs.roll(pDupDelay, sendEnd, from, to, fr.seq, fr.attempt)*float64(delayMax))
+			n.procs[from].AddInbound(1)
 			n.putOnWire(sendEnd+d2, dup)
 		}
 	}
-	n.sim.ScheduleTimer(sendEnd+timeout(fr.attempt), fr, n.procs[from])
+	n.sim.ScheduleTimer(sendEnd+timeout(fr.attempt), fr, nil)
 }
 
-// Fire is the retransmission check armed by each attempt; it does nothing
-// when the frame was acked meanwhile. Otherwise the frame is retransmitted:
+// Fire is the retransmission check armed by each attempt. When the frame was
+// acked meanwhile, this was its last pending timer, and the frame goes back
+// to the free list. Otherwise the frame is retransmitted:
 // the sender's CPU is charged for the repeated programmed I/O (landing in
 // virtual time whether the sender is computing or blocked), the traffic
 // counters grow like any real resend, and the next attempt is launched with
 // a doubled timeout.
 func (fr *relFrame) Fire(at sim.Time) {
 	fs := fr.fs
-	from, to := fr.msg.From, fr.msg.To
-	if fs.link(from, to).unacked[fr.seq] != fr {
-		return // acked; the timer outlived its frame
+	if fr.acked {
+		*fr = relFrame{next: fs.freeFrames}
+		fs.freeFrames = fr
+		return
 	}
+	from, to := fr.msg.From, fr.msg.To
 	if fr.attempt >= maxRetries {
 		panic(fmt.Sprintf("fabric: reliable delivery gave up: %d->%d seq %d (kind %d) unacked after %d attempts",
 			from, to, fr.seq, fr.msg.Kind, fr.attempt+1))
@@ -355,6 +425,7 @@ func (fs *faultState) arrive(fl *flight, at sim.Time) {
 	m := fl.msg
 	from, to, seq := m.From, m.To, fl.seq
 	lk := fs.link(from, to)
+	n.procs[from].AddInbound(-1) // the copy is off the wire (see attempt)
 	switch {
 	case seq < lk.deliverSeq || lk.holds(seq):
 		fs.stats.DupsDropped++
@@ -401,22 +472,23 @@ func (fs *faultState) deliver(fl *flight, at sim.Time) {
 // been delivered), got the specific sequence that triggered the ack.
 type ackTimer struct {
 	fs       *faultState
+	next     *ackTimer // the free list's next timer
 	from, to int
 	below    uint32
 	got      uint32
 }
 
 // Fire lands the ack at the data sender: every frame covered by it leaves
-// the unacked window, so its pending retransmission timers become no-ops.
+// the window, so its pending retransmission timer becomes a no-op, and lifts
+// the sender's inbound mark (see send). The timer then goes back to the free
+// list.
 func (ak *ackTimer) Fire(at sim.Time) {
 	fs := ak.fs
-	lk := fs.link(ak.from, ak.to)
 	fs.n.tr.Ack(at, ak.to, ak.from, int(ak.got))
-	for seq := range lk.unacked {
-		if seq < ak.below || seq == ak.got {
-			delete(lk.unacked, seq)
-		}
+	if k := fs.link(ak.from, ak.to).ack(ak.below, ak.got); k > 0 {
+		fs.n.procs[ak.from].AddInbound(-k)
 	}
+	ak.next, fs.freeAcks = fs.freeAcks, ak
 }
 
 // sendAck emits the acknowledgement for a frame that just arrived on the
@@ -424,7 +496,8 @@ func (ak *ackTimer) Fire(at sim.Time) {
 // processor CPU and no sequence numbers, travel back after one wire latency,
 // are subject to the same loss and delay injection as data (a lost ack is
 // repaired by the data retransmission provoking a fresh one), and are
-// idempotent, so they need no reliability of their own.
+// idempotent, so they need no reliability of their own. The ack is aimed at
+// the data sender, whose window it updates and whose trace buffer it writes.
 func (fs *faultState) sendAck(at sim.Time, from, to int, got uint32) {
 	lk := fs.link(from, to)
 	fs.stats.Acks++
@@ -438,8 +511,14 @@ func (fs *faultState) sendAck(at sim.Time, from, to int, got uint32) {
 	if fs.plan.Delay > 0 && fs.roll(pAckDelayHit, at, from, to, got, int(draw)) < fs.plan.Delay {
 		delay = 1 + sim.Time(fs.roll(pAckDelayAmt, at, from, to, got, int(draw))*float64(delayMax))
 	}
-	fs.n.sim.ScheduleTimer(at+fs.n.wireLatency(to, from)+delay,
-		&ackTimer{fs: fs, from: from, to: to, below: lk.deliverSeq, got: got}, nil)
+	ak := fs.freeAcks
+	if ak != nil {
+		fs.freeAcks = ak.next
+	} else {
+		ak = &ackTimer{}
+	}
+	*ak = ackTimer{fs: fs, from: from, to: to, below: lk.deliverSeq, got: got}
+	fs.n.sim.ScheduleTimer(at+fs.n.wireLatency(to, from)+delay, ak, fs.n.procs[from])
 }
 
 // EnableFaults switches the network onto the seeded fault plan and enables
@@ -460,11 +539,9 @@ func (n *Network) EnableFaults(plan FaultPlan) error {
 		nprocs: np,
 		links:  make([]relLink, np*np),
 	}
-	// Every attempt arms a retransmission timer aimed at its sender, so a
-	// processor with a frame unacked could never run ahead anyway: declare
-	// no lookahead, and a processor runs ahead only through sleeps that end
-	// before every pending event.
-	n.sim.SetLookahead(0)
+	// The lookahead New declared still holds: every sublayer event that can
+	// act on a processor sooner is aimed at it, or falls while the sublayer
+	// marks it inbound (send, attempt).
 	return nil
 }
 

@@ -2,8 +2,10 @@ package fabric
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"ecvslrc/internal/sim"
 )
@@ -267,5 +269,82 @@ func TestFaultsComposeWithContention(t *testing.T) {
 	}
 	if n.LinkWait() == 0 {
 		t.Error("contention recorded no link wait for 20 overlapping bulk sends")
+	}
+}
+
+// TestSelectiveAckWindow lands an ack whose got lies above the receiver's
+// cumulative edge: the window must keep exactly the frames still unacked, in
+// sequence order, and an acked frame must go back to the free list only once
+// its pending retransmission timer has fired.
+func TestSelectiveAckWindow(t *testing.T) {
+	s := sim.New()
+	n := New(s, flatCost(), 2)
+	if err := n.EnableFaults(FaultPlan{Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	n.Attach(s.Spawn("p0", func(*sim.Proc) {}), func(*HandlerCtx, Msg) {})
+	n.Attach(s.Spawn("p1", func(*sim.Proc) {}), func(*HandlerCtx, Msg) {})
+	fs := n.faults
+	lk := fs.link(0, 1)
+	send := func(at sim.Time) *relFrame {
+		fs.send(at, n.newFlight(Msg{From: 0, To: 1, Kind: 1, Size: 8}))
+		return lk.last
+	}
+	var sent []*relFrame
+	for range 5 {
+		sent = append(sent, send(0))
+	}
+	checkWindow := func(want []uint32, acked ...int) {
+		var window []uint32
+		for fr := lk.first; fr != nil; fr = fr.next {
+			window = append(window, fr.seq)
+			if fr.acked {
+				t.Errorf("acked frame %d still in the window", fr.seq)
+			}
+		}
+		if !slices.Equal(window, want) || lk.last != sent[want[len(want)-1]] {
+			t.Errorf("window = %v (last %d), want %v", window, lk.last.seq, want)
+		}
+		for _, i := range acked {
+			if !sent[i].acked {
+				t.Errorf("frame %d is not marked acked", i)
+			}
+		}
+	}
+	// Frame 0 lies below the edge, frame 3 is the one that just arrived; then
+	// the last frame arrives. Both acks land before any frame reaches the
+	// receiver.
+	s.ScheduleTimer(sim.Microsecond, &ackTimer{fs: fs, from: 0, to: 1, below: 1, got: 3}, nil)
+	s.Schedule(2*sim.Microsecond, func() { checkWindow([]uint32{1, 2, 4}, 0, 3) })
+	s.ScheduleTimer(3*sim.Microsecond, &ackTimer{fs: fs, from: 0, to: 1, below: 1, got: 4}, nil)
+	s.Schedule(4*sim.Microsecond, func() { checkWindow([]uint32{1, 2}, 0, 3, 4) })
+	// Every frame is acked well before rto, when its first timer fires.
+	var early, late *relFrame
+	s.Schedule(rto/2, func() {
+		if lk.first != nil || lk.last != nil {
+			t.Errorf("window not empty once every frame was acked: first %v, last %v", lk.first, lk.last)
+		}
+		early = send(rto / 2)
+	})
+	s.Schedule(rto+sim.Microsecond, func() { late = send(rto + sim.Microsecond) })
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if slices.Contains(sent, early) {
+		t.Error("an acked frame was reused while its retransmission timer was pending")
+	}
+	if !slices.Contains(sent, late) {
+		t.Error("no acked frame was reused after its retransmission timer fired")
+	}
+	if st := n.FaultStats(); st.Retransmits != 0 {
+		t.Errorf("%d retransmissions of frames that were all acked", st.Retransmits)
+	}
+}
+
+// TestRelLinkSize pins the per-link sublayer state: a fault cell holds
+// nprocs² links.
+func TestRelLinkSize(t *testing.T) {
+	if got := unsafe.Sizeof(relLink{}); got > 56 {
+		t.Errorf("relLink is %d bytes, want at most 56", got)
 	}
 }

@@ -485,9 +485,7 @@ type ackTimer struct {
 func (ak *ackTimer) Fire(at sim.Time) {
 	fs := ak.fs
 	fs.n.tr.Ack(at, ak.to, ak.from, int(ak.got))
-	if k := fs.link(ak.from, ak.to).ack(ak.below, ak.got); k > 0 {
-		fs.n.procs[ak.from].AddInbound(-k)
-	}
+	fs.n.procs[ak.from].AddInbound(-fs.link(ak.from, ak.to).ack(ak.below, ak.got))
 	ak.next, fs.freeAcks = fs.freeAcks, ak
 }
 

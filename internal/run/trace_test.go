@@ -47,10 +47,12 @@ func TestTracingObservationOnly(t *testing.T) {
 // (EnableSched) turns run-ahead off, so its run takes every block and resume
 // as it happens, and is the reference. On cells where run-ahead is active —
 // contention, a Clos fabric, a large machine with notice GC and a barrier
-// tree, a fault plan, a watchdog firing mid-compute — the untraced result, per-processor
-// windows and final image included, must equal the reference one, a stall
-// must read the same, and a buffered trace taken with run-ahead on must hold
-// the reference trace's records, dispatches aside, in the same merged order.
+// tree, a fault plan, a watchdog firing mid-compute — the untraced result,
+// per-processor windows and final image included, must equal the reference
+// one, a stall must read the same, and a buffered trace taken with run-ahead
+// on must hold the reference trace's records, dispatches aside, in the same
+// emission order in every processor's buffer, and so in the same merged
+// order too.
 func TestRunAheadMatchesTracedRun(t *testing.T) {
 	chaos, err := fabric.FaultPreset("chaos")
 	if err != nil {
@@ -106,14 +108,16 @@ func TestRunAheadMatchesTracedRun(t *testing.T) {
 		}
 		buffered := trace.New(c.nprocs)
 		once(buffered)
-		got := buffered.Merged()
-		ref := slices.DeleteFunc(ordered.Merged(), func(r trace.Rec) bool { return r.Kind == trace.EvDispatch })
-		if i := firstDiff(got, ref); i >= 0 {
-			t.Errorf("%s on %s, %d procs: the run-ahead trace diverges at record %d of %d (ordered %d): %s",
-				c.app, c.impl, c.nprocs, i, len(got), len(ref), recAt(got, i)+" vs "+recAt(ref, i))
+		for p := range c.nprocs {
+			got := buffered.Records(p)
+			ref := slices.DeleteFunc(slices.Clone(ordered.Records(p)), func(r trace.Rec) bool { return r.Kind == trace.EvDispatch })
+			if i := firstDiff(got, ref); i >= 0 {
+				t.Errorf("%s on %s, %d procs: processor %d's run-ahead records diverge at record %d of %d (ordered %d): %s",
+					c.app, c.impl, c.nprocs, p, i, len(got), len(ref), recAt(got, i)+" vs "+recAt(ref, i))
+			}
 		}
-		// The profile folds each buffer in emission order, which the merged
-		// order does not show.
+		// The reference's dispatch records, which sit in processor 0's
+		// buffer, must not move its profile.
 		if !reflect.DeepEqual(trace.BuildProfile(buffered, trace.Meta{}), trace.BuildProfile(ordered, trace.Meta{})) {
 			t.Errorf("%s on %s, %d procs: the run-ahead trace's profile differs from the ordered one's", c.app, c.impl, c.nprocs)
 		}

@@ -690,6 +690,20 @@ func (t *Tracer) Merged() []Rec {
 	return out
 }
 
+// Records returns processor proc's records in emission order: the order its
+// profile folds them in, which Merged's time order does not show. The slice
+// is the tracer's own; do not modify it. A profiling tracer keeps no
+// records, and asking panics, as it does for Merged.
+func (t *Tracer) Records(proc int) []Rec {
+	if t == nil {
+		return nil
+	}
+	if t.live != nil {
+		panic("trace: Records called on a profiling tracer, which keeps no records")
+	}
+	return t.bufs[proc]
+}
+
 // Binary trace format: a 16-byte header (magic, version, processor count,
 // record count) followed by the merged records, 28 bytes each, little-endian.
 const (

@@ -11,9 +11,9 @@
 // -perf prints a host-side breakdown after the run (phase wall times, baton
 // handoffs, each cell's wall time and allocation delta — the sequential
 // reference's too under -seq — then the peak heap and the process's peak
-// resident set, which also counts the copy-on-write node images of runs past
-// 8 processors; internal/perf). It is observation-only: the
-// simulated statistics are identical with and without it. The cell and
+// resident set, which also counts the copy-on-write node images;
+// internal/perf). It is observation-only: the simulated statistics are
+// identical with and without it. The cell and
 // machine flags (-app ... -timeout, -cpuprofile, -memprofile) are the shared
 // ones of internal/cmdline; at -scale large the cell gets notice GC and a
 // fan-in-16 barrier tree unless -fanin says otherwise, and the printed label

@@ -30,8 +30,8 @@ const (
 	Paper
 	// Large is the scaled-machine tier: problem sizes chosen so 256-1024
 	// simulated processors each have real work while the shared image
-	// stays small (every node has a private image; past 8 processors it is
-	// a copy-on-write fork of one template, so host memory grows with the
+	// stays small (every node has a private image, a copy-on-write fork of
+	// one template, so host memory grows with the
 	// pages each node writes, not with the full image). Cells at this scale
 	// default to LRC notice garbage collection and tree barrier fan-in
 	// (see internal/harness); 8-proc output at the other tiers is

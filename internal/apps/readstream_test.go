@@ -205,3 +205,31 @@ func TestReadStreamsAgree(t *testing.T) {
 		})
 	}
 }
+
+// TestReadStreamsAgreeLarge holds SOR's read streams equal under LRC-diff and
+// EC-time on 256 processors at large scale, on the large-scale machine
+// (notice GC, fan-in-16 barrier tree): the scale where LRC's notice
+// collection prunes the most and a miss gathers from the most writers. The
+// streams grow with the processor count and the cells are large-scale, so
+// short mode skips it; CI's scale job runs it by name.
+func TestReadStreamsAgreeLarge(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two 256-processor large-scale cells")
+	}
+	const nprocs = 256
+	opts := run.Options{Machine: run.Machine{NoticeGC: true, BarrierFanIn: 16}}
+	cm := fabric.DefaultCostModel()
+	lrcDiff := core.Impl{Model: core.LRC, Trap: core.Twinning, Collect: core.Diffs}
+	ecTime := core.Impl{Model: core.EC, Trap: core.Twinning, Collect: core.Timestamps}
+	ref := readStreams(t, "SOR", Large, lrcDiff, nprocs, cm, opts)
+	got := readStreams(t, "SOR", Large, ecTime, nprocs, cm, opts)
+	for p := range ref {
+		if ref[p].reads == 0 {
+			t.Errorf("processor %d read nothing under %v", p, lrcDiff)
+		}
+		if got[p] != ref[p] {
+			t.Errorf("%v: processor %d read %d values (digest %#x), %v read %d (digest %#x)",
+				ecTime, p, got[p].reads, got[p].digest, lrcDiff, ref[p].reads, ref[p].digest)
+		}
+	}
+}

@@ -46,8 +46,8 @@ func TestCachedImageSkipsInit(t *testing.T) {
 	}
 }
 
-// TestForkedCellsParallelMatchSerial: past 8 processors every node maps the
-// cached image of its (app, scale) copy-on-write, so parallel cells fork one
+// TestForkedCellsParallelMatchSerial: every node maps the cached image of
+// its (app, scale) copy-on-write, so parallel cells fork one
 // template at once — the first fork writes its memory file — and write
 // their private pages side by side. The race detector does not see mapped
 // memory, so the check is by results: two workers must give every cell's

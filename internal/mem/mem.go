@@ -183,17 +183,17 @@ func NewImage(size int) *Image {
 	return &Image{data: make([]byte, ImageBytes(size))}
 }
 
-// imagePools recycles image backing stores across simulator runs, one pool
-// per buffer size: a processor image is multiple megabytes at paper scale
-// and allocating nine of them per table cell dominated the allocator's
-// zeroing cost. Per-size pools keep the hit rate high when a parallel sweep
-// interleaves cells of differently-sized applications.
+// imagePools recycles image backing stores, one pool per buffer size. Node
+// images are forks now (Fork), so the pools, RecycledImage, RecycleImage and
+// CopyFrom are left only for the two mem probes of the benchmark
+// (benchmark/probes.go), and go when those probes are re-pointed.
 var imagePools sync.Map // buffer length -> *sync.Pool of *Image
 
 // RecycledImage returns an image of size bytes (page-rounded up) with
 // UNSPECIFIED contents, reusing a recycled buffer of the right size when one
 // is available. Only for callers that fully overwrite the image before any
-// read (a whole-image CopyFrom); everyone else wants NewImage.
+// read (a whole-image CopyFrom); everyone else wants NewImage. Its one
+// caller is the benchmark's mem.recycle_image_ns probe (see imagePools).
 func RecycledImage(size int) *Image {
 	pages := (size + PageSize - 1) / PageSize
 	want := pages * PageSize
@@ -208,7 +208,8 @@ func RecycledImage(size int) *Image {
 // RecycleImage surrenders im's buffer for reuse by RecycledImage. The caller
 // must drop every reference to im. A fork is not a heap buffer: it panics,
 // since a fork must be released (Release) instead. A template's memory file
-// is closed, as the buffer's next owner rewrites it.
+// is closed, as the buffer's next owner rewrites it. Its one caller is the
+// benchmark's mem.recycle_image_ns probe (see imagePools).
 func RecycleImage(im *Image) {
 	if im.fork.mapped {
 		panic("mem: RecycleImage of a fork: release it")
@@ -229,7 +230,9 @@ func (im *Image) Page(pg int) []byte {
 	return im.data[pg<<PageShift : (pg+1)<<PageShift]
 }
 
-// CopyFrom overwrites this image with the contents of src.
+// CopyFrom overwrites this image with the contents of src. Its one caller
+// outside tests is the benchmark's mem.image_copy_ns_per_mb probe (see
+// imagePools).
 func (im *Image) CopyFrom(src *Image) {
 	if len(src.data) != len(im.data) {
 		panic("mem: image size mismatch")

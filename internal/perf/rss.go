@@ -9,7 +9,7 @@ import (
 // PeakRSSBytes returns the process's resident-set high-water mark (VmHWM in
 // /proc/self/status); 0 where that file is absent. Unlike the registry's
 // peak heap, it counts memory outside the Go heap — the copy-on-write node
-// images past 8 processors (internal/mem) live there — and it is a
+// images (internal/mem) live there — and it is a
 // process-wide mark, not a per-cell one: ResetPeakRSS starts it afresh.
 func PeakRSSBytes() int64 {
 	data, err := os.ReadFile("/proc/self/status")

@@ -33,14 +33,27 @@ func (a *seededPhaseApp) Verify(im *mem.Image) error {
 	return a.phaseApp.Verify(im)
 }
 
-// forkedProcs is a processor count whose nodes fork their images.
-const forkedProcs = 2 * forkImagesAbove
+// forkedProcs is the paper machine's processor count: every node forks its
+// image, whatever the count.
+const forkedProcs = 8
 
-// TestForkedRunKeepsCachedImage: past forkImagesAbove processors the nodes
-// map the cached initial image copy-on-write, and what they write never
-// reaches it. After a run, the cached image — its bytes and what a later
-// fork of it reads — is byte-equal to a freshly seeded one, so the next
-// cell starts from the same memory and reproduces the run exactly.
+// cachedTemplate lays app out and seeds its initial image, as the harness
+// cache does, and returns the options that hand both to a run. The caller
+// releases the image.
+func cachedTemplate(app *seededPhaseApp) Options {
+	al := mem.NewAllocator()
+	app.Layout(al)
+	im := mem.NewImage(al.Size())
+	app.Init(im)
+	return Options{InitImage: im, Layout: al}
+}
+
+// TestForkedRunKeepsCachedImage: the nodes map the cached initial image
+// copy-on-write, and what they write never reaches it; nor does what the
+// sequential program writes into its fork. After a run, the cached image —
+// its bytes and what a later fork of it reads — is byte-equal to a freshly
+// seeded one, so the next cell starts from the same memory and reproduces
+// the run exactly.
 func TestForkedRunKeepsCachedImage(t *testing.T) {
 	cm := fabric.DefaultCostModel()
 	for _, impl := range []core.Impl{
@@ -49,14 +62,11 @@ func TestForkedRunKeepsCachedImage(t *testing.T) {
 	} {
 		t.Run(impl.String(), func(t *testing.T) {
 			app := &seededPhaseApp{phaseApp: phaseApp{n: 8 * mem.PageWords, procs: forkedProcs}}
-			al := mem.NewAllocator()
-			app.Layout(al)
-			cached := mem.NewImage(al.Size())
-			app.Init(cached)
+			opts := cachedTemplate(app)
+			cached := opts.InitImage
 			defer cached.Release()
 			fresh := append([]byte(nil), cached.Bytes()...)
-
-			opts := Options{InitImage: cached, Layout: al, KeepImage: true}
+			opts.KeepImage = true
 			first, err := RunWith(app, impl, forkedProcs, cm, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -85,37 +95,54 @@ func TestForkedRunKeepsCachedImage(t *testing.T) {
 			}
 		})
 	}
+	t.Run("sequential", func(t *testing.T) {
+		// One processor sums the whole array it fills over the seeded one.
+		app := &seededPhaseApp{phaseApp: phaseApp{n: 8 * mem.PageWords, procs: 1}}
+		opts := cachedTemplate(app)
+		defer opts.InitImage.Release()
+		fresh := append([]byte(nil), opts.InitImage.Bytes()...)
+		first, err := RunSeqWith(app, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(opts.InitImage.Bytes(), fresh) {
+			t.Error("a sequential run wrote into the cached image")
+		}
+		if again, err := RunSeqWith(app, opts); err != nil || again != first {
+			t.Errorf("a second sequential run from the cached image took %v (err %v), the first %v", again, err, first)
+		}
+	})
 }
 
 // TestForkedRunsReleaseMappings: every path out of a forked run — success,
-// a failed verification, a cached or a run-seeded template — unmaps the
-// node images and closes the template files it opened, so twenty such
-// cells leave the image mappings in /proc/self/maps and the entries of
-// /proc/self/fd as they found them. (The Go runtime maps anonymous memory
-// of its own as it goes, so the count is of mappings of memory files.)
+// a failed verification, a cached or a run-seeded template, a sequential run
+// on a fork of a cached template — unmaps the images and closes the
+// template files it opened, so twenty such cells leave the image mappings in
+// /proc/self/maps and the entries of /proc/self/fd as they found them. (The
+// Go runtime maps anonymous memory of its own as it goes, so the count is of
+// mappings of memory files.)
 func TestForkedRunsReleaseMappings(t *testing.T) {
 	if _, err := os.Stat("/proc/self/maps"); err != nil {
 		t.Skip("no /proc/self/maps")
 	}
 	cm := fabric.DefaultCostModel()
 	impl := core.Impl{Model: core.LRC, Trap: core.Twinning, Collect: core.Diffs}
-	newApp := func() *seededPhaseApp {
-		return &seededPhaseApp{phaseApp: phaseApp{n: 4 * mem.PageWords, procs: forkedProcs}}
-	}
 	cell := func(i int) {
-		app := newApp()
-		var opts Options
-		if i%2 == 1 { // a cached template, released by its owner
-			al := mem.NewAllocator()
-			app.Layout(al)
-			opts.InitImage, opts.Layout = mem.NewImage(al.Size()), al
-			app.Init(opts.InitImage)
+		app := &seededPhaseApp{phaseApp: phaseApp{n: 4 * mem.PageWords, procs: forkedProcs}}
+		seq := &seededPhaseApp{phaseApp: phaseApp{n: 4 * mem.PageWords, procs: 1}}
+		var opts, seqOpts Options
+		if i%2 == 1 { // cached templates, released by their owner
+			opts, seqOpts = cachedTemplate(app), cachedTemplate(seq)
 			defer opts.InitImage.Release()
+			defer seqOpts.InitImage.Release()
 		}
 		app.broken = i%4 == 3 // verification fails after the simulation
-		_, err := RunWith(app, impl, forkedProcs, cm, opts)
-		if app.broken != (err != nil) {
+		seq.broken = app.broken
+		if _, err := RunWith(app, impl, forkedProcs, cm, opts); app.broken != (err != nil) {
 			t.Fatalf("cell %d: err = %v", i, err)
+		}
+		if _, err := RunSeqWith(seq, seqOpts); seq.broken != (err != nil) {
+			t.Fatalf("cell %d sequential: err = %v", i, err)
 		}
 	}
 	// Warm up: the first cells grow the Go heap and the runtime's own

@@ -231,17 +231,30 @@ func RunWith(app App, impl core.Impl, nprocs int, cm fabric.CostModel, opts Opti
 		net.SetTracer(opts.Trace)
 	}
 	nodes := make([]node, nprocs)
+	// Each node's image is a copy-on-write fork of the initial image. The
+	// nodes are dead once the run returns, on every path: unmap their images
+	// (several MB each at paper scale).
 	images := make([]*mem.Image, nprocs)
-	fork := nprocs > forkImagesAbove
-	// The nodes are dead once the run returns, on every path: give their
-	// images back (several MB each at paper scale).
 	defer func() {
 		for _, im := range images {
 			if im != nil {
-				releaseImage(im, fork)
+				im.Release()
 			}
 		}
 	}()
+	for i := range images {
+		if images[i], err = initIm.Fork(); err != nil {
+			break
+		}
+	}
+	// The forks keep the template's pages: close a run-seeded template's
+	// file (a cached template stays with its owner).
+	if !cached {
+		initIm.Release()
+	}
+	if err != nil {
+		return Result{}, fmt.Errorf("run: %s: %w", app.Name(), err)
+	}
 	starts := make([]func(), nprocs)
 	var lrcNodes []*lrc.Node
 	var hist *lrc.History  // the LRC nodes' shared interval-record log
@@ -258,19 +271,11 @@ func RunWith(app App, impl core.Impl, nprocs int, cm fabric.CostModel, opts Opti
 		p := s.Spawn(fmt.Sprintf("%s/p%d", app.Name(), i), func(p *sim.Proc) {
 			starts[i]()
 		})
-		im, err := nodeImage(initIm, fork)
-		if err != nil {
-			if !cached {
-				initIm.Release()
-			}
-			return Result{}, fmt.Errorf("run: %s: %w", app.Name(), err)
-		}
-		images[i] = im
 		switch impl.Model {
 		case core.EC:
-			nodes[i] = ec.NewWithImage(p, net, al, nprocs, impl, im, binds)
+			nodes[i] = ec.NewWithImage(p, net, al, nprocs, impl, images[i], binds)
 		case core.LRC:
-			n := lrc.NewWithImage(p, net, al, nprocs, impl, im, hist)
+			n := lrc.NewWithImage(p, net, al, nprocs, impl, images[i], hist)
 			nodes[i] = n
 			lrcNodes = append(lrcNodes, n)
 		}
@@ -282,11 +287,6 @@ func RunWith(app App, impl core.Impl, nprocs int, cm fabric.CostModel, opts Opti
 	var gc *lrc.GC
 	if opts.NoticeGC && impl.Model == core.LRC {
 		gc = lrc.NewGC(lrcNodes)
-	}
-	// Every node holds its own copy now; give the template back (cached
-	// templates stay with their owner).
-	if !cached {
-		releaseImage(initIm, fork)
 	}
 	ph.End()
 	ph = opts.Perf.StartPhase("simulate")
@@ -346,39 +346,6 @@ func RunWith(app App, impl core.Impl, nprocs int, cm fabric.CostModel, opts Opti
 	return res, nil
 }
 
-// forkImagesAbove is the processor count past which the nodes' images are
-// copy-on-write forks of the initial image (mem.Image.Fork) instead of heap
-// copies of it. A fork costs a page fault of a few microseconds on each page
-// its node writes, where a copy costs a memcpy of every page. Past 8
-// processors the copies add up to most of the host's memory while a node
-// writes 2-51 % of its pages, so forking pays (scale_large peak RSS falls
-// by more than half); at 8 the images are small and written almost
-// everywhere, and the faults cost more than the copies (DESIGN.md "Node
-// images").
-const forkImagesAbove = 8
-
-// nodeImage returns one node's private copy of the initial image: a fork of
-// it, or a pooled heap buffer overwritten with it.
-func nodeImage(initIm *mem.Image, fork bool) (*mem.Image, error) {
-	if fork {
-		return initIm.Fork()
-	}
-	im := mem.RecycledImage(initIm.Size())
-	im.CopyFrom(initIm)
-	return im, nil
-}
-
-// releaseImage gives an image back once the run is done with it: forking,
-// Release unmaps a node's fork and closes a template's memory file;
-// copying, the heap buffer goes to the recycle pool for the next cell.
-func releaseImage(im *mem.Image, fork bool) {
-	if fork {
-		im.Release()
-	} else {
-		mem.RecycleImage(im)
-	}
-}
-
 // TraceMeta assembles the analysis metadata for a traced run of app: the
 // run identity plus the shared-memory layout (computed here on a fresh
 // allocator, so pass a fresh app instance — Layout may bind instance state).
@@ -424,21 +391,19 @@ func RunSeq(app App) (sim.Time, error) {
 	return RunSeqWith(app, Options{})
 }
 
-// RunSeqWith is RunSeq with Options. A cached initial image is copied, not
+// RunSeqWith is RunSeq with Options. A cached initial image is forked, not
 // mutated: the sequential program runs on its own scratch image.
 func RunSeqWith(app App, opts Options) (sim.Time, error) {
 	al := layout(app, opts)
-	var im *mem.Image
-	initIm, cached, err := initialImage(app, al, opts)
+	im, cached, err := initialImage(app, al, opts)
 	if err != nil {
 		return 0, err
 	}
 	if cached {
-		im = mem.RecycledImage(al.Size())
-		im.CopyFrom(initIm)
-		defer mem.RecycleImage(im)
-	} else {
-		im = initIm
+		if im, err = im.Fork(); err != nil {
+			return 0, fmt.Errorf("run: %s sequential: %w", app.Name(), err)
+		}
+		defer im.Release()
 	}
 	d := &Local{im: im}
 	app.Program(d)

@@ -72,10 +72,11 @@ func TestHandoffAllocs(t *testing.T) {
 	}
 }
 
-// TestStopReleasesGoroutines guards the Stop leak fix: the coroutines of
-// blocked processes must exit once a stopped Run returns, instead of staying
-// suspended forever.
-func TestStopReleasesGoroutines(t *testing.T) {
+// TestStalledReleasesGoroutines: the coroutines of unfinished processes
+// must exit once a run the watchdog stalled returns, instead of staying
+// suspended forever. A looping sleeper keeps the queue from draining, so
+// only the watchdog ends the run.
+func TestStalledReleasesGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
 		s := New()
@@ -87,9 +88,9 @@ func TestStopReleasesGoroutines(t *testing.T) {
 		s.Spawn("parked", func(p *Proc) {
 			p.Park(Wait{})
 		})
-		s.Schedule(5*Microsecond, s.Stop)
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
+		s.SetWatchdog(5 * Microsecond)
+		if _, ok := s.Run().(*Stalled); !ok {
+			t.Fatal("expected the watchdog to stall the run")
 		}
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -98,12 +99,12 @@ func TestStopReleasesGoroutines(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	if got := runtime.NumGoroutine(); got > before {
-		t.Errorf("%d goroutines alive after stopped runs, started with %d", got, before)
+		t.Errorf("%d goroutines alive after stalled runs, started with %d", got, before)
 	}
 }
 
 // TestDeadlockReleasesGoroutines: a deadlocked run must release its parked
-// goroutines when Run returns, like a stopped one.
+// goroutines when Run returns, like a stalled one.
 func TestDeadlockReleasesGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
@@ -137,17 +138,18 @@ func TestEventCallbackPanicBecomesFailure(t *testing.T) {
 	}
 }
 
-// TestStopBeforeFirstResume stops a run before a freshly spawned process ever
-// gets control: its goroutine must still be released and its body skipped.
-func TestStopBeforeFirstResume(t *testing.T) {
+// TestFailureBeforeFirstResume ends a run before a freshly spawned process
+// ever gets control: its goroutine must still be released and its body
+// skipped.
+func TestFailureBeforeFirstResume(t *testing.T) {
 	s := New()
 	ran := false
-	s.Schedule(0, s.Stop) // stops before the spawn's first runProc event fires
+	s.Schedule(0, func() { panic("boom") }) // fails before the spawn's first runProc event fires
 	s.Spawn("never-started", func(p *Proc) { ran = true })
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
+	if err := s.Run(); err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("err = %v, want the event panic", err)
 	}
 	if ran {
-		t.Error("process body ran despite Stop before its first dispatch")
+		t.Error("process body ran despite a failure before its first dispatch")
 	}
 }

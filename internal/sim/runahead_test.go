@@ -275,12 +275,11 @@ func TestRunAheadSyncAssertionAtReturn(t *testing.T) {
 	checkSyncAssertion(t, func(*Simulator, *Proc) {})
 }
 
-// TestRunAheadPanicOrStop: a process that panics, or stops the run, while
-// ahead ends the run at its own clock, as without run-ahead, and leaks no
-// goroutine.
-func TestRunAheadPanicOrStop(t *testing.T) {
+// TestRunAheadPanic: a process that panics while ahead ends the run at its
+// own clock, as without run-ahead, and leaks no goroutine.
+func TestRunAheadPanic(t *testing.T) {
 	before := runtime.NumGoroutine()
-	run := func(ordered bool, end func(s *Simulator)) (string, Time) {
+	run := func(ordered bool) (string, Time) {
 		s := New()
 		s.SetLookahead(raLookahead)
 		s.SetProbe(&recProbe{ordered: ordered})
@@ -291,8 +290,7 @@ func TestRunAheadPanicOrStop(t *testing.T) {
 			if !ordered && s.ahead != p {
 				t.Error("the process is not running ahead")
 			}
-			end(s)
-			p.Sleep(100 * Microsecond)
+			panic("kaput")
 		})
 		var msg string
 		if err := s.Run(); err != nil {
@@ -300,15 +298,10 @@ func TestRunAheadPanicOrStop(t *testing.T) {
 		}
 		return msg, s.Now()
 	}
-	for name, end := range map[string]func(*Simulator){
-		"panic": func(*Simulator) { panic("kaput") },
-		"stop":  (*Simulator).Stop,
-	} {
-		gotErr, gotAt := run(false, end)
-		wantErr, wantAt := run(true, end)
-		if gotErr != wantErr || gotAt != wantAt || gotAt != 200*Microsecond {
-			t.Errorf("%s ahead: %q at %v, ordered: %q at %v (want 200µs)", name, gotErr, gotAt, wantErr, wantAt)
-		}
+	gotErr, gotAt := run(false)
+	wantErr, wantAt := run(true)
+	if gotErr != wantErr || gotAt != wantAt || gotAt != 200*Microsecond {
+		t.Errorf("panic ahead: %q at %v, ordered: %q at %v (want 200µs)", gotErr, gotAt, wantErr, wantAt)
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {

@@ -114,7 +114,6 @@ type Simulator struct {
 	procs   []*Proc
 	next    *Proc // set by a process yielding to Run: who resumes next, nil when the run is over
 	failure error // first panic captured from a process
-	stopped bool
 
 	// watchdog, when > 0, is the virtual-time horizon past which the run is
 	// declared stalled: the first event scheduled beyond it stops the loop
@@ -276,7 +275,7 @@ func (s *Simulator) step() (next *Proc) {
 			next = nil
 		}
 	}()
-	for len(s.queue) > 0 && s.failure == nil && !s.stopped {
+	for len(s.queue) > 0 && s.failure == nil {
 		top := s.queue[0]
 		if s.watchdog > 0 && top.at > s.watchdog {
 			// The next event lies beyond the watchdog horizon: declare the
@@ -402,10 +401,10 @@ func (s *Simulator) wake(p *Proc) *Proc {
 // window returns the time p may run ahead to: the earliest pending event
 // (read before p's own wake is queued) plus the lookahead, capped at the
 // watchdog horizon. Nothing bounds it when the queue is empty. A run with
-// an ordered probe (SetProbe) or a stopped run, or a p with something aimed
-// at it, gets no window.
+// an ordered probe (SetProbe), or a p with something aimed at it, gets no
+// window.
 func (s *Simulator) window(p *Proc) Time {
-	if s.ordered || s.stopped || p.inbound > 0 {
+	if s.ordered || p.inbound > 0 {
 		return s.now
 	}
 	limit := Time(math.MaxInt64)
@@ -474,7 +473,7 @@ func (s *Simulator) Run() error {
 		}
 	}
 	// The run is over in every branch from here: stop suspended process
-	// coroutines so stopped, deadlocked and failed runs do not leak their
+	// coroutines so stalled, deadlocked and failed runs do not leak their
 	// goroutines, which are never garbage collected.
 	s.killBlocked()
 	if s.failure != nil {
@@ -483,21 +482,14 @@ func (s *Simulator) Run() error {
 	if s.watchdogHit {
 		return &Stalled{Limit: s.watchdog, At: s.now, Blocked: blocked}
 	}
-	if len(blocked) > 0 && !s.stopped {
+	if len(blocked) > 0 {
 		return &Deadlock{At: s.now, Blocked: blocked}
 	}
 	return nil
 }
 
-// Stop aborts the run at the end of the current event. Suspended process
-// coroutines are not garbage-collectable, so Run stops them explicitly (via
-// killBlocked) before returning. A process that stops the run while ahead of
-// the queue ends it at its own clock, as it would have without running
-// ahead. Intended for tests.
-func (s *Simulator) Stop() { s.stopped, s.ahead = true, nil }
-
 // killBlocked stops every process coroutine still suspended when a run ends
-// (stop, deadlock or failure): its pending yield returns false, and it
+// (watchdog, deadlock or failure): its pending yield returns false, and it
 // unwinds via a sentinel panic recovered in Proc.runBody. One that never
 // started exits without running its body. Without this, repeated terminated
 // runs accumulate goroutines forever.

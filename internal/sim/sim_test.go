@@ -276,19 +276,3 @@ func TestUnparkNotParkedIsNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestStop(t *testing.T) {
-	s := New()
-	s.Spawn("looper", func(p *Proc) {
-		for {
-			p.Sleep(Microsecond)
-		}
-	})
-	s.Schedule(10*Microsecond, func() { s.Stop() })
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Now() != 10*Microsecond {
-		t.Errorf("stopped at %v, want 10µs", s.Now())
-	}
-}

@@ -226,16 +226,16 @@ func TestNoticeHistoryBounded(t *testing.T) {
 	}
 }
 
-// largeScaleBudgets bound the host memory of large-scale cells: the peak
-// heap, measured by the perf registry's cell spans on one P (as dsmrun runs
-// a cell, so the reading is the peak its -perf line prints), and the peak
-// resident set, measured from a high-water mark reset just before the cell.
-// Past 8 processors the nodes' images are copy-on-write mappings outside the
-// Go heap (DESIGN.md "Node images"), so the heap budget sees the protocol
-// state alone and the resident one what the nodes write on top of it. Each
-// has headroom for allocator slack and for what the earlier tests in the
-// same process left live. Each named regression was measured on a copy of
-// the code with it put back:
+// largeScaleBudgets bound the host memory of large-scale cells, and of one
+// cell of the paper's 8-processor machine: the peak heap, measured by the
+// perf registry's cell spans on one P (as dsmrun runs a cell, so the reading
+// is the peak its -perf line prints), and the peak resident set, measured
+// from a high-water mark reset just before the cell. The nodes' images are
+// copy-on-write mappings outside the Go heap (DESIGN.md "Node images"), so
+// the heap budget sees the protocol state alone and the resident one what
+// the nodes write on top of it. Each has headroom for allocator slack and
+// for what the earlier tests in the same process left live. Each named
+// regression was measured on a copy of the code with it put back:
 //   - 32-proc Water/LRC-diff, ~22 MiB heap and ~42 MiB resident, under 30
 //     and 56 MiB: its nodes share one interval-record log, and a node that
 //     keeps its own per-writer record lists again reads 42 and 62 MiB;
@@ -250,26 +250,34 @@ func TestNoticeHistoryBounded(t *testing.T) {
 //     costs a slot per bound lock per processor, instead of per lock a
 //     processor uses, reads 102 and 146 MiB;
 //   - 1024-proc SOR/LRC-diff, ~146 MiB heap and ~227 MiB resident, under
-//     200 and 290 MiB: per-node record lists read 276 and 372 MiB.
+//     200 and 290 MiB: per-node record lists read 276 and 372 MiB;
+//   - 8-proc Barnes-Hut/LRC-diff at paper scale, ~19 MiB heap and ~45 MiB
+//     resident, under 28 and 58 MiB: pooled heap copies of the initial
+//     image for the nodes of cells of 8 or fewer processors read 56 and 72
+//     MiB. It runs last, because the harness cache keeps its 5 MiB initial
+//     image live in the heap of every later cell.
 var largeScaleBudgets = []struct {
 	app       string
 	impl      core.Impl
+	scale     apps.Scale
 	nprocs    int
 	heap, rss int64
 }{
-	{"Water", core.Impl{Model: core.LRC, Trap: core.Twinning, Collect: core.Diffs}, 32, 30 << 20, 56 << 20},
-	{"SOR", core.Impl{Model: core.LRC, Trap: core.Twinning, Collect: core.Diffs}, 256, 32 << 20, 72 << 20},
-	{"3D-FFT", core.Impl{Model: core.EC, Trap: core.Twinning, Collect: core.Timestamps}, 64, 60 << 20, 100 << 20},
-	{"SOR", core.Impl{Model: core.LRC, Trap: core.Twinning, Collect: core.Diffs}, 1024, 200 << 20, 290 << 20},
+	{"Water", core.Impl{Model: core.LRC, Trap: core.Twinning, Collect: core.Diffs}, apps.Large, 32, 30 << 20, 56 << 20},
+	{"SOR", core.Impl{Model: core.LRC, Trap: core.Twinning, Collect: core.Diffs}, apps.Large, 256, 32 << 20, 72 << 20},
+	{"3D-FFT", core.Impl{Model: core.EC, Trap: core.Twinning, Collect: core.Timestamps}, apps.Large, 64, 60 << 20, 100 << 20},
+	{"SOR", core.Impl{Model: core.LRC, Trap: core.Twinning, Collect: core.Diffs}, apps.Large, 1024, 200 << 20, 290 << 20},
+	{"Barnes-Hut", core.Impl{Model: core.LRC, Trap: core.Twinning, Collect: core.Diffs}, apps.Paper, 8, 28 << 20, 58 << 20},
 }
 
-// TestLargeScaleMemoryBudget runs full large-scale cells through the harness
-// (image cache, scale defaults) and pins each one's host-side peak heap and
-// peak resident set under its budgets. The cells are large enough to
-// exercise 64- to 1024-way sharing and cheap enough for the tier-1 suite
-// (the heavyweight Water cells run in CI's scale smoke job instead). It also
-// pins the large-scale harness defaults: notice GC must have been on in the
-// LRC cells without being asked for.
+// TestLargeScaleMemoryBudget runs full large-scale cells, and one
+// paper-scale 8-processor cell, through the harness (image cache, scale
+// defaults) and pins each one's host-side peak heap and peak resident set
+// under its budgets. The cells are large enough to exercise 64- to
+// 1024-way sharing and cheap enough for the tier-1 suite (the heavyweight
+// Water cells run in CI's scale smoke job instead). It also pins the
+// large-scale harness defaults: notice GC must have been on in the
+// large-scale LRC cells without being asked for.
 func TestLargeScaleMemoryBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256- and 1024-processor cells")
@@ -286,13 +294,13 @@ func TestLargeScaleMemoryBudget(t *testing.T) {
 			debug.FreeOSMemory()
 			rssReset := perf.ResetPeakRSS() == nil
 			reg := perf.New()
-			cfg := harness.Config{Scale: apps.Large, NProcs: c.nprocs, Cost: fabric.DefaultCostModel(), Perf: reg, Timeout: cellTimeout}
+			cfg := harness.Config{Scale: c.scale, NProcs: c.nprocs, Cost: fabric.DefaultCostModel(), Perf: reg, Timeout: cellTimeout}
 			row := harness.RunCell(cfg, c.app, c.impl)
 			if row.Err != nil {
 				t.Fatal(row.Err)
 			}
 			rss := perf.PeakRSSBytes()
-			if c.impl.Model == core.LRC {
+			if c.impl.Model == core.LRC && c.scale == apps.Large {
 				if row.GC == nil {
 					t.Error("large-scale cell ran without notice GC: the harness scale default regressed")
 				} else if row.GC.Violations != 0 {

@@ -51,7 +51,7 @@ func TestCellsMatchGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := run.RunWith(a, impl, nprocs, cm, run.Options{Timeout: cellTimeout})
+				res, err := run.RunWith(a, impl, nprocs, cm, run.Options{Timeout: apps.TestHorizon})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -68,7 +68,7 @@ func TestCellsMatchGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tm, err := run.RunSeqWith(a, run.Options{Timeout: cellTimeout})
+			tm, err := run.RunSeqWith(a, run.Options{Timeout: apps.TestHorizon})
 			if err != nil {
 				t.Fatal(err)
 			}

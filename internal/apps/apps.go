@@ -21,6 +21,20 @@ import (
 // Scale selects a problem-size preset.
 type Scale int
 
+// TestHorizon and BenchHorizon are the virtual-time watchdog limits
+// (run.Options.Timeout) of the suites that run every cell at test or bench
+// scale. Each lies about fifteen times past the slowest such cell: 3D-FFT's
+// sequential run at 0.684 s at test scale, and Barnes-Hut under EC at 8
+// processors, 3.74 s with initialization, at bench scale under every machine
+// variant the suites use. They decide nothing on working code; a protocol
+// bug that livelocks a cell fails it within seconds of host time with a
+// *sim.Stalled naming the blocked processes, instead of hanging the suite
+// until go test's timeout.
+const (
+	TestHorizon  = 10 * sim.Second
+	BenchHorizon = 60 * sim.Second
+)
+
 const (
 	// Test is small enough for unit tests (fractions of a second of real time).
 	Test Scale = iota

@@ -18,7 +18,7 @@ func testAllImpls(t *testing.T, name string, nprocs int) map[string]run.Result {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := run.Run(app, impl, nprocs, fabric.DefaultCostModel())
+			res, err := run.RunWith(app, impl, nprocs, fabric.DefaultCostModel(), run.Options{Timeout: TestHorizon})
 			if err != nil {
 				t.Fatal(err)
 			}

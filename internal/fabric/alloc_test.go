@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"fmt"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -11,7 +12,7 @@ import (
 // BenchmarkFabricDeliver drives synchronous request/reply round trips through
 // the full message path (post, flight scheduling, delivery, reply, waiter
 // rendezvous). The CI bench smoke step asserts it reports 0 allocs/op: with
-// typed payloads and per-link flight free lists, steady-state delivery must
+// typed payloads and the network's flight free list, steady-state delivery must
 // not allocate. (The per-benchmark setup — spawn, first-message pool growth —
 // amortizes to zero over the measured iterations.)
 func BenchmarkFabricDeliver(b *testing.B) {
@@ -75,6 +76,49 @@ func TestDeliverSteadyStateAllocs(t *testing.T) {
 	}
 	if delta != 0 {
 		t.Errorf("200 call round trips allocated %d objects, want 0", delta)
+	}
+}
+
+// TestRotatingDestinationsSteadyStateAllocs calls a different server on
+// every round trip. The network keeps one flight free list, not one per
+// destination, so the two flights a warm-up call to one server leaves behind
+// carry every later call to any server: a window rotating over all of them
+// must perform zero heap allocations.
+func TestRotatingDestinationsSteadyStateAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const procs = 16
+	s := sim.New()
+	n := New(s, flatCost(), procs)
+	var delta uint64
+	client := s.Spawn("client", func(p *sim.Proc) {
+		call := func(to, i int) {
+			reply := n.Call(p, to, 1, 8, Payload{Kind: PayloadPageReq, A: int32(i)})
+			if reply.Payload.C != int32(i) {
+				t.Errorf("reply %d from %d carries %d", i, to, reply.Payload.C)
+			}
+		}
+		for i := 0; i < 64; i++ {
+			call(1, i)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < 200; i++ {
+			call(1+i%(procs-1), i)
+		}
+		runtime.ReadMemStats(&m1)
+		delta = m1.Mallocs - m0.Mallocs
+	})
+	n.Attach(client, func(hc *HandlerCtx, m Msg) {})
+	for i := 1; i < procs; i++ {
+		n.Attach(s.Spawn(fmt.Sprintf("server%d", i), func(p *sim.Proc) {}), func(hc *HandlerCtx, m Msg) {
+			hc.Reply(m, 2, 8, Payload{Kind: PayloadPageReply, C: m.Payload.A})
+		})
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if delta != 0 {
+		t.Errorf("200 call round trips over %d servers allocated %d objects, want 0", procs-1, delta)
 	}
 }
 

@@ -46,7 +46,7 @@ func (s Stats) Sub(other Stats) Stats {
 // flight is one in-transit message: the slot that carries a Msg from the
 // sender's schedule to its arrival. A flight is the sim.Timer target of its
 // own delivery events (stored inline, no closure), and is recycled through
-// the destination link's free list, so steady-state delivery performs zero
+// the network's free list, so steady-state delivery performs zero
 // allocations.
 type flight struct {
 	n     *Network
@@ -96,12 +96,6 @@ func (fl *flight) Fire(at sim.Time) {
 	n.deliver(m, at)
 }
 
-// link is one attachment point: the free list recycling the flight slots of
-// messages addressed to this processor.
-type link struct {
-	free []*flight
-}
-
 // Network is the simulated ATM LAN. Every processor attaches one endpoint
 // (its sim.Proc plus a request handler). Messages between distinct processors
 // cost sender CPU time, wire latency and receiver handler time; a processor
@@ -113,7 +107,11 @@ type Network struct {
 	procs    []*sim.Proc
 	handlers []Handler
 	stats    []Stats
-	links    []link
+
+	// free recycles the flight slots of consumed messages, whatever their
+	// destination, so a cell holds as many flights as it ever has messages
+	// in flight at once.
+	free []*flight
 
 	// hctx is the scratch handler context reused across deliveries: handlers
 	// run synchronously in scheduler context and never nest, so one lives at
@@ -156,7 +154,6 @@ func New(s *sim.Simulator, cm CostModel, nprocs int) *Network {
 		procs:    make([]*sim.Proc, nprocs),
 		handlers: make([]Handler, nprocs),
 		stats:    make([]Stats, nprocs),
-		links:    make([]link, nprocs),
 		ctxs:     make([]HandlerCtx, nprocs),
 	}
 	r := max(2, nprocs)
@@ -189,28 +186,23 @@ func (n *Network) EnableContention() { n.contention = true }
 // shared link (always zero with contention off).
 func (n *Network) LinkWait() sim.Time { return n.linkWait }
 
-// newFlight takes a slot from the destination link's free list (or grows it)
-// and loads m into it.
+// newFlight takes a slot from the free list (or grows it) and loads m into
+// it.
 func (n *Network) newFlight(m Msg) *flight {
-	free := n.links[m.To].free
-	if k := len(free); k > 0 {
-		fl := free[k-1]
-		free[k-1] = nil
-		n.links[m.To].free = free[:k-1]
+	if k := len(n.free); k > 0 {
+		fl := n.free[k-1]
+		n.free[k-1] = nil
+		n.free = n.free[:k-1]
 		fl.msg = m
 		return fl
 	}
 	return &flight{n: n, msg: m}
 }
 
-// release returns a consumed flight to its destination link's free list,
-// cleared for reuse.
+// release returns a consumed flight to the free list, cleared for reuse.
 func (n *Network) release(fl *flight) {
-	to := fl.msg.To
-	fl.msg = Msg{}
-	fl.reply, fl.claim = false, false
-	fl.rel, fl.seq, fl.nominal = false, 0, 0
-	n.links[to].free = append(n.links[to].free, fl)
+	*fl = flight{n: n}
+	n.free = append(n.free, fl)
 }
 
 // transmit moves fl, whose sender-side processing ends at sendEnd, to its
@@ -307,7 +299,7 @@ func (n *Network) CallAsync(p *sim.Proc, w *sim.Waiter, to, kind, size int, payl
 // Await blocks on what until the reply for a Call/CallAsync waiter arrives
 // and returns it. CallAsync callers must collect each reply through Await,
 // not Waiter.Wait directly: the delivered value is the fabric's in-flight
-// slot, which Await copies out and returns to its link's free list.
+// slot, which Await copies out and returns to the network's free list.
 func (n *Network) Await(w *sim.Waiter, what sim.Wait) Msg {
 	fl := w.Wait(what).(*flight)
 	m := fl.msg

@@ -42,7 +42,7 @@ func runBuffered(t *testing.T, cfg Config, app string, impl core.Impl) (run.Resu
 // processor's end time), and the critical path tiles [0, end) with the same
 // exactness.
 func TestProfileConservationGrid(t *testing.T) {
-	cfg := Config{Scale: apps.Bench, NProcs: 8, Cost: fabric.DefaultCostModel()}
+	cfg := Config{Scale: apps.Bench, NProcs: 8, Cost: fabric.DefaultCostModel(), Timeout: apps.BenchHorizon}
 	for _, app := range apps.Names() {
 		for _, impl := range core.Implementations() {
 			app, impl := app, impl

@@ -61,10 +61,13 @@ func TestBenchReportWithTracingMatchesSeedGolden(t *testing.T) {
 }
 
 // reportMallocCeiling bounds the heap allocations of the whole 79-cell
-// bench-scale report run one cell at a time: about 249 800 measured (Go 1.24,
+// bench-scale report run one cell at a time: about 176 700 measured (Go 1.24,
 // linux/amd64), plus 15 % for allocator and Go-version drift. One extra
-// allocation per delivered message alone adds about 112 000.
-const reportMallocCeiling = 290_000
+// allocation per delivered message alone adds about 112 000. Flight free
+// lists kept per destination instead of per network, LRC page state and
+// message vectors allocated one object at a time instead of from chunks, and
+// LRC notice bodies not recycled add about 70 000 together.
+const reportMallocCeiling = 203_000
 
 // TestBenchReportWithMetricsMatchesSeedGolden is the same invariant for the
 // host-side perf layer: a live registry on every cell reads host clocks and

@@ -15,6 +15,13 @@ import "fmt"
 // records it receives, so both run the same code path.
 type History struct {
 	logs []writerLog
+
+	// The run's allocation chunks (chunk.go), which its nodes share: their
+	// pageMetas and first writer-window slices, which live as long as the
+	// run, and the vectors their messages carry (Node.sentVec).
+	metas   chunk[pageMeta]
+	windows chunk[writerWindow]
+	vecs    chunk[int32]
 }
 
 // writerLog is one writer's records: recs[i] has index base+1+i. The
@@ -25,7 +32,14 @@ type writerLog struct {
 }
 
 // NewHistory returns an empty log for nprocs writers.
-func NewHistory(nprocs int) *History { return &History{logs: make([]writerLog, nprocs)} }
+func NewHistory(nprocs int) *History {
+	return &History{
+		logs:    make([]writerLog, nprocs),
+		metas:   chunk[pageMeta]{size: metaChunk},
+		windows: chunk[writerWindow]{size: windowChunk},
+		vecs:    chunk[int32]{size: vecChunk},
+	}
+}
 
 // top returns the highest record index in q's log (its base if empty).
 func (h *History) top(q int) int32 {

@@ -97,6 +97,24 @@ func historyShared(t *testing.T, fanIn int) {
 		t.Errorf("%d records held by several nodes, trimmed=%v: the run exercises too little", shared, trimmed)
 	}
 
+	// Every notice body the run's grants and barriers carried went back to
+	// the node that built it, emptied, and once: a body listed twice would
+	// ride two messages at once, and one that kept its records would pin
+	// them past their pruning.
+	recycled := map[*noticeBody]bool{}
+	for y, n := range nodes {
+		for _, b := range n.freeNotices {
+			if b.owner != n || b.records != nil || b.minVec != nil || recycled[b] {
+				t.Errorf("node %d: free notice body %p: owner %p, %d records, minVec %v, listed before %v",
+					y, b, b.owner, len(b.records), b.minVec, recycled[b])
+			}
+			recycled[b] = true
+		}
+	}
+	if len(recycled) == 0 {
+		t.Error("no notice body came back for reuse")
+	}
+
 	for y, n := range nodes {
 		var want int64
 		for q := 0; q < nprocs; q++ {

@@ -77,6 +77,8 @@ type writerWindow struct {
 // state is O(writers of that page), not O(procs) — at 1024 processors a
 // dense per-page array would multiply out to gigabytes across the machine
 // (pages x procs x nodes), while real pages have a handful of writers.
+// pageMetas and their first window slices are carved from the run's chunks
+// (History): page state lives as long as the run.
 type pageMeta struct {
 	writers []writerWindow // sorted by proc
 	// diffs are this processor's own harvested diffs of the page, in
@@ -88,16 +90,21 @@ type pageMeta struct {
 	closedIval int32
 }
 
-func newPageMeta() *pageMeta { return &pageMeta{closedIval: -1} }
-
 func cmpWindowProc(w writerWindow, proc int32) int { return cmp.Compare(w.proc, proc) }
 
 // window returns the writer window for proc, inserting a zero window in
-// sorted position if the page has none yet.
-func (pm *pageMeta) window(proc int32) *writerWindow {
+// sorted position if the page has none yet. A page's first window is carved
+// from room. Later ones grow the slice by append: the collector reclaims an
+// outgrown array, while an outgrown carved one would stay in its chunk for
+// the rest of the run.
+func (pm *pageMeta) window(proc int32, room *chunk[writerWindow]) *writerWindow {
 	i, ok := slices.BinarySearchFunc(pm.writers, proc, cmpWindowProc)
 	if !ok {
-		pm.writers = slices.Insert(pm.writers, i, writerWindow{proc: proc})
+		ws := pm.writers
+		if cap(ws) == 0 {
+			ws = room.carve(1)[:0]
+		}
+		pm.writers = slices.Insert(ws, i, writerWindow{proc: proc})
 	}
 	return &pm.writers[i]
 }
@@ -162,8 +169,11 @@ func (r *pageReply) release() {
 // noticeBody is the write-notice set riding with lock grants, barrier
 // arrivals and barrier departures: the interval records the receiver's
 // vector does not cover. The sender's vector travels in the payload's Vec
-// slot alongside it.
+// slot alongside it. Bodies are recycled like fetch replies: the receiver
+// hands each one back to the node that built it once it has taken the
+// contents.
 type noticeBody struct {
+	owner   *Node
 	records []*interval
 	// minVec rides only on tree fan-in subtree arrivals: the elementwise
 	// minimum vector over the subtree's members. The parent keys each
@@ -174,6 +184,26 @@ type noticeBody struct {
 
 // BodyKind implements fabric.Body.
 func (*noticeBody) BodyKind() fabric.PayloadKind { return fabric.PayloadNoticeSet }
+
+// newNotices takes a notice body for records from this node's free list, or
+// grows it.
+func (n *Node) newNotices(records []*interval) *noticeBody {
+	if k := len(n.freeNotices); k > 0 {
+		b := n.freeNotices[k-1]
+		n.freeNotices = n.freeNotices[:k-1]
+		b.records = records
+		return b
+	}
+	return &noticeBody{owner: n, records: records}
+}
+
+// release returns a consumed notice body to its sender's free list. It
+// drops its slices first, so a recycled body pins no record the collector
+// prunes later.
+func (b *noticeBody) release() {
+	b.records, b.minVec = nil, nil
+	b.owner.freeNotices = append(b.owner.freeNotices, b)
+}
 
 // pendingWriter is one processor with unfetched write notices for a page.
 type pendingWriter struct {
@@ -244,7 +274,8 @@ type Node struct {
 	missOrder    []unitKey
 	fetchWaiters []*sim.Waiter
 
-	freeReplies []*pageReply // fetch-reply bodies this node served, returned for reuse
+	freeReplies []*pageReply  // fetch-reply bodies this node served, returned for reuse
+	freeNotices []*noticeBody // notice bodies this node sent, returned for reuse
 
 	gc        *GC           // shared notice-history collector, nil when GC is off
 	diffFloor map[int]int32 // per-page diff kill floor at this writer (GC only)
@@ -368,10 +399,21 @@ func (n *Node) handle(hc *fabric.HandlerCtx, m fabric.Msg) {
 func (n *Node) pageMeta(pg int) *pageMeta {
 	pm := n.meta[pg]
 	if pm == nil {
-		pm = newPageMeta()
+		pm = &n.hist.metas.carve(1)[0]
+		pm.closedIval = -1
 		n.meta[pg] = pm
 	}
 	return pm
+}
+
+// sentVec returns a copy of the node's vector for a message to carry. The
+// copy comes from the run's vector chunk: its receiver reads it on delivery,
+// or holds it until it grants the queued lock request or the barrier's next
+// episode replaces the arrival.
+func (n *Node) sentVec() []int32 {
+	v := n.hist.vecs.carve(len(n.vec))
+	copy(v, n.vec)
+	return v
 }
 
 // --- interval management -------------------------------------------------
@@ -512,7 +554,7 @@ func (n *Node) absorb(records []*interval, senderVec []int32) sim.Time {
 		n.noticeBytes += int64(rec.wire)
 		for _, pg := range rec.pages {
 			pm := n.pageMeta(pg)
-			if w := pm.window(int32(rec.proc)); w.noticed < rec.idx {
+			if w := pm.window(int32(rec.proc), &n.hist.windows); w.noticed < rec.idx {
 				w.noticed = rec.idx
 			}
 			// A write notice for a page we have pending modifications on
@@ -827,8 +869,7 @@ func (h *lockHooks) node() *Node { return (*Node)(h) }
 // MakeLockRequest attaches the requester's interval vector.
 func (h *lockHooks) MakeLockRequest(l core.LockID, mode syncmgr.Mode) (fabric.Payload, int) {
 	n := h.node()
-	v := make([]int32, len(n.vec))
-	copy(v, n.vec)
+	v := n.sentVec()
 	return fabric.Payload{Vec: v}, 4 * len(v)
 }
 
@@ -838,15 +879,13 @@ func (h *lockHooks) MakeLockGrant(l core.LockID, mode syncmgr.Mode, req fabric.P
 	n := h.node()
 	work := n.closeInterval()
 	records, size := n.collectNotices(req.Vec)
-	v := make([]int32, len(n.vec))
-	copy(v, n.vec)
-	return fabric.Payload{Vec: v, Body: &noticeBody{records: records}}, size + 4*len(v), work
+	v := n.sentVec()
+	return fabric.Payload{Vec: v, Body: n.newNotices(records)}, size + 4*len(v), work
 }
 
 // ApplyLockGrant installs the piggybacked write notices and invalidates.
 func (h *lockHooks) ApplyLockGrant(l core.LockID, mode syncmgr.Mode, payload fabric.Payload) sim.Time {
-	n := h.node()
-	return n.absorb(payload.Body.(*noticeBody).records, payload.Vec)
+	return h.node().absorbBody(payload)
 }
 
 // LocalReacquire begins a new interval even without communication, so local
@@ -875,9 +914,8 @@ func (h *barrierHooks) MakeArrival(b core.BarrierID) (fabric.Payload, int, sim.T
 		size += r.wire
 	}
 	n.lastBarrierSent = n.cur - 1
-	v := make([]int32, len(n.vec))
-	copy(v, n.vec)
-	return fabric.Payload{Vec: v, Body: &noticeBody{records: recs}}, size, work
+	v := n.sentVec()
+	return fabric.Payload{Vec: v, Body: n.newNotices(recs)}, size, work
 }
 
 // AbsorbArrival buffers one arrival at the manager. The records are merged
@@ -887,8 +925,8 @@ func (h *barrierHooks) MakeArrival(b core.BarrierID) (fabric.Payload, int, sim.T
 func (h *barrierHooks) AbsorbArrival(b core.BarrierID, from int, payload fabric.Payload) sim.Time {
 	n := h.node()
 	n.arrivalVecs[from] = payload.Vec
+	body := payload.Body.(*noticeBody)
 	if from != n.P.ID() {
-		body := payload.Body.(*noticeBody)
 		n.arrivalRecs[from] = body.records
 		if body.minVec != nil {
 			if n.arrivalMins == nil {
@@ -899,6 +937,7 @@ func (h *barrierHooks) AbsorbArrival(b core.BarrierID, from int, payload fabric.
 			delete(n.arrivalMins, from)
 		}
 	}
+	body.release()
 	return 0
 }
 
@@ -912,10 +951,12 @@ func (h *barrierHooks) AbsorbArrival(b core.BarrierID, from int, payload fabric.
 func (h *barrierHooks) MergeSubtreeArrival(b core.BarrierID, own fabric.Payload) (fabric.Payload, int, sim.Time) {
 	n := h.node()
 	maxVec := own.Vec // MakeArrival already returns a private copy
-	minVec := make([]int32, len(maxVec))
+	minVec := n.hist.vecs.carve(len(maxVec))
 	copy(minVec, maxVec)
 	// Own records alias the log; the union must not append in place.
-	records := append([]*interval(nil), own.Body.(*noticeBody).records...)
+	ownBody := own.Body.(*noticeBody)
+	records := append([]*interval(nil), ownBody.records...)
+	ownBody.release()
 	for from := 0; from < n.Base.NProcs; from++ {
 		recs, ok := n.arrivalRecs[from]
 		if !ok {
@@ -941,7 +982,9 @@ func (h *barrierHooks) MergeSubtreeArrival(b core.BarrierID, own fabric.Payload)
 	for _, r := range records {
 		size += r.wire
 	}
-	return fabric.Payload{Vec: maxVec, Body: &noticeBody{records: records, minVec: minVec}}, size, 0
+	body := n.newNotices(records)
+	body.minVec = minVec
+	return fabric.Payload{Vec: maxVec, Body: body}, size, 0
 }
 
 // PrepareDepartures runs at the manager once everyone (itself included) has
@@ -977,15 +1020,22 @@ func (h *barrierHooks) MakeDeparture(b core.BarrierID, to int) (fabric.Payload, 
 		av = mv
 	}
 	records, size := n.collectNotices(av)
-	v := make([]int32, len(n.vec))
-	copy(v, n.vec)
-	return fabric.Payload{Vec: v, Body: &noticeBody{records: records}}, size + 4*len(v), 0
+	v := n.sentVec()
+	return fabric.Payload{Vec: v, Body: n.newNotices(records)}, size + 4*len(v), 0
 }
 
 // ApplyDeparture installs the departure's notices at a client.
 func (h *barrierHooks) ApplyDeparture(b core.BarrierID, payload fabric.Payload) sim.Time {
-	n := h.node()
-	return n.absorb(payload.Body.(*noticeBody).records, payload.Vec)
+	return h.node().absorbBody(payload)
+}
+
+// absorbBody absorbs the notices of a lock grant or barrier departure and
+// hands the body back to its sender.
+func (n *Node) absorbBody(payload fabric.Payload) sim.Time {
+	body := payload.Body.(*noticeBody)
+	work := n.absorb(body.records, payload.Vec)
+	body.release()
+	return work
 }
 
 // SetBarrierFanIn arranges barrier episodes as a radix-r arrival/departure

@@ -191,3 +191,42 @@ func TestCollectNoticesHonoursPeerVector(t *testing.T) {
 		}
 	})
 }
+
+// TestCarvedWindowsDoNotAlias grows five pages' writer windows in turn
+// from one small chunk: their first windows sit side by side, and the fourth
+// page's starts a new chunk. A carved slice's capacity is its length, so a
+// page's second window must move it out rather than overwrite its
+// neighbour's first: after every insert, each page holds exactly the windows
+// inserted into it, sorted by processor, with the values written through the
+// returned pointers.
+func TestCarvedWindowsDoNotAlias(t *testing.T) {
+	room := chunk[writerWindow]{size: 3}
+	var pages [5]pageMeta
+	var want [len(pages)]map[int32]int32
+	for k := range want {
+		want[k] = map[int32]int32{}
+	}
+	// Each page's writers arrive out of order, so inserts land in the middle.
+	for i, q := range []int32{7, 3, 11, 1, 9, 5} {
+		for k := range pages {
+			proc := q + int32(k)
+			w := pages[k].window(proc, &room)
+			w.noticed = proc*10 + int32(k)
+			want[k][proc] = w.noticed
+			for j := range pages {
+				ws := pages[j].writers
+				if len(ws) != len(want[j]) {
+					t.Fatalf("insert %d into page %d: page %d holds %d windows, want %d", i, k, j, len(ws), len(want[j]))
+				}
+				for x, got := range ws {
+					if x > 0 && ws[x-1].proc >= got.proc {
+						t.Fatalf("insert %d into page %d: page %d's windows are not sorted: %v", i, k, j, ws)
+					}
+					if n, ok := want[j][got.proc]; !ok || got.noticed != n {
+						t.Fatalf("insert %d into page %d: page %d holds window %+v, want noticed %d (present %v)", i, k, j, got, n, ok)
+					}
+				}
+			}
+		}
+	}
+}

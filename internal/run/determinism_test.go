@@ -25,7 +25,7 @@ func TestDeterministicStats(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := run.Run(a, impl, 4, fabric.DefaultCostModel())
+				res, err := run.RunWith(a, impl, 4, fabric.DefaultCostModel(), run.Options{Timeout: apps.TestHorizon})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -157,7 +157,7 @@ func TestStreamingProfileMatchesBuffered(t *testing.T) {
 				t.Run(v.Name+"/"+app+"/"+impl.String(), func(t *testing.T) {
 					t.Parallel()
 					row := harness.RunCell(harness.Config{
-						Scale: apps.Bench, NProcs: np, Cost: v.Cost, Machine: v.Machine, Trace: true,
+						Scale: apps.Bench, NProcs: np, Cost: v.Cost, Machine: v.Machine, Trace: true, Timeout: apps.BenchHorizon,
 					}, app, impl)
 					if row.Err != nil {
 						t.Fatal(row.Err)
@@ -167,7 +167,7 @@ func TestStreamingProfileMatchesBuffered(t *testing.T) {
 						t.Fatal(err)
 					}
 					tr := trace.New(np)
-					res, err := run.RunWith(a, impl, np, v.Cost, run.Options{Machine: v.Machine, Trace: tr})
+					res, err := run.RunWith(a, impl, np, v.Cost, run.Options{Machine: v.Machine, Trace: tr, Timeout: apps.BenchHorizon})
 					if err != nil {
 						t.Fatal(err)
 					}

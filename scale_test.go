@@ -336,11 +336,13 @@ func TestLargeScaleMemoryBudget(t *testing.T) {
 	}
 }
 
-// cellTimeout arms the virtual-time watchdog of every cell the root tests
-// run (run.Options.Timeout, harness.Config.Timeout). It lies far past any
-// test cell's simulated time, so it decides nothing on working code, but a
-// protocol bug that stops a cell from finishing fails the test with a
-// sim.Stalled naming the blocked processes instead of hanging it.
+// cellTimeout arms the virtual-time watchdog (run.Options.Timeout,
+// harness.Config.Timeout) of every cell the root tests run outside
+// TestCellsMatchGolden, whose grid has the tighter apps.TestHorizon. It
+// covers the large-scale rows and lies far past any of these cells'
+// simulated times, so it decides nothing on working code, but a protocol
+// bug that stops a cell from finishing fails the test with a sim.Stalled
+// naming the blocked processes instead of hanging it.
 const cellTimeout = 3600 * sim.Second
 
 // mustRun runs name at test scale under the watchdog and fails the test on

@@ -10,6 +10,7 @@ import (
 	"ecvslrc/internal/mem"
 	"ecvslrc/internal/run"
 	"ecvslrc/internal/sim"
+	"ecvslrc/internal/sweep"
 	"ecvslrc/internal/wcollect"
 	"ecvslrc/internal/wtrap"
 )
@@ -134,11 +135,12 @@ func BenchmarkInstrumentationOptimization(b *testing.B) {
 	}
 }
 
-// BenchmarkHarnessTable3 exercises the full harness path end to end.
+// BenchmarkHarnessTable3 exercises the full Table 3 path end to end: one
+// sweep of the cells through the harness, then the renderer.
 func BenchmarkHarnessTable3(b *testing.B) {
 	cfg := harness.Config{Scale: apps.Test, NProcs: 4, Cost: fabric.DefaultCostModel(), Timeout: cellTimeout}
 	for i := 0; i < b.N; i++ {
-		if _, err := harness.Table3(cfg, []string{"IS"}); err != nil {
+		if _, err := sweep.Report(cfg, []string{"IS"}, sweep.Table3); err != nil {
 			b.Fatal(err)
 		}
 	}

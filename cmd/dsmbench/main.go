@@ -10,6 +10,9 @@
 //	dsmbench -all -scale bench -preset rdma_100g
 //	dsmbench -micro -cpuprofile cpu.pprof
 //
+// The requested blocks print in that order, separated by blank lines, and
+// render from one sweep of the cells they need: each cell runs once.
+//
 // -preset regenerates the tables under a different cost spec; the default
 // "paper" keeps the output byte-identical to the calibrated platform. That
 // flag, -scale, -procs, -apps, -parallel and the pprof pair are the shared
@@ -24,8 +27,7 @@ import (
 	"os"
 
 	"ecvslrc/internal/cmdline"
-	"ecvslrc/internal/core"
-	"ecvslrc/internal/harness"
+	"ecvslrc/internal/sweep"
 )
 
 func main() {
@@ -48,66 +50,32 @@ func cli(args []string, stdout, stderr io.Writer) int {
 	if code, done := c.Parse(args); done {
 		return code
 	}
-	cfg, names := c.Config, c.Apps
-	return c.Run(func() int {
-		if *all {
-			// The complete report (Tables 2-5, counters, micro) comes from one
-			// harness entry point so the byte-identity regression test pins
-			// exactly what this command prints.
-			out, err := harness.BenchReport(cfg, names)
-			if err != nil {
-				return c.Fail(err)
-			}
-			fmt.Fprint(stdout, out)
-			return 0
-		}
-		did := false
-		if *table == 2 {
-			did = true
-			fmt.Fprint(stdout, harness.Table2(cfg))
-			fmt.Fprintln(stdout)
-		}
-		var t3 []harness.Table3Result
-		if *table == 3 || *counters {
-			did = true
-			var err error
-			if t3, err = harness.Table3(cfg, names); err != nil {
-				return c.Fail(err)
-			}
-			if *table == 3 {
-				fmt.Fprint(stdout, harness.FormatTable3(t3))
-				fmt.Fprintln(stdout)
-			}
-		}
-		if *table == 4 || *table == 5 {
-			did = true
-			model := core.EC
-			if *table == 5 {
-				model = core.LRC
-			}
-			rows, err := harness.TableModel(cfg, model, names)
-			if err != nil {
-				return c.Fail(err)
-			}
-			fmt.Fprint(stdout, harness.FormatTableModel(model, rows, names))
-			fmt.Fprintln(stdout)
+	blocks := sweep.AllBlocks()
+	if !*all {
+		blocks = nil
+		tables := map[int]sweep.Block{2: sweep.Table2, 3: sweep.Table3, 4: sweep.Table4, 5: sweep.Table5}
+		if b, ok := tables[*table]; ok {
+			blocks = append(blocks, b)
 		}
 		if *counters {
-			fmt.Fprint(stdout, harness.FormatCounters(t3))
-			fmt.Fprintln(stdout)
+			blocks = append(blocks, sweep.Counters)
 		}
 		if *micro {
-			did = true
-			rows, err := harness.Micro(cfg)
-			if err != nil {
-				return c.Fail(err)
-			}
-			fmt.Fprint(stdout, harness.FormatMicro(rows))
+			blocks = append(blocks, sweep.Micro)
 		}
-		if !did {
+		if len(blocks) == 0 {
 			c.FS.Usage()
 			return 2
 		}
+	}
+	return c.Run(func() int {
+		// Every block renders from one sweep of the cells the blocks need, so
+		// -all is exactly what the byte-identity regression test pins.
+		out, err := sweep.Report(c.Config, c.Apps, blocks...)
+		if err != nil {
+			return c.Fail(err)
+		}
+		fmt.Fprint(stdout, out)
 		return 0
 	})
 }

@@ -19,7 +19,7 @@ func TestCLIExitCodes(t *testing.T) {
 		{"help exits zero", []string{"-h"}, 0, "Usage of dsmbench"},
 		{"unknown flag", []string{"-nonsense"}, 2, ""},
 		{"bad scale", []string{"-all", "-scale", "huge"}, 2, `unknown scale "huge"`},
-		{"unknown app", []string{"-all", "-apps", "NoSuch"}, 2, `unknown app "NoSuch"`},
+		{"unknown app", []string{"-all", "-apps", "NoSuch"}, 2, `unknown application "NoSuch"`},
 		{"empty apps list", []string{"-all", "-apps", " , "}, 2, "lists no applications"},
 		{"bad preset", []string{"-all", "-preset", "quantum"}, 2, "unknown cost preset"},
 		{"bad preset knob", []string{"-all", "-preset", "paper+net=x0"}, 2, "positive xK factor"},
@@ -63,5 +63,34 @@ func TestCLIProfiles(t *testing.T) {
 		if st.Size() == 0 {
 			t.Errorf("%s is empty", p)
 		}
+	}
+}
+
+// TestBlocksAreTheAllReport checks every single-block invocation against
+// -all: each of -table 2..5, -counters and -micro prints exactly its block,
+// and the six blocks joined by blank lines are the -all output.
+func TestBlocksAreTheAllReport(t *testing.T) {
+	run := func(args ...string) string {
+		t.Helper()
+		var stdout, stderr strings.Builder
+		args = append(args, "-scale", "test", "-procs", "4", "-apps", "SOR,IS")
+		if code := cli(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit %d: %s", args, code, stderr.String())
+		}
+		return stdout.String()
+	}
+	all := run("-all")
+	var blocks []string
+	for _, args := range [][]string{
+		{"-table", "2"}, {"-table", "3"}, {"-table", "4"}, {"-table", "5"}, {"-counters"}, {"-micro"},
+	} {
+		out := run(args...)
+		if !strings.HasSuffix(out, "\n") || strings.Contains(out, "\n\n") {
+			t.Errorf("%v: not one block:\n%s", args, out)
+		}
+		blocks = append(blocks, out)
+	}
+	if got := strings.Join(blocks, "\n"); got != all {
+		t.Errorf("the single blocks joined:\n%s\ndiffer from -all:\n%s", got, all)
 	}
 }

@@ -19,7 +19,7 @@ func TestCLIExitCodes(t *testing.T) {
 		{"unknown flag", []string{"-nonsense"}, 2, ""},
 		{"bad scale", []string{"-scale", "huge"}, 2, `unknown scale "huge"`},
 		{"bad procs", []string{"-procs", "eight"}, 2, `bad -procs entry "eight"`},
-		{"unknown app", []string{"-apps", "NoSuch"}, 2, `unknown app "NoSuch"`},
+		{"unknown app", []string{"-apps", "NoSuch"}, 2, `unknown application "NoSuch"`},
 		{"bad impl", []string{"-impls", "EC-magic"}, 2, `unknown implementation "EC-magic"`},
 		{"bad variant axis", []string{"-variants", "warp=x9"}, 2,
 			`invalid variant spec: unknown axis "warp"`},

@@ -30,6 +30,8 @@ func TestInvalidCellsRejected(t *testing.T) {
 		{"Table45 lower-case model", func() error { _, err := Table45("ec", Test, 4, "SOR"); return err }, `unknown model "ec" (valid: EC, LRC)`},
 		{"Run unknown app", func() error { _, err := Run("nope", "EC-diff", 4, Test); return err }, `unknown application "nope" (valid: SOR, SOR+, QS, Water, Barnes-Hut, IS, 3D-FFT, micro-migratory,`},
 		{"Table3 unknown app", func() error { _, err := Table3(Test, 4, "nope"); return err }, `unknown application "nope" (valid: `},
+		{"Sweep 0 procs", func() error { _, err := Sweep("", Test, 0, "SOR"); return err }, "nprocs 0 outside 1..32767"},
+		{"Sweep bad scale", func() error { _, err := Sweep("", Scale(42), 4, "SOR"); return err }, "unknown scale 42 (valid: test, bench, paper, large)"},
 		{"Trace 256 procs", func() error { _, err := Trace("SOR", "LRC-diff", 256, Test); return err }, "traced runs support 1..255 processors, got 256"},
 	}
 	for _, c := range cases {

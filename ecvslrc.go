@@ -170,38 +170,22 @@ func RunSeq(app string, scale Scale) (sim.Time, error) {
 }
 
 // Table3 regenerates the paper's headline table (best EC vs best LRC per
-// application) as formatted text.
+// application; the whole suite when no application is named) as formatted
+// text.
 func Table3(scale Scale, nprocs int, appNames ...string) (string, error) {
-	rows, err := harness.Table3(cellConfig(scale, nprocs, fabric.DefaultCostModel(), false), suite(appNames))
-	if err != nil {
-		return "", err
-	}
-	return harness.FormatTable3(rows), nil
+	return sweep.Report(cellConfig(scale, nprocs, fabric.DefaultCostModel(), false), appNames, sweep.Table3)
 }
 
 // Table45 regenerates Table 4 (model "EC") or Table 5 (model "LRC").
 func Table45(model string, scale Scale, nprocs int, appNames ...string) (string, error) {
-	var m core.Model
+	var table sweep.Block
 	switch model {
 	case "EC":
-		m = core.EC
+		table = sweep.Table4
 	case "LRC":
-		m = core.LRC
+		table = sweep.Table5
 	default:
 		return "", fmt.Errorf("ecvslrc: %w: unknown model %q (valid: EC, LRC)", harness.ErrConfig, model)
 	}
-	appNames = suite(appNames)
-	rows, err := harness.TableModel(cellConfig(scale, nprocs, fabric.DefaultCostModel(), false), m, appNames)
-	if err != nil {
-		return "", err
-	}
-	return harness.FormatTableModel(m, rows, appNames), nil
-}
-
-// suite defaults an empty application list to the whole suite.
-func suite(appNames []string) []string {
-	if len(appNames) == 0 {
-		return apps.Names()
-	}
-	return appNames
+	return sweep.Report(cellConfig(scale, nprocs, fabric.DefaultCostModel(), false), appNames, table)
 }

@@ -27,7 +27,6 @@ import (
 	"math"
 	"os"
 	"runtime"
-	"slices"
 	"strings"
 
 	"ecvslrc/internal/apps"
@@ -206,8 +205,8 @@ func (c *Cmd) resolve() (err error) {
 		c.Apps = apps.Names()
 	default:
 		for _, n := range SplitList(*c.apps) {
-			if !slices.Contains(apps.Names(), n) {
-				return fmt.Errorf("unknown app %q (known: %s)", n, strings.Join(apps.Names(), ", "))
+			if err := apps.Check(n); err != nil {
+				return err
 			}
 			c.Apps = append(c.Apps, n)
 		}

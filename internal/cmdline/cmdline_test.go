@@ -40,7 +40,7 @@ func TestBadSharedFlagValues(t *testing.T) {
 	}{
 		{"unknown scale", false, []string{"-scale", "huge"}, `unknown scale "huge" (valid: test, bench, paper, large)`},
 		{"unknown impl", false, []string{"-impl", "EC-magic"}, `unknown implementation "EC-magic" (valid: EC-ci, EC-time, EC-diff, LRC-ci, LRC-time, LRC-diff)`},
-		{"unknown app in -apps", false, []string{"-apps", "SOR,NoSuch"}, `unknown app "NoSuch" (known: SOR, SOR+, QS, Water, Barnes-Hut, IS, 3D-FFT)`},
+		{"unknown app in -apps", false, []string{"-apps", "SOR,NoSuch"}, `unknown application "NoSuch" (valid: SOR, SOR+, QS, Water, Barnes-Hut, IS, 3D-FFT, micro-migratory, micro-producer-consumer, micro-false-sharing, micro-prefetch, micro-rebinding)`},
 		{"empty -apps", false, []string{"-apps", ", ,"}, "-apps lists no applications"},
 		{"unknown preset", false, []string{"-preset", "quantum"}, `unknown cost preset "quantum" (valid: paper, net-x2`},
 		{"unknown knob", false, []string{"-preset", "paper+warp=x2"}, `unknown knob "warp" (knobs: net=xK, cpu=xK, detect=hw, diff=free)`},
@@ -96,6 +96,10 @@ func TestResolvedValues(t *testing.T) {
 	}
 	if cfg.Cost == (harness.Config{}).Cost {
 		t.Error("-preset did not resolve a cost model")
+	}
+	// -apps takes every name a cell does (apps.Check), the factor kernels too.
+	if c, code, stderr := parse(false, "-apps", "micro-migratory,IS"); code != 0 || strings.Join(c.Apps, ",") != "micro-migratory,IS" {
+		t.Errorf("-apps with a factor kernel: exit %d, apps %v: %s", code, c.Apps, stderr)
 	}
 	if _, code, stderr := parse(false, "-timeout", "9.2e9", "-procs", "32767"); code != 0 {
 		t.Errorf("the largest -timeout and -procs exit %d: %s", code, stderr)

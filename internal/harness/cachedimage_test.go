@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"reflect"
 	"testing"
 
 	"ecvslrc/internal/apps"
@@ -42,37 +41,6 @@ func TestCachedImageSkipsInit(t *testing.T) {
 			if _, err := run.RunWith(initPanics{a}, impl, 4, fabric.DefaultCostModel(), opts); err != nil {
 				t.Errorf("%s/%v: %v", name, impl, err)
 			}
-		}
-	}
-}
-
-// TestForkedCellsParallelMatchSerial: every node maps the cached image of
-// its (app, scale) copy-on-write, so parallel cells fork one
-// template at once — the first fork writes its memory file — and write
-// their private pages side by side. The race detector does not see mapped
-// memory, so the check is by results: two workers must give every cell's
-// record exactly as one worker does.
-func TestForkedCellsParallelMatchSerial(t *testing.T) {
-	rows := func(parallel int) map[string][]Row {
-		out := map[string][]Row{}
-		for _, m := range []core.Model{core.EC, core.LRC} {
-			cfg := Config{Scale: apps.Test, NProcs: 16, Cost: fabric.DefaultCostModel(), Parallel: parallel}
-			got, err := TableModel(cfg, m, []string{"SOR"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[m.String()] = got["SOR"]
-		}
-		return out
-	}
-	// Two workers first, so the first fork of the template is contended.
-	parallel, serial := rows(2), rows(1)
-	for m, want := range serial {
-		if len(want) == 0 {
-			t.Fatalf("%s: no cells", m)
-		}
-		if !reflect.DeepEqual(parallel[m], want) {
-			t.Errorf("%s: 2-worker cells differ from 1-worker cells:\n%+v\nvs\n%+v", m, parallel[m], want)
 		}
 	}
 }

@@ -1,8 +1,9 @@
-// Package harness regenerates the paper's evaluation artifacts: Table 2
-// (application parameters), Table 3 (best EC vs best LRC), Tables 4 and 5
-// (write trapping x write collection within each model), the in-text
-// message/data counters of Section 7.2, and the Section 7.1 factor
-// microbenchmarks.
+// Package harness describes and runs one cell of the evaluation matrix — one
+// application under one implementation on one machine — and its sequential
+// reference: every front end gets a cell's options, cached initial image and
+// statistics here. It also holds the bounded worker pool the sweep engine
+// (internal/sweep, which runs every grid and renders the paper's tables) runs
+// its cells on.
 package harness
 
 import (
@@ -29,9 +30,9 @@ import (
 // Config describes the cells of one experiment — everything about a cell but
 // its application and implementation: problem scale, processor count, cost
 // model, machine shape, watchdog and the host-side attachments. Every front
-// end (the table entry points, the sweep engine, the CLIs through
-// internal/cmdline, the root API) describes its cells with one, and Options
-// resolves it into the run.Options of a cell.
+// end (the sweep engine, the CLIs through internal/cmdline, the root API)
+// describes its cells with one, and Options resolves it into the run.Options
+// of a cell.
 type Config struct {
 	Scale  apps.Scale
 	NProcs int
@@ -40,10 +41,11 @@ type Config struct {
 	// topology, barrier fan-in, notice GC (see run.Machine for each). Options
 	// applies the scale-dependent defaults.
 	run.Machine
-	// Parallel bounds how many table cells run concurrently. Each cell is an
-	// isolated sim.Simulator, so cells are embarrassingly parallel; results
-	// are always assembled in table order, making the output independent of
-	// the worker count. <= 0 means GOMAXPROCS.
+	// Parallel bounds how many cells of a grid built from this configuration
+	// (sweep.Report) run concurrently. Each cell is an isolated
+	// sim.Simulator, so cells are embarrassingly parallel; results are always
+	// assembled in grid order, making the output independent of the worker
+	// count. <= 0 means GOMAXPROCS.
 	Parallel int
 	// Trace attaches a fresh profiling tracer to every cell
 	// (trace.NewProfiling): the virtual-time profile is built while the cell
@@ -51,9 +53,8 @@ type Config struct {
 	// Tracing is observation-only — the tables are byte-identical with it on,
 	// and the cell schedules exactly as untraced (run-ahead included).
 	// RunCell hands the cell's tracer back on Row.Trace for
-	// trace.BuildProfile (the sweep engine's stall breakdown); the table
-	// entry points discard it. Reports that need the history go through
-	// RunTraced instead.
+	// trace.BuildProfile (the sweep engine's stall breakdown). Reports that
+	// need the history go through RunTraced instead.
 	Trace bool
 	// Timeout arms the virtual-time watchdog of every cell
 	// (run.Options.Timeout); 0 disables.
@@ -73,9 +74,10 @@ type Config struct {
 var ErrConfig = errors.New("invalid harness config")
 
 // Validate reports whether the configuration can run at all. Errors wrap
-// ErrConfig so callers can classify them with errors.Is. RunCell, RunTraced
-// and the table entry points call it; RunSeq checks the scale only, the
-// sequential reference running on one processor whatever NProcs says.
+// ErrConfig so callers can classify them with errors.Is. RunCell and
+// RunTraced call it, and the sweep engine per variant; RunSeq checks the
+// scale only, the sequential reference running on one processor whatever
+// NProcs says.
 func (cfg Config) Validate() error {
 	if cfg.NProcs < 1 || cfg.NProcs > syncmgr.MaxProcs {
 		return fmt.Errorf("harness: %w: nprocs %d outside 1..%d", ErrConfig, cfg.NProcs, syncmgr.MaxProcs)
@@ -112,11 +114,11 @@ func validScale(s apps.Scale) error {
 // but every index completes before ForEach returns, so callers assemble
 // deterministic output regardless of par; par <= 0 means GOMAXPROCS, the one
 // place the Parallel default of Config and sweep.Grid is resolved. The sweep
-// engine reuses this pool for its grid cells.
+// engine runs its sequential references and grid cells on it.
 //
 // A panic in fn(i) is confined to that index: the worker recovers, records
 // the panic (with its stack) against i, and moves on, so one poisoned cell
-// cannot take down the rest of a table or sweep. The recovered panics are
+// cannot take down the rest of a sweep. The recovered panics are
 // returned joined in index order; nil means every index completed normally.
 func ForEach(par, n int, fn func(int)) error {
 	errs := make([]error, n)
@@ -266,7 +268,7 @@ func Options(cfg Config, app string) (run.Options, error) {
 }
 
 // CellPanic is the structured error a cell reports when its run panics. The
-// panic is confined to the cell — the rest of the table or sweep completes —
+// panic is confined to the cell — the rest of the sweep completes —
 // and the error carries the full cell identity plus the recovered value and
 // stack, so a crashing configuration is diagnosable from the report alone.
 type CellPanic struct {
@@ -386,7 +388,7 @@ func RunSeq(cfg Config, app string) (t sim.Time, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			cs.End(perf.OutcomePanic)
-			panic(v) // ForEach's per-index recovery attributes it
+			panic(v) // the worker pool's per-index recovery attributes it
 		}
 		cs.End(outcomeOf(err))
 	}()
@@ -402,278 +404,4 @@ func RunSeq(cfg Config, app string) (t sim.Time, err error) {
 		return 0, err
 	}
 	return run.RunSeqWith(a, opts)
-}
-
-// Table2 renders the application-parameter table for the configured scale.
-func Table2(cfg Config) string {
-	params := map[apps.Scale]map[string]string{
-		apps.Paper: {
-			"SOR":        "1000x1000 floats, 50 iterations",
-			"SOR+":       "1000x1000 floats (boundary rows shared), 50 iterations",
-			"QS":         "262,144 integers, cutoff 1024",
-			"Water":      "343 molecules, 5 iterations",
-			"Barnes-Hut": "8,192 bodies, 5 iterations",
-			"IS":         "N = 2^20, Bmax = 2^9, 10 rankings",
-			"3D-FFT":     "64x64x32",
-		},
-		apps.Bench: {
-			"SOR":        "256x256 floats, 8 iterations",
-			"SOR+":       "256x256 floats (boundary rows shared), 8 iterations",
-			"QS":         "32,768 integers, cutoff 1024",
-			"Water":      "125 molecules, 3 iterations",
-			"Barnes-Hut": "512 bodies, 2 iterations",
-			"IS":         "N = 2^16, Bmax = 2^9, 5 rankings",
-			"3D-FFT":     "32x32x32",
-		},
-		apps.Test: {
-			"SOR":        "48x64 floats, 4 iterations",
-			"SOR+":       "48x64 floats (boundary rows shared), 4 iterations",
-			"QS":         "4,096 integers, cutoff 256",
-			"Water":      "37 molecules, 2 iterations",
-			"Barnes-Hut": "64 bodies, 2 iterations",
-			"IS":         "N = 4096, Bmax = 128, 3 rankings",
-			"3D-FFT":     "16x16x32",
-		},
-		apps.Large: {
-			"SOR":        "1026x64 floats, 4 iterations",
-			"SOR+":       "1026x64 floats (boundary rows shared), 4 iterations",
-			"QS":         "131,072 integers, cutoff 512",
-			"Water":      "1,024 molecules, 2 iterations",
-			"Barnes-Hut": "2,048 bodies, 2 iterations",
-			"IS":         "N = 2^18, Bmax = 2^10, 3 rankings",
-			"3D-FFT":     "64x64x8",
-		},
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table 2: Application Parameters (%s scale)\n", cfg.Scale)
-	fmt.Fprintf(&b, "%-12s %s\n", "Application", "Data Set Size")
-	for _, name := range apps.Names() {
-		fmt.Fprintf(&b, "%-12s %s\n", name, params[cfg.Scale][name])
-	}
-	return b.String()
-}
-
-// Table3Result holds one application row of Table 3.
-type Table3Result struct {
-	App      string
-	SeqTime  sim.Time
-	BestEC   Row
-	BestLRC  Row
-	ECImpls  []Row
-	LRCImpls []Row
-}
-
-// runGrid runs every (application, implementation) cell — and, with seq, each
-// application's sequential reference — concurrently up to cfg.Parallel, and
-// returns each application's rows in implementation order under its name,
-// plus the sequential times in appNames order; the result is identical for
-// any worker count. It collects every failed cell before giving up, so one
-// bad configuration reports the whole damage, not just its first victim. An
-// invalid cfg or an unknown application fails once, before any cell runs.
-func runGrid(cfg Config, appNames []string, impls []core.Impl, seq bool) (map[string][]Row, []sim.Time, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
-	}
-	for _, name := range appNames {
-		if err := validApp(name); err != nil {
-			return nil, nil, err
-		}
-	}
-	stride := len(impls)
-	if seq {
-		stride++
-	}
-	rows := make([]Row, len(appNames)*len(impls))
-	seqTimes := make([]sim.Time, len(appNames))
-	seqErrs := make([]error, len(appNames))
-	errs := []error{ForEach(cfg.Parallel, len(appNames)*stride, func(k int) {
-		i, j := k/stride, k%stride
-		if seq {
-			j-- // slot 0 of each application is its sequential reference
-		}
-		if j < 0 {
-			seqTimes[i], seqErrs[i] = RunSeq(cfg, appNames[i])
-			return
-		}
-		rows[i*len(impls)+j] = RunCell(cfg, appNames[i], impls[j])
-	})}
-	out := make(map[string][]Row, len(appNames))
-	for i, name := range appNames {
-		if seqErrs[i] != nil {
-			errs = append(errs, fmt.Errorf("harness: %s sequential: %w", name, seqErrs[i]))
-		}
-		out[name] = rows[i*len(impls) : (i+1)*len(impls)]
-		for _, row := range out[name] {
-			if row.Err != nil {
-				errs = append(errs, fmt.Errorf("harness: %s/%v: %w", row.App, row.Impl, row.Err))
-			}
-		}
-	}
-	return out, seqTimes, errors.Join(errs...)
-}
-
-// Table3 runs every implementation of every application and reports the
-// best EC against the best LRC, the paper's headline comparison.
-func Table3(cfg Config, appNames []string) ([]Table3Result, error) {
-	rows, seqTimes, err := runGrid(cfg, appNames, core.Implementations(), true)
-	if err != nil {
-		return nil, err
-	}
-	var out []Table3Result
-	for i, name := range appNames {
-		r := Table3Result{App: name, SeqTime: seqTimes[i]}
-		for _, row := range rows[name] {
-			if row.Impl.Model == core.EC {
-				r.ECImpls = append(r.ECImpls, row)
-			} else {
-				r.LRCImpls = append(r.LRCImpls, row)
-			}
-		}
-		r.BestEC = best(r.ECImpls)
-		r.BestLRC = best(r.LRCImpls)
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// modelRows regroups Table 3's rows as the trapping x collection matrix of
-// one model — what TableModel would simulate again, the simulator being
-// deterministic.
-func modelRows(t3 []Table3Result, model core.Model) map[string][]Row {
-	out := make(map[string][]Row, len(t3))
-	for _, r := range t3 {
-		out[r.App] = r.ECImpls
-		if model == core.LRC {
-			out[r.App] = r.LRCImpls
-		}
-	}
-	return out
-}
-
-func best(rows []Row) Row {
-	b := rows[0]
-	for _, r := range rows[1:] {
-		if r.Stats.Time < b.Stats.Time {
-			b = r
-		}
-	}
-	return b
-}
-
-// FormatTable3 renders Table 3 in the paper's layout.
-func FormatTable3(rows []Table3Result) string {
-	var b strings.Builder
-	b.WriteString("Table 3: Execution Times — best EC vs best LRC\n")
-	fmt.Fprintf(&b, "%-12s %9s %9s %9s %10s %10s\n", "App", "1 proc.", "EC", "LRC", "EC Imp.", "LRC Imp.")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-12s %9.2f %9.2f %9.2f %10s %10s\n",
-			r.App, r.SeqTime.Seconds(), r.BestEC.Stats.Time.Seconds(), r.BestLRC.Stats.Time.Seconds(),
-			implSuffix(r.BestEC.Impl), implSuffix(r.BestLRC.Impl))
-	}
-	return b.String()
-}
-
-func implSuffix(i core.Impl) string {
-	s := i.String()
-	return s[strings.Index(s, "-")+1:]
-}
-
-// TableModel runs the trapping x collection matrix for one model (Table 4
-// for EC, Table 5 for LRC), with cells running concurrently up to
-// cfg.Parallel.
-func TableModel(cfg Config, model core.Model, appNames []string) (map[string][]Row, error) {
-	rows, _, err := runGrid(cfg, appNames, core.ModelImpls(model), false)
-	return rows, err
-}
-
-// FormatTableModel renders Table 4 or Table 5.
-func FormatTableModel(model core.Model, rows map[string][]Row, appNames []string) string {
-	var b strings.Builder
-	n := 4
-	if model == core.LRC {
-		n = 5
-	}
-	fmt.Fprintf(&b, "Table %d: Execution Times (seconds) for Write Trapping x Write Collection in %v\n", n, model)
-	impls := core.ModelImpls(model)
-	fmt.Fprintf(&b, "%-12s", "App")
-	for _, i := range impls {
-		fmt.Fprintf(&b, " %10s", i)
-	}
-	b.WriteString("\n")
-	for _, name := range appNames {
-		fmt.Fprintf(&b, "%-12s", name)
-		for _, c := range rows[name] { // in impls order, as TableModel returns them
-			fmt.Fprintf(&b, " %10.2f", c.Stats.Time.Seconds())
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// FormatCounters renders the Section 7.2 in-text counters (messages and MB
-// moved) for the best implementations, the quantities the paper quotes when
-// explaining each application's outcome.
-func FormatCounters(rows []Table3Result) string {
-	var b strings.Builder
-	b.WriteString("Section 7.2 counters: messages and data moved (best impls)\n")
-	fmt.Fprintf(&b, "%-12s %12s %12s %12s %12s\n", "App", "EC msgs", "LRC msgs", "EC MB", "LRC MB")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-12s %12d %12d %12.1f %12.1f\n",
-			r.App, r.BestEC.Stats.Msgs, r.BestLRC.Stats.Msgs,
-			r.BestEC.Stats.MB(), r.BestLRC.Stats.MB())
-	}
-	return b.String()
-}
-
-// Micro runs the Section 7.1 factor kernels for every implementation, with
-// cells running concurrently up to cfg.Parallel.
-func Micro(cfg Config) (map[string][]Row, error) {
-	rows, _, err := runGrid(cfg, apps.MicroNames(), core.Implementations(), false)
-	return rows, err
-}
-
-// FormatMicro renders the factor-kernel comparison.
-func FormatMicro(rows map[string][]Row) string {
-	var b strings.Builder
-	b.WriteString("Section 7.1 factor kernels (time / msgs / KB per implementation)\n")
-	for _, name := range apps.MicroNames() {
-		fmt.Fprintf(&b, "%s:\n", name)
-		for _, r := range rows[name] {
-			fmt.Fprintf(&b, "  %-10s %10v %8d msgs %8.1f KB\n",
-				r.Impl, r.Stats.Time, r.Stats.Msgs, float64(r.Stats.Bytes)/1024)
-		}
-	}
-	return b.String()
-}
-
-// BenchReport renders the complete `dsmbench -all` output — Tables 2-5, the
-// Section 7.2 counters and the Section 7.1 factor kernels — as one string.
-// cmd/dsmbench prints exactly this for -all, and the byte-identity regression
-// test pins it against the seed's golden output with contention off.
-func BenchReport(cfg Config, appNames []string) (string, error) {
-	if len(appNames) == 0 {
-		appNames = apps.Names()
-	}
-	var b strings.Builder
-	b.WriteString(Table2(cfg))
-	b.WriteString("\n")
-	t3, err := Table3(cfg, appNames)
-	if err != nil {
-		return "", err
-	}
-	b.WriteString(FormatTable3(t3))
-	b.WriteString("\n")
-	// Tables 4 and 5 are Table 3's rows regrouped: each suite cell runs once.
-	b.WriteString(FormatTableModel(core.EC, modelRows(t3, core.EC), appNames))
-	b.WriteString("\n")
-	b.WriteString(FormatTableModel(core.LRC, modelRows(t3, core.LRC), appNames))
-	b.WriteString("\n")
-	b.WriteString(FormatCounters(t3))
-	b.WriteString("\n")
-	m, err := Micro(cfg)
-	if err != nil {
-		return "", err
-	}
-	b.WriteString(FormatMicro(m))
-	return b.String(), nil
 }

@@ -1,60 +1,12 @@
 package harness
 
 import (
-	"strings"
 	"testing"
 
 	"ecvslrc/internal/apps"
 	"ecvslrc/internal/core"
 	"ecvslrc/internal/fabric"
 )
-
-func testConfig() Config {
-	return Config{Scale: apps.Test, NProcs: 4, Cost: fabric.DefaultCostModel()}
-}
-
-func TestTable3TestScale(t *testing.T) {
-	rows, err := Table3(testConfig(), []string{"SOR", "IS"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.SeqTime <= 0 || r.BestEC.Stats.Time <= 0 || r.BestLRC.Stats.Time <= 0 {
-			t.Errorf("%s: non-positive times: %+v", r.App, r)
-		}
-		if len(r.ECImpls) != 3 || len(r.LRCImpls) != 3 {
-			t.Errorf("%s: wrong implementation counts", r.App)
-		}
-		// At test scale communication dominates and speedup is not
-		// expected; TestPaperScaleSpeedup checks it at realistic sizes.
-	}
-	out := FormatTable3(rows)
-	if !strings.Contains(out, "SOR") || !strings.Contains(out, "1 proc.") {
-		t.Errorf("format:\n%s", out)
-	}
-}
-
-func TestTableModelFormat(t *testing.T) {
-	rows, err := TableModel(testConfig(), core.EC, []string{"IS"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := FormatTableModel(core.EC, rows, []string{"IS"})
-	if !strings.Contains(out, "Table 4") || !strings.Contains(out, "EC-ci") {
-		t.Errorf("format:\n%s", out)
-	}
-	rows5, err := TableModel(testConfig(), core.LRC, []string{"IS"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out5 := FormatTableModel(core.LRC, rows5, []string{"IS"})
-	if !strings.Contains(out5, "Table 5") || !strings.Contains(out5, "LRC-diff") {
-		t.Errorf("format:\n%s", out5)
-	}
-}
 
 // TestPaperScaleSpeedup checks that at paper-size data sets the parallel
 // runs achieve real speedup over the sequential reference, as Table 3 shows
@@ -78,54 +30,5 @@ func TestPaperScaleSpeedup(t *testing.T) {
 			t.Errorf("%s: speedup %.2f at 8 procs, want >= 2", name, speedup)
 		}
 		t.Logf("%s: seq %v, LRC-diff %v, speedup %.2f", name, seq, row.Stats.Time, speedup)
-	}
-}
-
-func TestTable2AllScales(t *testing.T) {
-	for _, s := range []apps.Scale{apps.Test, apps.Bench, apps.Paper} {
-		out := Table2(Config{Scale: s})
-		for _, name := range apps.Names() {
-			if !strings.Contains(out, name) {
-				t.Errorf("scale %v: missing %s", s, name)
-			}
-		}
-	}
-}
-
-func TestMicroKernels(t *testing.T) {
-	rows, err := Micro(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := FormatMicro(rows)
-	if !strings.Contains(out, "micro-migratory") {
-		t.Errorf("format:\n%s", out)
-	}
-	// Factor checks at kernel scale:
-	byName := func(name string, impl core.Impl) Row {
-		for _, r := range rows[name] {
-			if r.Impl == impl {
-				return r
-			}
-		}
-		t.Fatalf("missing %s %v", name, impl)
-		return Row{}
-	}
-	ecTime := core.Impl{Model: core.EC, Trap: core.Twinning, Collect: core.Timestamps}
-	ecDiff := core.Impl{Model: core.EC, Trap: core.Twinning, Collect: core.Diffs}
-	// Migratory data: timestamps move less data than diffs (Section 5.3).
-	if mt, md := byName("micro-migratory", ecTime), byName("micro-migratory", ecDiff); mt.Stats.Bytes >= md.Stats.Bytes {
-		t.Errorf("migratory: EC-time bytes %d >= EC-diff bytes %d", mt.Stats.Bytes, md.Stats.Bytes)
-	}
-	// Prefetching: LRC needs fewer messages than EC when one consumer reads
-	// many small objects from one page (Section 7.1).
-	lrcDiff := core.Impl{Model: core.LRC, Trap: core.Twinning, Collect: core.Diffs}
-	ecCi := core.Impl{Model: core.EC, Trap: core.CompilerInstr, Collect: core.Timestamps}
-	if lp, ep := byName("micro-prefetch", lrcDiff), byName("micro-prefetch", ecCi); lp.Stats.Msgs >= ep.Stats.Msgs {
-		t.Errorf("prefetch: LRC msgs %d >= EC msgs %d", lp.Stats.Msgs, ep.Stats.Msgs)
-	}
-	// False sharing: EC moves less data than LRC (Section 7.1).
-	if ef, lf := byName("micro-false-sharing", ecDiff), byName("micro-false-sharing", lrcDiff); ef.Stats.Bytes >= lf.Stats.Bytes {
-		t.Errorf("false sharing: EC bytes %d >= LRC bytes %d", ef.Stats.Bytes, lf.Stats.Bytes)
 	}
 }

@@ -11,55 +11,6 @@ import (
 	"ecvslrc/internal/perf"
 )
 
-// TestPerfRegistryParallelDeterminism runs the same table twice on the
-// parallel worker pool, each with a fresh registry, and requires the
-// *identity* content of the registries to match exactly: same cell set, same
-// run counts, same outcomes, same phase-counter keys. Wall times and alloc
-// deltas are host noise and deliberately not compared. Runs under -race in
-// CI (the harness package is in the race job), which exercises the
-// registry's concurrent merge path.
-func TestPerfRegistryParallelDeterminism(t *testing.T) {
-	appNames := []string{"SOR", "IS"}
-	observe := func() ([]perf.Cell, map[string]int64) {
-		reg := perf.New()
-		cfg := Config{Scale: apps.Test, NProcs: 4, Cost: fabric.DefaultCostModel(), Parallel: 8, Perf: reg}
-		if _, err := TableModel(cfg, core.EC, appNames); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Table3(cfg, appNames); err != nil {
-			t.Fatal(err)
-		}
-		return reg.Cells(), reg.Counters()
-	}
-	cellsA, countersA := observe()
-	cellsB, countersB := observe()
-	if len(cellsA) != len(cellsB) {
-		t.Fatalf("cell counts differ: %d vs %d", len(cellsA), len(cellsB))
-	}
-	var runsA, runsB int64
-	for i := range cellsA {
-		ca, cb := cellsA[i], cellsB[i]
-		if ca.Key() != cb.Key() || ca.Runs != cb.Runs || ca.Outcome != cb.Outcome {
-			t.Errorf("cell %d diverged: %+v vs %+v", i, ca.Key(), cb.Key())
-		}
-		runsA += ca.Runs
-		runsB += cb.Runs
-	}
-	if runsA != runsB {
-		t.Errorf("run totals differ: %d vs %d", runsA, runsB)
-	}
-	for name := range countersA {
-		if _, ok := countersB[name]; !ok {
-			t.Errorf("counter %q present in first registry only", name)
-		}
-	}
-	// Table3 (6 impls + seq) and TableModel EC (3 impls, merged into the
-	// same cells) over 2 apps: 12 impl cells + 2 seq cells.
-	if want := 14; len(cellsA) != want {
-		t.Errorf("distinct cells = %d, want %d", len(cellsA), want)
-	}
-}
-
 // TestPanicCellWallAttribution poisons a cell (the PR 6 isolation scenario)
 // and checks the perf record still attributes wall time to the crashed cell:
 // outcome panic, a positive wall measurement, and the elapsed time surfaced

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 )
 
@@ -141,17 +142,7 @@ func WriteMarkdown(w io.Writer, recs []Record) error {
 // paper's Section 8 asks about faster platforms. Cells with no baseline
 // counterpart are skipped.
 func WriteBaselineReport(w io.Writer, recs []Record, baseline string) error {
-	type cellKey struct {
-		app    string
-		impl   string
-		nprocs int
-	}
-	base := make(map[cellKey]Record)
-	for _, r := range recs {
-		if r.Variant == baseline {
-			base[cellKey{r.App, r.Impl, r.NProcs}] = r
-		}
-	}
+	base := cellIndex(recs, baseline)
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# Sensitivity vs `%s`\n", baseline)
 	if len(base) == 0 {
@@ -179,7 +170,7 @@ func WriteBaselineReport(w io.Writer, recs []Record, baseline string) error {
 			r.App, r.Impl, r.NProcs, b.Stats.Time.Seconds(), r.Stats.Time.Seconds(),
 			delta, b.Speedup, r.Speedup)
 	}
-	writeFaultDegradation(bw, recs, baseline)
+	writeFaultDegradation(bw, recs, base, baseline)
 	writeVerdictFlips(bw, recs, baseline)
 	return bw.Flush()
 }
@@ -196,19 +187,8 @@ func faultLabel(r Record) string {
 // writeFaultDegradation renders the lossy-network degradation table: every
 // faulted cell against its baseline counterpart, with the recovery traffic
 // and the virtual time the reliable sublayer spent waiting. Silent when the
-// sweep has no faulted records.
-func writeFaultDegradation(bw *bufio.Writer, recs []Record, baseline string) {
-	type cellKey struct {
-		app    string
-		impl   string
-		nprocs int
-	}
-	base := make(map[cellKey]Record)
-	for _, r := range recs {
-		if r.Variant == baseline {
-			base[cellKey{r.App, r.Impl, r.NProcs}] = r
-		}
-	}
+// sweep has no faulted records. base is the baseline's cells (cellIndex).
+func writeFaultDegradation(bw *bufio.Writer, recs []Record, base map[cellKey]Record, baseline string) {
 	wrote := false
 	for _, r := range recs {
 		if r.Fault == "" {
@@ -234,62 +214,32 @@ func writeFaultDegradation(bw *bufio.Writer, recs []Record, baseline string) {
 // verdict: for each (app, nprocs), the better model (best EC vs best LRC
 // time) under the baseline against the better model under each variant.
 func writeVerdictFlips(bw *bufio.Writer, recs []Record, baseline string) {
-	type vKey struct {
-		variant string
-		app     string
-		nprocs  int
-	}
-	bestEC := make(map[vKey]Record)
-	bestLRC := make(map[vKey]Record)
-	var variantOrder []string
-	seenVariant := make(map[string]bool)
-	type appKey struct {
-		app    string
-		nprocs int
-	}
-	var cellOrder []appKey
-	seenCell := make(map[appKey]bool)
-	for _, r := range recs {
-		if !seenVariant[r.Variant] {
-			seenVariant[r.Variant] = true
-			variantOrder = append(variantOrder, r.Variant)
+	// Variants and (app, nprocs) cells in order of first appearance; a group
+	// appears where its first record does, so either order is the records'.
+	var variants []string
+	var cells []group
+	winners := make(map[group]string)
+	for _, m := range bestPerModel(recs) {
+		if !slices.Contains(variants, m.variant) {
+			variants = append(variants, m.variant)
 		}
-		ck := appKey{r.App, r.NProcs}
-		if !seenCell[ck] {
-			seenCell[ck] = true
-			cellOrder = append(cellOrder, ck)
+		if c := (group{app: m.app, nprocs: m.nprocs}); !slices.Contains(cells, c) {
+			cells = append(cells, c)
 		}
-		k := vKey{r.Variant, r.App, r.NProcs}
-		table := bestLRC
-		if len(r.Impl) >= 2 && r.Impl[:2] == "EC" {
-			table = bestEC
+		if m.ec != nil && m.lrc != nil {
+			winners[m.group] = m.winner()
 		}
-		if cur, ok := table[k]; !ok || r.Stats.Time < cur.Stats.Time {
-			table[k] = r
-		}
-	}
-	winner := func(variant, app string, nprocs int) (string, bool) {
-		k := vKey{variant, app, nprocs}
-		ec, okEC := bestEC[k]
-		lrc, okLRC := bestLRC[k]
-		if !okEC || !okLRC {
-			return "", false
-		}
-		if ec.Stats.Time < lrc.Stats.Time {
-			return "EC", true
-		}
-		return "LRC", true
 	}
 	var flips []string
-	for _, v := range variantOrder {
+	for _, v := range variants {
 		if v == baseline {
 			continue
 		}
-		for _, ck := range cellOrder {
-			b, okB := winner(baseline, ck.app, ck.nprocs)
-			n, okN := winner(v, ck.app, ck.nprocs)
+		for _, c := range cells {
+			b, okB := winners[group{baseline, c.app, c.nprocs}]
+			n, okN := winners[group{v, c.app, c.nprocs}]
 			if okB && okN && b != n {
-				flips = append(flips, fmt.Sprintf("| %s | %s | %d | %s | %s |", v, ck.app, ck.nprocs, b, n))
+				flips = append(flips, fmt.Sprintf("| %s | %s | %d | %s | %s |", v, c.app, c.nprocs, b, n))
 			}
 		}
 	}

@@ -7,6 +7,9 @@
 // re-running the evaluation matrix under named cost-model variants (see
 // fabric's presets and knobs, and ParseVariantSpec for the spec syntax) and
 // comparing every variant against the calibrated paper platform.
+//
+// Run is the one grid runner: the paper's evaluation tables render from its
+// records too (Report, what dsmbench prints).
 package sweep
 
 import (
@@ -114,7 +117,7 @@ func (g Grid) normalized() (Grid, error) {
 		seen[v.Name] = true
 		for _, np := range g.NProcs {
 			if err := g.config(v, np).Validate(); err != nil {
-				return g, fmt.Errorf("sweep: %w: variant %q: %v", ErrGrid, v.Name, err)
+				return g, fmt.Errorf("sweep: %w: variant %q: %w", ErrGrid, v.Name, err)
 			}
 		}
 	}

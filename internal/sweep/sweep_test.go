@@ -28,8 +28,8 @@ func testGrid(parallel int) Grid {
 }
 
 // TestSweepDeterministicUnderParallel runs the same grid serially and on a
-// worker pool and requires bit-identical records, the same guarantee the
-// table harness gives.
+// worker pool and requires bit-identical records: the tables and every
+// sweep report are assembled from them, whatever the worker count.
 func TestSweepDeterministicUnderParallel(t *testing.T) {
 	serial, err := Run(testGrid(1))
 	if err != nil {

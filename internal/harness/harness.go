@@ -271,10 +271,12 @@ func Options(cfg Config, app string) (run.Options, error) {
 // panic is confined to the cell — the rest of the sweep completes —
 // and the error carries the full cell identity plus the recovered value and
 // stack, so a crashing configuration is diagnosable from the report alone.
+// RunSeq reports a panicking sequential reference the same way, with Seq set.
 type CellPanic struct {
 	App    string
-	Impl   core.Impl
+	Impl   core.Impl // unset when Seq
 	NProcs int
+	Seq    bool   // the application's sequential reference (RunSeq), not a cell
 	Value  any    // the recovered panic value
 	Stack  []byte // stack captured at recovery
 	// Elapsed is the cell's host wall time up to the panic, measured when a
@@ -288,8 +290,12 @@ func (cp *CellPanic) Error() string {
 	if cp.Elapsed > 0 {
 		after = fmt.Sprintf(" after %v", cp.Elapsed.Round(time.Microsecond))
 	}
-	return fmt.Sprintf("harness: cell %s/%v (%d procs) panicked%s: %v\n%s",
-		cp.App, cp.Impl, cp.NProcs, after, cp.Value, cp.Stack)
+	impl := cp.Impl.String()
+	if cp.Seq {
+		impl = "seq"
+	}
+	return fmt.Sprintf("harness: cell %s/%s (%d procs) panicked%s: %v\n%s",
+		cp.App, impl, cp.NProcs, after, cp.Value, cp.Stack)
 }
 
 // outcomeOf classifies a cell error for the perf record.
@@ -382,13 +388,16 @@ func runCell(cfg Config, app string, impl core.Impl, tr *trace.Tracer) (row Row)
 }
 
 // RunSeq executes the sequential reference of one application. With
-// Config.Perf attached it is attributed like a cell, under impl "seq".
+// Config.Perf attached it is attributed like a cell, under impl "seq". A
+// panic comes back as a *CellPanic with Seq set, like a cell's.
 func RunSeq(cfg Config, app string) (t sim.Time, err error) {
 	cs := cfg.Perf.StartCell(cfg.Variant, app, "seq", 1)
 	defer func() {
 		if v := recover(); v != nil {
-			cs.End(perf.OutcomePanic)
-			panic(v) // the worker pool's per-index recovery attributes it
+			err = &CellPanic{
+				App: app, NProcs: 1, Seq: true, Value: v,
+				Stack: debug.Stack(), Elapsed: cs.Elapsed(),
+			}
 		}
 		cs.End(outcomeOf(err))
 	}()

@@ -10,7 +10,6 @@ import (
 	"ecvslrc/internal/apps"
 	"ecvslrc/internal/core"
 	"ecvslrc/internal/fabric"
-	"ecvslrc/internal/mem"
 )
 
 // TestForEachPanicIsolation pins the worker-pool contract: a panicking index
@@ -51,21 +50,11 @@ func TestForEachPanicIsolation(t *testing.T) {
 // *CellPanic carrying the full cell identity instead of panicking the
 // caller.
 func TestRunCellPanicIsolation(t *testing.T) {
-	key := imageKey{"SOR", apps.Test}
-	poison := &imageEntry{}
-	poison.once.Do(func() {
-		other, err := apps.New("QS", apps.Test)
-		if err != nil {
-			t.Fatal(err)
-		}
-		al := mem.NewAllocator()
-		other.Layout(al)
-		im := mem.NewImage(al.Size())
-		other.Init(im)
-		poison.al, poison.im = al, im
-	})
-	imageCache.Store(key, poison)
-	defer imageCache.Delete(key)
+	restore, err := PoisonImage("SOR", "QS", apps.Test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restore()
 
 	impl := core.Implementations()[0]
 	cfg := Config{Scale: apps.Test, NProcs: 2, Cost: fabric.DefaultCostModel()}

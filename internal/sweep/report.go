@@ -28,50 +28,68 @@ const (
 // AllBlocks is the complete report, `dsmbench -all`.
 func AllBlocks() []Block { return []Block{Table2, Table3, Table4, Table5, Counters, Micro} }
 
+// view is what a block renders from: the records of one Report's grid.
+type view struct {
+	scale  apps.Scale
+	nprocs int
+	suite  []string // the applications Tables 3-5 and the counters show
+	cells  map[cellKey]Record
+	best   []modelBest // every group of the grid, suite and kernels alike
+}
+
+// blockSpec describes a block once: the cells it shows — its models'
+// implementations of the suite, or of the factor kernels — and how it
+// renders them. Table 2 shows no cell.
+type blockSpec struct {
+	kernels bool
+	models  []core.Model
+	render  func(*strings.Builder, *view)
+}
+
+var bothModels = []core.Model{core.EC, core.LRC}
+
+var blockSpecs = [...]blockSpec{
+	Table2: {render: func(b *strings.Builder, v *view) { writeTable2(b, v.scale) }},
+	Table3: {models: bothModels, render: func(b *strings.Builder, v *view) { writeTable3(b, v.best, v.suite) }},
+	Table4: {models: []core.Model{core.EC}, render: func(b *strings.Builder, v *view) {
+		writeTableModel(b, core.EC, v.cells, v.suite, v.nprocs)
+	}},
+	Table5: {models: []core.Model{core.LRC}, render: func(b *strings.Builder, v *view) {
+		writeTableModel(b, core.LRC, v.cells, v.suite, v.nprocs)
+	}},
+	Counters: {models: bothModels, render: func(b *strings.Builder, v *view) { writeCounters(b, v.best, v.suite) }},
+	Micro:    {kernels: true, models: bothModels, render: func(b *strings.Builder, v *view) { writeMicro(b, v.cells, v.nprocs) }},
+}
+
 // Report renders blocks, in the order given and separated by blank lines,
 // from the records of one Run of cfg's cells. Tables 3-5 and the counters
 // show appNames (the paper's suite when empty) and Micro the factor
 // kernels; the grid holds every application and implementation some block
-// shows, so each cell runs once whatever blocks share it. Table 2 needs no
-// cell. The grid is one variant (cfg's cost and machine) on cfg.NProcs, with
-// cfg's Parallel, Timeout and Perf; cfg.Trace profiles every cell
-// (Grid.Breakdown). dsmbench prints exactly this.
+// shows, so each cell runs once whatever blocks share it. The grid is one
+// variant (cfg's cost and machine) on cfg.NProcs, with cfg's Parallel,
+// Timeout and Perf; cfg.Trace profiles every cell (Grid.Breakdown). dsmbench
+// prints exactly this.
 func Report(cfg harness.Config, appNames []string, blocks ...Block) (string, error) {
 	if len(appNames) == 0 {
 		appNames = apps.Names()
 	}
-	var suite, kernels bool
-	var models []core.Model
-	for _, b := range blocks {
-		switch b {
-		case Table3, Counters:
-			suite = true
-			models = append(models, core.EC, core.LRC)
-		case Table4:
-			suite = true
-			models = append(models, core.EC)
-		case Table5:
-			suite = true
-			models = append(models, core.LRC)
-		case Micro:
-			kernels = true
-			models = append(models, core.EC, core.LRC)
-		}
-	}
 	var names []string
-	add := func(list []string) {
+	var models []core.Model
+	for _, blk := range blocks {
+		spec := blockSpecs[blk]
+		if len(spec.models) == 0 {
+			continue
+		}
+		models = append(models, spec.models...)
+		list := appNames
+		if spec.kernels {
+			list = apps.MicroNames()
+		}
 		for _, n := range list {
 			if !slices.Contains(names, n) {
 				names = append(names, n)
 			}
 		}
-	}
-	if suite {
-		add(appNames)
-	}
-	suiteApps := slices.Clone(names)
-	if kernels {
-		add(apps.MicroNames())
 	}
 	var impls []core.Impl
 	for _, i := range core.Implementations() {
@@ -92,29 +110,16 @@ func Report(cfg harness.Config, appNames []string, blocks ...Block) (string, err
 			return "", err
 		}
 	}
-	cells := cellIndex(recs, variant)
-	best := bestPerModel(slices.DeleteFunc(slices.Clone(recs), func(r Record) bool {
-		return !slices.Contains(suiteApps, r.App)
-	}))
+	v := &view{
+		scale: cfg.Scale, nprocs: cfg.NProcs, suite: appNames,
+		cells: cellIndex(recs, variant), best: bestPerModel(recs),
+	}
 	var b strings.Builder
 	for i, blk := range blocks {
 		if i > 0 {
 			b.WriteString("\n")
 		}
-		switch blk {
-		case Table2:
-			writeTable2(&b, cfg.Scale)
-		case Table3:
-			writeTable3(&b, best)
-		case Table4:
-			writeTableModel(&b, core.EC, cells, suiteApps, cfg.NProcs)
-		case Table5:
-			writeTableModel(&b, core.LRC, cells, suiteApps, cfg.NProcs)
-		case Counters:
-			writeCounters(&b, best)
-		case Micro:
-			writeMicro(&b, cells, cfg.NProcs)
-		}
+		blockSpecs[blk].render(&b, v)
 	}
 	return b.String(), nil
 }
@@ -240,11 +245,14 @@ func writeTable2(b *strings.Builder, scale apps.Scale) {
 // writeTable3 renders Table 3 in the paper's layout: each application's
 // sequential time, best EC and best LRC times, and which implementation of
 // each model won.
-func writeTable3(b *strings.Builder, best []modelBest) {
+func writeTable3(b *strings.Builder, best []modelBest, appNames []string) {
 	b.WriteString("Table 3: Execution Times — best EC vs best LRC\n")
 	fmt.Fprintf(b, "%-12s %9s %9s %9s %10s %10s\n", "App", "1 proc.", "EC", "LRC", "EC Imp.", "LRC Imp.")
 	suffix := func(impl string) string { return impl[strings.Index(impl, "-")+1:] }
 	for _, m := range best {
+		if !slices.Contains(appNames, m.app) {
+			continue
+		}
 		fmt.Fprintf(b, "%-12s %9.2f %9.2f %9.2f %10s %10s\n",
 			m.app, m.ec.Seq.Seconds(), m.ec.Stats.Time.Seconds(), m.lrc.Stats.Time.Seconds(),
 			suffix(m.ec.Impl), suffix(m.lrc.Impl))
@@ -277,10 +285,13 @@ func writeTableModel(b *strings.Builder, model core.Model, cells map[cellKey]Rec
 // writeCounters renders the Section 7.2 in-text counters (messages and MB
 // moved) for the best implementations, the quantities the paper quotes when
 // explaining each application's outcome.
-func writeCounters(b *strings.Builder, best []modelBest) {
+func writeCounters(b *strings.Builder, best []modelBest, appNames []string) {
 	b.WriteString("Section 7.2 counters: messages and data moved (best impls)\n")
 	fmt.Fprintf(b, "%-12s %12s %12s %12s %12s\n", "App", "EC msgs", "LRC msgs", "EC MB", "LRC MB")
 	for _, m := range best {
+		if !slices.Contains(appNames, m.app) {
+			continue
+		}
 		fmt.Fprintf(b, "%-12s %12d %12d %12.1f %12.1f\n",
 			m.app, m.ec.Stats.Msgs, m.lrc.Stats.Msgs, m.ec.Stats.MB(), m.lrc.Stats.MB())
 	}

@@ -3,7 +3,9 @@ package apps
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/cmplx"
+	"sync"
 
 	"ecvslrc/internal/core"
 	"ecvslrc/internal/mem"
@@ -188,16 +190,41 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// fft1d is an in-place iterative radix-2 complex FFT (stdlib only).
-func fft1d(x []complex128) {
-	n := len(x)
-	if n&(n-1) != 0 {
-		panic("fft: length must be a power of two")
-	}
-	// Bit reversal permutation.
+// fftPlan holds what fft1d needs for one power-of-two length n, computed
+// once per process: the bit-reversal permutation as swap pairs (i < j), and
+// every stage's twiddles. The stage of half-width h (block size 2h) keeps its
+// h twiddles at tw[h-1 : 2h-1]: w^0..w^(h-1) for w = exp(-2πi/2h), made by
+// the recurrence wk *= w from wk = 1. The transform's bits depend on that
+// rounding sequence, so it must not become a closed form
+// (TestFFT1DMatchesRecurrence pins it).
+type fftPlan struct {
+	swaps [][2]int32
+	tw    []complex128
+}
+
+// fftPlans holds the plan of length 2^k at index k (k ≤ 30, which the
+// int32 swap pairs also assume), built on first use. A hit is sync.Once's
+// atomic load: no lock, no allocation, so sweep workers and every simulated
+// node share the plans freely.
+var fftPlans [31]fftPlanSlot
+
+type fftPlanSlot struct {
+	once sync.Once
+	plan *fftPlan
+}
+
+// planFor returns the plan for the power of two n.
+func planFor(n int) *fftPlan {
+	slot := &fftPlans[bits.TrailingZeros(uint(n))]
+	slot.once.Do(func() { slot.plan = newFFTPlan(n) })
+	return slot.plan
+}
+
+func newFFTPlan(n int) *fftPlan {
+	p := &fftPlan{tw: make([]complex128, n-1)}
 	for i, j := 0, 0; i < n; i++ {
 		if i < j {
-			x[i], x[j] = x[j], x[i]
+			p.swaps = append(p.swaps, [2]int32{int32(i), int32(j)})
 		}
 		m := n >> 1
 		for m >= 1 && j&m != 0 {
@@ -206,17 +233,43 @@ func fft1d(x []complex128) {
 		}
 		j |= m
 	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		w := cmplx.Exp(complex(0, -2*math.Pi/float64(size)))
-		for start := 0; start < n; start += size {
-			wk := complex(1, 0)
-			for k := 0; k < half; k++ {
-				a := x[start+k]
-				b := x[start+k+half] * wk
-				x[start+k] = a + b
-				x[start+k+half] = a - b
-				wk *= w
+	for half := 1; half < n; half <<= 1 {
+		w := cmplx.Exp(complex(0, -2*math.Pi/float64(2*half)))
+		wk := complex(1, 0)
+		for k := range half {
+			p.tw[half-1+k] = wk
+			wk *= w
+		}
+	}
+	return p
+}
+
+// fft1d is an in-place iterative radix-2 complex FFT (stdlib only). Its
+// length must be a power of two; the permutation and twiddles come from the
+// length's plan.
+func fft1d(x []complex128) {
+	n := len(x)
+	if n&(n-1) != 0 {
+		panic("fft: length must be a power of two")
+	}
+	if n < 2 {
+		return
+	}
+	p := planFor(n)
+	for _, s := range p.swaps {
+		x[s[0]], x[s[1]] = x[s[1]], x[s[0]]
+	}
+	for half := 1; half < n; half <<= 1 {
+		tw := p.tw[half-1 : 2*half-1]
+		// Twiddle-major: the butterflies of one stage are independent, so
+		// visiting them k by k (one twiddle in a register, every block)
+		// computes each from the same operands as block by block.
+		for k, w := range tw {
+			for i := k; i+half < n; i += 2 * half {
+				a := x[i]
+				b := x[i+half] * w
+				x[i] = a + b
+				x[i+half] = a - b
 			}
 		}
 	}

@@ -186,27 +186,39 @@ var sorRefs refMemo[[3]int, [][]float32]
 // reference returns the memoized sequential solution, a pure function of
 // (rows, cols, iters).
 func (a *SOR) reference() [][]float32 {
-	return sorRefs.get([3]int{a.rows, a.cols, a.iters}, func() [][]float32 {
-		m := make([][]float32, a.rows)
-		for i := range m {
-			m[i] = make([]float32, a.cols)
-			for j := range m[i] {
-				m[i][j] = a.initValue(i, j)
-			}
+	return sorRefs.get([3]int{a.rows, a.cols, a.iters}, a.solve)
+}
+
+// solve runs the red-black solver on one flat matrix, visiting only the
+// current colour's columns (j from its first column, stepping by 2). Within
+// one colour every update reads only the other colour, so the visiting order
+// changes no operand and the result is bit-identical to any sweep of the same
+// expression (TestSORReferenceMatchesNaive pins it).
+func (a *SOR) solve() [][]float32 {
+	flat := make([]float32, a.rows*a.cols)
+	m := make([][]float32, a.rows)
+	for i := range m {
+		m[i] = flat[i*a.cols : (i+1)*a.cols : (i+1)*a.cols]
+		for j := range m[i] {
+			m[i][j] = a.initValue(i, j)
 		}
-		for it := 0; it < a.iters; it++ {
-			for color := 0; color < 2; color++ {
-				for i := 1; i < a.rows-1; i++ {
-					for j := 1; j < a.cols-1; j++ {
-						if (i+j)%2 == color {
-							m[i][j] = (m[i-1][j] + m[i+1][j] + m[i][j-1] + m[i][j+1]) / 4
-						}
-					}
+	}
+	for it := 0; it < a.iters; it++ {
+		for color := 0; color < 2; color++ {
+			for i := 1; i < a.rows-1; i++ {
+				up, row, dn := m[i-1], m[i], m[i+1]
+				up, dn = up[:len(row)], dn[:len(row)]
+				j0 := 1
+				if (i+j0)%2 != color {
+					j0 = 2
+				}
+				for j := j0; j < len(row)-1; j += 2 {
+					row[j] = (up[j] + dn[j] + row[j-1] + row[j+1]) / 4
 				}
 			}
 		}
-		return m
-	})
+	}
+	return m
 }
 
 // lock ids: per (row, color).

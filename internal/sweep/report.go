@@ -233,6 +233,17 @@ var table2 = map[apps.Scale]map[string]string{
 	},
 }
 
+// appColumn is the width of a table's application column: 12, the paper
+// suite's, or the longest name it shows, so a factor kernel's row stays
+// aligned with the header.
+func appColumn(names []string) int {
+	w := 12
+	for _, n := range names {
+		w = max(w, len(n))
+	}
+	return w
+}
+
 // writeTable2 renders the application-parameter table of the whole suite.
 func writeTable2(b *strings.Builder, scale apps.Scale) {
 	fmt.Fprintf(b, "Table 2: Application Parameters (%s scale)\n", scale)
@@ -247,14 +258,15 @@ func writeTable2(b *strings.Builder, scale apps.Scale) {
 // each model won.
 func writeTable3(b *strings.Builder, best []modelBest, appNames []string) {
 	b.WriteString("Table 3: Execution Times — best EC vs best LRC\n")
-	fmt.Fprintf(b, "%-12s %9s %9s %9s %10s %10s\n", "App", "1 proc.", "EC", "LRC", "EC Imp.", "LRC Imp.")
+	w := appColumn(appNames)
+	fmt.Fprintf(b, "%-*s %9s %9s %9s %10s %10s\n", w, "App", "1 proc.", "EC", "LRC", "EC Imp.", "LRC Imp.")
 	suffix := func(impl string) string { return impl[strings.Index(impl, "-")+1:] }
 	for _, m := range best {
 		if !slices.Contains(appNames, m.app) {
 			continue
 		}
-		fmt.Fprintf(b, "%-12s %9.2f %9.2f %9.2f %10s %10s\n",
-			m.app, m.ec.Seq.Seconds(), m.ec.Stats.Time.Seconds(), m.lrc.Stats.Time.Seconds(),
+		fmt.Fprintf(b, "%-*s %9.2f %9.2f %9.2f %10s %10s\n",
+			w, m.app, m.ec.Seq.Seconds(), m.ec.Stats.Time.Seconds(), m.lrc.Stats.Time.Seconds(),
 			suffix(m.ec.Impl), suffix(m.lrc.Impl))
 	}
 }
@@ -268,13 +280,14 @@ func writeTableModel(b *strings.Builder, model core.Model, cells map[cellKey]Rec
 	}
 	fmt.Fprintf(b, "Table %d: Execution Times (seconds) for Write Trapping x Write Collection in %v\n", n, model)
 	impls := core.ModelImpls(model)
-	fmt.Fprintf(b, "%-12s", "App")
+	w := appColumn(appNames)
+	fmt.Fprintf(b, "%-*s", w, "App")
 	for _, i := range impls {
 		fmt.Fprintf(b, " %10s", i)
 	}
 	b.WriteString("\n")
 	for _, name := range appNames {
-		fmt.Fprintf(b, "%-12s", name)
+		fmt.Fprintf(b, "%-*s", w, name)
 		for _, i := range impls {
 			fmt.Fprintf(b, " %10.2f", cells[cellKey{name, i.String(), nprocs}].Stats.Time.Seconds())
 		}
@@ -287,13 +300,14 @@ func writeTableModel(b *strings.Builder, model core.Model, cells map[cellKey]Rec
 // explaining each application's outcome.
 func writeCounters(b *strings.Builder, best []modelBest, appNames []string) {
 	b.WriteString("Section 7.2 counters: messages and data moved (best impls)\n")
-	fmt.Fprintf(b, "%-12s %12s %12s %12s %12s\n", "App", "EC msgs", "LRC msgs", "EC MB", "LRC MB")
+	w := appColumn(appNames)
+	fmt.Fprintf(b, "%-*s %12s %12s %12s %12s\n", w, "App", "EC msgs", "LRC msgs", "EC MB", "LRC MB")
 	for _, m := range best {
 		if !slices.Contains(appNames, m.app) {
 			continue
 		}
-		fmt.Fprintf(b, "%-12s %12d %12d %12.1f %12.1f\n",
-			m.app, m.ec.Stats.Msgs, m.lrc.Stats.Msgs, m.ec.Stats.MB(), m.lrc.Stats.MB())
+		fmt.Fprintf(b, "%-*s %12d %12d %12.1f %12.1f\n",
+			w, m.app, m.ec.Stats.Msgs, m.lrc.Stats.Msgs, m.ec.Stats.MB(), m.lrc.Stats.MB())
 	}
 }
 

@@ -191,6 +191,28 @@ func TestTableModelFormat(t *testing.T) {
 	}
 }
 
+// TestAppColumnFitsKernelNames: a factor kernel's name is longer than the
+// suite's 12-character column, so every table block widens its App column to
+// fit it and each row stays as wide as its header.
+func TestAppColumnFitsKernelNames(t *testing.T) {
+	out, err := Report(testConfig(), []string{"micro-prefetch", "SOR"}, Table3, Table4, Table5, Counters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, block := range strings.Split(out, "\n\n") {
+		lines := strings.Split(strings.TrimSuffix(block, "\n"), "\n")
+		header, rows := lines[1], lines[2:]
+		if len(rows) != 2 {
+			t.Fatalf("%s: %d rows, want 2:\n%s", lines[0], len(rows), block)
+		}
+		for _, row := range rows {
+			if len(row) != len(header) {
+				t.Errorf("%s: row %q is %d wide, its header %d", lines[0], row, len(row), len(header))
+			}
+		}
+	}
+}
+
 func TestTable2AllScales(t *testing.T) {
 	for _, s := range []apps.Scale{apps.Test, apps.Bench, apps.Paper} {
 		out, err := Report(harness.Config{Scale: s}, nil, Table2)

@@ -37,16 +37,14 @@ type SOR struct {
 	// sharedOf[i] is row i's index in the shared boundary block, -1 when the
 	// row is private (SOR+). A flat table: rowBase runs on every element
 	// access of the stencil.
-	sharedOf     []int32
-	bandCounts   []int // processor counts whose band boundaries Layout pre-shares
-	nShared      int
-	stride       int                 // cached sharedStride (SOR+)
-	priv         map[int][][]float32 // SOR+: per-processor private bands
-	verifyGather bool
+	sharedOf   []int32
+	bandCounts []int // processor counts whose band boundaries Layout pre-shares
+	nShared    int
+	stride     int // cached sharedStride (SOR+)
 }
 
 func newSOR(s Scale, plus bool) *SOR {
-	a := &SOR{plus: plus, priv: make(map[int][][]float32)}
+	a := &SOR{plus: plus}
 	switch s {
 	case Test:
 		a.rows, a.cols, a.iters = 48, 64, 4
@@ -254,7 +252,6 @@ func (a *SOR) Program(d core.DSM) {
 				pm[i][j] = a.initValue(i, j)
 			}
 		}
-		a.priv[me] = pm
 	}
 
 	get := func(i, j int) float32 {

@@ -39,12 +39,24 @@ func BenchmarkFabricDeliver(b *testing.B) {
 	}
 }
 
+// quietAllocs prepares a Mallocs-delta window and returns the function that
+// ends it. The delta is process-wide, so the collector is off and the test
+// binary runs on one P: no other goroutine (the tail of an earlier test, say)
+// runs beside the measured loop, as testing.AllocsPerRun arranges.
+func quietAllocs() (restore func()) {
+	gc, procs := debug.SetGCPercent(-1), runtime.GOMAXPROCS(1)
+	return func() {
+		runtime.GOMAXPROCS(procs)
+		debug.SetGCPercent(gc)
+	}
+}
+
 // TestDeliverSteadyStateAllocs is the strict in-process form of the
 // BenchmarkFabricDeliver guard: after a warm-up that grows the flight free
 // lists and event queues, a window of call round trips must perform zero heap
 // allocations.
 func TestDeliverSteadyStateAllocs(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer quietAllocs()()
 	s := sim.New()
 	n := New(s, flatCost(), 2)
 	var delta uint64
@@ -85,7 +97,7 @@ func TestDeliverSteadyStateAllocs(t *testing.T) {
 // carry every later call to any server: a window rotating over all of them
 // must perform zero heap allocations.
 func TestRotatingDestinationsSteadyStateAllocs(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer quietAllocs()()
 	const procs = 16
 	s := sim.New()
 	n := New(s, flatCost(), procs)
@@ -132,7 +144,7 @@ func TestRotatingDestinationsSteadyStateAllocs(t *testing.T) {
 // three times as many frames outstanding as the window's serialized calls
 // can, and then lets every timer drain.
 func TestFaultSublayerSteadyStateAllocs(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer quietAllocs()()
 	s := sim.New()
 	n := New(s, flatCost(), 2)
 	if err := n.EnableFaults(FaultPlan{Seed: 1, Drop: 0.05, Delay: 0.1}); err != nil {
@@ -190,7 +202,7 @@ func TestFaultSublayerSteadyStateAllocs(t *testing.T) {
 // nil-tracer fast path is one nil check per hook. SetTracer(nil) is called
 // explicitly so the test stays honest if the default ever changes.
 func TestNilTracerDeliverAllocs(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer quietAllocs()()
 	s := sim.New()
 	n := New(s, flatCost(), 2)
 	n.SetTracer(nil)

@@ -51,7 +51,11 @@
 // must not do. Workloads whose windows drain (migratory, producer-consumer,
 // all-read epochs: Water, QS, the micros) get bounded history; broadcast-
 // invalidate workloads with unread pages (SOR's distant interior rows) keep
-// theirs, measured in EXPERIMENTS.md.
+// theirs, measured in EXPERIMENTS.md. That is the modeled footprint
+// (NoticeBytes), not the host's: a pinned diff that a later diff of its
+// writer covers, at or below the writer's barrier watermark, keeps its wire
+// size and word count but drops its bytes (supersede, in lrc.go), so SOR's
+// pinned history holds only the diffs nothing has superseded.
 package lrc
 
 // GC is a shared notice-history collector across the nodes of one run.

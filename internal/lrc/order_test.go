@@ -324,6 +324,10 @@ func TestAbsorbSortsFanInUnion(t *testing.T) {
 // timestamp scan extracted into the servers' recycled reply bodies.
 func TestAccessMissSteadyStateAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// The Mallocs delta is process-wide: on one P, no other goroutine of the
+	// test binary (the tail of an earlier test, say) runs beside the measured
+	// miss, as testing.AllocsPerRun arranges.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	timeImpl := core.Impl{Model: core.LRC, Trap: core.Twinning, Collect: core.Timestamps}
 	for _, impl := range []core.Impl{diffImpl(), timeImpl} {
 		t.Run(impl.String(), func(t *testing.T) { accessMissSteadyStateAllocs(t, impl) })

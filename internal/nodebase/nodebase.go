@@ -40,8 +40,9 @@ type Base struct {
 	// MMU's protection table (SetProt mutates the shared backing array) and
 	// data the image's backing store, so the in-window check plus the load or
 	// store is flat slice indexing — no MMU or Image pointer chase, no
-	// closure, no nested call. Every accessor below keeps its fast path small
-	// enough to inline, with the fault and trap slow paths out of line.
+	// closure, no nested call. The fault and trap slow paths are out of line;
+	// the integer accessors' fast paths inline, the float ones' do not
+	// (DESIGN.md "Inlining contract").
 	prot []vm.Prot
 	data []byte
 
@@ -162,11 +163,14 @@ func (b *Base) Proc() int { return b.P.ID() }
 // page protection hardware) and fires the write trap on instrumented stores.
 // The in-window, no-fault, no-trap path of each accessor is a flat check
 // plus a direct load or store on Base-resident slices — no MMU or Image
-// pointer chase, no closure, no virtual call — and stays inside the
-// compiler's inlining budget. The fault and trap machinery lives in the
-// out-of-line readFault/writeSlow* slow paths, which reproduce the
-// pre-devirtualization behaviour exactly: resolve the fault first, then
-// charge and record the instrumented store, then perform the access.
+// pointer chase, no closure, no virtual call. The integer accessors stay
+// inside the compiler's inlining budget (cost 77–78 of 80); the float ones
+// cost 81–82, one bit conversion more, and do not inline (go build
+// -gcflags=-m=2). Called through core.DSM, none inlines. The fault and trap
+// machinery lives in the out-of-line readFault/writeSlow* slow paths, which
+// reproduce the pre-devirtualization behaviour exactly: resolve the fault
+// first, then charge and record the instrumented store, then perform the
+// access.
 
 // ReadI32 implements core.DSM.
 func (b *Base) ReadI32(a mem.Addr) int32 {

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"unsafe"
 
 	"ecvslrc/internal/mem"
 )
@@ -104,19 +105,29 @@ func ApplyRuns(im *mem.Image, runs []DataRun) int {
 }
 
 // Diff is a run-length encoding of the changes to an object (EC) or a page
-// (LRC) during one execution interval. It is one exact-size, pointer-free
-// allocation holding the runs back to back in their wire format: per run a
-// RunHeaderBytes header, the run's base address and byte length as two
-// little-endian uint32s, then its bytes. A diff is immutable once built, so
-// nodes hold and hand it on by value; the zero Diff is the empty one.
-type Diff struct{ enc []byte }
+// (LRC) during one execution interval. Its encoding is one exact-size,
+// pointer-free allocation holding the runs back to back in their wire format:
+// per run a RunHeaderBytes header, the run's base address and byte length as
+// two little-endian uint32s, then its bytes. A diff is immutable once built,
+// so nodes hold and hand it on by value; the zero Diff is the empty one.
+//
+// The encoding is held as a string, a pointer and a length, so the diff's
+// byte length and word count fit beside it in the three words a byte slice
+// would take. They outlive the encoding: Drop discards the bytes of a diff no
+// reader can still need and keeps what its transfer and application cost.
+type Diff struct {
+	enc   string // the runs in wire format; "" when empty or dropped
+	size  int32  // len(enc) as built
+	words int32  // data words carried
+}
 
 // BuildDiff captures the contents of the changed ranges from im. An empty
 // diff allocates nothing.
 func BuildDiff(im *mem.Image, changed []mem.Range) Diff {
-	size := 0
+	size, words := 0, 0
 	for _, r := range changed {
 		size += RunHeaderBytes + r.Len
+		words += r.Words()
 	}
 	if size == 0 {
 		return Diff{}
@@ -129,38 +140,84 @@ func BuildDiff(im *mem.Image, changed []mem.Range) Diff {
 		off += RunHeaderBytes
 		off += copy(enc[off:off+r.Len], im.Bytes()[r.Base:r.End()])
 	}
-	return Diff{enc: enc}
+	// Nothing writes enc again, so the string may share its bytes, as
+	// strings.Builder's does.
+	return Diff{enc: unsafe.String(&enc[0], size), size: int32(size), words: int32(words)}
 }
 
-// Apply copies the diff's runs into im, returning words applied.
-func (d Diff) Apply(im *mem.Image) int { return d.walk(im) }
+// Apply copies the diff's runs into im, returning words applied. A dropped
+// diff copies nothing and still returns its words: its bytes are overwritten
+// by a later diff the same application installs (see Drop).
+func (d Diff) Apply(im *mem.Image) int {
+	dst := im.Bytes()
+	for enc := d.enc; len(enc) > RunHeaderBytes; {
+		base, n := run(enc)
+		copy(dst[base:], enc[RunHeaderBytes:RunHeaderBytes+n])
+		enc = enc[RunHeaderBytes+n:]
+	}
+	return int(d.words)
+}
+
+// run decodes the header at the front of enc: the run's base and byte length.
+func run(enc string) (base, n int) {
+	return int(le32(enc)), int(le32(enc[4:]))
+}
+
+// le32 decodes a little-endian uint32 from the front of s.
+func le32(s string) uint32 {
+	_ = s[3]
+	return uint32(s[0]) | uint32(s[1])<<8 | uint32(s[2])<<16 | uint32(s[3])<<24
+}
 
 // Words returns the total data words carried.
-func (d Diff) Words() int { return d.walk(nil) }
-
-// walk decodes the runs in order, copying each into im unless im is nil, and
-// returns their words.
-func (d Diff) walk(im *mem.Image) int {
-	var dst []byte
-	if im != nil {
-		dst = im.Bytes()
-	}
-	words := 0
-	for enc := d.enc; len(enc) > RunHeaderBytes; {
-		base := int(binary.LittleEndian.Uint32(enc))
-		end := RunHeaderBytes + int(binary.LittleEndian.Uint32(enc[4:]))
-		if dst != nil {
-			copy(dst[base:], enc[RunHeaderBytes:end])
-		}
-		words += (end - RunHeaderBytes + mem.WordSize - 1) / mem.WordSize
-		enc = enc[end:]
-	}
-	return words
-}
+func (d Diff) Words() int { return int(d.words) }
 
 // WireSize returns the transmission size in bytes: a diff header plus one
-// run header per run plus the data.
-func (d Diff) WireSize() int { return DiffHeaderBytes + len(d.enc) }
+// run header per run plus the data. Drop keeps it.
+func (d Diff) WireSize() int { return DiffHeaderBytes + int(d.size) }
+
+// Drop returns d without its bytes: the same wire size and words, nothing to
+// copy. Only a diff whose every reader also applies, later in the same
+// application, a diff that covers it (Covers) may be dropped.
+func (d Diff) Drop() Diff { return Diff{size: d.size, words: d.words} }
+
+// Dropped reports whether d has lost its bytes to Drop.
+func (d Diff) Dropped() bool { return d.enc == "" && d.size > 0 }
+
+// Covers reports whether d carries every byte e carries, so installing e and
+// then d leaves what installing d alone does. Both must hold their bytes (a
+// dropped diff covers nothing and is covered by nothing) and list their runs
+// in ascending address order, as diffs of a twin comparison do; e's runs must
+// not overlap.
+func (d Diff) Covers(e Diff) bool {
+	if d.Dropped() || e.Dropped() {
+		return false
+	}
+	ds := d.enc
+	lo, hi := 0, 0 // the span of d's runs read so far that ends furthest up
+	for es := e.enc; len(es) > RunHeaderBytes; {
+		base, n := run(es)
+		es = es[RunHeaderBytes+n:]
+		if n == 0 {
+			continue
+		}
+		for hi < base+n {
+			if len(ds) <= RunHeaderBytes {
+				return false
+			}
+			db, dn := run(ds)
+			ds = ds[RunHeaderBytes+dn:]
+			if db > hi {
+				lo = db // a gap: a new span starts
+			}
+			hi = max(hi, db+dn)
+		}
+		if lo > base {
+			return false
+		}
+	}
+	return true
+}
 
 // Stamp is a per-block logical timestamp, 32 bits wide in host memory. For EC
 // it holds a lock incarnation number (ECStamp); for LRC it packs a

@@ -464,3 +464,95 @@ func TestPropertyApplyStampsMatchesSet(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestDiffDrop: a dropped diff keeps the wire size and word count its
+// transfer and application are charged for, and installs nothing.
+func TestDiffDrop(t *testing.T) {
+	src := mem.NewImage(mem.PageSize)
+	src.WriteI32(8, 7)
+	src.WriteI32(100, 9)
+	d := BuildDiff(src, []mem.Range{{Base: 8, Len: 8}, {Base: 100, Len: 4}})
+	dropped := d.Drop()
+	if !dropped.Dropped() || d.Dropped() || (Diff{}).Dropped() {
+		t.Errorf("Dropped: built %v, dropped %v, empty %v; want false, true, false", d.Dropped(), dropped.Dropped(), (Diff{}).Dropped())
+	}
+	if dropped.WireSize() != d.WireSize() || dropped.Words() != d.Words() {
+		t.Errorf("dropped diff: wire %d words %d, want %d and %d", dropped.WireSize(), dropped.Words(), d.WireSize(), d.Words())
+	}
+	dst := mem.NewImage(mem.PageSize)
+	if got := dropped.Apply(dst); got != 3 {
+		t.Errorf("dropped Apply returned %d words, want 3", got)
+	}
+	if !mem.EqualRange(dst, mem.NewImage(mem.PageSize), mem.Range{Len: mem.PageSize}) {
+		t.Error("a dropped diff installed bytes")
+	}
+	if d.Covers(dropped) || dropped.Covers(d) {
+		t.Error("a dropped diff covers or is covered")
+	}
+}
+
+// coverRanges decodes spec into ascending, non-overlapping runs of one
+// page's words, the shape a twin comparison produces: byte 2i is the gap in
+// words before run i and byte 2i+1 its length, both mod 8. A zero gap makes
+// adjacent runs and a zero length an empty one, which BuildDiff encodes
+// too. Runs stop at the page's end.
+func coverRanges(spec []byte) []mem.Range {
+	var rs []mem.Range
+	w := 0
+	for i := 0; i+1 < len(spec); i += 2 {
+		w += int(spec[i] % 8)
+		if w >= mem.PageWords {
+			break
+		}
+		n := min(int(spec[i+1]%8), mem.PageWords-w)
+		rs = append(rs, mem.Range{Base: mem.Addr(w * mem.WordSize), Len: n * mem.WordSize})
+		w += n
+	}
+	return rs
+}
+
+// FuzzDiffCover holds Covers to a brute-force oracle: d covers e exactly
+// when the set of words d's runs carry contains e's. When it does,
+// installing e and then d must leave the page as installing d alone does.
+func FuzzDiffCover(f *testing.F) {
+	f.Add([]byte{0, 5, 0, 0}, []byte{0, 5})                   // equal runs
+	f.Add([]byte{0, 7, 0, 7}, []byte{3, 6})                   // an e run across two adjacent d runs
+	f.Add([]byte{0, 3, 1, 3}, []byte{2, 3})                   // across a one-word gap
+	f.Add([]byte{0, 4, 4, 0}, []byte{4, 4})                   // SOR's red half against the black half
+	f.Add([]byte{1, 2, 2, 2, 2, 2}, []byte{1, 1, 4, 1, 4, 1}) // a subset of every run
+	f.Add([]byte{}, []byte{0, 0, 3, 0})                       // empty against empty runs
+	f.Fuzz(func(t *testing.T, dspec, espec []byte) {
+		dr, er := coverRanges(dspec), coverRanges(espec)
+		dw := make(map[int]bool)
+		for _, r := range dr {
+			for w := range r.Words() {
+				dw[int(r.Base)/mem.WordSize+w] = true
+			}
+		}
+		want := true
+		for _, r := range er {
+			for w := range r.Words() {
+				want = want && dw[int(r.Base)/mem.WordSize+w]
+			}
+		}
+		dsrc, esrc := mem.NewImage(mem.PageSize), mem.NewImage(mem.PageSize)
+		for w := range mem.PageWords {
+			dsrc.WriteI32(mem.Addr(w*mem.WordSize), int32(w+1))
+			esrc.WriteI32(mem.Addr(w*mem.WordSize), -int32(w+1))
+		}
+		d, e := BuildDiff(dsrc, dr), BuildDiff(esrc, er)
+		if got := d.Covers(e); got != want {
+			t.Fatalf("d %v covers e %v: got %v, want %v", dr, er, got, want)
+		}
+		if !want {
+			return
+		}
+		both, alone := mem.NewImage(mem.PageSize), mem.NewImage(mem.PageSize)
+		e.Apply(both)
+		d.Apply(both)
+		d.Apply(alone)
+		if !mem.EqualRange(both, alone, mem.Range{Len: mem.PageSize}) {
+			t.Fatalf("d %v covers e %v, yet installing e first changes the page", dr, er)
+		}
+	})
+}

@@ -226,8 +226,8 @@ func TestNoticeHistoryBounded(t *testing.T) {
 	}
 }
 
-// largeScaleBudgets bound the host memory of large-scale cells, and of one
-// cell of the paper's 8-processor machine: the peak heap, measured by the
+// largeScaleBudgets bound the host memory of large-scale cells, and of two
+// cells of the paper's 8-processor machine: the peak heap, measured by the
 // perf registry's cell spans on one P (as dsmrun runs a cell, so the reading
 // is the peak its -perf line prints), and the peak resident set, measured
 // from a high-water mark reset just before the cell. The nodes' images are
@@ -254,8 +254,15 @@ func TestNoticeHistoryBounded(t *testing.T) {
 //   - 8-proc Barnes-Hut/LRC-diff at paper scale, ~19 MiB heap and ~45 MiB
 //     resident, under 28 and 58 MiB: pooled heap copies of the initial
 //     image for the nodes of cells of 8 or fewer processors read 56 and 72
-//     MiB. It runs last, because the harness cache keeps its 5 MiB initial
-//     image live in the heap of every later cell.
+//     MiB. It runs after every smaller cell, because the harness cache
+//     keeps its 5 MiB initial image live in the heap of every later cell;
+//   - 8-proc SOR+/LRC-diff at paper scale, ~80 MiB heap and ~115 MiB
+//     resident, under 120 and 160 MiB: its writers' diffs are the whole
+//     footprint, and keeping the bytes of every stored diff, instead of
+//     dropping those a later diff covers below the writer's watermark,
+//     reads 231 and 266 MiB. It runs last: it is the largest cell, and the
+//     images and references the earlier rows cached (Barnes-Hut's among
+//     them) are live in its heap: alone it reads ~67 and ~97 MiB.
 var largeScaleBudgets = []struct {
 	app       string
 	impl      core.Impl
@@ -268,10 +275,11 @@ var largeScaleBudgets = []struct {
 	{"3D-FFT", core.Impl{Model: core.EC, Trap: core.Twinning, Collect: core.Timestamps}, apps.Large, 64, 60 << 20, 100 << 20},
 	{"SOR", core.Impl{Model: core.LRC, Trap: core.Twinning, Collect: core.Diffs}, apps.Large, 1024, 200 << 20, 290 << 20},
 	{"Barnes-Hut", core.Impl{Model: core.LRC, Trap: core.Twinning, Collect: core.Diffs}, apps.Paper, 8, 28 << 20, 58 << 20},
+	{"SOR+", core.Impl{Model: core.LRC, Trap: core.Twinning, Collect: core.Diffs}, apps.Paper, 8, 120 << 20, 160 << 20},
 }
 
-// TestLargeScaleMemoryBudget runs full large-scale cells, and one
-// paper-scale 8-processor cell, through the harness (image cache, scale
+// TestLargeScaleMemoryBudget runs full large-scale cells, and two
+// paper-scale 8-processor cells, through the harness (image cache, scale
 // defaults) and pins each one's host-side peak heap and peak resident set
 // under its budgets. The cells are large enough to exercise 64- to
 // 1024-way sharing and cheap enough for the tier-1 suite (the heavyweight

@@ -10,8 +10,10 @@
 //	dsmbench -all -scale bench -preset rdma_100g
 //	dsmbench -micro -cpuprofile cpu.pprof
 //
-// The requested blocks print in that order, separated by blank lines, and
-// render from one sweep of the cells they need: each cell runs once.
+// The requested blocks print in that order, separated by blank lines. They
+// render from one sweep per kind of block (the suite, the factor kernels)
+// over the cells those blocks print: each cell runs once, and no cell runs
+// that no block prints.
 //
 // -preset regenerates the tables under a different cost spec; the default
 // "paper" keeps the output byte-identical to the calibrated platform. That
@@ -69,8 +71,8 @@ func cli(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return c.Run(func() int {
-		// Every block renders from one sweep of the cells the blocks need, so
-		// -all is exactly what the byte-identity regression test pins.
+		// sweep.Report is the whole of the output, so -all is exactly what
+		// the byte-identity regression test pins.
 		out, err := sweep.Report(c.Config, c.Apps, blocks...)
 		if err != nil {
 			return c.Fail(err)

@@ -277,9 +277,9 @@ func TestLockTableStaysSparse(t *testing.T) {
 				chunks++
 			}
 		}
-		slabs := (chunks + len(n.slab)) / lockSlab
+		slabs := (chunks + lockSlab - 1) / lockSlab // a slab is carved one chunk at a time
 		got := uintptr(cap(n.lockSt))*unsafe.Sizeof(n.lockSt[0]) + uintptr(cap(n.bound))*8 +
-			uintptr(slabs*lockSlab)*unsafe.Sizeof(n.slab[0])
+			uintptr(slabs*lockSlab)*unsafe.Sizeof([lockChunk]lockState{})
 		ids := len(n.binds.b)
 		if limit := maxFactor*uintptr(touched)*slotBytes + perLockID*uintptr(ids); got > limit {
 			t.Errorf("proc %d: %d slots used (%d B) of %d lock ids hold %d B of table, over %dx + %d B per id = %d B",

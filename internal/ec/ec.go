@@ -171,9 +171,9 @@ const rangeSlabLen = 256
 type Bindings struct {
 	b []binding // by lock id; version 0: not bound
 
-	// slab is the unused tail of the current block bound ranges are copied
-	// into: one allocation per block instead of one per lock.
-	slab []mem.Range
+	// ranges is what bound ranges are copied into: one allocation per block
+	// of rangeSlabLen instead of one per lock.
+	ranges nodebase.Chunk[mem.Range]
 }
 
 // bind records rs as lock l's initial binding, or checks that it is the one
@@ -206,14 +206,8 @@ func (t *Bindings) own(rs []mem.Range) []mem.Range {
 	if len(rs) == 0 {
 		return nil
 	}
-	if len(rs) > len(t.slab) {
-		if len(rs) > rangeSlabLen/2 {
-			return slices.Clone(rs) // would waste most of a block: its own array
-		}
-		t.slab = make([]mem.Range, rangeSlabLen)
-	}
-	own := t.slab[:len(rs):len(rs)]
-	t.slab = t.slab[len(rs):]
+	t.ranges.Size = rangeSlabLen // set here: the zero Bindings is a table
+	own := t.ranges.Carve(len(rs))
 	copy(own, rs)
 	return own
 }
@@ -221,10 +215,6 @@ func (t *Bindings) own(rs []mem.Range) []mem.Range {
 // Node is one processor's EC engine. It implements core.DSM.
 type Node struct {
 	nodebase.Base
-	impl core.Impl
-
-	locks *syncmgr.LockMgr
-	bars  *syncmgr.BarrierMgr
 
 	// binds is the cell's table of initial bindings; bit l of bound is set
 	// once this node has issued Bind(l).
@@ -233,25 +223,19 @@ type Node struct {
 
 	// lockSt is the lock table: lock l's state is slot l%lockChunk of
 	// chunk l/lockChunk, live once its binding version is non-zero. A chunk
-	// is carved from the current slab when the node first requests, grants
-	// or applies a lock in it (touch), and slabs never move, so a slot
-	// pointer stays valid while other slots are made. The table costs a
-	// chunk per group of lockChunk ids the node uses and one pointer per
-	// group of ids the cell binds — a node uses a small fraction of the
-	// locks.
+	// is carved from slab, lockSlab chunks per allocation, when the node
+	// first requests, grants or applies a lock in it (touch), and slabs
+	// never move, so a slot pointer stays valid while other slots are made.
+	// The table costs a chunk per group of lockChunk ids the node uses and
+	// one pointer per group of ids the cell binds — a node uses a small
+	// fraction of the locks.
 	lockSt []*[lockChunk]lockState
-	slab   [][lockChunk]lockState // unused tail of the current slab
+	slab   nodebase.Chunk[[lockChunk]lockState]
 
 	freeGrants []*grantBody        // grant bodies this node built, returned for reuse
 	freeTwins  []*wtrap.ObjectTwin // harvested small-object twins
 
-	// write collection state
-	stamps *wcollect.Stamps
-
-	// write trapping state
-	db         *wtrap.DirtyBits
-	twins      *wtrap.PageTwins
-	openEpochs [][]core.LockID // page -> locks with open large-object epochs
+	openEpochs [][]core.LockID // twinning: page -> locks with open large-object epochs
 
 	nextNoData bool // the next acquire is an AcquireForRebind
 
@@ -287,10 +271,7 @@ func (n *Node) touch(l core.LockID) *lockState {
 	}
 	ch := n.lockSt[c]
 	if ch == nil {
-		if len(n.slab) == 0 {
-			n.slab = make([][lockChunk]lockState, lockSlab)
-		}
-		ch, n.slab = &n.slab[0], n.slab[1:]
+		ch = &n.slab.Carve(1)[0]
 		n.lockSt[c] = ch
 	}
 	st := &ch[int(l)%lockChunk]
@@ -311,43 +292,15 @@ func NewWithImage(p *sim.Proc, net *fabric.Network, al *mem.Allocator, nprocs in
 	if impl.Model != core.EC || !impl.Valid() {
 		panic(fmt.Sprintf("ec: bad implementation %v", impl))
 	}
-	n := &Node{impl: impl, binds: binds}
-	n.InitWithImage(p, net, al, core.EC, nprocs, im)
-	n.locks = syncmgr.NewLockMgr(p, net, nprocs, (*lockHooks)(n), &n.Cnt)
-	n.bars = syncmgr.NewBarrierMgr(p, net, nprocs, nilBarrierHooks{}, &n.Cnt)
-
-	if impl.Collect == core.Timestamps {
-		n.stamps = wcollect.NewStamps(al)
-	}
-	switch impl.Trap {
-	case core.CompilerInstr:
-		n.db = wtrap.NewDirtyBits(al, false)
-		n.SetTrap(n.db, n.CM.InstrStoreOpt)
-	case core.Twinning:
-		n.twins = wtrap.NewPageTwins(n.Im)
+	n := &Node{binds: binds, slab: nodebase.Chunk[[lockChunk]lockState]{Size: lockSlab}}
+	n.InitWithImage(p, net, al, impl, nprocs, im)
+	// All EC traffic rides the shared lock and barrier kinds.
+	n.AttachSync((*lockHooks)(n), nilBarrierHooks{}, nil)
+	if impl.Trap == core.Twinning {
 		n.openEpochs = make([][]core.LockID, al.Pages())
 		n.MMU.SetHandler(n.onFault)
 	}
-	net.Attach(p, n.handle)
 	return n
-}
-
-// NProcs implements core.DSM.
-func (n *Node) NProcs() int { return n.Base.NProcs }
-
-// Model implements core.DSM.
-func (n *Node) Model() core.Model { return core.EC }
-
-// handle dispatches incoming protocol messages. All EC traffic rides the
-// shared lock/barrier kinds, and like syncmgr the handlers assume
-// exactly-once in-order delivery (see the syncmgr package doc): under a
-// fault plan the fabric's reliable sublayer restores that guarantee before
-// anything reaches here.
-func (n *Node) handle(hc *fabric.HandlerCtx, m fabric.Msg) {
-	if n.locks.Handle(hc, m) || n.bars.Handle(hc, m) {
-		return
-	}
-	panic(fmt.Sprintf("ec: unhandled message kind %d", m.Kind))
 }
 
 // Bind implements core.DSM: associates ranges with l. Must be issued
@@ -383,16 +336,14 @@ func (n *Node) bindRanges(l core.LockID, b *binding, rs []mem.Range) {
 // The caller must hold l exclusively; the next transfer sends all bound data
 // conservatively.
 func (n *Node) Rebind(l core.LockID, rs ...mem.Range) {
-	held, mode := n.locks.Holding(l)
+	held, mode := n.Holding(l)
 	if !held || mode != syncmgr.Exclusive {
 		panic(fmt.Sprintf("ec: Rebind(%d) without holding the lock exclusively", l))
 	}
 	st := n.ls(l)
 	// Harvest the open epoch against the OLD binding first, so pending
 	// changes are not mis-scanned against the new ranges.
-	hwork := n.harvest(l, st)
-	n.Tr.Work(n.P.Now(), n.P.ID(), trace.WorkTrapDiff, trace.ObjLock, int(l), hwork)
-	n.Charge(hwork)
+	n.Work(trace.ObjLock, int(l), n.harvest(l, st))
 	// Every post-rebind transfer is a conservative full send, so diffs
 	// against the old binding can never be needed again.
 	n.dropDiffs(st)
@@ -409,38 +360,18 @@ func (n *Node) dropDiffs(st *lockState) {
 }
 
 // Acquire implements core.DSM.
-func (n *Node) Acquire(l core.LockID) {
-	n.Flush()
-	n.locks.Acquire(l, syncmgr.Exclusive)
-}
+func (n *Node) Acquire(l core.LockID) { n.Lock(l, syncmgr.Exclusive) }
 
 // AcquireForRebind implements core.DSM: an exclusive acquire whose grant
 // carries no data, used just before a Rebind.
 func (n *Node) AcquireForRebind(l core.LockID) {
-	n.Flush()
 	n.nextNoData = true
-	n.locks.Acquire(l, syncmgr.Exclusive)
+	n.Lock(l, syncmgr.Exclusive)
 	n.nextNoData = false
 }
 
 // AcquireRead implements core.DSM.
-func (n *Node) AcquireRead(l core.LockID) {
-	n.Flush()
-	n.locks.Acquire(l, syncmgr.ReadOnly)
-}
-
-// Release implements core.DSM.
-func (n *Node) Release(l core.LockID) {
-	n.Flush()
-	n.locks.Release(l)
-}
-
-// Barrier implements core.DSM. EC barriers carry no consistency data:
-// following Midway, shared data is associated with locks, not barriers.
-func (n *Node) Barrier(b core.BarrierID) {
-	n.Flush()
-	n.bars.Wait(b)
-}
+func (n *Node) AcquireRead(l core.LockID) { n.Lock(l, syncmgr.ReadOnly) }
 
 // onFault is the SIGSEGV handler for twinning mode: first write to a
 // write-protected large-object page makes the twin and unprotects.
@@ -448,14 +379,7 @@ func (n *Node) onFault(a mem.Addr, write bool) {
 	if !write {
 		panic(fmt.Sprintf("ec: read fault at %d (EC pages are never read-protected)", a))
 	}
-	pg := mem.PageOf(a)
-	n.Tr.Work(n.P.Now(), n.P.ID(), trace.WorkTrapDiff, trace.ObjPage, pg,
-		n.CM.ProtFault+mem.PageWords*n.CM.WordCopy+n.CM.MProtect)
-	n.Charge(n.CM.ProtFault + mem.PageWords*n.CM.WordCopy + n.CM.MProtect)
-	n.twins.Make(pg)
-	n.Tr.Twin(n.P.Now(), n.P.ID(), trace.DomainPage, pg)
-	n.Extra.TwinsMade++
-	n.MMU.SetProt(pg, vm.ReadWrite)
+	n.TwinFault(mem.PageOf(a), 0)
 }
 
 // openEpoch prepares write trapping for a newly acquired exclusive lock l
@@ -463,7 +387,7 @@ func (n *Node) onFault(a mem.Addr, write bool) {
 func (n *Node) openEpoch(l core.LockID, st *lockState) {
 	b := &st.b
 	st.dirty = true
-	if n.impl.Trap != core.Twinning {
+	if n.Impl.Trap != core.Twinning {
 		return
 	}
 	if b.small {
@@ -475,8 +399,7 @@ func (n *Node) openEpoch(l core.LockID, st *lockState) {
 		}
 		st.objTwin.Remake(n.Im, b.ranges)
 		n.Tr.Twin(n.P.Now(), n.P.ID(), trace.DomainLock, int(l))
-		n.Tr.Work(n.P.Now(), n.P.ID(), trace.WorkTrapDiff, trace.ObjLock, int(l), sim.Time(b.words)*n.CM.WordCopy)
-		n.Charge(sim.Time(b.words) * n.CM.WordCopy)
+		n.Work(trace.ObjLock, int(l), sim.Time(b.words)*n.CM.WordCopy)
 		return
 	}
 	for _, r := range b.ranges {
@@ -488,7 +411,7 @@ func (n *Node) openEpoch(l core.LockID, st *lockState) {
 			if !slices.Contains(n.openEpochs[pg], l) {
 				n.openEpochs[pg] = append(n.openEpochs[pg], l)
 			}
-			if n.twins.Has(pg) {
+			if n.Twins.Has(pg) {
 				// Already twinned by an overlapping open epoch: writes are
 				// already trapped; the harvest intersects with our ranges.
 				continue
@@ -499,8 +422,7 @@ func (n *Node) openEpoch(l core.LockID, st *lockState) {
 			}
 		}
 		if protected {
-			n.Tr.Work(n.P.Now(), n.P.ID(), trace.WorkTrapDiff, trace.ObjLock, int(l), n.CM.MProtect)
-			n.Charge(n.CM.MProtect) // one mprotect call per contiguous range
+			n.Work(trace.ObjLock, int(l), n.CM.MProtect) // one mprotect call per contiguous range
 		}
 	}
 }
@@ -517,11 +439,11 @@ func (n *Node) harvest(l core.LockID, st *lockState) sim.Time {
 	changed := n.changed[:0]
 	var work sim.Time
 
-	switch n.impl.Trap {
+	switch n.Impl.Trap {
 	case core.CompilerInstr:
 		var scanned int
-		changed, scanned = n.db.CollectAppend(changed, b.ranges)
-		n.db.Reset(b.ranges)
+		changed, scanned = n.DB.CollectAppend(changed, b.ranges)
+		n.DB.Reset(b.ranges)
 		work += sim.Time(scanned) * n.CM.WordScan
 	case core.Twinning:
 		if ot := st.objTwin; ot != nil {
@@ -536,9 +458,9 @@ func (n *Node) harvest(l core.LockID, st *lockState) sim.Time {
 	}
 	n.changed = changed[:0]
 
-	switch n.impl.Collect {
+	switch n.Impl.Collect {
 	case core.Timestamps:
-		n.stamps.Set(changed, wcollect.ECStamp(st.inc))
+		n.Stamps.Set(changed, wcollect.ECStamp(st.inc))
 	case core.Diffs:
 		if len(changed) > 0 {
 			d := wcollect.BuildDiff(n.Im, changed)
@@ -548,11 +470,7 @@ func (n *Node) harvest(l core.LockID, st *lockState) sim.Time {
 		}
 	}
 	if n.Tr != nil && len(changed) > 0 {
-		words := 0
-		for _, r := range changed {
-			words += r.Words()
-		}
-		n.Tr.Collect(n.P.Now(), n.P.ID(), trace.DomainLock, int(l), int(st.inc), words)
+		n.Tr.Collect(n.P.Now(), n.P.ID(), trace.DomainLock, int(l), int(st.inc), mem.Words(changed))
 	}
 	return work
 }
@@ -560,7 +478,7 @@ func (n *Node) harvest(l core.LockID, st *lockState) sim.Time {
 // known returns the incarnation gossip of st, one entry per processor.
 func (n *Node) known(st *lockState) []int32 {
 	if st.knownInc == nil {
-		st.knownInc = make([]int32, n.Base.NProcs)
+		st.knownInc = make([]int32, n.NProcs())
 		for p := range st.knownInc {
 			st.knownInc[p] = -1
 		}
@@ -596,10 +514,10 @@ func (n *Node) harvestLargeObject(l core.LockID, b *binding, changed []mem.Range
 	var work sim.Time
 	for _, pg32 := range b.pageList() {
 		pg := int(pg32)
-		if !n.twins.Has(pg) {
+		if !n.Twins.Has(pg) {
 			continue // never written
 		}
-		runs, compared := n.twins.Compare(pg)
+		runs, compared := n.Twins.Compare(pg)
 		work += sim.Time(compared) * n.CM.WordCompare
 		for _, run := range runs {
 			for _, r := range b.ranges {
@@ -615,15 +533,16 @@ func (n *Node) harvestLargeObject(l core.LockID, b *binding, changed []mem.Range
 			n.openEpochs[pg] = eps
 		}
 		if len(eps) == 0 {
-			n.twins.Drop(pg)
+			n.Twins.Drop(pg)
 		} else {
 			// Refresh the twin within our spans so a later harvest of an
-			// overlapping lock does not re-collect our changes.
+			// overlapping lock does not re-collect our changes; dropping and
+			// re-making it would lose the other locks' deltas.
 			for _, r := range b.ranges {
 				lo := max(int(r.Base), int(mem.PageBase(pg)))
 				hi := min(int(r.End()), int(mem.PageBase(pg+1)))
 				if lo < hi {
-					twinCopy(n.twins, n.Im, pg, lo, hi)
+					n.Twins.Refresh(n.Im, pg, lo, hi)
 				}
 			}
 		}
@@ -638,14 +557,6 @@ func intersect(a, b mem.Range) (mem.Range, bool) {
 		return mem.Range{}, false
 	}
 	return mem.Range{Base: mem.Addr(lo), Len: hi - lo}, true
-}
-
-// twinCopy refreshes twin bytes of page pg in [lo,hi).
-func twinCopy(t *wtrap.PageTwins, im *mem.Image, pg, lo, hi int) {
-	// The twin is reachable only through Compare/Drop in wtrap's API;
-	// refresh by dropping and re-making would lose other locks' deltas, so
-	// wtrap exposes Refresh for exactly this case.
-	t.Refresh(im, pg, lo, hi)
 }
 
 // --- syncmgr lock hooks -------------------------------------------------
@@ -683,7 +594,7 @@ func (h *lockHooks) MakeLockGrant(l core.LockID, mode syncmgr.Mode, req fabric.P
 		// transfer is a conservative full send of the new binding.
 		g.Ranges = b.ranges
 		size += 8 * len(b.ranges)
-		if n.impl.Collect == core.Diffs && mode == syncmgr.Exclusive {
+		if n.Impl.Collect == core.Diffs && mode == syncmgr.Exclusive {
 			// Old-binding diffs are useless to the rebinder and to everyone
 			// after it (post-rebind transfers are full sends).
 			n.dropDiffs(st)
@@ -702,10 +613,10 @@ func (h *lockHooks) MakeLockGrant(l core.LockID, mode syncmgr.Mode, req fabric.P
 		size += wire
 		work += sim.Time(b.words) * n.CM.WordCopy
 	} else {
-		switch n.impl.Collect {
+		switch n.Impl.Collect {
 		case core.Timestamps:
 			var scanned int
-			g.Stamped.Runs, scanned = wcollect.AppendSelect(g.Stamped.Runs, n.stamps, b.ranges, wcollect.NewerThan{Min: wcollect.ECStamp(reqInc)})
+			g.Stamped.Runs, scanned = wcollect.AppendSelect(g.Stamped.Runs, n.Stamps, b.ranges, wcollect.NewerThan{Min: wcollect.ECStamp(reqInc)})
 			work += sim.Time(scanned) * n.CM.WordScan
 			g.Stamped.Extract(n.Im, &g.arena)
 			size += g.Stamped.WireSize(wcollect.ECStampBytes)
@@ -758,16 +669,16 @@ func (h *lockHooks) ApplyLockGrant(l core.LockID, mode syncmgr.Mode, payload fab
 		words := wcollect.ApplyRuns(n.Im, g.Full)
 		appliedWords += words
 		work += sim.Time(words) * n.CM.WordApply
-		if n.impl.Collect == core.Timestamps {
+		if n.Impl.Collect == core.Timestamps {
 			// The full content is current as of the owner's incarnation.
 			for _, r := range g.Full {
-				n.stamps.Set([]mem.Range{{Base: r.Base, Len: len(r.Data)}}, wcollect.ECStamp(ownerInc))
+				n.Stamps.Set([]mem.Range{{Base: r.Base, Len: len(r.Data)}}, wcollect.ECStamp(ownerInc))
 			}
 		} else {
 			n.dropDiffs(st)
 		}
-	case n.impl.Collect == core.Timestamps:
-		words := g.Stamped.Apply(n.Im, n.stamps)
+	case n.Impl.Collect == core.Timestamps:
+		words := g.Stamped.Apply(n.Im, n.Stamps)
 		appliedWords += words
 		work += sim.Time(words) * n.CM.WordApply
 	default:
@@ -821,17 +732,17 @@ func (h *lockHooks) LocalReacquire(l core.LockID, mode syncmgr.Mode) {
 		return
 	}
 	st := n.ls(l)
-	rwork := n.harvest(l, st) // close any previous un-harvested epoch
-	n.Tr.Work(n.P.Now(), n.P.ID(), trace.WorkTrapDiff, trace.ObjLock, int(l), rwork)
-	n.Charge(rwork)
+	n.Work(trace.ObjLock, int(l), n.harvest(l, st)) // close any previous un-harvested epoch
 	st.inc++
 	if !n.nextNoData {
 		n.openEpoch(l, st)
 	}
 }
 
-// nilBarrierHooks: EC barriers are pure synchronization; arrival and
-// departure payloads stay empty (PayloadNone body slots).
+// nilBarrierHooks: EC barriers are pure synchronization — following Midway,
+// shared data is associated with locks, not barriers — so arrival and
+// departure payloads stay empty (PayloadNone body slots), and a tree fan-in
+// changes only the message pattern.
 type nilBarrierHooks struct{}
 
 func (nilBarrierHooks) MakeArrival(core.BarrierID) (fabric.Payload, int, sim.Time) {
@@ -843,12 +754,6 @@ func (nilBarrierHooks) MakeDeparture(core.BarrierID, int) (fabric.Payload, int, 
 	return fabric.Payload{}, 0, 0
 }
 func (nilBarrierHooks) ApplyDeparture(core.BarrierID, fabric.Payload) sim.Time { return 0 }
-
-// SetBarrierFanIn arranges barrier episodes as a radix-r arrival/departure
-// tree (see syncmgr.BarrierMgr.SetFanIn). EC barriers carry no consistency
-// payload, so only the message pattern changes. r < 2 keeps the flat
-// protocol; must be called before the simulation starts.
-func (n *Node) SetBarrierFanIn(r int) { n.bars.SetFanIn(r) }
 
 var _ core.DSM = (*Node)(nil)
 var _ syncmgr.LockHooks = (*lockHooks)(nil)

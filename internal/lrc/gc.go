@@ -90,7 +90,7 @@ func NewGC(nodes []*Node) *GC {
 	if len(nodes) == 0 {
 		return nil
 	}
-	nprocs := nodes[0].Base.NProcs
+	nprocs := nodes[0].NProcs()
 	g := &GC{nodes: nodes, minVec: make([]int32, nprocs), dead: make([]int32, nprocs)}
 	for _, n := range nodes {
 		n.gc = g

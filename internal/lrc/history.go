@@ -1,6 +1,10 @@
 package lrc
 
-import "fmt"
+import (
+	"fmt"
+
+	"ecvslrc/internal/nodebase"
+)
 
 // History is the interval-record log of one simulation: per writer, the
 // records it closed, ascending by index. closeInterval bumps a processor's
@@ -16,13 +20,21 @@ import "fmt"
 type History struct {
 	logs []writerLog
 
-	// The run's allocation chunks (chunk.go), which its nodes share: their
-	// pageMetas and first writer-window slices, which live as long as the
-	// run, and the vectors their messages carry (Node.sentVec).
-	metas   chunk[pageMeta]
-	windows chunk[writerWindow]
-	vecs    chunk[int32]
+	// The run's allocation chunks, which its nodes share: their pageMetas
+	// and first writer-window slices, which live as long as the run, and the
+	// vectors their messages carry (Node.sentVec).
+	metas   nodebase.Chunk[pageMeta]
+	windows nodebase.Chunk[writerWindow]
+	vecs    nodebase.Chunk[int32]
 }
+
+// Chunk sizes. Each run has one chunk of each kind, not one per node, so
+// an unused tail is not multiplied by the processor count.
+const (
+	metaChunk   = 256  // pageMetas per chunk: 14 KiB
+	windowChunk = 1024 // writer windows per chunk: 12 KiB
+	vecChunk    = 4096 // vector elements per chunk: 16 KiB
+)
 
 // writerLog is one writer's records: recs[i] has index base+1+i. The
 // collector trims it at the lowest floor of any node sharing it.
@@ -35,9 +47,9 @@ type writerLog struct {
 func NewHistory(nprocs int) *History {
 	return &History{
 		logs:    make([]writerLog, nprocs),
-		metas:   chunk[pageMeta]{size: metaChunk},
-		windows: chunk[writerWindow]{size: windowChunk},
-		vecs:    chunk[int32]{size: vecChunk},
+		metas:   nodebase.Chunk[pageMeta]{Size: metaChunk},
+		windows: nodebase.Chunk[writerWindow]{Size: windowChunk},
+		vecs:    nodebase.Chunk[int32]{Size: vecChunk},
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 	"ecvslrc/internal/trace"
 	"ecvslrc/internal/vm"
 	"ecvslrc/internal/wcollect"
-	"ecvslrc/internal/wtrap"
 )
 
 // Message kinds beyond the shared synchronization managers'.
@@ -97,12 +96,12 @@ func cmpWindowProc(w writerWindow, proc int32) int { return cmp.Compare(w.proc, 
 // from room. Later ones grow the slice by append: the collector reclaims an
 // outgrown array, while an outgrown carved one would stay in its chunk for
 // the rest of the run.
-func (pm *pageMeta) window(proc int32, room *chunk[writerWindow]) *writerWindow {
+func (pm *pageMeta) window(proc int32, room *nodebase.Chunk[writerWindow]) *writerWindow {
 	i, ok := slices.BinarySearchFunc(pm.writers, proc, cmpWindowProc)
 	if !ok {
 		ws := pm.writers
 		if cap(ws) == 0 {
-			ws = room.carve(1)[:0]
+			ws = room.Carve(1)[:0]
 		}
 		pm.writers = slices.Insert(ws, i, writerWindow{proc: proc})
 	}
@@ -265,10 +264,6 @@ func cmpUnitKey(a, b unitKey) int { return cmp.Or(cmp.Compare(a.sum, b.sum), cmp
 // Node is one processor's LRC engine. It implements core.DSM.
 type Node struct {
 	nodebase.Base
-	impl core.Impl
-
-	locks *syncmgr.LockMgr
-	bars  *syncmgr.BarrierMgr
 
 	cur int32 // index of the currently open interval
 	vec []int32
@@ -283,11 +278,7 @@ type Node struct {
 	meta      []*pageMeta // indexed by page, nil until first touched
 	openPages []int       // pages modified in the open interval (twinning), in fault order
 
-	stamps *wcollect.Stamps    // Timestamps collection
-	pack   wcollect.LRCPacking // (processor, interval) → stamp for this cell
-
-	db    *wtrap.DirtyBits // CompilerInstr trapping
-	twins *wtrap.PageTwins // Twinning
+	pack wcollect.LRCPacking // Timestamps: (processor, interval) → stamp for this cell
 
 	// barrier bookkeeping
 	lastBarrierSent int32 // own interval records up to this index were pushed at a barrier
@@ -329,7 +320,6 @@ func NewWithImage(p *sim.Proc, net *fabric.Network, al *mem.Allocator, nprocs in
 		panic(fmt.Sprintf("lrc: bad implementation %v", impl))
 	}
 	n := &Node{
-		impl:        impl,
 		cur:         1,
 		vec:         make([]int32, nprocs),
 		hist:        hist,
@@ -341,39 +331,20 @@ func NewWithImage(p *sim.Proc, net *fabric.Network, al *mem.Allocator, nprocs in
 	// vec[q] is the highest CLOSED interval of q whose write notices this
 	// node holds; the open interval (index cur) is not covered until it
 	// closes. Initially nothing is closed anywhere.
-	n.InitWithImage(p, net, al, core.LRC, nprocs, im)
-	n.locks = syncmgr.NewLockMgr(p, net, nprocs, (*lockHooks)(n), &n.Cnt)
-	n.bars = syncmgr.NewBarrierMgr(p, net, nprocs, (*barrierHooks)(n), &n.Cnt)
-
+	n.InitWithImage(p, net, al, impl, nprocs, im)
+	n.AttachSync((*lockHooks)(n), (*barrierHooks)(n), (*fetchServer)(n))
 	if impl.Collect == core.Timestamps {
-		n.stamps = wcollect.NewStamps(al)
 		n.pack = wcollect.NewLRCPacking(nprocs)
 	}
-	switch impl.Trap {
-	case core.CompilerInstr:
-		// Hierarchical dirty bits: page-level bits narrow the collection
-		// scan because there is no lock/data association (Section 4.1).
-		n.db = wtrap.NewDirtyBits(al, true)
-		// Setting both the word- and page-level bits costs more than EC's
-		// flat scheme (Section 8.1).
-		n.SetTrap(n.db, n.CM.InstrStoreOpt+n.CM.InstrStoreOpt/2)
-	case core.Twinning:
-		n.twins = wtrap.NewPageTwins(n.Im)
+	if impl.Trap == core.Twinning {
 		// All shared pages start write-protected so first writes twin.
 		for pg := 0; pg < al.Pages(); pg++ {
 			n.MMU.SetProt(pg, vm.ReadOnly)
 		}
 	}
 	n.MMU.SetHandler(n.onFault)
-	net.Attach(p, n.handle)
 	return n
 }
-
-// NProcs implements core.DSM.
-func (n *Node) NProcs() int { return n.Base.NProcs }
-
-// Model implements core.DSM.
-func (n *Node) Model() core.Model { return core.LRC }
 
 // Bind implements core.DSM: LRC has no lock/data association; no-op.
 func (n *Node) Bind(l core.LockID, rs ...mem.Range) {}
@@ -385,11 +356,8 @@ func (n *Node) Rebind(l core.LockID, rs ...mem.Range) {}
 func (n *Node) Acquire(l core.LockID) {
 	n.Flush()
 	// An acquire begins a new interval (Section 5.1).
-	cwork := n.closeInterval()
-	n.Tr.Work(n.P.Now(), n.P.ID(), trace.WorkTrapDiff, trace.ObjNone, -1, cwork)
-	n.Charge(cwork)
-	n.Flush()
-	n.locks.Acquire(l, syncmgr.Exclusive)
+	n.Work(trace.ObjNone, -1, n.closeInterval())
+	n.Lock(l, syncmgr.Exclusive)
 }
 
 // AcquireRead implements core.DSM: LRC provides exclusive locks only; the
@@ -400,39 +368,26 @@ func (n *Node) AcquireRead(l core.LockID) { n.Acquire(l) }
 // so this is an ordinary acquire.
 func (n *Node) AcquireForRebind(l core.LockID) { n.Acquire(l) }
 
-// Release implements core.DSM. Consistency actions are lazy: the interval is
-// closed when the next acquirer's request arrives.
-func (n *Node) Release(l core.LockID) {
-	n.Flush()
-	n.locks.Release(l)
-}
+// fetchServer serves LRC's own message kind, the page fetch, for the
+// node's message handler (nodebase.Server). handleFetch is not idempotent:
+// a replayed fetch request would charge the owner's CPU and the link twice
+// for the same page, so like the lock and barrier endpoints it relies on
+// exactly-once in-order delivery.
+type fetchServer Node
 
-// Barrier implements core.DSM.
-func (n *Node) Barrier(b core.BarrierID) {
-	n.Flush()
-	n.bars.Wait(b)
-}
-
-// handle dispatches incoming protocol messages. Like syncmgr's handlers,
-// these assume exactly-once in-order delivery (see the syncmgr package doc);
-// under a fault plan the fabric's reliable sublayer restores that guarantee.
-// handleFetch in particular is not idempotent: a replayed fetch request
-// would charge the owner's CPU and the link twice for the same page.
-func (n *Node) handle(hc *fabric.HandlerCtx, m fabric.Msg) {
-	if n.locks.Handle(hc, m) || n.bars.Handle(hc, m) {
-		return
+// Serve implements nodebase.Server.
+func (f *fetchServer) Serve(hc *fabric.HandlerCtx, m fabric.Msg) bool {
+	if m.Kind != kindFetchReq {
+		return false
 	}
-	if m.Kind == kindFetchReq {
-		n.handleFetch(hc, m)
-		return
-	}
-	panic(fmt.Sprintf("lrc: unhandled message kind %d", m.Kind))
+	(*Node)(f).handleFetch(hc, m)
+	return true
 }
 
 func (n *Node) pageMeta(pg int) *pageMeta {
 	pm := n.meta[pg]
 	if pm == nil {
-		pm = &n.hist.metas.carve(1)[0]
+		pm = &n.hist.metas.Carve(1)[0]
 		pm.closedIval = -1
 		n.meta[pg] = pm
 	}
@@ -444,7 +399,7 @@ func (n *Node) pageMeta(pg int) *pageMeta {
 // or holds it until it grants the queued lock request or the barrier's next
 // episode replaces the arrival.
 func (n *Node) sentVec() []int32 {
-	v := n.hist.vecs.carve(len(n.vec))
+	v := n.hist.vecs.Carve(len(n.vec))
 	copy(v, n.vec)
 	return v
 }
@@ -459,19 +414,19 @@ func (n *Node) closeInterval() sim.Time {
 	var work sim.Time
 	self := n.P.ID()
 
-	switch n.impl.Trap {
+	switch n.Impl.Trap {
 	case core.CompilerInstr:
-		pages = n.db.DirtyPages()
+		pages = n.DB.DirtyPages()
 		for _, pg := range pages {
 			// Hierarchical collection: scan word bits of dirty pages only,
 			// stamping the modified blocks now (ci implies timestamps).
-			runs, scanned := n.db.CollectPage(pg)
+			runs, scanned := n.DB.CollectPage(pg)
 			work += sim.Time(scanned) * n.CM.WordScan
-			n.stamps.Set(runs, n.pack.Stamp(self, int(n.cur)))
+			n.Stamps.Set(runs, n.pack.Stamp(self, int(n.cur)))
 			if n.Tr != nil {
-				n.Tr.Collect(n.P.Now(), self, trace.DomainPage, pg, int(n.cur), rangeWords(runs))
+				n.Tr.Collect(n.P.Now(), self, trace.DomainPage, pg, int(n.cur), mem.Words(runs))
 			}
-			n.db.ResetPage(pg)
+			n.DB.ResetPage(pg)
 		}
 	case core.Twinning:
 		// openPages holds each page once (a page write-faults at most once
@@ -515,15 +470,15 @@ func (n *Node) harvestPage(pg int) sim.Time {
 	}
 	ival := pm.closedIval
 	pm.closedIval = -1
-	if n.impl.Trap != core.Twinning {
+	if n.Impl.Trap != core.Twinning {
 		return 0 // compiler instrumentation stamps at interval close
 	}
-	runs, cmp := n.twins.Compare(pg)
-	n.twins.Drop(pg)
+	runs, cmp := n.Twins.Compare(pg)
+	n.Twins.Drop(pg)
 	work := sim.Time(cmp) * n.CM.WordCompare
-	switch n.impl.Collect {
+	switch n.Impl.Collect {
 	case core.Timestamps:
-		n.stamps.Set(runs, n.pack.Stamp(n.P.ID(), int(ival)))
+		n.Stamps.Set(runs, n.pack.Stamp(n.P.ID(), int(ival)))
 	case core.Diffs:
 		d := wcollect.BuildDiff(n.Im, runs)
 		if ival <= n.watermark {
@@ -535,18 +490,9 @@ func (n *Node) harvestPage(pg int) sim.Time {
 		work += sim.Time(d.Words()) * n.CM.WordCopy
 	}
 	if n.Tr != nil {
-		n.Tr.Collect(n.P.Now(), n.P.ID(), trace.DomainPage, pg, int(ival), rangeWords(runs))
+		n.Tr.Collect(n.P.Now(), n.P.ID(), trace.DomainPage, pg, int(ival), mem.Words(runs))
 	}
 	return work
-}
-
-// rangeWords sums the word count of changed ranges (trace attribution only).
-func rangeWords(rs []mem.Range) int {
-	words := 0
-	for _, r := range rs {
-		words += r.Words()
-	}
-	return words
 }
 
 // --- write notice application --------------------------------------------
@@ -683,20 +629,12 @@ func (n *Node) onFault(a mem.Addr, write bool) {
 	}
 }
 
-// writeTwinFault handles the first write to a clean page under twinning.
+// writeTwinFault handles the first write to a clean page under twinning. If
+// a closed interval's twin is still pending for the page, its diff must be
+// extracted before re-twinning for the new interval.
 func (n *Node) writeTwinFault(pg int) {
-	// If a closed interval's twin is still pending for this page, its diff
-	// must be extracted before re-twinning for the new interval.
-	hwork := n.harvestPage(pg)
-	twork := n.CM.ProtFault + mem.PageWords*n.CM.WordCopy + n.CM.MProtect
-	n.Tr.Work(n.P.Now(), n.P.ID(), trace.WorkTrapDiff, trace.ObjPage, pg, hwork+twork)
-	n.Charge(hwork)
-	n.Charge(twork)
-	n.twins.Make(pg)
-	n.Tr.Twin(n.P.Now(), n.P.ID(), trace.DomainPage, pg)
-	n.Extra.TwinsMade++
+	n.TwinFault(pg, n.harvestPage(pg))
 	n.openPages = append(n.openPages, pg)
-	n.MMU.SetProt(pg, vm.ReadWrite)
 }
 
 // accessMiss resolves an invalid page: fetch the missing modifications from
@@ -704,8 +642,7 @@ func (n *Node) writeTwinFault(pg int) {
 // order, and re-validate the page.
 func (n *Node) accessMiss(pg int, write bool) {
 	n.Extra.AccessMisses++
-	n.Tr.Work(n.P.Now(), n.P.ID(), trace.WorkTrapDiff, trace.ObjPage, pg, n.CM.ProtFault)
-	n.Charge(n.CM.ProtFault)
+	n.Work(trace.ObjPage, pg, n.CM.ProtFault)
 	n.Flush()
 	pm := n.pageMeta(pg)
 
@@ -738,7 +675,7 @@ func (n *Node) accessMiss(pg int, write bool) {
 		w := &writers[i]
 		reply := n.Net.Await(n.fetchWaiters[i], sim.ForPage(pg))
 		fr := reply.Payload.Body.(*pageReply)
-		switch n.impl.Collect {
+		switch n.Impl.Collect {
 		case core.Diffs:
 			for _, idf := range fr.Diffs { // the server's diffs are in interval order
 				if idf.cover > w.upTo {
@@ -759,17 +696,16 @@ func (n *Node) accessMiss(pg int, write bool) {
 	for _, k := range n.missOrder {
 		u := &units[k.i]
 		var w int
-		if n.stamps != nil {
+		if n.Stamps != nil {
 			w = wcollect.ApplyRuns(n.Im, u.dr)
-			n.stamps.ApplyStamps(u.sr)
+			n.Stamps.ApplyStamps(u.sr)
 		} else {
 			w = u.diff.Apply(n.Im)
 		}
 		n.Tr.Apply(n.P.Now(), n.P.ID(), trace.DomainPage, pg, u.proc, w)
 		words += w
 	}
-	n.Tr.Work(n.P.Now(), n.P.ID(), trace.WorkTrapDiff, trace.ObjPage, pg, sim.Time(words)*n.CM.WordApply)
-	n.Charge(sim.Time(words) * n.CM.WordApply)
+	n.Work(trace.ObjPage, pg, sim.Time(words)*n.CM.WordApply)
 
 	for _, w := range writers {
 		w.reply.release()
@@ -784,16 +720,14 @@ func (n *Node) accessMiss(pg int, write bool) {
 	clear(writers)
 	// Re-validate. Under twinning the page stays write-protected so the
 	// next write twins it; a write miss twins immediately.
-	n.Tr.Work(n.P.Now(), n.P.ID(), trace.WorkTrapDiff, trace.ObjPage, pg, n.CM.MProtect)
-	if n.impl.Trap == core.Twinning {
-		n.MMU.SetProt(pg, vm.ReadOnly)
-		n.Charge(n.CM.MProtect)
-		if write {
-			n.writeTwinFault(pg)
-		}
-	} else {
-		n.MMU.SetProt(pg, vm.ReadWrite)
-		n.Charge(n.CM.MProtect)
+	prot := vm.ReadWrite
+	if n.Impl.Trap == core.Twinning {
+		prot = vm.ReadOnly
+	}
+	n.MMU.SetProt(pg, prot) // re-validate before the charge may flush
+	n.Work(trace.ObjPage, pg, n.CM.MProtect)
+	if prot == vm.ReadOnly && write {
+		n.writeTwinFault(pg)
 	}
 }
 
@@ -876,7 +810,7 @@ func (n *Node) handleFetch(hc *fabric.HandlerCtx, m fabric.Msg) {
 
 	reply := n.newReply()
 	size := 0
-	switch n.impl.Collect {
+	switch n.Impl.Collect {
 	case core.Diffs:
 		ds := n.pageMeta(pg).diffs // in interval order: the window is one subslice
 		lo, _ := slices.BinarySearchFunc(ds, since+1, cmpDiffInterval)
@@ -888,7 +822,7 @@ func (n *Node) handleFetch(hc *fabric.HandlerCtx, m fabric.Msg) {
 	case core.Timestamps:
 		pageRange := []mem.Range{{Base: mem.PageBase(pg), Len: mem.PageSize}}
 		var scanned int
-		reply.Stamped.Runs, scanned = wcollect.AppendSelect(reply.Stamped.Runs, n.stamps, pageRange,
+		reply.Stamped.Runs, scanned = wcollect.AppendSelect(reply.Stamped.Runs, n.Stamps, pageRange,
 			n.pack.Window(n.P.ID(), since, upTo))
 		n.Tr.Work(hc.Now(), n.P.ID(), trace.WorkTrapDiff, trace.ObjPage, pg, sim.Time(scanned)*n.CM.WordScan)
 		hc.Work(sim.Time(scanned) * n.CM.WordScan)
@@ -991,13 +925,13 @@ func (h *barrierHooks) AbsorbArrival(b core.BarrierID, from int, payload fabric.
 func (h *barrierHooks) MergeSubtreeArrival(b core.BarrierID, own fabric.Payload) (fabric.Payload, int, sim.Time) {
 	n := h.node()
 	maxVec := own.Vec // MakeArrival already returns a private copy
-	minVec := n.hist.vecs.carve(len(maxVec))
+	minVec := n.hist.vecs.Carve(len(maxVec))
 	copy(minVec, maxVec)
 	// Own records alias the log; the union must not append in place.
 	ownBody := own.Body.(*noticeBody)
 	records := append([]*interval(nil), ownBody.records...)
 	ownBody.release()
-	for from := 0; from < n.Base.NProcs; from++ {
+	for from := 0; from < n.NProcs(); from++ {
 		recs, ok := n.arrivalRecs[from]
 		if !ok {
 			continue
@@ -1033,7 +967,7 @@ func (h *barrierHooks) MergeSubtreeArrival(b core.BarrierID, own fabric.Payload)
 func (h *barrierHooks) PrepareDepartures(b core.BarrierID) sim.Time {
 	n := h.node()
 	var work sim.Time
-	for from := 0; from < n.Base.NProcs; from++ {
+	for from := 0; from < n.NProcs(); from++ {
 		recs, ok := n.arrivalRecs[from]
 		if !ok {
 			continue
@@ -1081,12 +1015,8 @@ func (n *Node) absorbBody(payload fabric.Payload) sim.Time {
 	return work
 }
 
-// SetBarrierFanIn arranges barrier episodes as a radix-r arrival/departure
-// tree (see syncmgr.BarrierMgr.SetFanIn). Must be called before the
-// simulation starts; r < 2 keeps the flat protocol.
-func (n *Node) SetBarrierFanIn(r int) { n.bars.SetFanIn(r) }
-
 var _ core.DSM = (*Node)(nil)
 var _ syncmgr.LockHooks = (*lockHooks)(nil)
 var _ syncmgr.BarrierHooks = (*barrierHooks)(nil)
 var _ syncmgr.TreeBarrierHooks = (*barrierHooks)(nil)
+var _ nodebase.Server = (*fetchServer)(nil)

@@ -6,6 +6,7 @@ import (
 	"ecvslrc/internal/core"
 	"ecvslrc/internal/fabric"
 	"ecvslrc/internal/mem"
+	"ecvslrc/internal/nodebase"
 	"ecvslrc/internal/sim"
 	"ecvslrc/internal/vm"
 )
@@ -63,8 +64,8 @@ func TestTwinningStartsWriteProtected(t *testing.T) {
 			}
 		}
 		n.WriteI32(0, 1) // first write must twin via a fault
-		if n.MMU.Faults() != 1 || !n.twins.Has(0) {
-			t.Errorf("faults=%d twinned=%v", n.MMU.Faults(), n.twins.Has(0))
+		if n.MMU.Faults() != 1 || !n.Twins.Has(0) {
+			t.Errorf("faults=%d twinned=%v", n.MMU.Faults(), n.Twins.Has(0))
 		}
 	})
 }
@@ -75,7 +76,7 @@ func TestCompilerInstrNoProtection(t *testing.T) {
 		if n.MMU.Faults() != 0 {
 			t.Errorf("faults = %d, want 0 under instrumentation", n.MMU.Faults())
 		}
-		if got := n.db.DirtyPages(); len(got) != 1 || got[0] != 0 {
+		if got := n.DB.DirtyPages(); len(got) != 1 || got[0] != 0 {
 			t.Errorf("dirty pages = %v", got)
 		}
 	})
@@ -119,7 +120,7 @@ func TestLazyDiffCreatedAtHarvest(t *testing.T) {
 		if len(ds) != 1 || ds[0].Ival != 1 || ds[0].Diff.Words() != 1 {
 			t.Errorf("diffs = %+v", ds)
 		}
-		if n.twins.Has(0) {
+		if n.Twins.Has(0) {
 			t.Error("twin must be dropped after harvest")
 		}
 	})
@@ -200,7 +201,7 @@ func TestCollectNoticesHonoursPeerVector(t *testing.T) {
 // inserted into it, sorted by processor, with the values written through the
 // returned pointers.
 func TestCarvedWindowsDoNotAlias(t *testing.T) {
-	room := chunk[writerWindow]{size: 3}
+	room := nodebase.Chunk[writerWindow]{Size: 3}
 	var pages [5]pageMeta
 	var want [len(pages)]map[int32]int32
 	for k := range want {

@@ -46,6 +46,15 @@ func (r Range) Contains(a Addr) bool { return a >= r.Base && a < r.End() }
 // Words returns the number of words spanned by r.
 func (r Range) Words() int { return (r.Len + WordSize - 1) / WordSize }
 
+// Words returns the number of words the ranges span together.
+func Words(rs []Range) int {
+	n := 0
+	for _, r := range rs {
+		n += r.Words()
+	}
+	return n
+}
+
 // PageSpan returns the first and last page r touches; last < first when r is
 // empty, so "for pg := first; pg <= last; pg++" visits exactly r's pages.
 func (r Range) PageSpan() (first, last int) {

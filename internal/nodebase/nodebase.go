@@ -1,12 +1,17 @@
-// Package nodebase carries the machinery common to the EC and LRC nodes:
-// the private memory image, the software MMU, typed shared-memory accessors
-// with write-trapping hooks, deferred CPU-cost accounting, and statistics
-// windows. Mirroring Section 6 of the paper, everything that is not a
+// Package nodebase is the chassis of the EC and LRC nodes: the private
+// memory image, the software MMU, typed shared-memory accessors with
+// write-trapping hooks, the lock and barrier endpoints and the message
+// dispatch that serves them, the trapping and collection objects the
+// implementation selects (dirty bits, page twins, timestamps), the page-twin
+// write fault, deferred CPU-cost accounting and its trace record, and
+// statistics windows. Chunk carves node and cell state out of shared
+// allocations. Mirroring Section 6 of the paper, everything that is not a
 // consistency action is shared between the models.
 package nodebase
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 
 	"ecvslrc/internal/core"
@@ -16,6 +21,7 @@ import (
 	"ecvslrc/internal/syncmgr"
 	"ecvslrc/internal/trace"
 	"ecvslrc/internal/vm"
+	"ecvslrc/internal/wcollect"
 	"ecvslrc/internal/wtrap"
 )
 
@@ -27,14 +33,24 @@ const flushThreshold = 100 * sim.Microsecond
 
 // Base is embedded by both protocol nodes.
 type Base struct {
-	P      *sim.Proc
-	Net    *fabric.Network
-	CM     *fabric.CostModel
-	Al     *mem.Allocator
-	Im     *mem.Image
-	MMU    *vm.MMU
-	NProcs int
-	Model  core.Model
+	P    *sim.Proc
+	Net  *fabric.Network
+	CM   *fabric.CostModel
+	Im   *mem.Image
+	MMU  *vm.MMU
+	Impl core.Impl
+
+	// The trapping and collection objects Impl selects, nil where it does
+	// not: DB under compiler instrumentation (every shared store marks it,
+	// see writeSlow), Twins under twinning, Stamps under timestamps.
+	DB     *wtrap.DirtyBits
+	Twins  *wtrap.PageTwins
+	Stamps *wcollect.Stamps
+
+	nprocs int
+	locks  *syncmgr.LockMgr
+	bars   *syncmgr.BarrierMgr
+	serve  Server // the model's own message kinds; nil if it has none
 
 	// prot and data are the devirtualized access fast path: prot aliases the
 	// MMU's protection table (SetProt mutates the shared backing array) and
@@ -46,11 +62,8 @@ type Base struct {
 	prot []vm.Prot
 	data []byte
 
-	// trapDB and trapCost are the compiler-instrumentation write trap (nil
-	// when twinning handles trapping via protection faults): every shared
-	// store charges trapCost and marks the dirty bits. A direct field pair
-	// replaces the previous per-store closure call.
-	trapDB   *wtrap.DirtyBits
+	// trapCost is what every instrumented store charges when DB is set: a
+	// field pair on the slow path, not a per-store closure call.
 	trapCost sim.Time
 
 	// fastWriteProt is the protection level at which a store may skip the
@@ -75,7 +88,6 @@ type Base struct {
 
 	statsOpen  bool
 	winStart   sim.Time
-	winEnd     sim.Time
 	hasWindow  bool
 	netBase    fabric.Stats
 	faultsBase int64
@@ -95,38 +107,128 @@ type Extra struct {
 
 // InitWithImage fills the common fields around a caller-provided image: the
 // node's private copy of the initial shared memory, a heap buffer or a
-// copy-on-write mapping (mem.Image.Fork) alike.
-func (b *Base) InitWithImage(p *sim.Proc, net *fabric.Network, al *mem.Allocator, model core.Model, nprocs int, im *mem.Image) {
+// copy-on-write mapping (mem.Image.Fork) alike. It makes the trapping and
+// collection objects impl selects; the model then calls AttachSync.
+func (b *Base) InitWithImage(p *sim.Proc, net *fabric.Network, al *mem.Allocator, impl core.Impl, nprocs int, im *mem.Image) {
 	b.P = p
 	b.Net = net
 	b.CM = net.Cost()
-	b.Al = al
 	b.Im = im
 	b.MMU = vm.New(al.Pages())
 	b.prot = b.MMU.Table()
 	b.data = im.Bytes()
 	b.fastWriteProt = vm.ReadWrite
-	b.NProcs = nprocs
-	b.Model = model
+	b.nprocs = nprocs
+	b.Impl = impl
 	b.Tr = net.Tracer()
+
+	if impl.Collect == core.Timestamps {
+		b.Stamps = wcollect.NewStamps(al)
+	}
+	switch impl.Trap {
+	case core.CompilerInstr:
+		// LRC has no lock/data association, so hierarchical dirty bits let
+		// page-level bits narrow its collection scan (Section 4.1); setting
+		// both levels costs more than EC's flat scheme (Section 8.1).
+		lrc := impl.Model == core.LRC
+		b.DB = wtrap.NewDirtyBits(al, lrc)
+		b.trapCost = b.CM.InstrStoreOpt
+		if lrc {
+			b.trapCost += b.CM.InstrStoreOpt / 2
+		}
+		b.fastWriteProt = neverProt
+	case core.Twinning:
+		b.Twins = wtrap.NewPageTwins(im)
+	}
+}
+
+// Server serves a model's own message kinds, those beyond the lock and
+// barrier endpoints': Serve reports whether m was one of them.
+type Server interface {
+	Serve(hc *fabric.HandlerCtx, m fabric.Msg) bool
+}
+
+// AttachSync builds the node's lock and barrier endpoints from the model's
+// hooks and attaches the node's message handler: synchronization traffic
+// goes to the endpoints, anything else to serve (nil if the model has no
+// kinds of its own).
+func (b *Base) AttachSync(lh syncmgr.LockHooks, bh syncmgr.BarrierHooks, serve Server) {
+	b.locks = syncmgr.NewLockMgr(b.P, b.Net, b.nprocs, lh, &b.Cnt)
+	b.bars = syncmgr.NewBarrierMgr(b.P, b.Net, b.nprocs, bh, &b.Cnt)
+	b.serve = serve
+	b.Net.Attach(b.P, b.handle)
+}
+
+// handle dispatches an incoming protocol message. Like syncmgr's handlers,
+// the models' assume exactly-once in-order delivery (see the syncmgr package
+// doc): under a fault plan the fabric's reliable sublayer restores that
+// guarantee before anything reaches here.
+func (b *Base) handle(hc *fabric.HandlerCtx, m fabric.Msg) {
+	if b.locks.Handle(hc, m) || b.bars.Handle(hc, m) || b.serve != nil && b.serve.Serve(hc, m) {
+		return
+	}
+	panic(fmt.Sprintf("nodebase: %v node: unhandled message kind %d", b.Impl.Model, m.Kind))
+}
+
+// NProcs implements core.DSM.
+func (b *Base) NProcs() int { return b.nprocs }
+
+// Model implements core.DSM.
+func (b *Base) Model() core.Model { return b.Impl.Model }
+
+// Lock flushes the deferred cost and acquires l in mode.
+func (b *Base) Lock(l core.LockID, mode syncmgr.Mode) {
+	b.Flush()
+	b.locks.Acquire(l, mode)
+}
+
+// Holding reports whether this node holds l, and in which mode.
+func (b *Base) Holding(l core.LockID) (bool, syncmgr.Mode) { return b.locks.Holding(l) }
+
+// Release implements core.DSM. Under both models the consistency actions
+// of a release, if any, run in the lock hooks when the next acquirer's
+// request arrives.
+func (b *Base) Release(l core.LockID) {
+	b.Flush()
+	b.locks.Release(l)
+}
+
+// Barrier implements core.DSM.
+func (b *Base) Barrier(id core.BarrierID) {
+	b.Flush()
+	b.bars.Wait(id)
+}
+
+// SetBarrierFanIn arranges barrier episodes as a radix-r arrival/departure
+// tree (see syncmgr.BarrierMgr.SetFanIn). r < 2 keeps the flat protocol;
+// must be called before the simulation starts.
+func (b *Base) SetBarrierFanIn(r int) { b.bars.SetFanIn(r) }
+
+// Work charges d of write-trapping or collection CPU time, recording it
+// against object kind and id (trace.ObjLock, ObjPage or ObjNone).
+func (b *Base) Work(kind int32, id int, d sim.Time) {
+	b.Tr.Work(b.P.Now(), b.P.ID(), trace.WorkTrapDiff, kind, id, d)
+	b.Charge(d)
+}
+
+// TwinFault serves the first write to a write-protected page pg under
+// twinning: it charges pre, the model's work owed before the twin, then the
+// fault, the page copy and the unprotect, makes the twin and unprotects. The
+// two charges stay separate: a flush may fall between them.
+func (b *Base) TwinFault(pg int, pre sim.Time) {
+	twin := b.CM.ProtFault + mem.PageWords*b.CM.WordCopy + b.CM.MProtect
+	b.Tr.Work(b.P.Now(), b.P.ID(), trace.WorkTrapDiff, trace.ObjPage, pg, pre+twin)
+	b.Charge(pre)
+	b.Charge(twin)
+	b.Twins.Make(pg)
+	b.Tr.Twin(b.P.Now(), b.P.ID(), trace.DomainPage, pg)
+	b.Extra.TwinsMade++
+	b.MMU.SetProt(pg, vm.ReadWrite)
 }
 
 // neverProt is fastWriteProt's sentinel: no page ever reaches it, so every
 // store misses the fast-path compare and takes writeSlow.
 const neverProt vm.Prot = 0xFF
-
-// SetTrap installs the compiler-instrumentation write trap: every shared
-// store charges cost and records its block in db. Pass nil to clear (the
-// twinning configurations trap via protection faults instead).
-func (b *Base) SetTrap(db *wtrap.DirtyBits, cost sim.Time) {
-	b.trapDB = db
-	b.trapCost = cost
-	if db != nil {
-		b.fastWriteProt = neverProt
-	} else {
-		b.fastWriteProt = vm.ReadWrite
-	}
-}
 
 // Charge defers d of CPU cost, flushing when the accumulation grows large.
 func (b *Base) Charge(d sim.Time) {
@@ -241,12 +343,12 @@ func (b *Base) writeSlow(a mem.Addr, size int) {
 		b.Tr.Fault(b.P.Now(), b.P.ID(), mem.PageOf(a), true)
 		b.MMU.FaultWrite(a)
 	}
-	if b.trapDB != nil {
+	if b.DB != nil {
 		if b.Tr != nil {
 			b.trapPend += b.trapCost
 		}
 		b.Charge(b.trapCost)
-		b.trapDB.NoteWrite(a, size)
+		b.DB.NoteWrite(a, size)
 	}
 }
 

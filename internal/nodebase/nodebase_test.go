@@ -7,11 +7,11 @@ import (
 	"ecvslrc/internal/fabric"
 	"ecvslrc/internal/mem"
 	"ecvslrc/internal/sim"
-	"ecvslrc/internal/wtrap"
 )
 
-// rig builds a Base on a one-processor simulation and runs body.
-func rig(t *testing.T, body func(b *Base)) {
+// rig builds a Base of implementation impl on a one-processor simulation
+// and runs body.
+func rig(t *testing.T, impl core.Impl, body func(b *Base)) {
 	t.Helper()
 	s := sim.New()
 	net := fabric.New(s, fabric.DefaultCostModel(), 1)
@@ -19,15 +19,17 @@ func rig(t *testing.T, body func(b *Base)) {
 	al.Alloc("data", 2*mem.PageSize, 4)
 	b := &Base{}
 	p := s.Spawn("p0", func(p *sim.Proc) { body(b) })
-	b.InitWithImage(p, net, al, core.LRC, 1, mem.NewImage(al.Size()))
+	b.InitWithImage(p, net, al, impl, 1, mem.NewImage(al.Size()))
 	net.Attach(p, func(hc *fabric.HandlerCtx, m fabric.Msg) {})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 }
 
+var lrcDiff = core.Impl{Model: core.LRC, Trap: core.Twinning, Collect: core.Diffs}
+
 func TestDeferredChargeFlushesAtThreshold(t *testing.T) {
-	rig(t, func(b *Base) {
+	rig(t, lrcDiff, func(b *Base) {
 		start := b.P.Now()
 		// Below the threshold: the clock must not move yet (one event per
 		// charge would make instrumented stores unaffordable).
@@ -47,7 +49,7 @@ func TestDeferredChargeFlushesAtThreshold(t *testing.T) {
 }
 
 func TestFlushExplicit(t *testing.T) {
-	rig(t, func(b *Base) {
+	rig(t, lrcDiff, func(b *Base) {
 		b.Charge(10 * sim.Microsecond)
 		b.Flush()
 		if b.P.Now() != 10*sim.Microsecond {
@@ -61,9 +63,8 @@ func TestFlushExplicit(t *testing.T) {
 }
 
 func TestAccessorsRoundTripAndTrap(t *testing.T) {
-	rig(t, func(b *Base) {
-		db := wtrap.NewDirtyBits(b.Al, false)
-		b.SetTrap(db, sim.Microsecond)
+	rig(t, core.Impl{Model: core.EC, Trap: core.CompilerInstr, Collect: core.Timestamps}, func(b *Base) {
+		db := b.DB
 		b.WriteI32(4, -5)
 		b.WriteF32(8, 1.5)
 		b.WriteF64(16, 2.25)
@@ -77,14 +78,14 @@ func TestAccessorsRoundTripAndTrap(t *testing.T) {
 		if len(runs) != 2 || runs[0].Base != 4 || runs[0].Len != 8 || runs[1].Base != 16 || runs[1].Len != 8 {
 			t.Errorf("dirty runs = %v", runs)
 		}
-		if b.Now() != 3*sim.Microsecond {
-			t.Errorf("pending trap cost = %v, want 3µs", b.Now())
+		if want := 3 * b.CM.InstrStoreOpt; b.Now() != want {
+			t.Errorf("pending trap cost = %v, want %v", b.Now(), want)
 		}
 	})
 }
 
 func TestStatsWindow(t *testing.T) {
-	rig(t, func(b *Base) {
+	rig(t, lrcDiff, func(b *Base) {
 		b.P.Sleep(50 * sim.Microsecond)
 		b.StatsBegin()
 		b.P.Sleep(100 * sim.Microsecond)
@@ -105,7 +106,7 @@ func TestStatsWindow(t *testing.T) {
 }
 
 func TestStatsEndWithoutBeginPanics(t *testing.T) {
-	rig(t, func(b *Base) {
+	rig(t, lrcDiff, func(b *Base) {
 		defer func() {
 			if recover() == nil {
 				t.Error("want panic")

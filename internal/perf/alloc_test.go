@@ -34,6 +34,8 @@ func BenchmarkPerfDisabled(b *testing.B) {
 // window only, while any per-operation allocation shows in both.
 func TestDisabledRegistryAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// One P: no other goroutine of the test binary allocates in the window.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var r *Registry
 	const n = 1000
 	window := func() uint64 {

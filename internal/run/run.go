@@ -155,6 +155,7 @@ func (o Options) Validate() error {
 type node interface {
 	core.DSM
 	Window() (nodebase.WindowStats, bool)
+	SetBarrierFanIn(int)
 }
 
 // Result is the outcome of one parallel run.
@@ -281,7 +282,7 @@ func RunWith(app App, impl core.Impl, nprocs int, cm fabric.CostModel, opts Opti
 		}
 		starts[i] = func() { nodes[i].StatsBegin(); app.Program(nodes[i]) }
 		if opts.BarrierFanIn >= 2 {
-			nodes[i].(interface{ SetBarrierFanIn(int) }).SetBarrierFanIn(opts.BarrierFanIn)
+			nodes[i].SetBarrierFanIn(opts.BarrierFanIn)
 		}
 	}
 	var gc *lrc.GC

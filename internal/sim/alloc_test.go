@@ -41,6 +41,8 @@ func TestScheduleAllocs(t *testing.T) {
 // nothing. Handoffs must count every one.
 func TestHandoffAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// One P: no other goroutine of the test binary allocates in the window.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const warm, rounds = 8, 1000
 	s := New()
 	var m0, m1 runtime.MemStats

@@ -62,46 +62,59 @@ var blockSpecs = [...]blockSpec{
 }
 
 // Report renders blocks, in the order given and separated by blank lines,
-// from the records of one Run of cfg's cells. Tables 3-5 and the counters
-// show appNames (the paper's suite when empty) and Micro the factor
-// kernels; the grid holds every application and implementation some block
-// shows, so each cell runs once whatever blocks share it. The grid is one
-// variant (cfg's cost and machine) on cfg.NProcs, with cfg's Parallel,
-// Timeout and Perf; cfg.Trace profiles every cell (Grid.Breakdown). dsmbench
-// prints exactly this.
+// from the records of the cells they show. Tables 3-5 and the counters show
+// appNames (the paper's suite when empty) and Micro the factor kernels.
+// Each kind of block, suite or kernels, is one Run over the implementations
+// of the models that kind's blocks show, so no cell runs that no block
+// prints, and each cell runs once whatever blocks share it; the kinds run in
+// the order the blocks first name them. Every Run is one variant (cfg's cost
+// and machine) on cfg.NProcs, with cfg's Parallel, Timeout and Perf;
+// cfg.Trace profiles every cell (Grid.Breakdown). dsmbench prints exactly
+// this.
 func Report(cfg harness.Config, appNames []string, blocks ...Block) (string, error) {
 	if len(appNames) == 0 {
 		appNames = apps.Names()
 	}
-	var names []string
-	var models []core.Model
+	var kinds []bool // kernels or not, in first-named order
+	models := make(map[bool][]core.Model)
 	for _, blk := range blocks {
 		spec := blockSpecs[blk]
 		if len(spec.models) == 0 {
 			continue
 		}
-		models = append(models, spec.models...)
-		list := appNames
-		if spec.kernels {
-			list = apps.MicroNames()
+		if _, ok := models[spec.kernels]; !ok {
+			kinds = append(kinds, spec.kernels)
 		}
-		for _, n := range list {
-			if !slices.Contains(names, n) {
-				names = append(names, n)
-			}
-		}
-	}
-	var impls []core.Impl
-	for _, i := range core.Implementations() {
-		if slices.Contains(models, i.Model) {
-			impls = append(impls, i)
-		}
+		models[spec.kernels] = append(models[spec.kernels], spec.models...)
 	}
 	variant := cmp.Or(cfg.Variant, BaselineName)
+	ran := make(map[string][]core.Model) // the models each application's cells ran under
 	var recs []Record
-	if len(names) > 0 {
-		var err error
-		recs, err = Run(Grid{
+	for _, kernels := range kinds {
+		ms := models[kernels]
+		list := appNames
+		if kernels {
+			list = apps.MicroNames()
+		}
+		// An application an earlier kind ran under all of this kind's models
+		// (a kernel named in appNames) does not run again.
+		var names []string
+		for _, n := range list {
+			if slices.ContainsFunc(ms, func(m core.Model) bool { return !slices.Contains(ran[n], m) }) {
+				names = append(names, n)
+				ran[n] = append(ran[n], ms...)
+			}
+		}
+		if len(names) == 0 {
+			continue
+		}
+		var impls []core.Impl
+		for _, i := range core.Implementations() {
+			if slices.Contains(ms, i.Model) {
+				impls = append(impls, i)
+			}
+		}
+		rs, err := Run(Grid{
 			Scale: cfg.Scale, Apps: names, Impls: impls, NProcs: []int{cfg.NProcs},
 			Variants: []Variant{{Name: variant, Cost: cfg.Cost, Machine: cfg.Machine}},
 			Parallel: cfg.Parallel, Timeout: cfg.Timeout, Breakdown: cfg.Trace, Perf: cfg.Perf,
@@ -109,6 +122,7 @@ func Report(cfg harness.Config, appNames []string, blocks ...Block) (string, err
 		if err != nil {
 			return "", err
 		}
+		recs = append(recs, rs...)
 	}
 	v := &view{
 		scale: cfg.Scale, nprocs: cfg.NProcs, suite: appNames,

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -108,8 +109,8 @@ func TestBenchReportWithMetricsMatchesSeedGolden(t *testing.T) {
 	if len(cells) == 0 || runs == 0 {
 		t.Error("registry attached but observed no cells")
 	}
-	// The report simulates each cell once: every block reads the records of
-	// one sweep. 7 apps and 5 factor kernels x (6 impls + seq).
+	// Every block of -all shows both models, and each cell runs once: 7 apps
+	// and 5 factor kernels x (6 impls + seq).
 	if want := (7 + 5) * 7; int(runs) != want || len(cells) != want {
 		t.Errorf("report ran %d cells (%d distinct), want %d of each", runs, len(cells), want)
 	}
@@ -119,6 +120,43 @@ func TestBenchReportWithMetricsMatchesSeedGolden(t *testing.T) {
 	t.Logf("report cells allocated %d objects (ceiling %d)", mallocs, reportMallocCeiling)
 	if mallocs > reportMallocCeiling {
 		t.Errorf("report cells allocated %d objects, over the %d ceiling: a simulation path started allocating", mallocs, reportMallocCeiling)
+	}
+}
+
+// TestReportRunsOnlyPrintedCells: a report simulates the cells its blocks
+// print and no others. Table 4 (or 5) with the factor kernels shows the
+// suite under one model's three implementations and the kernels under all
+// six, so each run records 7x3 suite cells, 5x6 kernel cells and 12
+// sequential references — not the other model's 21 suite cells besides.
+func TestReportRunsOnlyPrintedCells(t *testing.T) {
+	for _, c := range []struct {
+		table Block
+		name  string
+		model string
+	}{{Table4, "Table 4", "EC-"}, {Table5, "Table 5", "LRC-"}} {
+		reg := perf.New()
+		cfg := testConfig()
+		cfg.Perf = reg
+		if _, err := Report(cfg, nil, c.table, Micro); err != nil {
+			t.Fatal(err)
+		}
+		var suite, kernels, seqs int64
+		for _, cell := range reg.Cells() {
+			switch {
+			case cell.Impl == "seq":
+				seqs += cell.Runs
+			case slices.Contains(apps.MicroNames(), cell.App):
+				kernels += cell.Runs
+			case strings.HasPrefix(cell.Impl, c.model):
+				suite += cell.Runs
+			default:
+				t.Errorf("%s: ran %s/%s, which no block prints", c.name, cell.App, cell.Impl)
+			}
+		}
+		if suite != 7*3 || kernels != 5*6 || seqs != 7+5 {
+			t.Errorf("%s: ran %d suite cells, %d kernel cells and %d sequential references, want 21, 30 and 12",
+				c.name, suite, kernels, seqs)
+		}
 	}
 }
 

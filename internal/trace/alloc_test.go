@@ -42,6 +42,8 @@ func BenchmarkProfilerDisabled(b *testing.B) {
 // of emits across every helper must perform zero heap allocations.
 func TestEmitSteadyStateAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// One P: no other goroutine of the test binary allocates in the window.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	tr := New(4)
 	tr.Reserve(16 << 10)
 	var m0, m1 runtime.MemStats
@@ -68,6 +70,8 @@ func TestEmitSteadyStateAllocs(t *testing.T) {
 // zero heap allocations, however many records go by — and none are kept.
 func TestProfilingEmitSteadyStateAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// One P: no other goroutine of the test binary allocates in the window.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	tr := NewProfiling(4)
 	interval := func(i int) {
 		p := i & 3

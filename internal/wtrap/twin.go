@@ -118,13 +118,7 @@ func (o *ObjectTwin) Remake(im *mem.Image, ranges []mem.Range) {
 }
 
 // Words returns the total words twinned (the copy cost basis).
-func (o *ObjectTwin) Words() int {
-	n := 0
-	for _, r := range o.ranges {
-		n += r.Words()
-	}
-	return n
-}
+func (o *ObjectTwin) Words() int { return mem.Words(o.ranges) }
 
 // Compare diffs the current object contents against the twin, returning
 // modified word runs and the number of words compared.

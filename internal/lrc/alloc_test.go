@@ -49,3 +49,33 @@ func TestHarvestSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestCloseIntervalAllocs guards the record a twinning close makes: once the
+// writer's log has room, a warm closeInterval that modified one page
+// allocates exactly the record. The record keeps Σ vec and its wire size,
+// not a copy of the processor's vector.
+func TestCloseIntervalAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const warm, epochs = 4, 16
+	var got uint64
+	newTestNode(t, diffImpl(), func(n *Node) {
+		n.hist.logs[0].recs = make([]*interval, 0, warm+epochs)
+		var m0, m1 runtime.MemStats
+		for k := 0; k < warm+epochs; k++ {
+			n.WriteI32(0, int32(k+1)) // write fault: harvest the closed epoch, twin the page
+			runtime.ReadMemStats(&m0)
+			n.closeInterval()
+			runtime.ReadMemStats(&m1)
+			if k >= warm {
+				got += m1.Mallocs - m0.Mallocs
+			}
+		}
+		if n.cur != warm+epochs+1 {
+			t.Fatalf("%d closes made %d records", warm+epochs, n.cur-1)
+		}
+	})
+	if got != epochs {
+		t.Errorf("%d warm one-page closes allocated %d objects, want %d (one record each)", epochs, got, epochs)
+	}
+}

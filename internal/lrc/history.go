@@ -7,12 +7,12 @@ import (
 )
 
 // History is the interval-record log of one simulation: per writer, the
-// records it closed, ascending by index. closeInterval bumps a processor's
-// interval index only when it makes a record, so a writer's indices are
-// contiguous, and a record is immutable once made. Every node of a run can
-// therefore read the same records: a node holds writer q's records
-// (floor[q], held[q]] of q's log, where held advances as write notices
-// arrive and floor as the notice-history collector prunes.
+// records it closed (keys and costs, no vectors), ascending by index.
+// closeInterval bumps a processor's interval index only when it makes a
+// record, so a writer's indices are contiguous, and a record is immutable
+// once made. Every node of a run can therefore read the same records: a node
+// holds writer q's records (floor[q], held[q]] of q's log, where held
+// advances as write notices arrive and floor as the collector prunes.
 //
 // A History built by NewHistory and passed to every NewWithImage of a run is
 // shared; New gives its node a private one, which absorb fills with the

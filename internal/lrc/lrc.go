@@ -31,12 +31,11 @@ const (
 )
 
 // interval is a closed execution interval of one processor: the unit the
-// write notices name. The vector captures the intervals of every other
-// processor that happened before this one.
+// write notices name. A record keeps its key and its cost, not the vector
+// its writer held at close: nothing after the close reads the vector itself.
 type interval struct {
 	proc  int
 	idx   int32
-	vec   []int32
 	pages []int
 	// wire is the cost of shipping this interval's write notices: interval
 	// identity, its vector, and one notice per page. A record is immutable,
@@ -47,12 +46,14 @@ type interval struct {
 	sum int64
 }
 
+// newInterval makes writer proc's record idx from vec, the writer's vector
+// at the close, which it reads and does not keep.
 func newInterval(proc int, idx int32, vec []int32, pages []int) *interval {
 	var sum int64
 	for _, v := range vec {
 		sum += int64(v)
 	}
-	return &interval{proc: proc, idx: idx, vec: vec, pages: pages, wire: 8 + 4*len(vec) + 4*len(pages), sum: sum}
+	return &interval{proc: proc, idx: idx, pages: pages, wire: 8 + 4*len(vec) + 4*len(pages), sum: sum}
 }
 
 // cmpInterval orders records by (proc, idx), the order absorb applies them in.
@@ -450,9 +451,7 @@ func (n *Node) closeInterval() sim.Time {
 	if len(pages) == 0 {
 		return work
 	}
-	vec := make([]int32, len(n.vec))
-	copy(vec, n.vec)
-	rec := newInterval(self, n.cur, vec, pages)
+	rec := newInterval(self, n.cur, n.vec, pages)
 	n.hist.add(rec)
 	n.held[self] = n.cur
 	n.noticeBytes += int64(rec.wire)
@@ -733,8 +732,8 @@ func (n *Node) accessMiss(pg int, write bool) {
 
 // orderUnits returns, in order[:0], the happens-before application order of
 // an access miss's units, which arrive as one ascending run per writer in
-// ascending processor order. Unit a must precede b when b's interval vector
-// covers a's interval. b's vector then covers a's vector and exceeds it in
+// ascending processor order. Unit a must precede b when the vector b closed
+// with covers a's interval. That vector then covers a's and exceeds it in
 // a's own entry, so Σ vec strictly increases along happens-before, and one
 // sort on (sum, proc, ival) is a linear extension with no cycle to detect.
 // A unit whose record this node does not hold takes its writer's previous

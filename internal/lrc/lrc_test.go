@@ -154,20 +154,21 @@ func TestIntervalBefore(t *testing.T) {
 	newTestNode(t, diffImpl(), func(n *Node) {
 		// Fake a two-processor history on a one-node test rig.
 		n.vec = make([]int32, 2)
+		cv := closedVecs{}
 		n.holdAll([][]*interval{nil, {
-			{proc: 1, idx: 1, vec: []int32{0, 0}, pages: []int{0}},
-			{proc: 1, idx: 2, vec: []int32{5, 1}, pages: []int{0}},
+			cv.close(1, 1, []int32{0, 0}, []int{0}),
+			cv.close(1, 2, []int32{5, 1}, []int{0}),
 		}})
-		if !n.intervalBefore(1, 1, 1, 2) {
+		if !n.intervalBefore(cv, 1, 1, 1, 2) {
 			t.Error("same-processor intervals are ordered by index")
 		}
-		if !n.intervalBefore(0, 5, 1, 2) {
-			t.Error("(0,5) precedes (1,2): rec(1,2).vec[0]=5 covers it")
+		if !n.intervalBefore(cv, 0, 5, 1, 2) {
+			t.Error("(0,5) precedes (1,2): (1,2) closed with vector [5 1], which covers it")
 		}
-		if n.intervalBefore(0, 6, 1, 2) {
+		if n.intervalBefore(cv, 0, 6, 1, 2) {
 			t.Error("(0,6) is not covered by rec(1,2)")
 		}
-		if n.intervalBefore(0, 1, 1, 99) {
+		if n.intervalBefore(cv, 0, 1, 1, 99) {
 			t.Error("unknown record: incomparable")
 		}
 	})

@@ -17,23 +17,37 @@ import (
 	"ecvslrc/internal/wcollect"
 )
 
+// closedVecs maps each record a test builds to the vector its writer held
+// when it closed it. A record keeps only Σ vec; the happens-before oracle
+// needs the whole vector.
+type closedVecs map[*interval][]int32
+
+// close makes writer proc's record idx from vec, as closeInterval does, and
+// notes a copy of vec.
+func (cv closedVecs) close(proc int, idx int32, vec []int32, pages []int) *interval {
+	rec := newInterval(proc, idx, vec, pages)
+	cv[rec] = slices.Clone(vec)
+	return rec
+}
+
 // intervalBefore reports whether (p,i) happened before (q,j): q had seen p's
 // interval i closed by the time it closed its own interval j. It is the
-// pairwise definition orderUnits is checked against.
-func (n *Node) intervalBefore(p int, i int32, q int, j int32) bool {
+// pairwise definition orderUnits is checked against, and reads (q,j)'s
+// vector from cv.
+func (n *Node) intervalBefore(cv closedVecs, p int, i int32, q int, j int32) bool {
 	if p == q {
 		return i < j
 	}
 	rec := n.record(q, j)
-	return rec != nil && rec.vec[p] >= i
+	return rec != nil && cv[rec][p] >= i
 }
 
 // kahnOrder is a retired accessMiss ordering, kept as the test oracle:
 // Kahn's algorithm over all-pairs in-degrees, always extracting the
 // (proc, ival)-minimum source. O(k^2) happens-before tests per miss.
-func (n *Node) kahnOrder(units []applyUnit) []applyUnit {
+func (n *Node) kahnOrder(cv closedVecs, units []applyUnit) []applyUnit {
 	before := func(a, b int) bool {
-		return n.intervalBefore(units[a].proc, units[a].ival, units[b].proc, units[b].ival)
+		return n.intervalBefore(cv, units[a].proc, units[a].ival, units[b].proc, units[b].ival)
 	}
 	indeg := make([]int, len(units))
 	for b := range units {
@@ -97,9 +111,11 @@ func firstSeenUnits(units []applyUnit, pk wcollect.LRCPacking, proc int, sd wcol
 // randomHistory plays a random execution of nprocs processors: each step one
 // processor optionally learns another's vector (an acquire) and closes an
 // interval, exactly as closeInterval and absorb maintain vectors. Real vector
-// clocks keep the happens-before relation acyclic.
-func randomHistory(rng *rand.Rand, nprocs, steps int) [][]*interval {
+// clocks keep the happens-before relation acyclic. It returns each writer's
+// records and the vectors they closed with.
+func randomHistory(rng *rand.Rand, nprocs, steps int) ([][]*interval, closedVecs) {
 	records := make([][]*interval, nprocs)
+	cv := closedVecs{}
 	vecs := make([][]int32, nprocs)
 	for p := range vecs {
 		vecs[p] = make([]int32, nprocs)
@@ -112,16 +128,16 @@ func randomHistory(rng *rand.Rand, nprocs, steps int) [][]*interval {
 			}
 		}
 		idx := vecs[p][p] + 1
-		records[p] = append(records[p], newInterval(p, idx, slices.Clone(vecs[p]), nil))
+		records[p] = append(records[p], cv.close(p, idx, vecs[p], nil))
 		vecs[p][p] = idx
 	}
-	return records
+	return records, cv
 }
 
 // TestMissOrderExtendsHappensBefore is the seeded property test of the
 // ordering: over random histories, writer sets, fetch windows, unknown
 // records (the requester holds a random window (floor, held] of each
-// writer's records, so the units outside it have nil vectors) and — for the
+// writer's records, so it has no record of the units outside it) and — for the
 // timestamp collection — address-ordered replies, orderUnits must return a
 // permutation of the units that keeps each writer's interval order and
 // respects every happens-before edge the Kahn oracle respects.
@@ -129,7 +145,7 @@ func TestMissOrderExtendsHappensBefore(t *testing.T) {
 	for seed := int64(1); seed <= 400; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		nprocs := 2 + rng.Intn(9)
-		full := randomHistory(rng, nprocs, 5+rng.Intn(60))
+		full, cv := randomHistory(rng, nprocs, 5+rng.Intn(60))
 		n := &Node{}
 		n.holdAll(full)
 		for p, recs := range full {
@@ -176,8 +192,8 @@ func TestMissOrderExtendsHappensBefore(t *testing.T) {
 			oracleUnits = slices.Clone(units)
 		}
 		// Half the seeds of each collection also prune a prefix of what the
-		// node holds, as the notice collector does: those units have nil
-		// vectors too.
+		// node holds, as the notice collector does: the node has no record
+		// of those units either.
 		if seed%4 < 2 {
 			for p := range full {
 				n.floor[p] = int32(rng.Intn(int(n.held[p]) + 1))
@@ -188,7 +204,7 @@ func TestMissOrderExtendsHappensBefore(t *testing.T) {
 		for _, k := range n.orderUnits(nil, units) {
 			got = append(got, units[k.i])
 		}
-		want := n.kahnOrder(oracleUnits)
+		want := n.kahnOrder(cv, oracleUnits)
 		desc := fmt.Sprintf("seed %d (%d procs, %d units, stamped=%v)\n got  %s\n kahn %s",
 			seed, nprocs, len(units), stamped, unitNames(got), unitNames(want))
 
@@ -215,7 +231,7 @@ func TestMissOrderExtendsHappensBefore(t *testing.T) {
 		// writer's own interval order.
 		for _, a := range units {
 			for _, b := range units {
-				if !n.intervalBefore(a.proc, a.ival, b.proc, b.ival) {
+				if !n.intervalBefore(cv, a.proc, a.ival, b.proc, b.ival) {
 					continue
 				}
 				ka, kb := [2]int{a.proc, int(a.ival)}, [2]int{b.proc, int(b.ival)}

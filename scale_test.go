@@ -236,9 +236,13 @@ func TestNoticeHistoryBounded(t *testing.T) {
 // the nodes write on top of it. Each has headroom for allocator slack and
 // for what the earlier tests in the same process left live. Each named
 // regression was measured on a copy of the code with it put back:
-//   - 32-proc Water/LRC-diff, ~22 MiB heap and ~42 MiB resident, under 30
-//     and 56 MiB: its nodes share one interval-record log, and a node that
-//     keeps its own per-writer record lists again reads 42 and 62 MiB;
+//   - 32-proc Water/LRC-diff, ~17 MiB heap and ~38 MiB resident, under 20
+//     and 44 MiB: its interval records keep Σ vec, not the vector, and
+//     records that keep a copy of their writer's vector again read 20-22.5
+//     MiB of heap (and 41-44 resident, which the resident budget's headroom
+//     does not separate at this size); its nodes share one interval-record
+//     log, and a node that keeps its own per-writer record lists read 42 and
+//     62 MiB while records still kept their vectors;
 //   - 256-proc SOR/LRC-diff, ~17 MiB heap and ~45 MiB resident, under 32
 //     and 72 MiB: an O(procs^2) regression in per-node protocol state of
 //     1 KiB per processor pair, 64 MiB at this size, fails both (the
@@ -270,7 +274,7 @@ var largeScaleBudgets = []struct {
 	nprocs    int
 	heap, rss int64
 }{
-	{"Water", core.Impl{Model: core.LRC, Trap: core.Twinning, Collect: core.Diffs}, apps.Large, 32, 30 << 20, 56 << 20},
+	{"Water", core.Impl{Model: core.LRC, Trap: core.Twinning, Collect: core.Diffs}, apps.Large, 32, 20 << 20, 44 << 20},
 	{"SOR", core.Impl{Model: core.LRC, Trap: core.Twinning, Collect: core.Diffs}, apps.Large, 256, 32 << 20, 72 << 20},
 	{"3D-FFT", core.Impl{Model: core.EC, Trap: core.Twinning, Collect: core.Timestamps}, apps.Large, 64, 60 << 20, 100 << 20},
 	{"SOR", core.Impl{Model: core.LRC, Trap: core.Twinning, Collect: core.Diffs}, apps.Large, 1024, 200 << 20, 290 << 20},

@@ -205,11 +205,9 @@ type DSM interface {
 	// Now returns the current simulated time.
 	Now() sim.Time
 
-	// StatsBegin starts this processor's measurement window (typically
-	// right after initialization barriers).
-	StatsBegin()
-	// StatsEnd closes the window (typically right after the final barrier,
-	// before result verification).
+	// StatsEnd closes this processor's measurement window, which opens at
+	// time 0 (typically right after the final barrier, before result
+	// verification). Each processor calls it exactly once.
 	StatsEnd()
 }
 
@@ -221,10 +219,11 @@ type Accessor interface {
 	DSM
 }
 
-// Stats aggregates one run's measurements in the units the paper reports.
+// Stats holds measurements in the units the paper reports: each processor
+// counts its own events into one Stats, and a run's Stats sums them.
 type Stats struct {
-	// Time is the parallel execution time: the latest StatsEnd minus the
-	// earliest StatsBegin over all processors.
+	// Time is the parallel execution time: the latest StatsEnd (every
+	// window opens at 0). A processor's own Stats holds its StatsEnd.
 	Time sim.Time
 	// Msgs counts messages sent inside the window.
 	Msgs int64

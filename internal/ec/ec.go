@@ -465,7 +465,7 @@ func (n *Node) harvest(l core.LockID, st *lockState) sim.Time {
 		if len(changed) > 0 {
 			d := wcollect.BuildDiff(n.Im, changed)
 			st.diffs = append(st.diffs, taggedDiff{Tag: st.inc, Diff: d})
-			n.Extra.DiffsCreated++
+			n.Tally.DiffsCreated++
 			work += sim.Time(d.Words()) * n.CM.WordCopy
 		}
 	}
@@ -620,7 +620,7 @@ func (h *lockHooks) MakeLockGrant(l core.LockID, mode syncmgr.Mode, req fabric.P
 			work += sim.Time(scanned) * n.CM.WordScan
 			g.Stamped.Extract(n.Im, &g.arena)
 			size += g.Stamped.WireSize(wcollect.ECStampBytes)
-			n.Extra.StampRunsSent += int64(len(g.Stamped.Runs))
+			n.Tally.StampRunsSent += int64(len(g.Stamped.Runs))
 		case core.Diffs:
 			ki := n.known(st)
 			ki[requester] = reqInc

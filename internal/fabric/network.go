@@ -38,11 +38,6 @@ func (s *Stats) Add(other Stats) {
 	s.Bytes += other.Bytes
 }
 
-// Sub returns s minus other, used for measurement windows.
-func (s Stats) Sub(other Stats) Stats {
-	return Stats{Msgs: s.Msgs - other.Msgs, Bytes: s.Bytes - other.Bytes}
-}
-
 // flight is one in-transit message: the slot that carries a Msg from the
 // sender's schedule to its arrival. A flight is the sim.Timer target of its
 // own delivery events (stored inline, no closure), and is recycled through

@@ -195,12 +195,3 @@ func TestPerByteCostAndStats(t *testing.T) {
 		t.Errorf("bytes = %d, want 1000", n.ProcStats(0).Bytes)
 	}
 }
-
-func TestStatsWindowSub(t *testing.T) {
-	a := Stats{Msgs: 10, Bytes: 1000}
-	b := Stats{Msgs: 4, Bytes: 300}
-	d := a.Sub(b)
-	if d.Msgs != 6 || d.Bytes != 700 {
-		t.Errorf("d = %+v", d)
-	}
-}

@@ -55,8 +55,8 @@ func TestProfileConservationGrid(t *testing.T) {
 					t.Error(err)
 				}
 				// The trace covers the whole simulated run, including the
-				// initialization outside the StatsBegin..StatsEnd window, so the
-				// profiled span can only exceed the reported run time.
+				// gathering after StatsEnd, outside the window [0, StatsEnd], so
+				// the profiled span can only exceed the reported run time.
 				if prof.Span <= 0 || prof.Span < res.Stats.Time {
 					t.Errorf("span = %v, want >= the run time %v", prof.Span, res.Stats.Time)
 				}

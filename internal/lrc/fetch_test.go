@@ -50,7 +50,7 @@ func TestFetchRoundTripEveryImpl(t *testing.T) {
 			if got != 4242 {
 				t.Errorf("fetched value = %d, want 4242", got)
 			}
-			if misses := nodes[1].Extra.AccessMisses; misses != 1 {
+			if misses := nodes[1].Tally.AccessMisses; misses != 1 {
 				t.Errorf("reader access misses = %d, want 1", misses)
 			}
 			// The miss costs one fetch request; the responder pays the reply.
@@ -109,7 +109,7 @@ func TestFetchServesOnlyNoticedIntervals(t *testing.T) {
 			if got != 4242 {
 				t.Errorf("fetched value = %d, want 4242", got)
 			}
-			if misses := nodes[1].Extra.AccessMisses; misses != 1 {
+			if misses := nodes[1].Tally.AccessMisses; misses != 1 {
 				t.Errorf("reader access misses = %d, want 1", misses)
 			}
 		})

@@ -485,7 +485,7 @@ func (n *Node) harvestPage(pg int) sim.Time {
 		}
 		pm.diffs = append(pm.diffs, ivalDiff{Ival: ival, Diff: d})
 		n.noticeBytes += int64(d.WireSize())
-		n.Extra.DiffsCreated++
+		n.Tally.DiffsCreated++
 		work += sim.Time(d.Words()) * n.CM.WordCopy
 	}
 	if n.Tr != nil {
@@ -498,20 +498,15 @@ func (n *Node) harvestPage(pg int) sim.Time {
 
 // absorb installs a batch of interval records received with a grant or a
 // barrier departure: it takes them into the node's held range, invalidates
-// the named pages, and merges the sender's vector. Records for intervals
-// already held are skipped; a record past the next one a writer's held range
-// can take is a gap in the history, which the protocol never sends.
+// the named pages, and merges the sender's vector. Every batch arrives in
+// (proc, idx) order, so each writer's held range grows by one record at a
+// time: collectNotices, MakeArrival and MergeSubtreeArrival all build it so.
+// Records for intervals already held are skipped; a record past the next one
+// a writer's held range can take is a gap in the history, which the protocol
+// never sends.
 func (n *Node) absorb(records []*interval, senderVec []int32) sim.Time {
 	var work sim.Time
 	self := n.P.ID()
-	// Apply in (proc, idx) order so each writer's held range grows by one.
-	// collectNotices emits that order already; only a tree fan-in union
-	// (children folded around the parent's own records, a few per barrier)
-	// arrives out of order.
-	if !slices.IsSortedFunc(records, cmpInterval) {
-		records = slices.Clone(records) // the slice belongs to the sender
-		slices.SortFunc(records, cmpInterval)
-	}
 	for _, rec := range records {
 		q, idx := rec.proc, rec.idx
 		if q == self || idx > n.floor[q] && idx <= n.held[q] {
@@ -640,7 +635,7 @@ func (n *Node) writeTwinFault(pg int) {
 // every writer with outstanding write notices, apply them in happens-before
 // order, and re-validate the page.
 func (n *Node) accessMiss(pg int, write bool) {
-	n.Extra.AccessMisses++
+	n.Tally.AccessMisses++
 	n.Work(trace.ObjPage, pg, n.CM.ProtFault)
 	n.Flush()
 	pm := n.pageMeta(pg)
@@ -827,7 +822,7 @@ func (n *Node) handleFetch(hc *fabric.HandlerCtx, m fabric.Msg) {
 		hc.Work(sim.Time(scanned) * n.CM.WordScan)
 		reply.Stamped.Extract(n.Im, &reply.arena)
 		size = reply.Stamped.WireSize(wcollect.LRCStampBytes)
-		n.Extra.StampRunsSent += int64(len(reply.Stamped.Runs))
+		n.Tally.StampRunsSent += int64(len(reply.Stamped.Runs))
 	}
 	n.Tr.FetchServe(hc.Now(), n.P.ID(), pg, m.From, size)
 	hc.Reply(m, kindFetchReply, size, fabric.Payload{Kind: fabric.PayloadPageReply, Body: reply})
@@ -951,6 +946,9 @@ func (h *barrierHooks) MergeSubtreeArrival(b core.BarrierID, own fabric.Payload)
 			}
 		}
 	}
+	// The children's subtrees interleave with each other and with this
+	// node's own records: put the union in the (proc, idx) order absorb takes.
+	slices.SortFunc(records, cmpInterval)
 	size := 8 * len(maxVec) // max and min vectors
 	for _, r := range records {
 		size += r.wire

@@ -293,18 +293,15 @@ func TestRecordLookupOnPrunedHistory(t *testing.T) {
 	}
 }
 
-// TestAbsorbSortsFanInUnion: a tree fan-in union arrives with the children's
-// records folded around the parent's own, out of (proc, idx) order; absorb
-// must still take each writer's records in index order, without reordering
-// the sender's slice.
-func TestAbsorbSortsFanInUnion(t *testing.T) {
+// TestAbsorbFanInUnion: a tree fan-in union arrives in (proc, idx) order,
+// several writers at once; absorb must take each writer's records into its
+// held range, merge the sender's vector and note the named pages' windows.
+func TestAbsorbFanInUnion(t *testing.T) {
 	newTestNode(t, diffImpl(), func(n *Node) {
 		n.vec = make([]int32, 4)
 		n.holdAll(make([][]*interval, 4))
 		rec := func(proc int, idx int32) *interval { return newInterval(proc, idx, make([]int32, 4), []int{proc % 4}) }
-		union := []*interval{rec(2, 1), rec(2, 2), rec(3, 1), rec(1, 1), rec(1, 2), rec(1, 3)}
-		sent := slices.Clone(union)
-		n.absorb(union, []int32{0, 3, 2, 1})
+		n.absorb([]*interval{rec(1, 1), rec(1, 2), rec(1, 3), rec(2, 1), rec(2, 2), rec(3, 1)}, []int32{0, 3, 2, 1})
 		for proc, want := range [][]int32{nil, {1, 2, 3}, {1, 2}, {1}} {
 			var got []int32
 			for _, r := range n.recordsAfter(proc, 0) {
@@ -314,21 +311,53 @@ func TestAbsorbSortsFanInUnion(t *testing.T) {
 				t.Errorf("records[%d] = %v, want %v", proc, got, want)
 			}
 		}
-		if !slices.Equal(union, sent) {
-			t.Error("absorb reordered the sender's record slice")
-		}
 		if !slices.Equal(n.vec, []int32{0, 3, 2, 1}) {
 			t.Errorf("vec = %v", n.vec)
 		}
 		if w := n.meta[1].find(1); w == nil || w.noticed != 3 {
 			t.Errorf("page 1 window for writer 1 = %+v, want noticed 3", w)
 		}
-		// An in-order batch (what collectNotices emits) is applied as it stands.
-		n.absorb([]*interval{rec(1, 4), rec(3, 2)}, nil)
-		if n.held[1] != 4 || n.held[3] != 2 {
-			t.Errorf("in-order batch: held %d/%d", n.held[1], n.held[3])
+	})
+}
+
+// TestMergeSubtreeArrivalSortsUnion: a tree fan-in node folds its children's
+// subtree arrivals around its own records, which interleaves the writers; the
+// union it sends up must be in the (proc, idx) order absorb takes, without
+// reordering the children's record slices.
+func TestMergeSubtreeArrivalSortsUnion(t *testing.T) {
+	s := sim.New()
+	net := fabric.New(s, fabric.DefaultCostModel(), 4)
+	al := mem.NewAllocator()
+	al.Alloc("data", 4*mem.PageSize, 4)
+	var n *Node
+	p := s.Spawn("p0", func(p *sim.Proc) {
+		rec := func(proc int, idx int32) *interval { return newInterval(proc, idx, make([]int32, 4), []int{proc}) }
+		own := []*interval{rec(0, 1), rec(0, 2)}
+		sub1 := []*interval{rec(1, 1), rec(3, 1), rec(3, 2)} // child 1's subtree holds proc 3
+		sub2 := []*interval{rec(2, 1)}
+		sent1, sent2 := slices.Clone(sub1), slices.Clone(sub2)
+		n.arrivalRecs[1], n.arrivalVecs[1] = sub1, []int32{0, 1, 0, 2}
+		n.arrivalRecs[2], n.arrivalVecs[2] = sub2, []int32{0, 0, 1, 0}
+		up, _, _ := (*barrierHooks)(n).MergeSubtreeArrival(0, fabric.Payload{Vec: []int32{2, 0, 0, 0}, Body: n.newNotices(own)})
+		var got [][2]int32
+		for _, r := range up.Body.(*noticeBody).records {
+			got = append(got, [2]int32{int32(r.proc), r.idx})
+		}
+		want := [][2]int32{{0, 1}, {0, 2}, {1, 1}, {2, 1}, {3, 1}, {3, 2}}
+		if !slices.Equal(got, want) {
+			t.Errorf("merged union = %v, want %v", got, want)
+		}
+		if !slices.Equal(sub1, sent1) || !slices.Equal(sub2, sent2) {
+			t.Error("the merge reordered a child's record slice")
+		}
+		if !slices.Equal(up.Vec, []int32{2, 1, 1, 2}) {
+			t.Errorf("merged vec = %v", up.Vec)
 		}
 	})
+	n = New(p, net, al, 4, diffImpl())
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestAccessMissSteadyStateAllocs is the strict allocation guard of the miss
@@ -380,7 +409,7 @@ func accessMissSteadyStateAllocs(t *testing.T, impl core.Impl) {
 					p.Sleep(100 * sim.Millisecond)
 					var m0, m1 runtime.MemStats
 					runtime.ReadMemStats(&m0)
-					before := nd.Extra.AccessMisses
+					before := nd.Tally.AccessMisses
 					got := nd.ReadI32(base + mem.Addr((writers-1)*mem.WordSize))
 					runtime.ReadMemStats(&m1)
 					if got != int32(k+1) {
@@ -388,7 +417,7 @@ func accessMissSteadyStateAllocs(t *testing.T, impl core.Impl) {
 					}
 					if k >= warm {
 						delta += m1.Mallocs - m0.Mallocs
-						misses += nd.Extra.AccessMisses - before
+						misses += nd.Tally.AccessMisses - before
 					}
 				}
 				nd.Barrier(1)

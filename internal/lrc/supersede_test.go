@@ -119,7 +119,7 @@ func TestFetchWindowEndingBeforeCover(t *testing.T) {
 	if after != 3 {
 		t.Errorf("after the barrier the reader read x=%d, want 3", after)
 	}
-	if misses := nodes[1].Extra.AccessMisses; misses != 2 {
+	if misses := nodes[1].Tally.AccessMisses; misses != 2 {
 		t.Errorf("reader access misses = %d, want 2", misses)
 	}
 }

@@ -3,8 +3,8 @@
 // write-trapping hooks, the lock and barrier endpoints and the message
 // dispatch that serves them, the trapping and collection objects the
 // implementation selects (dirty bits, page twins, timestamps), the page-twin
-// write fault, deferred CPU-cost accounting and its trace record, and
-// statistics windows. Chunk carves node and cell state out of shared
+// write fault, deferred CPU-cost accounting and its trace record, and the
+// node's one statistics tally. Chunk carves node and cell state out of shared
 // allocations. Mirroring Section 6 of the paper, everything that is not a
 // consistency action is shared between the models.
 package nodebase
@@ -78,7 +78,11 @@ type Base struct {
 	// records unconditionally.
 	Tr *trace.Tracer
 
-	Cnt syncmgr.Counters
+	// Tally counts this node's events from time 0: the lock and barrier
+	// endpoints count into it, the models count their misses, diffs, twins
+	// and stamp runs. Messages, bytes, faults and time are read from the
+	// fabric, the MMU and the clock at StatsEnd.
+	Tally core.Stats
 
 	pending sim.Time // deferred CPU cost not yet slept
 	// trapPend is the instrumented-store share of pending when tracing: one
@@ -86,23 +90,8 @@ type Base struct {
 	// and emit as a single record at the next Flush.
 	trapPend sim.Time
 
-	statsOpen  bool
-	winStart   sim.Time
-	hasWindow  bool
-	netBase    fabric.Stats
-	faultsBase int64
-	cntBase    syncmgr.Counters
-	extraBase  Extra
-	window     WindowStats
-	Extra      Extra
-}
-
-// Extra counts protocol-specific events for core.Stats.
-type Extra struct {
-	AccessMisses  int64
-	DiffsCreated  int64
-	TwinsMade     int64
-	StampRunsSent int64
+	ended  bool
+	window core.Stats // Tally as StatsEnd found it
 }
 
 // InitWithImage fills the common fields around a caller-provided image: the
@@ -153,8 +142,8 @@ type Server interface {
 // goes to the endpoints, anything else to serve (nil if the model has no
 // kinds of its own).
 func (b *Base) AttachSync(lh syncmgr.LockHooks, bh syncmgr.BarrierHooks, serve Server) {
-	b.locks = syncmgr.NewLockMgr(b.P, b.Net, b.nprocs, lh, &b.Cnt)
-	b.bars = syncmgr.NewBarrierMgr(b.P, b.Net, b.nprocs, bh, &b.Cnt)
+	b.locks = syncmgr.NewLockMgr(b.P, b.Net, b.nprocs, lh, &b.Tally)
+	b.bars = syncmgr.NewBarrierMgr(b.P, b.Net, b.nprocs, bh, &b.Tally)
 	b.serve = serve
 	b.Net.Attach(b.P, b.handle)
 }
@@ -222,7 +211,7 @@ func (b *Base) TwinFault(pg int, pre sim.Time) {
 	b.Charge(twin)
 	b.Twins.Make(pg)
 	b.Tr.Twin(b.P.Now(), b.P.ID(), trace.DomainPage, pg)
-	b.Extra.TwinsMade++
+	b.Tally.TwinsMade++
 	b.MMU.SetProt(pg, vm.ReadWrite)
 }
 
@@ -358,53 +347,22 @@ func (b *Base) writeSlow4(a mem.Addr) { b.writeSlow(a, 4) }
 //go:noinline
 func (b *Base) writeSlow8(a mem.Addr) { b.writeSlow(a, 8) }
 
-// WindowStats is the per-processor measurement extracted by the runner.
-type WindowStats struct {
-	Start, End sim.Time
-	Net        fabric.Stats
-	Faults     int64
-	Cnt        syncmgr.Counters
-	Extra      Extra
-}
-
-// StatsBegin implements core.DSM: opens this processor's window.
-func (b *Base) StatsBegin() {
-	b.Flush()
-	b.statsOpen = true
-	b.winStart = b.P.Now()
-	b.netBase = b.Net.ProcStats(b.P.ID())
-	b.faultsBase = b.MMU.Faults()
-	b.cntBase = b.Cnt
-	b.extraBase = b.Extra
-}
-
-// StatsEnd implements core.DSM: closes the window.
+// StatsEnd implements core.DSM: closes the window [0, now] and keeps the
+// tally as it stands, with the messages and bytes sent, the faults taken
+// and the time.
 func (b *Base) StatsEnd() {
-	if !b.statsOpen {
-		panic("nodebase: StatsEnd without StatsBegin")
+	if b.ended {
+		panic("nodebase: second StatsEnd")
 	}
 	b.Flush()
-	b.statsOpen = false
-	b.hasWindow = true
-	b.window = WindowStats{
-		Start:  b.winStart,
-		End:    b.P.Now(),
-		Net:    b.Net.ProcStats(b.P.ID()).Sub(b.netBase),
-		Faults: b.MMU.Faults() - b.faultsBase,
-		Cnt: syncmgr.Counters{
-			LockAcquires:     b.Cnt.LockAcquires - b.cntBase.LockAcquires,
-			ReadLockAcquires: b.Cnt.ReadLockAcquires - b.cntBase.ReadLockAcquires,
-			RemoteAcquires:   b.Cnt.RemoteAcquires - b.cntBase.RemoteAcquires,
-			Barriers:         b.Cnt.Barriers - b.cntBase.Barriers,
-		},
-		Extra: Extra{
-			AccessMisses:  b.Extra.AccessMisses - b.extraBase.AccessMisses,
-			DiffsCreated:  b.Extra.DiffsCreated - b.extraBase.DiffsCreated,
-			TwinsMade:     b.Extra.TwinsMade - b.extraBase.TwinsMade,
-			StampRunsSent: b.Extra.StampRunsSent - b.extraBase.StampRunsSent,
-		},
-	}
+	b.ended = true
+	w := b.Tally
+	net := b.Net.ProcStats(b.P.ID())
+	w.Msgs, w.Bytes = net.Msgs, net.Bytes
+	w.Faults = b.MMU.Faults()
+	w.Time = b.P.Now()
+	b.window = w
 }
 
 // Window returns the measurement window, valid after StatsEnd.
-func (b *Base) Window() (WindowStats, bool) { return b.window, b.hasWindow }
+func (b *Base) Window() (core.Stats, bool) { return b.window, b.ended }

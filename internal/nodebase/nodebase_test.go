@@ -7,6 +7,8 @@ import (
 	"ecvslrc/internal/fabric"
 	"ecvslrc/internal/mem"
 	"ecvslrc/internal/sim"
+	"ecvslrc/internal/syncmgr"
+	"ecvslrc/internal/vm"
 )
 
 // rig builds a Base of implementation impl on a one-processor simulation
@@ -84,34 +86,95 @@ func TestAccessorsRoundTripAndTrap(t *testing.T) {
 	})
 }
 
+// nilHooks attach no consistency traffic: pure synchronization.
+type nilHooks struct{}
+
+func (nilHooks) MakeLockRequest(core.LockID, syncmgr.Mode) (fabric.Payload, int) {
+	return fabric.Payload{}, 0
+}
+func (nilHooks) MakeLockGrant(core.LockID, syncmgr.Mode, fabric.Payload, int) (fabric.Payload, int, sim.Time) {
+	return fabric.Payload{}, 0, 0
+}
+func (nilHooks) ApplyLockGrant(core.LockID, syncmgr.Mode, fabric.Payload) sim.Time { return 0 }
+func (nilHooks) LocalReacquire(core.LockID, syncmgr.Mode)                          {}
+
+func (nilHooks) MakeArrival(core.BarrierID) (fabric.Payload, int, sim.Time) {
+	return fabric.Payload{}, 0, 0
+}
+func (nilHooks) AbsorbArrival(core.BarrierID, int, fabric.Payload) sim.Time { return 0 }
+func (nilHooks) PrepareDepartures(core.BarrierID) sim.Time                  { return 0 }
+func (nilHooks) MakeDeparture(core.BarrierID, int) (fabric.Payload, int, sim.Time) {
+	return fabric.Payload{}, 0, 0
+}
+func (nilHooks) ApplyDeparture(core.BarrierID, fabric.Payload) sim.Time { return 0 }
+
+// TestStatsWindow pins the window [0, StatsEnd]: a fault at time 0 and a
+// remote lock acquire count, the window's time is the StatsEnd instant, and
+// a lock acquire, a message and a fault made after StatsEnd still reach the
+// node's tally but not its window. A second StatsEnd panics.
 func TestStatsWindow(t *testing.T) {
-	rig(t, lrcDiff, func(b *Base) {
-		b.P.Sleep(50 * sim.Microsecond)
-		b.StatsBegin()
+	s := sim.New()
+	net := fabric.New(s, fabric.DefaultCostModel(), 2)
+	al := mem.NewAllocator()
+	al.Alloc("data", 2*mem.PageSize, 4)
+	bs := make([]*Base, 2)
+	fault := func(b *Base, pg int) {
+		b.MMU.SetProt(pg, vm.NoAccess)
+		b.ReadI32(mem.Addr(pg * mem.PageSize))
+	}
+	body := func(p *sim.Proc) {
+		b := bs[p.ID()]
+		if p.ID() == 0 {
+			b.Barrier(0) // the manager of locks 0 and 2 serves until proc 1 is done
+			return
+		}
+		fault(b, 0) // at time 0: inside the window
 		b.P.Sleep(100 * sim.Microsecond)
-		b.Cnt.LockAcquires = 7
-		b.Extra.DiffsCreated = 3
+		b.Lock(0, syncmgr.Exclusive)
+		b.Release(0)
+		end := b.P.Now()
+		sent := b.Net.ProcStats(1)
 		b.StatsEnd()
+
+		b.Lock(2, syncmgr.Exclusive) // remote: one more acquire and message
+		b.Release(2)
+		fault(b, 1)
 		w, ok := b.Window()
 		if !ok {
-			t.Fatal("no window")
+			t.Error("no window after StatsEnd")
 		}
-		if w.Start != 50*sim.Microsecond || w.End != 150*sim.Microsecond {
-			t.Errorf("window [%v,%v]", w.Start, w.End)
+		if w.Time != end || end < 100*sim.Microsecond {
+			t.Errorf("window time = %v, want the StatsEnd instant %v", w.Time, end)
 		}
-		if w.Cnt.LockAcquires != 7 || w.Extra.DiffsCreated != 3 {
-			t.Errorf("window counters: %+v %+v", w.Cnt, w.Extra)
+		if w.LockAcquires != 1 || w.RemoteAcquires != 1 || w.Faults != 1 {
+			t.Errorf("window: %d acquires (%d remote), %d faults; want 1, 1, 1", w.LockAcquires, w.RemoteAcquires, w.Faults)
 		}
-	})
-}
-
-func TestStatsEndWithoutBeginPanics(t *testing.T) {
-	rig(t, lrcDiff, func(b *Base) {
-		defer func() {
-			if recover() == nil {
-				t.Error("want panic")
-			}
+		if w.Msgs != sent.Msgs || w.Bytes != sent.Bytes || w.Msgs == 0 {
+			t.Errorf("window: %d msgs, %d bytes; want %d, %d", w.Msgs, w.Bytes, sent.Msgs, sent.Bytes)
+		}
+		if b.Tally.LockAcquires != 2 || b.MMU.Faults() != 2 || b.Net.ProcStats(1).Msgs <= w.Msgs {
+			t.Errorf("post-window events not made: %d acquires, %d faults, %d msgs",
+				b.Tally.LockAcquires, b.MMU.Faults(), b.Net.ProcStats(1).Msgs)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("second StatsEnd: want panic")
+				}
+			}()
+			b.StatsEnd()
 		}()
-		b.StatsEnd()
-	})
+		b.Barrier(0)
+	}
+	for i := range bs {
+		p := s.Spawn("p", body)
+		b := &Base{}
+		b.InitWithImage(p, net, al, lrcDiff, 2, mem.NewImage(al.Size()))
+		b.MMU.SetHandler(func(a mem.Addr, write bool) { b.MMU.SetProt(mem.PageOf(a), vm.ReadWrite) })
+		b.AttachSync(nilHooks{}, nilHooks{}, nil)
+		bs[i] = b
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -76,9 +76,6 @@ func (l *Local) Compute(d sim.Time) { l.clock += d }
 // Now implements core.DSM.
 func (l *Local) Now() sim.Time { return l.clock }
 
-// StatsBegin implements core.DSM.
-func (l *Local) StatsBegin() {}
-
 // StatsEnd implements core.DSM.
 func (l *Local) StatsEnd() {
 	l.ended = true

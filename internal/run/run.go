@@ -11,7 +11,6 @@ import (
 	"ecvslrc/internal/fabric"
 	"ecvslrc/internal/lrc"
 	"ecvslrc/internal/mem"
-	"ecvslrc/internal/nodebase"
 	"ecvslrc/internal/perf"
 	"ecvslrc/internal/sim"
 	"ecvslrc/internal/trace"
@@ -154,17 +153,16 @@ func (o Options) Validate() error {
 // node is the common view of ec.Node and lrc.Node the runner needs.
 type node interface {
 	core.DSM
-	Window() (nodebase.WindowStats, bool)
+	Window() (core.Stats, bool)
 	SetBarrierFanIn(int)
 }
 
 // Result is the outcome of one parallel run.
 type Result struct {
-	App     string
-	Impl    core.Impl
-	NProcs  int
-	Stats   core.Stats
-	PerProc []nodebase.WindowStats
+	App    string
+	Impl   core.Impl
+	NProcs int
+	Stats  core.Stats
 	// LinkWait is the total queueing delay messages spent waiting for the
 	// shared link over the whole run (always zero with contention off) —
 	// the direct measure of what contention mode models.
@@ -256,7 +254,6 @@ func RunWith(app App, impl core.Impl, nprocs int, cm fabric.CostModel, opts Opti
 	if err != nil {
 		return Result{}, fmt.Errorf("run: %s: %w", app.Name(), err)
 	}
-	starts := make([]func(), nprocs)
 	var lrcNodes []*lrc.Node
 	var hist *lrc.History  // the LRC nodes' shared interval-record log
 	var binds *ec.Bindings // the EC nodes' shared initial bindings
@@ -268,10 +265,7 @@ func RunWith(app App, impl core.Impl, nprocs int, cm fabric.CostModel, opts Opti
 		binds = new(ec.Bindings)
 	}
 	for i := 0; i < nprocs; i++ {
-		i := i
-		p := s.Spawn(fmt.Sprintf("%s/p%d", app.Name(), i), func(p *sim.Proc) {
-			starts[i]()
-		})
+		p := s.Spawn(fmt.Sprintf("%s/p%d", app.Name(), i), func(*sim.Proc) { app.Program(nodes[i]) })
 		switch impl.Model {
 		case core.EC:
 			nodes[i] = ec.NewWithImage(p, net, al, nprocs, impl, images[i], binds)
@@ -280,7 +274,6 @@ func RunWith(app App, impl core.Impl, nprocs int, cm fabric.CostModel, opts Opti
 			nodes[i] = n
 			lrcNodes = append(lrcNodes, n)
 		}
-		starts[i] = func() { nodes[i].StatsBegin(); app.Program(nodes[i]) }
 		if opts.BarrierFanIn >= 2 {
 			nodes[i].SetBarrierFanIn(opts.BarrierFanIn)
 		}
@@ -299,36 +292,26 @@ func RunWith(app App, impl core.Impl, nprocs int, cm fabric.CostModel, opts Opti
 	ph = opts.Perf.StartPhase("verify")
 
 	res := Result{App: app.Name(), Impl: impl, NProcs: nprocs, LinkWait: net.LinkWait(), Faults: net.FaultStats()}
+	st := &res.Stats
 	for i, n := range nodes {
 		w, ok := n.Window()
 		if !ok {
 			return Result{}, fmt.Errorf("run: %s proc %d never called StatsEnd", app.Name(), i)
 		}
-		res.PerProc = append(res.PerProc, w)
-		st := &res.Stats
-		st.Msgs += w.Net.Msgs
-		st.Bytes += w.Net.Bytes
+		st.Time = max(st.Time, w.Time)
+		st.Msgs += w.Msgs
+		st.Bytes += w.Bytes
 		st.Faults += w.Faults
-		st.AccessMisses += w.Extra.AccessMisses
-		st.LockAcquires += w.Cnt.LockAcquires
-		st.ReadLockAcquires += w.Cnt.ReadLockAcquires
-		st.RemoteAcquires += w.Cnt.RemoteAcquires
-		st.DiffsCreated += w.Extra.DiffsCreated
-		st.TwinsMade += w.Extra.TwinsMade
-		st.StampRunsSent += w.Extra.StampRunsSent
-		st.Barriers += w.Cnt.Barriers
+		st.AccessMisses += w.AccessMisses
+		st.LockAcquires += w.LockAcquires
+		st.ReadLockAcquires += w.ReadLockAcquires
+		st.RemoteAcquires += w.RemoteAcquires
+		st.DiffsCreated += w.DiffsCreated
+		st.TwinsMade += w.TwinsMade
+		st.StampRunsSent += w.StampRunsSent
+		st.Barriers += w.Barriers
 	}
-	res.Stats.Barriers /= int64(nprocs)
-	var start, end sim.Time
-	for i, w := range res.PerProc {
-		if i == 0 || w.Start < start {
-			start = w.Start
-		}
-		if w.End > end {
-			end = w.End
-		}
-	}
-	res.Stats.Time = end - start
+	st.Barriers /= int64(nprocs)
 	for _, n := range lrcNodes {
 		res.NoticeBytes += n.NoticeHistoryBytes()
 	}

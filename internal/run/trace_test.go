@@ -48,11 +48,10 @@ func TestTracingObservationOnly(t *testing.T) {
 // as it happens, and is the reference. On cells where run-ahead is active —
 // contention, a Clos fabric, a large machine with notice GC and a barrier
 // tree, a fault plan, a watchdog firing mid-compute — the untraced result,
-// per-processor windows and final image included, must equal the reference
-// one, a stall must read the same, and a buffered trace taken with run-ahead
-// on must hold the reference trace's records, dispatches aside, in the same
-// emission order in every processor's buffer, and so in the same merged
-// order too.
+// final image included, must equal the reference one, a stall must read the
+// same, and a buffered trace taken with run-ahead on must hold the reference
+// trace's records, dispatches aside, in the same emission order in every
+// processor's buffer, and so in the same merged order too.
 func TestRunAheadMatchesTracedRun(t *testing.T) {
 	chaos, err := fabric.FaultPreset("chaos")
 	if err != nil {

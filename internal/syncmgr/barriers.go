@@ -63,7 +63,7 @@ type BarrierMgr struct {
 	net      *fabric.Network
 	hooks    BarrierHooks
 	barriers map[core.BarrierID]*barrierState
-	cnt      *Counters
+	cnt      *core.Stats
 	// tr is the network's tracer when the manager was built (nil-safe,
 	// observation-only): each processor's arrival and departure instants are
 	// recorded, from which the analyzer derives per-episode barrier imbalance.
@@ -90,7 +90,7 @@ func (m *BarrierMgr) SetFanIn(r int) {
 }
 
 // NewBarrierMgr returns the barrier manager endpoint for processor p.
-func NewBarrierMgr(p *sim.Proc, net *fabric.Network, nprocs int, hooks BarrierHooks, cnt *Counters) *BarrierMgr {
+func NewBarrierMgr(p *sim.Proc, net *fabric.Network, nprocs int, hooks BarrierHooks, cnt *core.Stats) *BarrierMgr {
 	return &BarrierMgr{
 		self:     p.ID(),
 		nprocs:   nprocs,

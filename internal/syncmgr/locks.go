@@ -95,13 +95,9 @@ type LockHooks interface {
 	LocalReacquire(l core.LockID, mode Mode)
 }
 
-// Counters tallies synchronization events for core.Stats.
-type Counters struct {
-	LockAcquires     int64
-	ReadLockAcquires int64
-	RemoteAcquires   int64
-	Barriers         int64
-}
+// Counters is core.Stats under its former name, which the benchmark's
+// probes still use.
+type Counters = core.Stats
 
 // Lock-message slot conventions (see LockHooks): A carries the lock id and B
 // the mode; Flag2 is set once the manager has routed the request, so a second
@@ -189,7 +185,7 @@ type LockMgr struct {
 	// managed locks would touch one slot in every nprocs ids — every chunk.
 	managed, foreign lockTable
 	freeQ            []*lockQueue // emptied queue records, for reuse
-	cnt              *Counters
+	cnt              *core.Stats
 	// tr is the network's tracer when the manager was built (nil-safe,
 	// observation-only): acquire requests, grants, completions and releases
 	// are recorded with their modes and queue depths, the raw material of the
@@ -203,7 +199,7 @@ const MaxProcs = math.MaxInt16
 
 // NewLockMgr returns the lock manager endpoint for processor p; nprocs must
 // be in 1..MaxProcs.
-func NewLockMgr(p *sim.Proc, net *fabric.Network, nprocs int, hooks LockHooks, cnt *Counters) *LockMgr {
+func NewLockMgr(p *sim.Proc, net *fabric.Network, nprocs int, hooks LockHooks, cnt *core.Stats) *LockMgr {
 	if nprocs < 1 || nprocs > MaxProcs {
 		panic(fmt.Sprintf("syncmgr: lock manager for %d processors: the lock table holds 1..%d", nprocs, MaxProcs))
 	}

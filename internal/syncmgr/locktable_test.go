@@ -199,10 +199,10 @@ func TestLockTableRejectsBadIDs(t *testing.T) {
 	p := s.Spawn("proc", func(*sim.Proc) {})
 	net := fabric.New(s, fabric.DefaultCostModel(), 1)
 	for _, nprocs := range []int{0, math.MaxInt16 + 1, 1 << 20} {
-		wantPanic(t, func() { NewLockMgr(p, net, nprocs, nilHooks{}, &Counters{}) },
+		wantPanic(t, func() { NewLockMgr(p, net, nprocs, nilHooks{}, &core.Stats{}) },
 			fmt.Sprint(nprocs, " processors"), fmt.Sprint(math.MaxInt16))
 	}
-	if lm := NewLockMgr(p, net, math.MaxInt16, nilHooks{}, &Counters{}); lm.nprocs != math.MaxInt16 {
+	if lm := NewLockMgr(p, net, math.MaxInt16, nilHooks{}, &core.Stats{}); lm.nprocs != math.MaxInt16 {
 		t.Error("the largest representable machine was rejected")
 	}
 }
@@ -260,7 +260,7 @@ func (sc lockScenario) run(tb testing.TB, turns int, mark func(k int)) []*LockMg
 				mark(turns)
 			}
 		})
-		lms[i] = NewLockMgr(p, net, sc.nprocs, nilHooks{}, &Counters{})
+		lms[i] = NewLockMgr(p, net, sc.nprocs, nilHooks{}, &core.Stats{})
 		lm := lms[i]
 		net.Attach(p, func(hc *fabric.HandlerCtx, m fabric.Msg) {
 			if !lm.Handle(hc, m) {

@@ -123,7 +123,7 @@ func TestTypedPayloadRoundTripAllKinds(t *testing.T) {
 			bars[i].Wait(0)
 		})
 		hooks[i] = &recHooks{t: t, self: i}
-		cnt := &Counters{}
+		cnt := &core.Stats{}
 		locks[i] = NewLockMgr(p, net, n, hooks[i], cnt)
 		bars[i] = NewBarrierMgr(p, net, n, hooks[i], cnt)
 		lm, bm := locks[i], bars[i]

@@ -36,7 +36,7 @@ type cluster struct {
 	net   *fabric.Network
 	locks []*LockMgr
 	bars  []*BarrierMgr
-	cnts  []*Counters
+	cnts  []*core.Stats
 }
 
 // newCluster spawns n processors each running body(proc index).
@@ -46,11 +46,11 @@ func newCluster(t *testing.T, n int, body func(c *cluster, i int)) *cluster {
 	c.net = fabric.New(c.s, fabric.DefaultCostModel(), n)
 	c.locks = make([]*LockMgr, n)
 	c.bars = make([]*BarrierMgr, n)
-	c.cnts = make([]*Counters, n)
+	c.cnts = make([]*core.Stats, n)
 	for i := 0; i < n; i++ {
 		i := i
 		p := c.s.Spawn("proc", func(p *sim.Proc) { body(c, i) })
-		c.cnts[i] = &Counters{}
+		c.cnts[i] = &core.Stats{}
 		c.locks[i] = NewLockMgr(p, c.net, n, nilHooks{}, c.cnts[i])
 		c.bars[i] = NewBarrierMgr(p, c.net, n, nilHooks{}, c.cnts[i])
 		lm, bm := c.locks[i], c.bars[i]

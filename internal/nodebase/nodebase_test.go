@@ -86,6 +86,26 @@ func TestAccessorsRoundTripAndTrap(t *testing.T) {
 	})
 }
 
+// TestStatsEndFlushesPendingCharge: no window exists before StatsEnd, and
+// StatsEnd flushes the deferred charge before it reads the clock, so the
+// window's time includes work not yet slept off.
+func TestStatsEndFlushesPendingCharge(t *testing.T) {
+	rig(t, lrcDiff, func(b *Base) {
+		if _, ok := b.Window(); ok {
+			t.Error("window before StatsEnd")
+		}
+		b.Charge(30 * sim.Microsecond)
+		b.StatsEnd()
+		w, ok := b.Window()
+		if !ok {
+			t.Fatal("no window after StatsEnd")
+		}
+		if w.Time != 30*sim.Microsecond || b.P.Now() != 30*sim.Microsecond {
+			t.Errorf("window time %v, clock %v; want 30µs both", w.Time, b.P.Now())
+		}
+	})
+}
+
 // nilHooks attach no consistency traffic: pure synchronization.
 type nilHooks struct{}
 
